@@ -10,7 +10,7 @@ property.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,16 +51,17 @@ class Graph:
         return adj
 
 
-def parse_graph(text: str) -> Graph:
+def parse_edge_list(text: str):
     """Parse the plain edge-list format: a header line ``n m`` followed by
-    m lines ``u v`` (1-based, an optional trailing weight column is ignored).
-    Blank lines and lines starting with ``#`` are skipped."""
+    m lines ``u v [w]`` (1-based, weight default 1.0).  Blank lines and
+    lines starting with ``#``, ``;`` or ``*`` are skipped.  Returns n and
+    the 0-based ``(u, v, w)`` triples in file order."""
     header = None
     edges = []
     n = m = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] in "#;*":
             continue
         parts = line.split()
         if header is None:
@@ -78,13 +79,12 @@ def parse_graph(text: str) -> Graph:
             raise ParseError(f"line {lineno}: expected 'u v' or 'u v w'")
         try:
             u, v = int(parts[0]), int(parts[1])
-            if len(parts) == 3:
-                float(parts[2])
+            w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric edge fields")
         if not (1 <= u <= n and 1 <= v <= n):
             raise ParseError(f"line {lineno}: vertex out of range [1, {n}]")
-        edges.append((u - 1, v - 1))
+        edges.append((u - 1, v - 1, w))
     if header is None:
         raise ParseError("line 1: empty graph file")
     if len(edges) != m:
@@ -92,14 +92,14 @@ def parse_graph(text: str) -> Graph:
             f"line {len(text.splitlines())}: header promised {m} edges, "
             f"found {len(edges)}"
         )
-    return Graph(n=n, edges=edges)
+    return n, edges
 
 
-def format_graph(graph: Graph) -> str:
-    lines = [f"{graph.n} {graph.m}"]
-    for u, v in graph.edges:
-        lines.append(f"{u + 1} {v + 1}")
-    return "\n".join(lines) + "\n"
+def parse_graph(text: str) -> Graph:
+    """Parse the edge-list format (see :func:`parse_edge_list`), ignoring
+    the weight column."""
+    n, edges = parse_edge_list(text)
+    return Graph(n=n, edges=[(u, v) for u, v, _ in edges])
 
 
 def parse_permutation(text: str, n: int) -> list:
@@ -185,18 +185,6 @@ class TreeDecomposition:
             for v in bag:
                 holds[v].append(j)
         return holds
-
-    def owner_bag(self) -> np.ndarray:
-        """For each vertex, the root-most bag containing it (unique by the
-        running-intersection property)."""
-        owner = -np.ones(self.n, dtype=np.int64)
-        for j, bag in enumerate(self.bags):
-            p = int(self.parent[j])
-            parent_set = set(self.bags[p]) if p != j else set()
-            for v in bag:
-                if p == j or v not in parent_set:
-                    owner[v] = j
-        return owner
 
     def validate(self, graph: Graph | None = None) -> list:
         """Collect violations of the decomposition axioms (empty == valid)."""

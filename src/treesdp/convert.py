@@ -12,22 +12,17 @@ structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
 
 from .chordal import TreeDecomposition, decompose, sparsity_graph
-from .errors import (
-    DimensionMismatch,
-    DisconnectedSupport,
-    InvalidSplit,
-    NotNetworkFlow,
-)
+from .errors import DimensionMismatch, DisconnectedSupport, InvalidSplit
 from .linalg import SQRT2, SparseSymmetric, tri
 from .model import SdpProblem
-from .splitting import UniquePartition, build_unique_partition, split
+from .splitting import build_unique_partition, split
 
 # --------------------------------------------------------------------------
 # Cones
@@ -70,14 +65,12 @@ class ConeSpec:
             start += ln
         return out
 
-    def nu(self, convention: str = "paper") -> float:
-        """Barrier parameter: PSD order + orthant size + per-SOC term
-        (1 under the default convention, 2 under the standard one)."""
-        soc_term = 1.0 if convention == "paper" else 2.0
+    def nu(self) -> float:
+        """Barrier parameter: PSD order + orthant size + 1 per SOC."""
         total = 0.0
         for kind, size in self.segments:
             if kind == "soc":
-                total += soc_term
+                total += 1.0
             elif kind == "psd":
                 total += size
             elif kind == "nonneg":
@@ -195,90 +188,6 @@ def validate_support_tree(td: TreeDecomposition, members: list) -> int:
 
 
 # --------------------------------------------------------------------------
-# Network-flow constraint splitting
-# --------------------------------------------------------------------------
-
-
-def split_network_flow(
-    mat: SparseSymmetric,
-    td: TreeDecomposition,
-    partition: UniquePartition | None = None,
-):
-    """Split a flow-form constraint (one diagonal entry at a center vertex
-    plus symmetric off-diagonal entries incident to that center) across every
-    bag containing the center, sharing the diagonal weight equally.
-
-    Returns (pieces, members, center).  The shares are compensated so the
-    embedded sum reproduces the matrix exactly in floating point."""
-    if partition is None:
-        partition = build_unique_partition(td)
-    if mat.nnz == 0:
-        raise NotNetworkFlow("empty constraint matrix")
-    diag_idx = np.where(mat.rows == mat.cols)[0]
-    off_idx = np.where(mat.rows != mat.cols)[0]
-    if diag_idx.size > 1:
-        raise NotNetworkFlow("more than one diagonal entry")
-    if diag_idx.size == 1:
-        center = int(mat.rows[diag_idx[0]])
-        alpha = float(mat.vals[diag_idx[0]])
-    else:
-        # center must be the common endpoint of all off-diagonal entries
-        cand = {int(mat.rows[off_idx[0]]), int(mat.cols[off_idx[0]])}
-        for e in off_idx[1:]:
-            cand &= {int(mat.rows[e]), int(mat.cols[e])}
-        if not cand:
-            raise NotNetworkFlow("off-diagonal entries share no common vertex")
-        center = min(cand)
-        alpha = 0.0
-    for e in off_idx:
-        if center not in (int(mat.rows[e]), int(mat.cols[e])):
-            raise NotNetworkFlow(
-                f"off-diagonal entry ({int(mat.rows[e]) + 1}, "
-                f"{int(mat.cols[e]) + 1}) not incident to the center"
-            )
-
-    holders = [j for j, bag in enumerate(td.bags) if center in bag]
-    topo_pos = {j: k for k, j in enumerate(td.postorder())}
-    members = sorted(holders, key=lambda j: topo_pos[j])
-    root_w = validate_support_tree(td, members)
-    t = len(members)
-    share = alpha / t
-    root_share = alpha - (t - 1) * share  # exact compensation
-
-    locals_ = {j: {} for j in members}
-    for j in members:
-        pos = td.bags[j].index(center)
-        locals_[j][(pos, pos)] = root_share if j == root_w else share
-    bag_sets = [set(b) for b in td.bags]
-    for e in off_idx:
-        r, c = int(mat.rows[e]), int(mat.cols[e])
-        other = c if r == center else r
-        placed = False
-        for j in members:
-            if other in bag_sets[j]:
-                lr = td.bags[j].index(r)
-                lc = td.bags[j].index(c)
-                key = (max(lr, lc), min(lr, lc))
-                locals_[j][key] = locals_[j].get(key, 0.0) + float(mat.vals[e])
-                placed = True
-                break
-        if not placed:
-            raise NotNetworkFlow(
-                f"entry ({r + 1}, {c + 1}) lies in no bag containing the center"
-            )
-    pieces = {}
-    for j in members:
-        keys = sorted(locals_[j])
-        rows = np.array([k[0] for k in keys], dtype=np.int64)
-        cols = np.array([k[1] for k in keys], dtype=np.int64)
-        vals = np.array([locals_[j][k] for k in keys])
-        pieces[j] = SparseSymmetric(
-            order=len(td.bags[j]), rows=rows, cols=cols, vals=vals
-        )
-    return pieces, members, center
-
-
-# --------------------------------------------------------------------------
 # Converted problem
 # --------------------------------------------------------------------------
 
@@ -373,13 +282,6 @@ class ConvertedProblem:
             out[j] = smat(z[blk.svec_start:blk.svec_start + blk.svec_len])
         return out
 
-    def tree_edges(self) -> list:
-        return [
-            (int(self.td.parent[j]), j)
-            for j in range(self.td.ell)
-            if int(self.td.parent[j]) != j
-        ]
-
 
 def _piece_coords(piece: SparseSymmetric, svec_start: int):
     pos = piece.rows * (piece.rows + 1) // 2 + piece.cols
@@ -398,7 +300,6 @@ def _assemble(
     td: TreeDecomposition | None,
     order: list | None,
     with_aux: bool,
-    flow_rows=frozenset(),
 ) -> ConvertedProblem:
     if td is None:
         graph = sparsity_graph(problem.cost, problem.constraints)
@@ -412,17 +313,12 @@ def _assemble(
     verify_split(problem.cost, cost_split.pieces, td, rng)
 
     piece_sets = []  # per constraint: dict bag -> local SparseSymmetric
-    members_of = []  # per constraint: support bags (flow) or cover
-    for i, a in enumerate(problem.constraints):
-        if i in flow_rows:
-            pieces, members, _center = split_network_flow(a, td, partition)
-            piece_sets.append(pieces)
-            members_of.append(members)
-        else:
-            res = split(a, td, partition)
-            verify_split(a, res.pieces, td, rng)
-            piece_sets.append(res.pieces)
-            members_of.append(sorted(res.cover, key=lambda j: topo_pos[j]))
+    members_of = []  # per constraint: cover bags in postorder
+    for a in problem.constraints:
+        res = split(a, td, partition)
+        verify_split(a, res.pieces, td, rng)
+        piece_sets.append(res.pieces)
+        members_of.append(sorted(res.cover, key=lambda j: topo_pos[j]))
 
     # ---- aux plan ------------------------------------------------------
     aux_members = {}
@@ -642,22 +538,12 @@ def separate_with_aux(
     problem: SdpProblem,
     td: TreeDecomposition | None = None,
     order: list | None = None,
-    flow_rows=frozenset(),
 ) -> ConvertedProblem:
     """Clique-tree conversion with auxiliary chain variables: a constraint
     whose pieces span several bags becomes one row per support-tree bag,
     telescoped by free scalars stored in the parent block, so every row
-    touches only tree-adjacent blocks.  ``flow_rows`` lists constraint
-    indices to split in network-flow form (shared diagonal)."""
-    return _assemble(problem, td, order, with_aux=True, flow_rows=flow_rows)
-
-
-def add_inequality_slacks(ctc: ConvertedProblem) -> dict:
-    """Slack bookkeeping of a converted problem: maps each inequality
-    constraint to the z-coordinate of its nonnegative slack (the slack lives
-    in the owning block's orthant segment).  Present for introspection; the
-    coordinates are already wired into the rows by the assembly."""
-    return dict(ctc.slack_coord)
+    touches only tree-adjacent blocks."""
+    return _assemble(problem, td, order, with_aux=True)
 
 
 # --------------------------------------------------------------------------
@@ -672,7 +558,6 @@ class DualizedProblem:
 
     ctc: ConvertedProblem
     g_csr: sp.csr_matrix
-    g_csc: sp.csc_matrix
     nonaux: np.ndarray
     cone_x: ConeSpec
 
@@ -755,7 +640,6 @@ def dualize(ctc: ConvertedProblem) -> DualizedProblem:
     return DualizedProblem(
         ctc=ctc,
         g_csr=g,
-        g_csc=g.tocsc(),
         nonaux=nonaux,
         cone_x=ConeSpec(segments=tuple(segments)),
     )

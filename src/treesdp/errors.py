@@ -37,11 +37,6 @@ class DisconnectedSupport(TreeSdpError):
     """Constraint support induces a disconnected subtree (internal error)."""
 
 
-class NotNetworkFlow(TreeSdpError):
-    """Constraint matrix is not of network-flow form (diagonal + symmetric
-    off-diagonal pair per edge)."""
-
-
 # ---------------------------------------------------------------- ipm
 class NotInterior(TreeSdpError):
     """A point that must lie in the cone interior does not."""

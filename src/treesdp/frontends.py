@@ -9,12 +9,11 @@ relaxations and the theta problem the quantity of interest is the
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chordal import Graph, decompose, parse_graph, sparsity_graph
+from .chordal import Graph, decompose, parse_edge_list, sparsity_graph
 from .convert import (
     ConeSpec,
     ConvertedProblem,
@@ -52,24 +51,14 @@ ORACLE_MAX_ORDER = 50
 def parse_weighted_graph(text: str):
     """Parse the edge-list format, keeping the optional third column as the
     edge weight (default 1.0; repeated edges accumulate)."""
-    graph = parse_graph(text)  # validates the grammar with line numbers
+    n, edges = parse_edge_list(text)
     weights: dict = {}
-    seen_header = False
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if not seen_header:
-            seen_header = True
-            continue
-        parts = line.split()
-        u, v = int(parts[0]) - 1, int(parts[1]) - 1
+    for u, v, w in edges:
         if u == v:
             continue
         key = (min(u, v), max(u, v))
-        w = float(parts[2]) if len(parts) == 3 else 1.0
         weights[key] = weights.get(key, 0.0) + w
-    return graph, weights
+    return Graph(n=n, edges=[(u, v) for u, v, _ in edges]), weights
 
 
 # ---------------------------------------------------------------------------
@@ -415,7 +404,7 @@ class SolveOutcome:
     omega: int
     ell: int
     iterations: int
-    time_per_iter_s: float
+    time_per_iter_s: float  # median wall time of one IPM iteration
     eps: float
     ctc: ConvertedProblem
     result: SolveResult = field(repr=False, default=None)
@@ -486,7 +475,6 @@ def solve_sdp(
     else:
         program = DualizedHsdeProgram(dualize(ctc))
 
-    t0 = time.perf_counter()
     if step == "short":
         res = short_step_solve(
             program, eps=eps, max_iter=max_iter or 50000, **solver_kw
@@ -495,7 +483,6 @@ def solve_sdp(
         res = adaptive_step_solve(
             program, eps=eps, max_iter=max_iter or 200, **solver_kw
         )
-    elapsed = time.perf_counter() - t0
 
     st = res.state
     if method == "ctc":
@@ -514,13 +501,12 @@ def solve_sdp(
     factor = complete_low_rank(blocks, td)
     y_sdp = u[ctc.dual_row_of_constraint]
 
-    time_per_iter = elapsed / max(res.iterations, 1)
     metrics = dimacs_metrics(
         sdp,
         factor,
         y_sdp,
         iterations=res.iterations,
-        time_per_iter_s=time_per_iter,
+        time_per_iter_s=res.time_per_iter_s,
     )
     return SolveOutcome(
         method=method,
@@ -534,7 +520,7 @@ def solve_sdp(
         omega=td.omega,
         ell=td.ell,
         iterations=res.iterations,
-        time_per_iter_s=time_per_iter,
+        time_per_iter_s=res.time_per_iter_s,
         eps=eps,
         ctc=ctc,
         result=res,

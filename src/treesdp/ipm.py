@@ -60,14 +60,11 @@ class SolverOptions:
     method: str = "adaptive"  # "short" | "adaptive"
     eps: float = 1e-8
     max_iter: int = 200
-    nu_convention: str = "paper"  # "paper" | "standard"
     collect_diagnostics: bool = False
 
     def __post_init__(self):
         if self.method not in ("short", "adaptive"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.nu_convention not in ("paper", "standard"):
-            raise ValueError(f"unknown convention {self.nu_convention!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -87,13 +84,13 @@ class ScalingPoint:
     """Nesterov-Todd scaling point w with ∇²F(w) x = s."""
 
     soc: list
-    psd_stacks: dict  # order -> (W stack, W^{-1} stack)
+    psd_stacks: dict  # order -> W stack
     nn_w: np.ndarray  # concatenated over all nonneg coordinates
 
     def psd_list(self, ops: "ConeOps") -> list:
         out = []
         for order, pos in ops.psd_seg_pos:
-            out.append(self.psd_stacks[order][0][pos])
+            out.append(self.psd_stacks[order][pos])
         return out
 
 
@@ -104,22 +101,13 @@ def _soc_g2(v: np.ndarray) -> float:
 class ConeOps:
     """Barrier calculus over a ConeSpec (soc x psd... x nonneg...).
 
-    Two barrier conventions are supported for the second-order cone:
-
-    * ``paper``: F = -1/2 log(x_0^2 - |x_1|^2), identity (1, 0, ...),
-      contributing 1 to the barrier parameter nu;
-    * ``standard``: F = -log(x_0^2 - |x_1|^2), identity (sqrt 2, 0, ...),
-      contributing 2.
-
-    PSD and nonnegative segments use -log det X and -log x in both
-    conventions.
+    The second-order cone uses F = -1/2 log(x_0^2 - |x_1|^2) with identity
+    (1, 0, ...), contributing 1 to the barrier parameter nu; PSD and
+    nonnegative segments use -log det X and -log x.
     """
 
-    def __init__(self, spec: ConeSpec, convention: str = "paper"):
-        if convention not in ("paper", "standard"):
-            raise ValueError(f"unknown convention {convention!r}")
+    def __init__(self, spec: ConeSpec):
         self.spec = spec
-        self.convention = convention
         self.dim = spec.dim
         self.soc_slices = []
         self.psd_groups = {}  # order -> coord index matrix (g, t)
@@ -153,8 +141,7 @@ class ConeOps:
             if nn_idx
             else np.zeros(0, dtype=np.int64)
         )
-        self.nu = float(spec.nu(convention))
-        self._e0 = 1.0 if convention == "paper" else float(np.sqrt(2.0))
+        self.nu = float(spec.nu())
 
     # -- helpers ----------------------------------------------------------
     def _cols(self, v):
@@ -165,7 +152,7 @@ class ConeOps:
     def identity(self) -> np.ndarray:
         e = np.zeros(self.dim)
         for sl in self.soc_slices:
-            e[sl.start] = self._e0
+            e[sl.start] = 1.0
         for order, idx in self.psd_groups.items():
             diag_pos = np.array(
                 [r * (r + 1) // 2 + r for r in range(order)], dtype=np.int64
@@ -196,13 +183,12 @@ class ConeOps:
     def grad(self, z: np.ndarray) -> np.ndarray:
         """Barrier gradient ∇F(z) (z must be interior)."""
         g = np.zeros_like(z)
-        soc_scale = 1.0 if self.convention == "paper" else 2.0
         for sl in self.soc_slices:
             v = z[sl]
             g2 = _soc_g2(v)
             jv = v.copy()
             jv[1:] = -jv[1:]
-            g[sl] = -soc_scale * jv / g2
+            g[sl] = -jv / g2
         for order, idx in self.psd_groups.items():
             mats = smat_stack(z[idx])
             vals, vecs = np.linalg.eigh(mats)
@@ -229,8 +215,7 @@ class ConeOps:
             big_t = float(sv @ xv + np.sqrt(gx * gs))
             jsv = sv.copy()
             jsv[1:] = -jsv[1:]
-            scale = 2.0 * big_t if self.convention == "paper" else big_t
-            w = (xv + gamma * jsv) / np.sqrt(scale)
+            w = (xv + gamma * jsv) / np.sqrt(2.0 * big_t)
             soc.append(SocScaling(sl=sl, w=w, g2=_soc_g2(w)))
         psd_stacks = {}
         for order, idx in self.psd_groups.items():
@@ -260,15 +245,8 @@ class ConeOps:
                 "gij,gj,gkj->gik", avecs, np.sqrt(avals), avecs,
                 optimize=True,
             )
-            a_ihalf = np.einsum(
-                "gij,gj,gkj->gik", avecs, 1.0 / np.sqrt(avals), avecs,
-                optimize=True,
-            )
             w_stack = s_ihalf @ a_half @ s_ihalf
-            w_inv = s_half @ a_ihalf @ s_half
-            w_stack = 0.5 * (w_stack + np.swapaxes(w_stack, 1, 2))
-            w_inv = 0.5 * (w_inv + np.swapaxes(w_inv, 1, 2))
-            psd_stacks[order] = (w_stack, w_inv)
+            psd_stacks[order] = 0.5 * (w_stack + np.swapaxes(w_stack, 1, 2))
         if self.nn_idx.size:
             xn, sn = x[self.nn_idx], s[self.nn_idx]
             if np.min(xn) <= 0.0 or np.min(sn) <= 0.0:
@@ -278,40 +256,7 @@ class ConeOps:
             nn_w = np.zeros(0)
         return ScalingPoint(soc=soc, psd_stacks=psd_stacks, nn_w=nn_w)
 
-    # -- Hessian action at the scaling point --------------------------------
-    def hess_apply(self, w: ScalingPoint, v):
-        """∇²F(w) v for a vector or a (dim, k) column batch."""
-        cols, single = self._cols(v)
-        out = np.zeros_like(cols)
-        hess_scale = 2.0 if self.convention == "standard" else 1.0
-        for sc in w.soc:
-            vv = cols[sc.sl]
-            jw = sc.w.copy()
-            jw[1:] = -jw[1:]
-            jv = vv.copy()
-            jv[1:] = -jv[1:]
-            coef = 2.0 * (jw @ vv) / (sc.g2 * sc.g2)
-            out[sc.sl] = hess_scale * (
-                jw[:, None] * coef[None, :] - jv / sc.g2
-            )
-        for order, idx in self.psd_groups.items():
-            w_inv = w.psd_stacks[order][1]
-            k = cols.shape[1]
-            vecs = cols[idx]  # (g, t, k)
-            mats = smat_stack(
-                np.moveaxis(vecs, 2, 1).reshape(-1, vecs.shape[1])
-            ).reshape(vecs.shape[0], k, order, order)
-            res = np.einsum(
-                "gij,gkjl,glm->gkim", w_inv, mats, w_inv, optimize=True
-            )
-            flat = svec_stack(res.reshape(-1, order, order)).reshape(
-                vecs.shape[0], k, -1
-            )
-            out[idx] = np.moveaxis(flat, 1, 2)
-        if self.nn_idx.size:
-            out[self.nn_idx] = cols[self.nn_idx] / (w.nn_w ** 2)[:, None]
-        return out[:, 0] if single else out
-
+    # -- inverse Hessian action at the scaling point ------------------------
     def hess_inv_apply(self, w: ScalingPoint, v):
         """(∇²F(w))^{-1} v for a vector or a (dim, k) column batch."""
         cols, single = self._cols(v)
@@ -321,14 +266,9 @@ class ConeOps:
             jv = vv.copy()
             jv[1:] = -jv[1:]
             coef = sc.w @ vv
-            if self.convention == "paper":
-                out[sc.sl] = 2.0 * sc.w[:, None] * coef[None, :] - sc.g2 * jv
-            else:
-                out[sc.sl] = (
-                    sc.w[:, None] * coef[None, :] - 0.5 * sc.g2 * jv
-                )
+            out[sc.sl] = 2.0 * sc.w[:, None] * coef[None, :] - sc.g2 * jv
         for order, idx in self.psd_groups.items():
-            w_stack = w.psd_stacks[order][0]
+            w_stack = w.psd_stacks[order]
             k = cols.shape[1]
             vecs = cols[idx]
             mats = smat_stack(
@@ -448,12 +388,8 @@ class DualizedHsdeProgram:
 
     def normal_update(self, ops: ConeOps, w: ScalingPoint) -> None:
         sc = w.soc[0]
-        if ops.convention == "paper":
-            sigma = sc.g2
-            q_row = np.sqrt(2.0) * sc.w[1:]
-        else:
-            sigma = 0.5 * sc.g2
-            q_row = sc.w[1:]
+        sigma = sc.g2
+        q_row = np.sqrt(2.0) * sc.w[1:]
         q_z = self.dualized.g_csr.T.dot(q_row)
         psd_w = w.psd_list(ops)
         nn_w2 = [np.zeros(0)] * len(self._block_nn)
@@ -576,6 +512,7 @@ class SolveResult:
 
     @property
     def time_per_iter_s(self) -> float:
+        """Median wall time of one iteration (0.0 before the first)."""
         if not self.records:
             return 0.0
         return float(np.median([r.wall_s for r in self.records]))
@@ -587,7 +524,7 @@ class HsdeSolver:
     def __init__(self, program, options: SolverOptions = None):
         self.program = program
         self.options = options or SolverOptions()
-        self.ops = ConeOps(program.cone, self.options.nu_convention)
+        self.ops = ConeOps(program.cone)
         self.c = np.asarray(program.c, dtype=float)
         self.b = np.asarray(program.b, dtype=float)
         e = self.ops.identity()

@@ -100,33 +100,6 @@ def smat_stack(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
-def sym_kron_apply(a: np.ndarray, b: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Action of the symmetric Kronecker product without materializing it:
-    ``svec(0.5 * (A @ smat(v) @ B.T + B @ smat(v) @ A.T))``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(
-            f"sym_kron_apply needs two square matrices of equal order, "
-            f"got {a.shape} and {b.shape}"
-        )
-    vec = np.asarray(vec, dtype=float)
-    if vec.shape[-1] != tri(a.shape[0]):
-        raise DimensionMismatch(
-            f"vector length {vec.shape[-1]} does not match order {a.shape[0]}"
-        )
-    if vec.ndim == 1:
-        mid = smat(vec)
-        return svec(0.5 * (a @ mid @ b.T + b @ mid @ a.T))
-    mids = smat_stack(vec)
-    out = 0.5 * (
-        np.einsum("ij,gjk,lk->gil", a, mids, b)
-        + np.einsum("ij,gjk,lk->gil", b, mids, a)
-    )
-    return svec_stack(out)
-
-
 def sym_kron_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Materialize the symmetric Kronecker product as a tri(o) x tri(o) matrix.
 
@@ -172,42 +145,6 @@ def sym_kron_stack(w: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # Matrix containers
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DenseSym:
-    """Dense symmetric matrix stored as its packed (unscaled) lower triangle,
-    row-major."""
-
-    order: int
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=float)
-        if entries.ndim != 1 or entries.shape[0] != tri(self.order):
-            raise NonTriangularLength(
-                f"expected {tri(self.order)} packed entries for order "
-                f"{self.order}, got shape {entries.shape}"
-            )
-        object.__setattr__(self, "entries", entries)
-
-    @classmethod
-    def from_full(cls, mat: np.ndarray) -> "DenseSym":
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
-        rows, cols = tri_indices(mat.shape[0])
-        return cls(order=mat.shape[0], entries=mat[rows, cols].copy())
-
-    def full(self) -> np.ndarray:
-        rows, cols = tri_indices(self.order)
-        out = np.zeros((self.order, self.order))
-        out[rows, cols] = self.entries
-        out[cols, rows] = self.entries
-        return out
-
-    def svec(self) -> np.ndarray:
-        return self.entries * svec_scale(self.order)
 
 
 @dataclass
@@ -283,23 +220,6 @@ class SparseSymmetric:
         diag = self.rows == self.cols
         vals = np.where(diag, self.vals, 2.0 * self.vals)
         return float(np.sum(vals * x[self.rows, self.cols]))
-
-    def submatrix(self, index: np.ndarray) -> np.ndarray:
-        """Dense principal submatrix on the given (0-based) index list."""
-        index = np.asarray(index, dtype=np.int64)
-        pos = -np.ones(self.order, dtype=np.int64)
-        pos[index] = np.arange(index.size)
-        out = np.zeros((index.size, index.size))
-        for r, c, v in zip(self.rows, self.cols, self.vals):
-            pr, pc = pos[r], pos[c]
-            if pr >= 0 and pc >= 0:
-                out[pr, pc] = v
-                out[pc, pr] = v
-        return out
-
-    def frob_norm(self) -> float:
-        diag = self.rows == self.cols
-        return float(np.sqrt(np.sum(np.where(diag, 1.0, 2.0) * self.vals**2)))
 
 
 # --------------------------------------------------------------------------

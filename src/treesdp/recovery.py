@@ -69,7 +69,7 @@ class Metrics:
     gap: float
     L: float
     iterations: int = 0
-    time_per_iter_s: float = 0.0
+    time_per_iter_s: float = 0.0  # median wall time of one IPM iteration
 
     def to_json(self) -> str:
         return json.dumps(
@@ -249,10 +249,11 @@ def dimacs_metrics(
 
     * pinf = -log10[ ||A(X) - b|| / (1 + ||b||) ]
     * dinf = -log10[ lambda_max(A^T(y) - C) / (1 + ||C||) ]
-    * gap  = -log10[ (C.X - b'y) / (1 + |C.X| + |b'y|) ]
+    * gap  = -log10[ |C.X - b'y| / (1 + |C.X| + |b'y|) ]
 
-    each saturated at 16 digits when its numerator is nonpositive, and
-    L is the minimum of the three.
+    each capped at 16 digits and saturated there when its numerator is
+    zero (or, for the one-sided dinf, negative); L is the minimum of the
+    three.
     """
     if isinstance(x, LowRankFactor):
         x = x.matrix()
@@ -283,7 +284,7 @@ def dimacs_metrics(
 
     cx = sdp.objective(x)
     by = float(sdp.b @ y)
-    gap = _digits(cx - by, 1.0 + abs(cx) + abs(by))
+    gap = _digits(abs(cx - by), 1.0 + abs(cx) + abs(by))
 
     return Metrics(
         pinf=pinf,

@@ -8,7 +8,6 @@ from treesdp.chordal import (
     TreeDecomposition,
     decompose,
     format_decomposition,
-    format_graph,
     min_degree_order,
     parse_graph,
     parse_permutation,
@@ -53,11 +52,6 @@ def test_graph_canonicalizes():
 def test_graph_rejects_out_of_range():
     with pytest.raises(DimensionMismatch):
         Graph(3, [(0, 5)])
-
-
-def test_parse_and_format_graph_round_trip():
-    g = Graph(5, [(0, 1), (2, 4), (1, 3)])
-    assert parse_graph(format_graph(g)).edges == g.edges
 
 
 def test_parse_graph_accepts_weights_and_comments():
@@ -224,20 +218,6 @@ def test_postorder_children_before_parents():
             p = int(td.parent[j])
             if p != j:
                 assert pos[j] < pos[p]
-
-
-def test_owner_bag_is_root_most():
-    rng = np.random.default_rng(33)
-    for _ in range(10):
-        g = random_graph(rng, int(rng.integers(3, 25)), 0.3)
-        td = decompose(g)
-        owner = td.owner_bag()
-        for v in range(g.n):
-            j = int(owner[v])
-            assert v in td.bags[j]
-            p = int(td.parent[j])
-            if p != j:
-                assert v not in td.bags[p]
 
 
 def test_validate_flags_broken_decompositions():

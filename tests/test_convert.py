@@ -1,5 +1,5 @@
 """Converter tests: cone bookkeeping, row wiring, auxiliary separation,
-network-flow splitting, and dualization."""
+and dualization."""
 
 import numpy as np
 import pytest
@@ -7,20 +7,14 @@ import pytest
 from treesdp.chordal import Graph, decompose
 from treesdp.convert import (
     ConeSpec,
-    add_inequality_slacks,
     build_ctc,
     dualize,
     separate_with_aux,
-    split_network_flow,
     steiner_closure,
     validate_support_tree,
     verify_split,
 )
-from treesdp.errors import (
-    DisconnectedSupport,
-    InvalidSplit,
-    NotNetworkFlow,
-)
+from treesdp.errors import DisconnectedSupport, InvalidSplit
 from treesdp.linalg import SparseSymmetric, svec, tri
 from treesdp.model import SdpProblem
 from util import (
@@ -34,8 +28,7 @@ from util import (
 def test_cone_spec_dims_and_nu():
     cone = ConeSpec(segments=(("soc", 4), ("psd", 3), ("nonneg", 2), ("free", 1)))
     assert cone.dim == 4 + tri(3) + 2 + 1
-    assert cone.nu("paper") == 1 + 3 + 2
-    assert cone.nu("standard") == 2 + 3 + 2
+    assert cone.nu() == 1 + 3 + 2
     assert cone.has_free
 
 
@@ -82,7 +75,11 @@ def test_ctc_overlap_block_pattern_is_tree_adjacency():
         n = int(rng.integers(5, 16))
         problem, td = random_partially_separable_problem(rng, n, 2)
         ctc = build_ctc(problem, td=td)
-        edges = {(max(p, c), min(p, c)) for p, c in ctc.tree_edges()}
+        edges = {
+            (max(int(td.parent[j]), j), min(int(td.parent[j]), j))
+            for j in range(td.ell)
+            if td.parent[j] != j
+        }
         seen = set()
         for kinds in ctc.block_of_row[ctc.a_rows.shape[0]:]:
             pair = (max(kinds), min(kinds))
@@ -128,7 +125,7 @@ def test_inequality_slack_wiring():
     rng = np.random.default_rng(83)
     problem, td = random_partially_separable_problem(rng, 8, 4, ineq_prob=1.0)
     ctc = build_ctc(problem)
-    slacks = add_inequality_slacks(ctc)
+    slacks = ctc.slack_coord
     assert set(slacks) == {i for i, s in enumerate(problem.senses) if s != "eq"}
     z, x_dense = consistent_block_vector(rng, ctc)
     for i, coord in slacks.items():
@@ -249,51 +246,9 @@ def test_support_tree_validation():
     assert root_w in closed
 
 
-# ----------------------------------------------------------------- network flow
-def test_split_network_flow_reconstructs():
-    g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 2)])
-    td = decompose(g)
-    # flow-form constraint centered at vertex 2: diagonal + incident edges
-    mat = SparseSymmetric(
-        order=6, rows=[2, 2, 2, 3], cols=[2, 0, 1, 2], vals=[2.5, 1.0, -1.0, 0.5]
-    )
-    pieces, members, center = split_network_flow(mat, td)
-    assert center == 2
-    assert set(members) == {
-        j for j in range(td.ell) if 2 in td.bags[j]
-    }
-    dense = np.zeros((6, 6))
-    for j, piece in pieces.items():
-        bag = np.asarray(td.bags[j])
-        dense[np.ix_(bag, bag)] += piece.to_dense()
-    assert np.allclose(dense, mat.to_dense(), atol=1e-15)
-    # diagonal shares sum exactly to the original weight
-    total = sum(
-        piece.to_dense()[td.bags[j].index(2), td.bags[j].index(2)]
-        for j, piece in pieces.items()
-    )
-    assert abs(total - 2.5) <= 1e-14
-
-
-def test_split_network_flow_rejections():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    td = decompose(g)
-    two_diag = SparseSymmetric(order=4, rows=[0, 1], cols=[0, 1], vals=[1.0, 1.0])
-    with pytest.raises(NotNetworkFlow):
-        split_network_flow(two_diag, td)
-    no_center = SparseSymmetric(
-        order=4, rows=[1, 3], cols=[0, 2], vals=[1.0, 1.0]
-    )
-    with pytest.raises(NotNetworkFlow):
-        split_network_flow(no_center, td)
-    empty = SparseSymmetric(order=4, rows=[], cols=[], vals=[])
-    with pytest.raises(NotNetworkFlow):
-        split_network_flow(empty, td)
-
-
 def test_flow_rows_through_aux_elimination():
-    # star center 0 spanning several bags of a path-ish graph
-    g = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)])
+    # flow-form row (diagonal at center 0 plus entries incident to it)
+    # spanning several bags, split by the generic splitter
     mat = SparseSymmetric(
         order=5,
         rows=[0, 1, 2, 3, 4],
@@ -308,21 +263,30 @@ def test_flow_rows_through_aux_elimination():
         constraints=[mat, diag],
         b=np.array([1.0, 1.0]),
     )
-    ctc = separate_with_aux(problem, flow_rows={0})
+    ctc = separate_with_aux(problem)
+    td = ctc.td
+    aux = ctc.aux_plan.constraints[0]
+    assert aux.index == 0 and len(aux.members) > 1
+    # the support tree stays inside the bags holding the center
+    assert all(0 in td.bags[j] for j in aux.members)
+    start, end = aux.row_range
+    for kinds in ctc.block_of_row[start:end]:
+        assert len(kinds) <= 2
+        if len(kinds) == 2:
+            p, c = max(kinds), min(kinds)
+            assert int(td.parent[c]) == p or int(td.parent[p]) == c
+    # sum of the aux group rows evaluates to <A, X> on consistent vectors
     rng = np.random.default_rng(101)
     z, x_dense = consistent_block_vector(rng, ctc)
-    # sum of the aux group rows evaluates to <A, X> on consistent vectors
-    aux = ctc.aux_plan.constraints[0]
-    start, end = aux.row_range
     val = float(np.asarray(ctc.a_rows[start:end] @ z).sum())
     ref = mat.dot_sym(x_dense)
     assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
     gamma = [blk.n_aux for blk in ctc.blocks]
     d_max = max(
-        sum(1 for j in range(ctc.td.ell) if int(ctc.td.parent[j]) == p) + 1
-        for p in range(ctc.td.ell)
+        sum(1 for j in range(td.ell) if int(td.parent[j]) == p) + 1
+        for p in range(td.ell)
     )
-    assert max(gamma) <= 1 * ctc.td.omega * d_max  # single flow constraint
+    assert max(gamma) <= 1 * td.omega * d_max  # single flow constraint
 
 
 # ----------------------------------------------------------------- dualize

@@ -6,7 +6,7 @@ import io
 import numpy as np
 import pytest
 
-from treesdp.chordal import Graph, decompose, sparsity_graph
+from treesdp.chordal import Graph, decompose, parse_graph, sparsity_graph
 from treesdp.errors import (
     DimensionMismatch,
     ParseError,
@@ -108,6 +108,13 @@ def test_parse_weighted_graph():
     text = "# comment\n3 2\n1 2 2.5\n2 3\n"
     graph, weights = parse_weighted_graph(text)
     assert graph.n == 3
+    assert weights == {(0, 1): 2.5, (1, 2): 1.0}
+
+
+def test_edge_list_comment_lines():
+    text = "# hash\n; semicolon\n* star\n3 2\n;x\n1 2 2.5\n*y\n2 3\n#z\n"
+    graph, weights = parse_weighted_graph(text)
+    assert parse_graph(text).edges == graph.edges == ((0, 1), (1, 2))
     assert weights == {(0, 1): 2.5, (1, 2): 1.0}
 
 
@@ -319,6 +326,9 @@ def test_solve_outcome_metrics_json_schema():
     assert payload["ell"] == out.ell
     assert payload["iters"] == out.iterations
     assert payload["time_per_iter_s"] > 0.0
+    # one definition: the median per-iteration wall time of the IPM
+    assert payload["time_per_iter_s"] == out.result.time_per_iter_s
+    assert out.time_per_iter_s == out.result.time_per_iter_s
 
 
 def test_solve_driver_unknown_method():

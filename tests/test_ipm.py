@@ -40,7 +40,7 @@ from treesdp.ipm import (
 from treesdp.linalg import SparseSymmetric, smat
 from treesdp.model import SdpProblem
 
-from util import random_partially_separable_problem
+from util import hess_apply, random_partially_separable_problem
 
 COMPOSITE = ConeSpec(
     segments=(
@@ -63,10 +63,9 @@ def make_interior(ops, rng, scale=0.3):
 
 def barrier_value(ops, z):
     total = 0.0
-    soc_w = 0.5 if ops.convention == "paper" else 1.0
     for sl in ops.soc_slices:
         v = z[sl]
-        total += -soc_w * np.log(v[0] ** 2 - v[1:] @ v[1:])
+        total += -0.5 * np.log(v[0] ** 2 - v[1:] @ v[1:])
     for order, idx in ops.psd_groups.items():
         for row in idx:
             total += -np.linalg.slogdet(smat(z[row]))[1]
@@ -137,21 +136,18 @@ def assert_feasibility_kept(program, result):
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_identity_is_interior_and_nu_counts(convention):
-    ops = ConeOps(COMPOSITE, convention)
+def test_identity_is_interior_and_nu_counts():
+    ops = ConeOps(COMPOSITE)
     e = ops.identity()
     ops.check_interior(e)
-    soc_term = 1.0 if convention == "paper" else 2.0
-    assert ops.nu == soc_term + 3 + 2 + 3 + 4
-    # gradient at the identity is minus the identity in both conventions
+    assert ops.nu == 1 + 3 + 2 + 3 + 4
+    # gradient at the identity is minus the identity
     assert np.allclose(ops.grad(e), -e, atol=1e-12)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_gradient_matches_finite_differences(convention):
+def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
-    ops = ConeOps(COMPOSITE, convention)
+    ops = ConeOps(COMPOSITE)
     z = make_interior(ops, rng)
     g = ops.grad(z)
     h = 1e-6
@@ -164,76 +160,72 @@ def test_gradient_matches_finite_differences(convention):
         assert abs(fd - g[i]) <= 1e-4 * (1 + abs(g[i]))
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_hessian_action_matches_gradient_differences(convention):
+def test_hessian_action_matches_gradient_differences():
     rng = np.random.default_rng(12)
-    ops = ConeOps(COMPOSITE, convention)
+    ops = ConeOps(COMPOSITE)
     x = make_interior(ops, rng)
-    # the scaling point of (x, -grad x) is x itself, so hess_apply at
-    # that point is the barrier Hessian at x
+    # the scaling point of (x, -grad x) is x itself, so the Hessian at
+    # that point is the barrier Hessian at x; check the forward oracle
+    # and its inverse, the solver's hess_inv_apply
     w = ops.scaling_point(x, -ops.grad(x))
     h = 1e-6
     for _ in range(4):
         v = rng.standard_normal(x.size)
         v /= np.linalg.norm(v)
         fd = (ops.grad(x + h * v) - ops.grad(x - h * v)) / (2 * h)
-        hv = ops.hess_apply(w, v)
+        hv = hess_apply(ops, w, v)
         assert np.allclose(hv, fd, rtol=2e-4, atol=2e-4)
+        assert np.allclose(ops.hess_inv_apply(w, fd), v, rtol=1e-3, atol=1e-3)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_log_homogeneity_identity(convention):
+def test_log_homogeneity_identity():
     rng = np.random.default_rng(13)
-    ops = ConeOps(COMPOSITE, convention)
+    ops = ConeOps(COMPOSITE)
     x = make_interior(ops, rng)
     w = ops.scaling_point(x, -ops.grad(x))
-    assert np.allclose(ops.hess_apply(w, x), -ops.grad(x), atol=1e-9)
+    assert np.allclose(hess_apply(ops, w, x), -ops.grad(x), atol=1e-9)
+    assert np.allclose(ops.hess_inv_apply(w, -ops.grad(x)), x, atol=1e-9)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_scaling_point_invariant_and_inverse(convention):
+def test_scaling_point_invariant_and_inverse():
     rng = np.random.default_rng(14)
-    ops = ConeOps(COMPOSITE, convention)
+    ops = ConeOps(COMPOSITE)
     for trial in range(5):
         x = make_interior(ops, rng)
         s = make_interior(ops, rng)
         w = ops.scaling_point(x, s)
-        assert np.allclose(ops.hess_apply(w, x), s, rtol=1e-9, atol=1e-9)
+        assert np.allclose(hess_apply(ops, w, x), s, rtol=1e-9, atol=1e-9)
         assert np.allclose(
             ops.hess_inv_apply(w, s), x, rtol=1e-9, atol=1e-9
         )
         v = rng.standard_normal((x.size, 3))
-        round_trip = ops.hess_inv_apply(w, ops.hess_apply(w, v))
+        round_trip = ops.hess_inv_apply(w, hess_apply(ops, w, v))
         assert np.allclose(round_trip, v, rtol=1e-9, atol=1e-9)
         # batched columns equal one-by-one application
         for k in range(3):
             assert np.allclose(
-                ops.hess_apply(w, v[:, k]), ops.hess_apply(w, v)[:, k]
+                ops.hess_inv_apply(w, v[:, k]), ops.hess_inv_apply(w, v)[:, k]
             )
 
 
 def test_scaling_point_psd_example():
     # X = 4 I, S = I on one psd(3) segment: W = 2 I
-    ops = ConeOps(ConeSpec(segments=(("psd", 3),)), "paper")
+    ops = ConeOps(ConeSpec(segments=(("psd", 3),)))
     x = ops.identity() * 4.0
     s = ops.identity()
     w = ops.scaling_point(x, s)
-    assert np.allclose(w.psd_stacks[3][0][0], 2.0 * np.eye(3), atol=1e-12)
-    assert np.allclose(
-        w.psd_stacks[3][1][0], 0.5 * np.eye(3), atol=1e-12
-    )
+    assert np.allclose(w.psd_stacks[3][0], 2.0 * np.eye(3), atol=1e-12)
 
 
 def test_scaling_point_soc_identity_fixpoint():
-    for convention in ("paper", "standard"):
-        ops = ConeOps(ConeSpec(segments=(("soc", 4),)), convention)
-        e = ops.identity()
-        w = ops.scaling_point(e, e)
-        assert np.allclose(w.soc[0].w, e, atol=1e-12)
+    ops = ConeOps(ConeSpec(segments=(("soc", 4),)))
+    e = ops.identity()
+    w = ops.scaling_point(e, e)
+    assert np.allclose(w.soc[0].w, e, atol=1e-12)
 
 
 def test_scaling_point_rejects_boundary():
-    ops = ConeOps(COMPOSITE, "paper")
+    ops = ConeOps(COMPOSITE)
     rng = np.random.default_rng(15)
     x = make_interior(ops, rng)
     s = make_interior(ops, rng)
@@ -251,10 +243,9 @@ def test_scaling_point_rejects_boundary():
         ops.check_interior(bad)
 
 
-@pytest.mark.parametrize("convention", ["paper", "standard"])
-def test_max_step_boundary_oracle(convention):
+def test_max_step_boundary_oracle():
     rng = np.random.default_rng(16)
-    ops = ConeOps(COMPOSITE, convention)
+    ops = ConeOps(COMPOSITE)
     hit_finite = 0
     for trial in range(8):
         z = make_interior(ops, rng)
@@ -270,13 +261,13 @@ def test_max_step_boundary_oracle(convention):
 
 
 def test_max_step_exact_values():
-    ops = ConeOps(ConeSpec(segments=(("nonneg", 3),)), "paper")
+    ops = ConeOps(ConeSpec(segments=(("nonneg", 3),)))
     z = np.array([1.0, 2.0, 3.0])
     dz = np.array([-2.0, 1.0, -1.0])
     assert ops.max_step(z, dz) == pytest.approx(0.5)
     assert ops.max_step(z, np.ones(3)) == np.inf
 
-    ops = ConeOps(ConeSpec(segments=(("psd", 2),)), "paper")
+    ops = ConeOps(ConeSpec(segments=(("psd", 2),)))
     x = ops.identity()
     d = -2.0 * ops.identity()
     assert ops.max_step(x, d) == pytest.approx(0.5)
@@ -344,7 +335,7 @@ def dense_kkt_direction(solver, st, w, mu_target):
     ops = solver.ops
     nx, ny = program.dim_x, program.dim_y
     m_dense = program.apply_m(np.eye(nx)).T
-    d_dense = ops.hess_apply(w, np.eye(nx))
+    d_dense = hess_apply(ops, w, np.eye(nx))
     c, b = solver.c, solver.b
     r_d, r_p, r_c = solver.r_d, solver.r_p, solver.r_c
     d = -st.s - mu_target * ops.grad(st.x)
@@ -507,7 +498,7 @@ def test_trace_toy_short_step_exact_contraction():
         assert abs(cur / prev - factor) <= 1e-12 * factor
 
 
-def test_offdiag_toy_both_methods_and_conventions():
+def test_offdiag_toy_both_methods():
     # The maximizer here is rank-one, so the scaled Hessian degenerates
     # near the solution; the short-step method is exercised at the
     # default accuracy target, where the feasibility invariant must
@@ -530,13 +521,6 @@ def test_offdiag_toy_both_methods_and_conventions():
     # that downgrades the certificate without invalidating the solution
     assert adaptive.status in ("optimal", "guard_violated")
     assert adaptive.state.mu <= 1e-9
-
-    program3 = build_program(problem)
-    std = adaptive_step_solve(
-        program3, eps=1e-9, max_iter=100, nu_convention="standard"
-    )
-    assert objective_of(program3, std) == pytest.approx(-2.0, abs=1e-6)
-    assert std.nu == adaptive.nu + 1.0
 
 
 def test_inequality_problem_reaches_known_optimum():

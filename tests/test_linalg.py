@@ -6,17 +6,14 @@ import pytest
 from treesdp.errors import DimensionMismatch, NonTriangularLength, NotFinite
 from treesdp.linalg import (
     CholeskyOrEig,
-    DenseSym,
     SparseSymmetric,
     dense_factor,
     smat,
     smat_stack,
     svec,
     svec_stack,
-    sym_kron_apply,
     sym_kron_matrix,
     sym_kron_stack,
-    tri,
 )
 
 
@@ -113,27 +110,15 @@ def test_stacked_variants_match_per_item():
 
 
 # ------------------------------------------------------- symmetric Kronecker
-def test_sym_kron_apply_matches_naive_matrix():
+def test_sym_kron_matrix_matches_naive():
     rng = np.random.default_rng(17)
     for order in (1, 2, 3, 5, 8):
         a = random_sym(rng, order)
         b = random_sym(rng, order)
         oracle = naive_sym_kron_matrix(a, b)
-        for _ in range(3):
-            v = rng.standard_normal(tri(order))
-            assert np.allclose(sym_kron_apply(a, b, v), oracle @ v, atol=1e-12)
         assert np.allclose(sym_kron_matrix(a, b), oracle, atol=1e-12)
-
-
-def test_sym_kron_apply_symmetric_in_operands():
-    rng = np.random.default_rng(19)
-    for order in (2, 4, 7):
-        a = random_sym(rng, order)
-        b = random_sym(rng, order)
-        v = rng.standard_normal(tri(order))
-        assert np.allclose(
-            sym_kron_apply(a, b, v), sym_kron_apply(b, a, v), atol=1e-13
-        )
+    with pytest.raises(DimensionMismatch):
+        sym_kron_matrix(np.eye(3), np.eye(2))
 
 
 def test_sym_kron_stack_matches_matrix():
@@ -152,39 +137,7 @@ def test_sym_kron_of_pd_operand_is_pd():
         assert np.min(np.linalg.eigvalsh(mat)) > 0
 
 
-def test_sym_kron_apply_dimension_mismatch():
-    with pytest.raises(DimensionMismatch):
-        sym_kron_apply(np.eye(3), np.eye(3), np.ones(5))
-    with pytest.raises(DimensionMismatch):
-        sym_kron_apply(np.eye(3), np.eye(2), np.ones(6))
-
-
-def test_sym_kron_apply_batched_rhs():
-    rng = np.random.default_rng(31)
-    a = random_sym(rng, 4)
-    b = random_sym(rng, 4)
-    vs = rng.standard_normal((5, tri(4)))
-    batched = sym_kron_apply(a, b, vs)
-    for g in range(5):
-        assert np.allclose(batched[g], sym_kron_apply(a, b, vs[g]), atol=1e-13)
-
-
 # ----------------------------------------------------------------- containers
-def test_dense_sym_round_trip():
-    rng = np.random.default_rng(37)
-    mat = random_sym(rng, 5)
-    ds = DenseSym.from_full(mat)
-    assert ds.order == 5
-    assert ds.entries.shape == (tri(5),)
-    assert np.allclose(ds.full(), mat, atol=1e-15)
-    assert np.allclose(ds.svec(), svec(mat), atol=1e-15)
-
-
-def test_dense_sym_rejects_bad_length():
-    with pytest.raises(NonTriangularLength):
-        DenseSym(order=3, entries=np.ones(5))
-
-
 def test_sparse_symmetric_canonicalizes_and_sums():
     sp = SparseSymmetric(
         order=3,
@@ -200,7 +153,7 @@ def test_sparse_symmetric_canonicalizes_and_sums():
     assert np.all(sp.rows >= sp.cols)
 
 
-def test_sparse_symmetric_dot_and_submatrix():
+def test_sparse_symmetric_dot():
     rng = np.random.default_rng(41)
     full = random_sym(rng, 6)
     sp = SparseSymmetric.from_dense(full)
@@ -208,9 +161,6 @@ def test_sparse_symmetric_dot_and_submatrix():
     assert abs(sp.dot_sym(x) - np.trace(full @ x)) <= 1e-12 * (
         1 + abs(np.trace(full @ x))
     )
-    idx = np.array([4, 1, 3])
-    assert np.allclose(sp.submatrix(idx), full[np.ix_(idx, idx)], atol=1e-14)
-    assert abs(sp.frob_norm() - np.linalg.norm(full)) <= 1e-12
 
 
 def test_sparse_symmetric_rejects_out_of_range():

@@ -208,11 +208,11 @@ def test_metrics_formula_inversion():
 
 def test_metrics_dual_and_gap_scores():
     # dual slack violation: y = 2 makes A^T(y) - C = [[1]], ||C|| = 1,
-    # so dinf = -log10(1/2); the gap numerator 1 - 2 < 0 caps at 16
+    # so dinf = -log10(1/2); the gap scores |1 - 2| / (1 + 1 + 2)
     sdp = one_by_one_toy()
     m = dimacs_metrics(sdp, np.array([[1.0]]), np.array([2.0]))
     assert m.dinf == pytest.approx(-np.log10(0.5), abs=1e-12)
-    assert m.gap == 16.0
+    assert m.gap == pytest.approx(-np.log10(0.25), abs=1e-12)
 
     # positive gap numerator: y = 0 gives gap -log10(1 / (1 + 1 + 0))
     m2 = dimacs_metrics(sdp, np.array([[1.0]]), np.array([0.0]))

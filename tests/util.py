@@ -3,7 +3,7 @@
 import numpy as np
 
 from treesdp.chordal import Graph, decompose, sparsity_graph
-from treesdp.linalg import SparseSymmetric, svec
+from treesdp.linalg import SparseSymmetric, smat, svec
 from treesdp.model import SdpProblem
 
 
@@ -172,3 +172,28 @@ def path_rayleigh_problem(n_plus_1, seed=0):
     return SdpProblem(
         cost=c_mat, constraints=[a_mat], b=np.array([1.0])
     )
+
+
+def hess_apply(ops, w, v):
+    """Barrier Hessian at the scaling point, ∇²F(w) v, for a vector or a
+    (dim, k) column batch; the inverse of ``ops.hess_inv_apply``.  Forms
+    W^{-1} per matrix segment and applies V -> W^{-1} V W^{-1}."""
+    v = np.asarray(v, dtype=float)
+    cols = v.reshape(v.shape[0], -1)
+    out = np.zeros_like(cols)
+    for sc in w.soc:
+        jw = sc.w.copy()
+        jw[1:] = -jw[1:]
+        jv = cols[sc.sl].copy()
+        jv[1:] = -jv[1:]
+        out[sc.sl] = (
+            np.outer(jw, 2.0 * (jw @ cols[sc.sl]) / sc.g2 ** 2) - jv / sc.g2
+        )
+    for order, idx in ops.psd_groups.items():
+        w_inv = np.linalg.inv(w.psd_stacks[order])
+        for g, coords in enumerate(idx):
+            for k in range(cols.shape[1]):
+                mat = smat(cols[coords, k])
+                out[coords, k] = svec(w_inv[g] @ mat @ w_inv[g])
+    out[ops.nn_idx] = cols[ops.nn_idx] / (w.nn_w ** 2)[:, None]
+    return out.reshape(v.shape)
