@@ -33,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blas import one_blas_thread
 from .convert import ConeSpec, DualizedProblem
 from .errors import (
     DimensionMismatch,
@@ -683,6 +684,10 @@ class HsdeSolver:
 
     # -- main loop ----------------------------------------------------------
     def solve(self) -> SolveResult:
+        with one_blas_thread():
+            return self._iterate()
+
+    def _iterate(self) -> SolveResult:
         opts = self.options
         st = self.init_embedding()
         records = []

@@ -19,6 +19,14 @@ for batched right-hand sides by the matrix-inversion lemma, with the
 denominator ``1 + q^T H^{-1} q`` computed once per factorization and a
 single iterative-refinement pass.
 
+The blocks of H live in one flat buffer, so the static shift and the
+finiteness check are one vectorized pass each: ``factor`` checks the
+assembled blocks and ``solve_h`` its right-hand side, once per call, and
+raise :class:`~treesdp.errors.NotFinite`.  The per-block triangular solves
+call LAPACK ``dtrtrs`` directly, with the operands and flags
+``scipy.linalg.solve_triangular`` would pass, so every result is the same
+to the last bit without the per-call argument validation.
+
 ``DenseNormalSystem`` is the small-scale reference: it materializes the
 full normal matrix ``M D^{-1} M^T`` densely and factors it directly.
 """
@@ -28,8 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from .chordal import TreeDecomposition
 from .convert import ConvertedProblem, DualizedProblem
@@ -37,6 +44,7 @@ from .errors import (
     DenominatorUnderflow,
     DimensionMismatch,
     IndefinitePivot,
+    NotFinite,
     StructureViolation,
 )
 from .linalg import dense_factor, sym_kron_stack, tri
@@ -54,6 +62,22 @@ def topological_permutation(td: TreeDecomposition) -> np.ndarray:
     k-th.
     """
     return np.asarray(td.postorder(), dtype=np.int64)
+
+
+def _solve_lower(lj: np.ndarray, b: np.ndarray, trans: int = 0):
+    """``L^{-1} b`` (trans=0) or ``L^{-T} b`` (trans=1) for a C-ordered
+    lower-triangular L.
+
+    The LAPACK call ``solve_triangular(lj, b, lower=True, trans=trans)``
+    makes: dtrtrs on the F-ordered upper triangle ``L^T`` with the
+    transpose flag flipped.  ``b`` is copied, never overwritten.
+    """
+    x, info = dtrtrs(lj.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise IndefinitePivot(
+            f"triangular solve failed: LAPACK dtrtrs info = {info}"
+        )
+    return x
 
 
 def plain_row_coupling(ctc: ConvertedProblem) -> set:
@@ -100,10 +124,9 @@ class TreeNormalSystem:
         self.ctc = ctc
         td = ctc.td
         self.ell = td.ell
-        self.parent = np.asarray(td.parent, dtype=np.int64)
-        self.root = td.root
-        self.order = topological_permutation(td)
-        self.children = td.children_lists()
+        # Python ints: the per-block loops index lists with them
+        self.parent = [int(p) for p in td.parent]
+        self.order = topological_permutation(td).tolist()
         self.dim = ctc.dim_z
 
         self.info = [
@@ -118,12 +141,37 @@ class TreeNormalSystem:
             for blk in ctc.blocks
         ]
         self.slices = [slice(b.start, b.start + b.width) for b in self.info]
+        self._parent_slices = [
+            None if p == j else self.slices[p]
+            for j, p in enumerate(self.parent)
+        ]
 
         self._check_row_structure()
-        self._gtg_diag, self._gtg_off = self._static_gram_blocks()
+        self._layout()
+        self._gtg_flat = self._static_gram_blocks()
+        # H and the factor's shifted copy of its diagonal blocks are
+        # rewritten in place every iteration, through fixed block views
+        self._h_flat = np.empty(self._n_flat)
+        self._h_blocks = (
+            self._diag_blocks(self._h_flat),
+            self._off_blocks(self._h_flat),
+        )
+        self._work_flat = np.empty(self._n_diag)
+        self._work = self._diag_blocks(self._work_flat)
         self._order_groups: dict = {}
         for j, b in enumerate(self.info):
             self._order_groups.setdefault(b.order, []).append(j)
+        self._assemble_ops = sum(b.width * b.width for b in self.info) + sum(
+            len(idxs) * tri(o) * tri(o) * o
+            for o, idxs in self._order_groups.items()
+        )
+        self._factor_ops = 0
+        for j, b in enumerate(self.info):
+            w = b.width
+            self._factor_ops += w ** 3 // 3 + w
+            if self.parent[j] != j:
+                wp = self.info[self.parent[j]].width
+                self._factor_ops += w * w * wp + w * wp * wp
 
         # per-factorization state
         self.h_diag: list = []
@@ -163,8 +211,50 @@ class TreeNormalSystem:
                         "adjacent in the block tree"
                     )
 
-    def _static_gram_blocks(self):
-        """Dense sub-blocks of G^T G on the diagonal and on tree edges."""
+    def _layout(self) -> None:
+        """Offsets of the blocks in one flat buffer: every diagonal block
+        (w_j x w_j) in block order, then every edge block (w_p x w_j)."""
+        self._diag_spans = []
+        pos = 0
+        for b in self.info:
+            self._diag_spans.append((pos, b.width))
+            pos += b.width * b.width
+        self._n_diag = pos
+        self._off_spans = []
+        for j, p in enumerate(self.parent):
+            if p == j:
+                self._off_spans.append(None)
+            else:
+                self._off_spans.append((pos, self.info[p].width))
+                pos += self.info[p].width * self.info[j].width
+        self._n_flat = pos
+        self._diag_pos = np.concatenate(
+            [
+                lo + np.arange(w, dtype=np.int64) * (w + 1)
+                for lo, w in self._diag_spans
+            ]
+        )
+
+    def _diag_blocks(self, flat: np.ndarray) -> list:
+        """Views of the diagonal blocks held in ``flat``."""
+        return [
+            flat[lo:lo + w * w].reshape(w, w) for lo, w in self._diag_spans
+        ]
+
+    def _off_blocks(self, flat: np.ndarray) -> list:
+        """Views of the edge blocks held in ``flat`` (None at the root)."""
+        return [
+            None
+            if span is None
+            else flat[span[0]:span[0] + span[1] * b.width].reshape(
+                span[1], b.width
+            )
+            for span, b in zip(self._off_spans, self.info)
+        ]
+
+    def _static_gram_blocks(self) -> np.ndarray:
+        """Dense sub-blocks of G^T G on the diagonal and on tree edges,
+        in the flat layout."""
         g = self.dualized.g_csr
         gtg = (g.T @ g).tocoo()
         starts = np.array([b.start for b in self.info], dtype=np.int64)
@@ -175,13 +265,8 @@ class TreeNormalSystem:
                 "block layout does not tile the coordinate space"
             )
 
-        diag = [np.zeros((b.width, b.width)) for b in self.info]
-        off = [None] * self.ell
-        for j in range(self.ell):
-            p = int(self.parent[j])
-            if p != j:
-                off[j] = np.zeros((self.info[p].width, self.info[j].width))
-
+        flat = np.zeros(self._n_flat)
+        diag, off = self._diag_blocks(flat), self._off_blocks(flat)
         br = block_of_coord[gtg.row]
         bc = block_of_coord[gtg.col]
         lr = gtg.row - starts[br]
@@ -199,7 +284,7 @@ class TreeNormalSystem:
                     f"G^T G has an entry coupling non-adjacent blocks "
                     f"{a} and {b}"
                 )
-        return diag, off
+        return flat
 
     # ------------------------------------------------------------------
     # per-iteration assembly and factorization
@@ -214,12 +299,9 @@ class TreeNormalSystem:
         """
         if len(psd_w) != self.ell or len(nn_w2) != self.ell:
             raise DimensionMismatch("scaling data must list every block")
-        ops = 0
-        h_diag = []
-        for j, b in enumerate(self.info):
-            blk = sigma * self._gtg_diag[j]
-            ops += b.width * b.width
-            h_diag.append(blk)
+        self.h_diag = []  # H counts as assembled once this call completes
+        np.multiply(self._gtg_flat, sigma, out=self._h_flat)
+        h_diag, h_off = self._h_blocks
         for o, idxs in self._order_groups.items():
             stack = np.stack([psd_w[j] for j in idxs])
             if stack.shape[1:] != (o, o):
@@ -229,7 +311,6 @@ class TreeNormalSystem:
                 )
             kron = sym_kron_stack(stack)
             t = tri(o)
-            ops += len(idxs) * t * t * o
             for pos, j in enumerate(idxs):
                 h_diag[j][:t, :t] += kron[pos]
         for j, b in enumerate(self.info):
@@ -242,12 +323,10 @@ class TreeNormalSystem:
                 sub = h_diag[j][b.nn_local, b.nn_local]
                 sub[np.diag_indices(b.n_nn)] += w2
         self.h_diag = h_diag
-        self.h_off = [
-            None if blk is None else sigma * blk for blk in self._gtg_off
-        ]
+        self.h_off = h_off
         self.sigma = float(sigma)
         self.n_assemble += 1
-        self.last_assemble_ops = ops
+        self.last_assemble_ops = self._assemble_ops
         self._note_bytes()
 
     def factor(self) -> None:
@@ -260,19 +339,18 @@ class TreeNormalSystem:
         """
         if not self.h_diag:
             raise StructureViolation("assemble_h must run before factor")
-        max_diag = max(
-            (float(np.max(np.diag(blk))) if blk.size else 0.0)
-            for blk in self.h_diag
-        )
+        if not np.isfinite(self._h_flat).all():
+            raise NotFinite("assembled normal matrix has non-finite entries")
+        diag = self._h_flat[self._diag_pos]
+        max_diag = float(np.max(diag)) if diag.size else 0.0
         reg = REGULARIZATION_REL * (1.0 + max(max_diag, 0.0))
-        work = [blk.copy() for blk in self.h_diag]
-        for j, blk in enumerate(work):
-            blk[np.diag_indices(self.info[j].width)] += reg
+        np.copyto(self._work_flat, self._h_flat[:self._n_diag])
+        self._work_flat[self._diag_pos] += reg
+        work = self._work
+        h_off = self.h_off
         l_diag = [None] * self.ell
         l_off = [None] * self.ell
-        ops = 0
         for j in self.order:
-            j = int(j)
             try:
                 lj = np.linalg.cholesky(work[j])
             except np.linalg.LinAlgError as exc:
@@ -281,20 +359,15 @@ class TreeNormalSystem:
                     "not positive definite"
                 ) from exc
             l_diag[j] = lj
-            w = self.info[j].width
-            ops += w ** 3 // 3 + w
-            p = int(self.parent[j])
+            p = self.parent[j]
             if p != j:
-                hpj = self.h_off[j]
-                r = solve_triangular(lj, hpj.T, lower=True).T
+                r = _solve_lower(lj, h_off[j].T).T
                 l_off[j] = r
                 work[p] -= r @ r.T
-                wp = self.info[p].width
-                ops += w * w * wp + w * wp * wp
         self.l_diag = l_diag
         self.l_off = l_off
         self.n_factor += 1
-        self.last_factor_ops = ops
+        self.last_factor_ops = self._factor_ops
         self._note_bytes()
 
     def set_rank1(self, q) -> None:
@@ -346,23 +419,26 @@ class TreeNormalSystem:
         if not self.l_diag:
             raise StructureViolation("factor must run before solve")
         x, single = self._as_columns(rhs)
+        if not np.isfinite(x).all():
+            raise NotFinite("normal-equation right-hand side has non-finite "
+                            "entries")
         self.n_solve_columns += x.shape[1]
+        l_diag, l_off = self.l_diag, self.l_off
+        slices, parent_slices = self.slices, self._parent_slices
         for j in self.order:
-            j = int(j)
-            sl = self.slices[j]
-            yj = solve_triangular(self.l_diag[j], x[sl], lower=True)
+            sl = slices[j]
+            yj = _solve_lower(l_diag[j], x[sl])
             x[sl] = yj
-            p = int(self.parent[j])
-            if p != j:
-                x[self.slices[p]] -= self.l_off[j] @ yj
-        for j in self.order[::-1]:
-            j = int(j)
-            sl = self.slices[j]
+            slp = parent_slices[j]
+            if slp is not None:
+                x[slp] -= l_off[j] @ yj
+        for j in reversed(self.order):
+            sl = slices[j]
             t = x[sl]
-            p = int(self.parent[j])
-            if p != j:
-                t = t - self.l_off[j].T @ x[self.slices[p]]
-            x[sl] = solve_triangular(self.l_diag[j], t, lower=True, trans="T")
+            slp = parent_slices[j]
+            if slp is not None:
+                t = t - l_off[j].T @ x[slp]
+            x[sl] = _solve_lower(l_diag[j], t, trans=1)
         return x[:, 0] if single else x
 
     def _rank1_correct(self, u):
@@ -395,14 +471,12 @@ class TreeNormalSystem:
         """H x using the assembled (unregularized) blocks."""
         v, single = self._as_columns(x)
         out = np.zeros_like(v)
-        for j in range(self.ell):
-            sl = self.slices[j]
-            out[sl] += self.h_diag[j] @ v[sl]
-            p = int(self.parent[j])
-            if p != j:
-                slp = self.slices[p]
-                out[slp] += self.h_off[j] @ v[sl]
-                out[sl] += self.h_off[j].T @ v[slp]
+        h_diag, h_off = self.h_diag, self.h_off
+        for j, (sl, slp) in enumerate(zip(self.slices, self._parent_slices)):
+            out[sl] += h_diag[j] @ v[sl]
+            if slp is not None:
+                out[slp] += h_off[j] @ v[sl]
+                out[sl] += h_off[j].T @ v[slp]
         return out[:, 0] if single else out
 
     def apply_normal(self, x):
@@ -487,22 +561,14 @@ class TreeNormalSystem:
         }
 
     def _note_bytes(self) -> None:
-        total = 0
-        for group in (
-            self._gtg_diag,
-            self._gtg_off,
-            self.h_diag,
-            self.h_off,
-            self.l_diag,
-            self.l_off,
-        ):
-            for blk in group:
-                if blk is not None:
-                    total += blk.nbytes
+        # H, L and the static G^T G blocks share one shape per block
+        held = self._gtg_flat.nbytes * (
+            1 + bool(self.h_diag) + bool(self.l_diag)
+        )
         for vec in (self.q, self._u_q):
             if vec is not None:
-                total += vec.nbytes
-        self._peak_bytes = max(self._peak_bytes, total)
+                held += vec.nbytes
+        self._peak_bytes = max(self._peak_bytes, held)
 
     def memory_bytes(self) -> int:
         """Peak bytes held in block storage (allocation counter)."""

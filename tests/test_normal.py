@@ -1,8 +1,9 @@
 """Tests for the block-tree normal-equation engine.
 
 Oracles: dense construction of H from scratch (dense_h_oracle), dense
-numpy solves of (H + q q^T), and a symbolic block-elimination fill
-simulator for orderings.
+numpy solves of (H + q q^T), the block-by-block ``solve_triangular``
+engine (ReferenceTreeNormal, matched bit for bit), and a symbolic
+block-elimination fill simulator for orderings.
 """
 
 import dataclasses
@@ -15,7 +16,9 @@ from treesdp.chordal import Graph, decompose, sparsity_graph
 from treesdp.convert import build_ctc, dualize, separate_with_aux
 from treesdp.errors import (
     DenominatorUnderflow,
+    DimensionMismatch,
     IndefinitePivot,
+    NotFinite,
     StructureViolation,
 )
 from treesdp.linalg import SparseSymmetric
@@ -28,6 +31,7 @@ from treesdp.normal import (
 )
 
 from util import (
+    ReferenceTreeNormal,
     dense_h_oracle,
     random_partially_separable_problem,
     random_scaling_data,
@@ -397,6 +401,30 @@ def test_star_dualized_h_has_tree_pattern():
     assert in_l == td.ell - 1
 
 
+def test_memory_counter_equals_walk_over_blocks():
+    rng = np.random.default_rng(47)
+    problem, td = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=6)
+    sys_.update(sigma, q, psd_w, nn_w2)
+    walked = sum(
+        blk.nbytes
+        for group in (
+            sys_._diag_blocks(sys_._gtg_flat),
+            sys_._off_blocks(sys_._gtg_flat),
+            sys_.h_diag,
+            sys_.h_off,
+            sys_.l_diag,
+            sys_.l_off,
+        )
+        for blk in group
+        if blk is not None
+    ) + q.nbytes + sys_._u_q.nbytes
+    assert sys_.memory_bytes() == walked
+    assert sys_.pattern_stats()["bytes"] == walked
+    sys_.set_rank1(None)  # the counter keeps its peak
+    assert sys_.memory_bytes() == walked
+
+
 def test_memory_counter_grows_linearly_in_blocks():
     sizes = [20, 40]
     bytes_seen = []
@@ -423,3 +451,113 @@ def test_dense_normal_system_matches_direct_solve():
     x = sys_.solve(rhs)
     n_full = m @ np.diag(1.0 / d) @ m.T
     assert np.allclose(x, np.linalg.solve(n_full, rhs), atol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and the block-by-block reference engine
+# ---------------------------------------------------------------------------
+
+
+def test_factor_rejects_non_finite_offdiagonal_block():
+    problem, td = path_problem(5, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
+    sys_.assemble_h(sigma, psd_w, nn_w2)
+    child = next(j for j, blk in enumerate(sys_.h_off) if blk is not None)
+    sys_.h_off[child][0, 0] = np.nan
+    with pytest.raises(NotFinite):
+        sys_.factor()
+
+
+def test_failed_assembly_is_not_factored():
+    problem, td = path_problem(5, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
+    sys_.update(sigma, q, psd_w, nn_w2)
+    bad = [np.eye(w.shape[0] + 1) for w in psd_w]
+    with pytest.raises(DimensionMismatch):
+        sys_.assemble_h(sigma, bad, nn_w2)
+    with pytest.raises(StructureViolation):
+        sys_.factor()
+
+
+def test_solve_h_rejects_non_finite_rhs():
+    problem, td = path_problem(5, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
+    sys_.update(sigma, q, psd_w, nn_w2)
+    rhs = np.ones((ctc.dim_z, 2))
+    rhs[ctc.dim_z - 1, 1] = np.inf
+    with pytest.raises(NotFinite):
+        sys_.solve_h(rhs)
+    with pytest.raises(NotFinite):
+        sys_.solve_with_rank1(rhs)
+
+
+def _reference_instance(kind):
+    rng = np.random.default_rng(53)
+    if kind == "path":
+        problem, td = path_problem(12, m=3)
+        return problem, td, False
+    if kind == "star":
+        problem = star_arrow_problem(9)
+        td = decompose(sparsity_graph(problem.cost, problem.constraints))
+        return problem, td, False
+    if kind == "random-tree":
+        problem, td = random_partially_separable_problem(
+            rng, 14, 5, ineq_prob=0.3
+        )
+        return problem, td, False
+    base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
+    wide = SparseSymmetric(  # spans several bags: auxiliary chain rows
+        order=base.n,
+        rows=list(range(base.n)),
+        cols=[0] * base.n,
+        vals=[1.0] * base.n,
+    )
+    problem = SdpProblem(
+        cost=base.cost,
+        constraints=base.constraints + [wide],
+        b=np.concatenate([base.b, [1.0]]),
+        senses=base.senses + ["eq"],
+    )
+    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    return problem, td, True
+
+
+@pytest.mark.parametrize("kind", ["path", "star", "random-tree", "dctc-aux"])
+def test_engine_matches_reference_bit_for_bit(kind):
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+        problem, td, with_aux=with_aux, seed=19
+    )
+    ref = ReferenceTreeNormal(sys_.dualized)
+    widths = {blk.width for blk in ctc.blocks}
+    if kind == "random-tree":
+        assert len(widths) > 1
+    if kind == "dctc-aux":
+        assert ctc.aux_plan.n_aux > 0
+        assert any(blk.n_nn for blk in ctc.blocks)
+    sys_.update(sigma, q, psd_w, nn_w2)
+    # a second iteration's data: the engine rewrites its buffers in place
+    sigma, q, psd_w, nn_w2 = random_scaling_data(
+        np.random.default_rng(23), ctc
+    )
+    sys_.update(sigma, q, psd_w, nn_w2)
+    ref.update(sigma, q, psd_w, nn_w2)
+
+    def same(a, b):
+        return all(
+            (x is None and y is None) or np.array_equal(x, y)
+            for x, y in zip(a, b, strict=True)
+        )
+
+    assert same(sys_.h_diag, ref.h_diag) and same(sys_.h_off, ref.h_off)
+    assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
+    rng = np.random.default_rng(59)
+    for rhs in (
+        rng.standard_normal(ctc.dim_z),
+        rng.standard_normal((ctc.dim_z, 3)),
+    ):
+        assert np.array_equal(sys_.solve_h(rhs), ref.solve_h(rhs))
+        assert np.array_equal(sys_.apply_h(rhs), ref.apply_h(rhs))
+        assert np.array_equal(
+            sys_.solve_with_rank1(rhs), ref.solve_with_rank1(rhs)
+        )

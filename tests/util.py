@@ -1,10 +1,13 @@
-"""Shared instance generators for the test suite."""
+"""Shared instance generators and reference implementations for the test
+suite."""
 
 import numpy as np
+from scipy.linalg import solve_triangular
 
 from treesdp.chordal import Graph, decompose, sparsity_graph
-from treesdp.linalg import SparseSymmetric, smat, svec
+from treesdp.linalg import SparseSymmetric, smat, svec, sym_kron_stack, tri
 from treesdp.model import SdpProblem
+from treesdp.normal import TreeNormalSystem
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.25):
@@ -197,3 +200,81 @@ def hess_apply(ops, w, v):
                 out[coords, k] = svec(w_inv[g] @ mat @ w_inv[g])
     out[ops.nn_idx] = cols[ops.nn_idx] / (w.nn_w ** 2)[:, None]
     return out.reshape(v.shape)
+
+
+class ReferenceTreeNormal(TreeNormalSystem):
+    """The block-tree normal engine as one block at a time through
+    ``scipy.linalg.solve_triangular``, each block a separate array: the
+    reference the engine's direct LAPACK calls must match bit for bit."""
+
+    def assemble_h(self, sigma, psd_w, nn_w2):
+        gtg_diag = self._diag_blocks(self._gtg_flat)
+        h_diag = [sigma * blk for blk in gtg_diag]
+        for o, idxs in self._order_groups.items():
+            kron = sym_kron_stack(np.stack([psd_w[j] for j in idxs]))
+            t = tri(o)
+            for pos, j in enumerate(idxs):
+                h_diag[j][:t, :t] += kron[pos]
+        for j, b in enumerate(self.info):
+            if b.n_nn:
+                sub = h_diag[j][b.nn_local, b.nn_local]
+                sub[np.diag_indices(b.n_nn)] += np.asarray(nn_w2[j], float)
+        self.h_diag = h_diag
+        self.h_off = [
+            None if blk is None else sigma * blk
+            for blk in self._off_blocks(self._gtg_flat)
+        ]
+        self.sigma = float(sigma)
+
+    def factor(self):
+        max_diag = max(
+            (float(np.max(np.diag(blk))) if blk.size else 0.0)
+            for blk in self.h_diag
+        )
+        reg = 1e-12 * (1.0 + max(max_diag, 0.0))
+        work = [blk.copy() for blk in self.h_diag]
+        for j, blk in enumerate(work):
+            blk[np.diag_indices(self.info[j].width)] += reg
+        l_diag = [None] * self.ell
+        l_off = [None] * self.ell
+        for j in self.order:
+            lj = np.linalg.cholesky(work[j])
+            l_diag[j] = lj
+            p = self.parent[j]
+            if p != j:
+                r = solve_triangular(lj, self.h_off[j].T, lower=True).T
+                l_off[j] = r
+                work[p] -= r @ r.T
+        self.l_diag = l_diag
+        self.l_off = l_off
+
+    def solve_h(self, rhs):
+        x, single = self._as_columns(rhs)
+        for j in self.order:
+            sl = self.slices[j]
+            yj = solve_triangular(self.l_diag[j], x[sl], lower=True)
+            x[sl] = yj
+            p = self.parent[j]
+            if p != j:
+                x[self.slices[p]] -= self.l_off[j] @ yj
+        for j in self.order[::-1]:
+            sl = self.slices[j]
+            t = x[sl]
+            p = self.parent[j]
+            if p != j:
+                t = t - self.l_off[j].T @ x[self.slices[p]]
+            x[sl] = solve_triangular(self.l_diag[j], t, lower=True, trans="T")
+        return x[:, 0] if single else x
+
+    def apply_h(self, x):
+        v, single = self._as_columns(x)
+        out = np.zeros_like(v)
+        for j in range(self.ell):
+            sl = self.slices[j]
+            out[sl] += self.h_diag[j] @ v[sl]
+            p = self.parent[j]
+            if p != j:
+                slp = self.slices[p]
+                out[slp] += self.h_off[j] @ v[sl]
+                out[sl] += self.h_off[j].T @ v[slp]
+        return out[:, 0] if single else out
