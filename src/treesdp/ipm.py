@@ -684,8 +684,12 @@ class HsdeSolver:
 
     # -- main loop ----------------------------------------------------------
     def solve(self) -> SolveResult:
-        with one_blas_thread():
-            return self._iterate()
+        # the block-tree engine's BLAS calls are per block or
+        # vector-length; a dense normal matrix keeps the process's threads
+        if isinstance(self.program, DualizedHsdeProgram):
+            with one_blas_thread():
+                return self._iterate()
+        return self._iterate()
 
     def _iterate(self) -> SolveResult:
         opts = self.options

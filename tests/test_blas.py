@@ -1,14 +1,34 @@
-"""Tests for the one-BLAS-thread scope around the IPM iterations."""
+"""Tests for the one-BLAS-thread scope around the block-tree IPM iterations."""
 
+import threading
+
+import numpy as np
 import pytest
 
 from treesdp import ipm
-from treesdp.blas import _thread_calls, one_blas_thread
+from treesdp.blas import _thread_calls, bundled_openblas, one_blas_thread
 from treesdp.chordal import Graph
 from treesdp.frontends import gen_maxkcut, solve_sdp
 
 calls = _thread_calls()
 get_threads = calls[0] if calls is not None else (lambda: None)
+
+
+def _numpy_blas_name() -> str:
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy < 1.26 prints its config only
+        return ""
+    return config["Build Dependencies"]["blas"].get("name", "")
+
+
+def test_bundled_openblas_thread_calls_are_found():
+    if _numpy_blas_name() == "scipy-openblas":
+        assert bundled_openblas(), "numpy wheel without its OpenBLAS"
+    if bundled_openblas():
+        assert calls is not None, "bundled OpenBLAS exports no thread calls"
+    if calls is None:
+        pytest.skip("numpy uses a BLAS other than its bundled OpenBLAS")
 
 
 def test_one_blas_thread_pins_and_restores():
@@ -22,7 +42,35 @@ def test_one_blas_thread_pins_and_restores():
     assert get_threads() == before
 
 
-def test_ipm_iterates_on_one_blas_thread(monkeypatch):
+def test_overlapping_blocks_from_two_threads_share_one_pin():
+    # A enters, B enters, A exits while B is inside, B exits
+    before = get_threads()
+    a_in, b_in, a_out = threading.Event(), threading.Event(), threading.Event()
+    seen = {}
+
+    def run_a():
+        with one_blas_thread():
+            a_in.set()
+            b_in.wait()
+        a_out.set()
+
+    def run_b():
+        a_in.wait()
+        with one_blas_thread():
+            b_in.set()
+            a_out.wait()
+            seen["b after a left"] = get_threads()
+
+    threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert seen["b after a left"] in (1, None)
+    assert get_threads() == before
+
+
+def _threads_seen_by_directions(monkeypatch, method):
     seen = []
     direction = ipm.HsdeSolver.nt_direction
 
@@ -31,9 +79,20 @@ def test_ipm_iterates_on_one_blas_thread(monkeypatch):
         return direction(self, *args, **kwargs)
 
     monkeypatch.setattr(ipm.HsdeSolver, "nt_direction", spy)
-    before = get_threads()
     graph = Graph(5, [(i, i + 1) for i in range(4)])
-    outcome = solve_sdp(gen_maxkcut(graph, 2), method="dctc")
+    outcome = solve_sdp(gen_maxkcut(graph, 2), method=method)
     assert outcome.iterations > 0 and seen
-    assert set(seen) <= {1, None}
+    return set(seen)
+
+
+def test_block_tree_ipm_iterates_on_one_blas_thread(monkeypatch):
+    before = get_threads()
+    for method in ("dctc", "dctc-aux"):
+        assert _threads_seen_by_directions(monkeypatch, method) <= {1, None}
+    assert get_threads() == before
+
+
+def test_dense_normal_ipm_keeps_the_thread_count(monkeypatch):
+    before = get_threads()
+    assert _threads_seen_by_directions(monkeypatch, "ctc") == {before}
     assert get_threads() == before
