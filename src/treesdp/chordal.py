@@ -11,6 +11,7 @@ property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -116,18 +117,27 @@ def parse_permutation(text: str, n: int) -> list:
 # --------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeDecomposition:
     """Rooted tree of bags (index sets).  ``parent[j] == j`` exactly at the
-    root; every bag is stored sorted ascending."""
+    root; every bag is stored sorted ascending.
+
+    The decomposition is immutable (``parent`` is a read-only array), so it
+    owns the tree tables every layer walks: ``root``, ``postorder()``,
+    ``post_index`` and ``depth``.  Each is computed on first use and kept,
+    which lets the broken trees that :meth:`validate` inspects still
+    construct."""
 
     n: int
     bags: list  # list of sorted tuples of vertex ids
     parent: np.ndarray
 
     def __post_init__(self):
-        self.bags = [tuple(sorted(int(v) for v in bag)) for bag in self.bags]
-        self.parent = np.asarray(self.parent, dtype=np.int64)
+        bags = [tuple(sorted(int(v) for v in bag)) for bag in self.bags]
+        parent = np.array(self.parent, dtype=np.int64)
+        parent.flags.writeable = False
+        object.__setattr__(self, "bags", bags)
+        object.__setattr__(self, "parent", parent)
 
     @property
     def ell(self) -> int:
@@ -142,23 +152,20 @@ class TreeDecomposition:
         """Largest bag size (clique number bound)."""
         return self.width + 1
 
-    @property
+    @cached_property
     def root(self) -> int:
-        roots = [j for j in range(self.ell) if self.parent[j] == j]
-        return roots[0] if roots else -1
+        """The first bag that is its own parent (-1 if there is none)."""
+        for j, p in enumerate(self.parent.tolist()):
+            if p == j:
+                return j
+        return -1
 
-    def children_lists(self) -> list:
-        ch = [[] for _ in range(self.ell)]
-        for j in range(self.ell):
-            p = int(self.parent[j])
+    @cached_property
+    def _postorder(self) -> tuple:
+        children = [[] for _ in range(self.ell)]
+        for j, p in enumerate(self.parent.tolist()):
             if p != j:
-                ch[p].append(j)
-        return ch
-
-    def postorder(self) -> list:
-        """Deterministic postorder: children before parents, smallest child
-        index first (iterative DFS from the root)."""
-        ch = self.children_lists()
+                children[p].append(j)  # ascending, since j ascends
         order = []
         stack = [(self.root, False)]
         while stack:
@@ -167,9 +174,33 @@ class TreeDecomposition:
                 order.append(node)
                 continue
             stack.append((node, True))
-            for c in sorted(ch[node], reverse=True):
+            for c in reversed(children[node]):
                 stack.append((c, False))
-        return order
+        return tuple(order)
+
+    def postorder(self) -> tuple:
+        """Deterministic postorder: children before parents, smallest child
+        index first (iterative DFS from the root)."""
+        return self._postorder
+
+    @cached_property
+    def post_index(self) -> tuple:
+        """Bag -> its position in :meth:`postorder`."""
+        index = [0] * self.ell
+        for k, j in enumerate(self._postorder):
+            index[j] = k
+        return tuple(index)
+
+    @cached_property
+    def depth(self) -> tuple:
+        """Bag -> number of edges to the root (root = 0)."""
+        depth = [0] * self.ell
+        parent = self.parent.tolist()
+        for j in reversed(self._postorder):  # parents before children
+            p = parent[j]
+            if p != j:
+                depth[j] = depth[p] + 1
+        return tuple(depth)
 
     def separator(self, j: int) -> tuple:
         """Intersection of bag j with its parent bag (empty at the root)."""

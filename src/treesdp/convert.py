@@ -88,49 +88,33 @@ class ConeSpec:
 
 
 def verify_split(
-    mat: SparseSymmetric,
-    pieces: dict,
-    td: TreeDecomposition,
-    rng: np.random.Generator | None = None,
-    probes: int = 4,
+    mat: SparseSymmetric, pieces: dict, td: TreeDecomposition
 ) -> None:
-    """Random-probe check that embedded per-bag pieces reconstruct ``mat``;
-    raises InvalidSplit on disagreement.
+    """Exact check that the embedded per-bag pieces sum to ``mat``; raises
+    InvalidSplit on disagreement.
 
-    Probes are drawn only over the union of the covering bags (the matrix
-    vanishes elsewhere), so the cost is proportional to the constraint's
-    support, not the global order."""
-    if rng is None:
-        rng = np.random.default_rng(12345)
-    support = sorted({v for j in pieces for v in td.bags[j]})
-    pos = {v: i for i, v in enumerate(support)}
-    try:
-        sub_rows = [pos[int(r)] for r in mat.rows]
-        sub_cols = [pos[int(c)] for c in mat.cols]
-    except KeyError:
-        raise InvalidSplit(
-            "split pieces do not cover every stored entry of the matrix"
-        )
-    # the position map is monotone, so lower-triangular storage is kept
-    sub = SparseSymmetric(
-        order=len(support), rows=sub_rows, cols=sub_cols, vals=mat.vals
-    )
-    bag_pos = {
-        j: np.array([pos[v] for v in td.bags[j]], dtype=np.int64)
-        for j in pieces
-    }
-    for _ in range(probes):
-        x = rng.standard_normal((len(support), len(support)))
-        x = 0.5 * (x + x.T)
-        total = 0.0
-        for j, piece in pieces.items():
-            idx = bag_pos[j]
-            total += piece.dot_sym(x[np.ix_(idx, idx)])
-        ref = sub.dot_sym(x)
-        if abs(total - ref) > 1e-9 * (1.0 + abs(ref)):
+    The pieces are summed per stored position, and every stored entry of
+    ``mat`` must match its sum to ``1e-9 * (1 + |value|)``; a piece entry
+    outside the stored pattern of ``mat`` is rejected.  Linear in the
+    stored entries of ``mat`` and the pieces."""
+    total = dict.fromkeys(zip(mat.rows.tolist(), mat.cols.tolist()), 0.0)
+    for j, piece in pieces.items():
+        bag = td.bags[j]  # sorted, so lower storage maps to lower storage
+        for r, c, v in zip(
+            piece.rows.tolist(), piece.cols.tolist(), piece.vals.tolist()
+        ):
+            key = (bag[r], bag[c])
+            if key not in total:
+                raise InvalidSplit(
+                    f"split piece of bag {j + 1} stores entry "
+                    f"({key[0] + 1}, {key[1] + 1}), which the matrix does not"
+                )
+            total[key] += v
+    for ((r, c), got), want in zip(total.items(), mat.vals.tolist()):
+        if abs(got - want) > 1e-9 * (1.0 + abs(want)):
             raise InvalidSplit(
-                f"split pieces fail to reconstruct the matrix "
-                f"(probe error {abs(total - ref):.3e})"
+                f"split pieces sum to {got!r} at entry ({r + 1}, {c + 1}), "
+                f"where the matrix stores {want!r}"
             )
 
 
@@ -144,11 +128,7 @@ def steiner_closure(td: TreeDecomposition, bags: list) -> list:
     sorted root-first (ancestors before descendants along each path)."""
     if not bags:
         return []
-    part_depth = {}
-    depth = {}
-    for j in reversed(td.postorder()):
-        p = int(td.parent[j])
-        depth[j] = 0 if p == j else depth[p] + 1
+    depth = td.depth
     # lowest common ancestor of all bags
     anchor = bags[0]
     for other in bags[1:]:
@@ -218,7 +198,7 @@ class BlockLayout:
 @dataclass
 class AuxConstraint:
     index: int  # original constraint index
-    members: list  # support-tree bags, children before the root (topo order)
+    members: list  # support-tree bags in postorder (children before the root)
     root: int
     aux_coord: dict  # member bag -> z-coordinate of its chain scalar u_j
     row_range: tuple  # [start, end) rows in a_rows
@@ -305,20 +285,18 @@ def _assemble(
         graph = sparsity_graph(problem.cost, problem.constraints)
         td = decompose(graph, order=order)
     partition = build_unique_partition(td)
-    topo = td.postorder()
-    topo_pos = {j: k for k, j in enumerate(topo)}
-    rng = np.random.default_rng(961748941)
+    post_index = td.post_index
 
     cost_split = split(problem.cost, td, partition)
-    verify_split(problem.cost, cost_split.pieces, td, rng)
+    verify_split(problem.cost, cost_split.pieces, td)
 
     piece_sets = []  # per constraint: dict bag -> local SparseSymmetric
     members_of = []  # per constraint: cover bags in postorder
     for a in problem.constraints:
         res = split(a, td, partition)
-        verify_split(a, res.pieces, td, rng)
+        verify_split(a, res.pieces, td)
         piece_sets.append(res.pieces)
-        members_of.append(sorted(res.cover, key=lambda j: topo_pos[j]))
+        members_of.append(sorted(res.cover, key=post_index.__getitem__))
 
     # ---- aux plan ------------------------------------------------------
     aux_members = {}
@@ -331,7 +309,7 @@ def _assemble(
             root_w = validate_support_tree(td, members)
             if len(members) > 1:
                 aux_members[i] = (
-                    sorted(members, key=lambda j: topo_pos[j]),
+                    sorted(members, key=post_index.__getitem__),
                     root_w,
                 )
 
@@ -486,7 +464,7 @@ def _assemble(
     rows_n, cols_n, vals_n = [], [], []
     n_block_of_row = []
     nrow = 0
-    for j in topo:
+    for j in td.postorder():
         p = int(td.parent[j])
         if p == j:
             continue

@@ -181,6 +181,12 @@ class ConeOps:
         if self.nn_idx.size and np.min(z[self.nn_idx]) <= 0.0:
             raise NotInterior(f"{label}: a slack coordinate is nonpositive")
 
+    @staticmethod
+    def _spectral(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
+        """V diag(f) V^T for each matrix of a stack of eigenvector columns
+        ``vecs`` (g, o, o) and spectral values ``f`` (g, o)."""
+        return np.einsum("gij,gj,gkj->gik", vecs, f, vecs, optimize=True)
+
     def grad(self, z: np.ndarray) -> np.ndarray:
         """Barrier gradient ∇F(z) (z must be interior)."""
         g = np.zeros_like(z)
@@ -193,9 +199,7 @@ class ConeOps:
         for order, idx in self.psd_groups.items():
             mats = smat_stack(z[idx])
             vals, vecs = np.linalg.eigh(mats)
-            inv = np.einsum(
-                "gij,gj,gkj->gik", vecs, 1.0 / vals, vecs, optimize=True
-            )
+            inv = self._spectral(vecs, 1.0 / vals)
             g[idx] = -svec_stack(inv)
         if self.nn_idx.size:
             g[self.nn_idx] = -1.0 / z[self.nn_idx]
@@ -227,14 +231,8 @@ class ConeOps:
                 raise NotInterior(
                     f"order-{order} s segment not positive definite"
                 )
-            s_half = np.einsum(
-                "gij,gj,gkj->gik", svecs, np.sqrt(svals), svecs,
-                optimize=True,
-            )
-            s_ihalf = np.einsum(
-                "gij,gj,gkj->gik", svecs, 1.0 / np.sqrt(svals), svecs,
-                optimize=True,
-            )
+            s_half = self._spectral(svecs, np.sqrt(svals))
+            s_ihalf = self._spectral(svecs, 1.0 / np.sqrt(svals))
             a = s_half @ xm @ s_half
             a = 0.5 * (a + np.swapaxes(a, 1, 2))
             avals, avecs = np.linalg.eigh(a)
@@ -242,10 +240,7 @@ class ConeOps:
                 raise NotInterior(
                     f"order-{order} x segment not positive definite"
                 )
-            a_half = np.einsum(
-                "gij,gj,gkj->gik", avecs, np.sqrt(avals), avecs,
-                optimize=True,
-            )
+            a_half = self._spectral(avecs, np.sqrt(avals))
             w_stack = s_ihalf @ a_half @ s_ihalf
             psd_stacks[order] = 0.5 * (w_stack + np.swapaxes(w_stack, 1, 2))
         if self.nn_idx.size:
@@ -307,10 +302,7 @@ class ConeOps:
                     f"order-{order} segment not positive definite "
                     "at step-length computation"
                 )
-            x_ihalf = np.einsum(
-                "gij,gj,gkj->gik", vecs, 1.0 / np.sqrt(vals), vecs,
-                optimize=True,
-            )
+            x_ihalf = self._spectral(vecs, 1.0 / np.sqrt(vals))
             c = x_ihalf @ dm @ x_ihalf
             c = 0.5 * (c + np.swapaxes(c, 1, 2))
             lam_min = float(np.min(np.linalg.eigvalsh(c)))

@@ -38,7 +38,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
-from .chordal import TreeDecomposition
 from .convert import ConvertedProblem, DualizedProblem
 from .errors import (
     DenominatorUnderflow,
@@ -52,16 +51,6 @@ from .linalg import dense_factor, sym_kron_stack, tri
 REGULARIZATION_REL = 1e-12
 DENOMINATOR_FLOOR = 1e-14
 REFINE_REL_TOL = 1e-9
-
-
-def topological_permutation(td: TreeDecomposition) -> np.ndarray:
-    """Block elimination order: children precede parents.
-
-    Deterministic depth-first postorder with the smallest child visited
-    first.  Position k of the returned array holds the block eliminated
-    k-th.
-    """
-    return np.asarray(td.postorder(), dtype=np.int64)
 
 
 def _solve_lower(lj: np.ndarray, b: np.ndarray, trans: int = 0):
@@ -125,8 +114,8 @@ class TreeNormalSystem:
         td = ctc.td
         self.ell = td.ell
         # Python ints: the per-block loops index lists with them
-        self.parent = [int(p) for p in td.parent]
-        self.order = topological_permutation(td).tolist()
+        self.parent = td.parent.tolist()
+        self.order = td.postorder()  # block elimination order
         self.dim = ctc.dim_z
 
         self.info = [
@@ -303,12 +292,13 @@ class TreeNormalSystem:
         np.multiply(self._gtg_flat, sigma, out=self._h_flat)
         h_diag, h_off = self._h_blocks
         for o, idxs in self._order_groups.items():
+            for j in idxs:
+                if psd_w[j].shape != (o, o):
+                    raise DimensionMismatch(
+                        f"scaling matrix of block {j} has shape "
+                        f"{psd_w[j].shape}, expected ({o}, {o})"
+                    )
             stack = np.stack([psd_w[j] for j in idxs])
-            if stack.shape[1:] != (o, o):
-                raise DimensionMismatch(
-                    f"scaling matrices for order-{o} blocks have shape "
-                    f"{stack.shape[1:]}"
-                )
             kron = sym_kron_stack(stack)
             t = tri(o)
             for pos, j in enumerate(idxs):

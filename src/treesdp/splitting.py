@@ -6,7 +6,9 @@ embedded per-bag pieces sum back to the original matrix.  The selected set of
 bags has minimum cardinality among all feasible assignments: an entry's
 *trigger* bag — the root-most bag containing both endpoints — is its last
 chance in a child-first traversal, so a bag is selected only when forced, and
-a selected bag greedily claims every remaining entry it can hold.
+a selected bag greedily claims every remaining entry it can hold.  The
+traversal and the trigger test read the decomposition's own postorder
+positions and depths (``TreeDecomposition.post_index`` and ``.depth``).
 """
 
 from __future__ import annotations
@@ -22,16 +24,14 @@ from .linalg import SparseSymmetric
 
 @dataclass
 class UniquePartition:
-    """Per-bag unique vertices U_j = J_j minus the parent bag, the owner bag
-    of each vertex, and each bag's depth (root = 0).  Carries the bag vertex
-    sets and postorder positions so repeated ``split`` calls over the same
-    decomposition pay only for each matrix's own support."""
+    """Per-bag unique vertices U_j = J_j minus the parent bag and the owner
+    bag of each vertex.  Carries the bag vertex sets so repeated ``split``
+    calls over the same decomposition pay only for each matrix's own
+    support."""
 
     unique: list  # list of tuples per bag
     owner: np.ndarray  # vertex -> root-most bag containing it
-    depth: np.ndarray  # bag -> distance from root
     bag_sets: list  # per-bag vertex sets
-    post_index: np.ndarray  # bag -> position in postorder
 
 
 def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
@@ -47,20 +47,8 @@ def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
     for j, uj in enumerate(unique):
         for v in uj:
             owner[v] = j
-    post = td.postorder()
-    post_index = np.empty(td.ell, dtype=np.int64)
-    for i, j in enumerate(post):
-        post_index[j] = i
-    depth = np.zeros(td.ell, dtype=np.int64)
-    for j in reversed(post):  # parents before children
-        p = int(td.parent[j])
-        depth[j] = 0 if p == j else depth[p] + 1
     return UniquePartition(
-        unique=unique,
-        owner=owner,
-        depth=depth,
-        bag_sets=[set(b) for b in td.bags],
-        post_index=post_index,
+        unique=unique, owner=owner, bag_sets=[set(b) for b in td.bags]
     )
 
 
@@ -92,7 +80,7 @@ def split(
     bag."""
     if partition is None:
         partition = build_unique_partition(td)
-    owner, depth = partition.owner, partition.depth
+    owner, depth = partition.owner, td.depth
     bag_sets = partition.bag_sets
     nnz = mat.nnz
     assignment = -np.ones(nnz, dtype=np.int64)
@@ -123,7 +111,7 @@ def split(
     cover = []
     # postorder restricted to trigger bags: non-trigger bags never enter
     # the cover, so skipping them is behavior-preserving
-    for j in sorted(buckets, key=lambda b: partition.post_index[b]):
+    for j in sorted(buckets, key=lambda b: td.post_index[b]):
         if not any(assignment[e] < 0 for e in buckets[j]):
             continue
         cover.append(j)

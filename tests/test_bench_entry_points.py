@@ -1,0 +1,76 @@
+"""The benchmark's tracer and clock wrap treesdp entry points by name
+(``bench/spans.py`` and ``bench/clock.py``).  A renamed or moved entry point
+would silently drop out of the benchmark's timings, so every name they list
+must resolve to what ``rebind`` expects: a module-level function of that
+module, or a method defined on a class of that module."""
+
+import ast
+import importlib
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+def _module_tables(path, names):
+    """Literal values of the module-level assignments ``names`` in the file,
+    read without importing it."""
+    tree = ast.parse(path.read_text())
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            for target in node.targets:
+                if isinstance(target, ast.Name) and target.id in names:
+                    found[target.id] = ast.literal_eval(node.value)
+    assert set(found) == set(names), f"{path.name} lacks {names}"
+    return found
+
+
+def _literal_rebinds():
+    """(module, qualname) of every ``rebind("mod", "qual", ...)`` call with
+    literal names in the benchmark's files."""
+    out = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "rebind"
+                and len(node.args) >= 2
+                and all(isinstance(a, ast.Constant) for a in node.args[:2])
+            ):
+                out.append((node.args[0].value, node.args[1].value))
+    return out
+
+
+def _entry_points():
+    spans = _module_tables(BENCH / "spans.py", ("SPANS", "PEAK_LAYERS"))
+    clock = _module_tables(BENCH / "clock.py", ("PROBES",))
+    names = (
+        list(spans["SPANS"])
+        + list(spans["PEAK_LAYERS"])
+        + list(clock["PROBES"])
+        + _literal_rebinds()
+    )
+    return sorted(set(names))
+
+
+def test_bench_tables_are_found():
+    names = _entry_points()
+    assert ("convert", "verify_split") in names
+    assert ("ipm", "adaptive_step_solve") in names
+
+
+@pytest.mark.parametrize("mod, qual", _entry_points())
+def test_bench_entry_point_resolves(mod, qual):
+    module = importlib.import_module(f"treesdp.{mod}")
+    if "." in qual:
+        cls_name, meth = qual.split(".")
+        cls = getattr(module, cls_name)
+        assert cls.__module__ == module.__name__
+        assert callable(cls.__dict__[meth])
+    else:
+        fn = getattr(module, qual)
+        assert fn.__module__ == module.__name__
+        assert fn.__qualname__ == qual

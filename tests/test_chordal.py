@@ -17,6 +17,7 @@ from treesdp.chordal import (
 )
 from treesdp.errors import DimensionMismatch, ParseError
 from treesdp.linalg import SparseSymmetric
+from util import ancestors, random_rooted_tree
 
 
 def path_graph(n):
@@ -218,6 +219,31 @@ def test_postorder_children_before_parents():
             p = int(td.parent[j])
             if p != j:
                 assert pos[j] < pos[p]
+
+
+def test_tree_tables_match_walks_up_the_parents():
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        td = random_rooted_tree(rng, int(rng.integers(1, 40)))
+        up = [ancestors(td, j) for j in range(td.ell)]
+        assert td.root == up[0][-1]
+        assert list(td.depth) == [len(path) - 1 for path in up]
+        post, index = td.postorder(), td.post_index
+        assert sorted(post) == list(range(td.ell))
+        assert [post[index[j]] for j in range(td.ell)] == list(range(td.ell))
+        for j in range(td.ell):
+            # each subtree is the contiguous run that ends at its root
+            subtree = {k for k in range(td.ell) if j in up[k]}
+            run = post[index[j] - len(subtree) + 1:index[j] + 1]
+            assert set(run) == subtree
+            # siblings come smallest index first
+            for k in range(j + 1, td.ell):
+                if len(up[j]) > 1 and len(up[k]) > 1 and up[j][1] == up[k][1]:
+                    assert index[j] < index[k]
+        # computed once: the tables cannot go stale under a changed parent
+        assert td.postorder() is post
+        with pytest.raises(ValueError):
+            td.parent[0] = 0
 
 
 def test_validate_flags_broken_decompositions():

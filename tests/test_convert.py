@@ -17,9 +17,12 @@ from treesdp.convert import (
 from treesdp.errors import DisconnectedSupport, InvalidSplit
 from treesdp.linalg import SparseSymmetric, svec, tri
 from treesdp.model import SdpProblem
+from treesdp.splitting import split
 from util import (
+    ancestors,
     consistent_block_vector,
     random_partially_separable_problem,
+    random_rooted_tree,
     star_arrow_problem,
 )
 
@@ -145,8 +148,6 @@ def test_inequality_slack_wiring():
 def test_verify_split_raises_on_corruption():
     rng = np.random.default_rng(89)
     problem, td = random_partially_separable_problem(rng, 6, 1)
-    from treesdp.splitting import split
-
     res = split(problem.cost, td)
     bad = dict(res.pieces)
     j0 = next(iter(bad))
@@ -158,6 +159,52 @@ def test_verify_split_raises_on_corruption():
     )
     with pytest.raises(InvalidSplit):
         verify_split(problem.cost, bad, td)
+
+
+def test_verify_split_rejects_a_small_error_beside_a_large_diagonal():
+    # P_40 with diagonal 1e6 and unit off-diagonals: one off-diagonal piece
+    # entry off by 1e-7 is an error of 1e-7 relative to its entry, far
+    # below what an inner product with the whole matrix can resolve
+    n = 40
+    mat = SparseSymmetric(
+        order=n,
+        rows=list(range(n)) + list(range(1, n)),
+        cols=list(range(n)) + list(range(n - 1)),
+        vals=[1e6] * n + [1.0] * (n - 1),
+    )
+    td = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    pieces = dict(split(mat, td).pieces)
+    verify_split(mat, pieces, td)
+    j0, piece = next(
+        (j, p) for j, p in pieces.items() if np.any(p.rows != p.cols)
+    )
+    vals = piece.vals.copy()
+    vals[np.flatnonzero(piece.rows != piece.cols)[0]] += 1e-7
+    pieces[j0] = SparseSymmetric(
+        order=piece.order, rows=piece.rows, cols=piece.cols, vals=vals
+    )
+    with pytest.raises(InvalidSplit):
+        verify_split(mat, pieces, td)
+
+
+def test_verify_split_rejects_entries_outside_the_pattern():
+    n = 5
+    mat = SparseSymmetric(
+        order=n, rows=list(range(n)), cols=list(range(n)), vals=[1.0] * n
+    )
+    td = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    pieces = dict(split(mat, td).pieces)
+    j0, piece = next(iter(pieces.items()))
+    # a zero-valued entry the matrix does not store changes no sum, so only
+    # the pattern check can see it
+    pieces[j0] = SparseSymmetric(
+        order=piece.order,
+        rows=list(piece.rows) + [1],
+        cols=list(piece.cols) + [0],
+        vals=list(piece.vals) + [0.0],
+    )
+    with pytest.raises(InvalidSplit, match="does not"):
+        verify_split(mat, pieces, td)
 
 
 # ----------------------------------------------------------------- aux rows
@@ -244,6 +291,26 @@ def test_support_tree_validation():
     closed = steiner_closure(td, leafs)
     root_w = validate_support_tree(td, closed)
     assert root_w in closed
+
+
+def test_steiner_closure_is_the_union_of_paths_to_the_lca():
+    rng = np.random.default_rng(43)
+    for _ in range(40):
+        td = random_rooted_tree(rng, int(rng.integers(1, 30)))
+        bags = [
+            int(j) for j in rng.integers(0, td.ell, size=rng.integers(1, 6))
+        ]
+        up = {j: ancestors(td, j) for j in bags}
+        common = set.intersection(*(set(path) for path in up.values()))
+        lca = max(common, key=lambda a: len(ancestors(td, a)))
+        want = set()
+        for path in up.values():
+            want.update(path[:path.index(lca) + 1])
+        closed = steiner_closure(td, bags)
+        assert len(closed) == len(want) and set(closed) == want
+        depths = [len(ancestors(td, j)) for j in closed]
+        assert depths == sorted(depths)  # root-first
+        assert validate_support_tree(td, closed) == lca
 
 
 def test_flow_rows_through_aux_elimination():

@@ -27,7 +27,6 @@ from treesdp.normal import (
     DenseNormalSystem,
     TreeNormalSystem,
     plain_row_coupling,
-    topological_permutation,
 )
 
 from util import (
@@ -71,40 +70,27 @@ def build_system(problem, td, with_aux=False, seed=1):
 
 
 # ---------------------------------------------------------------------------
-# topological permutation
+# block elimination order (the decomposition's postorder)
 # ---------------------------------------------------------------------------
 
 
-def test_topological_permutation_children_before_parents():
-    rng = np.random.default_rng(3)
-    for trial in range(10):
-        problem, td = random_partially_separable_problem(
-            rng, int(rng.integers(4, 12)), 3
-        )
-        order = topological_permutation(td)
-        pos = {int(j): k for k, j in enumerate(order)}
-        assert sorted(pos) == list(range(td.ell))
-        for j in range(td.ell):
-            p = int(td.parent[j])
-            if p != j:
-                assert pos[j] < pos[p]
-
-
-def test_topological_permutation_identity_when_already_topological():
+def test_postorder_identity_when_already_topological():
     problem, td = path_problem(4)
     # path decomposition: parent of each bag is the next one; already
     # topological, so the postorder is the identity
     assert all(int(td.parent[j]) in (j, j + 1) for j in range(td.ell))
-    assert topological_permutation(td).tolist() == list(range(td.ell))
+    assert list(td.postorder()) == list(range(td.ell))
+    _, sys_, *_ = build_system(problem, td)
+    assert sys_.order == td.postorder()
 
 
-def test_topological_permutation_star_leaves_first():
+def test_postorder_star_leaves_first():
     problem = star_arrow_problem(6)
     td = decompose(sparsity_graph(problem.cost, problem.constraints))
-    order = topological_permutation(td)
-    assert int(order[-1]) == td.root
+    order = td.postorder()
+    assert order[-1] == td.root
     for j in order[:-1]:
-        assert int(td.parent[int(j)]) == td.root
+        assert int(td.parent[j]) == td.root
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +265,7 @@ def hub_first_fill_oracle(parent, root, order):
 def test_star_tree_orderings_fill_negative_control():
     problem = star_arrow_problem(8)
     td = decompose(sparsity_graph(problem.cost, problem.constraints))
-    post = topological_permutation(td).tolist()
+    post = list(td.postorder())
     assert hub_first_fill_oracle(td.parent, td.root, post) == 0
     hub_first = [td.root] + [j for j in post if j != td.root]
     leaves = td.ell - 1
@@ -477,6 +463,19 @@ def test_failed_assembly_is_not_factored():
         sys_.assemble_h(sigma, bad, nn_w2)
     with pytest.raises(StructureViolation):
         sys_.factor()
+
+
+def test_assemble_rejects_one_misshapen_scaling_matrix():
+    # the other blocks of the same order are well formed, so only a check of
+    # each matrix (not of the stacked group) can name the offender
+    problem, td = path_problem(5, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
+    o = psd_w[0].shape[0]
+    assert sum(w.shape == (o, o) for w in psd_w) > 1
+    bad = list(psd_w)
+    bad[0] = np.eye(o + 1)
+    with pytest.raises(DimensionMismatch, match="block 0"):
+        sys_.assemble_h(sigma, bad, nn_w2)
 
 
 def test_solve_h_rejects_non_finite_rhs():

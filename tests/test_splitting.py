@@ -71,11 +71,11 @@ def test_unique_partition_is_a_partition():
                 assert part.owner[v] == j
         assert seen == set(range(n))
         root = td.root
-        assert part.depth[root] == 0
+        assert td.depth[root] == 0
         for j in range(td.ell):
             p = int(td.parent[j])
             if p != j:
-                assert part.depth[j] == part.depth[p] + 1
+                assert td.depth[j] == td.depth[p] + 1
 
 
 # ----------------------------------------------------------------- split

@@ -4,7 +4,7 @@ suite."""
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from treesdp.chordal import Graph, decompose, sparsity_graph
+from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
 from treesdp.linalg import SparseSymmetric, smat, svec, sym_kron_stack, tri
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
@@ -18,6 +18,27 @@ def random_connected_graph(rng, n, extra_edge_prob=0.25):
             if rng.random() < extra_edge_prob / n:
                 edges.append((i, j))
     return Graph(n, edges)
+
+
+def random_rooted_tree(rng, ell):
+    """Random rooted tree on ``ell`` singleton bags.  The labels are
+    shuffled, so the root and each child sit at arbitrary indices."""
+    perm = rng.permutation(ell)
+    parent = np.empty(ell, dtype=np.int64)
+    parent[perm[0]] = perm[0]
+    for k in range(1, ell):
+        parent[perm[k]] = perm[int(rng.integers(0, k))]
+    return TreeDecomposition(
+        n=ell, bags=[(j,) for j in range(ell)], parent=parent
+    )
+
+
+def ancestors(td, j):
+    """Bag j, its parent, ..., the root: a walk up the parents."""
+    path = [j]
+    while int(td.parent[path[-1]]) != path[-1]:
+        path.append(int(td.parent[path[-1]]))
+    return path
 
 
 def random_bag_supported_matrix(rng, n, bag, density=0.8):
