@@ -20,7 +20,7 @@ import scipy.sparse as sp
 
 from .chordal import TreeDecomposition, decompose, sparsity_graph
 from .errors import DimensionMismatch, DisconnectedSupport, InvalidSplit
-from .linalg import SQRT2, SparseSymmetric, tri
+from .linalg import SparseSymmetric, tri
 from .model import SdpProblem
 from .splitting import build_unique_partition, split
 
@@ -263,12 +263,6 @@ class ConvertedProblem:
         return out
 
 
-def _piece_coords(piece: SparseSymmetric, svec_start: int):
-    pos = piece.rows * (piece.rows + 1) // 2 + piece.cols
-    scale = np.where(piece.rows == piece.cols, 1.0, SQRT2)
-    return svec_start + pos, piece.vals * scale
-
-
 def _packed_pos(bag: tuple, u: int, v: int) -> int:
     iu, iv = bag.index(u), bag.index(v)
     hi, lo = max(iu, iv), min(iu, iv)
@@ -374,8 +368,8 @@ def _assemble(
     # ---- cost vector -----------------------------------------------------
     c_z = np.zeros(dim_z)
     for j, piece in cost_split.pieces.items():
-        pos, vals = _piece_coords(piece, blocks[j].svec_start)
-        np.add.at(c_z, pos, vals)
+        pos, vals = piece.svec_coords()
+        np.add.at(c_z, blocks[j].svec_start + pos, vals)
 
     # ---- constraint rows --------------------------------------------------
     rows_i, cols_i, vals_i = [], [], []
@@ -398,8 +392,8 @@ def _assemble(
         if i not in aux_members:
             touched = set()
             for j, piece in piece_sets[i].items():
-                pos, vals = _piece_coords(piece, blocks[j].svec_start)
-                for p, v in zip(pos, vals):
+                pos, vals = piece.svec_coords()
+                for p, v in zip(blocks[j].svec_start + pos, vals):
                     add_entry(row, int(p), float(v))
                 touched.add(j)
             if slack_sign:
@@ -424,8 +418,8 @@ def _assemble(
                 touched = {j}
                 piece = piece_sets[i].get(j)
                 if piece is not None:
-                    pos, vals = _piece_coords(piece, blocks[j].svec_start)
-                    for p, v in zip(pos, vals):
+                    pos, vals = piece.svec_coords()
+                    for p, v in zip(blocks[j].svec_start + pos, vals):
                         add_entry(row, int(p), float(v))
                 for k in children_w[j]:
                     add_entry(row, aux_coord[(i, k)], 1.0)

@@ -22,7 +22,6 @@ from .convert import (
     separate_with_aux,
 )
 from .errors import (
-    BlockNotPsd,
     DimensionMismatch,
     ParseError,
     UnsupportedBlockStructure,
@@ -416,30 +415,6 @@ class SolveOutcome:
         return json.dumps(payload)
 
 
-def _project_psd(block: np.ndarray, eps: float, label: str) -> np.ndarray:
-    """Project a bag submatrix of the epsilon-accurate primal estimate onto
-    the cone before completion.
-
-    An interior-point answer at tolerance ``eps`` carries an O(eps) cone
-    violation in the recovered original-space variable, so eigenvalues in
-    ``[-cap, 0)`` with ``cap`` proportional to ``eps`` are rounding debris
-    and are clamped to zero; anything beyond that cap is a genuine failure
-    and raises ``BlockNotPsd``.
-    """
-    vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
-    if vals.size == 0:
-        return block
-    cap = 100.0 * eps * (1.0 + float(vals[-1]))
-    if vals[0] < -cap:
-        raise BlockNotPsd(
-            f"{label} of the solution estimate has eigenvalue "
-            f"{vals[0]:.3e}, beyond the O(eps) projection cap {-cap:.3e}"
-        )
-    if vals[0] >= 0.0:
-        return block
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-
-
 def solve_sdp(
     sdp: SdpProblem,
     method: str = "dctc",
@@ -495,10 +470,9 @@ def solve_sdp(
 
     objective = float(ctc.c_z @ z)
     blocks_map = ctc.extract_bag_matrices(z)
-    blocks = [
-        _project_psd(blocks_map[j], eps, f"bag {j}") for j in range(td.ell)
-    ]
-    factor = complete_low_rank(blocks, td)
+    factor = complete_low_rank(
+        [blocks_map[j] for j in range(td.ell)], td, eps
+    )
     y_sdp = u[ctc.dual_row_of_constraint]
 
     metrics = dimacs_metrics(

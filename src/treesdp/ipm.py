@@ -85,14 +85,8 @@ class ScalingPoint:
     """Nesterov-Todd scaling point w with ∇²F(w) x = s."""
 
     soc: list
-    psd_stacks: dict  # order -> W stack
+    psd_stacks: dict  # order -> W stack, matrix segments in cone order
     nn_w: np.ndarray  # concatenated over all nonneg coordinates
-
-    def psd_list(self, ops: "ConeOps") -> list:
-        out = []
-        for order, pos in ops.psd_seg_pos:
-            out.append(self.psd_stacks[order][pos])
-        return out
 
 
 def _soc_g2(v: np.ndarray) -> float:
@@ -111,10 +105,10 @@ class ConeOps:
         self.spec = spec
         self.dim = spec.dim
         self.soc_slices = []
-        self.psd_groups = {}  # order -> coord index matrix (g, t)
-        self.psd_seg_pos = []  # per psd segment: (order, position in group)
+        # order -> coord index matrix (g, t), one row per matrix segment in
+        # cone order
+        self.psd_groups = {}
         nn_idx = []
-        self.nn_seg_bounds = []  # per nonneg segment: (lo, hi) in nn arrays
         psd_group_lists = {}
         for kind, size, sl in spec.slices():
             if kind == "soc":
@@ -122,15 +116,8 @@ class ConeOps:
             elif kind == "psd":
                 coords = np.arange(sl.start, sl.stop, dtype=np.int64)
                 psd_group_lists.setdefault(size, []).append(coords)
-                self.psd_seg_pos.append(
-                    (size, len(psd_group_lists[size]) - 1)
-                )
             elif kind == "nonneg":
-                lo = sum(len(a) for a in nn_idx)
-                nn_idx.append(
-                    np.arange(sl.start, sl.stop, dtype=np.int64)
-                )
-                self.nn_seg_bounds.append((lo, lo + size))
+                nn_idx.append(np.arange(sl.start, sl.stop, dtype=np.int64))
             elif kind == "free":
                 raise DimensionMismatch(
                     "free segments cannot appear in a barrier cone"
@@ -185,7 +172,7 @@ class ConeOps:
     def _spectral(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
         """V diag(f) V^T for each matrix of a stack of eigenvector columns
         ``vecs`` (g, o, o) and spectral values ``f`` (g, o)."""
-        return np.einsum("gij,gj,gkj->gik", vecs, f, vecs, optimize=True)
+        return (vecs * f[:, None, :]) @ np.swapaxes(vecs, 1, 2)
 
     def grad(self, z: np.ndarray) -> np.ndarray:
         """Barrier gradient ∇F(z) (z must be interior)."""
@@ -356,11 +343,6 @@ class DualizedHsdeProgram:
         self.b = dualized.b_t.astype(float)
         self.c = dualized.c_t()
         self.normal = TreeNormalSystem(dualized)
-        ctc = dualized.ctc
-        self._nn_block_order = [
-            j for j, blk in enumerate(ctc.blocks) if blk.n_nn > 0
-        ]
-        self._block_nn = [blk.n_nn for blk in ctc.blocks]
 
     @property
     def dim_x(self) -> int:
@@ -380,16 +362,11 @@ class DualizedHsdeProgram:
         return self.dualized.data_norm()
 
     def normal_update(self, ops: ConeOps, w: ScalingPoint) -> None:
+        # the cone lists each block's matrix and slack segments in block
+        # order, so the scaling stacks are already in the engine's format
         sc = w.soc[0]
-        sigma = sc.g2
-        q_row = np.sqrt(2.0) * sc.w[1:]
-        q_z = self.dualized.g_csr.T.dot(q_row)
-        psd_w = w.psd_list(ops)
-        nn_w2 = [np.zeros(0)] * len(self._block_nn)
-        for seg_i, j in enumerate(self._nn_block_order):
-            lo, hi = ops.nn_seg_bounds[seg_i]
-            nn_w2[j] = w.nn_w[lo:hi] ** 2
-        self.normal.update(sigma, q_z, psd_w, nn_w2)
+        q_z = self.dualized.g_csr.T.dot(np.sqrt(2.0) * sc.w[1:])
+        self.normal.update(sc.g2, q_z, w.psd_stacks, w.nn_w ** 2)
 
     def normal_solve(self, rhs: np.ndarray) -> np.ndarray:
         return self.normal.solve_with_rank1(rhs)

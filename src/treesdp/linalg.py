@@ -221,6 +221,14 @@ class SparseSymmetric:
         vals = np.where(diag, self.vals, 2.0 * self.vals)
         return float(np.sum(vals * x[self.rows, self.cols]))
 
+    def svec_coords(self):
+        """(positions, values) of the stored entries in ``svec`` of the
+        matrix: packed position r(r+1)/2 + c, off-diagonals scaled by
+        sqrt 2."""
+        pos = self.rows * (self.rows + 1) // 2 + self.cols
+        scale = np.where(self.rows == self.cols, 1.0, SQRT2)
+        return pos, self.vals * scale
+
 
 # --------------------------------------------------------------------------
 # Guarded dense factorization

@@ -16,7 +16,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch
-from .linalg import SQRT2, SparseSymmetric, tri
+from .linalg import SparseSymmetric, tri
 
 SENSES = ("eq", "ge", "le")
 
@@ -60,17 +60,11 @@ class SdpProblem:
     def n_ineq(self) -> int:
         return sum(1 for s in self.senses if s != "eq")
 
-    def _svec_row(self, mat: SparseSymmetric):
-        """(cols, vals) of svec(A) as coefficients on packed coordinates."""
-        pos = mat.rows * (mat.rows + 1) // 2 + mat.cols
-        scale = np.where(mat.rows == mat.cols, 1.0, SQRT2)
-        return pos, mat.vals * scale
-
     def stacked_rows(self) -> sp.csr_matrix:
         """CSR matrix whose i-th row is svec(A_i)."""
         data, indices, indptr = [], [], [0]
         for a in self.constraints:
-            pos, vals = self._svec_row(a)
+            pos, vals = a.svec_coords()
             indices.extend(pos.tolist())
             data.extend(vals.tolist())
             indptr.append(len(indices))
@@ -81,7 +75,7 @@ class SdpProblem:
 
     def cost_svec(self) -> np.ndarray:
         out = np.zeros(tri(self.n))
-        pos, vals = self._svec_row(self.cost)
+        pos, vals = self.cost.svec_coords()
         np.add.at(out, pos, vals)
         return out
 

@@ -13,27 +13,32 @@ edges, and a block Cholesky factorization that eliminates children
 before parents produces no fill: eliminating a child updates only its
 parent's diagonal block.
 
-``TreeNormalSystem`` assembles H from per-iteration scaling data,
-factors it bottom-up along the tree, and solves ``(H + q q^T) v = r``
-for batched right-hand sides by the matrix-inversion lemma, with the
-denominator ``1 + q^T H^{-1} q`` computed once per factorization and a
-single iterative-refinement pass.
+``TreeNormalSystem`` assembles H from per-iteration scaling data in the
+form the cone calculus produces: for each bag order o, one (g, o, o)
+stack of the scaling matrices of the order-o blocks, and one vector of
+the squared slack scalings, both in block order (the cone's segment
+order).  It factors H bottom-up along the tree, and solves
+``(H + q q^T) v = r`` for batched right-hand sides by the
+matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
+computed once per factorization and a single iterative-refinement pass.
 
-The blocks of H live in one flat buffer, so the static shift and the
-finiteness check are one vectorized pass each: ``factor`` checks the
-assembled blocks and ``solve_h`` its right-hand side, once per call, and
-raise :class:`~treesdp.errors.NotFinite`.  The per-block triangular solves
-call LAPACK ``dtrtrs`` directly, with the operands and flags
-``scipy.linalg.solve_triangular`` would pass, so every result is the same
-to the last bit without the per-call argument validation.
+The blocks of H live in one flat buffer, so the slack scalings, the
+static shift and the finiteness check are one vectorized pass each:
+``factor`` checks the assembled blocks and ``solve_h`` its right-hand
+side, once per call, and raise :class:`~treesdp.errors.NotFinite`.  The
+symmetric-Kronecker blocks are added one block at a time through the
+block views instead: an index array over every Kronecker entry (1.4 MB of
+int64 on a random graph with 18-vertex bags, plus a temporary as large)
+raised the peak memory of a whole solve there by 2-3 %.  The per-block
+triangular solves call LAPACK ``dtrtrs`` directly, with the operands and
+flags ``scipy.linalg.solve_triangular`` would pass, so every result is
+the same to the last bit without the per-call argument validation.
 
 ``DenseNormalSystem`` is the small-scale reference: it materializes the
 full normal matrix ``M D^{-1} M^T`` densely and factors it directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -89,21 +94,6 @@ def plain_row_coupling(ctc: ConvertedProblem) -> set:
     return pairs
 
 
-@dataclass
-class BlockInfo:
-    start: int
-    width: int
-    svec_len: int
-    n_aux: int
-    n_nn: int
-    order: int
-
-    @property
-    def nn_local(self) -> slice:
-        lo = self.svec_len + self.n_aux
-        return slice(lo, lo + self.n_nn)
-
-
 class TreeNormalSystem:
     """Assemble, factor, and solve the block-tree normal equations."""
 
@@ -118,18 +108,10 @@ class TreeNormalSystem:
         self.order = td.postorder()  # block elimination order
         self.dim = ctc.dim_z
 
-        self.info = [
-            BlockInfo(
-                start=blk.svec_start,
-                width=blk.width,
-                svec_len=blk.svec_len,
-                n_aux=blk.n_aux,
-                n_nn=blk.n_nn,
-                order=blk.order,
-            )
-            for blk in ctc.blocks
+        self.blocks = ctc.blocks
+        self.slices = [
+            slice(b.svec_start, b.svec_start + b.width) for b in self.blocks
         ]
-        self.slices = [slice(b.start, b.start + b.width) for b in self.info]
         self._parent_slices = [
             None if p == j else self.slices[p]
             for j, p in enumerate(self.parent)
@@ -147,19 +129,31 @@ class TreeNormalSystem:
         )
         self._work_flat = np.empty(self._n_diag)
         self._work = self._diag_blocks(self._work_flat)
+        # blocks of each order, in block order: row k of the order-o
+        # scaling stack belongs to block _order_groups[o][k]
         self._order_groups: dict = {}
-        for j, b in enumerate(self.info):
+        for j, b in enumerate(self.blocks):
             self._order_groups.setdefault(b.order, []).append(j)
-        self._assemble_ops = sum(b.width * b.width for b in self.info) + sum(
+        # flat positions of the slack coordinates' diagonal entries, in
+        # block order (the order of the slack scaling vector)
+        self._nn_pos = self._diag_pos[
+            np.concatenate(
+                [np.arange(b.nn_start, b.end, dtype=np.int64)
+                 for b in self.blocks]
+            )
+        ]
+        self._assemble_ops = sum(
+            b.width * b.width for b in self.blocks
+        ) + sum(
             len(idxs) * tri(o) * tri(o) * o
             for o, idxs in self._order_groups.items()
         )
         self._factor_ops = 0
-        for j, b in enumerate(self.info):
+        for j, b in enumerate(self.blocks):
             w = b.width
             self._factor_ops += w ** 3 // 3 + w
             if self.parent[j] != j:
-                wp = self.info[self.parent[j]].width
+                wp = self.blocks[self.parent[j]].width
                 self._factor_ops += w * w * wp + w * wp * wp
 
         # per-factorization state
@@ -205,7 +199,7 @@ class TreeNormalSystem:
         (w_j x w_j) in block order, then every edge block (w_p x w_j)."""
         self._diag_spans = []
         pos = 0
-        for b in self.info:
+        for b in self.blocks:
             self._diag_spans.append((pos, b.width))
             pos += b.width * b.width
         self._n_diag = pos
@@ -214,8 +208,8 @@ class TreeNormalSystem:
             if p == j:
                 self._off_spans.append(None)
             else:
-                self._off_spans.append((pos, self.info[p].width))
-                pos += self.info[p].width * self.info[j].width
+                self._off_spans.append((pos, self.blocks[p].width))
+                pos += self.blocks[p].width * self.blocks[j].width
         self._n_flat = pos
         self._diag_pos = np.concatenate(
             [
@@ -238,80 +232,80 @@ class TreeNormalSystem:
             else flat[span[0]:span[0] + span[1] * b.width].reshape(
                 span[1], b.width
             )
-            for span, b in zip(self._off_spans, self.info)
+            for span, b in zip(self._off_spans, self.blocks)
         ]
 
     def _static_gram_blocks(self) -> np.ndarray:
         """Dense sub-blocks of G^T G on the diagonal and on tree edges,
-        in the flat layout."""
+        in the flat layout.  Of the two mirror entries that couple a child
+        with its parent, the one in the parent's block row is stored."""
         g = self.dualized.g_csr
         gtg = (g.T @ g).tocoo()
-        starts = np.array([b.start for b in self.info], dtype=np.int64)
-        widths = np.array([b.width for b in self.info], dtype=np.int64)
+        starts = np.array([b.svec_start for b in self.blocks], dtype=np.int64)
+        widths = np.array([b.width for b in self.blocks], dtype=np.int64)
         block_of_coord = np.repeat(np.arange(self.ell, dtype=np.int64), widths)
         if block_of_coord.size != self.dim:
             raise DimensionMismatch(
                 "block layout does not tile the coordinate space"
             )
 
-        flat = np.zeros(self._n_flat)
-        diag, off = self._diag_blocks(flat), self._off_blocks(flat)
+        parent = np.asarray(self.parent, dtype=np.int64)
         br = block_of_coord[gtg.row]
         bc = block_of_coord[gtg.col]
-        lr = gtg.row - starts[br]
-        lc = gtg.col - starts[bc]
-        for k in range(gtg.nnz):
-            a, b = int(br[k]), int(bc[k])
-            if a == b:
-                diag[a][lr[k], lc[k]] += gtg.data[k]
-            elif self.parent[b] == a:
-                off[b][lr[k], lc[k]] += gtg.data[k]
-            elif self.parent[a] == b:
-                continue  # symmetric counterpart, stored once
-            else:  # pragma: no cover - excluded by the row check
-                raise StructureViolation(
-                    f"G^T G has an entry coupling non-adjacent blocks "
-                    f"{a} and {b}"
-                )
+        on_diag = br == bc
+        on_edge = parent[bc] == br  # br is bc's parent (or both the root)
+        adjacent = on_diag | on_edge | (parent[br] == bc)
+        if not adjacent.all():  # pragma: no cover - excluded by the row check
+            k = int(np.argmin(adjacent))
+            raise StructureViolation(
+                f"G^T G has an entry coupling non-adjacent blocks "
+                f"{br[k]} and {bc[k]}"
+            )
+        diag_lo = np.array([lo for lo, _ in self._diag_spans], dtype=np.int64)
+        off_lo = np.array(
+            [0 if span is None else span[0] for span in self._off_spans],
+            dtype=np.int64,
+        )
+        lo = np.where(on_diag, diag_lo[bc], off_lo[bc])
+        pos = lo + (gtg.row - starts[br]) * widths[bc] + gtg.col - starts[bc]
+        keep = on_diag | on_edge
+        flat = np.zeros(self._n_flat)
+        np.add.at(flat, pos[keep], gtg.data[keep])
         return flat
 
     # ------------------------------------------------------------------
     # per-iteration assembly and factorization
     # ------------------------------------------------------------------
-    def assemble_h(self, sigma: float, psd_w: list, nn_w2: list) -> None:
+    def assemble_h(self, sigma: float, psd_w: dict, nn_w2) -> None:
         """Build H = D_block + sigma * G^T G from the scaling data.
 
-        ``psd_w[j]`` is the dense scaling matrix of block j's matrix
-        variable; ``nn_w2[j]`` the squared scalings of its slack
-        coordinates (empty array if none).  Chain coordinates carry no
-        block-diagonal term.
+        ``psd_w[o]`` is the (g, o, o) stack of scaling matrices of the
+        order-o blocks, in block order; ``nn_w2`` the squared scalings of
+        every slack coordinate, in block order.  Chain coordinates carry
+        no block-diagonal term.
         """
-        if len(psd_w) != self.ell or len(nn_w2) != self.ell:
-            raise DimensionMismatch("scaling data must list every block")
         self.h_diag = []  # H counts as assembled once this call completes
+        for o, idxs in self._order_groups.items():
+            shape = np.shape(psd_w.get(o))
+            if shape != (len(idxs), o, o):
+                raise DimensionMismatch(
+                    f"order-{o} scaling stack has shape {shape}, expected "
+                    f"{(len(idxs), o, o)}"
+                )
+        nn_w2 = np.asarray(nn_w2, dtype=float)
+        if nn_w2.shape != self._nn_pos.shape:
+            raise DimensionMismatch(
+                f"slack scalings have shape {nn_w2.shape}, expected "
+                f"{self._nn_pos.shape}"
+            )
         np.multiply(self._gtg_flat, sigma, out=self._h_flat)
         h_diag, h_off = self._h_blocks
         for o, idxs in self._order_groups.items():
-            for j in idxs:
-                if psd_w[j].shape != (o, o):
-                    raise DimensionMismatch(
-                        f"scaling matrix of block {j} has shape "
-                        f"{psd_w[j].shape}, expected ({o}, {o})"
-                    )
-            stack = np.stack([psd_w[j] for j in idxs])
-            kron = sym_kron_stack(stack)
+            kron = sym_kron_stack(psd_w[o])
             t = tri(o)
             for pos, j in enumerate(idxs):
                 h_diag[j][:t, :t] += kron[pos]
-        for j, b in enumerate(self.info):
-            if b.n_nn:
-                w2 = np.asarray(nn_w2[j], dtype=float)
-                if w2.shape != (b.n_nn,):
-                    raise DimensionMismatch(
-                        f"block {j} expects {b.n_nn} slack scalings"
-                    )
-                sub = h_diag[j][b.nn_local, b.nn_local]
-                sub[np.diag_indices(b.n_nn)] += w2
+        self._h_flat[self._nn_pos] += nn_w2
         self.h_diag = h_diag
         self.h_off = h_off
         self.sigma = float(sigma)
@@ -384,7 +378,7 @@ class TreeNormalSystem:
         self._denom = denom
         self._note_bytes()
 
-    def update(self, sigma: float, q, psd_w: list, nn_w2: list) -> None:
+    def update(self, sigma: float, q, psd_w: dict, nn_w2) -> None:
         """Assemble, factor, and install the rank-1 term in one call."""
         self.assemble_h(sigma, psd_w, nn_w2)
         self.factor()
@@ -498,25 +492,19 @@ class TreeNormalSystem:
         offsets = np.zeros(self.ell, dtype=np.int64)
         acc = 0
         for j in self.order:
-            offsets[int(j)] = acc
-            acc += self.info[int(j)].width
+            offsets[j] = acc
+            acc += self.blocks[j].width
         perm = np.concatenate(
-            [
-                np.arange(
-                    self.info[int(j)].start,
-                    self.info[int(j)].start + self.info[int(j)].width,
-                )
-                for j in self.order
-            ]
+            [np.arange(self.dim)[self.slices[j]] for j in self.order]
         )
         for j in range(self.ell):
             o = offsets[j]
-            w = self.info[j].width
+            w = self.blocks[j].width
             lfull[o:o + w, o:o + w] = self.l_diag[j]
-            p = int(self.parent[j])
+            p = self.parent[j]
             if p != j:
                 op = offsets[p]
-                wp = self.info[p].width
+                wp = self.blocks[p].width
                 lfull[op:op + wp, o:o + w] = self.l_off[j]
         rec = lfull @ lfull.T
         out = np.zeros((n, n))

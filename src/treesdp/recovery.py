@@ -20,7 +20,6 @@ from .chordal import TreeDecomposition
 from .errors import BlockNotPsd, DimensionMismatch, OverlapMismatch
 from .model import SdpProblem
 
-PSD_TOL = 1e-8  # input blocks must have eigenvalues >= -PSD_TOL
 OVERLAP_TOL = 1e-6  # tree-adjacent blocks must agree on overlaps to this
 PINV_CUTOFF = 1e-10  # relative eigenvalue cutoff for pseudo-inverses
 SCORE_CAP = 16.0  # digit scores saturate at float precision
@@ -84,12 +83,38 @@ class Metrics:
         )
 
 
-def _psd_eig(block: np.ndarray, label: str):
-    """Eigendecomposition with the PSD input check."""
-    vals, vecs = np.linalg.eigh(block)
-    if vals.size and vals[0] < -PSD_TOL:
+def _project_psd(block: np.ndarray, eps: float, label: str):
+    """Project a bag block onto the PSD cone; returns the projected block
+    and its cap ``100 * eps * (1 + lambda_max)``.
+
+    An interior-point answer at tolerance ``eps`` carries an O(eps) cone
+    violation, so eigenvalues in ``[-cap, 0)`` are rounding debris and are
+    clamped to zero; anything beyond the cap is a genuine failure and
+    raises ``BlockNotPsd``.  A block with no negative eigenvalue is
+    returned as it is.
+    """
+    vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
+    if vals.size == 0:
+        return block, 100.0 * eps
+    cap = 100.0 * eps * (1.0 + float(vals[-1]))
+    if vals[0] < -cap:
         raise BlockNotPsd(
-            f"{label} has eigenvalue {vals[0]:.3e} < -{PSD_TOL:g}"
+            f"{label} has eigenvalue {vals[0]:.3e}, beyond the PSD cap "
+            f"{-cap:.3e}"
+        )
+    if vals[0] >= 0.0:
+        return block, cap
+    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T, cap
+
+
+def _psd_eig(block: np.ndarray, cap: float, label: str):
+    """Eigendecomposition of a matrix derived from a bag block, with its
+    eigenvalues checked against the bag's PSD cap and clamped at zero."""
+    vals, vecs = np.linalg.eigh(block)
+    if vals.size and vals[0] < -cap:
+        raise BlockNotPsd(
+            f"{label} has eigenvalue {vals[0]:.3e}, beyond the PSD cap "
+            f"{-cap:.3e}"
         )
     return np.clip(vals, 0.0, None), vecs
 
@@ -115,8 +140,15 @@ def _check_overlaps(blocks, td: TreeDecomposition) -> None:
             )
 
 
-def complete_low_rank(blocks, td: TreeDecomposition) -> LowRankFactor:
+def complete_low_rank(
+    blocks, td: TreeDecomposition, eps: float = 1e-8
+) -> LowRankFactor:
     """Complete per-bag PSD blocks to a factor U with ``rank <= omega``.
+
+    Each block is first projected onto the PSD cone with the cap
+    ``100 * eps * (1 + lambda_max(block))``; its separator block and the
+    Schur complement of every extension are held to the same cap, so a
+    block accurate to ``eps`` is not rejected for its rounding.
 
     The traversal is root first.  At each tree edge the new vertices A of
     the child bag are extended from the separator B through the closed form
@@ -133,12 +165,14 @@ def complete_low_rank(blocks, td: TreeDecomposition) -> LowRankFactor:
         raise DimensionMismatch(
             f"{len(blocks)} blocks for {td.ell} bags"
         )
+    caps = []
     for j, bag in enumerate(td.bags):
         if blocks[j].shape != (len(bag), len(bag)):
             raise DimensionMismatch(
                 f"block {j} has shape {blocks[j].shape}, bag size {len(bag)}"
             )
-        _psd_eig(blocks[j], f"bag {j} block")
+        blocks[j], cap = _project_psd(blocks[j], eps, f"bag {j} block")
+        caps.append(cap)
     _check_overlaps(blocks, td)
 
     u = np.zeros((td.n, td.omega))
@@ -165,7 +199,7 @@ def complete_low_rank(blocks, td: TreeDecomposition) -> LowRankFactor:
         x_aa = block[np.ix_(new_local, new_local)]
 
         # pseudo-inverse of X[B,B] through its eigendecomposition
-        vals, vecs = _psd_eig(x_bb, f"separator of bag {j}")
+        vals, vecs = _psd_eig(x_bb, caps[j], f"separator of bag {j}")
         lam_max = float(vals[-1]) if vals.size else 0.0
         keep = vals > PINV_CUTOFF * lam_max if vals.size else np.zeros(0, bool)
         inv_vals = np.zeros_like(vals)
@@ -177,9 +211,9 @@ def complete_low_rank(blocks, td: TreeDecomposition) -> LowRankFactor:
         # residual energy of the new vertices (Schur complement)
         schur = x_aa - x_ab @ pinv_bb @ x_ab.T
         schur = 0.5 * (schur + schur.T)
-        s_vals, s_vecs = _psd_eig(schur, f"extension of bag {j}")
+        s_vals, s_vecs = _psd_eig(schur, caps[j], f"extension of bag {j}")
         s_max = float(s_vals[-1]) if s_vals.size else 0.0
-        s_keep = s_vals > PINV_CUTOFF * max(s_max, PSD_TOL)
+        s_keep = s_vals > PINV_CUTOFF * max(s_max, eps)
         w_dirs = s_vecs[:, s_keep] * np.sqrt(s_vals[s_keep])
         r_new = w_dirs.shape[1]
 

@@ -2,12 +2,15 @@
 (``bench/spans.py`` and ``bench/clock.py``).  A renamed or moved entry point
 would silently drop out of the benchmark's timings, so every name they list
 must resolve to what ``rebind`` expects: a module-level function of that
-module, or a method defined on a class of that module."""
+module, or a method defined on a class of that module.  Likewise every
+counter the traced run (``bench/run.py``) reads from a normal engine must
+exist on one."""
 
 import ast
 import importlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -74,3 +77,40 @@ def test_bench_entry_point_resolves(mod, qual):
         fn = getattr(module, qual)
         assert fn.__module__ == module.__name__
         assert fn.__qualname__ == qual
+
+
+def _normal_counters():
+    """Attributes ``traced_op`` in ``bench/run.py`` reads from each normal
+    system ``s`` it sums over."""
+    tree = ast.parse((BENCH / "run.py").read_text())
+    fn = next(
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "traced_op"
+    )
+    return sorted(
+        {
+            node.attr
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "s"
+        }
+    )
+
+
+def test_bench_counters_exist_on_the_normal_engine():
+    from treesdp.convert import build_ctc, dualize
+    from treesdp.normal import TreeNormalSystem
+
+    from util import random_partially_separable_problem, random_scaling_data
+
+    names = _normal_counters()
+    assert "n_solve_columns" in names
+    rng = np.random.default_rng(5)
+    problem, td = random_partially_separable_problem(rng, 6, 2)
+    ctc = build_ctc(problem, td)
+    engine = TreeNormalSystem(dualize(ctc))
+    engine.update(*random_scaling_data(rng, ctc))
+    missing = [name for name in names if not hasattr(engine, name)]
+    assert not missing, f"bench/run.py reads {missing} from the engine"

@@ -40,7 +40,11 @@ from treesdp.ipm import (
 from treesdp.linalg import SparseSymmetric, smat
 from treesdp.model import SdpProblem
 
-from util import hess_apply, random_partially_separable_problem
+from util import (
+    hess_apply,
+    random_partially_separable_problem,
+    with_wide_constraint,
+)
 
 COMPOSITE = ConeSpec(
     segments=(
@@ -622,6 +626,37 @@ def test_numerical_stall_raised():
 
     with pytest.raises(NumericalStall):
         Frozen(program, SolverOptions(method="short", max_iter=50)).solve()
+
+
+def test_scaling_stacks_are_in_the_normal_engines_block_order():
+    # normal_update hands ScalingPoint.psd_stacks and nn_w ** 2 to the
+    # engine as they are, which is right only if the cone lists the matrix
+    # and slack segments of the engine's blocks in block order
+    rng = np.random.default_rng(53)
+    base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
+    program = DualizedHsdeProgram(
+        dualize(separate_with_aux(with_wide_constraint(base)))
+    )
+    blocks = program.normal.blocks
+    assert program.dualized.ctc.aux_plan.n_aux > 0
+    assert len({blk.order for blk in blocks}) > 1
+    assert any(blk.n_nn for blk in blocks)
+    ops = ConeOps(program.cone)
+    # x's K2 coordinate 1 + f + k is paired with z coordinate nonaux[k]
+    z_of = program.dualized.nonaux
+    offset = 1 + program.dualized.f
+    assert set(ops.psd_groups) == {blk.order for blk in blocks}
+    for o, idx in ops.psd_groups.items():
+        want = np.stack([
+            np.arange(blk.svec_start, blk.svec_start + blk.svec_len)
+            for blk in blocks
+            if blk.order == o
+        ])
+        assert np.array_equal(z_of[idx - offset], want)
+    want_nn = np.concatenate(
+        [np.arange(blk.nn_start, blk.end) for blk in blocks]
+    )
+    assert np.array_equal(z_of[ops.nn_idx - offset], want_nn)
 
 
 def test_indefinite_pivot_converts_to_singular_normal_matrix():

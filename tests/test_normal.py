@@ -34,7 +34,9 @@ from util import (
     dense_h_oracle,
     random_partially_separable_problem,
     random_scaling_data,
+    stack_scalings,
     star_arrow_problem,
+    with_wide_constraint,
 )
 
 
@@ -116,19 +118,7 @@ def test_assemble_matches_dense_oracle_with_aux():
     rng = np.random.default_rng(11)
     for trial in range(4):
         base, _ = random_partially_separable_problem(rng, 8, 2)
-        # a dense-column constraint forces multi-bag support (chain coords)
-        wide = SparseSymmetric(
-            order=base.n,
-            rows=list(range(base.n)),
-            cols=[0] * base.n,
-            vals=[1.0] * base.n,
-        )
-        problem = SdpProblem(
-            cost=base.cost,
-            constraints=base.constraints + [wide],
-            b=np.concatenate([base.b, [1.0]]),
-            senses=base.senses + ["eq"],
-        )
+        problem = with_wide_constraint(base)
         td = decompose(sparsity_graph(problem.cost, problem.constraints))
         ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
             problem, td, with_aux=True, seed=trial
@@ -153,8 +143,11 @@ def test_no_constraint_path_gives_identity_plus_overlap_gram():
     )
     sys_ = TreeNormalSystem(dualize(bare))
     sigma = 0.7
-    psd_w = [np.eye(blk.order) for blk in bare.blocks]
-    nn_w2 = [np.ones(blk.n_nn) for blk in bare.blocks]
+    psd_w, nn_w2 = stack_scalings(
+        bare,
+        [np.eye(blk.order) for blk in bare.blocks],
+        [np.ones(blk.n_nn) for blk in bare.blocks],
+    )
     sys_.assemble_h(sigma, psd_w, nn_w2)
     n_rows = bare.n_rows.toarray()
     oracle = np.eye(bare.dim_z) + sigma * (n_rows.T @ n_rows)
@@ -231,8 +224,8 @@ def test_block_diagonal_h_gives_block_diagonal_factor():
 def test_indefinite_pivot_raised():
     problem, td = path_problem(3, m=1)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
-    psd_w = [w.copy() for w in psd_w]
-    psd_w[0][0, 0] = -50.0  # not a valid scaling matrix
+    psd_w = {o: w.copy() for o, w in psd_w.items()}
+    psd_w[ctc.blocks[0].order][0][0, 0] = -50.0  # block 0: not a scaling
     sys_.assemble_h(0.0, psd_w, nn_w2)
     with pytest.raises(IndefinitePivot):
         sys_.factor()
@@ -305,8 +298,11 @@ def test_solve_identity_rank_one_halves_e1():
     problem, td = path_problem(3, m=1)
     ctc = build_ctc(problem, td)
     sys_ = TreeNormalSystem(dualize(ctc))
-    psd_w = [np.eye(blk.order) for blk in ctc.blocks]
-    nn_w2 = [np.ones(blk.n_nn) for blk in ctc.blocks]
+    psd_w, nn_w2 = stack_scalings(
+        ctc,
+        [np.eye(blk.order) for blk in ctc.blocks],
+        [np.ones(blk.n_nn) for blk in ctc.blocks],
+    )
     e1 = np.zeros(ctc.dim_z)
     e1[0] = 1.0
     sys_.update(0.0, e1, psd_w, nn_w2)
@@ -454,28 +450,46 @@ def test_factor_rejects_non_finite_offdiagonal_block():
         sys_.factor()
 
 
+def _misshapen_scaling_data(psd_w, nn_w2, o):
+    """Each way the scaling data can mismatch the blocks: an order-o stack
+    one matrix short, an order-o stack of order o + 1, and a slack vector
+    one entry too long."""
+    stack = psd_w[o]
+    g = stack.shape[0]
+    return [
+        ({**psd_w, o: stack[:-1]}, nn_w2, f"order-{o} "),
+        ({**psd_w, o: np.stack([np.eye(o + 1)] * g)}, nn_w2, f"order-{o} "),
+        (psd_w, np.append(nn_w2, 1.0), "slack"),
+    ]
+
+
 def test_failed_assembly_is_not_factored():
     problem, td = path_problem(5, m=2)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
-    sys_.update(sigma, q, psd_w, nn_w2)
-    bad = [np.eye(w.shape[0] + 1) for w in psd_w]
-    with pytest.raises(DimensionMismatch):
-        sys_.assemble_h(sigma, bad, nn_w2)
-    with pytest.raises(StructureViolation):
-        sys_.factor()
+    for bad_w, bad_nn, _ in _misshapen_scaling_data(psd_w, nn_w2, 2):
+        sys_.update(sigma, q, psd_w, nn_w2)
+        with pytest.raises(DimensionMismatch):
+            sys_.assemble_h(sigma, bad_w, bad_nn)
+        with pytest.raises(StructureViolation):
+            sys_.factor()
 
 
 def test_assemble_rejects_one_misshapen_scaling_matrix():
-    # the other blocks of the same order are well formed, so only a check of
-    # each matrix (not of the stacked group) can name the offender
-    problem, td = path_problem(5, m=2)
-    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
-    o = psd_w[0].shape[0]
-    assert sum(w.shape == (o, o) for w in psd_w) > 1
-    bad = list(psd_w)
-    bad[0] = np.eye(o + 1)
-    with pytest.raises(DimensionMismatch, match="block 0"):
-        sys_.assemble_h(sigma, bad, nn_w2)
+    # mixed bag orders with slacks; only one order's stack (or the slack
+    # vector) is wrong, and the error names it
+    problem, td, with_aux = _reference_instance("dctc-aux")
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+        problem, td, with_aux=with_aux, seed=3
+    )
+    assert len(psd_w) > 1 and nn_w2.size
+    for o in psd_w:
+        for bad_w, bad_nn, name in _misshapen_scaling_data(psd_w, nn_w2, o):
+            with pytest.raises(DimensionMismatch, match=name):
+                sys_.assemble_h(sigma, bad_w, bad_nn)
+        missing = {k: w for k, w in psd_w.items() if k != o}
+        with pytest.raises(DimensionMismatch, match=f"order-{o} "):
+            sys_.assemble_h(sigma, missing, nn_w2)
+    sys_.assemble_h(sigma, psd_w, nn_w2)  # the well-formed data passes
 
 
 def test_solve_h_rejects_non_finite_rhs():
@@ -505,18 +519,7 @@ def _reference_instance(kind):
         )
         return problem, td, False
     base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
-    wide = SparseSymmetric(  # spans several bags: auxiliary chain rows
-        order=base.n,
-        rows=list(range(base.n)),
-        cols=[0] * base.n,
-        vals=[1.0] * base.n,
-    )
-    problem = SdpProblem(
-        cost=base.cost,
-        constraints=base.constraints + [wide],
-        b=np.concatenate([base.b, [1.0]]),
-        senses=base.senses + ["eq"],
-    )
+    problem = with_wide_constraint(base)
     td = decompose(sparsity_graph(problem.cost, problem.constraints))
     return problem, td, True
 
@@ -548,6 +551,8 @@ def test_engine_matches_reference_bit_for_bit(kind):
             for x, y in zip(a, b, strict=True)
         )
 
+    assert same(sys_._diag_blocks(sys_._gtg_flat), ref.gtg_diag)
+    assert same(sys_._off_blocks(sys_._gtg_flat), ref.gtg_off)
     assert same(sys_.h_diag, ref.h_diag) and same(sys_.h_off, ref.h_off)
     assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
     rng = np.random.default_rng(59)

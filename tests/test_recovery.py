@@ -112,6 +112,29 @@ def test_non_psd_block_raises():
         complete_low_rank([np.eye(2), bad], td)
 
 
+@pytest.mark.parametrize(
+    "pivot, coupling, last",
+    [
+        # Schur complement 10 - 1.2e-8 - (1e-4)^2 / 1e-9 = -1.2e-8
+        (1e-9, 1e-4, 10.0 - 1.2e-8),
+        # PSD to rounding; its Schur complement rounds to -1.2e-7 against
+        # the block's 1e9
+        (3e-8, 5.477225575051661, 1e9),
+    ],
+)
+def test_rounding_beside_a_large_entry_is_within_the_cap(
+    pivot, coupling, last
+):
+    # a child block accurate to eps = 1e-8 relative to its largest entry
+    # completes; only an eigenvalue beyond 100 eps (1 + lambda_max) raises
+    td = path_td(3)
+    root = np.array([[1.0, 0.0], [0.0, pivot]])
+    child = np.array([[pivot, coupling], [coupling, last]])
+    factor = complete_low_rank([root, child], td, eps=1e-8)
+    assert factor.rank <= 2
+    assert bag_agreement_error(factor, [root, child], td) <= 1e-8
+
+
 def test_block_count_mismatch_raises():
     with pytest.raises(DimensionMismatch):
         complete_low_rank([np.eye(2)], path_td(3))

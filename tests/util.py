@@ -101,6 +101,23 @@ def random_partially_separable_problem(rng, n, m, ineq_prob=0.0):
     return problem, td
 
 
+def with_wide_constraint(base):
+    """``base`` plus one equality on the whole first column, a constraint
+    that spans several bags (auxiliary chain rows under ``dctc-aux``)."""
+    wide = SparseSymmetric(
+        order=base.n,
+        rows=list(range(base.n)),
+        cols=[0] * base.n,
+        vals=[1.0] * base.n,
+    )
+    return SdpProblem(
+        cost=base.cost,
+        constraints=base.constraints + [wide],
+        b=np.concatenate([base.b, [1.0]]),
+        senses=base.senses + ["eq"],
+    )
+
+
 def consistent_block_vector(rng, ctc, x_dense=None):
     """A z-vector whose blocks are the bag submatrices of one global X
     (slacks and aux coordinates zero).  Satisfies all overlap rows exactly."""
@@ -136,33 +153,63 @@ def star_arrow_problem(n):
     return SdpProblem(cost=cost, constraints=constraints, b=b)
 
 
+def stack_scalings(ctc, mats, slacks):
+    """Per-block scaling matrices and slack-scaling vectors in the normal
+    engine's format: order -> (g, o, o) stack and one slack vector, both
+    in block order."""
+    per_order = {}
+    for blk, mat in zip(ctc.blocks, mats, strict=True):
+        per_order.setdefault(blk.order, []).append(mat)
+    psd_w = {o: np.stack(group) for o, group in per_order.items()}
+    return psd_w, np.concatenate([np.asarray(v, float) for v in slacks])
+
+
+def unstack_scalings(ctc, psd_w, nn_w2):
+    """The inverse of :func:`stack_scalings`: block j's scaling matrix and
+    slack scalings, found by walking the blocks in block order."""
+    seen = {}
+    mats, slacks = [], []
+    lo = 0
+    for blk in ctc.blocks:
+        k = seen.get(blk.order, 0)
+        seen[blk.order] = k + 1
+        mats.append(psd_w[blk.order][k])
+        slacks.append(nn_w2[lo:lo + blk.n_nn])
+        lo += blk.n_nn
+    assert all(len(psd_w[o]) == k for o, k in seen.items())
+    assert lo == len(nn_w2)
+    return mats, slacks
+
+
 def random_scaling_data(rng, ctc, sigma_range=(0.2, 2.0)):
-    """Random interior scaling data for a converted problem's blocks."""
-    psd_w = []
-    nn_w2 = []
+    """Random interior scaling data for a converted problem's blocks, in
+    the normal engine's format (see :func:`stack_scalings`)."""
+    mats = []
+    slacks = []
     for blk in ctc.blocks:
         o = blk.order
         q = rng.standard_normal((o, o))
-        psd_w.append(q @ q.T + o * np.eye(o))
-        nn_w2.append(np.abs(rng.standard_normal(blk.n_nn)) + 0.5)
+        mats.append(q @ q.T + o * np.eye(o))
+        slacks.append(np.abs(rng.standard_normal(blk.n_nn)) + 0.5)
     sigma = float(rng.uniform(*sigma_range))
     q_vec = rng.standard_normal(ctc.dim_z)
-    return sigma, q_vec, psd_w, nn_w2
+    return (sigma, q_vec) + stack_scalings(ctc, mats, slacks)
 
 
 def dense_h_oracle(ctc, sigma, psd_w, nn_w2):
     """Independent dense construction of H = D_block + sigma * G^T G."""
     from treesdp.linalg import sym_kron_matrix
 
+    mats, slacks = unstack_scalings(ctc, psd_w, nn_w2)
     dim = ctc.dim_z
     d_block = np.zeros((dim, dim))
     for j, blk in enumerate(ctc.blocks):
         s0 = blk.svec_start
         t = blk.svec_len
-        d_block[s0:s0 + t, s0:s0 + t] = sym_kron_matrix(psd_w[j], psd_w[j])
+        d_block[s0:s0 + t, s0:s0 + t] = sym_kron_matrix(mats[j], mats[j])
         for k in range(blk.n_nn):
             c = blk.nn_start + k
-            d_block[c, c] = nn_w2[j][k]
+            d_block[c, c] = slacks[j][k]
     g = ctc.g_matrix().toarray()
     return d_block + sigma * (g.T @ g)
 
@@ -225,25 +272,58 @@ def hess_apply(ops, w, v):
 
 class ReferenceTreeNormal(TreeNormalSystem):
     """The block-tree normal engine as one block at a time through
-    ``scipy.linalg.solve_triangular``, each block a separate array: the
-    reference the engine's direct LAPACK calls must match bit for bit."""
+    ``scipy.linalg.solve_triangular``, each block a separate array, with
+    the scaling data unstacked per block and G^T G summed entry by entry:
+    the reference the engine's flat buffers and direct LAPACK calls must
+    match bit for bit."""
+
+    def __init__(self, dualized):
+        super().__init__(dualized)
+        self.gtg_diag, self.gtg_off = self._reference_gram()
+
+    def _reference_gram(self):
+        """Diagonal and edge blocks of G^T G, one entry at a time."""
+        ctc = self.ctc
+        gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocoo()
+        block_of_coord = np.repeat(
+            np.arange(self.ell), [blk.width for blk in ctc.blocks]
+        )
+        diag = [np.zeros((blk.width, blk.width)) for blk in ctc.blocks]
+        off = [
+            None if p == j
+            else np.zeros((ctc.blocks[p].width, ctc.blocks[j].width))
+            for j, p in enumerate(self.parent)
+        ]
+        for r, c, v in zip(gtg.row, gtg.col, gtg.data):
+            a, b = int(block_of_coord[r]), int(block_of_coord[c])
+            lr = r - ctc.blocks[a].svec_start
+            lc = c - ctc.blocks[b].svec_start
+            if a == b:
+                diag[a][lr, lc] += v
+            elif self.parent[b] == a:
+                off[b][lr, lc] += v
+            else:
+                assert self.parent[a] == b  # mirror entry, stored once
+        return diag, off
 
     def assemble_h(self, sigma, psd_w, nn_w2):
-        gtg_diag = self._diag_blocks(self._gtg_flat)
-        h_diag = [sigma * blk for blk in gtg_diag]
-        for o, idxs in self._order_groups.items():
-            kron = sym_kron_stack(np.stack([psd_w[j] for j in idxs]))
+        mats, slacks = unstack_scalings(self.ctc, psd_w, nn_w2)
+        h_diag = [sigma * blk for blk in self.gtg_diag]
+        groups = {}
+        for j, blk in enumerate(self.ctc.blocks):
+            groups.setdefault(blk.order, []).append(j)
+        for o, idxs in groups.items():
+            kron = sym_kron_stack(np.stack([mats[j] for j in idxs]))
             t = tri(o)
             for pos, j in enumerate(idxs):
                 h_diag[j][:t, :t] += kron[pos]
-        for j, b in enumerate(self.info):
-            if b.n_nn:
-                sub = h_diag[j][b.nn_local, b.nn_local]
-                sub[np.diag_indices(b.n_nn)] += np.asarray(nn_w2[j], float)
+        for j, blk in enumerate(self.ctc.blocks):
+            lo = blk.svec_len + blk.n_aux
+            sub = h_diag[j][lo:, lo:]
+            sub[np.diag_indices(blk.n_nn)] += slacks[j]
         self.h_diag = h_diag
         self.h_off = [
-            None if blk is None else sigma * blk
-            for blk in self._off_blocks(self._gtg_flat)
+            None if blk is None else sigma * blk for blk in self.gtg_off
         ]
         self.sigma = float(sigma)
 
@@ -254,8 +334,8 @@ class ReferenceTreeNormal(TreeNormalSystem):
         )
         reg = 1e-12 * (1.0 + max(max_diag, 0.0))
         work = [blk.copy() for blk in self.h_diag]
-        for j, blk in enumerate(work):
-            blk[np.diag_indices(self.info[j].width)] += reg
+        for blk in work:
+            blk[np.diag_indices(blk.shape[0])] += reg
         l_diag = [None] * self.ell
         l_off = [None] * self.ell
         for j in self.order:
