@@ -10,6 +10,7 @@ property.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -315,12 +316,21 @@ def sparsity_graph(cost: SparseSymmetric, constraints: list) -> Graph:
 
 def min_degree_order(graph: Graph) -> list:
     """Greedy minimum-degree elimination order; ties break to the smallest
-    vertex id.  Deterministic."""
+    vertex id.  Deterministic.
+
+    A heap keyed on (degree, id) holds an entry for every degree a vertex
+    has had; an entry whose vertex is gone or whose degree is stale is
+    skipped when it surfaces."""
     adj = graph.adjacency()
-    alive = set(range(graph.n))
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    eliminated = [False] * graph.n
     order = []
-    for _ in range(graph.n):
-        best = min(alive, key=lambda v: (len(adj[v]), v))
+    while heap:
+        degree, best = heapq.heappop(heap)
+        if eliminated[best] or degree != len(adj[best]):
+            continue
+        eliminated[best] = True
         order.append(best)
         nbrs = adj[best]
         for u in nbrs:
@@ -330,8 +340,9 @@ def min_degree_order(graph: Graph) -> list:
             for w in nbr_list[i + 1:]:
                 adj[u].add(w)
                 adj[w].add(u)
+        for u in nbr_list:
+            heapq.heappush(heap, (len(adj[u]), u))
         adj[best] = set()
-        alive.discard(best)
     return order
 
 

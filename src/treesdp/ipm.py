@@ -422,7 +422,9 @@ class DenseHsdeProgram:
         return self.normal.solve(rhs)
 
     def pattern_stats(self) -> dict:
-        return {"blocks": 1, "offdiag_blocks": 0, "fill_blocks": 0}
+        return {
+            "blocks": 1, "groups": 1, "offdiag_blocks": 0, "fill_blocks": 0
+        }
 
 
 # ---------------------------------------------------------------------------

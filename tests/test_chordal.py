@@ -17,7 +17,7 @@ from treesdp.chordal import (
 )
 from treesdp.errors import DimensionMismatch, ParseError
 from treesdp.linalg import SparseSymmetric
-from util import ancestors, random_rooted_tree
+from util import ancestors, min_degree_order_reference, random_rooted_tree
 
 
 def path_graph(n):
@@ -114,6 +114,16 @@ def test_min_degree_is_a_permutation_on_random_graphs():
         g = random_graph(rng, n, 0.3)
         order = min_degree_order(g)
         assert sorted(order) == list(range(n))
+
+
+def test_min_degree_matches_the_scan_over_live_vertices():
+    rng = np.random.default_rng(13)
+    for _ in range(40):
+        n = int(rng.integers(1, 60))
+        g = random_graph(rng, n, float(rng.uniform(0.02, 0.5)))
+        assert min_degree_order(g) == min_degree_order_reference(g)
+    star = star_graph(30)  # leaves tie at degree 1, the hub comes last
+    assert min_degree_order(star) == min_degree_order_reference(star)
 
 
 # ----------------------------------------------------------------- symbolic factor

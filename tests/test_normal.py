@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from treesdp.chordal import Graph, decompose, sparsity_graph
+from treesdp import normal
+from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
 from treesdp.convert import build_ctc, dualize, separate_with_aux
 from treesdp.errors import (
     DenominatorUnderflow,
@@ -24,8 +25,10 @@ from treesdp.errors import (
 from treesdp.linalg import SparseSymmetric
 from treesdp.model import SdpProblem
 from treesdp.normal import (
+    GROUP_WIDTH,
     DenseNormalSystem,
     TreeNormalSystem,
+    group_bags,
     plain_row_coupling,
 )
 
@@ -33,6 +36,7 @@ from util import (
     ReferenceTreeNormal,
     dense_h_oracle,
     random_partially_separable_problem,
+    random_rooted_tree,
     random_scaling_data,
     stack_scalings,
     star_arrow_problem,
@@ -83,7 +87,7 @@ def test_postorder_identity_when_already_topological():
     assert all(int(td.parent[j]) in (j, j + 1) for j in range(td.ell))
     assert list(td.postorder()) == list(range(td.ell))
     _, sys_, *_ = build_system(problem, td)
-    assert sys_.order == td.postorder()
+    assert [j for group in sys_.groups for j in group] == list(td.postorder())
 
 
 def test_postorder_star_leaves_first():
@@ -93,6 +97,105 @@ def test_postorder_star_leaves_first():
     assert order[-1] == td.root
     for j in order[:-1]:
         assert int(td.parent[j]) == td.root
+
+
+# ---------------------------------------------------------------------------
+# groups of bags
+# ---------------------------------------------------------------------------
+
+CAPS = (0, GROUP_WIDTH, np.inf)  # no merge, the engine's cap, one group
+
+
+def _star(leaves):
+    return TreeDecomposition(
+        n=leaves + 1,
+        bags=[(j,) for j in range(leaves + 1)],
+        parent=np.zeros(leaves + 1, dtype=np.int64),
+    )
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_group_bags_is_a_capped_tree_partition(cap):
+    rng = np.random.default_rng(61)
+    trees = [random_rooted_tree(rng, ell) for ell in (1, 2, 7, 40, 120)]
+    trees += [_star(leaves) for leaves in (1, 5, 30)]
+    for td in trees:
+        widths = rng.integers(1, 21, size=td.ell).tolist()
+        groups = group_bags(td, widths, cap)
+        assert sorted(j for g in groups for j in g) == list(range(td.ell))
+        group_of = {j: k for k, g in enumerate(groups) for j in g}
+        roots = 0
+        for k, g in enumerate(groups):
+            assert list(g) == sorted(g, key=td.post_index.__getitem__)
+            assert len(g) == 1 or sum(widths[j] for j in g) <= cap
+            # every bag edge that leaves the group goes to one attach bag,
+            # in a later group: the groups form a tree, children first
+            attach = {
+                int(td.parent[j]) for j in g
+                if group_of[int(td.parent[j])] != k
+            }
+            if td.root in g:
+                roots += 1
+                assert not attach
+            else:
+                assert len(attach) == 1 and group_of[attach.pop()] > k
+        assert roots == 1
+        if cap == 0:
+            assert len(groups) == td.ell
+        if cap == np.inf:
+            assert len(groups) == 1
+
+
+def _grouping_instances():
+    rng = np.random.default_rng(67)
+    out = [path_problem(14, m=3)]
+    problem = star_arrow_problem(11)
+    out.append(
+        (problem, decompose(sparsity_graph(problem.cost, problem.constraints)))
+    )
+    for _ in range(4):
+        out.append(
+            random_partially_separable_problem(
+                rng, int(rng.integers(8, 16)), 4, ineq_prob=0.3
+            )
+        )
+    return out
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_solve_with_rank1_matches_dense_oracle_for_each_cap(cap, monkeypatch):
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    rng = np.random.default_rng(71)
+    for trial, (problem, td) in enumerate(_grouping_instances()):
+        ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+            problem, td, seed=400 + trial
+        )
+        sys_.update(sigma, q, psd_w, nn_w2)
+        rhs = rng.standard_normal((ctc.dim_z, 3))
+        x_ref = np.linalg.solve(sys_.h_dense() + np.outer(q, q), rhs)
+        x = sys_.solve_with_rank1(rhs)
+        assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_factor_has_no_bag_fill_for_each_cap(cap, monkeypatch):
+    # merged group blocks store every bag pair; those that are not tree
+    # edges must stay exactly zero in H and in L
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    for trial, (problem, td) in enumerate(_grouping_instances()):
+        ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+            problem, td, seed=500 + trial
+        )
+        sys_.assemble_h(sigma, psd_w, nn_w2)
+        sys_.factor()
+        in_h, in_l = sys_.nonzero_bag_pairs()
+        for a, b in in_l.tolist():
+            assert int(td.parent[a]) == b or int(td.parent[b]) == a
+        assert np.array_equal(in_h, in_l)
+        stats = sys_.pattern_stats()
+        assert stats["blocks"] == td.ell
+        assert stats["groups"] == len(sys_.groups)
+        assert stats["fill_blocks"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +439,8 @@ def test_solve_single_vector_shape_roundtrip():
     x2 = sys_.solve_with_rank1(rhs.reshape(-1, 1))
     assert x2.shape == (ctc.dim_z, 1)
     assert np.allclose(x1, x2[:, 0], atol=0)
+    with pytest.raises(DimensionMismatch):
+        sys_.solve_with_rank1(np.ones(ctc.dim_z + 1))
 
 
 def test_denominator_underflow_guard():
@@ -390,17 +495,12 @@ def test_memory_counter_equals_walk_over_blocks():
     sys_.update(sigma, q, psd_w, nn_w2)
     walked = sum(
         blk.nbytes
-        for group in (
-            sys_._diag_blocks(sys_._gtg_flat),
-            sys_._off_blocks(sys_._gtg_flat),
-            sys_.h_diag,
-            sys_.h_off,
-            sys_.l_diag,
-            sys_.l_off,
-        )
+        for group in (sys_.h_diag, sys_.h_off, sys_.l_diag, sys_.l_off)
         for blk in group
         if blk is not None
-    ) + q.nbytes + sys_._u_q.nbytes
+    ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
+        sys_._u_q.nbytes
+    )
     assert sys_.memory_bytes() == walked
     assert sys_.pattern_stats()["bytes"] == walked
     sys_.set_rank1(None)  # the counter keeps its peak
@@ -441,7 +541,7 @@ def test_dense_normal_system_matches_direct_solve():
 
 
 def test_factor_rejects_non_finite_offdiagonal_block():
-    problem, td = path_problem(5, m=2)
+    problem, td = path_problem(12, m=2)  # long enough for several groups
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
     sys_.assemble_h(sigma, psd_w, nn_w2)
     child = next(j for j, blk in enumerate(sys_.h_off) if blk is not None)
@@ -551,8 +651,10 @@ def test_engine_matches_reference_bit_for_bit(kind):
             for x, y in zip(a, b, strict=True)
         )
 
-    assert same(sys_._diag_blocks(sys_._gtg_flat), ref.gtg_diag)
-    assert same(sys_._off_blocks(sys_._gtg_flat), ref.gtg_off)
+    gtg_flat = np.zeros(sys_._n_flat)
+    gtg_flat[sys_._gtg_pos] = sys_._gtg_val
+    gtg_diag, gtg_off = sys_._blocks(gtg_flat)
+    assert same(gtg_diag, ref.gtg_diag) and same(gtg_off, ref.gtg_off)
     assert same(sys_.h_diag, ref.h_diag) and same(sys_.h_off, ref.h_off)
     assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
     rng = np.random.default_rng(59)

@@ -41,6 +41,28 @@ def ancestors(td, j):
     return path
 
 
+def min_degree_order_reference(graph):
+    """Greedy minimum-degree order by a scan over every live vertex per
+    step; ties break to the smallest vertex id."""
+    adj = graph.adjacency()
+    alive = set(range(graph.n))
+    order = []
+    for _ in range(graph.n):
+        best = min(alive, key=lambda v: (len(adj[v]), v))
+        order.append(best)
+        nbrs = adj[best]
+        for u in nbrs:
+            adj[u].discard(best)
+        nbr_list = sorted(nbrs)
+        for i, u in enumerate(nbr_list):
+            for w in nbr_list[i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+        adj[best] = set()
+        alive.discard(best)
+    return order
+
+
 def random_bag_supported_matrix(rng, n, bag, density=0.8):
     """Random symmetric matrix supported inside one bag."""
     rows, cols, vals = [], [], []
@@ -271,39 +293,61 @@ def hess_apply(ops, w, v):
 
 
 class ReferenceTreeNormal(TreeNormalSystem):
-    """The block-tree normal engine as one block at a time through
-    ``scipy.linalg.solve_triangular``, each block a separate array, with
-    the scaling data unstacked per block and G^T G summed entry by entry:
-    the reference the engine's flat buffers and direct LAPACK calls must
-    match bit for bit."""
+    """The block-tree normal engine over the engine's groups, one group at
+    a time through ``scipy.linalg.solve_triangular``, each block a separate
+    array, with the coordinate permutation worked out bag by bag, the
+    scaling data unstacked per bag and G^T G summed entry by entry: the
+    reference the engine's flat buffers and direct LAPACK calls must match
+    bit for bit."""
 
     def __init__(self, dualized):
         super().__init__(dualized)
+        blocks = self.ctc.blocks
+        # bag -> its group and its first row inside the group block
+        self.group_of, self.at = {}, {}
+        self.widths, perm = [], []
+        for k, members in enumerate(self.groups):
+            w = 0
+            for j in members:
+                self.group_of[j], self.at[j] = k, w
+                w += blocks[j].width
+                perm.extend(range(blocks[j].svec_start, blocks[j].end))
+            self.widths.append(w)
+        self.ref_perm = np.array(perm)
+        # the attach bag: the one parent outside the group of its tops
+        self.attach = []
+        for k, members in enumerate(self.groups):
+            outside = {
+                self.parent[j] for j in members
+                if self.group_of[self.parent[j]] != k
+            }
+            assert len(outside) <= 1
+            self.attach.append(outside.pop() if outside else None)
         self.gtg_diag, self.gtg_off = self._reference_gram()
 
     def _reference_gram(self):
         """Diagonal and edge blocks of G^T G, one entry at a time."""
-        ctc = self.ctc
+        blocks = self.ctc.blocks
         gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocoo()
         block_of_coord = np.repeat(
-            np.arange(self.ell), [blk.width for blk in ctc.blocks]
+            np.arange(self.ell), [blk.width for blk in blocks]
         )
-        diag = [np.zeros((blk.width, blk.width)) for blk in ctc.blocks]
+        diag = [np.zeros((w, w)) for w in self.widths]
         off = [
-            None if p == j
-            else np.zeros((ctc.blocks[p].width, ctc.blocks[j].width))
-            for j, p in enumerate(self.parent)
+            None if b is None else np.zeros((blocks[b].width, w))
+            for b, w in zip(self.attach, self.widths)
         ]
         for r, c, v in zip(gtg.row, gtg.col, gtg.data):
             a, b = int(block_of_coord[r]), int(block_of_coord[c])
-            lr = r - ctc.blocks[a].svec_start
-            lc = c - ctc.blocks[b].svec_start
-            if a == b:
-                diag[a][lr, lc] += v
-            elif self.parent[b] == a:
-                off[b][lr, lc] += v
+            ga, gb = self.group_of[a], self.group_of[b]
+            lr = r - blocks[a].svec_start
+            lc = self.at[b] + c - blocks[b].svec_start
+            if ga == gb:
+                diag[ga][self.at[a] + lr, lc] += v
+            elif self.attach[gb] == a:
+                off[gb][lr, lc] += v
             else:
-                assert self.parent[a] == b  # mirror entry, stored once
+                assert self.attach[ga] == b  # mirror entry, stored once
         return diag, off
 
     def assemble_h(self, sigma, psd_w, nn_w2):
@@ -316,10 +360,11 @@ class ReferenceTreeNormal(TreeNormalSystem):
             kron = sym_kron_stack(np.stack([mats[j] for j in idxs]))
             t = tri(o)
             for pos, j in enumerate(idxs):
-                h_diag[j][:t, :t] += kron[pos]
+                s = self.at[j]
+                h_diag[self.group_of[j]][s:s + t, s:s + t] += kron[pos]
         for j, blk in enumerate(self.ctc.blocks):
-            lo = blk.svec_len + blk.n_aux
-            sub = h_diag[j][lo:, lo:]
+            lo = self.at[j] + blk.svec_len + blk.n_aux
+            sub = h_diag[self.group_of[j]][lo:lo + blk.n_nn, lo:lo + blk.n_nn]
             sub[np.diag_indices(blk.n_nn)] += slacks[j]
         self.h_diag = h_diag
         self.h_off = [
@@ -336,46 +381,61 @@ class ReferenceTreeNormal(TreeNormalSystem):
         work = [blk.copy() for blk in self.h_diag]
         for blk in work:
             blk[np.diag_indices(blk.shape[0])] += reg
-        l_diag = [None] * self.ell
-        l_off = [None] * self.ell
-        for j in self.order:
-            lj = np.linalg.cholesky(work[j])
-            l_diag[j] = lj
-            p = self.parent[j]
-            if p != j:
-                r = solve_triangular(lj, self.h_off[j].T, lower=True).T
-                l_off[j] = r
-                work[p] -= r @ r.T
+        l_diag = [None] * len(self.groups)
+        l_off = [None] * len(self.groups)
+        for k, b in enumerate(self.attach):
+            lk = np.linalg.cholesky(work[k])
+            l_diag[k] = lk
+            if b is not None:
+                r = solve_triangular(lk, self.h_off[k].T, lower=True).T
+                l_off[k] = r
+                s, wb = self.at[b], self.ctc.blocks[b].width
+                work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
         self.l_diag = l_diag
         self.l_off = l_off
 
+    def _rows(self, k):
+        """Group k's slice of the permuted coordinates."""
+        lo = sum(self.widths[:k])
+        return slice(lo, lo + self.widths[k])
+
+    def _attach_rows(self, k):
+        """The permuted coordinates of group k's attach bag."""
+        b = self.attach[k]
+        lo = self._rows(self.group_of[b]).start + self.at[b]
+        return slice(lo, lo + self.ctc.blocks[b].width)
+
+    def _unpermute(self, x, single):
+        out = np.empty_like(x)
+        out[self.ref_perm] = x
+        return out[:, 0] if single else out
+
     def solve_h(self, rhs):
-        x, single = self._as_columns(rhs)
-        for j in self.order:
-            sl = self.slices[j]
-            yj = solve_triangular(self.l_diag[j], x[sl], lower=True)
-            x[sl] = yj
-            p = self.parent[j]
-            if p != j:
-                x[self.slices[p]] -= self.l_off[j] @ yj
-        for j in self.order[::-1]:
-            sl = self.slices[j]
+        cols, single = self._as_columns(rhs)
+        x = cols[self.ref_perm]
+        for k, b in enumerate(self.attach):
+            sl = self._rows(k)
+            yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
+            x[sl] = yk
+            if b is not None:
+                x[self._attach_rows(k)] -= self.l_off[k] @ yk
+        for k in reversed(range(len(self.groups))):
+            sl = self._rows(k)
             t = x[sl]
-            p = self.parent[j]
-            if p != j:
-                t = t - self.l_off[j].T @ x[self.slices[p]]
-            x[sl] = solve_triangular(self.l_diag[j], t, lower=True, trans="T")
-        return x[:, 0] if single else x
+            if self.attach[k] is not None:
+                t = t - self.l_off[k].T @ x[self._attach_rows(k)]
+            x[sl] = solve_triangular(self.l_diag[k], t, lower=True, trans="T")
+        return self._unpermute(x, single)
 
     def apply_h(self, x):
         v, single = self._as_columns(x)
+        v = v[self.ref_perm]
         out = np.zeros_like(v)
-        for j in range(self.ell):
-            sl = self.slices[j]
-            out[sl] += self.h_diag[j] @ v[sl]
-            p = self.parent[j]
-            if p != j:
-                slp = self.slices[p]
-                out[slp] += self.h_off[j] @ v[sl]
-                out[sl] += self.h_off[j].T @ v[slp]
-        return out[:, 0] if single else out
+        for k, b in enumerate(self.attach):
+            sl = self._rows(k)
+            out[sl] += self.h_diag[k] @ v[sl]
+            if b is not None:
+                slp = self._attach_rows(k)
+                out[slp] += self.h_off[k] @ v[sl]
+                out[sl] += self.h_off[k].T @ v[slp]
+        return self._unpermute(out, single)
