@@ -559,27 +559,20 @@ class DualizedProblem:
         return out
 
     def apply_m(self, x: np.ndarray) -> np.ndarray:
-        """M x = -G^T x_1 + E~ x_2 (a vector over the z coordinates)."""
+        """M x = -G^T x_1 + E~ x_2 (a vector over the z coordinates), for a
+        vector or a batch of rows."""
         x1 = x[..., 1:1 + self.f]
         x2 = x[..., 1 + self.f:]
-        if x.ndim == 1:
-            out = -self.g_csr.T.dot(x1)
-            out[self.nonaux] += x2
-        else:
-            out = -(self.g_csr.T.dot(x1.T)).T
-            out[..., self.nonaux] += x2
+        out = -(self.g_csr.T @ x1.T).T
+        out[..., self.nonaux] += x2
         return out
 
     def apply_mt(self, y: np.ndarray) -> np.ndarray:
-        """M^T y = (0, -G y, gather of y on non-aux coords)."""
-        if y.ndim == 1:
-            out = np.zeros(self.dim_x)
-            out[1:1 + self.f] = -self.g_csr.dot(y)
-            out[1 + self.f:] = y[self.nonaux]
-        else:
-            out = np.zeros(y.shape[:-1] + (self.dim_x,))
-            out[..., 1:1 + self.f] = -(self.g_csr.dot(y.T)).T
-            out[..., 1 + self.f:] = y[..., self.nonaux]
+        """M^T y = (0, -G y, gather of y on non-aux coords), for a vector or
+        a batch of rows."""
+        out = np.zeros(y.shape[:-1] + (self.dim_x,))
+        out[..., 1:1 + self.f] = -(self.g_csr @ y.T).T
+        out[..., 1 + self.f:] = y[..., self.nonaux]
         return out
 
     def data_norm(self) -> float:

@@ -28,6 +28,7 @@ sigma in [0.05, 0.9] and a 0.99 fraction-to-boundary line search.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 
@@ -91,6 +92,17 @@ class ScalingPoint:
 
 def _soc_g2(v: np.ndarray) -> float:
     return float(v[0] * v[0] - v[1:] @ v[1:])
+
+
+_CONGRUENCE = "gij,gkjl,glm->gkim"  # W M W for each group g and column k
+
+
+@functools.lru_cache(maxsize=64)
+def _congruence_path(w_shape: tuple, m_shape: tuple) -> tuple:
+    """The contraction path ``optimize=True`` would search for on every
+    call, found once per pair of operand shapes."""
+    w, m = np.broadcast_to(0.0, w_shape), np.broadcast_to(0.0, m_shape)
+    return tuple(np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy")[0])
 
 
 class ConeOps:
@@ -258,7 +270,8 @@ class ConeOps:
                 np.moveaxis(vecs, 2, 1).reshape(-1, vecs.shape[1])
             ).reshape(vecs.shape[0], k, order, order)
             res = np.einsum(
-                "gij,gkjl,glm->gkim", w_stack, mats, w_stack, optimize=True
+                _CONGRUENCE, w_stack, mats, w_stack,
+                optimize=_congruence_path(w_stack.shape, mats.shape),
             )
             flat = svec_stack(res.reshape(-1, order, order)).reshape(
                 vecs.shape[0], k, -1
@@ -422,8 +435,15 @@ class DenseHsdeProgram:
         return self.normal.solve(rhs)
 
     def pattern_stats(self) -> dict:
+        """The block-tree engine's keys for one dense block."""
         return {
-            "blocks": 1, "groups": 1, "offdiag_blocks": 0, "fill_blocks": 0
+            "blocks": 1,
+            "groups": 1,
+            "offdiag_blocks": 0,
+            "factor_offdiag_blocks": 0,
+            "fill_blocks": 0,
+            "flops_estimate": self.normal.dim ** 3 // 3,
+            "bytes": self.normal.memory_bytes(),
         }
 
 

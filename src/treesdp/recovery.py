@@ -21,7 +21,6 @@ from .errors import BlockNotPsd, DimensionMismatch, OverlapMismatch
 from .model import SdpProblem
 
 OVERLAP_TOL = 1e-6  # tree-adjacent blocks must agree on overlaps to this
-PINV_CUTOFF = 1e-10  # relative eigenvalue cutoff for pseudo-inverses
 SCORE_CAP = 16.0  # digit scores saturate at float precision
 
 
@@ -83,61 +82,34 @@ class Metrics:
         )
 
 
-def _project_psd(block: np.ndarray, eps: float, label: str):
+def _psd_factor(block: np.ndarray, eps: float, label: str):
     """Project a bag block onto the PSD cone; returns the projected block
-    and its cap ``100 * eps * (1 + lambda_max)``.
+    and a factor F with ``F @ F.T`` equal to it.
 
     An interior-point answer at tolerance ``eps`` carries an O(eps) cone
-    violation, so eigenvalues in ``[-cap, 0)`` are rounding debris and are
-    clamped to zero; anything beyond the cap is a genuine failure and
-    raises ``BlockNotPsd``.  A block with no negative eigenvalue is
-    returned as it is.
+    violation, so eigenvalues in ``[-cap, 0)``, with the cap
+    ``100 * eps * (1 + lambda_max)``, are rounding debris and are clamped to
+    zero; anything beyond the cap is a genuine failure and raises
+    ``BlockNotPsd``.  A block with no negative eigenvalue is returned as it
+    is.  F keeps the eigenvalues above the numerical-rank cutoff
+    ``order * machine_eps * lambda_max``; the rest are zero to the accuracy
+    of the eigendecomposition.
     """
     vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
     if vals.size == 0:
-        return block, 100.0 * eps
-    cap = 100.0 * eps * (1.0 + float(vals[-1]))
+        return block, vecs
+    top = float(vals[-1])
+    cap = 100.0 * eps * (1.0 + top)
     if vals[0] < -cap:
         raise BlockNotPsd(
             f"{label} has eigenvalue {vals[0]:.3e}, beyond the PSD cap "
             f"{-cap:.3e}"
         )
-    if vals[0] >= 0.0:
-        return block, cap
-    return (vecs * np.clip(vals, 0.0, None)) @ vecs.T, cap
-
-
-def _psd_eig(block: np.ndarray, cap: float, label: str):
-    """Eigendecomposition of a matrix derived from a bag block, with its
-    eigenvalues checked against the bag's PSD cap and clamped at zero."""
-    vals, vecs = np.linalg.eigh(block)
-    if vals.size and vals[0] < -cap:
-        raise BlockNotPsd(
-            f"{label} has eigenvalue {vals[0]:.3e}, beyond the PSD cap "
-            f"{-cap:.3e}"
-        )
-    return np.clip(vals, 0.0, None), vecs
-
-
-def _check_overlaps(blocks, td: TreeDecomposition) -> None:
-    for j, bag in enumerate(td.bags):
-        p = int(td.parent[j])
-        if p == j:
-            continue
-        sep = td.separator(j)
-        if not sep:
-            continue
-        own = [bag.index(v) for v in sep]
-        par = [td.bags[p].index(v) for v in sep]
-        diff = np.max(
-            np.abs(
-                blocks[j][np.ix_(own, own)] - blocks[p][np.ix_(par, par)]
-            )
-        )
-        if diff > OVERLAP_TOL:
-            raise OverlapMismatch(
-                f"bags {j} and {p} disagree on their overlap by {diff:.3e}"
-            )
+    keep = vals > vals.size * np.finfo(float).eps * max(top, 0.0)
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    if vals[0] < 0.0:
+        block = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return block, factor
 
 
 def complete_low_rank(
@@ -145,19 +117,21 @@ def complete_low_rank(
 ) -> LowRankFactor:
     """Complete per-bag PSD blocks to a factor U with ``rank <= omega``.
 
-    Each block is first projected onto the PSD cone with the cap
-    ``100 * eps * (1 + lambda_max(block))``; its separator block and the
-    Schur complement of every extension are held to the same cap, so a
-    block accurate to ``eps`` is not rejected for its rounding.
-
-    The traversal is root first.  At each tree edge the new vertices A of
-    the child bag are extended from the separator B through the closed form
-    rows ``U_A = X[A,B]·X[B,B]^+·U_B + W``, where W carries the Schur
-    complement ``X[A,A] − X[A,B]·X[B,B]^+·X[B,A]`` in directions orthogonal
-    to the rows of ``U_B``.  Orthogonality to the separator rows alone is
-    what keeps every prescribed block exact, and it allows columns used by
-    long-retired vertices to be reused, which caps the column count at the
-    largest bag size.  Cost is one eigendecomposition of at most
+    The traversal is root first.  Each bag's block is projected onto the
+    PSD cone with the cap ``100 * eps * (1 + lambda_max(block))`` and
+    factored as ``F F^T`` by the same eigendecomposition (see
+    ``_psd_factor``), and its separator entries are checked against the
+    parent's to ``OVERLAP_TOL``.  The rows of the separator B are already
+    placed; the new vertices A get ``U_A = F_A Q``, where Q has orthonormal
+    rows and best maps the separator rows onto the placed ones,
+    ``F_B Q ~ U_B`` (orthogonal Procrustes: ``Q = Y Z^T`` from the SVD
+    ``F_B^T U_B = Y S Z^T``).  Since ``Q Q^T = I``,
+    ``U_A U_A^T = F_A F_A^T``, and ``U_A U_B^T = F_A F_B^T`` up to the
+    disagreement of the two factorizations on B.  The directions of F that B does not
+    see pair with columns orthogonal to the rows of U_B, so columns used by
+    long-retired vertices are reused, and the column count never exceeds
+    the largest rank of a bag block, at most omega.  No Schur complement
+    is formed.  Cost is one eigendecomposition and one SVD of at most
     omega x omega per bag.
     """
     blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
@@ -165,83 +139,38 @@ def complete_low_rank(
         raise DimensionMismatch(
             f"{len(blocks)} blocks for {td.ell} bags"
         )
-    caps = []
     for j, bag in enumerate(td.bags):
         if blocks[j].shape != (len(bag), len(bag)):
             raise DimensionMismatch(
                 f"block {j} has shape {blocks[j].shape}, bag size {len(bag)}"
             )
-        blocks[j], cap = _project_psd(blocks[j], eps, f"bag {j} block")
-        caps.append(cap)
-    _check_overlaps(blocks, td)
 
     u = np.zeros((td.n, td.omega))
     cols = 0  # columns of u in use so far
-    order = list(reversed(td.postorder()))  # parents before children
-
-    for j in order:
-        bag = np.asarray(td.bags[j], dtype=np.int64)
-        block = blocks[j]
-        is_root = int(td.parent[j]) == j
-        sep = [] if is_root else list(td.separator(j))
-        sep_local = [td.bags[j].index(v) for v in sep]
-        new_local = [i for i in range(len(bag)) if i not in sep_local]
-        new_global = bag[new_local]
-        if len(new_local) == 0:
-            continue
-
-        # anchor rows for the separator (already placed by the parent;
-        # empty at the root or across a disconnected attachment, in which
-        # case every in-use column is available for reuse)
-        u_b = u[np.asarray(sep, dtype=np.int64), :cols]
-        x_bb = block[np.ix_(sep_local, sep_local)]
-        x_ab = block[np.ix_(new_local, sep_local)]
-        x_aa = block[np.ix_(new_local, new_local)]
-
-        # pseudo-inverse of X[B,B] through its eigendecomposition
-        vals, vecs = _psd_eig(x_bb, caps[j], f"separator of bag {j}")
-        lam_max = float(vals[-1]) if vals.size else 0.0
-        keep = vals > PINV_CUTOFF * lam_max if vals.size else np.zeros(0, bool)
-        inv_vals = np.zeros_like(vals)
-        inv_vals[keep] = 1.0 / vals[keep]
-        pinv_bb = (vecs * inv_vals) @ vecs.T
-
-        u_a0 = x_ab @ (pinv_bb @ u_b)
-
-        # residual energy of the new vertices (Schur complement)
-        schur = x_aa - x_ab @ pinv_bb @ x_ab.T
-        schur = 0.5 * (schur + schur.T)
-        s_vals, s_vecs = _psd_eig(schur, caps[j], f"extension of bag {j}")
-        s_max = float(s_vals[-1]) if s_vals.size else 0.0
-        s_keep = s_vals > PINV_CUTOFF * max(s_max, eps)
-        w_dirs = s_vecs[:, s_keep] * np.sqrt(s_vals[s_keep])
-        r_new = w_dirs.shape[1]
-
-        if r_new:
-            # orthonormal basis of the complement of U_B's row space
-            if u_b.size:
-                _, sv, vt = np.linalg.svd(u_b, full_matrices=True)
-                r_b = int(np.sum(sv > PINV_CUTOFF * max(sv[0], 1.0)))
-                comp = vt[r_b:].T  # cols x (cols - r_b)
-            else:
-                comp = np.eye(cols)
-            if comp.shape[1] < r_new:
-                extra = r_new - comp.shape[1]
-                if cols + extra > u.shape[1]:
-                    u = np.hstack(
-                        [u, np.zeros((td.n, cols + extra - u.shape[1]))]
-                    )
-                wide = np.zeros((cols + extra, comp.shape[1] + extra))
-                wide[:cols, : comp.shape[1]] = comp
-                wide[cols:, comp.shape[1] :] = np.eye(extra)
-                comp = wide
-                cols += extra
-                u_a0 = np.hstack(
-                    [u_a0, np.zeros((u_a0.shape[0], extra))]
+    for j in reversed(td.postorder()):  # parents before children
+        bag = td.bags[j]
+        sep = td.separator(j)
+        own = [bag.index(v) for v in sep]
+        blocks[j], f = _psd_factor(blocks[j], eps, f"bag {j} block")
+        if own:
+            p = int(td.parent[j])
+            par = [td.bags[p].index(v) for v in sep]
+            diff = np.max(
+                np.abs(blocks[j][own][:, own] - blocks[p][par][:, par])
+            )
+            if diff > OVERLAP_TOL:
+                raise OverlapMismatch(
+                    f"bags {j} and {p} disagree on their overlap by "
+                    f"{diff:.3e}"
                 )
-            u[new_global, :cols] = u_a0 + w_dirs @ comp[:, :r_new].T
-        else:
-            u[new_global, :cols] = u_a0
+        new = [i for i in range(len(bag)) if i not in own]
+        if not new:
+            continue
+        # an empty separator (the root, or a disconnected attachment)
+        # leaves every column free for reuse
+        cols = max(cols, f.shape[1])
+        y, _, zt = np.linalg.svd(f[own].T @ u[list(sep), :cols])
+        u[np.asarray(bag)[new], :cols] = f[new] @ (y @ zt[: f.shape[1]])
 
     return LowRankFactor(U=u[:, :cols])
 

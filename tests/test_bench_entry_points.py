@@ -2,12 +2,17 @@
 (``bench/spans.py`` and ``bench/clock.py``).  A renamed or moved entry point
 would silently drop out of the benchmark's timings, so every name they list
 must resolve to what ``rebind`` expects: a module-level function of that
-module, or a method defined on a class of that module.  Likewise every
-counter the traced run (``bench/run.py``) reads from a normal engine must
-exist on one."""
+module, or a method defined on a class of that module, and a solve must
+still call it: a pinned function that is no longer called reads 0 in the
+benchmark.  Likewise every counter the traced run (``bench/run.py``) reads
+from a normal engine must exist on one."""
 
 import ast
+import functools
 import importlib
+import importlib.util
+import io
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +82,64 @@ def test_bench_entry_point_resolves(mod, qual):
         fn = getattr(module, qual)
         assert fn.__module__ == module.__name__
         assert fn.__qualname__ == qual
+
+
+def _bench_rebind():
+    """``rebind`` from ``bench/spans.py``, loaded from its file."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_spans", BENCH / "spans.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.rebind
+
+
+def test_every_bench_entry_point_is_called():
+    from treesdp import frontends
+
+    from util import random_partially_separable_problem, with_wide_constraint
+
+    rebind = _bench_rebind()
+    calls = Counter()
+
+    def counting(key):
+        def make(fn):
+            @functools.wraps(fn)
+            def counted(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+
+            return counted
+
+        return make
+
+    problem, _ = random_partially_separable_problem(
+        np.random.default_rng(3), 6, 3
+    )
+    runs = []
+    for method, sdp in (
+        ("dctc", problem),
+        ("dctc-aux", with_wide_constraint(problem)),  # a multi-bag row
+    ):
+        text = io.StringIO()
+        frontends.write_sdpa(sdp, text)
+        runs.append((method, text.getvalue()))
+    entry = (frontends.read_sdpa, frontends.solve_sdp)
+    names = _entry_points()
+    undo = []
+    try:
+        for mod, qual in names:
+            undo += rebind(mod, qual, counting((mod, qual)))
+        for method, text in runs:
+            # module attributes, so the wrappers are the ones called
+            sdp = frontends.read_sdpa(io.StringIO(text))
+            frontends.solve_sdp(sdp, method=method, eps=1e-6)
+    finally:
+        for owner, name, orig in reversed(undo):
+            setattr(owner, name, orig)
+    assert (frontends.read_sdpa, frontends.solve_sdp) == entry
+    never = [name for name in names if not calls[name]]
+    assert not never, f"no solve called {never}"
 
 
 def _normal_counters():

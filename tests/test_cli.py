@@ -153,16 +153,20 @@ def test_solve_explicit_output_paths_and_methods(tmp_path, capsys):
 
 
 def test_solve_diag_streams_pattern_lines(tmp_path, capsys):
+    # the dense baseline streams the block-tree engine's keys
     prob = _generate(tmp_path, "maxcut", PATH5_GRAPH)
-    assert main(["solve", str(prob), "--diag"]) == 0
-    err_lines = [
-        line for line in capsys.readouterr().err.splitlines()
-        if line.startswith("{")
-    ]
-    assert err_lines
-    rec = json.loads(err_lines[0])
-    assert {"iteration", "mu", "blocks", "fill_blocks",
-            "flops_estimate"} <= set(rec)
+    keys = {}
+    for method in ("ctc", "dctc"):
+        assert main(["solve", str(prob), "--method", method, "--diag"]) == 0
+        err_lines = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("{")
+        ]
+        assert err_lines
+        keys[method] = set(json.loads(err_lines[0]))
+    assert {"iteration", "mu", "blocks", "groups", "fill_blocks",
+            "flops_estimate", "bytes"} <= keys["dctc"]
+    assert keys["ctc"] == keys["dctc"]
 
 
 def test_solve_infeasible_problem_exits_one(tmp_path, capsys):

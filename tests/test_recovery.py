@@ -156,18 +156,27 @@ def test_roundtrip_random_chordal_patterns():
 
 
 def test_rank_deficient_blocks_complete_exactly():
-    # project a rank-2 PSD matrix; the completion must stay PSD with the
-    # same bag values even though every pseudo-inverse is singular
-    rng = np.random.default_rng(11)
-    n = 8
-    td = decompose(random_connected_graph(rng, n))
-    g = rng.standard_normal((n, 2))
-    x = g @ g.T
-    blocks = project_to_bags(x, td)
-    factor = complete_low_rank(blocks, td)
-    assert bag_agreement_error(factor, blocks, td) <= 1e-6
-    assert np.linalg.eigvalsh(factor.U @ factor.U.T).min() >= -1e-8
-    assert factor.rank <= td.omega
+    # project a rank-2 PSD matrix whose rows span ``decades`` orders of
+    # magnitude; the completion must stay PSD with the same bag values even
+    # though every pseudo-inverse is singular.  Graded rows make separator
+    # blocks tiny beside their bags, which a Schur-complement extension
+    # amplifies (seed 835 lost 4.5e-3 of its bag scale that way).
+    for seed, n, decades in ((11, 8, 0), (835, 12, 3)):
+        rng = np.random.default_rng(seed)
+        td = decompose(random_connected_graph(rng, n))
+        rows = 10.0 ** rng.integers(0, decades + 1, n)
+        g = rows[:, None] * rng.standard_normal((n, 2))
+        x = g @ g.T
+        blocks = project_to_bags(x, td)
+        factor = complete_low_rank(blocks, td)
+        assert bag_agreement_error(factor, blocks, td) <= 1e-6
+        for bag, block in zip(td.bags, blocks):
+            u_j = factor.U[np.asarray(bag)]
+            assert np.max(np.abs(u_j @ u_j.T - block)) <= 1e-9 * (
+                1.0 + np.max(np.abs(block))
+            )
+        assert np.linalg.eigvalsh(factor.U @ factor.U.T).min() >= -1e-8
+        assert factor.rank <= td.omega
 
 
 def test_long_path_completion_is_linear_size():
