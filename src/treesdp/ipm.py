@@ -41,6 +41,7 @@ from .errors import (
     IndefinitePivot,
     InfeasibleOrUnbounded,
     MaxIterations,
+    NotFinite,
     NotInterior,
     NumericalStall,
     SingularNormalMatrix,
@@ -734,7 +735,7 @@ class HsdeSolver:
                     alpha = min(
                         1.0, BOUNDARY_FRACTION * self.max_step(st, step)
                     )
-            except (NotInterior, np.linalg.LinAlgError) as exc:
+            except (NotInterior, NotFinite, np.linalg.LinAlgError) as exc:
                 if st.iteration == 0:
                     raise
                 raise NumericalStall(

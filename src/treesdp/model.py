@@ -78,9 +78,3 @@ class SdpProblem:
         pos, vals = self.cost.svec_coords()
         np.add.at(out, pos, vals)
         return out
-
-    def objective(self, x_dense: np.ndarray) -> float:
-        return self.cost.dot_sym(x_dense)
-
-    def constraint_values(self, x_dense: np.ndarray) -> np.ndarray:
-        return np.array([a.dot_sym(x_dense) for a in self.constraints])

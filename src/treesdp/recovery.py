@@ -15,13 +15,24 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from .chordal import TreeDecomposition
-from .errors import BlockNotPsd, DimensionMismatch, OverlapMismatch
+from .errors import (
+    BlockNotPsd,
+    DimensionMismatch,
+    IndefinitePivot,
+    NotFinite,
+    OverlapMismatch,
+)
 from .model import SdpProblem
 
 OVERLAP_TOL = 1e-6  # tree-adjacent blocks must agree on overlaps to this
 SCORE_CAP = 16.0  # digit scores saturate at float precision
+INERTIA_DIGITS = 1e-4  # bisection brackets end narrower than this, in log10
+NUDGE_ULPS = 4.0  # first move of a shift that hits an eigenvalue, in ulps
+MAX_NUDGES = 8
 
 
 @dataclass
@@ -175,21 +186,6 @@ def complete_low_rank(
     return LowRankFactor(U=u[:, :cols])
 
 
-def _sense_residuals(sdp: SdpProblem, values: np.ndarray) -> np.ndarray:
-    """Per-row primal residuals honoring the row senses (one-sided for
-    inequalities: a satisfied inequality contributes zero)."""
-    res = values - sdp.b
-    out = np.empty_like(res)
-    for i, sense in enumerate(sdp.senses):
-        if sense == "eq":
-            out[i] = abs(res[i])
-        elif sense == "ge":
-            out[i] = max(0.0, -res[i])
-        else:  # "le"
-            out[i] = max(0.0, res[i])
-    return out
-
-
 def _digits(numerator: float, denominator: float) -> float:
     """-log10(numerator/denominator), saturated at SCORE_CAP digits for a
     nonpositive numerator."""
@@ -198,16 +194,130 @@ def _digits(numerator: float, denominator: float) -> float:
     return min(SCORE_CAP, float(-np.log10(numerator / denominator)))
 
 
+class _Shifted:
+    """tI - M for a sparse symmetric M, whose inertia answers whether an
+    eigenvalue of M lies above t.
+
+    M comes as lower-triangle triplets (duplicates summed).  tI - M is
+    held once in CSC form with every diagonal entry stored, so each trial
+    shift only rewrites the diagonal.  It is factored as P (tI - M) P^T =
+    L D L^T with no pivoting, in SuperLU's minimum-degree order on the
+    symmetric pattern, so fill stays inside a chordal extension of the
+    pattern.  By Sylvester's law of inertia the number of negative
+    pivots is the number of eigenvalues of M above t.
+    """
+
+    def __init__(self, n: int, rows, cols, vals):
+        off = rows != cols
+        diag = np.arange(n)
+        self.mat = sp.csc_matrix(
+            (
+                np.concatenate([-vals, -vals[off], np.zeros(n)]),
+                (
+                    np.concatenate([rows, cols[off], diag]),
+                    np.concatenate([cols, rows[off], diag]),
+                ),
+            ),
+            shape=(n, n),
+        )
+        col = np.repeat(diag, np.diff(self.mat.indptr))
+        on_diag = self.mat.indices == col
+        self.diag_pos = np.flatnonzero(on_diag)
+        self.m_diag = -self.mat.data[self.diag_pos]
+        self.scale = float(np.max(np.abs(self.mat.data), initial=0.0))
+        radius = np.bincount(
+            col[~on_diag], weights=np.abs(self.mat.data[~on_diag]), minlength=n
+        )
+        # Gershgorin: no eigenvalue of M exceeds max_i (M_ii + radius_i)
+        self.upper = float(np.max(self.m_diag + radius, initial=0.0))
+
+    def exceeds(self, t: float) -> bool:
+        """Whether M has an eigenvalue above t.
+
+        When t is an eigenvalue to working precision, SuperLU meets an
+        exactly zero pivot: it reports the matrix singular, or exchanges
+        rows.  The shift is then moved up by a few ulps of the matrix
+        scale, doubling each time, and factored again.
+        """
+        nudge = NUDGE_ULPS * np.finfo(float).eps * max(self.scale, abs(t))
+        for _ in range(MAX_NUDGES):
+            self.mat.data[self.diag_pos] = t - self.m_diag
+            try:
+                lu = splu(
+                    self.mat,
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError:  # "Factor is exactly singular"
+                lu = None
+            if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
+                return bool(np.any(lu.U.diagonal() < 0.0))
+            t += nudge
+            nudge *= 2.0
+        raise IndefinitePivot(
+            f"tI - M has a zero pivot for every shift tried up to t = {t:.3e}"
+        )
+
+
+def _bisect_top(above, lo: float, hi: float) -> float:
+    """Narrow lo <= lambda <= hi, by the monotone test ``above(t)`` =
+    (lambda > t) at geometric midpoints, until the bracket is narrower
+    than INERTIA_DIGITS decimal digits; returns its geometric midpoint."""
+    while np.log10(hi / lo) >= INERTIA_DIGITS:
+        mid = np.sqrt(lo * hi)
+        if above(mid):
+            lo = mid
+        else:
+            hi = mid
+    return float(np.sqrt(lo * hi))
+
+
+def _spectral_norm(n: int, cost) -> float:
+    """||C||_2 = max(lambda_max(C), lambda_max(-C)) by inertia bisection
+    between max_i ||C e_i||_2 and the Gershgorin bound."""
+    plus = _Shifted(n, cost.rows, cost.cols, cost.vals)
+    col = np.repeat(np.arange(n), np.diff(plus.mat.indptr))
+    lo = float(
+        np.sqrt(np.max(np.bincount(col, plus.mat.data**2, n), initial=0.0))
+    )
+    if lo == 0.0:
+        return 0.0
+    minus = _Shifted(n, cost.rows, cost.cols, -cost.vals)
+    # a side whose Gershgorin bound is at most lo never exceeds a trial
+    # shift; the wider side is tried first
+    sides = sorted(
+        (side for side in (plus, minus) if side.upper > lo),
+        key=lambda side: -side.upper,
+    )
+    return _bisect_top(
+        lambda t: any(side.exceeds(t) for side in sides),
+        lo,
+        max(plus.upper, minus.upper),
+    )
+
+
+def _stacked_triplets(sdp: SdpProblem):
+    """Row ids, rows, cols and values of every stored entry of A_1..A_m
+    and, under row id m, of C."""
+    mats = list(sdp.constraints) + [sdp.cost]
+    ids = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
+    rows, cols, vals = (
+        np.concatenate([getattr(a, key) for a in mats])
+        for key in ("rows", "cols", "vals")
+    )
+    return ids, rows, cols, vals
+
+
 def dimacs_metrics(
     sdp: SdpProblem,
-    x,
+    factor: LowRankFactor,
     y: np.ndarray,
     iterations: int = 0,
     time_per_iter_s: float = 0.0,
 ) -> Metrics:
-    """Accurate-digit scores of the iterate (X, y).
+    """Accurate-digit scores of the iterate (X, y) with X = U U^T.
 
-    ``x`` may be a dense symmetric matrix or a :class:`LowRankFactor`.
     The three scores are
 
     * pinf = -log10[ ||A(X) - b|| / (1 + ||b||) ]
@@ -217,35 +327,47 @@ def dimacs_metrics(
     each capped at 16 digits and saturated there when its numerator is
     zero (or, for the one-sided dinf, negative); L is the minimum of the
     three.
-    """
-    if isinstance(x, LowRankFactor):
-        x = x.matrix()
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    n = sdp.n
-    if x.shape != (n, n):
-        raise DimensionMismatch(f"X has shape {x.shape}, expected ({n},{n})")
-    if y.shape != (sdp.m,):
-        raise DimensionMismatch(f"y has length {y.shape[0]}, expected {sdp.m}")
 
-    values = sdp.constraint_values(x)
-    pinf_num = float(np.linalg.norm(_sense_residuals(sdp, values)))
+    No n x n matrix is formed.  <A_i, X> and C.X are sums over stored
+    entries of w v (U[r] . U[c]), w = 1 on the diagonal and 2 off it.
+    lambda_max(A^T(y) - C) and ||C|| come from inertia bisection (see
+    ``_Shifted``) to INERTIA_DIGITS decimal digits, each test one sparse
+    LDL^T factor in O(n omega^2).
+    """
+    u = factor.U
+    y = np.asarray(y, dtype=float).ravel()
+    n, m = sdp.n, sdp.m
+    if u.shape[0] != n:
+        raise DimensionMismatch(f"U has {u.shape[0]} rows, expected {n}")
+    if y.shape != (m,):
+        raise DimensionMismatch(f"y has length {y.shape[0]}, expected {m}")
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+        raise NotFinite("U or y has non-finite entries")
+
+    ids, rows, cols, vals = _stacked_triplets(sdp)
+    weights = np.where(rows == cols, vals, 2.0 * vals)
+    uu = np.einsum("ij,ij->i", u[rows], u[cols])
+    values = np.bincount(ids, weights=weights * uu, minlength=m + 1)
+    cx = float(values[m])
+
+    res = values[:m] - sdp.b
+    senses = np.asarray(sdp.senses)
+    # one-sided for inequalities: a satisfied row contributes zero
+    one_sided = np.maximum(0.0, np.where(senses == "ge", -res, res))
+    pinf_num = float(
+        np.linalg.norm(np.where(senses == "eq", np.abs(res), one_sided))
+    )
     pinf = _digits(pinf_num, 1.0 + float(np.linalg.norm(sdp.b)))
 
-    # accumulate sum_i y_i A_i - C by scattering triplets into one buffer
-    # (densifying each A_i separately would allocate m full matrices)
-    slack = -sdp.cost.to_dense()
-    for yi, a in zip(y, sdp.constraints):
-        scaled = yi * a.vals
-        np.add.at(slack, (a.rows, a.cols), scaled)
-        off = a.rows != a.cols
-        if off.any():
-            np.add.at(slack, (a.cols[off], a.rows[off]), scaled[off])
-    eigs_slack = np.linalg.eigvalsh(slack)
-    c_norm = float(np.max(np.abs(np.linalg.eigvalsh(sdp.cost.to_dense()))))
-    dinf = _digits(float(eigs_slack[-1]), 1.0 + c_norm)
+    c_norm = _spectral_norm(n, sdp.cost)
+    floor = 10.0**-SCORE_CAP * (1.0 + c_norm)
+    # sum_i y_i A_i - C: the cost's entries carry row id m and weight -1
+    slack = _Shifted(n, rows, cols, np.append(y, -1.0)[ids] * vals)
+    top = 0.0  # lambda_max at or below the floor saturates dinf
+    if slack.upper > floor and slack.exceeds(floor):
+        top = _bisect_top(slack.exceeds, floor, slack.upper)
+    dinf = _digits(top, 1.0 + c_norm)
 
-    cx = sdp.objective(x)
     by = float(sdp.b @ y)
     gap = _digits(abs(cx - by), 1.0 + abs(cx) + abs(by))
 

@@ -2,7 +2,8 @@
 
 Each test prints one ``[criterion NN] name: PASS|FAIL`` line (visible in
 captured output; the pytest -v status line mirrors it) and then asserts,
-so a failure is both visible and red.
+so a failure is both visible and red.  Beside criterion 06, a memory bound
+on the DIMACS metrics at n = 4000 measures no wall time.
 
 Oracles used here: the dense reference solver (same interior-point
 machinery, no conversion, dense normal matrix), brute-force set-cover
@@ -11,6 +12,7 @@ the module test files.
 """
 
 import time
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -39,7 +41,7 @@ from treesdp.ipm import (
 from treesdp.linalg import SparseSymmetric, tri
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem, plain_row_coupling
-from treesdp.recovery import complete_low_rank
+from treesdp.recovery import LowRankFactor, complete_low_rank, dimacs_metrics
 from treesdp.splitting import build_unique_partition, split
 
 from test_splitting import brute_force_min_cover, random_instance
@@ -283,6 +285,25 @@ def test_criterion_06_linear_per_iteration_scaling():
         assert 1.5 <= r <= 2.7, f"time ratio {r:.2f} outside [1.5, 2.7]"
     for r in m_ratios:
         assert 1.5 <= r <= 2.7, f"memory ratio {r:.2f} outside [1.5, 2.7]"
+
+
+def test_metrics_memory_stays_linear_on_path_4000():
+    # dense n x n slack, cost and X buffers would need several 128 MB
+    # arrays here; the factor-based scores and the sparse inertia
+    # bisection need O(n)
+    n = 4000
+    sdp = gen_maxkcut(path_graph(n), 2)
+    factor = LowRankFactor(U=(-1.0) ** np.arange(n)[:, None])
+    y = np.full(n, -0.5)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        metrics = dimacs_metrics(sdp, factor, y)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 2**20
+    finally:
+        tracemalloc.stop()
+    assert metrics.pinf == 16.0  # the alternating cut has a unit diagonal
+    assert peak_mb < 8.0, f"dimacs_metrics peak {peak_mb:.1f} MB >= 8 MB"
 
 
 # ---------------------------------------------------------------------------

@@ -22,9 +22,8 @@ from treesdp.frontends import (
     solve_sdp,
     write_sdpa,
 )
-from treesdp.recovery import dimacs_metrics
 from treesdp.splitting import is_partially_separable
-from util import path_rayleigh_problem
+from util import dense_dimacs_metrics, path_rayleigh_problem
 
 K2 = Graph(2, [(0, 1)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
@@ -32,7 +31,7 @@ C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
 def oracle_objective(sdp, eps=1e-8):
     x, y, s = dense_reference_solve(sdp, eps)
-    return sdp.objective(x)
+    return sdp.cost.dot_sym(x)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +56,7 @@ def test_maxkcut_three_single_edge_analytic():
     assert sdp.m == 3  # two diagonal rows plus one edge inequality
     assert sdp.senses.count("ge") == 1
     x, y, s = dense_reference_solve(sdp)
-    assert sdp.objective(x) == pytest.approx(-1.0, abs=1e-7)
+    assert sdp.cost.dot_sym(x) == pytest.approx(-1.0, abs=1e-7)
     assert x[0, 1] == pytest.approx(-0.5, abs=1e-6)
 
 
@@ -231,7 +230,7 @@ def test_oracle_one_by_one_toy():
     x, y, s = dense_reference_solve(sdp)
     assert x[0, 0] == pytest.approx(1.0, abs=1e-7)
     assert y[0] == pytest.approx(1.0, abs=1e-6)
-    assert dimacs_metrics(sdp, x, y).L >= 6
+    assert dense_dimacs_metrics(sdp, x, y).L >= 6
 
 
 def test_oracle_rejects_large_problems():
@@ -253,7 +252,7 @@ def test_oracle_rejects_large_problems():
 def test_oracle_metrics_floor_on_theta():
     sdp = gen_lovasz_theta(C5)
     x, y, s = dense_reference_solve(sdp)
-    m = dimacs_metrics(sdp, x, y)
+    m = dense_dimacs_metrics(sdp, x, y)
     assert m.L >= 6
     assert np.linalg.eigvalsh(s).min() >= -1e-7
 
@@ -301,7 +300,7 @@ def test_solve_driver_short_step():
 def test_solve_driver_rayleigh_path_aux_equivalence():
     sdp = path_rayleigh_problem(6, seed=4)
     x, y, s = dense_reference_solve(sdp)
-    ref = sdp.objective(x)
+    ref = sdp.cost.dot_sym(x)
     out = solve_sdp(sdp, method="dctc-aux", eps=1e-8, step="adaptive")
     assert out.objective == pytest.approx(ref, abs=1e-5 * (1 + abs(ref)))
 

@@ -23,6 +23,7 @@ from treesdp.errors import (
     IndefinitePivot,
     InfeasibleOrUnbounded,
     MaxIterations,
+    NotFinite,
     NotInterior,
     NumericalStall,
     SingularNormalMatrix,
@@ -626,6 +627,37 @@ def test_numerical_stall_raised():
 
     with pytest.raises(NumericalStall):
         Frozen(program, SolverOptions(method="short", max_iter=50)).solve()
+
+
+@pytest.mark.parametrize(
+    "fail_at, expected", [(0, NotFinite), (2, NumericalStall)]
+)
+def test_not_finite_inside_an_iteration_reads_as_stall(
+    monkeypatch, fail_at, expected
+):
+    # a non-finite normal solve after the first iteration is a stall of the
+    # iterates; at iteration 0 it is bad input and propagates as it is
+    program = build_program(offdiag_toy())
+    normal = program.normal
+    update, solve_h = normal.update, normal.solve_h
+    iteration = [-1]
+
+    def counting_update(*args):
+        iteration[0] += 1
+        update(*args)
+
+    def failing_solve_h(rhs):
+        if iteration[0] == fail_at:
+            raise NotFinite("synthetic non-finite right-hand side")
+        return solve_h(rhs)
+
+    monkeypatch.setattr(normal, "update", counting_update)
+    monkeypatch.setattr(normal, "solve_h", failing_solve_h)
+    with pytest.raises(expected) as info:
+        adaptive_step_solve(program, eps=1e-8, max_iter=100)
+    assert iteration[0] == fail_at
+    if expected is NumericalStall:
+        assert isinstance(info.value.__cause__, NotFinite)
 
 
 def test_scaling_stacks_are_in_the_normal_engines_block_order():

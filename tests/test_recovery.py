@@ -5,18 +5,31 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treesdp.chordal import TreeDecomposition, decompose
-from treesdp.errors import BlockNotPsd, DimensionMismatch, OverlapMismatch
+from treesdp.chordal import Graph, TreeDecomposition, decompose
+from treesdp.errors import (
+    BlockNotPsd,
+    DimensionMismatch,
+    NotFinite,
+    OverlapMismatch,
+)
+from treesdp.frontends import gen_maxcut
 from treesdp.linalg import SparseSymmetric
 from treesdp.model import SdpProblem
 from treesdp.recovery import (
     LowRankFactor,
     Metrics,
+    _Shifted,
     complete_low_rank,
     dimacs_metrics,
 )
-from util import random_connected_graph
+from util import (
+    dense_dimacs_metrics,
+    random_connected_graph,
+    random_partially_separable_problem,
+)
 
 
 def path_td(n):
@@ -223,7 +236,7 @@ def one_by_one_toy():
 
 def test_metrics_exact_optimum_saturates():
     sdp = one_by_one_toy()
-    m = dimacs_metrics(sdp, np.array([[1.0]]), np.array([1.0]))
+    m = dimacs_metrics(sdp, LowRankFactor(U=[[1.0]]), np.array([1.0]))
     assert m.pinf >= 12
     assert m.dinf >= 12
     assert m.gap >= 12
@@ -234,26 +247,30 @@ def test_metrics_formula_inversion():
     # primal residual 1e-3 * (1 + ||b||) gives pinf exactly 3
     sdp = one_by_one_toy()
     resid = 1e-3 * (1.0 + 1.0)
-    m = dimacs_metrics(sdp, np.array([[1.0 + resid]]), np.array([1.0]))
+    factor = LowRankFactor(U=[[np.sqrt(1.0 + resid)]])
+    m = dimacs_metrics(sdp, factor, np.array([1.0]))
     assert m.pinf == pytest.approx(3.0, abs=1e-9)
 
 
 def test_metrics_dual_and_gap_scores():
     # dual slack violation: y = 2 makes A^T(y) - C = [[1]], ||C|| = 1,
-    # so dinf = -log10(1/2); the gap scores |1 - 2| / (1 + 1 + 2)
+    # so dinf = -log10(1/2) to the bisection's 1e-4 digits; the gap
+    # scores |1 - 2| / (1 + 1 + 2)
     sdp = one_by_one_toy()
-    m = dimacs_metrics(sdp, np.array([[1.0]]), np.array([2.0]))
-    assert m.dinf == pytest.approx(-np.log10(0.5), abs=1e-12)
+    one = LowRankFactor(U=[[1.0]])
+    m = dimacs_metrics(sdp, one, np.array([2.0]))
+    assert m.dinf == pytest.approx(-np.log10(0.5), abs=1e-4)
     assert m.gap == pytest.approx(-np.log10(0.25), abs=1e-12)
 
     # positive gap numerator: y = 0 gives gap -log10(1 / (1 + 1 + 0))
-    m2 = dimacs_metrics(sdp, np.array([[1.0]]), np.array([0.0]))
+    m2 = dimacs_metrics(sdp, one, np.array([0.0]))
     assert m2.gap == pytest.approx(-np.log10(0.5), abs=1e-12)
 
 
 def test_metrics_accept_low_rank_factor():
+    # two columns whose outer product is [[1]]
     sdp = one_by_one_toy()
-    factor = LowRankFactor(U=np.array([[1.0]]))
+    factor = LowRankFactor(U=np.array([[0.6, 0.8]]))
     m = dimacs_metrics(sdp, factor, np.array([1.0]))
     assert m.L >= 12
 
@@ -265,18 +282,128 @@ def test_metrics_one_sided_inequality_residuals():
     sdp = SdpProblem(
         cost=cost, constraints=[a1], b=np.array([1.0]), senses=["ge"]
     )
-    m = dimacs_metrics(sdp, np.array([[2.0]]), np.array([0.0]))
+    m = dimacs_metrics(sdp, LowRankFactor(U=[[np.sqrt(2.0)]]), np.array([0.0]))
     assert m.pinf == 16.0
     # a violated >= row counts with its violation magnitude
-    m2 = dimacs_metrics(sdp, np.array([[0.5]]), np.array([0.0]))
+    m2 = dimacs_metrics(
+        sdp, LowRankFactor(U=[[np.sqrt(0.5)]]), np.array([0.0])
+    )
     assert m2.pinf == pytest.approx(-np.log10(0.5 / 2.0), abs=1e-12)
+
+
+def test_metrics_reject_non_finite_and_misshapen_input():
+    sdp = one_by_one_toy()
+    with pytest.raises(NotFinite):
+        dimacs_metrics(sdp, LowRankFactor(U=[[1.0]]), np.array([np.nan]))
+    with pytest.raises(DimensionMismatch):
+        dimacs_metrics(sdp, LowRankFactor(U=np.ones((2, 1))), np.ones(1))
+    with pytest.raises(DimensionMismatch):
+        dimacs_metrics(sdp, LowRankFactor(U=[[1.0]]), np.ones(2))
+
+
+def assert_scores_match_oracle(sdp, factor, y, tol=1e-3):
+    got = dimacs_metrics(sdp, factor, y)
+    want = dense_dimacs_metrics(sdp, factor, y)
+    for key in ("pinf", "dinf", "gap", "L"):
+        assert getattr(got, key) == pytest.approx(
+            getattr(want, key), abs=tol
+        ), key
+    return got
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 24),
+    m=st.integers(1, 12),
+    ineq_prob=st.sampled_from([0.0, 0.5, 1.0]),
+    rank=st.integers(1, 3),
+    y_digits=st.floats(-3.0, 3.0),
+)
+def test_metrics_match_the_dense_oracle(seed, n, m, ineq_prob, rank, y_digits):
+    # random chordal instances with mixed senses, a random factor and a
+    # dual vector scaled by 10^y_digits
+    rng = np.random.default_rng(seed)
+    sdp, _td = random_partially_separable_problem(rng, n, m, ineq_prob)
+    factor = LowRankFactor(U=rng.standard_normal((n, rank)))
+    y = rng.standard_normal(m) * 10.0**y_digits
+    assert_scores_match_oracle(sdp, factor, y)
+
+
+def path_maxcut_at(n, y):
+    """Path MAXCUT (C = -L/4, a singular C), the alternating cut as the
+    factor and the dual vector y."""
+    sdp = gen_maxcut(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+    factor = LowRankFactor(U=(-1.0) ** np.arange(n)[:, None])
+    return sdp, factor, np.broadcast_to(y, (n,)).astype(float)
+
+
+def test_metrics_match_the_oracle_with_a_singular_cost():
+    # C = -L/4 has the eigenvalue 0; ||C|| comes from the side -C alone
+    sdp, factor, y = path_maxcut_at(40, 0.3)
+    assert_scores_match_oracle(sdp, factor, y)
+
+
+def test_metrics_dinf_saturates_when_the_slack_is_negative():
+    # y = -1 puts lambda_max(diag(y) + L/4) below 0
+    sdp, factor, y = path_maxcut_at(40, -1.0)
+    m = assert_scores_match_oracle(sdp, factor, y)
+    assert m.dinf == 16.0
+
+
+def test_metrics_dinf_saturates_at_a_zero_top_eigenvalue():
+    # y = 0 with C = L/4 makes the slack -L/4, whose top eigenvalue is
+    # exactly 0: a nonpositive numerator, 16 digits
+    sdp, factor, y = path_maxcut_at(40, 0.0)
+    flipped = SdpProblem(
+        cost=SparseSymmetric(
+            order=sdp.n,
+            rows=sdp.cost.rows,
+            cols=sdp.cost.cols,
+            vals=-sdp.cost.vals,
+        ),
+        constraints=sdp.constraints,
+        b=sdp.b,
+    )
+    assert dimacs_metrics(flipped, factor, y).dinf == 16.0
+
+
+def test_metrics_match_the_oracle_with_zero_cost():
+    rng = np.random.default_rng(7)
+    base, _td = random_partially_separable_problem(rng, 12, 6, 0.5)
+    zero = SparseSymmetric(order=base.n, rows=[], cols=[], vals=[])
+    sdp = SdpProblem(
+        cost=zero, constraints=base.constraints, b=base.b, senses=base.senses
+    )
+    factor = LowRankFactor(U=rng.standard_normal((base.n, 2)))
+    assert_scores_match_oracle(sdp, factor, rng.standard_normal(base.m))
+
+
+def test_metrics_gap_stays_saturated_at_a_zero_numerator():
+    # C.X = b'y exactly, and C.X - b'y = 0 is nonpositive: 16 digits
+    sdp = one_by_one_toy()
+    m = dimacs_metrics(sdp, LowRankFactor(U=[[2.0]]), np.array([4.0]))
+    assert m.gap == 16.0
+    assert m.gap == dense_dimacs_metrics(sdp, [[4.0]], [4.0]).gap
+
+
+def test_shifted_inertia_survives_a_shift_on_an_eigenvalue():
+    # 0 is an eigenvalue of the path Laplacian L, so the unshifted LDL^T
+    # meets an exactly zero pivot; the nudged shift still answers
+    n = 30
+    rows = np.r_[np.arange(n), np.arange(1, n)]
+    cols = np.r_[np.arange(n), np.arange(n - 1)]
+    deg = np.r_[1.0, np.full(n - 2, 2.0), 1.0]
+    vals = np.r_[deg, -np.ones(n - 1)]
+    assert _Shifted(n, rows, cols, vals).exceeds(0.0)
+    assert not _Shifted(n, rows, cols, -vals).exceeds(0.0)
 
 
 def test_metrics_json_shape():
     sdp = one_by_one_toy()
     m = dimacs_metrics(
         sdp,
-        np.array([[1.0]]),
+        LowRankFactor(U=[[1.0]]),
         np.array([1.0]),
         iterations=9,
         time_per_iter_s=0.012,

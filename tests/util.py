@@ -8,6 +8,7 @@ from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
 from treesdp.linalg import SparseSymmetric, smat, svec, sym_kron_stack, tri
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
+from treesdp.recovery import SCORE_CAP, LowRankFactor, Metrics
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.25):
@@ -439,3 +440,47 @@ class ReferenceTreeNormal(TreeNormalSystem):
                 out[slp] += self.h_off[k] @ v[sl]
                 out[sl] += self.h_off[k].T @ v[slp]
         return self._unpermute(out, single)
+
+
+def _digits(numerator, denominator):
+    if numerator <= 0.0:
+        return SCORE_CAP
+    return min(SCORE_CAP, float(-np.log10(numerator / denominator)))
+
+
+def dense_dimacs_metrics(sdp, x, y):
+    """``dimacs_metrics`` on dense n x n matrices: X (dense, or a
+    LowRankFactor multiplied out), the slack sum_i y_i A_i - C and C, with
+    per-row sense residuals and two dense ``eigvalsh`` calls."""
+    if isinstance(x, LowRankFactor):
+        x = x.U @ x.U.T
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+
+    res = np.array([a.dot_sym(x) for a in sdp.constraints]) - sdp.b
+    viol = np.empty_like(res)
+    for i, sense in enumerate(sdp.senses):
+        if sense == "eq":
+            viol[i] = abs(res[i])
+        elif sense == "ge":
+            viol[i] = max(0.0, -res[i])
+        else:  # "le"
+            viol[i] = max(0.0, res[i])
+    pinf = _digits(
+        float(np.linalg.norm(viol)), 1.0 + float(np.linalg.norm(sdp.b))
+    )
+
+    slack = -sdp.cost.to_dense()
+    for yi, a in zip(y, sdp.constraints):
+        scaled = yi * a.vals
+        np.add.at(slack, (a.rows, a.cols), scaled)
+        off = a.rows != a.cols
+        np.add.at(slack, (a.cols[off], a.rows[off]), scaled[off])
+    top = float(np.linalg.eigvalsh(slack)[-1])
+    c_norm = float(np.max(np.abs(np.linalg.eigvalsh(sdp.cost.to_dense()))))
+    dinf = _digits(top, 1.0 + c_norm)
+
+    cx = sdp.cost.dot_sym(x)
+    by = float(sdp.b @ y)
+    gap = _digits(abs(cx - by), 1.0 + abs(cx) + abs(by))
+    return Metrics(pinf=pinf, dinf=dinf, gap=gap, L=min(pinf, dinf, gap))
