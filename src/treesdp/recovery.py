@@ -228,7 +228,8 @@ class _Shifted:
         radius = np.bincount(
             col[~on_diag], weights=np.abs(self.mat.data[~on_diag]), minlength=n
         )
-        # Gershgorin: no eigenvalue of M exceeds max_i (M_ii + radius_i)
+        # Gershgorin: no eigenvalue of M exceeds max_i (M_ii + radius_i),
+        # nor, then, this bound clamped at 0
         self.upper = float(np.max(self.m_diag + radius, initial=0.0))
 
     def exceeds(self, t: float) -> bool:
@@ -276,13 +277,16 @@ def _bisect_top(above, lo: float, hi: float) -> float:
 def _spectral_norm(n: int, cost) -> float:
     """||C||_2 = max(lambda_max(C), lambda_max(-C)) by inertia bisection
     between max_i ||C e_i||_2 and the Gershgorin bound."""
-    plus = _Shifted(n, cost.rows, cost.cols, cost.vals)
-    col = np.repeat(np.arange(n), np.diff(plus.mat.indptr))
-    lo = float(
-        np.sqrt(np.max(np.bincount(col, plus.mat.data**2, n), initial=0.0))
+    off = cost.rows != cost.cols
+    col_sq = np.bincount(
+        np.concatenate([cost.cols, cost.rows[off]]),
+        np.concatenate([cost.vals, cost.vals[off]]) ** 2,
+        n,
     )
+    lo = float(np.sqrt(np.max(col_sq, initial=0.0)))
     if lo == 0.0:
         return 0.0
+    plus = _Shifted(n, cost.rows, cost.cols, cost.vals)
     minus = _Shifted(n, cost.rows, cost.cols, -cost.vals)
     # a side whose Gershgorin bound is at most lo never exceeds a trial
     # shift; the wider side is tried first
