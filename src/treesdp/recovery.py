@@ -251,9 +251,10 @@ class _Shifted:
                     options={"SymmetricMode": True},
                 )
             except RuntimeError:  # "Factor is exactly singular"
-                lu = None
-            if lu is not None and np.array_equal(lu.perm_r, lu.perm_c):
-                return bool(np.any(lu.U.diagonal() < 0.0))
+                pass
+            else:
+                if np.array_equal(lu.perm_r, lu.perm_c):
+                    return bool(np.any(lu.U.diagonal() < 0.0))
             t += nudge
             nudge *= 2.0
         raise IndefinitePivot(
