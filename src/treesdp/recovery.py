@@ -290,11 +290,8 @@ def _spectral_norm(n: int, cost) -> float:
     plus = _Shifted(n, cost.rows, cost.cols, cost.vals)
     minus = _Shifted(n, cost.rows, cost.cols, -cost.vals)
     # a side whose Gershgorin bound is at most lo never exceeds a trial
-    # shift; the wider side is tried first
-    sides = sorted(
-        (side for side in (plus, minus) if side.upper > lo),
-        key=lambda side: -side.upper,
-    )
+    # shift
+    sides = [side for side in (plus, minus) if side.upper > lo]
     return _bisect_top(
         lambda t: any(side.exceeds(t) for side in sides),
         lo,

@@ -22,6 +22,7 @@ from treesdp.recovery import (
     LowRankFactor,
     Metrics,
     _Shifted,
+    _spectral_norm,
     complete_low_rank,
     dimacs_metrics,
 )
@@ -376,6 +377,39 @@ def test_metrics_match_the_oracle_with_zero_cost():
         cost=zero, constraints=base.constraints, b=base.b, senses=base.senses
     )
     factor = LowRankFactor(U=rng.standard_normal((base.n, 2)))
+    assert_scores_match_oracle(sdp, factor, rng.standard_normal(base.m))
+
+
+def tridiagonal(n, diag, off):
+    rows = np.r_[np.arange(n), np.arange(1, n)]
+    cols = np.r_[np.arange(n), np.arange(n - 1)]
+    return SparseSymmetric(order=n, rows=rows, cols=cols, vals=np.r_[diag, off])
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_metrics_match_the_oracle_with_an_indefinite_cost(sign):
+    # a tridiagonal C with diagonal +6, -5, +6, ... has a large eigenvalue
+    # of each sign, the larger one of the given sign; both Gershgorin
+    # bounds exceed max_i ||C e_i||_2, so ||C|| is bisected through the
+    # factors of C and of -C together
+    rng = np.random.default_rng(11)
+    base, _td = random_partially_separable_problem(rng, 12, 6, 0.5)
+    n = base.n
+    diag = sign * np.where(np.arange(n) % 2 == 0, 6.0, -5.0)
+    cost = tridiagonal(n, diag, rng.uniform(2.0, 3.0, n - 1))
+    dense = cost.to_dense()
+    col_norm = np.max(np.linalg.norm(dense, axis=0))
+    for vals in (cost.vals, -cost.vals):
+        assert _Shifted(n, cost.rows, cost.cols, vals).upper > col_norm
+    eig = np.linalg.eigvalsh(dense)
+    assert eig[0] < -4.0 and eig[-1] > 4.0
+    assert _spectral_norm(n, cost) == pytest.approx(
+        np.linalg.norm(dense, 2), rel=1e-3
+    )
+    sdp = SdpProblem(
+        cost=cost, constraints=base.constraints, b=base.b, senses=base.senses
+    )
+    factor = LowRankFactor(U=rng.standard_normal((n, 2)))
     assert_scores_match_oracle(sdp, factor, rng.standard_normal(base.m))
 
 
