@@ -84,11 +84,25 @@ class SocScaling:
 
 @dataclass
 class ScalingPoint:
-    """Nesterov-Todd scaling point w with ∇²F(w) x = s."""
+    """Nesterov-Todd scaling point w with ∇²F(w) x = s, and the spectral
+    data of the iterate (x, s) it was computed at.
+
+    ``ConeOps.scaling_point`` decomposes each matrix segment of x and of s
+    once (one ``eigh`` each, plus one of S^½ X S^½ for W) and keeps X⁻¹,
+    X^-½ and S^-½ here, so that ``grad`` and both ``max_step`` calls of an
+    iteration read them instead of decomposing the same iterate again.
+    The solver makes one per iteration and drops it when the step is
+    taken: only the current iterate's decompositions are held.
+    """
 
     soc: list
     psd_stacks: dict  # order -> W stack, matrix segments in cone order
     nn_w: np.ndarray  # concatenated over all nonneg coordinates
+    x: np.ndarray  # the iterate (x, s) that w scales
+    s: np.ndarray
+    x_inv: dict  # order -> X⁻¹ stack, the matrix part of -∇F(x)
+    x_ihalf: dict  # order -> X^-½ stack
+    s_ihalf: dict  # order -> S^-½ stack
 
 
 def _soc_g2(v: np.ndarray) -> float:
@@ -112,6 +126,13 @@ class ConeOps:
     The second-order cone uses F = -1/2 log(x_0^2 - |x_1|^2) with identity
     (1, 0, ...), contributing 1 to the barrier parameter nu; PSD and
     nonnegative segments use -log det X and -log x.
+
+    ``scaling_point`` is the only method that decomposes the iterate: per
+    order group one ``eigh`` of S, of X and of S^½ X S^½.  ``grad`` and
+    ``max_step`` take the ``ScalingPoint`` and read the inverse (square
+    roots) it holds; each step length adds one ``eigvalsh`` per order
+    group for x and one for s.  The same iterate is thus never factored
+    twice, and every value equals the one a fresh ``eigh`` would give.
     """
 
     def __init__(self, spec: ConeSpec):
@@ -187,8 +208,9 @@ class ConeOps:
         ``vecs`` (g, o, o) and spectral values ``f`` (g, o)."""
         return (vecs * f[:, None, :]) @ np.swapaxes(vecs, 1, 2)
 
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        """Barrier gradient ∇F(z) (z must be interior)."""
+    def grad(self, w: ScalingPoint) -> np.ndarray:
+        """Barrier gradient ∇F(x) at the iterate x that w scales."""
+        z = w.x
         g = np.zeros_like(z)
         for sl in self.soc_slices:
             v = z[sl]
@@ -197,10 +219,7 @@ class ConeOps:
             jv[1:] = -jv[1:]
             g[sl] = -jv / g2
         for order, idx in self.psd_groups.items():
-            mats = smat_stack(z[idx])
-            vals, vecs = np.linalg.eigh(mats)
-            inv = self._spectral(vecs, 1.0 / vals)
-            g[idx] = -svec_stack(inv)
+            g[idx] = -svec_stack(w.x_inv[order])
         if self.nn_idx.size:
             g[self.nn_idx] = -1.0 / z[self.nn_idx]
         return g
@@ -222,7 +241,7 @@ class ConeOps:
             jsv[1:] = -jsv[1:]
             w = (xv + gamma * jsv) / np.sqrt(2.0 * big_t)
             soc.append(SocScaling(sl=sl, w=w, g2=_soc_g2(w)))
-        psd_stacks = {}
+        psd_stacks, x_inv, x_ihalf, s_ihalf = {}, {}, {}, {}
         for order, idx in self.psd_groups.items():
             xm = smat_stack(x[idx])
             sm = smat_stack(s[idx])
@@ -231,8 +250,15 @@ class ConeOps:
                 raise NotInterior(
                     f"order-{order} s segment not positive definite"
                 )
+            xvals, xvecs = np.linalg.eigh(xm)
+            if np.min(xvals) <= 0.0:
+                raise NotInterior(
+                    f"order-{order} x segment not positive definite"
+                )
+            x_inv[order] = self._spectral(xvecs, 1.0 / xvals)
+            x_ihalf[order] = self._spectral(xvecs, 1.0 / np.sqrt(xvals))
             s_half = self._spectral(svecs, np.sqrt(svals))
-            s_ihalf = self._spectral(svecs, 1.0 / np.sqrt(svals))
+            s_ihalf[order] = self._spectral(svecs, 1.0 / np.sqrt(svals))
             a = s_half @ xm @ s_half
             a = 0.5 * (a + np.swapaxes(a, 1, 2))
             avals, avecs = np.linalg.eigh(a)
@@ -241,7 +267,7 @@ class ConeOps:
                     f"order-{order} x segment not positive definite"
                 )
             a_half = self._spectral(avecs, np.sqrt(avals))
-            w_stack = s_ihalf @ a_half @ s_ihalf
+            w_stack = s_ihalf[order] @ a_half @ s_ihalf[order]
             psd_stacks[order] = 0.5 * (w_stack + np.swapaxes(w_stack, 1, 2))
         if self.nn_idx.size:
             xn, sn = x[self.nn_idx], s[self.nn_idx]
@@ -250,7 +276,10 @@ class ConeOps:
             nn_w = np.sqrt(xn / sn)
         else:
             nn_w = np.zeros(0)
-        return ScalingPoint(soc=soc, psd_stacks=psd_stacks, nn_w=nn_w)
+        return ScalingPoint(
+            soc=soc, psd_stacks=psd_stacks, nn_w=nn_w, x=x, s=s,
+            x_inv=x_inv, x_ihalf=x_ihalf, s_ihalf=s_ihalf,
+        )
 
     # -- inverse Hessian action at the scaling point ------------------------
     def hess_inv_apply(self, w: ScalingPoint, v):
@@ -283,37 +312,33 @@ class ConeOps:
         return out[:, 0] if single else out
 
     # -- boundary distance ---------------------------------------------------
-    def max_step(self, z: np.ndarray, dz: np.ndarray) -> float:
-        """sup {alpha : z + alpha dz interior} (inf if unbounded)."""
+    def max_step(
+        self, w: ScalingPoint, dx: np.ndarray, ds: np.ndarray
+    ) -> float:
+        """sup {alpha : x + alpha dx and s + alpha ds interior} (inf if
+        unbounded) at the iterate (x, s) that w scales."""
         alpha = np.inf
-        for sl in self.soc_slices:
-            v, d = z[sl], dz[sl]
-            a = _soc_g2(d)
-            jd = d.copy()
-            jd[1:] = -jd[1:]
-            b = 2.0 * float(v @ jd)
-            c = _soc_g2(v)
-            alpha = min(alpha, _positive_quadratic_root(a, b, c))
-        for order, idx in self.psd_groups.items():
-            xm = smat_stack(z[idx])
-            dm = smat_stack(dz[idx])
-            vals, vecs = np.linalg.eigh(xm)
-            if float(vals[:, 0].min()) <= 0.0:
-                raise NotInterior(
-                    f"order-{order} segment not positive definite "
-                    "at step-length computation"
-                )
-            x_ihalf = self._spectral(vecs, 1.0 / np.sqrt(vals))
-            c = x_ihalf @ dm @ x_ihalf
-            c = 0.5 * (c + np.swapaxes(c, 1, 2))
-            lam_min = float(np.min(np.linalg.eigvalsh(c)))
-            if lam_min < 0.0:
-                alpha = min(alpha, -1.0 / lam_min)
-        if self.nn_idx.size:
-            v, d = z[self.nn_idx], dz[self.nn_idx]
-            neg = d < 0.0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(-v[neg] / d[neg])))
+        for z, dz, ihalf in ((w.x, dx, w.x_ihalf), (w.s, ds, w.s_ihalf)):
+            for sl in self.soc_slices:
+                v, d = z[sl], dz[sl]
+                a = _soc_g2(d)
+                jd = d.copy()
+                jd[1:] = -jd[1:]
+                b = 2.0 * float(v @ jd)
+                c = _soc_g2(v)
+                alpha = min(alpha, _positive_quadratic_root(a, b, c))
+            for order, idx in self.psd_groups.items():
+                dm = smat_stack(dz[idx])
+                c = ihalf[order] @ dm @ ihalf[order]
+                c = 0.5 * (c + np.swapaxes(c, 1, 2))
+                lam_min = float(np.min(np.linalg.eigvalsh(c)))
+                if lam_min < 0.0:
+                    alpha = min(alpha, -1.0 / lam_min)
+            if self.nn_idx.size:
+                v, d = z[self.nn_idx], dz[self.nn_idx]
+                neg = d < 0.0
+                if np.any(neg):
+                    alpha = min(alpha, float(np.min(-v[neg] / d[neg])))
         return alpha
 
 
@@ -403,8 +428,6 @@ class DenseHsdeProgram:
                 f"b ({self.b.size}) and c ({self.c.size})"
             )
         self.normal = DenseNormalSystem(self.m)
-        self._ops = None
-        self._w = None
 
     @property
     def dim_x(self) -> int:
@@ -589,7 +612,9 @@ class HsdeSolver:
         """
         ops = self.ops
         p = self.program
-        d = -st.s - mu_target * ops.grad(st.x)
+        d = -st.s
+        if mu_target:  # the affine direction has no barrier term
+            d = d - mu_target * ops.grad(w)
         d0 = -st.kappa + mu_target / st.tau
         big_d0 = st.kappa / st.tau
         if reuse is None:
@@ -647,11 +672,10 @@ class HsdeSolver:
             reusable=(v2, v3, u2, u3),
         )
 
-    def max_step(self, st: EmbeddingState, step: Step) -> float:
-        alpha = min(
-            self.ops.max_step(st.x, step.dx),
-            self.ops.max_step(st.s, step.ds),
-        )
+    def max_step(
+        self, st: EmbeddingState, w: ScalingPoint, step: Step
+    ) -> float:
+        alpha = self.ops.max_step(w, step.dx, step.ds)
         if step.dtau < 0.0:
             alpha = min(alpha, -st.tau / step.dtau)
         if step.dkappa < 0.0:
@@ -723,7 +747,7 @@ class HsdeSolver:
                     sigma = contraction
                 else:
                     affine = self.nt_direction(st, w, 0.0)
-                    alpha_aff = min(1.0, self.max_step(st, affine))
+                    alpha_aff = min(1.0, self.max_step(st, w, affine))
                     probe = self.apply_step(st, affine, alpha_aff)
                     mu_aff = max(self.mu_of(probe), 0.0)
                     sigma = float(
@@ -733,7 +757,7 @@ class HsdeSolver:
                         st, w, sigma * st.mu, reuse=affine.reusable
                     )
                     alpha = min(
-                        1.0, BOUNDARY_FRACTION * self.max_step(st, step)
+                        1.0, BOUNDARY_FRACTION * self.max_step(st, w, step)
                     )
             except (NotInterior, NotFinite, np.linalg.LinAlgError) as exc:
                 if st.iteration == 0:

@@ -43,6 +43,9 @@ from treesdp.model import SdpProblem
 
 from util import (
     hess_apply,
+    oracle_grad,
+    oracle_max_step,
+    oracle_psd_stacks,
     random_partially_separable_problem,
     with_wide_constraint,
 )
@@ -147,14 +150,14 @@ def test_identity_is_interior_and_nu_counts():
     ops.check_interior(e)
     assert ops.nu == 1 + 3 + 2 + 3 + 4
     # gradient at the identity is minus the identity
-    assert np.allclose(ops.grad(e), -e, atol=1e-12)
+    assert np.allclose(ops.grad(ops.scaling_point(e, e)), -e, atol=1e-12)
 
 
 def test_gradient_matches_finite_differences():
     rng = np.random.default_rng(11)
     ops = ConeOps(COMPOSITE)
     z = make_interior(ops, rng)
-    g = ops.grad(z)
+    g = ops.grad(ops.scaling_point(z, ops.identity()))
     h = 1e-6
     for i in range(z.size):
         zp = z.copy()
@@ -172,12 +175,13 @@ def test_hessian_action_matches_gradient_differences():
     # the scaling point of (x, -grad x) is x itself, so the Hessian at
     # that point is the barrier Hessian at x; check the forward oracle
     # and its inverse, the solver's hess_inv_apply
-    w = ops.scaling_point(x, -ops.grad(x))
+    w = ops.scaling_point(x, -oracle_grad(ops, x))
     h = 1e-6
     for _ in range(4):
         v = rng.standard_normal(x.size)
         v /= np.linalg.norm(v)
-        fd = (ops.grad(x + h * v) - ops.grad(x - h * v)) / (2 * h)
+        fd = oracle_grad(ops, x + h * v) - oracle_grad(ops, x - h * v)
+        fd /= 2 * h
         hv = hess_apply(ops, w, v)
         assert np.allclose(hv, fd, rtol=2e-4, atol=2e-4)
         assert np.allclose(ops.hess_inv_apply(w, fd), v, rtol=1e-3, atol=1e-3)
@@ -187,9 +191,10 @@ def test_log_homogeneity_identity():
     rng = np.random.default_rng(13)
     ops = ConeOps(COMPOSITE)
     x = make_interior(ops, rng)
-    w = ops.scaling_point(x, -ops.grad(x))
-    assert np.allclose(hess_apply(ops, w, x), -ops.grad(x), atol=1e-9)
-    assert np.allclose(ops.hess_inv_apply(w, -ops.grad(x)), x, atol=1e-9)
+    g = ops.grad(ops.scaling_point(x, ops.identity()))
+    w = ops.scaling_point(x, -g)
+    assert np.allclose(hess_apply(ops, w, x), -g, atol=1e-9)
+    assert np.allclose(ops.hess_inv_apply(w, -g), x, atol=1e-9)
 
 
 def test_scaling_point_invariant_and_inverse():
@@ -248,14 +253,23 @@ def test_scaling_point_rejects_boundary():
         ops.check_interior(bad)
 
 
+def step_of_x(ops, z, dz):
+    """The step to the boundary along dz from x = z, with s = e fixed."""
+    w = ops.scaling_point(z, ops.identity())
+    return ops.max_step(w, dz, np.zeros_like(dz))
+
+
 def test_max_step_boundary_oracle():
     rng = np.random.default_rng(16)
     ops = ConeOps(COMPOSITE)
-    hit_finite = 0
+    e, hit_finite = ops.identity(), 0
     for trial in range(8):
         z = make_interior(ops, rng)
         dz = rng.standard_normal(z.size)
-        alpha = ops.max_step(z, dz)
+        alpha = step_of_x(ops, z, dz)
+        # the s side takes the same calls on the same point
+        w_s = ops.scaling_point(e, z)
+        assert ops.max_step(w_s, np.zeros_like(dz), dz) == alpha
         if np.isinf(alpha):
             continue
         hit_finite += 1
@@ -269,13 +283,13 @@ def test_max_step_exact_values():
     ops = ConeOps(ConeSpec(segments=(("nonneg", 3),)))
     z = np.array([1.0, 2.0, 3.0])
     dz = np.array([-2.0, 1.0, -1.0])
-    assert ops.max_step(z, dz) == pytest.approx(0.5)
-    assert ops.max_step(z, np.ones(3)) == np.inf
+    assert step_of_x(ops, z, dz) == pytest.approx(0.5)
+    assert step_of_x(ops, z, np.ones(3)) == np.inf
 
     ops = ConeOps(ConeSpec(segments=(("psd", 2),)))
     x = ops.identity()
     d = -2.0 * ops.identity()
-    assert ops.max_step(x, d) == pytest.approx(0.5)
+    assert step_of_x(ops, x, d) == pytest.approx(0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +357,7 @@ def dense_kkt_direction(solver, st, w, mu_target):
     d_dense = hess_apply(ops, w, np.eye(nx))
     c, b = solver.c, solver.b
     r_d, r_p, r_c = solver.r_d, solver.r_p, solver.r_c
-    d = -st.s - mu_target * ops.grad(st.x)
+    d = -st.s - mu_target * oracle_grad(ops, st.x)
     d0 = -st.kappa + mu_target / st.tau
     big_d0 = st.kappa / st.tau
     n = 2 * nx + ny + 3
@@ -660,15 +674,22 @@ def test_not_finite_inside_an_iteration_reads_as_stall(
         assert isinstance(info.value.__cause__, NotFinite)
 
 
+def every_segment_program():
+    """A ``dctc-aux`` program whose cone has the second-order block,
+    matrix segments of several orders and orthant slacks, with auxiliary
+    chain rows from a constraint that spans several bags."""
+    rng = np.random.default_rng(53)
+    base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
+    return DualizedHsdeProgram(
+        dualize(separate_with_aux(with_wide_constraint(base)))
+    )
+
+
 def test_scaling_stacks_are_in_the_normal_engines_block_order():
     # normal_update hands ScalingPoint.psd_stacks and nn_w ** 2 to the
     # engine as they are, which is right only if the cone lists the matrix
     # and slack segments of the engine's blocks in block order
-    rng = np.random.default_rng(53)
-    base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
-    program = DualizedHsdeProgram(
-        dualize(separate_with_aux(with_wide_constraint(base)))
-    )
+    program = every_segment_program()
     blocks = program.normal.blocks
     assert program.dualized.ctc.aux_plan.n_aux > 0
     assert len({blk.order for blk in blocks}) > 1
@@ -689,6 +710,82 @@ def test_scaling_stacks_are_in_the_normal_engines_block_order():
         [np.arange(blk.nn_start, blk.end) for blk in blocks]
     )
     assert np.array_equal(z_of[ops.nn_idx - offset], want_nn)
+
+
+def test_cone_layer_matches_the_per_call_oracle(monkeypatch):
+    # the gradient, both step lengths and the scaling stacks read from a
+    # ScalingPoint equal, bit for bit, what decomposing the iterate afresh
+    # on every call gives, at every iterate of an adaptive solve
+    program = every_segment_program()
+    ops = ConeOps(program.cone)
+    assert ops.soc_slices and len(ops.psd_groups) > 1 and ops.nn_idx.size
+    scaling_point, grad = ConeOps.scaling_point, ConeOps.grad
+    max_step = ConeOps.max_step
+    calls = {"scaling_point": 0, "grad": 0, "max_step": 0}
+
+    def checked_scaling_point(self, x, s):
+        w = scaling_point(self, x, s)
+        want = oracle_psd_stacks(self, x, s)
+        assert w.psd_stacks.keys() == want.keys()
+        for o, stack in want.items():
+            assert np.array_equal(w.psd_stacks[o], stack)
+        calls["scaling_point"] += 1
+        return w
+
+    def checked_grad(self, w):
+        g = grad(self, w)
+        assert np.array_equal(g, oracle_grad(self, w.x))
+        calls["grad"] += 1
+        return g
+
+    def checked_max_step(self, w, dx, ds):
+        alpha = max_step(self, w, dx, ds)
+        assert alpha == min(
+            oracle_max_step(self, w.x, dx), oracle_max_step(self, w.s, ds)
+        )
+        calls["max_step"] += 1
+        return alpha
+
+    monkeypatch.setattr(ConeOps, "scaling_point", checked_scaling_point)
+    monkeypatch.setattr(ConeOps, "grad", checked_grad)
+    monkeypatch.setattr(ConeOps, "max_step", checked_max_step)
+    result = adaptive_step_solve(program, eps=1e-8, max_iter=100)
+    n = result.iterations
+    assert n >= 5
+    # the affine direction (mu_target = 0) skips the gradient
+    assert calls == {"scaling_point": n, "grad": n, "max_step": 2 * n}
+
+
+def count_linalg_calls(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kw):
+            counts[_name] += 1
+            return _fn(*args, **kw)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["adaptive", "short"])
+def test_each_iterate_is_decomposed_once(monkeypatch, method):
+    # per iteration and order group: one eigh each of S, X and
+    # S^1/2 X S^1/2, and one eigvalsh per step length for x and for s
+    rng = np.random.default_rng(53)
+    problem = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)[0]
+    program = build_program(problem)
+    groups = len(ConeOps(program.cone).psd_groups)
+    assert groups > 1
+    counts = count_linalg_calls(monkeypatch, ("eigh", "eigvalsh"))
+    if method == "adaptive":
+        n = adaptive_step_solve(program, eps=1e-8, max_iter=100).iterations
+        assert n >= 5
+        assert counts == {"eigh": 3 * n * groups, "eigvalsh": 4 * n * groups}
+    else:
+        n = 5
+        with pytest.raises(MaxIterations):
+            short_step_solve(program, eps=1e-12, max_iter=n)
+        assert counts == {"eigh": 3 * n * groups, "eigvalsh": 0}
 
 
 def test_indefinite_pivot_converts_to_singular_normal_matrix():

@@ -5,7 +5,16 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
-from treesdp.linalg import SparseSymmetric, smat, svec, sym_kron_stack, tri
+from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
+from treesdp.linalg import (
+    SparseSymmetric,
+    smat,
+    smat_stack,
+    svec,
+    svec_stack,
+    sym_kron_stack,
+    tri,
+)
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import SCORE_CAP, LowRankFactor, Metrics
@@ -291,6 +300,77 @@ def hess_apply(ops, w, v):
                 out[coords, k] = svec(w_inv[g] @ mat @ w_inv[g])
     out[ops.nn_idx] = cols[ops.nn_idx] / (w.nn_w ** 2)[:, None]
     return out.reshape(v.shape)
+
+
+def oracle_grad(ops, z):
+    """Barrier gradient ∇F(z) at any interior z, decomposing each matrix
+    segment of z on every call: the array-in form that ``ConeOps.grad``
+    replaced, with the same calls in the same order."""
+    g = np.zeros_like(z)
+    for sl in ops.soc_slices:
+        v = z[sl]
+        g2 = _soc_g2(v)
+        jv = v.copy()
+        jv[1:] = -jv[1:]
+        g[sl] = -jv / g2
+    for order, idx in ops.psd_groups.items():
+        mats = smat_stack(z[idx])
+        vals, vecs = np.linalg.eigh(mats)
+        inv = ConeOps._spectral(vecs, 1.0 / vals)
+        g[idx] = -svec_stack(inv)
+    if ops.nn_idx.size:
+        g[ops.nn_idx] = -1.0 / z[ops.nn_idx]
+    return g
+
+
+def oracle_max_step(ops, z, dz):
+    """sup {alpha : z + alpha dz interior} (inf if unbounded) for one
+    point, decomposing z on every call: the array-in form that
+    ``ConeOps.max_step`` replaced."""
+    alpha = np.inf
+    for sl in ops.soc_slices:
+        v, d = z[sl], dz[sl]
+        a = _soc_g2(d)
+        jd = d.copy()
+        jd[1:] = -jd[1:]
+        b = 2.0 * float(v @ jd)
+        c = _soc_g2(v)
+        alpha = min(alpha, _positive_quadratic_root(a, b, c))
+    for order, idx in ops.psd_groups.items():
+        xm = smat_stack(z[idx])
+        dm = smat_stack(dz[idx])
+        vals, vecs = np.linalg.eigh(xm)
+        assert float(vals[:, 0].min()) > 0.0
+        x_ihalf = ConeOps._spectral(vecs, 1.0 / np.sqrt(vals))
+        c = x_ihalf @ dm @ x_ihalf
+        c = 0.5 * (c + np.swapaxes(c, 1, 2))
+        lam_min = float(np.min(np.linalg.eigvalsh(c)))
+        if lam_min < 0.0:
+            alpha = min(alpha, -1.0 / lam_min)
+    if ops.nn_idx.size:
+        v, d = z[ops.nn_idx], dz[ops.nn_idx]
+        neg = d < 0.0
+        if np.any(neg):
+            alpha = min(alpha, float(np.min(-v[neg] / d[neg])))
+    return alpha
+
+
+def oracle_psd_stacks(ops, x, s):
+    """The NT scaling stacks W = S^-½ (S^½ X S^½)^½ S^-½ per order, by the
+    calls ``ConeOps.scaling_point`` made before it also decomposed X."""
+    stacks = {}
+    for order, idx in ops.psd_groups.items():
+        xm = smat_stack(x[idx])
+        svals, svecs = np.linalg.eigh(smat_stack(s[idx]))
+        s_half = ConeOps._spectral(svecs, np.sqrt(svals))
+        s_ihalf = ConeOps._spectral(svecs, 1.0 / np.sqrt(svals))
+        a = s_half @ xm @ s_half
+        a = 0.5 * (a + np.swapaxes(a, 1, 2))
+        avals, avecs = np.linalg.eigh(a)
+        a_half = ConeOps._spectral(avecs, np.sqrt(avals))
+        w_stack = s_ihalf @ a_half @ s_ihalf
+        stacks[order] = 0.5 * (w_stack + np.swapaxes(w_stack, 1, 2))
+    return stacks
 
 
 class ReferenceTreeNormal(TreeNormalSystem):
