@@ -127,8 +127,8 @@ class ConeOps:
     (1, 0, ...), contributing 1 to the barrier parameter nu; PSD and
     nonnegative segments use -log det X and -log x.
 
-    ``scaling_point`` is the only method that decomposes the iterate: per
-    order group one ``eigh`` of S, of X and of S^½ X S^½.  ``grad`` and
+    In a solve, ``scaling_point`` is the only method that decomposes the
+    iterate: per order group one ``eigh`` of S, of X and of S^½ X S^½.  ``grad`` and
     ``max_step`` take the ``ScalingPoint`` and read the inverse (square
     roots) it holds; each step length adds one ``eigvalsh`` per order
     group for x and one for s.  The same iterate is thus never factored
