@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .linalg import SparseSymmetric
+from .linalg import SparseSymmetric, stack_triplets
 
 
 @dataclass(frozen=True)
@@ -297,21 +297,16 @@ def sparsity_graph(cost: SparseSymmetric, constraints: list) -> Graph:
 
     Stored entries count as structural even when their value is zero."""
     n = cost.order
-    edges = set()
-
-    def absorb(sp: SparseSymmetric):
+    for sp in constraints:
         if sp.order != n:
             raise DimensionMismatch(
                 f"constraint order {sp.order} != cost order {n}"
             )
-        for r, c in zip(sp.rows, sp.cols):
-            if r != c:
-                edges.add((int(c), int(r)))
-
-    absorb(cost)
-    for sp in constraints:
-        absorb(sp)
-    return Graph(n=n, edges=edges)
+    _, rows, cols, _ = stack_triplets([cost, *constraints])
+    off = rows != cols
+    edges = np.unique(cols[off] * n + rows[off])
+    lo, hi = np.divmod(edges, n)
+    return Graph(n=n, edges=zip(lo.tolist(), hi.tolist()))
 
 
 def min_degree_order(graph: Graph) -> list:

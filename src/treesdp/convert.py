@@ -13,16 +13,20 @@ structure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 import scipy.sparse as sp
 
 from .chordal import TreeDecomposition, decompose, sparsity_graph
 from .errors import DimensionMismatch, DisconnectedSupport, InvalidSplit
-from .linalg import SparseSymmetric, tri
+from .linalg import Triplets, svec_coords, tri
 from .model import SdpProblem
-from .splitting import build_unique_partition, split
+from .splitting import (
+    SplitResult,
+    UniquePartition,
+    build_unique_partition,
+    split,
+)
 
 # --------------------------------------------------------------------------
 # Cones
@@ -88,34 +92,41 @@ class ConeSpec:
 
 
 def verify_split(
-    mat: SparseSymmetric, pieces: dict, td: TreeDecomposition
+    stack: Triplets, pieces: SplitResult, partition: UniquePartition
 ) -> None:
-    """Exact check that the embedded per-bag pieces sum to ``mat``; raises
-    InvalidSplit on disagreement.
+    """Exact check that the embedded per-bag pieces sum to the stacked
+    matrices; raises InvalidSplit on disagreement.
 
-    The pieces are summed per stored position, and every stored entry of
-    ``mat`` must match its sum to ``1e-9 * (1 + |value|)``; a piece entry
-    outside the stored pattern of ``mat`` is rejected.  Linear in the
-    stored entries of ``mat`` and the pieces."""
-    total = dict.fromkeys(zip(mat.rows.tolist(), mat.cols.tolist()), 0.0)
-    for j, piece in pieces.items():
-        bag = td.bags[j]  # sorted, so lower storage maps to lower storage
-        for r, c, v in zip(
-            piece.rows.tolist(), piece.cols.tolist(), piece.vals.tolist()
-        ):
-            key = (bag[r], bag[c])
-            if key not in total:
-                raise InvalidSplit(
-                    f"split piece of bag {j + 1} stores entry "
-                    f"({key[0] + 1}, {key[1] + 1}), which the matrix does not"
-                )
-            total[key] += v
-    for ((r, c), got), want in zip(total.items(), mat.vals.tolist()):
-        if abs(got - want) > 1e-9 * (1.0 + abs(want)):
-            raise InvalidSplit(
-                f"split pieces sum to {got!r} at entry ({r + 1}, {c + 1}), "
-                f"where the matrix stores {want!r}"
-            )
+    The pieces are summed per stored position, and every stored entry must
+    match its sum to ``1e-9 * (1 + |value|)``; a piece entry outside the
+    stored pattern of its matrix is rejected.  One binary search per piece
+    entry over the stored entries."""
+    n = partition.n
+    start = partition.bag_start[pieces.assignment]
+    # bags are sorted, so lower storage maps to lower storage
+    rows = partition.members[start + pieces.rows]
+    cols = partition.members[start + pieces.cols]
+    stored = (stack.ids * n + stack.rows) * n + stack.cols  # ascending
+    key = (pieces.ids * n + rows) * n + cols
+    pos = np.searchsorted(stored, key)
+    inside = pos < stored.size
+    inside[inside] = stored[pos[inside]] == key[inside]
+    if not inside.all():
+        e = np.flatnonzero(~inside)[0]
+        raise InvalidSplit(
+            f"split piece of bag {pieces.assignment[e] + 1} stores entry "
+            f"({rows[e] + 1}, {cols[e] + 1}), which the matrix does not"
+        )
+    got = np.bincount(pos, weights=pieces.vals, minlength=stack.vals.size)
+    want = stack.vals
+    wrong = np.flatnonzero(np.abs(got - want) > 1e-9 * (1.0 + np.abs(want)))
+    if wrong.size:
+        e = wrong[0]
+        raise InvalidSplit(
+            f"split pieces sum to {float(got[e])!r} at entry "
+            f"({stack.rows[e] + 1}, {stack.cols[e] + 1}), where the matrix "
+            f"stores {float(want[e])!r}"
+        )
 
 
 # --------------------------------------------------------------------------
@@ -263,12 +274,6 @@ class ConvertedProblem:
         return out
 
 
-def _packed_pos(bag: tuple, u: int, v: int) -> int:
-    iu, iv = bag.index(u), bag.index(v)
-    hi, lo = max(iu, iv), min(iu, iv)
-    return hi * (hi + 1) // 2 + lo
-
-
 def _assemble(
     problem: SdpProblem,
     td: TreeDecomposition | None,
@@ -278,222 +283,223 @@ def _assemble(
     if td is None:
         graph = sparsity_graph(problem.cost, problem.constraints)
         td = decompose(graph, order=order)
-    partition = build_unique_partition(td)
+    m, ell = problem.m, td.ell
     post_index = td.post_index
+    partition = build_unique_partition(td)
+    stack = problem.triplets
+    # an uncoverable entry of C is named before those of the A_i
+    pieces = split(stack, td, partition, first=m)
+    verify_split(stack, pieces, partition)
+    ids, bag = pieces.ids, pieces.assignment
+    k = int(np.searchsorted(ids, m))  # the cost's entries come last
 
-    cost_split = split(problem.cost, td, partition)
-    verify_split(problem.cost, cost_split.pieces, td)
+    # ---- covers: the bags of each constraint's pieces --------------------
+    cover_row, cover_bag = np.divmod(np.unique(ids[:k] * ell + bag[:k]), ell)
+    n_cover = np.bincount(cover_row, minlength=m)
+    cover_start = np.cumsum(n_cover) - n_cover
+    # owner of the slack: the one bag of a single-bag cover, the root for
+    # an empty one
+    home = np.full(m, td.root, dtype=np.int64)
+    home[n_cover > 0] = cover_bag[cover_start[n_cover > 0]]
+    wide = {}  # constraint with several cover bags -> them in postorder
+    for i in np.flatnonzero(n_cover > 1).tolist():
+        cover = cover_bag[cover_start[i]:cover_start[i] + n_cover[i]]
+        wide[i] = sorted(cover.tolist(), key=post_index.__getitem__)
 
-    piece_sets = []  # per constraint: dict bag -> local SparseSymmetric
-    members_of = []  # per constraint: cover bags in postorder
-    for a in problem.constraints:
-        res = split(a, td, partition)
-        verify_split(a, res.pieces, td)
-        piece_sets.append(res.pieces)
-        members_of.append(sorted(res.cover, key=post_index.__getitem__))
-
-    # ---- aux plan ------------------------------------------------------
+    # ---- aux plan --------------------------------------------------------
     aux_members = {}
-    if with_aux:
-        for i in range(problem.m):
-            cover = members_of[i]
-            if not cover:
-                continue
-            members = steiner_closure(td, list(cover))
-            root_w = validate_support_tree(td, members)
-            if len(members) > 1:
-                aux_members[i] = (
-                    sorted(members, key=post_index.__getitem__),
-                    root_w,
-                )
-
-    # ---- per-block extras ----------------------------------------------
-    n_aux_at = [0] * td.ell
-    aux_coord_local = {}  # (i, member bag) -> local index in parent block
-    if with_aux:
-        for i, (members, root_w) in aux_members.items():
-            for j in members:
-                if j == root_w:
-                    continue
+    n_aux_at = [0] * ell
+    aux_local = {}  # (i, member bag) -> local index in parent block
+    for i, cover in wide.items():
+        if not with_aux:
+            home[i] = cover[0]
+            continue
+        members = steiner_closure(td, cover)
+        root_w = validate_support_tree(td, members)
+        aux_members[i] = (sorted(members, key=post_index.__getitem__), root_w)
+        home[i] = root_w
+        for j in aux_members[i][0]:
+            if j != root_w:
                 p = int(td.parent[j])
-                aux_coord_local[(i, j)] = n_aux_at[p]
+                aux_local[(i, j)] = n_aux_at[p]
                 n_aux_at[p] += 1
 
-    slack_owner = {}
-    n_nn_at = [0] * td.ell
-    slack_local = {}
-    for i, sense in enumerate(problem.senses):
-        if sense == "eq":
-            continue
-        if i in aux_members:
-            owner = aux_members[i][1]
-        elif members_of[i]:
-            owner = members_of[i][0]
-        else:
-            owner = td.root
-        slack_owner[i] = owner
-        slack_local[i] = n_nn_at[owner]
-        n_nn_at[owner] += 1
+    senses = np.asarray(problem.senses, dtype=str)
+    slack_i = np.flatnonzero(senses != "eq")
+    slack_owner = home[slack_i]
+    n_nn_at = np.bincount(slack_owner, minlength=ell)
 
     # ---- layout ----------------------------------------------------------
-    blocks = []
-    segments = []
-    offset = 0
-    for j in range(td.ell):
-        o = len(td.bags[j])
-        blk = BlockLayout(
-            bag=td.bags[j],
-            order=o,
-            svec_start=offset,
-            n_aux=n_aux_at[j],
-            aux_start=offset + tri(o),
-            n_nn=n_nn_at[j],
-            nn_start=offset + tri(o) + n_aux_at[j],
+    n_aux_at = np.asarray(n_aux_at, dtype=np.int64)
+    orders = np.diff(partition.bag_start)
+    svec_len = orders * (orders + 1) // 2
+    ends = np.cumsum(svec_len + n_aux_at + n_nn_at)
+    aux_start = ends - n_aux_at - n_nn_at
+    svec_start = aux_start - svec_len
+    blocks = [
+        BlockLayout(td.bags[j], o, s, a, s + t, nn, s + t + a)
+        for j, (o, s, t, a, nn) in enumerate(
+            zip(*(x.tolist() for x in (
+                orders, svec_start, svec_len, n_aux_at, n_nn_at
+            )))
         )
-        blocks.append(blk)
-        offset = blk.end
-        segments.append(("psd", o))
+    ]
+    segments = []
+    for blk in blocks:
+        segments.append(("psd", blk.order))
         if blk.n_aux:
             segments.append(("free", blk.n_aux))
         if blk.n_nn:
             segments.append(("nonneg", blk.n_nn))
-    cone = ConeSpec(segments=tuple(segments))
-    dim_z = offset
-
+    dim_z = int(ends[-1]) if ell else 0
     aux_coord = {
-        key: blocks[int(td.parent[key[1]])].aux_start + local
-        for key, local in aux_coord_local.items()
+        key: int(aux_start[td.parent[key[1]]]) + local
+        for key, local in aux_local.items()
     }
+    # each slack's rank among those of its owner block, in constraint order
+    by_owner = np.argsort(slack_owner, kind="stable")
+    slack_coord = np.empty_like(by_owner)
+    slack_coord[by_owner] = np.arange(by_owner.size)
+    slack_coord += (ends - np.cumsum(n_nn_at))[slack_owner]
 
     # ---- cost vector -----------------------------------------------------
+    pos, val = svec_coords(pieces.rows, pieces.cols, pieces.vals)
+    col = svec_start[bag] + pos
     c_z = np.zeros(dim_z)
-    for j, piece in cost_split.pieces.items():
-        pos, vals = piece.svec_coords()
-        np.add.at(c_z, blocks[j].svec_start + pos, vals)
+    np.add.at(c_z, col[k:], val[k:])
 
-    # ---- constraint rows --------------------------------------------------
-    rows_i, cols_i, vals_i = [], [], []
-    row_kind = []
-    block_of_row = []
-    rhs = []
-    slack_coord = {}
-    dual_row = -np.ones(problem.m, dtype=np.int64)
-    aux_constraints = []
-
-    def add_entry(r, c, v):
-        rows_i.append(r)
-        cols_i.append(c)
-        vals_i.append(v)
-
-    row = 0
-    for i in range(problem.m):
-        sense = problem.senses[i]
-        slack_sign = 0.0 if sense == "eq" else (-1.0 if sense == "ge" else 1.0)
-        if i not in aux_members:
-            touched = set()
-            for j, piece in piece_sets[i].items():
-                pos, vals = piece.svec_coords()
-                for p, v in zip(blocks[j].svec_start + pos, vals):
-                    add_entry(row, int(p), float(v))
-                touched.add(j)
-            if slack_sign:
-                owner = slack_owner[i]
-                coord = blocks[owner].nn_start + slack_local[i]
-                add_entry(row, coord, slack_sign)
-                slack_coord[i] = coord
-                touched.add(owner)
-            row_kind.append(("plain", i))
-            block_of_row.append(tuple(sorted(touched)))
-            rhs.append(float(problem.b[i]))
-            dual_row[i] = row
-            row += 1
-        else:
-            members, root_w = aux_members[i]
-            start = row
-            children_w = {j: [] for j in members}
-            for j in members:
-                if j != root_w:
-                    children_w[int(td.parent[j])].append(j)
-            for j in members:
-                touched = {j}
-                piece = piece_sets[i].get(j)
-                if piece is not None:
-                    pos, vals = piece.svec_coords()
-                    for p, v in zip(blocks[j].svec_start + pos, vals):
-                        add_entry(row, int(p), float(v))
-                for k in children_w[j]:
-                    add_entry(row, aux_coord[(i, k)], 1.0)
-                if j != root_w:
-                    add_entry(row, aux_coord[(i, j)], -1.0)
-                    touched.add(int(td.parent[j]))
-                    rhs.append(0.0)
-                else:
-                    if slack_sign:
-                        coord = blocks[root_w].nn_start + slack_local[i]
-                        add_entry(row, coord, slack_sign)
-                        slack_coord[i] = coord
-                    rhs.append(float(problem.b[i]))
-                    dual_row[i] = row
-                row_kind.append(("aux", i, j, j == root_w))
-                block_of_row.append(tuple(sorted(touched)))
-                row += 1
-            aux_constraints.append(
-                AuxConstraint(
-                    index=i,
-                    members=list(members),
-                    root=root_w,
-                    aux_coord={
-                        j: aux_coord[(i, j)] for j in members if j != root_w
-                    },
-                    row_range=(start, row),
-                )
-            )
-
+    # ---- constraint rows -------------------------------------------------
+    # a plain constraint is one row; an aux chain has one row per member
+    # bag, in postorder, and its root's row carries b_i and the slack
+    rows_per = np.ones(m, dtype=np.int64)
+    rank = np.zeros(k, dtype=np.int64)  # entry -> its row within the chain
+    dual_row = np.zeros(m, dtype=np.int64)
+    # u_j enters the row of j with -1 and the row of its parent with +1
+    chain_i, chain_r, chain_c = [], [], []
+    aux_kinds, aux_blocks = {}, {}
+    for i, (members, root_w) in aux_members.items():
+        at = {j: r for r, j in enumerate(members)}
+        s, t = np.searchsorted(ids[:k], [i, i + 1])
+        rank[s:t] = [at[j] for j in bag[s:t].tolist()]
+        rows_per[i] = len(members)
+        dual_row[i] = at[root_w]
+        aux_kinds[i] = [("aux", i, j, j == root_w) for j in members]
+        aux_blocks[i] = []
+        for j in members:
+            p = int(td.parent[j])
+            if j == root_w:
+                aux_blocks[i].append((j,))
+                continue
+            aux_blocks[i].append((min(j, p), max(j, p)))
+            chain_i += [i, i]
+            chain_r += [at[j], at[p]]
+            chain_c += [aux_coord[(i, j)]] * 2
+    row_of = np.cumsum(rows_per) - rows_per  # first row of each constraint
+    dual_row += row_of
+    rhs = np.zeros(int(rows_per.sum()))
+    rhs[dual_row] = problem.b
+    chain_i, chain_r, chain_c = (
+        np.array(x, dtype=np.int64) for x in (chain_i, chain_r, chain_c)
+    )
     a_rows = sp.csr_matrix(
-        (np.array(vals_i), (np.array(rows_i), np.array(cols_i))),
-        shape=(row, dim_z),
+        (
+            np.concatenate([
+                val[:k],
+                np.where(senses[slack_i] == "ge", -1.0, 1.0),
+                np.tile([-1.0, 1.0], chain_i.size // 2),
+            ]),
+            (
+                np.concatenate([
+                    row_of[ids[:k]] + rank,
+                    dual_row[slack_i],
+                    row_of[chain_i] + chain_r,
+                ]),
+                np.concatenate([col[:k], slack_coord, chain_c]),
+            ),
+        ),
+        shape=(rhs.size, dim_z),
     )
+    row_kind = [("plain", i) for i in range(m)]
+    block_of_row = [(j,) for j in home.tolist()]
+    for i in np.flatnonzero((n_cover == 0) & (senses == "eq")).tolist():
+        block_of_row[i] = ()
+    for i, cover in wide.items():
+        block_of_row[i] = tuple(sorted(cover))
+    aux_constraints = [
+        AuxConstraint(
+            i,
+            members,
+            root_w,
+            {j: aux_coord[(i, j)] for j in members if j != root_w},
+            (int(row_of[i]), int(row_of[i]) + len(members)),
+        )
+        for i, (members, root_w) in aux_members.items()
+    ]
 
-    # ---- overlap rows ------------------------------------------------------
-    rows_n, cols_n, vals_n = [], [], []
-    n_block_of_row = []
-    nrow = 0
-    for j in td.postorder():
-        p = int(td.parent[j])
-        if p == j:
-            continue
-        sep = sorted(td.separator(j))
-        for x, y in combinations_with_replacement(sep, 2):
-            pos_child = blocks[j].svec_start + _packed_pos(td.bags[j], x, y)
-            pos_parent = blocks[p].svec_start + _packed_pos(td.bags[p], x, y)
-            rows_n.extend([nrow, nrow])
-            cols_n.extend([pos_child, pos_parent])
-            vals_n.extend([1.0, -1.0])
-            n_block_of_row.append(tuple(sorted((j, p))))
-            nrow += 1
-    n_rows = sp.csr_matrix(
-        (np.array(vals_n), (np.array(rows_n), np.array(cols_n)))
-        if nrow
-        else (np.zeros(0), (np.zeros(0, dtype=int), np.zeros(0, dtype=int))),
-        shape=(nrow, dim_z),
-    )
-
-    g_rhs = np.concatenate([np.array(rhs), np.zeros(nrow)])
+    n_rows, n_block_of_row = _overlap_rows(td, partition, svec_start, dim_z)
     return ConvertedProblem(
         problem=problem,
         td=td,
         blocks=blocks,
         a_rows=a_rows,
         n_rows=n_rows,
-        g_rhs=g_rhs,
+        g_rhs=np.concatenate([rhs, np.zeros(n_rows.shape[0])]),
         c_z=c_z,
-        cone=cone,
-        row_kind=row_kind,
-        block_of_row=block_of_row + n_block_of_row,
-        slack_coord=slack_coord,
+        cone=ConeSpec(segments=tuple(segments)),
+        row_kind=_splice(row_kind, aux_kinds),
+        block_of_row=_splice(block_of_row, aux_blocks) + n_block_of_row,
+        slack_coord=dict(zip(slack_i.tolist(), slack_coord.tolist())),
         aux_plan=AuxPlan(constraints=aux_constraints) if with_aux else None,
         dual_row_of_constraint=dual_row,
     )
+
+
+def _splice(per_constraint: list, groups: dict) -> list:
+    """One entry per row: the constraints' own entries, with the rows of
+    each constraint in ``groups`` (ascending keys) in place of its one."""
+    out, prev = [], 0
+    for i, rows in groups.items():
+        out += per_constraint[prev:i] + rows
+        prev = i + 1
+    return out + per_constraint[prev:]
+
+
+def _overlap_rows(td, partition, svec_start, dim_z):
+    """Rows X_j[x, y] - X_p[x, y] = 0 over the separator pairs x <= y of
+    each non-root bag j and its parent p, bags in postorder and pairs in
+    lexicographic order; returns the rows and the blocks of each."""
+    post = np.asarray(td.postorder(), dtype=np.int64)
+    child = post[td.parent[post] != post]
+    parent = td.parent[child]
+    start = partition.bag_start
+    sizes = np.diff(start)[child]
+    # the children's members, child after child, and which are shared
+    of = np.repeat(np.arange(child.size), sizes)
+    at = start[child][of] + np.arange(of.size) - (np.cumsum(sizes) - sizes)[of]
+    in_parent, shared = partition.locate(parent[of], partition.members[at])
+    of = of[shared]  # separator entries, child after child
+    local_c = at[shared] - start[child][of]
+    local_p = in_parent[shared] - start[parent][of]
+    # pairs (a, b), a <= b, of separator entries of one child
+    count = np.cumsum(np.bincount(of, minlength=child.size))[of]
+    count -= np.arange(of.size)
+    a = np.repeat(np.arange(of.size), count)
+    b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    cols = [
+        svec_start[blk[of[a]]] + local[b] * (local[b] + 1) // 2 + local[a]
+        for blk, local in ((child, local_c), (parent, local_p))
+    ]
+    rows = np.arange(a.size)
+    n_rows = sp.csr_matrix(
+        (
+            np.repeat([1.0, -1.0], a.size),
+            (np.concatenate([rows, rows]), np.concatenate(cols)),
+        ),
+        shape=(a.size, dim_z),
+    )
+    j, p = child[of[a]], parent[of[a]]
+    blocks = zip(np.minimum(j, p).tolist(), np.maximum(j, p).tolist())
+    return n_rows, list(blocks)
 
 
 def build_ctc(

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -98,31 +99,6 @@ def smat_stack(vecs: np.ndarray) -> np.ndarray:
     out[..., rows, cols] = vals
     out[..., cols, rows] = vals
     return out
-
-
-def sym_kron_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Materialize the symmetric Kronecker product as a tri(o) x tri(o) matrix.
-
-    Entry formula for packed positions p=(i,j), q=(k,l):
-    s_p s_q / 4 * (A[i,k]B[j,l] + A[i,l]B[j,k] + B[i,k]A[j,l] + B[i,l]A[j,k]).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise DimensionMismatch(
-            f"sym_kron_matrix needs two square matrices of equal order, "
-            f"got {a.shape} and {b.shape}"
-        )
-    order = a.shape[0]
-    r, c = tri_indices(order)
-    s = svec_scale(order)
-    term = (
-        a[np.ix_(r, r)] * b[np.ix_(c, c)]
-        + a[np.ix_(r, c)] * b[np.ix_(c, r)]
-        + b[np.ix_(r, r)] * a[np.ix_(c, c)]
-        + b[np.ix_(r, c)] * a[np.ix_(c, r)]
-    )
-    return 0.25 * np.outer(s, s) * term
 
 
 def sym_kron_stack(w: np.ndarray) -> np.ndarray:
@@ -221,13 +197,34 @@ class SparseSymmetric:
         vals = np.where(diag, self.vals, 2.0 * self.vals)
         return float(np.sum(vals * x[self.rows, self.cols]))
 
-    def svec_coords(self):
-        """(positions, values) of the stored entries in ``svec`` of the
-        matrix: packed position r(r+1)/2 + c, off-diagonals scaled by
-        sqrt 2."""
-        pos = self.rows * (self.rows + 1) // 2 + self.cols
-        scale = np.where(self.rows == self.cols, 1.0, SQRT2)
-        return pos, self.vals * scale
+
+def svec_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
+    """(positions, values) of lower-triangle entries in ``svec``: packed
+    position r(r+1)/2 + c, off-diagonals scaled by sqrt 2."""
+    pos = rows * (rows + 1) // 2 + cols
+    return pos, vals * np.where(rows == cols, 1.0, SQRT2)
+
+
+class Triplets(NamedTuple):
+    """Stored entries of a stack of sparse symmetric matrices: entry e is
+    the lower-triangle entry (rows[e], cols[e]) = vals[e] of matrix
+    ids[e].  Each matrix's entries are contiguous, in its canonical
+    order, and the ids ascend."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+
+def stack_triplets(mats: list) -> Triplets:
+    """The stored entries of ``mats`` (at least one) under ids 0, 1, ..."""
+    ids = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
+    rows, cols, vals = (
+        np.concatenate([getattr(a, key) for a in mats])
+        for key in ("rows", "cols", "vals")
+    )
+    return Triplets(ids, rows, cols, vals)
 
 
 # --------------------------------------------------------------------------

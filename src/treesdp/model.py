@@ -11,12 +11,19 @@ sense tag and are reduced to equalities with nonnegative slacks downstream.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .errors import DimensionMismatch
-from .linalg import SparseSymmetric, tri
+from .linalg import (
+    SparseSymmetric,
+    Triplets,
+    stack_triplets,
+    svec_coords,
+    tri,
+)
 
 SENSES = ("eq", "ge", "le")
 
@@ -60,21 +67,25 @@ class SdpProblem:
     def n_ineq(self) -> int:
         return sum(1 for s in self.senses if s != "eq")
 
+    @cached_property
+    def triplets(self) -> Triplets:
+        """Stored entries of A_1..A_m under row ids 0..m-1 and, under row
+        id m, of C."""
+        return stack_triplets(list(self.constraints) + [self.cost])
+
     def stacked_rows(self) -> sp.csr_matrix:
         """CSR matrix whose i-th row is svec(A_i)."""
-        data, indices, indptr = [], [], [0]
-        for a in self.constraints:
-            pos, vals = a.svec_coords()
-            indices.extend(pos.tolist())
-            data.extend(vals.tolist())
-            indptr.append(len(indices))
-        return sp.csr_matrix(
-            (np.array(data), np.array(indices, dtype=np.int64), np.array(indptr)),
-            shape=(self.m, tri(self.n)),
-        )
+        ids, rows, cols, vals = self.triplets
+        k = int(np.searchsorted(ids, self.m))  # the cost's entries come last
+        pos, data = svec_coords(rows[:k], cols[:k], vals[:k])
+        indptr = np.zeros(self.m + 1, dtype=np.int64)
+        np.cumsum(np.bincount(ids[:k], minlength=self.m), out=indptr[1:])
+        return sp.csr_matrix((data, pos, indptr), shape=(self.m, tri(self.n)))
 
     def cost_svec(self) -> np.ndarray:
+        ids, rows, cols, vals = self.triplets
+        k = int(np.searchsorted(ids, self.m))
+        pos, data = svec_coords(rows[k:], cols[k:], vals[k:])
         out = np.zeros(tri(self.n))
-        pos, vals = self.cost.svec_coords()
-        np.add.at(out, pos, vals)
+        np.add.at(out, pos, data)
         return out

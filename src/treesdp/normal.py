@@ -62,7 +62,7 @@ import numpy as np
 from scipy.linalg.lapack import dtrtrs
 
 from .chordal import TreeDecomposition
-from .convert import ConvertedProblem, DualizedProblem
+from .convert import DualizedProblem
 from .errors import (
     DenominatorUnderflow,
     DimensionMismatch,
@@ -134,26 +134,6 @@ def group_bags(td: TreeDecomposition, widths, cap) -> list:
         members[j], width[j] = merged, w
     groups.append(tuple(members[td.root]))
     return groups
-
-
-def plain_row_coupling(ctc: ConvertedProblem) -> set:
-    """Symbolic sparsity of the row-space normal matrix ``G D^{-1} G^T``.
-
-    Two rows couple exactly when they touch a common coordinate block
-    (the block-diagonal scaling is dense within a block).  Returns the
-    set of coupled unordered row pairs ``(i, j)`` with ``i < j``.
-    Intended for moderate row counts; the set is materialized.
-    """
-    rows_by_block: dict = {}
-    for r, blocks in enumerate(ctc.block_of_row):
-        for j in blocks:
-            rows_by_block.setdefault(j, []).append(r)
-    pairs = set()
-    for rows in rows_by_block.values():
-        for a in range(len(rows)):
-            for b in range(a + 1, len(rows)):
-                pairs.add((rows[a], rows[b]))
-    return pairs
 
 
 class TreeNormalSystem:

@@ -299,18 +299,6 @@ def _spectral_norm(n: int, cost) -> float:
     )
 
 
-def _stacked_triplets(sdp: SdpProblem):
-    """Row ids, rows, cols and values of every stored entry of A_1..A_m
-    and, under row id m, of C."""
-    mats = list(sdp.constraints) + [sdp.cost]
-    ids = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
-    rows, cols, vals = (
-        np.concatenate([getattr(a, key) for a in mats])
-        for key in ("rows", "cols", "vals")
-    )
-    return ids, rows, cols, vals
-
-
 def dimacs_metrics(
     sdp: SdpProblem,
     factor: LowRankFactor,
@@ -346,7 +334,7 @@ def dimacs_metrics(
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise NotFinite("U or y has non-finite entries")
 
-    ids, rows, cols, vals = _stacked_triplets(sdp)
+    ids, rows, cols, vals = sdp.triplets
     weights = np.where(rows == cols, vals, 2.0 * vals)
     uu = np.einsum("ij,ij->i", u[rows], u[cols])
     values = np.bincount(ids, weights=weights * uu, minlength=m + 1)

@@ -6,156 +6,168 @@ embedded per-bag pieces sum back to the original matrix.  The selected set of
 bags has minimum cardinality among all feasible assignments: an entry's
 *trigger* bag — the root-most bag containing both endpoints — is its last
 chance in a child-first traversal, so a bag is selected only when forced, and
-a selected bag greedily claims every remaining entry it can hold.  The
-traversal and the trigger test read the decomposition's own postorder
-positions and depths (``TreeDecomposition.post_index`` and ``.depth``).
+a selected bag greedily claims every remaining entry it can hold.
+
+The splitter runs once over the stacked triplets of all matrices
+(``linalg.Triplets``).  Trigger bags and the coverability test are array
+lookups.  A matrix whose entries all trigger one bag goes to that bag whole;
+only a matrix with several trigger bags runs the greedy traversal, which
+reads the decomposition's postorder positions (``post_index``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .chordal import TreeDecomposition
 from .errors import UncoverableEntry
-from .linalg import SparseSymmetric
+from .linalg import Triplets
 
 
 @dataclass
 class UniquePartition:
-    """Per-bag unique vertices U_j = J_j minus the parent bag and the owner
-    bag of each vertex.  Carries the bag vertex sets so repeated ``split``
-    calls over the same decomposition pay only for each matrix's own
-    support."""
+    """Owner bag of each vertex (the root-most bag holding it, the one bag
+    where it is not shared with the parent) and the membership table the
+    splitter searches.  Built once per decomposition, so each ``split``
+    call pays only for its own entries."""
 
-    unique: list  # list of tuples per bag
+    n: int
     owner: np.ndarray  # vertex -> root-most bag containing it
-    bag_sets: list  # per-bag vertex sets
+    depth: np.ndarray  # bag -> number of edges to the root
+    bag_start: np.ndarray  # bag -> offset of its members; ell + 1 entries
+    members: np.ndarray  # every bag's sorted vertices, bag after bag
+    keys: np.ndarray  # bag * n + vertex of ``members``, ascending
+
+    def locate(self, bags: np.ndarray, verts: np.ndarray):
+        """Positions of the (bag, vertex) pairs in ``members`` and whether
+        each vertex is a member of its bag."""
+        key = bags * self.n + verts
+        pos = np.searchsorted(self.keys, key)
+        hit = pos < self.keys.size
+        hit[hit] = self.keys[pos[hit]] == key[hit]
+        return pos, hit
 
 
 def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
-    unique = []
-    for j in range(td.ell):
-        p = int(td.parent[j])
-        if p == j:
-            unique.append(tuple(td.bags[j]))
-        else:
-            parent_set = set(td.bags[p])
-            unique.append(tuple(v for v in td.bags[j] if v not in parent_set))
-    owner = -np.ones(td.n, dtype=np.int64)
-    for j, uj in enumerate(unique):
-        for v in uj:
-            owner[v] = j
-    return UniquePartition(
-        unique=unique, owner=owner, bag_sets=[set(b) for b in td.bags]
+    sizes = np.fromiter(map(len, td.bags), np.int64, td.ell)
+    bag_start = np.zeros(td.ell + 1, dtype=np.int64)
+    np.cumsum(sizes, out=bag_start[1:])
+    members = np.fromiter(
+        chain.from_iterable(td.bags), np.int64, int(bag_start[-1])
     )
+    bag_of = np.repeat(np.arange(td.ell), sizes)
+    part = UniquePartition(
+        n=td.n,
+        owner=-np.ones(td.n, dtype=np.int64),
+        depth=np.asarray(td.depth, dtype=np.int64),
+        bag_start=bag_start,
+        members=members,
+        keys=bag_of * td.n + members,
+    )
+    parent = td.parent[bag_of]
+    unique = (parent == bag_of) | ~part.locate(parent, members)[1]
+    part.owner[members[unique]] = bag_of[unique]
+    return part
 
 
 @dataclass
 class SplitResult:
-    """Outcome of splitting one matrix across the bags."""
+    """Per-bag pieces of a stack of matrices: piece entry e is
+    (rows[e], cols[e]) = vals[e] of matrix ids[e], in the local coordinates
+    of bag assignment[e].  ``split`` returns one piece entry per stored
+    entry, aligned with the stack."""
 
-    order: int
-    cover: list  # selected bag ids, ascending
-    assignment: np.ndarray  # entry index -> bag id
-    pieces: dict  # bag id -> SparseSymmetric in bag-local coordinates
-
-    def embedded_sum(self, td: TreeDecomposition) -> np.ndarray:
-        out = np.zeros((self.order, self.order))
-        for j, piece in self.pieces.items():
-            bag = np.asarray(td.bags[j])
-            local = piece.to_dense()
-            out[np.ix_(bag, bag)] += local
-        return out
+    ids: np.ndarray
+    assignment: np.ndarray  # entry -> bag id
+    rows: np.ndarray  # local row in the bag, >= the local column
+    cols: np.ndarray
+    vals: np.ndarray
 
 
 def split(
-    mat: SparseSymmetric,
+    stack: Triplets,
     td: TreeDecomposition,
     partition: UniquePartition | None = None,
+    first: int = -1,
 ) -> SplitResult:
-    """Assign every stored entry of ``mat`` to exactly one bag (minimum
-    number of bags used).  Raises UncoverableEntry when an entry fits in no
-    bag."""
+    """Assign every stored entry of every matrix of ``stack`` to exactly
+    one bag (a minimum number of bags per matrix).  Raises
+    UncoverableEntry, naming the first entry that fits in no bag; entries
+    of matrix ``first`` are named before all others."""
     if partition is None:
         partition = build_unique_partition(td)
-    owner, depth = partition.owner, td.depth
-    bag_sets = partition.bag_sets
-    nnz = mat.nnz
-    assignment = -np.ones(nnz, dtype=np.int64)
+    ids, rows, cols = stack.ids, stack.rows, stack.cols
 
     # trigger bag per entry: the deeper of the two endpoint owners; the entry
     # is coverable iff that bag also holds the other endpoint.
-    trigger = np.empty(nnz, dtype=np.int64)
-    for e in range(nnz):
-        r, c = int(mat.rows[e]), int(mat.cols[e])
-        orow, ocol = int(owner[r]), int(owner[c])
-        deep, other = (orow, c) if depth[orow] >= depth[ocol] else (ocol, r)
-        if other not in bag_sets[deep]:
-            raise UncoverableEntry(
-                f"entry ({r + 1}, {c + 1}) lies in no bag of the decomposition"
-            )
-        trigger[e] = deep
+    own_r, own_c = partition.owner[rows], partition.owner[cols]
+    row_deeper = partition.depth[own_r] >= partition.depth[own_c]
+    trigger = np.where(row_deeper, own_r, own_c)
+    fits = partition.locate(trigger, np.where(row_deeper, cols, rows))[1]
+    if not fits.all():
+        bad = np.flatnonzero(~fits)
+        bad_first = bad[ids[bad] == first]
+        e = (bad_first if bad_first.size else bad)[0]
+        raise UncoverableEntry(
+            f"entry ({rows[e] + 1}, {cols[e] + 1}) lies in no bag of the "
+            f"decomposition"
+        )
 
+    # a matrix whose entries all trigger one bag goes to that bag whole
+    assignment = trigger
+    if ids.size:
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        ends = np.r_[starts[1:], ids.size]
+        several = np.minimum.reduceat(trigger, starts) != np.maximum.reduceat(
+            trigger, starts
+        )
+        for s, t in zip(starts[several].tolist(), ends[several].tolist()):
+            assignment[s:t] = _greedy_cover(
+                rows[s:t].tolist(), cols[s:t].tolist(),
+                trigger[s:t].tolist(), td,
+            )
+
+    offset = partition.bag_start[assignment]
+    return SplitResult(
+        ids=ids,
+        assignment=assignment,
+        rows=partition.locate(assignment, rows)[0] - offset,
+        cols=partition.locate(assignment, cols)[0] - offset,
+        vals=stack.vals,
+    )
+
+
+def _greedy_cover(rows: list, cols: list, trigger: list, td) -> list:
+    """Bag of each entry of one matrix.  The trigger bags are visited in
+    postorder; one still holding an unassigned entry of its own is selected
+    and claims every unassigned entry that fits in it."""
     buckets: dict = {}
-    for e in range(nnz):
-        buckets.setdefault(int(trigger[e]), []).append(e)
     entries_at: dict = {}
-    for e in range(nnz):
-        r, c = int(mat.rows[e]), int(mat.cols[e])
+    for e, (r, c, j) in enumerate(zip(rows, cols, trigger)):
+        buckets.setdefault(j, []).append(e)
         entries_at.setdefault(r, []).append(e)
         if c != r:
             entries_at.setdefault(c, []).append(e)
 
-    cover = []
+    assignment = [-1] * len(rows)
     # postorder restricted to trigger bags: non-trigger bags never enter
     # the cover, so skipping them is behavior-preserving
-    for j in sorted(buckets, key=lambda b: td.post_index[b]):
-        if not any(assignment[e] < 0 for e in buckets[j]):
+    for j in sorted(buckets, key=td.post_index.__getitem__):
+        if all(assignment[e] >= 0 for e in buckets[j]):
             continue
-        cover.append(j)
-        bag = bag_sets[j]
+        bag = set(td.bags[j])
         for v in td.bags[j]:
             kept = []
             for e in entries_at.get(v, ()):
                 if assignment[e] >= 0:
                     continue
-                r, c = int(mat.rows[e]), int(mat.cols[e])
-                if r in bag and c in bag:
+                if rows[e] in bag and cols[e] in bag:
                     assignment[e] = j
                 else:
                     kept.append(e)
             if v in entries_at:
                 entries_at[v] = kept
-
-    pieces = {}
-    for j in sorted(set(int(a) for a in assignment if a >= 0)):
-        bag = td.bags[j]
-        local_pos = {v: i for i, v in enumerate(bag)}
-        sel = np.where(assignment == j)[0]
-        rows = np.array([local_pos[int(mat.rows[e])] for e in sel], dtype=np.int64)
-        cols = np.array([local_pos[int(mat.cols[e])] for e in sel], dtype=np.int64)
-        vals = mat.vals[sel]
-        pieces[j] = SparseSymmetric(
-            order=len(bag), rows=rows, cols=cols, vals=vals
-        )
-    return SplitResult(
-        order=mat.order,
-        cover=sorted(cover),
-        assignment=assignment,
-        pieces=pieces,
-    )
-
-
-def is_partially_separable(
-    mat: SparseSymmetric,
-    td: TreeDecomposition,
-    partition: UniquePartition | None = None,
-) -> bool:
-    """True when the matrix fits inside a single bag (or is empty)."""
-    try:
-        result = split(mat, td, partition)
-    except UncoverableEntry:
-        return False
-    return len(result.cover) <= 1
+    return assignment

@@ -38,15 +38,16 @@ from treesdp.ipm import (
     SolverOptions,
     short_step_solve,
 )
-from treesdp.linalg import SparseSymmetric, tri
+from treesdp.linalg import SparseSymmetric, stack_triplets, tri
 from treesdp.model import SdpProblem
-from treesdp.normal import TreeNormalSystem, plain_row_coupling
+from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import LowRankFactor, complete_low_rank, dimacs_metrics
 from treesdp.splitting import build_unique_partition, split
 
 from test_splitting import brute_force_min_cover, random_instance
 from util import (
     path_rayleigh_problem,
+    plain_row_coupling,
     random_bag_supported_matrix,
     random_connected_graph,
     random_partially_separable_problem,
@@ -375,8 +376,9 @@ def test_criterion_08_splitting_optimality_and_linear_time():
         _g, td, mat = random_instance(rng, n)
         if td.ell > 10:
             continue
-        result = split(mat, td)
-        assert len(result.cover) == brute_force_min_cover(mat, td)
+        result = split(stack_triplets([mat]), td)
+        cover = np.unique(result.assignment)
+        assert cover.size == brute_force_min_cover(mat, td)
         checked += 1
 
     sizes = (300, 700, 1400, 3000)
@@ -391,12 +393,13 @@ def test_criterion_08_splitting_optimality_and_linear_time():
             for _ in range(n)
         ]
         nnz_totals.append(sum(m.nnz for m in mats))
+        stacks = [stack_triplets([m]) for m in mats]  # one-matrix stacks
         best = np.inf
         for _rep in range(3):
             t0 = time.perf_counter()
             partition = build_unique_partition(td)
-            for m in mats:
-                split(m, td, partition)
+            for stack in stacks:
+                split(stack, td, partition)
             best = min(best, time.perf_counter() - t0)
         elapsed.append(best)
     exponent = float(

@@ -1,6 +1,8 @@
 """Converter tests: cone bookkeeping, row wiring, auxiliary separation,
 and dualization."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,15 +16,17 @@ from treesdp.convert import (
     validate_support_tree,
     verify_split,
 )
-from treesdp.errors import DisconnectedSupport, InvalidSplit
-from treesdp.linalg import SparseSymmetric, svec, tri
+from treesdp.errors import DisconnectedSupport, InvalidSplit, UncoverableEntry
+from treesdp.linalg import SparseSymmetric, stack_triplets, svec, tri
 from treesdp.model import SdpProblem
-from treesdp.splitting import split
+from treesdp.splitting import build_unique_partition, split
 from util import (
     ancestors,
     consistent_block_vector,
+    random_chordal_problem,
     random_partially_separable_problem,
     random_rooted_tree,
+    row_assemble,
     star_arrow_problem,
 )
 
@@ -145,20 +149,24 @@ def test_inequality_slack_wiring():
         assert blk is not None
 
 
+def split_with_table(mat, td):
+    """The one-matrix stack of ``mat``, its split and the partition the
+    split searched."""
+    stack = stack_triplets([mat])
+    partition = build_unique_partition(td)
+    return stack, split(stack, td, partition), partition
+
+
 def test_verify_split_raises_on_corruption():
     rng = np.random.default_rng(89)
     problem, td = random_partially_separable_problem(rng, 6, 1)
-    res = split(problem.cost, td)
-    bad = dict(res.pieces)
-    j0 = next(iter(bad))
-    bad[j0] = SparseSymmetric(
-        order=bad[j0].order,
-        rows=bad[j0].rows,
-        cols=bad[j0].cols,
-        vals=bad[j0].vals + 1.0,
+    stack, res, partition = split_with_table(problem.cost, td)
+    j0 = res.assignment.min()
+    bad = replace(
+        res, vals=np.where(res.assignment == j0, res.vals + 1.0, res.vals)
     )
     with pytest.raises(InvalidSplit):
-        verify_split(problem.cost, bad, td)
+        verify_split(stack, bad, partition)
 
 
 def test_verify_split_rejects_a_small_error_beside_a_large_diagonal():
@@ -173,18 +181,12 @@ def test_verify_split_rejects_a_small_error_beside_a_large_diagonal():
         vals=[1e6] * n + [1.0] * (n - 1),
     )
     td = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
-    pieces = dict(split(mat, td).pieces)
-    verify_split(mat, pieces, td)
-    j0, piece = next(
-        (j, p) for j, p in pieces.items() if np.any(p.rows != p.cols)
-    )
-    vals = piece.vals.copy()
-    vals[np.flatnonzero(piece.rows != piece.cols)[0]] += 1e-7
-    pieces[j0] = SparseSymmetric(
-        order=piece.order, rows=piece.rows, cols=piece.cols, vals=vals
-    )
+    stack, pieces, partition = split_with_table(mat, td)
+    verify_split(stack, pieces, partition)
+    vals = pieces.vals.copy()
+    vals[np.flatnonzero(pieces.rows != pieces.cols)[0]] += 1e-7
     with pytest.raises(InvalidSplit):
-        verify_split(mat, pieces, td)
+        verify_split(stack, replace(pieces, vals=vals), partition)
 
 
 def test_verify_split_rejects_entries_outside_the_pattern():
@@ -193,18 +195,90 @@ def test_verify_split_rejects_entries_outside_the_pattern():
         order=n, rows=list(range(n)), cols=list(range(n)), vals=[1.0] * n
     )
     td = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
-    pieces = dict(split(mat, td).pieces)
-    j0, piece = next(iter(pieces.items()))
+    stack, pieces, partition = split_with_table(mat, td)
     # a zero-valued entry the matrix does not store changes no sum, so only
     # the pattern check can see it
-    pieces[j0] = SparseSymmetric(
-        order=piece.order,
-        rows=list(piece.rows) + [1],
-        cols=list(piece.cols) + [0],
-        vals=list(piece.vals) + [0.0],
+    extra = replace(
+        pieces,
+        ids=np.append(pieces.ids, 0),
+        assignment=np.append(pieces.assignment, pieces.assignment[0]),
+        rows=np.append(pieces.rows, 1),
+        cols=np.append(pieces.cols, 0),
+        vals=np.append(pieces.vals, 0.0),
     )
     with pytest.raises(InvalidSplit, match="does not"):
-        verify_split(mat, pieces, td)
+        verify_split(stack, extra, partition)
+
+
+# ------------------------------------------------------- per-row oracle
+def assert_same_conversion(got, want):
+    for name in ("a_rows", "n_rows"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape
+        for part in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(a, part), getattr(b, part))
+            assert getattr(a, part).dtype == getattr(b, part).dtype
+    for name in ("c_z", "g_rhs", "dual_row_of_constraint"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    for name in (
+        "blocks", "cone", "row_kind", "block_of_row", "slack_coord",
+        "aux_plan",
+    ):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("with_aux", [False, True])
+def test_conversion_matches_the_per_row_oracle(with_aux):
+    rng = np.random.default_rng(211)
+    convert = separate_with_aux if with_aux else build_ctc
+    wide = aux_rows = 0
+    for _ in range(120):
+        problem, td = random_chordal_problem(rng)
+        got = convert(problem, td)
+        assert_same_conversion(got, row_assemble(problem, td, with_aux))
+        # an empty inequality's slack sits in the root block
+        for i, a in enumerate(problem.constraints):
+            if a.nnz == 0 and problem.senses[i] != "eq":
+                blk = got.blocks[td.root]
+                coord = got.slack_coord[i]
+                assert blk.nn_start <= coord < blk.nn_start + blk.n_nn
+        wide += sum(len(kinds) > 1 for kinds in got.block_of_row[: problem.m])
+        if with_aux:
+            aux_rows += sum(kind[0] == "aux" for kind in got.row_kind)
+    # the instances exercise multi-bag rows and aux chains
+    assert (aux_rows if with_aux else wide) > 50
+
+
+def test_uncoverable_entry_names_the_oracles_entry():
+    rng = np.random.default_rng(223)
+    raised = 0
+    for _ in range(150):
+        problem, td = random_chordal_problem(rng)
+        n = problem.n
+        # entries at random positions, some in no bag, in random matrices
+        mats = [problem.cost] + problem.constraints
+        for _ in range(int(rng.integers(1, 4))):
+            k = int(rng.integers(0, len(mats)))
+            u, v = (int(x) for x in rng.integers(0, n, size=2))
+            a = mats[k]
+            mats[k] = SparseSymmetric(
+                n,
+                np.append(a.rows, max(u, v)),
+                np.append(a.cols, min(u, v)),
+                np.append(a.vals, 1.0),
+            )
+        bad = SdpProblem(mats[0], mats[1:], problem.b, problem.senses)
+        try:
+            want = row_assemble(bad, td, False)
+        except UncoverableEntry as err:
+            with pytest.raises(UncoverableEntry) as got:
+                build_ctc(bad, td)
+            assert str(got.value) == str(err)
+            raised += 1
+        else:
+            assert_same_conversion(build_ctc(bad, td), want)
+    assert raised > 30
 
 
 # ----------------------------------------------------------------- aux rows

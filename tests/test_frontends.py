@@ -22,8 +22,11 @@ from treesdp.frontends import (
     solve_sdp,
     write_sdpa,
 )
-from treesdp.splitting import is_partially_separable
-from util import dense_dimacs_metrics, path_rayleigh_problem
+from util import (
+    dense_dimacs_metrics,
+    is_partially_separable,
+    path_rayleigh_problem,
+)
 
 K2 = Graph(2, [(0, 1)])
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])

@@ -12,9 +12,9 @@ from treesdp.linalg import (
     smat_stack,
     svec,
     svec_stack,
-    sym_kron_matrix,
     sym_kron_stack,
 )
+from util import sym_kron_matrix
 
 
 # ----------------------------------------------------------------- oracles

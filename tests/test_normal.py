@@ -29,12 +29,12 @@ from treesdp.normal import (
     DenseNormalSystem,
     TreeNormalSystem,
     group_bags,
-    plain_row_coupling,
 )
 
 from util import (
     ReferenceTreeNormal,
     dense_h_oracle,
+    plain_row_coupling,
     random_partially_separable_problem,
     random_rooted_tree,
     random_scaling_data,

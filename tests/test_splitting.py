@@ -8,10 +8,14 @@ import pytest
 from treesdp.chordal import Graph, decompose
 from treesdp.errors import UncoverableEntry
 from treesdp.linalg import SparseSymmetric
-from treesdp.splitting import (
-    build_unique_partition,
+from treesdp.splitting import build_unique_partition, split
+from util import (
+    cover_of,
+    embedded_sum,
     is_partially_separable,
-    split,
+    random_chordal_problem,
+    row_split,
+    split_one,
 )
 
 
@@ -63,13 +67,13 @@ def test_unique_partition_is_a_partition():
         n = int(rng.integers(3, 14))
         _, td, _ = random_instance(rng, n)
         part = build_unique_partition(td)
-        seen = set()
-        for j, uj in enumerate(part.unique):
-            for v in uj:
-                assert v not in seen
-                seen.add(v)
-                assert part.owner[v] == j
-        assert seen == set(range(n))
+        # U_j = J_j minus the parent bag: each vertex is unique to its owner
+        for j in range(td.ell):
+            p = int(td.parent[j])
+            shared = set(td.bags[p]) if p != j else set()
+            for v in td.bags[j]:
+                assert (part.owner[v] == j) == (v not in shared)
+        assert np.all(part.owner >= 0)
         root = td.root
         assert td.depth[root] == 0
         for j in range(td.ell):
@@ -84,17 +88,23 @@ def test_split_reconstructs_exactly_and_probes():
     for _ in range(15):
         n = int(rng.integers(3, 13))
         _, td, mat = random_instance(rng, n)
-        result = split(mat, td)
+        result = split_one(mat, td)
         dense = mat.to_dense()
-        assert np.array_equal(result.embedded_sum(td), dense)
+        assert np.array_equal(embedded_sum(result, td, n), dense)
         # random inner-product probes
         for _ in range(100 // 15 + 1):
             x = rng.standard_normal((n, n))
             x = 0.5 * (x + x.T)
-            total = sum(
-                piece.dot_sym(x[np.ix_(td.bags[j], td.bags[j])])
-                for j, piece in result.pieces.items()
-            )
+            total = 0.0
+            for j in cover_of(result):
+                sel = result.assignment == j
+                piece = SparseSymmetric(
+                    order=len(td.bags[j]),
+                    rows=result.rows[sel],
+                    cols=result.cols[sel],
+                    vals=result.vals[sel],
+                )
+                total += piece.dot_sym(x[np.ix_(td.bags[j], td.bags[j])])
             ref = mat.dot_sym(x)
             assert abs(total - ref) <= 1e-12 * (1 + abs(ref))
 
@@ -104,14 +114,15 @@ def test_split_assigns_each_entry_once_to_first_selected_bag():
     for _ in range(15):
         n = int(rng.integers(3, 13))
         _, td, mat = random_instance(rng, n)
-        result = split(mat, td)
+        result = split_one(mat, td)
         assert np.all(result.assignment >= 0)
         topo_pos = {j: k for k, j in enumerate(td.postorder())}
         bag_sets = [set(b) for b in td.bags]
         for e in range(mat.nnz):
             r, c = int(mat.rows[e]), int(mat.cols[e])
             holders = [
-                j for j in result.cover if r in bag_sets[j] and c in bag_sets[j]
+                j for j in cover_of(result)
+                if r in bag_sets[j] and c in bag_sets[j]
             ]
             first = min(holders, key=lambda j: topo_pos[j])
             assert result.assignment[e] == first
@@ -124,8 +135,24 @@ def test_split_cover_is_minimum_cardinality():
         _, td, mat = random_instance(rng, n)
         if td.ell > 10:
             continue
-        result = split(mat, td)
-        assert len(result.cover) == brute_force_min_cover(mat, td)
+        result = split_one(mat, td)
+        assert len(cover_of(result)) == brute_force_min_cover(mat, td)
+
+
+def test_stacked_split_matches_the_per_row_split():
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        problem, td = random_chordal_problem(rng)
+        pieces = split(problem.triplets, td)
+        for i, mat in enumerate(problem.constraints + [problem.cost]):
+            mine = pieces.ids == i
+            want = row_split(mat, td)
+            assert np.array_equal(pieces.assignment[mine], want.assignment)
+            for j, piece in want.pieces.items():
+                sel = mine & (pieces.assignment == j)
+                assert np.array_equal(pieces.rows[sel], piece.rows)
+                assert np.array_equal(pieces.cols[sel], piece.cols)
+                assert np.array_equal(pieces.vals[sel], piece.vals)
 
 
 def test_split_uncoverable_entry():
@@ -133,7 +160,7 @@ def test_split_uncoverable_entry():
     td = decompose(g)
     mat = SparseSymmetric(order=4, rows=[3], cols=[0], vals=[1.0])
     with pytest.raises(UncoverableEntry) as err:
-        split(mat, td)
+        split_one(mat, td)
     assert "(4, 1)" in str(err.value)
 
 
@@ -141,10 +168,10 @@ def test_split_claims_explicit_zeros():
     g = Graph(3, [(0, 1), (1, 2)])
     td = decompose(g)
     mat = SparseSymmetric(order=3, rows=[1, 1], cols=[0, 1], vals=[0.0, 2.0])
-    result = split(mat, td)
+    result = split_one(mat, td)
     assert np.all(result.assignment >= 0)
-    assert len(result.cover) == 1  # both entries fit the bag {0, 1}... or {1,2}
-    assert np.array_equal(result.embedded_sum(td), mat.to_dense())
+    assert len(cover_of(result)) == 1  # both entries fit the bag {0, 1}... or {1,2}
+    assert np.array_equal(embedded_sum(result, td, 3), mat.to_dense())
 
 
 # ----------------------------------------------------- partial separability
@@ -153,7 +180,7 @@ def test_is_partially_separable_cases():
     td = decompose(g)
     zero = SparseSymmetric(order=4, rows=[], cols=[], vals=[])
     assert is_partially_separable(zero, td)
-    assert len(split(zero, td).cover) == 0
+    assert len(cover_of(split_one(zero, td))) == 0
     one_bag = SparseSymmetric(order=4, rows=[1], cols=[0], vals=[1.0])
     assert is_partially_separable(one_bag, td)
     two_bags = SparseSymmetric(

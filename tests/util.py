@@ -1,10 +1,24 @@
 """Shared instance generators and reference implementations for the test
 suite."""
 
+from dataclasses import dataclass
+from itertools import combinations_with_replacement
+
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
+from treesdp.convert import (
+    AuxConstraint,
+    AuxPlan,
+    BlockLayout,
+    ConeSpec,
+    ConvertedProblem,
+    steiner_closure,
+    validate_support_tree,
+)
+from treesdp.errors import DimensionMismatch, UncoverableEntry
 from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
 from treesdp.linalg import (
     SparseSymmetric,
@@ -12,12 +26,62 @@ from treesdp.linalg import (
     smat_stack,
     svec,
     svec_stack,
+    stack_triplets,
+    svec_coords,
+    svec_scale,
     sym_kron_stack,
     tri,
+    tri_indices,
 )
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import SCORE_CAP, LowRankFactor, Metrics
+from treesdp.splitting import split
+
+
+def sym_kron_matrix(a, b):
+    """Materialize the symmetric Kronecker product as a tri(o) x tri(o) matrix.
+
+    Entry formula for packed positions p=(i,j), q=(k,l):
+    s_p s_q / 4 * (A[i,k]B[j,l] + A[i,l]B[j,k] + B[i,k]A[j,l] + B[i,l]A[j,k]).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise DimensionMismatch(
+            f"sym_kron_matrix needs two square matrices of equal order, "
+            f"got {a.shape} and {b.shape}"
+        )
+    order = a.shape[0]
+    r, c = tri_indices(order)
+    s = svec_scale(order)
+    term = (
+        a[np.ix_(r, r)] * b[np.ix_(c, c)]
+        + a[np.ix_(r, c)] * b[np.ix_(c, r)]
+        + b[np.ix_(r, r)] * a[np.ix_(c, c)]
+        + b[np.ix_(r, c)] * a[np.ix_(c, r)]
+    )
+    return 0.25 * np.outer(s, s) * term
+
+
+def plain_row_coupling(ctc) -> set:
+    """Symbolic sparsity of the row-space normal matrix ``G D^{-1} G^T``.
+
+    Two rows couple exactly when they touch a common coordinate block
+    (the block-diagonal scaling is dense within a block).  Returns the
+    set of coupled unordered row pairs ``(i, j)`` with ``i < j``.
+    Intended for moderate row counts; the set is materialized.
+    """
+    rows_by_block: dict = {}
+    for r, blocks in enumerate(ctc.block_of_row):
+        for j in blocks:
+            rows_by_block.setdefault(j, []).append(r)
+    pairs = set()
+    for rows in rows_by_block.values():
+        for a in range(len(rows)):
+            for b in range(a + 1, len(rows)):
+                pairs.add((rows[a], rows[b]))
+    return pairs
 
 
 def random_connected_graph(rng, n, extra_edge_prob=0.25):
@@ -133,6 +197,52 @@ def random_partially_separable_problem(rng, n, m, ineq_prob=0.0):
     return problem, td
 
 
+def random_spread_matrix(rng, n, td, count):
+    """Symmetric matrix of ``count`` random entries, each inside a random
+    bag, so that its entries may trigger several bags."""
+    rows, cols, vals = [], [], []
+    for _ in range(count):
+        bag = td.bags[int(rng.integers(0, td.ell))]
+        u, v = (bag[int(rng.integers(0, len(bag)))] for _ in range(2))
+        rows.append(max(u, v))
+        cols.append(min(u, v))
+        vals.append(float(rng.standard_normal()))
+    return SparseSymmetric(order=n, rows=rows, cols=cols, vals=vals)
+
+
+def random_chordal_problem(rng, n_max=15):
+    """Random SDP data on the decomposition of a random graph: a spread
+    cost, and constraints inside one bag, spread over several bags, or
+    empty (at least one empty inequality), with mixed senses.  No
+    feasibility is implied."""
+    n = int(rng.integers(2, n_max + 1))
+    td = decompose(random_connected_graph(rng, n, float(rng.uniform(0, 3))))
+    m = int(rng.integers(1, 8))
+    constraints = []
+    for _ in range(m - 1):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            bag = td.bags[int(rng.integers(0, td.ell))]
+            constraints.append(random_bag_supported_matrix(rng, n, bag))
+        elif kind == 1:
+            count = int(rng.integers(1, 3 * n))
+            constraints.append(random_spread_matrix(rng, n, td, count))
+        else:
+            constraints.append(SparseSymmetric(n, [], [], []))
+    empty = int(rng.integers(0, m))
+    constraints.insert(empty, SparseSymmetric(n, [], [], []))
+    senses = [str(s) for s in rng.choice(["eq", "ge", "le"], size=m)]
+    senses[empty] = "ge"
+    cost = random_spread_matrix(rng, n, td, int(rng.integers(0, 3 * n)))
+    problem = SdpProblem(
+        cost=cost,
+        constraints=constraints,
+        b=rng.standard_normal(m),
+        senses=senses,
+    )
+    return problem, td
+
+
 def with_wide_constraint(base):
     """``base`` plus one equality on the whole first column, a constraint
     that spans several bags (auxiliary chain rows under ``dctc-aux``)."""
@@ -230,8 +340,6 @@ def random_scaling_data(rng, ctc, sigma_range=(0.2, 2.0)):
 
 def dense_h_oracle(ctc, sigma, psd_w, nn_w2):
     """Independent dense construction of H = D_block + sigma * G^T G."""
-    from treesdp.linalg import sym_kron_matrix
-
     mats, slacks = unstack_scalings(ctc, psd_w, nn_w2)
     dim = ctc.dim_z
     d_block = np.zeros((dim, dim))
@@ -564,3 +672,308 @@ def dense_dimacs_metrics(sdp, x, y):
     by = float(sdp.b @ y)
     gap = _digits(abs(cx - by), 1.0 + abs(cx) + abs(by))
     return Metrics(pinf=pinf, dinf=dinf, gap=gap, L=min(pinf, dinf, gap))
+
+
+# --------------------------------------------------------------------------
+# The per-matrix splitter and converter: oracles of the stacked ones
+# --------------------------------------------------------------------------
+
+
+def embedded_sum(pieces, td, order, matrix=0):
+    """Dense sum of the pieces of one matrix of a stacked split, each
+    embedded at its bag's rows and columns."""
+    out = np.zeros((order, order))
+    for e in np.flatnonzero(pieces.ids == matrix):
+        bag = td.bags[pieces.assignment[e]]
+        r, c = bag[pieces.rows[e]], bag[pieces.cols[e]]
+        out[r, c] += pieces.vals[e]
+        if r != c:
+            out[c, r] += pieces.vals[e]
+    return out
+
+
+def split_one(mat, td, partition=None):
+    """The stacked split of ``mat`` alone."""
+    return split(stack_triplets([mat]), td, partition)
+
+
+def cover_of(pieces):
+    """Bags of a split one matrix's pieces use."""
+    return np.unique(pieces.assignment).tolist()
+
+
+def is_partially_separable(mat, td, partition=None):
+    """True when the matrix fits inside a single bag (or is empty)."""
+    try:
+        pieces = split_one(mat, td, partition)
+    except UncoverableEntry:
+        return False
+    return len(cover_of(pieces)) <= 1
+
+
+@dataclass
+class RowSplit:
+    """The split of one matrix as a dict of per-bag pieces."""
+
+    cover: list  # selected bag ids, ascending
+    assignment: np.ndarray  # entry index -> bag id
+    pieces: dict  # bag id -> SparseSymmetric in bag-local coordinates
+
+
+def row_split(mat, td):
+    """Split of one matrix by a walk over its entries: trigger bags in
+    postorder, each selected bag claiming every unassigned entry it holds.
+    Raises UncoverableEntry naming the first entry that fits in no bag."""
+    owner = -np.ones(td.n, dtype=np.int64)
+    for j in range(td.ell):
+        p = int(td.parent[j])
+        parent_set = set(td.bags[p]) if p != j else set()
+        for v in td.bags[j]:
+            if v not in parent_set:
+                owner[v] = j
+    depth, bag_sets = td.depth, [set(b) for b in td.bags]
+    nnz = mat.nnz
+    assignment = -np.ones(nnz, dtype=np.int64)
+    trigger = np.empty(nnz, dtype=np.int64)
+    for e in range(nnz):
+        r, c = int(mat.rows[e]), int(mat.cols[e])
+        orow, ocol = int(owner[r]), int(owner[c])
+        deep, other = (orow, c) if depth[orow] >= depth[ocol] else (ocol, r)
+        if other not in bag_sets[deep]:
+            raise UncoverableEntry(
+                f"entry ({r + 1}, {c + 1}) lies in no bag of the decomposition"
+            )
+        trigger[e] = deep
+    buckets, entries_at = {}, {}
+    for e in range(nnz):
+        buckets.setdefault(int(trigger[e]), []).append(e)
+        r, c = int(mat.rows[e]), int(mat.cols[e])
+        entries_at.setdefault(r, []).append(e)
+        if c != r:
+            entries_at.setdefault(c, []).append(e)
+    cover = []
+    for j in sorted(buckets, key=lambda b: td.post_index[b]):
+        if not any(assignment[e] < 0 for e in buckets[j]):
+            continue
+        cover.append(j)
+        for v in td.bags[j]:
+            kept = []
+            for e in entries_at.get(v, ()):
+                if assignment[e] >= 0:
+                    continue
+                r, c = int(mat.rows[e]), int(mat.cols[e])
+                if r in bag_sets[j] and c in bag_sets[j]:
+                    assignment[e] = j
+                else:
+                    kept.append(e)
+            if v in entries_at:
+                entries_at[v] = kept
+    pieces = {}
+    for j in sorted(set(int(a) for a in assignment)):
+        local_pos = {v: i for i, v in enumerate(td.bags[j])}
+        sel = np.where(assignment == j)[0]
+        pieces[j] = SparseSymmetric(
+            order=len(td.bags[j]),
+            rows=[local_pos[int(mat.rows[e])] for e in sel],
+            cols=[local_pos[int(mat.cols[e])] for e in sel],
+            vals=mat.vals[sel],
+        )
+    return RowSplit(cover=sorted(cover), assignment=assignment, pieces=pieces)
+
+
+def _packed_pos(bag, u, v):
+    iu, iv = bag.index(u), bag.index(v)
+    hi, lo = max(iu, iv), min(iu, iv)
+    return hi * (hi + 1) // 2 + lo
+
+
+def row_assemble(problem, td, with_aux):
+    """``build_ctc`` (``with_aux=False``) or ``separate_with_aux`` by a
+    loop over the constraints, each split by :func:`row_split`."""
+    post_index = td.post_index
+    cost_split = row_split(problem.cost, td)
+    piece_sets, members_of = [], []
+    for a in problem.constraints:
+        res = row_split(a, td)
+        piece_sets.append(res.pieces)
+        members_of.append(sorted(res.cover, key=post_index.__getitem__))
+
+    aux_members = {}
+    if with_aux:
+        for i in range(problem.m):
+            if not members_of[i]:
+                continue
+            members = steiner_closure(td, list(members_of[i]))
+            root_w = validate_support_tree(td, members)
+            if len(members) > 1:
+                aux_members[i] = (
+                    sorted(members, key=post_index.__getitem__), root_w
+                )
+    n_aux_at = [0] * td.ell
+    aux_coord_local = {}
+    for i, (members, root_w) in aux_members.items():
+        for j in members:
+            if j != root_w:
+                p = int(td.parent[j])
+                aux_coord_local[(i, j)] = n_aux_at[p]
+                n_aux_at[p] += 1
+    n_nn_at = [0] * td.ell
+    slack_owner, slack_local = {}, {}
+    for i, sense in enumerate(problem.senses):
+        if sense == "eq":
+            continue
+        if i in aux_members:
+            owner = aux_members[i][1]
+        elif members_of[i]:
+            owner = members_of[i][0]
+        else:
+            owner = td.root
+        slack_owner[i] = owner
+        slack_local[i] = n_nn_at[owner]
+        n_nn_at[owner] += 1
+
+    blocks, segments, offset = [], [], 0
+    for j in range(td.ell):
+        o = len(td.bags[j])
+        blk = BlockLayout(
+            bag=td.bags[j], order=o, svec_start=offset, n_aux=n_aux_at[j],
+            aux_start=offset + tri(o), n_nn=n_nn_at[j],
+            nn_start=offset + tri(o) + n_aux_at[j],
+        )
+        blocks.append(blk)
+        offset = blk.end
+        segments.append(("psd", o))
+        if blk.n_aux:
+            segments.append(("free", blk.n_aux))
+        if blk.n_nn:
+            segments.append(("nonneg", blk.n_nn))
+    dim_z = offset
+    aux_coord = {
+        key: blocks[int(td.parent[key[1]])].aux_start + local
+        for key, local in aux_coord_local.items()
+    }
+    c_z = np.zeros(dim_z)
+    for j, piece in cost_split.pieces.items():
+        pos, vals = svec_coords(piece.rows, piece.cols, piece.vals)
+        np.add.at(c_z, blocks[j].svec_start + pos, vals)
+
+    rows_i, cols_i, vals_i = [], [], []
+    row_kind, block_of_row, rhs, slack_coord = [], [], [], {}
+    dual_row = -np.ones(problem.m, dtype=np.int64)
+    aux_constraints = []
+
+    def add_piece(row, j, piece):
+        pos, vals = svec_coords(piece.rows, piece.cols, piece.vals)
+        for p, v in zip(blocks[j].svec_start + pos, vals):
+            rows_i.append(row)
+            cols_i.append(int(p))
+            vals_i.append(float(v))
+
+    row = 0
+    for i in range(problem.m):
+        sense = problem.senses[i]
+        slack_sign = 0.0 if sense == "eq" else (-1.0 if sense == "ge" else 1.0)
+        if i not in aux_members:
+            touched = set()
+            for j, piece in piece_sets[i].items():
+                add_piece(row, j, piece)
+                touched.add(j)
+            if slack_sign:
+                owner = slack_owner[i]
+                coord = blocks[owner].nn_start + slack_local[i]
+                rows_i.append(row)
+                cols_i.append(coord)
+                vals_i.append(slack_sign)
+                slack_coord[i] = coord
+                touched.add(owner)
+            row_kind.append(("plain", i))
+            block_of_row.append(tuple(sorted(touched)))
+            rhs.append(float(problem.b[i]))
+            dual_row[i] = row
+            row += 1
+            continue
+        members, root_w = aux_members[i]
+        start = row
+        children_w = {j: [] for j in members}
+        for j in members:
+            if j != root_w:
+                children_w[int(td.parent[j])].append(j)
+        for j in members:
+            touched = {j}
+            if j in piece_sets[i]:
+                add_piece(row, j, piece_sets[i][j])
+            for k in children_w[j]:
+                rows_i.append(row)
+                cols_i.append(aux_coord[(i, k)])
+                vals_i.append(1.0)
+            if j != root_w:
+                rows_i.append(row)
+                cols_i.append(aux_coord[(i, j)])
+                vals_i.append(-1.0)
+                touched.add(int(td.parent[j]))
+                rhs.append(0.0)
+            else:
+                if slack_sign:
+                    coord = blocks[root_w].nn_start + slack_local[i]
+                    rows_i.append(row)
+                    cols_i.append(coord)
+                    vals_i.append(slack_sign)
+                    slack_coord[i] = coord
+                rhs.append(float(problem.b[i]))
+                dual_row[i] = row
+            row_kind.append(("aux", i, j, j == root_w))
+            block_of_row.append(tuple(sorted(touched)))
+            row += 1
+        aux_constraints.append(
+            AuxConstraint(
+                index=i, members=list(members), root=root_w,
+                aux_coord={j: aux_coord[(i, j)] for j in members if j != root_w},
+                row_range=(start, row),
+            )
+        )
+    a_rows = sp.csr_matrix(
+        (
+            np.array(vals_i, dtype=float),
+            (np.array(rows_i, dtype=np.int64), np.array(cols_i, dtype=np.int64)),
+        ),
+        shape=(row, dim_z),
+    )
+
+    rows_n, cols_n, vals_n, n_block_of_row = [], [], [], []
+    nrow = 0
+    for j in td.postorder():
+        p = int(td.parent[j])
+        if p == j:
+            continue
+        sep = sorted(td.separator(j))
+        for x, y in combinations_with_replacement(sep, 2):
+            rows_n += [nrow, nrow]
+            cols_n += [
+                blocks[j].svec_start + _packed_pos(td.bags[j], x, y),
+                blocks[p].svec_start + _packed_pos(td.bags[p], x, y),
+            ]
+            vals_n += [1.0, -1.0]
+            n_block_of_row.append(tuple(sorted((j, p))))
+            nrow += 1
+    n_rows = sp.csr_matrix(
+        (
+            np.array(vals_n, dtype=float),
+            (np.array(rows_n, dtype=np.int64), np.array(cols_n, dtype=np.int64)),
+        ),
+        shape=(nrow, dim_z),
+    )
+    return ConvertedProblem(
+        problem=problem,
+        td=td,
+        blocks=blocks,
+        a_rows=a_rows,
+        n_rows=n_rows,
+        g_rhs=np.concatenate([np.array(rhs), np.zeros(nrow)]),
+        c_z=c_z,
+        cone=ConeSpec(segments=tuple(segments)),
+        row_kind=row_kind,
+        block_of_row=block_of_row + n_block_of_row,
+        slack_coord=slack_coord,
+        aux_plan=AuxPlan(constraints=aux_constraints) if with_aux else None,
+        dual_row_of_constraint=dual_row,
+    )
