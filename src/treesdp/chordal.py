@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .linalg import SparseSymmetric, stack_triplets
+from .linalg import SparseSymmetric, Triplets, stack_triplets
 
 
 @dataclass(frozen=True)
@@ -302,9 +302,13 @@ def sparsity_graph(cost: SparseSymmetric, constraints: list) -> Graph:
             raise DimensionMismatch(
                 f"constraint order {sp.order} != cost order {n}"
             )
-    _, rows, cols, _ = stack_triplets([cost, *constraints])
-    off = rows != cols
-    edges = np.unique(cols[off] * n + rows[off])
+    return stack_graph(n, stack_triplets([*constraints, cost]))
+
+
+def stack_graph(n: int, stack: Triplets) -> Graph:
+    """Graph of the off-diagonal pattern of a stack of order-n matrices."""
+    off = stack.rows != stack.cols
+    edges = np.unique(stack.cols[off] * n + stack.rows[off])
     lo, hi = np.divmod(edges, n)
     return Graph(n=n, edges=zip(lo.tolist(), hi.tolist()))
 

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .chordal import TreeDecomposition, decompose, sparsity_graph
-from .errors import DimensionMismatch, DisconnectedSupport, InvalidSplit
-from .linalg import Triplets, svec_coords, tri
+from .chordal import TreeDecomposition, decompose, stack_graph
+from .errors import (
+    DimensionMismatch, DisconnectedSupport, InvalidSplit, UncoverableEntry
+)
+from .linalg import Triplets, sorted_lookup, stack_triplets, svec_coords, tri
 from .model import SdpProblem
 from .splitting import (
     SplitResult,
@@ -108,9 +110,7 @@ def verify_split(
     cols = partition.members[start + pieces.cols]
     stored = (stack.ids * n + stack.rows) * n + stack.cols  # ascending
     key = (pieces.ids * n + rows) * n + cols
-    pos = np.searchsorted(stored, key)
-    inside = pos < stored.size
-    inside[inside] = stored[pos[inside]] == key[inside]
+    pos, inside = sorted_lookup(stored, key)
     if not inside.all():
         e = np.flatnonzero(~inside)[0]
         raise InvalidSplit(
@@ -281,14 +281,17 @@ def _assemble(
     with_aux: bool,
 ) -> ConvertedProblem:
     if td is None:
-        graph = sparsity_graph(problem.cost, problem.constraints)
-        td = decompose(graph, order=order)
+        td = decompose(stack_graph(problem.n, problem.triplets), order=order)
     m, ell = problem.m, td.ell
     post_index = td.post_index
     partition = build_unique_partition(td)
     stack = problem.triplets
-    # an uncoverable entry of C is named before those of the A_i
-    pieces = split(stack, td, partition, first=m)
+    try:
+        pieces = split(stack, td, partition)
+    except UncoverableEntry:
+        # an uncoverable entry of C is named before those of the A_i
+        split(stack_triplets([problem.cost]), td, partition)
+        raise
     verify_split(stack, pieces, partition)
     ids, bag = pieces.ids, pieces.assignment
     k = int(np.searchsorted(ids, m))  # the cost's entries come last

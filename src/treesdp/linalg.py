@@ -227,6 +227,14 @@ def stack_triplets(mats: list) -> Triplets:
     return Triplets(ids, rows, cols, vals)
 
 
+def sorted_lookup(table: np.ndarray, keys: np.ndarray):
+    """Positions of ``keys`` in the ascending ``table``, and which it holds."""
+    pos = np.searchsorted(table, keys)
+    hit = pos < table.size
+    hit[hit] = table[pos[hit]] == keys[hit]
+    return pos, hit
+
+
 # --------------------------------------------------------------------------
 # Guarded dense factorization
 # --------------------------------------------------------------------------

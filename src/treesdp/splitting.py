@@ -24,7 +24,7 @@ import numpy as np
 
 from .chordal import TreeDecomposition
 from .errors import UncoverableEntry
-from .linalg import Triplets
+from .linalg import Triplets, sorted_lookup
 
 
 @dataclass
@@ -44,11 +44,7 @@ class UniquePartition:
     def locate(self, bags: np.ndarray, verts: np.ndarray):
         """Positions of the (bag, vertex) pairs in ``members`` and whether
         each vertex is a member of its bag."""
-        key = bags * self.n + verts
-        pos = np.searchsorted(self.keys, key)
-        hit = pos < self.keys.size
-        hit[hit] = self.keys[pos[hit]] == key[hit]
-        return pos, hit
+        return sorted_lookup(self.keys, bags * self.n + verts)
 
 
 def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
@@ -91,12 +87,11 @@ def split(
     stack: Triplets,
     td: TreeDecomposition,
     partition: UniquePartition | None = None,
-    first: int = -1,
 ) -> SplitResult:
     """Assign every stored entry of every matrix of ``stack`` to exactly
     one bag (a minimum number of bags per matrix).  Raises
-    UncoverableEntry, naming the first entry that fits in no bag; entries
-    of matrix ``first`` are named before all others."""
+    UncoverableEntry, naming the first entry of the stack that fits in no
+    bag."""
     if partition is None:
         partition = build_unique_partition(td)
     ids, rows, cols = stack.ids, stack.rows, stack.cols
@@ -108,9 +103,7 @@ def split(
     trigger = np.where(row_deeper, own_r, own_c)
     fits = partition.locate(trigger, np.where(row_deeper, cols, rows))[1]
     if not fits.all():
-        bad = np.flatnonzero(~fits)
-        bad_first = bad[ids[bad] == first]
-        e = (bad_first if bad_first.size else bad)[0]
+        e = np.flatnonzero(~fits)[0]
         raise UncoverableEntry(
             f"entry ({rows[e] + 1}, {cols[e] + 1}) lies in no bag of the "
             f"decomposition"

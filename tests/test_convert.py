@@ -1,12 +1,13 @@
 """Converter tests: cone bookkeeping, row wiring, auxiliary separation,
 and dualization."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from treesdp.chordal import Graph, decompose
+from treesdp.chordal import Graph, decompose, sparsity_graph, stack_graph
 from treesdp.convert import (
     ConeSpec,
     build_ctc,
@@ -279,6 +280,39 @@ def test_uncoverable_entry_names_the_oracles_entry():
         else:
             assert_same_conversion(build_ctc(bad, td), want)
     assert raised > 30
+
+
+@pytest.mark.parametrize(
+    "cost_entry, named", [(None, "(3, 1)"), ((2, 0), "(3, 1)"), ((3, 0), "(4, 1)")]
+)
+def test_uncoverable_entry_of_the_cost_is_named_first(cost_entry, named):
+    # path 0-1-2-3: the entries (2, 0) and (3, 0) lie in no bag
+    td = decompose(Graph(4, [(0, 1), (1, 2), (2, 3)]))
+
+    def mat(*entries):
+        rows, cols = zip(*entries) if entries else ((), ())
+        return SparseSymmetric(4, list(rows), list(cols), [1.0] * len(rows))
+
+    cost = mat(*([cost_entry] if cost_entry else []))
+    # an all-zero C leaves A_1's entry the first uncoverable one
+    problem = SdpProblem(
+        cost, [mat((1, 0)), mat((2, 0)), mat((3, 0))], np.zeros(3)
+    )
+    with pytest.raises(UncoverableEntry, match=re.escape(named)):
+        build_ctc(problem, td)
+    with pytest.raises(UncoverableEntry, match=re.escape(named)):
+        row_assemble(problem, td, False)
+
+
+def test_build_ctc_decomposes_the_stacked_pattern():
+    rng = np.random.default_rng(227)
+    for _ in range(20):
+        problem, _ = random_chordal_problem(rng)
+        graph = sparsity_graph(problem.cost, problem.constraints)
+        assert stack_graph(problem.n, problem.triplets) == graph
+        assert_same_conversion(
+            build_ctc(problem), row_assemble(problem, decompose(graph), False)
+        )
 
 
 # ----------------------------------------------------------------- aux rows
