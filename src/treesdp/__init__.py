@@ -24,7 +24,6 @@ from .frontends import (
     solve_sdp,
     write_sdpa,
 )
-from .linalg import SparseSymmetric
 from .model import SdpProblem
 from .recovery import LowRankFactor, Metrics, complete_low_rank, dimacs_metrics
 
@@ -36,7 +35,6 @@ __all__ = [
     "Metrics",
     "SdpProblem",
     "SolveOutcome",
-    "SparseSymmetric",
     "TreeDecomposition",
     "TreeSdpError",
     "build_ctc",

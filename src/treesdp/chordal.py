@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .linalg import SparseSymmetric, Triplets, stack_triplets
+from .linalg import Triplets
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,7 @@ class TreeDecomposition:
     The decomposition is immutable (``parent`` is a read-only array), so it
     owns the tree tables every layer walks: ``root``, ``postorder()``,
     ``post_index`` and ``depth``.  Each is computed on first use and kept,
-    which lets the broken trees that :meth:`validate` inspects still
-    construct."""
+    so a tree that breaks the decomposition axioms still constructs."""
 
     n: int
     bags: list  # list of sorted tuples of vertex ids
@@ -211,74 +210,6 @@ class TreeDecomposition:
         parent_set = set(self.bags[p])
         return tuple(v for v in self.bags[j] if v in parent_set)
 
-    def bags_containing(self) -> list:
-        holds = [[] for _ in range(self.n)]
-        for j, bag in enumerate(self.bags):
-            for v in bag:
-                holds[v].append(j)
-        return holds
-
-    def validate(self, graph: Graph | None = None) -> list:
-        """Collect violations of the decomposition axioms (empty == valid)."""
-        problems = []
-        ell = self.ell
-        if self.parent.shape != (ell,):
-            problems.append("parent array length mismatch")
-            return problems
-        roots = [j for j in range(ell) if int(self.parent[j]) == j]
-        if len(roots) != 1:
-            problems.append(f"expected exactly one root, found {len(roots)}")
-        for j in range(ell):
-            p = int(self.parent[j])
-            if not (0 <= p < ell):
-                problems.append(f"bag {j + 1}: parent out of range")
-        # acyclicity / reachability
-        if len(roots) == 1:
-            seen = set()
-            for j in range(ell):
-                path = []
-                cur = j
-                while cur not in seen and int(self.parent[cur]) != cur:
-                    path.append(cur)
-                    cur = int(self.parent[cur])
-                    if cur in path:
-                        problems.append(f"bag {j + 1}: parent cycle")
-                        break
-                seen.update(path)
-        covered = set()
-        for bag in self.bags:
-            covered.update(bag)
-        missing = set(range(self.n)) - covered
-        if missing:
-            problems.append(
-                f"vertices not covered: {sorted(v + 1 for v in missing)}"
-            )
-        if graph is not None:
-            bag_sets = [set(b) for b in self.bags]
-            for u, v in graph.edges:
-                if not any(u in bs and v in bs for bs in bag_sets):
-                    problems.append(f"edge ({u + 1}, {v + 1}) not covered")
-        # running intersection: bags holding v form a connected subtree
-        holds = self.bags_containing()
-        for v in range(self.n):
-            js = holds[v]
-            if len(js) <= 1:
-                continue
-            js_set = set(js)
-            root_count = 0
-            for j in js:
-                p = int(self.parent[j])
-                if p == j or p not in js_set:
-                    root_count += 1
-            if root_count != 1:
-                problems.append(
-                    f"vertex {v + 1}: bags containing it form "
-                    f"{root_count} subtrees"
-                )
-        if ell > self.n:
-            problems.append(f"{ell} bags exceed n = {self.n}")
-        return problems
-
 
 def format_decomposition(td: TreeDecomposition) -> str:
     """One line per bag: ``j p(j) |J_j| : members`` (all 1-based)."""
@@ -292,21 +223,12 @@ def format_decomposition(td: TreeDecomposition) -> str:
 # --------------------------------------------------------------------------
 
 
-def sparsity_graph(cost: SparseSymmetric, constraints: list) -> Graph:
-    """Aggregate sparsity pattern of the cost and all constraint matrices.
+def sparsity_graph(n: int, stack: Triplets) -> Graph:
+    """Aggregate sparsity pattern of a stack of order-n matrices in lower
+    storage (``SdpProblem.triplets``): one edge per stored off-diagonal
+    position.
 
     Stored entries count as structural even when their value is zero."""
-    n = cost.order
-    for sp in constraints:
-        if sp.order != n:
-            raise DimensionMismatch(
-                f"constraint order {sp.order} != cost order {n}"
-            )
-    return stack_graph(n, stack_triplets([*constraints, cost]))
-
-
-def stack_graph(n: int, stack: Triplets) -> Graph:
-    """Graph of the off-diagonal pattern of a stack of order-n matrices."""
     off = stack.rows != stack.cols
     edges = np.unique(stack.cols[off] * n + stack.rows[off])
     lo, hi = np.divmod(edges, n)

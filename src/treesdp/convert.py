@@ -17,11 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .chordal import TreeDecomposition, decompose, stack_graph
+from .chordal import TreeDecomposition, decompose, sparsity_graph
 from .errors import (
     DimensionMismatch, DisconnectedSupport, InvalidSplit, UncoverableEntry
 )
-from .linalg import Triplets, sorted_lookup, stack_triplets, svec_coords, tri
+from .linalg import Triplets, sorted_lookup, svec_coords, tri
 from .model import SdpProblem
 from .splitting import (
     SplitResult,
@@ -281,7 +281,8 @@ def _assemble(
     with_aux: bool,
 ) -> ConvertedProblem:
     if td is None:
-        td = decompose(stack_graph(problem.n, problem.triplets), order=order)
+        graph = sparsity_graph(problem.n, problem.triplets)
+        td = decompose(graph, order=order)
     m, ell = problem.m, td.ell
     post_index = td.post_index
     partition = build_unique_partition(td)
@@ -290,7 +291,7 @@ def _assemble(
         pieces = split(stack, td, partition)
     except UncoverableEntry:
         # an uncoverable entry of C is named before those of the A_i
-        split(stack_triplets([problem.cost]), td, partition)
+        split(problem.cost, td, partition)
         raise
     verify_split(stack, pieces, partition)
     ids, bag = pieces.ids, pieces.assignment

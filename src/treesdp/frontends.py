@@ -33,7 +33,7 @@ from .ipm import (
     adaptive_step_solve,
     short_step_solve,
 )
-from .linalg import SparseSymmetric, smat, tri
+from .linalg import smat, tri
 from .model import SdpProblem
 from .recovery import LowRankFactor, Metrics, complete_low_rank, dimacs_metrics
 
@@ -65,23 +65,24 @@ def parse_weighted_graph(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _laplacian_cost(graph: Graph, weights, scale: float) -> SparseSymmetric:
-    """``scale`` times the weighted Laplacian diag(W 1) - W."""
-    if weights is None:
-        weights = {}
-    deg = np.zeros(graph.n)
-    rows, cols, vals = [], [], []
-    for u, v in graph.edges:
-        w = float(weights.get((u, v), 1.0))
-        deg[u] += w
-        deg[v] += w
-        rows.append(max(u, v))
-        cols.append(min(u, v))
-        vals.append(-scale * w)
-    rows.extend(range(graph.n))
-    cols.extend(range(graph.n))
-    vals.extend(scale * deg)
-    return SparseSymmetric(order=graph.n, rows=rows, cols=cols, vals=vals)
+def _edge_array(graph: Graph) -> np.ndarray:
+    """The graph's edges (u, v), u < v, as an (E, 2) array."""
+    return np.array(graph.edges, dtype=np.int64).reshape(-1, 2)
+
+
+def _laplacian(graph: Graph, weights, scale: float):
+    """(rows, cols, vals) of ``scale`` times the weighted Laplacian
+    diag(W 1) - W: the edges, then the diagonal."""
+    weights = weights or {}
+    edges = _edge_array(graph)
+    w = np.array([float(weights.get(e, 1.0)) for e in graph.edges], float)
+    deg = np.bincount(edges.ravel(), np.repeat(w, 2), graph.n)
+    diag = np.arange(graph.n)
+    return (
+        np.concatenate([edges[:, 1], diag]),
+        np.concatenate([edges[:, 0], diag]),
+        np.concatenate([-scale * w, scale * deg]),
+    )
 
 
 def gen_maxkcut(graph: Graph, k: int, weights=None) -> SdpProblem:
@@ -91,31 +92,22 @@ def gen_maxkcut(graph: Graph, k: int, weights=None) -> SdpProblem:
     if k < 2:
         raise DimensionMismatch(f"k must be at least 2, got {k}")
     n = graph.n
-    factor = (k - 1) / (2.0 * k)
-    cost = _laplacian_cost(graph, weights, -factor)
-    constraints = []
-    b = []
-    senses = []
-    for i in range(n):
-        constraints.append(
-            SparseSymmetric(order=n, rows=[i], cols=[i], vals=[1.0])
-        )
-        b.append(1.0)
-        senses.append("eq")
-    if k >= 3:
-        for u, v in graph.edges:
-            # the single stored off-diagonal entry doubles in the inner
-            # product, so the bound is 2 * (-1/(k-1))
-            constraints.append(
-                SparseSymmetric(
-                    order=n, rows=[max(u, v)], cols=[min(u, v)], vals=[1.0]
-                )
-            )
-            b.append(-2.0 / (k - 1))
-            senses.append("ge")
-    return SdpProblem(
-        cost=cost, constraints=constraints, b=np.array(b), senses=senses
+    diag = np.arange(n)
+    # row i fixes X[i,i] = 1; for k >= 3, row n + e bounds edge e, whose
+    # single stored off-diagonal entry doubles in the inner product, so the
+    # bound is 2 * (-1/(k-1))
+    edges = _edge_array(graph) if k >= 3 else np.zeros((0, 2), np.int64)
+    m = n + len(edges)
+    rows, cols, vals = _laplacian(graph, weights, -(k - 1) / (2.0 * k))
+    triplets = (
+        np.concatenate([np.arange(m), np.full(rows.size, m)]),
+        np.concatenate([diag, edges[:, 1], rows]),
+        np.concatenate([diag, edges[:, 0], cols]),
+        np.concatenate([np.ones(m), vals]),
     )
+    b = np.concatenate([np.ones(n), np.full(len(edges), -2.0 / (k - 1))])
+    senses = ["eq"] * n + ["ge"] * len(edges)
+    return SdpProblem(n, triplets, b, senses)
 
 
 def gen_maxcut(graph: Graph, weights=None) -> SdpProblem:
@@ -129,25 +121,16 @@ def gen_lovasz_theta(graph: Graph) -> SdpProblem:
     [[I, 1], [1^T, 0]] . X with X[i,j] = 0 on edges and X[n+1,n+1] = 1.
     The graph's theta number is the negated optimal value."""
     n = graph.n
-    order = n + 1
-    rows = list(range(n)) + [n] * n
-    cols = list(range(n)) + list(range(n))
-    vals = [1.0] * n + [1.0] * n
-    cost = SparseSymmetric(order=order, rows=rows, cols=cols, vals=vals)
-    constraints = []
-    b = []
-    for u, v in graph.edges:
-        constraints.append(
-            SparseSymmetric(
-                order=order, rows=[max(u, v)], cols=[min(u, v)], vals=[1.0]
-            )
-        )
-        b.append(0.0)
-    constraints.append(
-        SparseSymmetric(order=order, rows=[n], cols=[n], vals=[1.0])
+    edges = _edge_array(graph)
+    m = len(edges) + 1  # the edge rows, then X[n+1,n+1] = 1
+    diag = np.arange(n)
+    triplets = (
+        np.concatenate([np.arange(m), np.full(2 * n, m)]),
+        np.concatenate([edges[:, 1], [n], diag, np.full(n, n)]),
+        np.concatenate([edges[:, 0], [n], diag, diag]),
+        np.ones(m + 2 * n),
     )
-    b.append(1.0)
-    return SdpProblem(cost=cost, constraints=constraints, b=np.array(b))
+    return SdpProblem(n + 1, triplets, np.r_[np.zeros(m - 1), 1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -233,8 +216,8 @@ def read_sdpa(source) -> SdpProblem:
     except ValueError:
         raise ParseError(f"line {lineno}: non-numeric right-hand side")
 
-    psd_entries = [dict() for _ in range(m + 1)]  # (r, c) -> value
-    lp_entries = [dict() for _ in range(m + 1)]  # pos -> value
+    psd = ([], [], [], [])  # matno, i, j, value of each PSD-block entry
+    lp_entries: dict = {}  # (matno, diagonal coordinate) -> value
     for lineno, line in lines[4:]:
         toks = line.split()
         if len(toks) != 5:
@@ -262,50 +245,46 @@ def read_sdpa(source) -> SdpProblem:
                 f"{size}"
             )
         if blkno == 1:
-            key = (max(i, j) - 1, min(i, j) - 1)
-            psd_entries[matno][key] = psd_entries[matno].get(key, 0.0) + value
+            for column, x in zip(psd, (matno, i - 1, j - 1, value)):
+                column.append(x)
         else:
             if i != j:
                 raise ParseError(
                     f"line {lineno}: off-diagonal entry in a diagonal block"
                 )
-            lp_entries[matno][i - 1] = lp_entries[matno].get(i - 1, 0.0) + value
+            key = (matno, i - 1)
+            lp_entries[key] = lp_entries.get(key, 0.0) + value
 
     senses = ["eq"] * m
-    if lp_size:
-        if lp_entries[0]:
+    coords: dict = {}  # constraint -> the diagonal coordinates it touches
+    for (k, pos), val in lp_entries.items():
+        if k == 0:
             raise UnsupportedBlockStructure(
                 "the objective touches the diagonal block; senses cannot "
                 "be reconstructed"
             )
-        touched: dict = {}
-        for k in range(1, m + 1):
-            if len(lp_entries[k]) > 1:
-                raise UnsupportedBlockStructure(
-                    f"constraint {k} touches several diagonal coordinates"
-                )
-            for pos, val in lp_entries[k].items():
-                touched.setdefault(pos, []).append((k, val))
-        for pos, users in touched.items():
-            if len(users) != 1:
-                raise UnsupportedBlockStructure(
-                    f"diagonal coordinate {pos + 1} is shared by "
-                    f"constraints {sorted(k for k, _ in users)}"
-                )
-            k, val = users[0]
-            if val == 0.0:
-                continue
+        coords.setdefault(k, []).append((pos, val))
+    users: dict = {}  # diagonal coordinate -> the constraints touching it
+    for k in sorted(coords):
+        if len(coords[k]) > 1:
+            raise UnsupportedBlockStructure(
+                f"constraint {k} touches several diagonal coordinates"
+            )
+        pos, val = coords[k][0]
+        users.setdefault(pos, []).append((k, val))
+    for pos, touching in users.items():
+        if len(touching) != 1:
+            raise UnsupportedBlockStructure(
+                f"diagonal coordinate {pos + 1} is shared by "
+                f"constraints {sorted(k for k, _ in touching)}"
+            )
+        k, val = touching[0]
+        if val != 0.0:
             senses[k - 1] = "ge" if val < 0 else "le"
 
-    def build(entries):
-        rows = [r for r, _ in entries]
-        cols = [c for _, c in entries]
-        vals = [entries[k] for k in entries]
-        return SparseSymmetric(order=n, rows=rows, cols=cols, vals=vals)
-
-    cost = build(psd_entries[0])
-    constraints = [build(psd_entries[k]) for k in range(1, m + 1)]
-    return SdpProblem(cost=cost, constraints=constraints, b=b, senses=senses)
+    # file matrix 0 is the cost, stored under id m after A_1..A_m
+    ids = (np.array(psd[0], dtype=np.int64) - 1) % (m + 1)
+    return SdpProblem(n, (ids, *psd[1:]), b, senses)
 
 
 def write_sdpa(sdp: SdpProblem, destination) -> None:
@@ -315,19 +294,25 @@ def write_sdpa(sdp: SdpProblem, destination) -> None:
     lines.append(f"{sdp.n} -{n_ineq}" if n_ineq else f"{sdp.n}")
     lines.append(" ".join(f"{v:.17g}" for v in sdp.b))
 
-    def emit(matno, mat):
-        for r, c, v in zip(mat.rows, mat.cols, mat.vals):
-            # stored lower triangle (r >= c); the format wants i <= j
-            lines.append(f"{matno} 1 {c + 1} {r + 1} {v:.17g}")
-
-    emit(0, sdp.cost)
-    slot = 0
-    for idx, (a, sense) in enumerate(zip(sdp.constraints, sdp.senses), 1):
-        emit(idx, a)
-        if sense != "eq":
-            slot += 1
-            coef = -1.0 if sense == "ge" else 1.0
-            lines.append(f"{idx} 2 {slot} {slot} {coef:.17g}")
+    ids, rows, cols, vals = sdp.triplets
+    # stored lower triangle (r >= c); the format wants i <= j
+    entries = [
+        f"{i} 1 {c + 1} {r + 1} {v:.17g}"
+        for i, r, c, v in zip(
+            ((ids + 1) % (sdp.m + 1)).tolist(),
+            rows.tolist(), cols.tolist(), vals.tolist(),
+        )
+    ]
+    start = np.searchsorted(ids, np.arange(sdp.m + 1))  # A_1..A_m, then C
+    lines += entries[start[-1]:]  # the cost is file matrix 0
+    done = 0
+    senses = np.asarray(sdp.senses)
+    for slot, i in enumerate(np.flatnonzero(senses != "eq").tolist(), 1):
+        lines += entries[done:start[i + 1]]
+        done = start[i + 1]
+        coef = -1.0 if senses[i] == "ge" else 1.0
+        lines.append(f"{i + 1} 2 {slot} {slot} {coef:.17g}")
+    lines += entries[done:start[-1]]
     text = "\n".join(lines) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)
@@ -403,7 +388,6 @@ class SolveOutcome:
     omega: int
     ell: int
     iterations: int
-    time_per_iter_s: float  # median wall time of one IPM iteration
     eps: float
     ctc: ConvertedProblem
     result: SolveResult = field(repr=False, default=None)
@@ -437,7 +421,7 @@ def solve_sdp(
     if step not in STEPS:
         raise ValueError(f"step must be one of {STEPS}, got {step!r}")
 
-    td = decompose(sparsity_graph(sdp.cost, sdp.constraints), order)
+    td = decompose(sparsity_graph(sdp.n, sdp.triplets), order)
     if method == "dctc-aux":
         ctc = separate_with_aux(sdp, td)
     else:
@@ -494,7 +478,6 @@ def solve_sdp(
         omega=td.omega,
         ell=td.ell,
         iterations=res.iterations,
-        time_per_iter_s=res.time_per_iter_s,
         eps=eps,
         ctc=ctc,
         result=res,

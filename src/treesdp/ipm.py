@@ -183,25 +183,6 @@ class ConeOps:
         e[self.nn_idx] = 1.0
         return e
 
-    def check_interior(self, z: np.ndarray, label: str = "point") -> None:
-        for sl in self.soc_slices:
-            v = z[sl]
-            if v[0] <= 0.0 or _soc_g2(v) <= 0.0:
-                raise NotInterior(
-                    f"{label}: second-order segment at offset {sl.start} "
-                    "is not interior"
-                )
-        for order, idx in self.psd_groups.items():
-            mats = smat_stack(z[idx])
-            vals = np.linalg.eigvalsh(mats)
-            if np.min(vals) <= 0.0:
-                raise NotInterior(
-                    f"{label}: an order-{order} matrix segment is not "
-                    "positive definite"
-                )
-        if self.nn_idx.size and np.min(z[self.nn_idx]) <= 0.0:
-            raise NotInterior(f"{label}: a slack coordinate is nonpositive")
-
     @staticmethod
     def _spectral(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
         """V diag(f) V^T for each matrix of a stack of eigenvector columns

@@ -118,86 +118,6 @@ def sym_kron_stack(w: np.ndarray) -> np.ndarray:
     return 0.5 * (s[:, None] * s[None, :]) * term
 
 
-# --------------------------------------------------------------------------
-# Matrix containers
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class SparseSymmetric:
-    """Sparse symmetric matrix as lower-triangle triplets (row >= col).
-
-    The constructor canonicalizes: entries with row < col are transposed and
-    duplicate (row, col) pairs are summed.  Explicit zeros are kept — they
-    count as structural nonzeros for sparsity-pattern purposes.
-    """
-
-    order: int
-    rows: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-
-    def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.int64).ravel()
-        cols = np.asarray(self.cols, dtype=np.int64).ravel()
-        vals = np.asarray(self.vals, dtype=float).ravel()
-        if not (rows.shape == cols.shape == vals.shape):
-            raise DimensionMismatch("rows/cols/vals must have equal length")
-        if rows.size and (
-            rows.min() < 0 or cols.min() < 0
-            or rows.max() >= self.order or cols.max() >= self.order
-        ):
-            raise DimensionMismatch(
-                f"triplet index out of range for order {self.order}"
-            )
-        lo = np.minimum(rows, cols)
-        hi = np.maximum(rows, cols)
-        if rows.size:
-            key = hi * self.order + lo
-            uniq, inv = np.unique(key, return_inverse=True)
-            summed = np.zeros(uniq.shape[0])
-            np.add.at(summed, inv, vals)
-            hi = (uniq // self.order).astype(np.int64)
-            lo = (uniq % self.order).astype(np.int64)
-            vals = summed
-        self.rows = hi
-        self.cols = lo
-        self.vals = vals
-
-    @property
-    def nnz(self) -> int:
-        return int(self.rows.size)
-
-    @classmethod
-    def from_dense(cls, mat: np.ndarray, keep_zeros: bool = False) -> "SparseSymmetric":
-        mat = np.asarray(mat, dtype=float)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got {mat.shape}")
-        rows, cols = tri_indices(mat.shape[0])
-        vals = mat[rows, cols]
-        if not keep_zeros:
-            mask = vals != 0.0
-            rows, cols, vals = rows[mask], cols[mask], vals[mask]
-        return cls(order=mat.shape[0], rows=rows, cols=cols, vals=vals)
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros((self.order, self.order))
-        out[self.rows, self.cols] = self.vals
-        out[self.cols, self.rows] = self.vals
-        return out
-
-    def dot_sym(self, x: np.ndarray) -> float:
-        """Inner product <A, X> = trace(A X) with a dense symmetric X."""
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.order, self.order):
-            raise DimensionMismatch(
-                f"expected a {self.order}x{self.order} matrix, got {x.shape}"
-            )
-        diag = self.rows == self.cols
-        vals = np.where(diag, self.vals, 2.0 * self.vals)
-        return float(np.sum(vals * x[self.rows, self.cols]))
-
-
 def svec_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
     """(positions, values) of lower-triangle entries in ``svec``: packed
     position r(r+1)/2 + c, off-diagonals scaled by sqrt 2."""
@@ -207,24 +127,15 @@ def svec_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
 
 class Triplets(NamedTuple):
     """Stored entries of a stack of sparse symmetric matrices: entry e is
-    the lower-triangle entry (rows[e], cols[e]) = vals[e] of matrix
-    ids[e].  Each matrix's entries are contiguous, in its canonical
-    order, and the ids ascend."""
+    (rows[e], cols[e]) = vals[e] of matrix ids[e].  In the canonical form
+    that ``SdpProblem`` stores, every entry is in the lower triangle
+    (rows >= cols), the entries are sorted by (id, row, column), and no
+    position repeats."""
 
     ids: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     vals: np.ndarray
-
-
-def stack_triplets(mats: list) -> Triplets:
-    """The stored entries of ``mats`` (at least one) under ids 0, 1, ..."""
-    ids = np.repeat(np.arange(len(mats)), [a.nnz for a in mats])
-    rows, cols, vals = (
-        np.concatenate([getattr(a, key) for a in mats])
-        for key in ("rows", "cols", "vals")
-    )
-    return Triplets(ids, rows, cols, vals)
 
 
 def sorted_lookup(table: np.ndarray, keys: np.ndarray):

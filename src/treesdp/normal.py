@@ -557,28 +557,6 @@ class TreeNormalSystem:
                 out = out + self.q[:, None] * (self.q @ v)
         return out
 
-    def _dense(self, diag: list, off: list, mirror: bool) -> np.ndarray:
-        """The blocks as one dense matrix in the original coordinates;
-        ``mirror`` also fills the upper triangle of each edge block."""
-        out = np.zeros((self.dim, self.dim))
-        for k, (sl, slab) in enumerate(zip(self.slices, self._slabs)):
-            out[sl, sl] = diag[k]
-            if slab is not None:
-                out[slab, sl] = off[k]
-                if mirror:
-                    out[sl, slab] = off[k].T
-        inv = self._inv_perm
-        return out[np.ix_(inv, inv)]
-
-    def h_dense(self) -> np.ndarray:
-        """Assembled H as a dense matrix (small instances, tests)."""
-        return self._dense(self.h_diag, self.h_off, mirror=True)
-
-    def reconstruct_dense(self) -> np.ndarray:
-        """L L^T as a dense matrix (small instances, tests)."""
-        lower = self._dense(self.l_diag, self.l_off, mirror=False)
-        return lower @ lower.T
-
     def _bag_pairs(self, flat: np.ndarray) -> np.ndarray:
         """Distinct bag pairs (a, b), a after b in the permuted order, whose
         sub-block of the lower triangle held in ``flat`` is nonzero."""

@@ -38,20 +38,23 @@ from treesdp.ipm import (
     SolverOptions,
     short_step_solve,
 )
-from treesdp.linalg import SparseSymmetric, stack_triplets, tri
-from treesdp.model import SdpProblem
+from treesdp.linalg import tri
 from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import LowRankFactor, complete_low_rank, dimacs_metrics
 from treesdp.splitting import build_unique_partition, split
 
 from test_splitting import brute_force_min_cover, random_instance
 from util import (
+    SparseSymmetric,
+    dot_sym,
+    make_problem,
     path_rayleigh_problem,
     plain_row_coupling,
     random_bag_supported_matrix,
     random_connected_graph,
     random_partially_separable_problem,
     random_scaling_data,
+    stack_triplets,
     star_arrow_problem,
 )
 
@@ -72,7 +75,7 @@ def cycle_graph(n: int) -> Graph:
 
 def oracle_objective(sdp) -> float:
     x, _y, _s = dense_reference_solve(sdp)
-    return float(sdp.cost.dot_sym(x))
+    return float(dot_sym(sdp.cost, x))
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +157,7 @@ def test_criterion_03_single_edge_cut_optima():
 def test_criterion_04_star_contrast():
     n = 200
     problem = star_arrow_problem(n)
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     assert td.ell == n
     ctc = build_ctc(problem, td)
 
@@ -241,9 +244,7 @@ def test_criterion_05_no_block_fill_on_random_trees():
             )
             for _ in range(m)
         ]
-        problem = SdpProblem(
-            cost=cost, constraints=constraints, b=np.zeros(m)
-        )
+        problem = make_problem(cost, constraints, np.zeros(m))
         ctc = build_ctc(problem, td)
         sys_ = TreeNormalSystem(dualize(ctc))
         sigma, _q, psd_w, nn_w2 = random_scaling_data(rng, ctc)
@@ -313,7 +314,7 @@ def test_metrics_memory_stays_linear_on_path_4000():
 
 
 def _dualized_program(sdp, with_aux=False):
-    td = decompose(sparsity_graph(sdp.cost, sdp.constraints))
+    td = decompose(sparsity_graph(sdp.n, sdp.triplets))
     ctc = separate_with_aux(sdp, td) if with_aux else build_ctc(sdp, td)
     return DualizedHsdeProgram(dualize(ctc))
 
@@ -445,7 +446,7 @@ def test_criterion_09_aux_equivalence_and_elimination():
 
         # symbolic elimination: summing each chain's rows cancels the
         # auxiliaries exactly and reproduces the unsplit converted row
-        td = decompose(sparsity_graph(sdp.cost, sdp.constraints))
+        td = decompose(sparsity_graph(sdp.n, sdp.triplets))
         plain = build_ctc(sdp, td)
         aux = separate_with_aux(sdp, td)
         assert aux.aux_plan is not None and aux.aux_plan.constraints

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from treesdp.chordal import Graph, decompose, sparsity_graph, stack_graph
+from treesdp.chordal import Graph, decompose, sparsity_graph
 from treesdp.convert import (
     ConeSpec,
     build_ctc,
@@ -18,16 +18,19 @@ from treesdp.convert import (
     verify_split,
 )
 from treesdp.errors import DisconnectedSupport, InvalidSplit, UncoverableEntry
-from treesdp.linalg import SparseSymmetric, stack_triplets, svec, tri
-from treesdp.model import SdpProblem
+from treesdp.linalg import svec, tri
 from treesdp.splitting import build_unique_partition, split
 from util import (
+    SparseSymmetric,
     ancestors,
     consistent_block_vector,
+    dot_sym,
+    make_problem,
     random_chordal_problem,
     random_partially_separable_problem,
     random_rooted_tree,
     row_assemble,
+    stack_triplets,
     star_arrow_problem,
 )
 
@@ -55,10 +58,10 @@ def test_ctc_rows_evaluate_constraints_on_consistent_vectors():
         # constraint rows reproduce <A_i, X>
         vals = ctc.a_rows @ z
         for i, a in enumerate(problem.constraints):
-            ref = a.dot_sym(x_dense)
+            ref = dot_sym(a, x_dense)
             assert abs(vals[i] - ref) <= 1e-12 * (1 + abs(ref))
         # cost vector reproduces <C, X>
-        ref_c = problem.cost.dot_sym(x_dense)
+        ref_c = dot_sym(problem.cost, x_dense)
         assert abs(ctc.c_z @ z - ref_c) <= 1e-12 * (1 + abs(ref_c))
 
 
@@ -119,10 +122,11 @@ def test_ctc_full_row_rank_iff_original_full_rank():
 def test_ctc_duplicate_constraint_drops_rank():
     rng = np.random.default_rng(79)
     problem, _ = random_partially_separable_problem(rng, 8, 2)
-    dup = SdpProblem(
-        cost=problem.cost,
-        constraints=problem.constraints + [problem.constraints[0]],
-        b=np.concatenate([problem.b, problem.b[:1]]),
+    dup = make_problem(
+        problem.cost,
+        problem.constraints + [problem.constraints[0]],
+        np.concatenate([problem.b, problem.b[:1]]),
+        n=problem.n,
     )
     ctc = build_ctc(dup)
     g = np.vstack([ctc.a_rows.toarray(), ctc.n_rows.toarray()])
@@ -138,7 +142,7 @@ def test_inequality_slack_wiring():
     z, x_dense = consistent_block_vector(rng, ctc)
     for i, coord in slacks.items():
         sense = problem.senses[i]
-        margin = problem.constraints[i].dot_sym(x_dense) - problem.b[i]
+        margin = dot_sym(problem.constraints[i], x_dense) - problem.b[i]
         z2 = z.copy()
         z2[coord] = margin if sense == "ge" else -margin
         val = (ctc.a_rows @ z2)[ctc.dual_row_of_constraint[i]]
@@ -240,7 +244,7 @@ def test_conversion_matches_the_per_row_oracle(with_aux):
         assert_same_conversion(got, row_assemble(problem, td, with_aux))
         # an empty inequality's slack sits in the root block
         for i, a in enumerate(problem.constraints):
-            if a.nnz == 0 and problem.senses[i] != "eq":
+            if a.rows.size == 0 and problem.senses[i] != "eq":
                 blk = got.blocks[td.root]
                 coord = got.slack_coord[i]
                 assert blk.nn_start <= coord < blk.nn_start + blk.n_nn
@@ -269,7 +273,7 @@ def test_uncoverable_entry_names_the_oracles_entry():
                 np.append(a.cols, min(u, v)),
                 np.append(a.vals, 1.0),
             )
-        bad = SdpProblem(mats[0], mats[1:], problem.b, problem.senses)
+        bad = make_problem(mats[0], mats[1:], problem.b, problem.senses, n)
         try:
             want = row_assemble(bad, td, False)
         except UncoverableEntry as err:
@@ -295,7 +299,7 @@ def test_uncoverable_entry_of_the_cost_is_named_first(cost_entry, named):
 
     cost = mat(*([cost_entry] if cost_entry else []))
     # an all-zero C leaves A_1's entry the first uncoverable one
-    problem = SdpProblem(
+    problem = make_problem(
         cost, [mat((1, 0)), mat((2, 0)), mat((3, 0))], np.zeros(3)
     )
     with pytest.raises(UncoverableEntry, match=re.escape(named)):
@@ -308,8 +312,7 @@ def test_build_ctc_decomposes_the_stacked_pattern():
     rng = np.random.default_rng(227)
     for _ in range(20):
         problem, _ = random_chordal_problem(rng)
-        graph = sparsity_graph(problem.cost, problem.constraints)
-        assert stack_graph(problem.n, problem.triplets) == graph
+        graph = sparsity_graph(problem.n, problem.triplets)
         assert_same_conversion(
             build_ctc(problem), row_assemble(problem, decompose(graph), False)
         )
@@ -327,10 +330,7 @@ def path_maxcut_like(n_vertices):
     cols = np.arange(0, n - 1)
     spanning = SparseSymmetric(order=n, rows=rows, cols=cols, vals=np.ones(n - 1))
     diag = SparseSymmetric(order=n, rows=[0], cols=[0], vals=[1.0])
-    problem = SdpProblem(
-        cost=cost, constraints=[spanning, diag], b=np.array([1.0, 1.0])
-    )
-    return problem
+    return make_problem(cost, [spanning, diag], np.array([1.0, 1.0]))
 
 
 def test_aux_rows_touch_tree_adjacent_blocks_only():
@@ -356,11 +356,7 @@ def test_aux_rows_touch_tree_adjacent_blocks_only():
 def test_aux_elimination_reproduces_plain_rows_exactly():
     rng = np.random.default_rng(97)
     problem = path_maxcut_like(9)
-    td = decompose(
-        __import__("treesdp.chordal", fromlist=["sparsity_graph"]).sparsity_graph(
-            problem.cost, problem.constraints
-        )
-    )
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     plain = build_ctc(problem, td=td)
     auxed = separate_with_aux(problem, td=td)
     for aux in auxed.aux_plan.constraints:
@@ -431,12 +427,12 @@ def test_flow_rows_through_aux_elimination():
         vals=[1.0, 0.5, -0.5, 2.0, 1.5],
     )
     diag = SparseSymmetric(order=5, rows=[1], cols=[1], vals=[1.0])
-    problem = SdpProblem(
-        cost=SparseSymmetric(
+    problem = make_problem(
+        SparseSymmetric(
             order=5, rows=np.arange(5), cols=np.arange(5), vals=np.ones(5)
         ),
-        constraints=[mat, diag],
-        b=np.array([1.0, 1.0]),
+        [mat, diag],
+        np.array([1.0, 1.0]),
     )
     ctc = separate_with_aux(problem)
     td = ctc.td
@@ -454,7 +450,7 @@ def test_flow_rows_through_aux_elimination():
     rng = np.random.default_rng(101)
     z, x_dense = consistent_block_vector(rng, ctc)
     val = float(np.asarray(ctc.a_rows[start:end] @ z).sum())
-    ref = mat.dot_sym(x_dense)
+    ref = dot_sym(mat, x_dense)
     assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
     gamma = [blk.n_aux for blk in ctc.blocks]
     d_max = max(

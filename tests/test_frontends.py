@@ -23,9 +23,13 @@ from treesdp.frontends import (
     write_sdpa,
 )
 from util import (
+    SparseSymmetric,
     dense_dimacs_metrics,
+    dot_sym,
     is_partially_separable,
+    make_problem,
     path_rayleigh_problem,
+    to_dense,
 )
 
 K2 = Graph(2, [(0, 1)])
@@ -34,7 +38,7 @@ C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
 
 def oracle_objective(sdp, eps=1e-8):
     x, y, s = dense_reference_solve(sdp, eps)
-    return sdp.cost.dot_sym(x)
+    return dot_sym(sdp.cost, x)
 
 
 # ---------------------------------------------------------------------------
@@ -59,7 +63,7 @@ def test_maxkcut_three_single_edge_analytic():
     assert sdp.m == 3  # two diagonal rows plus one edge inequality
     assert sdp.senses.count("ge") == 1
     x, y, s = dense_reference_solve(sdp)
-    assert sdp.cost.dot_sym(x) == pytest.approx(-1.0, abs=1e-7)
+    assert dot_sym(sdp.cost, x) == pytest.approx(-1.0, abs=1e-7)
     assert x[0, 1] == pytest.approx(-0.5, abs=1e-6)
 
 
@@ -70,7 +74,7 @@ def test_maxkcut_rejects_k_below_two():
 
 def test_maxcut_edgeless_objective_zero():
     sdp = gen_maxcut(Graph(3, []))
-    assert np.allclose(sdp.cost.to_dense(), 0.0)
+    assert np.allclose(to_dense(sdp.cost, sdp.n), 0.0)
     assert oracle_objective(sdp) == pytest.approx(0.0, abs=1e-7)
 
 
@@ -101,7 +105,7 @@ def test_lovasz_theta_known_values():
 def test_generators_are_partially_separable():
     g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
     for sdp in (gen_maxcut(g), gen_maxkcut(g, 3), gen_lovasz_theta(g)):
-        td = decompose(sparsity_graph(sdp.cost, sdp.constraints))
+        td = decompose(sparsity_graph(sdp.n, sdp.triplets))
         for a in sdp.constraints:
             assert is_partially_separable(a, td)
 
@@ -130,8 +134,8 @@ def test_sdpa_hand_written_one_by_one():
     sdp = read_sdpa(io.StringIO(text))
     assert sdp.n == 1
     assert sdp.m == 1
-    assert sdp.cost.to_dense() == pytest.approx(np.array([[2.0]]))
-    assert sdp.constraints[0].to_dense() == pytest.approx(np.array([[1.0]]))
+    assert to_dense(sdp.cost, sdp.n) == pytest.approx(np.array([[2.0]]))
+    assert to_dense(sdp.constraints[0], 1) == pytest.approx(np.array([[1.0]]))
     assert sdp.b == pytest.approx(np.array([1.0]))
     assert sdp.senses == ["eq"]
 
@@ -145,9 +149,9 @@ def test_sdpa_round_trip_equality_problem(tmp_path):
     assert back.m == sdp.m
     assert back.senses == sdp.senses
     assert np.allclose(back.b, sdp.b)
-    assert np.allclose(back.cost.to_dense(), sdp.cost.to_dense())
+    assert np.allclose(to_dense(back.cost, back.n), to_dense(sdp.cost, sdp.n))
     for a, b_mat in zip(back.constraints, sdp.constraints):
-        assert np.allclose(a.to_dense(), b_mat.to_dense())
+        assert np.allclose(to_dense(a, sdp.n), to_dense(b_mat, sdp.n))
 
 
 def test_sdpa_round_trip_inequality_problem(tmp_path):
@@ -160,9 +164,9 @@ def test_sdpa_round_trip_inequality_problem(tmp_path):
     back = read_sdpa(path)
     assert back.senses == sdp.senses
     assert np.allclose(back.b, sdp.b)
-    assert np.allclose(back.cost.to_dense(), sdp.cost.to_dense())
+    assert np.allclose(to_dense(back.cost, back.n), to_dense(sdp.cost, sdp.n))
     for a, b_mat in zip(back.constraints, sdp.constraints):
-        assert np.allclose(a.to_dense(), b_mat.to_dense())
+        assert np.allclose(to_dense(a, sdp.n), to_dense(b_mat, sdp.n))
 
 
 def test_sdpa_accepts_braces_and_star_comments():
@@ -170,7 +174,7 @@ def test_sdpa_accepts_braces_and_star_comments():
     sdp = read_sdpa(io.StringIO(text))
     assert sdp.n == 2
     assert sdp.m == 2
-    assert sdp.constraints[0].to_dense() == pytest.approx(
+    assert to_dense(sdp.constraints[0], sdp.n) == pytest.approx(
         np.array([[0.0, 0.5], [0.5, 0.0]])
     )
 
@@ -222,14 +226,8 @@ def test_sdpa_rejects_unsupported_block_structure():
 
 
 def test_oracle_one_by_one_toy():
-    from treesdp.linalg import SparseSymmetric
-    from treesdp.model import SdpProblem
-
-    sdp = SdpProblem(
-        cost=SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0]),
-        constraints=[SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])],
-        b=np.array([1.0]),
-    )
+    one = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
+    sdp = make_problem(one, [one], np.array([1.0]))
     x, y, s = dense_reference_solve(sdp)
     assert x[0, 0] == pytest.approx(1.0, abs=1e-7)
     assert y[0] == pytest.approx(1.0, abs=1e-6)
@@ -237,17 +235,8 @@ def test_oracle_one_by_one_toy():
 
 
 def test_oracle_rejects_large_problems():
-    from treesdp.linalg import SparseSymmetric
-    from treesdp.model import SdpProblem
-
-    n = 51
-    sdp = SdpProblem(
-        cost=SparseSymmetric(order=n, rows=[0], cols=[0], vals=[1.0]),
-        constraints=[
-            SparseSymmetric(order=n, rows=[0], cols=[0], vals=[1.0])
-        ],
-        b=np.array([1.0]),
-    )
+    corner = SparseSymmetric(order=51, rows=[0], cols=[0], vals=[1.0])
+    sdp = make_problem(corner, [corner], np.array([1.0]))
     with pytest.raises(DimensionMismatch):
         dense_reference_solve(sdp, 1e-8)
 
@@ -303,7 +292,7 @@ def test_solve_driver_short_step():
 def test_solve_driver_rayleigh_path_aux_equivalence():
     sdp = path_rayleigh_problem(6, seed=4)
     x, y, s = dense_reference_solve(sdp)
-    ref = sdp.cost.dot_sym(x)
+    ref = dot_sym(sdp.cost, x)
     out = solve_sdp(sdp, method="dctc-aux", eps=1e-8, step="adaptive")
     assert out.objective == pytest.approx(ref, abs=1e-5 * (1 + abs(ref)))
 
@@ -330,7 +319,6 @@ def test_solve_outcome_metrics_json_schema():
     assert payload["time_per_iter_s"] > 0.0
     # one definition: the median per-iteration wall time of the IPM
     assert payload["time_per_iter_s"] == out.result.time_per_iter_s
-    assert out.time_per_iter_s == out.result.time_per_iter_s
 
 
 def test_solve_driver_unknown_method():

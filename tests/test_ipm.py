@@ -38,11 +38,13 @@ from treesdp.ipm import (
     adaptive_step_solve,
     short_step_solve,
 )
-from treesdp.linalg import SparseSymmetric, smat
-from treesdp.model import SdpProblem
+from treesdp.linalg import smat
 
 from util import (
+    SparseSymmetric,
+    check_interior,
     hess_apply,
+    make_problem,
     oracle_grad,
     oracle_max_step,
     oracle_psd_stacks,
@@ -65,7 +67,7 @@ def make_interior(ops, rng, scale=0.3):
     e = ops.identity()
     v = rng.standard_normal(e.size)
     z = e + scale * v / np.linalg.norm(v)
-    ops.check_interior(z)
+    check_interior(ops, z)
     return z
 
 
@@ -83,7 +85,7 @@ def barrier_value(ops, z):
 
 
 def build_program(problem, with_aux=False):
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     ctc = separate_with_aux(problem, td) if with_aux else build_ctc(
         problem, td
     )
@@ -93,7 +95,7 @@ def build_program(problem, with_aux=False):
 def trace_toy():
     """min x s.t. x = 1, x psd(1); optimum 1."""
     one = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
-    return SdpProblem(cost=one, constraints=[one], b=np.array([1.0]))
+    return make_problem(one, [one], np.array([1.0]))
 
 
 def offdiag_toy():
@@ -101,9 +103,7 @@ def offdiag_toy():
     cost = SparseSymmetric(order=2, rows=[1], cols=[0], vals=[1.0])
     e00 = SparseSymmetric(order=2, rows=[0], cols=[0], vals=[1.0])
     e11 = SparseSymmetric(order=2, rows=[1], cols=[1], vals=[1.0])
-    return SdpProblem(
-        cost=cost, constraints=[e00, e11], b=np.array([1.0, 1.0])
-    )
+    return make_problem(cost, [e00, e11], np.array([1.0, 1.0]))
 
 
 def cycle5_theta():
@@ -125,7 +125,7 @@ def cycle5_theta():
     for i, j in [(1, 0), (2, 1), (3, 2), (4, 3), (4, 0)]:
         cons.append(SparseSymmetric(order=n, rows=[i], cols=[j], vals=[1.0]))
         b.append(0.0)
-    return SdpProblem(cost=cost, constraints=cons, b=np.array(b))
+    return make_problem(cost, cons, np.array(b))
 
 
 def objective_of(program, result):
@@ -147,7 +147,7 @@ def assert_feasibility_kept(program, result):
 def test_identity_is_interior_and_nu_counts():
     ops = ConeOps(COMPOSITE)
     e = ops.identity()
-    ops.check_interior(e)
+    check_interior(ops, e)
     assert ops.nu == 1 + 3 + 2 + 3 + 4
     # gradient at the identity is minus the identity
     assert np.allclose(ops.grad(ops.scaling_point(e, e)), -e, atol=1e-12)
@@ -250,7 +250,7 @@ def test_scaling_point_rejects_boundary():
     with pytest.raises(NotInterior):
         ops.scaling_point(x, bad)
     with pytest.raises(NotInterior):
-        ops.check_interior(bad)
+        check_interior(ops, bad)
 
 
 def step_of_x(ops, z, dz):
@@ -273,9 +273,9 @@ def test_max_step_boundary_oracle():
         if np.isinf(alpha):
             continue
         hit_finite += 1
-        ops.check_interior(z + 0.999 * alpha * dz)
+        check_interior(ops, z + 0.999 * alpha * dz)
         with pytest.raises(NotInterior):
-            ops.check_interior(z + 1.01 * alpha * dz)
+            check_interior(ops, z + 1.01 * alpha * dz)
     assert hit_finite >= 4
 
 
@@ -552,11 +552,11 @@ def test_inequality_problem_reaches_known_optimum():
         SparseSymmetric(order=2, rows=[1], cols=[1], vals=[1.0]),
         SparseSymmetric(order=2, rows=[1], cols=[0], vals=[1.0]),
     ]
-    problem = SdpProblem(
-        cost=cost,
-        constraints=cons,
-        b=np.array([1.0, 2.0, 0.3]),
-        senses=["ge", "eq", "eq"],
+    problem = make_problem(
+        cost,
+        cons,
+        np.array([1.0, 2.0, 0.3]),
+        ["ge", "eq", "eq"],
     )
     program = build_program(problem)
     result = adaptive_step_solve(program, eps=1e-9, max_iter=100)
@@ -599,11 +599,7 @@ def test_multiblock_random_solve_with_diagnostics():
 
 def test_infeasible_problem_raises_certificate():
     one = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
-    problem = SdpProblem(
-        cost=one,
-        constraints=[one, one],
-        b=np.array([1.0, 2.0]),
-    )
+    problem = make_problem(one, [one, one], np.array([1.0, 2.0]))
     program = build_program(problem)
     with pytest.raises(InfeasibleOrUnbounded) as err:
         adaptive_step_solve(program, eps=1e-13, max_iter=300)

@@ -6,7 +6,6 @@ import pytest
 from treesdp.errors import DimensionMismatch, NonTriangularLength, NotFinite
 from treesdp.linalg import (
     CholeskyOrEig,
-    SparseSymmetric,
     dense_factor,
     smat,
     smat_stack,
@@ -135,37 +134,6 @@ def test_sym_kron_of_pd_operand_is_pd():
         w = random_pd(rng, order)
         mat = sym_kron_matrix(w, w)
         assert np.min(np.linalg.eigvalsh(mat)) > 0
-
-
-# ----------------------------------------------------------------- containers
-def test_sparse_symmetric_canonicalizes_and_sums():
-    sp = SparseSymmetric(
-        order=3,
-        rows=np.array([0, 2, 0, 1]),
-        cols=np.array([2, 0, 0, 1]),
-        vals=np.array([1.0, 2.0, 5.0, 0.0]),
-    )
-    # (0,2) and (2,0) merge to (2,0) with value 3; explicit zero at (1,1) kept
-    assert sp.nnz == 3
-    dense = sp.to_dense()
-    assert dense[2, 0] == 3.0 and dense[0, 2] == 3.0
-    assert dense[0, 0] == 5.0
-    assert np.all(sp.rows >= sp.cols)
-
-
-def test_sparse_symmetric_dot():
-    rng = np.random.default_rng(41)
-    full = random_sym(rng, 6)
-    sp = SparseSymmetric.from_dense(full)
-    x = random_sym(rng, 6)
-    assert abs(sp.dot_sym(x) - np.trace(full @ x)) <= 1e-12 * (
-        1 + abs(np.trace(full @ x))
-    )
-
-
-def test_sparse_symmetric_rejects_out_of_range():
-    with pytest.raises(DimensionMismatch):
-        SparseSymmetric(order=2, rows=[2], cols=[0], vals=[1.0])
 
 
 # ----------------------------------------------------------------- factorization

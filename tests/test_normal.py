@@ -22,8 +22,6 @@ from treesdp.errors import (
     NotFinite,
     StructureViolation,
 )
-from treesdp.linalg import SparseSymmetric
-from treesdp.model import SdpProblem
 from treesdp.normal import (
     GROUP_WIDTH,
     DenseNormalSystem,
@@ -33,11 +31,15 @@ from treesdp.normal import (
 
 from util import (
     ReferenceTreeNormal,
+    SparseSymmetric,
     dense_h_oracle,
+    h_dense,
+    make_problem,
     plain_row_coupling,
     random_partially_separable_problem,
     random_rooted_tree,
     random_scaling_data,
+    reconstruct_dense,
     stack_scalings,
     star_arrow_problem,
     with_wide_constraint,
@@ -57,7 +59,7 @@ def path_problem(n, m=2, seed=0):
             SparseSymmetric(order=n, rows=[i + 1], cols=[i], vals=[1.0])
         )
     b = 0.1 * np.arange(1, m + 1)
-    problem = SdpProblem(cost=cost, constraints=constraints, b=b)
+    problem = make_problem(cost, constraints, b)
     td = decompose(Graph(n, edges))
     return problem, td
 
@@ -92,7 +94,7 @@ def test_postorder_identity_when_already_topological():
 
 def test_postorder_star_leaves_first():
     problem = star_arrow_problem(6)
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     order = td.postorder()
     assert order[-1] == td.root
     for j in order[:-1]:
@@ -151,7 +153,7 @@ def _grouping_instances():
     out = [path_problem(14, m=3)]
     problem = star_arrow_problem(11)
     out.append(
-        (problem, decompose(sparsity_graph(problem.cost, problem.constraints)))
+        (problem, decompose(sparsity_graph(problem.n, problem.triplets)))
     )
     for _ in range(4):
         out.append(
@@ -172,7 +174,7 @@ def test_solve_with_rank1_matches_dense_oracle_for_each_cap(cap, monkeypatch):
         )
         sys_.update(sigma, q, psd_w, nn_w2)
         rhs = rng.standard_normal((ctc.dim_z, 3))
-        x_ref = np.linalg.solve(sys_.h_dense() + np.outer(q, q), rhs)
+        x_ref = np.linalg.solve(h_dense(sys_) + np.outer(q, q), rhs)
         x = sys_.solve_with_rank1(rhs)
         assert np.linalg.norm(x - x_ref) <= 1e-10 * np.linalg.norm(x_ref)
 
@@ -214,7 +216,7 @@ def test_assemble_matches_dense_oracle_random():
         )
         sys_.assemble_h(sigma, psd_w, nn_w2)
         oracle = dense_h_oracle(ctc, sigma, psd_w, nn_w2)
-        assert np.allclose(sys_.h_dense(), oracle, atol=1e-12)
+        assert np.allclose(h_dense(sys_), oracle, atol=1e-12)
 
 
 def test_assemble_matches_dense_oracle_with_aux():
@@ -222,14 +224,14 @@ def test_assemble_matches_dense_oracle_with_aux():
     for trial in range(4):
         base, _ = random_partially_separable_problem(rng, 8, 2)
         problem = with_wide_constraint(base)
-        td = decompose(sparsity_graph(problem.cost, problem.constraints))
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
         ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
             problem, td, with_aux=True, seed=trial
         )
         assert ctc.aux_plan is not None and ctc.aux_plan.n_aux > 0
         sys_.assemble_h(sigma, psd_w, nn_w2)
         oracle = dense_h_oracle(ctc, sigma, psd_w, nn_w2)
-        assert np.allclose(sys_.h_dense(), oracle, atol=1e-12)
+        assert np.allclose(h_dense(sys_), oracle, atol=1e-12)
 
 
 def test_no_constraint_path_gives_identity_plus_overlap_gram():
@@ -254,7 +256,7 @@ def test_no_constraint_path_gives_identity_plus_overlap_gram():
     sys_.assemble_h(sigma, psd_w, nn_w2)
     n_rows = bare.n_rows.toarray()
     oracle = np.eye(bare.dim_z) + sigma * (n_rows.T @ n_rows)
-    assert np.allclose(sys_.h_dense(), oracle, atol=1e-14)
+    assert np.allclose(h_dense(sys_), oracle, atol=1e-14)
     sys_.factor()
     assert sys_.offdiag_block_counts() == (1, 1)
 
@@ -293,8 +295,8 @@ def test_factor_reconstructs_h():
         )
         sys_.assemble_h(sigma, psd_w, nn_w2)
         sys_.factor()
-        h = sys_.h_dense()
-        rec = sys_.reconstruct_dense()
+        h = h_dense(sys_)
+        rec = reconstruct_dense(sys_)
         assert np.linalg.norm(rec - h) <= 1e-10 * np.linalg.norm(h)
 
 
@@ -360,7 +362,7 @@ def hub_first_fill_oracle(parent, root, order):
 
 def test_star_tree_orderings_fill_negative_control():
     problem = star_arrow_problem(8)
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     post = list(td.postorder())
     assert hub_first_fill_oracle(td.parent, td.root, post) == 0
     hub_first = [td.root] + [j for j in post if j != td.root]
@@ -465,7 +467,7 @@ def test_denominator_underflow_guard():
 
 def test_star_plain_mode_overlap_coupling_is_dense():
     problem = star_arrow_problem(6)
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     ctc = build_ctc(problem, td)
     pairs = plain_row_coupling(ctc)
     m = ctc.a_rows.shape[0]
@@ -479,7 +481,7 @@ def test_star_plain_mode_overlap_coupling_is_dense():
 
 def test_star_dualized_h_has_tree_pattern():
     problem = star_arrow_problem(6)
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
     sys_.assemble_h(sigma, psd_w, nn_w2)
     sys_.factor()
@@ -611,7 +613,7 @@ def _reference_instance(kind):
         return problem, td, False
     if kind == "star":
         problem = star_arrow_problem(9)
-        td = decompose(sparsity_graph(problem.cost, problem.constraints))
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
         return problem, td, False
     if kind == "random-tree":
         problem, td = random_partially_separable_problem(
@@ -620,7 +622,7 @@ def _reference_instance(kind):
         return problem, td, False
     base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
     problem = with_wide_constraint(base)
-    td = decompose(sparsity_graph(problem.cost, problem.constraints))
+    td = decompose(sparsity_graph(problem.n, problem.triplets))
     return problem, td, True
 
 

@@ -16,8 +16,6 @@ from treesdp.errors import (
     OverlapMismatch,
 )
 from treesdp.frontends import gen_maxcut
-from treesdp.linalg import SparseSymmetric
-from treesdp.model import SdpProblem
 from treesdp.recovery import (
     LowRankFactor,
     Metrics,
@@ -27,9 +25,12 @@ from treesdp.recovery import (
     dimacs_metrics,
 )
 from util import (
+    SparseSymmetric,
     dense_dimacs_metrics,
+    make_problem,
     random_connected_graph,
     random_partially_separable_problem,
+    to_dense,
 )
 
 
@@ -232,7 +233,7 @@ def one_by_one_toy():
     # min x subject to x = 1: optimum X = [[1]], dual y = 1, slack S = 0
     cost = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
     a1 = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
-    return SdpProblem(cost=cost, constraints=[a1], b=np.array([1.0]))
+    return make_problem(cost, [a1], np.array([1.0]))
 
 
 def test_metrics_exact_optimum_saturates():
@@ -280,9 +281,7 @@ def test_metrics_one_sided_inequality_residuals():
     # a satisfied >= row must not count as primal infeasibility
     cost = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
     a1 = SparseSymmetric(order=1, rows=[0], cols=[0], vals=[1.0])
-    sdp = SdpProblem(
-        cost=cost, constraints=[a1], b=np.array([1.0]), senses=["ge"]
-    )
+    sdp = make_problem(cost, [a1], np.array([1.0]), ["ge"])
     m = dimacs_metrics(sdp, LowRankFactor(U=[[np.sqrt(2.0)]]), np.array([0.0]))
     assert m.pinf == 16.0
     # a violated >= row counts with its violation magnitude
@@ -356,15 +355,15 @@ def test_metrics_dinf_saturates_at_a_zero_top_eigenvalue():
     # y = 0 with C = L/4 makes the slack -L/4, whose top eigenvalue is
     # exactly 0: a nonpositive numerator, 16 digits
     sdp, factor, y = path_maxcut_at(40, 0.0)
-    flipped = SdpProblem(
-        cost=SparseSymmetric(
+    flipped = make_problem(
+        SparseSymmetric(
             order=sdp.n,
             rows=sdp.cost.rows,
             cols=sdp.cost.cols,
             vals=-sdp.cost.vals,
         ),
-        constraints=sdp.constraints,
-        b=sdp.b,
+        sdp.constraints,
+        sdp.b,
     )
     assert dimacs_metrics(flipped, factor, y).dinf == 16.0
 
@@ -373,9 +372,7 @@ def test_metrics_match_the_oracle_with_zero_cost():
     rng = np.random.default_rng(7)
     base, _td = random_partially_separable_problem(rng, 12, 6, 0.5)
     zero = SparseSymmetric(order=base.n, rows=[], cols=[], vals=[])
-    sdp = SdpProblem(
-        cost=zero, constraints=base.constraints, b=base.b, senses=base.senses
-    )
+    sdp = make_problem(zero, base.constraints, base.b, base.senses)
     factor = LowRankFactor(U=rng.standard_normal((base.n, 2)))
     assert_scores_match_oracle(sdp, factor, rng.standard_normal(base.m))
 
@@ -397,7 +394,7 @@ def test_metrics_match_the_oracle_with_an_indefinite_cost(sign):
     n = base.n
     diag = sign * np.where(np.arange(n) % 2 == 0, 6.0, -5.0)
     cost = tridiagonal(n, diag, rng.uniform(2.0, 3.0, n - 1))
-    dense = cost.to_dense()
+    dense = to_dense(cost, n)
     col_norm = np.max(np.linalg.norm(dense, axis=0))
     for vals in (cost.vals, -cost.vals):
         assert _Shifted(n, cost.rows, cost.cols, vals).upper > col_norm
@@ -406,9 +403,7 @@ def test_metrics_match_the_oracle_with_an_indefinite_cost(sign):
     assert _spectral_norm(n, cost) == pytest.approx(
         np.linalg.norm(dense, 2), rel=1e-3
     )
-    sdp = SdpProblem(
-        cost=cost, constraints=base.constraints, b=base.b, senses=base.senses
-    )
+    sdp = make_problem(cost, base.constraints, base.b, base.senses)
     factor = LowRankFactor(U=rng.standard_normal((n, 2)))
     assert_scores_match_oracle(sdp, factor, rng.standard_normal(base.m))
 

@@ -7,15 +7,17 @@ import pytest
 
 from treesdp.chordal import Graph, decompose
 from treesdp.errors import UncoverableEntry
-from treesdp.linalg import SparseSymmetric
 from treesdp.splitting import build_unique_partition, split
 from util import (
+    SparseSymmetric,
     cover_of,
+    dot_sym,
     embedded_sum,
     is_partially_separable,
     random_chordal_problem,
     row_split,
     split_one,
+    to_dense,
 )
 
 
@@ -89,7 +91,7 @@ def test_split_reconstructs_exactly_and_probes():
         n = int(rng.integers(3, 13))
         _, td, mat = random_instance(rng, n)
         result = split_one(mat, td)
-        dense = mat.to_dense()
+        dense = to_dense(mat, n)
         assert np.array_equal(embedded_sum(result, td, n), dense)
         # random inner-product probes
         for _ in range(100 // 15 + 1):
@@ -104,8 +106,8 @@ def test_split_reconstructs_exactly_and_probes():
                     cols=result.cols[sel],
                     vals=result.vals[sel],
                 )
-                total += piece.dot_sym(x[np.ix_(td.bags[j], td.bags[j])])
-            ref = mat.dot_sym(x)
+                total += dot_sym(piece, x[np.ix_(td.bags[j], td.bags[j])])
+            ref = dot_sym(mat, x)
             assert abs(total - ref) <= 1e-12 * (1 + abs(ref))
 
 
@@ -171,7 +173,7 @@ def test_split_claims_explicit_zeros():
     result = split_one(mat, td)
     assert np.all(result.assignment >= 0)
     assert len(cover_of(result)) == 1  # both entries fit the bag {0, 1}... or {1,2}
-    assert np.array_equal(embedded_sum(result, td, 3), mat.to_dense())
+    assert np.array_equal(embedded_sum(result, td, 3), to_dense(mat, 3))
 
 
 # ----------------------------------------------------- partial separability

@@ -8,7 +8,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
-from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
+from treesdp.chordal import Graph, TreeDecomposition, decompose
 from treesdp.convert import (
     AuxConstraint,
     AuxPlan,
@@ -18,15 +18,14 @@ from treesdp.convert import (
     steiner_closure,
     validate_support_tree,
 )
-from treesdp.errors import DimensionMismatch, UncoverableEntry
+from treesdp.errors import DimensionMismatch, NotInterior, UncoverableEntry
 from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
 from treesdp.linalg import (
-    SparseSymmetric,
+    Triplets,
     smat,
     smat_stack,
     svec,
     svec_stack,
-    stack_triplets,
     svec_coords,
     svec_scale,
     sym_kron_stack,
@@ -37,6 +36,219 @@ from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import SCORE_CAP, LowRankFactor, Metrics
 from treesdp.splitting import split
+
+
+@dataclass
+class SparseSymmetric:
+    """One sparse symmetric matrix as lower-triangle triplets (row >= col),
+    canonicalised on its own: entries with row < col are transposed and
+    duplicate (row, col) pairs are summed by one ``np.unique``; explicit
+    zeros are kept.  The per-matrix form ``SdpProblem``'s stacked
+    constructor replaced, kept as its oracle and as the tests' way to
+    write one matrix."""
+
+    order: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+
+    def __post_init__(self):
+        rows = np.asarray(self.rows, dtype=np.int64).ravel()
+        cols = np.asarray(self.cols, dtype=np.int64).ravel()
+        vals = np.asarray(self.vals, dtype=float).ravel()
+        if not (rows.shape == cols.shape == vals.shape):
+            raise DimensionMismatch("rows/cols/vals must have equal length")
+        if rows.size and (
+            rows.min() < 0 or cols.min() < 0
+            or rows.max() >= self.order or cols.max() >= self.order
+        ):
+            raise DimensionMismatch(
+                f"triplet index out of range for order {self.order}"
+            )
+        lo = np.minimum(rows, cols)
+        hi = np.maximum(rows, cols)
+        if rows.size:
+            key = hi * self.order + lo
+            uniq, inv = np.unique(key, return_inverse=True)
+            summed = np.zeros(uniq.shape[0])
+            np.add.at(summed, inv, vals)
+            hi = (uniq // self.order).astype(np.int64)
+            lo = (uniq % self.order).astype(np.int64)
+            vals = summed
+        self.rows = hi
+        self.cols = lo
+        self.vals = vals
+
+    @property
+    def nnz(self) -> int:
+        return int(self.rows.size)
+
+    @classmethod
+    def from_dense(cls, mat):
+        """The nonzero lower-triangle entries of a dense symmetric matrix."""
+        mat = np.asarray(mat, dtype=float)
+        rows, cols = tri_indices(mat.shape[0])
+        vals = mat[rows, cols]
+        keep = vals != 0.0
+        return cls(mat.shape[0], rows[keep], cols[keep], vals[keep])
+
+
+def stack_triplets(mats):
+    """The entries of ``mats`` (lower storage, each with ``rows``,
+    ``cols`` and ``vals``) under ids 0, 1, ..."""
+    ids = np.repeat(np.arange(len(mats)), [len(a.rows) for a in mats])
+    rows, cols, vals = (
+        np.concatenate([getattr(a, key) for a in mats])
+        for key in ("rows", "cols", "vals")
+    )
+    return Triplets(ids, rows, cols, vals)
+
+
+def oracle_triplets(n, m, triplets):
+    """The canonical stack of raw (id, row, col, value) entries of m + 1
+    order-n matrices, by the per-matrix canonicaliser: each id's entries,
+    in input order, become one ``SparseSymmetric``."""
+    ids, rows, cols, vals = (np.asarray(a) for a in triplets)
+    return stack_triplets([
+        SparseSymmetric(n, rows[ids == i], cols[ids == i], vals[ids == i])
+        for i in range(m + 1)
+    ])
+
+
+def make_problem(cost, constraints, b, senses=(), n=None):
+    """``SdpProblem`` of order ``n`` (default: the order of ``cost``) whose
+    data are the matrices ``cost`` and ``constraints``, each a
+    ``SparseSymmetric`` or a view of another problem's stack."""
+    n = cost.order if n is None else n
+    return SdpProblem(n, stack_triplets([*constraints, cost]), b, list(senses))
+
+
+def to_dense(mat, n):
+    """A matrix given by lower-triangle triplets as a dense n x n array."""
+    out = np.zeros((n, n))
+    out[mat.rows, mat.cols] = mat.vals
+    out[mat.cols, mat.rows] = mat.vals
+    return out
+
+
+def dot_sym(mat, x):
+    """<A, X> = trace(A X) of lower-triangle triplets A and a dense
+    symmetric X."""
+    vals = np.where(mat.rows == mat.cols, mat.vals, 2.0 * mat.vals)
+    return float(np.sum(vals * x[mat.rows, mat.cols]))
+
+
+def validate(td, graph=None):
+    """Violations of the decomposition axioms by ``td`` (empty == valid):
+    one root, parents in range and acyclic, every vertex (and every edge
+    of ``graph``) covered, running intersection, at most n bags."""
+    problems = []
+    ell = td.ell
+    if td.parent.shape != (ell,):
+        problems.append("parent array length mismatch")
+        return problems
+    roots = [j for j in range(ell) if int(td.parent[j]) == j]
+    if len(roots) != 1:
+        problems.append(f"expected exactly one root, found {len(roots)}")
+    for j in range(ell):
+        p = int(td.parent[j])
+        if not (0 <= p < ell):
+            problems.append(f"bag {j + 1}: parent out of range")
+    # acyclicity / reachability
+    if len(roots) == 1:
+        seen = set()
+        for j in range(ell):
+            path = []
+            cur = j
+            while cur not in seen and int(td.parent[cur]) != cur:
+                path.append(cur)
+                cur = int(td.parent[cur])
+                if cur in path:
+                    problems.append(f"bag {j + 1}: parent cycle")
+                    break
+            seen.update(path)
+    covered = set()
+    for bag in td.bags:
+        covered.update(bag)
+    missing = set(range(td.n)) - covered
+    if missing:
+        problems.append(
+            f"vertices not covered: {sorted(v + 1 for v in missing)}"
+        )
+    if graph is not None:
+        bag_sets = [set(b) for b in td.bags]
+        for u, v in graph.edges:
+            if not any(u in bs and v in bs for bs in bag_sets):
+                problems.append(f"edge ({u + 1}, {v + 1}) not covered")
+    # running intersection: bags holding v form a connected subtree
+    holds = [[] for _ in range(td.n)]
+    for j, bag in enumerate(td.bags):
+        for v in bag:
+            holds[v].append(j)
+    for v in range(td.n):
+        js = holds[v]
+        if len(js) <= 1:
+            continue
+        js_set = set(js)
+        root_count = 0
+        for j in js:
+            p = int(td.parent[j])
+            if p == j or p not in js_set:
+                root_count += 1
+        if root_count != 1:
+            problems.append(
+                f"vertex {v + 1}: bags containing it form "
+                f"{root_count} subtrees"
+            )
+    if ell > td.n:
+        problems.append(f"{ell} bags exceed n = {td.n}")
+    return problems
+
+
+def check_interior(ops, z, label="point"):
+    """Raise NotInterior unless ``z`` is interior to every cone segment
+    of ``ops``."""
+    for sl in ops.soc_slices:
+        v = z[sl]
+        if v[0] <= 0.0 or _soc_g2(v) <= 0.0:
+            raise NotInterior(
+                f"{label}: second-order segment at offset {sl.start} "
+                "is not interior"
+            )
+    for order, idx in ops.psd_groups.items():
+        if np.min(np.linalg.eigvalsh(smat_stack(z[idx]))) <= 0.0:
+            raise NotInterior(
+                f"{label}: an order-{order} matrix segment is not "
+                "positive definite"
+            )
+    if ops.nn_idx.size and np.min(z[ops.nn_idx]) <= 0.0:
+        raise NotInterior(f"{label}: a slack coordinate is nonpositive")
+
+
+def _dense_blocks(sys_, diag, off, mirror):
+    """A normal system's group blocks as one dense matrix in the original
+    coordinates; ``mirror`` also fills the upper triangle of each edge
+    block."""
+    out = np.zeros((sys_.dim, sys_.dim))
+    for k, (sl, slab) in enumerate(zip(sys_.slices, sys_._slabs)):
+        out[sl, sl] = diag[k]
+        if slab is not None:
+            out[slab, sl] = off[k]
+            if mirror:
+                out[sl, slab] = off[k].T
+    inv = sys_._inv_perm
+    return out[np.ix_(inv, inv)]
+
+
+def h_dense(sys_):
+    """A normal system's assembled H as a dense matrix."""
+    return _dense_blocks(sys_, sys_.h_diag, sys_.h_off, mirror=True)
+
+
+def reconstruct_dense(sys_):
+    """L L^T of a normal system's factor as a dense matrix."""
+    lower = _dense_blocks(sys_, sys_.l_diag, sys_.l_off, mirror=False)
+    return lower @ lower.T
 
 
 def sym_kron_matrix(a, b):
@@ -175,7 +387,7 @@ def random_partially_separable_problem(rng, n, m, ineq_prob=0.0):
         bag = np.asarray(td.bags[j])
         q = rng.standard_normal((len(bag), len(bag))) * 0.2
         x0[np.ix_(bag, bag)] += q @ q.T
-    b = np.array([a.dot_sym(x0) for a in constraints])
+    b = np.array([dot_sym(a, x0) for a in constraints])
     # margin for inequalities so X0 stays strictly feasible
     for i, s in enumerate(senses):
         if s == "ge":
@@ -190,10 +402,10 @@ def random_partially_separable_problem(rng, n, m, ineq_prob=0.0):
             y0[i] = -abs(y0[i])
     cost_dense = np.eye(n)
     for i, a in enumerate(constraints):
-        cost_dense += y0[i] * a.to_dense()
+        cost_dense += y0[i] * to_dense(a, n)
     # keep only entries inside the aggregate pattern (guaranteed by support)
     cost = SparseSymmetric.from_dense(cost_dense)
-    problem = SdpProblem(cost=cost, constraints=constraints, b=b, senses=senses)
+    problem = make_problem(cost, constraints, b, senses)
     return problem, td
 
 
@@ -234,12 +446,7 @@ def random_chordal_problem(rng, n_max=15):
     senses = [str(s) for s in rng.choice(["eq", "ge", "le"], size=m)]
     senses[empty] = "ge"
     cost = random_spread_matrix(rng, n, td, int(rng.integers(0, 3 * n)))
-    problem = SdpProblem(
-        cost=cost,
-        constraints=constraints,
-        b=rng.standard_normal(m),
-        senses=senses,
-    )
+    problem = make_problem(cost, constraints, rng.standard_normal(m), senses)
     return problem, td
 
 
@@ -252,11 +459,12 @@ def with_wide_constraint(base):
         cols=[0] * base.n,
         vals=[1.0] * base.n,
     )
-    return SdpProblem(
-        cost=base.cost,
-        constraints=base.constraints + [wide],
-        b=np.concatenate([base.b, [1.0]]),
-        senses=base.senses + ["eq"],
+    return make_problem(
+        base.cost,
+        base.constraints + [wide],
+        np.concatenate([base.b, [1.0]]),
+        base.senses + ["eq"],
+        n=base.n,
     )
 
 
@@ -292,7 +500,7 @@ def star_arrow_problem(n):
         for i in range(n)
     ]
     b = np.array([0.5 / (i + 1) for i in range(n)])
-    return SdpProblem(cost=cost, constraints=constraints, b=b)
+    return make_problem(cost, constraints, b)
 
 
 def stack_scalings(ctc, mats, slacks):
@@ -380,9 +588,7 @@ def path_rayleigh_problem(n_plus_1, seed=0):
 
     a_mat = tridiag(diag_a, off_a)
     c_mat = tridiag(diag_c, off_c)
-    return SdpProblem(
-        cost=c_mat, constraints=[a_mat], b=np.array([1.0])
-    )
+    return make_problem(c_mat, [a_mat], np.array([1.0]))
 
 
 def hess_apply(ops, w, v):
@@ -645,7 +851,7 @@ def dense_dimacs_metrics(sdp, x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
 
-    res = np.array([a.dot_sym(x) for a in sdp.constraints]) - sdp.b
+    res = np.array([dot_sym(a, x) for a in sdp.constraints]) - sdp.b
     viol = np.empty_like(res)
     for i, sense in enumerate(sdp.senses):
         if sense == "eq":
@@ -658,17 +864,18 @@ def dense_dimacs_metrics(sdp, x, y):
         float(np.linalg.norm(viol)), 1.0 + float(np.linalg.norm(sdp.b))
     )
 
-    slack = -sdp.cost.to_dense()
+    cost = to_dense(sdp.cost, sdp.n)
+    slack = -cost
     for yi, a in zip(y, sdp.constraints):
         scaled = yi * a.vals
         np.add.at(slack, (a.rows, a.cols), scaled)
         off = a.rows != a.cols
         np.add.at(slack, (a.cols[off], a.rows[off]), scaled[off])
     top = float(np.linalg.eigvalsh(slack)[-1])
-    c_norm = float(np.max(np.abs(np.linalg.eigvalsh(sdp.cost.to_dense()))))
+    c_norm = float(np.max(np.abs(np.linalg.eigvalsh(cost))))
     dinf = _digits(top, 1.0 + c_norm)
 
-    cx = sdp.cost.dot_sym(x)
+    cx = dot_sym(sdp.cost, x)
     by = float(sdp.b @ y)
     gap = _digits(abs(cx - by), 1.0 + abs(cx) + abs(by))
     return Metrics(pinf=pinf, dinf=dinf, gap=gap, L=min(pinf, dinf, gap))
@@ -732,7 +939,7 @@ def row_split(mat, td):
             if v not in parent_set:
                 owner[v] = j
     depth, bag_sets = td.depth, [set(b) for b in td.bags]
-    nnz = mat.nnz
+    nnz = mat.rows.size
     assignment = -np.ones(nnz, dtype=np.int64)
     trigger = np.empty(nnz, dtype=np.int64)
     for e in range(nnz):
