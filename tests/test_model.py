@@ -48,13 +48,15 @@ def assert_same_triplets(got, want):
 
 
 def perturbed(rng, sdp):
-    """Raw entries of ``sdp``'s matrices: some transposed, some split into
-    two duplicates, explicit zeros added at random positions (new or
-    stored), all shuffled."""
+    """Raw entries of ``sdp``'s matrices: each entry twice (a random part
+    of its value and the rest, or the value and an explicit zero), some
+    transposed, explicit zeros added at random positions (new or stored),
+    all shuffled."""
     ids, rows, cols, vals = sdp.triplets
     flip = rng.random(ids.size) < 0.5
     rows, cols = np.where(flip, cols, rows), np.where(flip, rows, cols)
-    part = np.where(rng.random(ids.size) < 0.3, rng.uniform(-1, 1, ids.size), 0.0)
+    split = rng.random(ids.size) < 0.3
+    part = np.where(split, rng.uniform(-1, 1, ids.size), 0.0)
     k = int(rng.integers(1, 6))
     ids = np.concatenate([ids, ids, rng.integers(0, sdp.m + 1, k)])
     rows = np.concatenate([rows, rows, rng.integers(0, sdp.n, k)])
