@@ -202,14 +202,6 @@ class TreeDecomposition:
                 depth[j] = depth[p] + 1
         return tuple(depth)
 
-    def separator(self, j: int) -> tuple:
-        """Intersection of bag j with its parent bag (empty at the root)."""
-        p = int(self.parent[j])
-        if p == j:
-            return tuple()
-        parent_set = set(self.bags[p])
-        return tuple(v for v in self.bags[j] if v in parent_set)
-
 
 def format_decomposition(td: TreeDecomposition) -> str:
     """One line per bag: ``j p(j) |J_j| : members`` (all 1-based)."""

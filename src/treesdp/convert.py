@@ -21,7 +21,7 @@ from .chordal import TreeDecomposition, decompose, sparsity_graph
 from .errors import (
     DimensionMismatch, DisconnectedSupport, InvalidSplit, UncoverableEntry
 )
-from .linalg import Triplets, sorted_lookup, svec_coords, tri
+from .linalg import Triplets, smat_stack, sorted_lookup, svec_coords, tri
 from .model import SdpProblem
 from .splitting import (
     SplitResult,
@@ -265,12 +265,18 @@ class ConvertedProblem:
             keep.extend(range(blk.nn_start, blk.nn_start + blk.n_nn))
         return np.array(keep, dtype=np.int64)
 
-    def extract_bag_matrices(self, z: np.ndarray) -> dict:
-        from .linalg import smat
-
-        out = {}
-        for j, blk in enumerate(self.blocks):
-            out[j] = smat(z[blk.svec_start:blk.svec_start + blk.svec_len])
+    def extract_bag_matrices(self, z: np.ndarray) -> list:
+        """The bag matrices of z in bag order, by one ``smat_stack`` per
+        bag order."""
+        spans = np.array(
+            [(b.svec_start, b.svec_len) for b in self.blocks], np.int64
+        ).reshape(-1, 2)
+        out = [None] * len(self.blocks)
+        for t in np.unique(spans[:, 1]).tolist():
+            grp = np.flatnonzero(spans[:, 1] == t)
+            mats = smat_stack(z[spans[grp, :1] + np.arange(t)])
+            for j, mat in zip(grp.tolist(), mats):
+                out[j] = mat
         return out
 
 

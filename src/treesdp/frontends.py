@@ -453,10 +453,7 @@ def solve_sdp(
         u, _sigma = dualized.ctc_dual(st.x, st.tau)
 
     objective = float(ctc.c_z @ z)
-    blocks_map = ctc.extract_bag_matrices(z)
-    factor = complete_low_rank(
-        [blocks_map[j] for j in range(td.ell)], td, eps
-    )
+    factor = complete_low_rank(ctc.extract_bag_matrices(z), td, eps)
     y_sdp = u[ctc.dual_row_of_constraint]
 
     metrics = dimacs_metrics(

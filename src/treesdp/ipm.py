@@ -89,8 +89,8 @@ class ScalingPoint:
 
     ``ConeOps.scaling_point`` decomposes each matrix segment of x and of s
     once (one ``eigh`` each, plus one of S^½ X S^½ for W) and keeps X⁻¹,
-    X^-½ and S^-½ here, so that ``grad`` and both ``max_step`` calls of an
-    iteration read them instead of decomposing the same iterate again.
+    X's decomposition and S^-½ here for ``grad`` and ``max_step``; X^-½
+    is formed on the first ``max_step``, which the short step never makes.
     The solver makes one per iteration and drops it when the step is
     taken: only the current iterate's decompositions are held.
     """
@@ -101,8 +101,15 @@ class ScalingPoint:
     x: np.ndarray  # the iterate (x, s) that w scales
     s: np.ndarray
     x_inv: dict  # order -> X⁻¹ stack, the matrix part of -∇F(x)
-    x_ihalf: dict  # order -> X^-½ stack
+    x_eig: dict  # order -> (eigenvalues, eigenvectors) stacks of X
     s_ihalf: dict  # order -> S^-½ stack
+
+    @functools.cached_property
+    def x_ihalf(self) -> dict:  # order -> X^-½ stack, on first use
+        return {
+            order: ConeOps._spectral(vecs, 1.0 / np.sqrt(vals))
+            for order, (vals, vecs) in self.x_eig.items()
+        }
 
 
 def _soc_g2(v: np.ndarray) -> float:
@@ -222,7 +229,7 @@ class ConeOps:
             jsv[1:] = -jsv[1:]
             w = (xv + gamma * jsv) / np.sqrt(2.0 * big_t)
             soc.append(SocScaling(sl=sl, w=w, g2=_soc_g2(w)))
-        psd_stacks, x_inv, x_ihalf, s_ihalf = {}, {}, {}, {}
+        psd_stacks, x_inv, x_eig, s_ihalf = {}, {}, {}, {}
         for order, idx in self.psd_groups.items():
             xm = smat_stack(x[idx])
             sm = smat_stack(s[idx])
@@ -237,7 +244,7 @@ class ConeOps:
                     f"order-{order} x segment not positive definite"
                 )
             x_inv[order] = self._spectral(xvecs, 1.0 / xvals)
-            x_ihalf[order] = self._spectral(xvecs, 1.0 / np.sqrt(xvals))
+            x_eig[order] = (xvals, xvecs)
             s_half = self._spectral(svecs, np.sqrt(svals))
             s_ihalf[order] = self._spectral(svecs, 1.0 / np.sqrt(svals))
             a = s_half @ xm @ s_half
@@ -259,7 +266,7 @@ class ConeOps:
             nn_w = np.zeros(0)
         return ScalingPoint(
             soc=soc, psd_stacks=psd_stacks, nn_w=nn_w, x=x, s=s,
-            x_inv=x_inv, x_ihalf=x_ihalf, s_ihalf=s_ihalf,
+            x_inv=x_inv, x_eig=x_eig, s_ihalf=s_ihalf,
         )
 
     # -- inverse Hessian action at the scaling point ------------------------

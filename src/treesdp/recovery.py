@@ -26,7 +26,9 @@ from .errors import (
     NotFinite,
     OverlapMismatch,
 )
+from .linalg import sorted_lookup
 from .model import SdpProblem
+from .splitting import bag_entries
 
 OVERLAP_TOL = 1e-6  # tree-adjacent blocks must agree on overlaps to this
 SCORE_CAP = 16.0  # digit scores saturate at float precision
@@ -58,10 +60,10 @@ class LowRankFactor:
 
     def write(self, destination) -> None:
         """Write ``n r`` on the first line, then one row of U per line."""
-        lines = [f"{self.n} {self.rank}\n"]
-        for row in self.U:
-            lines.append(" ".join(f"{v:.17g}" for v in row) + "\n")
-        text = "".join(lines)
+        row = ("%.17g " * self.rank)[:-1] + "\n"
+        text = f"{self.n} {self.rank}\n" + (row * self.n) % tuple(
+            self.U.ravel().tolist()
+        )
         if hasattr(destination, "write"):
             destination.write(text)
         else:
@@ -93,97 +95,149 @@ class Metrics:
         )
 
 
-def _psd_factor(block: np.ndarray, eps: float, label: str):
-    """Project a bag block onto the PSD cone; returns the projected block
-    and a factor F with ``F @ F.T`` equal to it.
-
-    An interior-point answer at tolerance ``eps`` carries an O(eps) cone
-    violation, so eigenvalues in ``[-cap, 0)``, with the cap
-    ``100 * eps * (1 + lambda_max)``, are rounding debris and are clamped to
-    zero; anything beyond the cap is a genuine failure and raises
-    ``BlockNotPsd``.  A block with no negative eigenvalue is returned as it
-    is.  F keeps the eigenvalues above the numerical-rank cutoff
-    ``order * machine_eps * lambda_max``; the rest are zero to the accuracy
-    of the eigendecomposition.
-    """
-    vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
-    if vals.size == 0:
-        return block, vecs
-    top = float(vals[-1])
-    cap = 100.0 * eps * (1.0 + top)
-    if vals[0] < -cap:
-        raise BlockNotPsd(
-            f"{label} has eigenvalue {vals[0]:.3e}, beyond the PSD cap "
-            f"{-cap:.3e}"
-        )
-    keep = vals > vals.size * np.finfo(float).eps * max(top, 0.0)
-    factor = vecs[:, keep] * np.sqrt(vals[keep])
-    if vals[0] < 0.0:
-        block = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
-    return block, factor
-
-
 def complete_low_rank(
     blocks, td: TreeDecomposition, eps: float = 1e-8
 ) -> LowRankFactor:
     """Complete per-bag PSD blocks to a factor U with ``rank <= omega``.
 
-    The traversal is root first.  Each bag's block is projected onto the
-    PSD cone with the cap ``100 * eps * (1 + lambda_max(block))`` and
-    factored as ``F F^T`` by the same eigendecomposition (see
-    ``_psd_factor``), and its separator entries are checked against the
-    parent's to ``OVERLAP_TOL``.  The rows of the separator B are already
-    placed; the new vertices A get ``U_A = F_A Q``, where Q has orthonormal
-    rows and best maps the separator rows onto the placed ones,
-    ``F_B Q ~ U_B`` (orthogonal Procrustes: ``Q = Y Z^T`` from the SVD
-    ``F_B^T U_B = Y S Z^T``).  Since ``Q Q^T = I``,
-    ``U_A U_A^T = F_A F_A^T``, and ``U_A U_B^T = F_A F_B^T`` up to the
-    disagreement of the two factorizations on B.  The directions of F that B does not
-    see pair with columns orthogonal to the rows of U_B, so columns used by
-    long-retired vertices are reused, and the column count never exceeds
-    the largest rank of a bag block, at most omega.  No Schur complement
-    is formed.  Cost is one eigendecomposition and one SVD of at most
-    omega x omega per bag.
+    Each block is projected onto the PSD cone and factored as ``F F^T``:
+    eigenvalues in ``[-100 eps (1 + lambda_max), 0)``, an interior-point
+    answer's O(eps) cone violation, are clamped to zero, and one beyond
+    raises ``BlockNotPsd``.  F keeps the eigenvalues above ``order *
+    machine_eps * lambda_max``.  A child's separator entries must match
+    its parent's projected block to ``OVERLAP_TOL`` (``OverlapMismatch``).
+    The first failure in root-first order is raised, PSD check first.
+
+    A bag places the vertices its parent lacks as rows of ``F_j R_j``, with
+    F padded by zero columns to r, the largest rank of a placing bag.
+    ``R_j = P_j R_a`` is orthogonal: a is the nearest placing bag above j,
+    and ``P_j = Y Z^T`` from the SVD ``F_j[B]^T F_a[B] = Y S Z^T`` best maps
+    F_j's separator rows onto F_a's (orthogonal Procrustes).  So ``U_J
+    U_J^T = F_j F_j^T``, and the directions the separator does not see go
+    orthogonal to its rows: r <= omega columns, and no Schur complement.
+
+    Cost: one stacked ``eigh`` per bag order, one stacked SVD of r x r
+    matrices and ``ceil(log2 depth)`` stacked products that compose the
+    R_j by pointer jumping.  Python touches each bag only to check and
+    stack its block.
     """
     blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
     if len(blocks) != td.ell:
-        raise DimensionMismatch(
-            f"{len(blocks)} blocks for {td.ell} bags"
-        )
-    for j, bag in enumerate(td.bags):
-        if blocks[j].shape != (len(bag), len(bag)):
+        raise DimensionMismatch(f"{len(blocks)} blocks for {td.ell} bags")
+    for j, (bag, block) in enumerate(zip(td.bags, blocks)):
+        if block.shape != (len(bag), len(bag)):
             raise DimensionMismatch(
-                f"block {j} has shape {blocks[j].shape}, bag size {len(bag)}"
+                f"block {j} has shape {block.shape}, bag size {len(bag)}"
             )
+    ell, n, parent = td.ell, td.n, td.parent
+    bags = np.arange(ell)
 
-    u = np.zeros((td.n, td.omega))
-    cols = 0  # columns of u in use so far
-    for j in reversed(td.postorder()):  # parents before children
-        bag = td.bags[j]
-        sep = td.separator(j)
-        own = [bag.index(v) for v in sep]
-        blocks[j], f = _psd_factor(blocks[j], eps, f"bag {j} block")
-        if own:
-            p = int(td.parent[j])
-            par = [td.bags[p].index(v) for v in sep]
-            diff = np.max(
-                np.abs(blocks[j][own][:, own] - blocks[p][par][:, par])
+    # (bag, vertex) entries, bag after bag, and the parent's copy of each
+    start, members, bag_of = bag_entries(td)
+    sizes = np.diff(start)
+    local = np.arange(members.size) - start[bag_of]
+    keys = bag_of * n + members  # ascending
+    in_parent, shared = sorted_lookup(keys, parent[bag_of] * n + members)
+    shared &= parent[bag_of] != bag_of  # a root has no separator
+    in_parent -= start[parent[bag_of]]
+    sep = np.flatnonzero(shared)  # separator entries, child after child
+    sep_size = np.bincount(bag_of[sep], minlength=ell)
+    slot = np.arange(sep.size) - (np.cumsum(sep_size) - sep_size)[bag_of[sep]]
+    # the children of a bag that places nothing (it lies inside its
+    # parent) are rotated against the nearest placing bag above
+    placer = (np.bincount(bag_of[~shared], minlength=ell) > 0) | (
+        parent == bags
+    )
+    up = np.where(placer, bags, parent)
+    for _ in range(ell.bit_length()):
+        up = up[up]
+    anchor = up[parent]
+
+    # one eigendecomposition per bag order; F rows right-aligned in omega
+    # columns, since eigh puts the kept eigenvalues last
+    sq_start = np.cumsum(sizes * sizes) - sizes * sizes
+    projected = np.empty(int(np.sum(sizes * sizes)))  # row-major blocks
+    low, cap = np.zeros(ell), np.full(ell, np.inf)
+    rank = np.zeros(ell, dtype=np.int64)
+    omega = int(np.max(sizes, initial=0))
+    f = np.zeros((members.size + 1, omega))  # a zero row last, to pad
+    for order in np.unique(sizes[sizes > 0]).tolist():
+        grp = np.flatnonzero(sizes == order)
+        mats = np.stack([blocks[j] for j in grp.tolist()])
+        vals, vecs = np.linalg.eigh(0.5 * (mats + np.swapaxes(mats, 1, 2)))
+        low[grp], cap[grp] = vals[:, 0], 100.0 * eps * (1.0 + vals[:, -1])
+        keep = vals > order * np.finfo(float).eps * np.maximum(vals[:, -1:], 0)
+        rank[grp] = keep.sum(axis=1)
+        neg = vals[:, 0] < 0.0
+        mats[neg] = (vecs[neg] * np.clip(vals[neg], 0.0, None)[:, None]) @ (
+            np.swapaxes(vecs[neg], 1, 2)
+        )
+        at = sq_start[grp, None] + np.arange(order * order)
+        projected[at] = mats.reshape(at.shape)
+        f[start[grp, None] + np.arange(order), omega - order:] = (
+            vecs * np.sqrt(vals * keep)[:, None]
+        )
+
+    # every pair of a child's separator entries against the parent's copy:
+    # e1 repeats each entry once per entry of its child, e2 walks them
+    reps = sep_size[bag_of[sep]]
+    e1 = np.repeat(sep, reps)
+    e2 = sep[
+        np.arange(e1.size)
+        + np.repeat(np.arange(sep.size) - slot + reps - np.cumsum(reps), reps)
+    ]
+    child, par = bag_of[e1], parent[bag_of[e1]]
+    diff = np.abs(
+        projected[sq_start[child] + local[e1] * sizes[child] + local[e2]]
+        - projected[sq_start[par] + in_parent[e1] * sizes[par] + in_parent[e2]]
+    )
+    mismatch = np.zeros(ell)
+    np.maximum.at(mismatch, child, diff)
+    root_first = np.asarray(td.postorder()[::-1], dtype=np.int64)
+    failed = np.stack([low < -cap, mismatch > OVERLAP_TOL], axis=1)
+    failed = failed[root_first].ravel()  # a bag's PSD check first
+    if failed.any():
+        j, overlap = divmod(int(np.argmax(failed)), 2)
+        j = int(root_first[j])
+        if overlap:
+            raise OverlapMismatch(
+                f"bags {j} and {parent[j]} disagree on their overlap by "
+                f"{mismatch[j]:.3e}"
             )
-            if diff > OVERLAP_TOL:
-                raise OverlapMismatch(
-                    f"bags {j} and {p} disagree on their overlap by "
-                    f"{diff:.3e}"
-                )
-        new = [i for i in range(len(bag)) if i not in own]
-        if not new:
-            continue
-        # an empty separator (the root, or a disconnected attachment)
-        # leaves every column free for reuse
-        cols = max(cols, f.shape[1])
-        y, _, zt = np.linalg.svd(f[own].T @ u[list(sep), :cols])
-        u[np.asarray(bag)[new], :cols] = f[new] @ (y @ zt[: f.shape[1]])
+        raise BlockNotPsd(
+            f"bag {j} block has eigenvalue {low[j]:.3e}, beyond the PSD "
+            f"cap {-cap[j]:.3e}"
+        )
 
-    return LowRankFactor(U=u[:, :cols])
+    # P_j from one stacked SVD of F_j[B]^T F_a[B], separators padded
+    r = int(np.max(rank[placer], initial=0))
+    f = f[:, omega - r:]  # a placing bag keeps at most r columns
+    kids = np.flatnonzero(placer & (parent != bags))
+    own = np.full((ell, int(np.max(sep_size, initial=0))), members.size)
+    own[bag_of[sep], slot] = sep
+    at_anchor = sorted_lookup(keys, anchor[bag_of] * n + members)[0]
+    at_anchor = np.append(at_anchor, members.size)[own[kids]]
+    rot = np.broadcast_to(np.eye(r), (ell, r, r)).copy()
+    svd = np.linalg.svd(np.swapaxes(f[own[kids]], 1, 2) @ f[at_anchor])
+    rot[kids] = svd.U @ svd.Vh
+    del svd  # free its factors before the products below allocate theirs
+
+    # R_j = P_j R_a by pointer jumping: rot[j] is the product from bag j
+    # up to, not including, bag up[j]; a root's is I, and a bag that
+    # places nothing is left out
+    up = np.where(placer, anchor, bags)
+    for _ in range(ell.bit_length()):
+        live = np.flatnonzero(up[up] != up)
+        rot[live] = rot[live] @ rot[up[live]]
+        up[live] = up[up[live]]
+
+    u = np.zeros((n, r))
+    for order in np.unique(sizes[placer]).tolist():  # U_J = F_j R_j
+        grp = np.flatnonzero(placer & (sizes == order))
+        at = start[grp, None] + np.arange(order)
+        new = ~shared[at]
+        u[members[at[new]]] = (f[at] @ rot[grp])[new]
+    return LowRankFactor(U=u)
 
 
 def _digits(numerator: float, denominator: float) -> float:

@@ -47,14 +47,21 @@ class UniquePartition:
         return sorted_lookup(self.keys, bags * self.n + verts)
 
 
-def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
+def bag_entries(td: TreeDecomposition):
+    """The (bag, vertex) entries of a decomposition, bag after bag: the
+    offset of each bag's run (ell + 1 entries), the vertices, and the bag
+    of each entry."""
     sizes = np.fromiter(map(len, td.bags), np.int64, td.ell)
     bag_start = np.zeros(td.ell + 1, dtype=np.int64)
     np.cumsum(sizes, out=bag_start[1:])
     members = np.fromiter(
         chain.from_iterable(td.bags), np.int64, int(bag_start[-1])
     )
-    bag_of = np.repeat(np.arange(td.ell), sizes)
+    return bag_start, members, np.repeat(np.arange(td.ell), sizes)
+
+
+def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
+    bag_start, members, bag_of = bag_entries(td)
     part = UniquePartition(
         n=td.n,
         owner=-np.ones(td.n, dtype=np.int64),

@@ -22,6 +22,7 @@ from util import (
     make_problem,
     min_degree_order_reference,
     random_rooted_tree,
+    separator,
     validate,
 )
 
@@ -214,7 +215,7 @@ def test_star_decomposition_is_star_shaped_tree():
     assert all(
         int(td.parent[j]) == root for j in range(td.ell) if j != root
     )
-    assert all(td.separator(j) == (n - 1,) for j in range(td.ell) if j != root)
+    assert all(separator(td, j) == (n - 1,) for j in range(td.ell) if j != root)
 
 
 # ----------------------------------------------------------------- helpers

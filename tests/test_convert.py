@@ -30,6 +30,7 @@ from util import (
     random_partially_separable_problem,
     random_rooted_tree,
     row_assemble,
+    separator,
     stack_triplets,
     star_arrow_problem,
 )
@@ -70,7 +71,7 @@ def test_ctc_overlap_count_and_root_free():
     problem, td = random_partially_separable_problem(rng, 10, 3)
     ctc = build_ctc(problem, td=td)
     expected = sum(
-        tri(len(td.separator(j))) for j in range(td.ell) if td.parent[j] != j
+        tri(len(separator(td, j))) for j in range(td.ell) if td.parent[j] != j
     )
     assert ctc.n_overlap == expected
     # every overlap row touches exactly a (parent, child) pair
@@ -100,7 +101,7 @@ def test_ctc_overlap_block_pattern_is_tree_adjacency():
         nonempty = {
             (max(int(td.parent[j]), j), min(int(td.parent[j]), j))
             for j in range(td.ell)
-            if td.parent[j] != j and td.separator(j)
+            if td.parent[j] != j and separator(td, j)
         }
         assert seen == nonempty
 

@@ -1,7 +1,9 @@
 """Tests for low-rank completion and solution-quality metrics."""
 
+import collections
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -27,9 +29,11 @@ from treesdp.recovery import (
 from util import (
     SparseSymmetric,
     dense_dimacs_metrics,
+    loop_complete_low_rank,
     make_problem,
     random_connected_graph,
     random_partially_separable_problem,
+    separator,
     to_dense,
 )
 
@@ -222,6 +226,231 @@ def test_solution_file_round_trip(tmp_path):
     buf = io.StringIO()
     factor.write(buf)
     assert buf.getvalue() == path.read_text()
+
+
+def fstring_factor_text(u):
+    """The factor file as one f-string per value wrote it."""
+    lines = [f"{u.shape[0]} {u.shape[1]}\n"]
+    for row in u:
+        lines.append(" ".join(f"{v:.17g}" for v in row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize(
+    "u",
+    [
+        np.array([[-0.0, 1e-300], [1e300, -1e-300], [np.pi, -2.5]]),
+        np.array([[-0.0], [1e-300], [1e300], [1.0 / 3.0]]),
+        np.zeros((0, 3)),
+        np.zeros((2, 0)),
+        np.random.default_rng(5).standard_normal((7, 4)) * 1e5,
+    ],
+    ids=["signs-and-extremes", "one-column", "zero-rows", "zero-columns",
+         "random"],
+)
+def test_factor_text_is_byte_identical_to_the_f_string_writer(u):
+    buf = io.StringIO()
+    LowRankFactor(U=u).write(buf)
+    assert buf.getvalue() == fstring_factor_text(u)
+
+
+# ---------------------------------------------------------------------------
+# the stacked completion against the bag-by-bag oracle
+# ---------------------------------------------------------------------------
+
+
+def factor_blocks(g, td, shift=0.0):
+    """Bag blocks of the PSD matrix g g^T + shift I, bag by bag."""
+    return [
+        g[np.asarray(bag)] @ g[np.asarray(bag)].T + shift * np.eye(len(bag))
+        for bag in td.bags
+    ]
+
+
+def worst_bag_agreement(factor, blocks, td):
+    """max over bags J of max |U_J U_J^T - X_J| / (1 + max |X_J|), without
+    an n x n product."""
+    worst = 0.0
+    for bag, block in zip(td.bags, blocks):
+        u_j = factor.U[np.asarray(bag, dtype=np.int64)]
+        dev = np.max(np.abs(u_j @ u_j.T - block), initial=0.0)
+        scale = 1.0 + np.max(np.abs(block), initial=0.0)
+        worst = max(worst, float(dev / scale))
+    return worst
+
+
+def assert_matches_loop(blocks, td, eps=1e-8):
+    ref = loop_complete_low_rank(blocks, td, eps)
+    got = complete_low_rank(blocks, td, eps)
+    assert got.U.shape == ref.U.shape
+    assert abs(
+        worst_bag_agreement(got, blocks, td)
+        - worst_bag_agreement(ref, blocks, td)
+    ) <= 1e-12
+    return got
+
+
+def grid_graph(rows, cols):
+    def v(i, j):
+        return i * cols + j
+
+    edges = [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+    edges += [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)]
+    return Graph(rows * cols, edges)
+
+
+def test_stacked_completion_matches_loop_on_random_chordal_patterns():
+    rng = np.random.default_rng(1301)
+    for _ in range(40):
+        n = int(rng.integers(3, 26))
+        td = decompose(random_connected_graph(rng, n, rng.uniform(0.5, 4.0)))
+        k = int(rng.choice([1, 2, 3, n]))
+        g = rng.standard_normal((n, k))
+        assert_matches_loop(factor_blocks(g, td, shift=0.3), td)
+        assert_matches_loop(factor_blocks(g, td), td)
+
+
+def test_stacked_completion_matches_loop_on_rank_deficient_blocks():
+    # graded rows make separator blocks tiny beside their bags; zero rows
+    # give bags of rank below their neighbours' and all-zero bags
+    for seed, n, decades in ((11, 8, 0), (835, 12, 3), (97, 30, 2)):
+        rng = np.random.default_rng(seed)
+        td = decompose(random_connected_graph(rng, n))
+        rows = 10.0 ** rng.integers(0, decades + 1, n)
+        g = rows[:, None] * rng.standard_normal((n, 2))
+        assert_matches_loop(factor_blocks(g, td), td)
+        g[rng.random(n) < 0.4] = 0.0
+        assert_matches_loop(factor_blocks(g, td), td)
+    td = decompose(random_connected_graph(np.random.default_rng(3), 9))
+    zero = assert_matches_loop(factor_blocks(np.zeros((9, 1)), td), td)
+    assert zero.U.shape == (9, 0)
+
+
+def test_stacked_completion_matches_loop_on_empty_separators():
+    # three components: their roots hang under the last one's root with
+    # nothing shared, and a hand-built tree puts one under a middle bag
+    rng = np.random.default_rng(21)
+    edges = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (6, 7), (7, 8), (8, 6)]
+    td = decompose(Graph(9, edges))
+    assert any(
+        not separator(td, j) for j in range(td.ell) if td.parent[j] != j
+    )
+    for k in (1, 2, 3):
+        assert_matches_loop(factor_blocks(rng.standard_normal((9, k)), td), td)
+    td = TreeDecomposition(
+        n=7, bags=[(0, 1), (1, 2, 3), (4, 5), (5, 6)],
+        parent=np.array([0, 0, 1, 2]),
+    )
+    assert_matches_loop(factor_blocks(rng.standard_normal((7, 2)), td), td)
+
+
+def test_stacked_completion_matches_loop_on_a_long_path():
+    n = 1201  # 1200 bags, 1199 deep
+    rng = np.random.default_rng(4)
+    td = path_td(n)
+    for k, shift in ((1, 0.0), (2, 0.0), (3, 0.0), (2, 0.5)):
+        got = assert_matches_loop(
+            factor_blocks(rng.standard_normal((n, k)), td, shift), td
+        )
+        assert got.rank <= 2
+
+
+def test_stacked_completion_matches_loop_on_a_grid():
+    # the 6 x L grid at omega = 9 is a chain of 599 bags, 114 deep, and
+    # keeps a vertex in up to 14 of them
+    td = decompose(grid_graph(6, 120))
+    assert td.omega == 9 and max(td.depth) >= 100
+    rng = np.random.default_rng(6)
+    for k, shift in ((2, 0.0), (5, 0.0), (3, 0.2)):
+        assert_matches_loop(
+            factor_blocks(rng.standard_normal((td.n, k)), td, shift), td
+        )
+
+
+def test_stacked_completion_matches_loop_past_bags_that_place_nothing():
+    # bags 1 and 5 lie inside their parents and place no vertex; their
+    # children are rotated against the nearest bag above that does.  Bag
+    # 1 also carries 1e-9 of its own, so its rank can exceed every placing
+    # bag's.
+    td = TreeDecomposition(
+        n=7,
+        bags=[(0, 1, 2), (1, 2), (2, 3), (1, 4), (1, 2, 6), (2,), (2, 5)],
+        parent=np.array([0, 0, 1, 1, 1, 1, 5]),
+    )
+    rng = np.random.default_rng(12)
+    for k in (1, 2, 3):
+        blocks = factor_blocks(rng.standard_normal((7, k)), td)
+        assert_matches_loop(blocks, td)
+        blocks[1] = blocks[1] + 1e-9 * np.eye(2)
+        assert assert_matches_loop(blocks, td).rank == k
+
+
+def named_bags(err):
+    """The bag (and parent) an error message names."""
+    return re.match(r"bags? (\d+)(?: and (\d+))?", str(err)).groups()
+
+
+def test_stacked_completion_names_the_loops_first_failure():
+    # corrupt a few bags: a PSD failure, a separator that disagrees with
+    # the parent, or both in one bag (its PSD check comes first); the
+    # error is the first in root-first order, as the loop meets it
+    rng = np.random.default_rng(77)
+    seen = set()
+    for _ in range(60):
+        n = int(rng.integers(4, 20))
+        td = decompose(random_connected_graph(rng, n, 2.0))
+        blocks = factor_blocks(rng.standard_normal((n, n)), td, shift=0.3)
+        count = min(td.ell, int(rng.integers(1, 4)))
+        for j in rng.choice(td.ell, count, replace=False):
+            shared = separator(td, j)
+            kind = rng.integers(0, 3) if shared else 0
+            if kind != 1:
+                blocks[j] = blocks[j] - 2.0 * np.max(
+                    np.linalg.eigvalsh(blocks[j])
+                ) * np.eye(len(td.bags[j]))
+            if kind != 0:
+                i = td.bags[j].index(shared[rng.integers(0, len(shared))])
+                blocks[j][i, i] += 1e-3
+        with pytest.raises((BlockNotPsd, OverlapMismatch)) as ref:
+            loop_complete_low_rank(blocks, td)
+        with pytest.raises(type(ref.value)) as got:
+            complete_low_rank(blocks, td)
+        assert named_bags(got.value) == named_bags(ref.value)
+        seen.add(type(ref.value))
+    assert seen == {BlockNotPsd, OverlapMismatch}
+
+
+def test_stacked_completion_names_a_misshapen_block_as_the_loop():
+    td = path_td(4)
+    blocks = [np.eye(2), np.eye(3), np.eye(2)]
+    with pytest.raises(DimensionMismatch) as ref:
+        loop_complete_low_rank(blocks, td)
+    with pytest.raises(DimensionMismatch) as got:
+        complete_low_rank(blocks, td)
+    assert str(got.value) == str(ref.value)
+
+
+def test_completion_decompositions_do_not_grow_with_the_bag_count(
+    monkeypatch,
+):
+    # one stacked eigh per bag order and one stacked SVD, whatever ell
+    calls = collections.Counter()
+    for name in ("eigh", "svd"):
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _real=real, _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    rng = np.random.default_rng(8)
+    counts = []
+    for n in (101, 1001):  # 100 and 1000 bags
+        calls.clear()
+        td = path_td(n)
+        complete_low_rank(factor_blocks(rng.standard_normal((n, 2)), td), td)
+        counts.append(dict(calls))
+    assert counts[0] == counts[1] == {"eigh": 1, "svd": 1}
 
 
 # ---------------------------------------------------------------------------

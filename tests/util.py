@@ -18,7 +18,13 @@ from treesdp.convert import (
     steiner_closure,
     validate_support_tree,
 )
-from treesdp.errors import DimensionMismatch, NotInterior, UncoverableEntry
+from treesdp.errors import (
+    BlockNotPsd,
+    DimensionMismatch,
+    NotInterior,
+    OverlapMismatch,
+    UncoverableEntry,
+)
 from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
 from treesdp.linalg import (
     Triplets,
@@ -34,7 +40,7 @@ from treesdp.linalg import (
 )
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
-from treesdp.recovery import SCORE_CAP, LowRankFactor, Metrics
+from treesdp.recovery import OVERLAP_TOL, SCORE_CAP, LowRankFactor, Metrics
 from treesdp.splitting import split
 
 
@@ -325,6 +331,15 @@ def ancestors(td, j):
     while int(td.parent[path[-1]]) != path[-1]:
         path.append(int(td.parent[path[-1]]))
     return path
+
+
+def separator(td, j):
+    """Intersection of bag j with its parent bag (empty at the root)."""
+    p = int(td.parent[j])
+    if p == j:
+        return tuple()
+    parent_set = set(td.bags[p])
+    return tuple(v for v in td.bags[j] if v in parent_set)
 
 
 def min_degree_order_reference(graph):
@@ -881,6 +896,70 @@ def dense_dimacs_metrics(sdp, x, y):
     return Metrics(pinf=pinf, dinf=dinf, gap=gap, L=min(pinf, dinf, gap))
 
 
+def _psd_factor(block, eps, label):
+    """One bag of ``loop_complete_low_rank``: the projected block and a
+    factor F with ``F @ F.T`` equal to it, by one ``eigh``."""
+    vals, vecs = np.linalg.eigh(0.5 * (block + block.T))
+    if vals.size == 0:
+        return block, vecs
+    top = float(vals[-1])
+    cap = 100.0 * eps * (1.0 + top)
+    if vals[0] < -cap:
+        raise BlockNotPsd(
+            f"{label} has eigenvalue {vals[0]:.3e}, beyond the PSD cap "
+            f"{-cap:.3e}"
+        )
+    keep = vals > vals.size * np.finfo(float).eps * max(top, 0.0)
+    factor = vecs[:, keep] * np.sqrt(vals[keep])
+    if vals[0] < 0.0:
+        block = (vecs * np.clip(vals, 0.0, None)) @ vecs.T
+    return block, factor
+
+
+def loop_complete_low_rank(blocks, td, eps=1e-8):
+    """``complete_low_rank`` one bag at a time, root first: the oracle of
+    the stacked one.  Each bag's new vertices get ``U_A = F_A Q``, where
+    ``Q = Y Z^T`` from the SVD ``F_B^T U_B = Y S Z^T`` best maps the
+    bag's separator rows onto the rows already placed."""
+    blocks = [np.atleast_2d(np.asarray(b, dtype=float)) for b in blocks]
+    if len(blocks) != td.ell:
+        raise DimensionMismatch(f"{len(blocks)} blocks for {td.ell} bags")
+    for j, bag in enumerate(td.bags):
+        if blocks[j].shape != (len(bag), len(bag)):
+            raise DimensionMismatch(
+                f"block {j} has shape {blocks[j].shape}, bag size {len(bag)}"
+            )
+
+    u = np.zeros((td.n, td.omega))
+    cols = 0  # columns of u in use so far
+    for j in reversed(td.postorder()):  # parents before children
+        bag = td.bags[j]
+        sep = separator(td, j)
+        own = [bag.index(v) for v in sep]
+        blocks[j], f = _psd_factor(blocks[j], eps, f"bag {j} block")
+        if own:
+            p = int(td.parent[j])
+            par = [td.bags[p].index(v) for v in sep]
+            diff = np.max(
+                np.abs(blocks[j][own][:, own] - blocks[p][par][:, par])
+            )
+            if diff > OVERLAP_TOL:
+                raise OverlapMismatch(
+                    f"bags {j} and {p} disagree on their overlap by "
+                    f"{diff:.3e}"
+                )
+        new = [i for i in range(len(bag)) if i not in own]
+        if not new:
+            continue
+        # an empty separator (the root, or a disconnected attachment)
+        # leaves every column free for reuse
+        cols = max(cols, f.shape[1])
+        y, _, zt = np.linalg.svd(f[own].T @ u[list(sep), :cols])
+        u[np.asarray(bag)[new], :cols] = f[new] @ (y @ zt[: f.shape[1]])
+
+    return LowRankFactor(U=u[:, :cols])
+
+
 # --------------------------------------------------------------------------
 # The per-matrix splitter and converter: oracles of the stacked ones
 # --------------------------------------------------------------------------
@@ -1152,7 +1231,7 @@ def row_assemble(problem, td, with_aux):
         p = int(td.parent[j])
         if p == j:
             continue
-        sep = sorted(td.separator(j))
+        sep = sorted(separator(td, j))
         for x, y in combinations_with_replacement(sep, 2):
             rows_n += [nrow, nrow]
             cols_n += [
