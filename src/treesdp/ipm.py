@@ -33,6 +33,7 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
+from numpy._core.einsumfunc import bmm_einsum  # np.einsum's pairwise step
 
 from .blas import one_blas_thread
 from .convert import ConeSpec, DualizedProblem
@@ -119,12 +120,27 @@ def _soc_g2(v: np.ndarray) -> float:
 _CONGRUENCE = "gij,gkjl,glm->gkim"  # W M W for each group g and column k
 
 
-@functools.lru_cache(maxsize=64)
-def _congruence_path(w_shape: tuple, m_shape: tuple) -> tuple:
-    """The contraction path ``optimize=True`` would search for on every
-    call, found once per pair of operand shapes."""
+@functools.lru_cache(maxsize=None)  # a solve needs 2 per order; keep all
+def _congruence_steps(w_shape: tuple, m_shape: tuple) -> tuple:
+    """(operand positions, einsum string) of each pairwise step of the
+    contraction ``optimize="greedy"`` picks, found once per pair of
+    operand shapes."""
     w, m = np.broadcast_to(0.0, w_shape), np.broadcast_to(0.0, m_shape)
-    return tuple(np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy")[0])
+    steps = np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy",
+                           einsum_call=True)[1]
+    return tuple((step[0], step[1]) for step in steps)
+
+
+def _congruence(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """W M W for each group and column: the steps of
+    ``np.einsum(_CONGRUENCE, w, m, w, optimize="greedy")`` run as that
+    call runs them, so every float is the same, without the path search
+    numpy repeats inside each call."""
+    ops = [w, m, w]
+    for inds, eq in _congruence_steps(w.shape, m.shape):
+        a, b = (ops.pop(i) for i in inds)
+        ops.append(bmm_einsum(eq, a, b))
+    return ops[0]
 
 
 class ConeOps:
@@ -271,7 +287,10 @@ class ConeOps:
 
     # -- inverse Hessian action at the scaling point ------------------------
     def hess_inv_apply(self, w: ScalingPoint, v):
-        """(∇²F(w))^{-1} v for a vector or a (dim, k) column batch."""
+        """(∇²F(w))^{-1} v for a vector or a (dim, k) column batch.
+
+        PSD segments take W M W per order group by :func:`_congruence`: the
+        floats of ``np.einsum``, with no path search per call."""
         cols, single = self._cols(v)
         out = np.zeros_like(cols)
         for sc in w.soc:
@@ -287,10 +306,7 @@ class ConeOps:
             mats = smat_stack(
                 np.moveaxis(vecs, 2, 1).reshape(-1, vecs.shape[1])
             ).reshape(vecs.shape[0], k, order, order)
-            res = np.einsum(
-                _CONGRUENCE, w_stack, mats, w_stack,
-                optimize=_congruence_path(w_stack.shape, mats.shape),
-            )
+            res = _congruence(w_stack, mats)
             flat = svec_stack(res.reshape(-1, order, order)).reshape(
                 vecs.shape[0], k, -1
             )

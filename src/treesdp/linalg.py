@@ -101,21 +101,51 @@ def smat_stack(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+# 0.5 s_p s_q of a pair of packed positions, by how many are off-diagonal
+_KRON_COEF = 0.5 * np.array([1.0 * 1.0, 1.0 * SQRT2, SQRT2 * SQRT2])
+
+
+@lru_cache(maxsize=None)
+def _sym_kron_plan(order: int):
+    """Cached plan of :func:`sym_kron_stack` over the pairs p >= q of packed
+    positions: the four flat W positions of each pair, its count of
+    off-diagonal positions (its ``_KRON_COEF`` index), and the pair at each
+    entry of the t x t block, each in the smallest unsigned dtype that fits."""
+    r, c = tri_indices(order)
+    p, q = np.tril_indices(tri(order))
+    flat = np.stack([r[p] * order + r[q], c[p] * order + c[q],
+                     r[p] * order + c[q], c[p] * order + r[q]])
+    pair = np.empty((tri(order),) * 2, np.min_scalar_type(max(p.size - 1, 0)))
+    pair[p, q] = pair[q, p] = np.arange(p.size)
+    plan = (flat.astype(np.min_scalar_type(max(order * order - 1, 0))),
+            (r[p] != c[p]).astype(np.uint8) + (r[q] != c[q]),
+            pair.ravel())
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
 def sym_kron_stack(w: np.ndarray) -> np.ndarray:
     """Vectorized ``W (x)_s W`` over a stack of symmetric matrices (g, o, o).
 
     Returns (g, t, t) with t = tri(o).  Used to assemble the scaled diagonal
     blocks of the normal matrix for many same-order blocks at once.
+
+    Entry (p, q) is 0.5 s_p s_q (W[r_p,r_q] W[c_p,c_q] + W[r_p,c_q] W[c_p,r_q]).
+    Only the pairs p >= q are computed, from flat gathers of W, and mirrored:
+    for an exactly symmetric W (as ``ConeOps.scaling_point`` makes it) entry
+    (q, p) is the same float, since IEEE products and sums commute, so the
+    result is bit for bit that of the full t x t formula.
     """
     w = np.asarray(w, dtype=float)
-    order = w.shape[-1]
-    r, c = tri_indices(order)
-    s = svec_scale(order)
-    term = (
-        w[:, r[:, None], r[None, :]] * w[:, c[:, None], c[None, :]]
-        + w[:, r[:, None], c[None, :]] * w[:, c[:, None], r[None, :]]
-    )
-    return 0.5 * (s[:, None] * s[None, :]) * term
+    g, order = w.shape[0], w.shape[-1]
+    t = tri(order)
+    (rr, cc, rc, cr), n_off, pair = _sym_kron_plan(order)
+    flat = w.reshape(g, order * order)
+    lower = flat[:, rr] * flat[:, cc]
+    lower += flat[:, rc] * flat[:, cr]
+    lower *= _KRON_COEF[n_off]
+    return lower[:, pair].reshape(g, t, t)
 
 
 def svec_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):

@@ -15,6 +15,7 @@ Oracles used here, all independent of the implementation under test:
 """
 
 import numpy as np
+import numpy._core.einsumfunc as einsumfunc
 import pytest
 
 from treesdp.chordal import decompose, sparsity_graph
@@ -29,12 +30,15 @@ from treesdp.errors import (
     SingularNormalMatrix,
 )
 from treesdp.ipm import (
+    _CONGRUENCE,
     ConeOps,
     DenseHsdeProgram,
     DualizedHsdeProgram,
     HsdeSolver,
     SolverOptions,
     Step,
+    _congruence,
+    _congruence_steps,
     adaptive_step_solve,
     short_step_solve,
 )
@@ -216,6 +220,62 @@ def test_scaling_point_invariant_and_inverse():
             assert np.allclose(
                 ops.hess_inv_apply(w, v[:, k]), ops.hess_inv_apply(w, v)[:, k]
             )
+
+
+def count_einsum_paths(monkeypatch):
+    """Counter of ``einsum_path`` calls, direct or inside ``np.einsum``."""
+    calls = []
+    real = einsumfunc.einsum_path
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum_path", counted)
+    monkeypatch.setattr(einsumfunc, "einsum_path", counted)
+    return calls
+
+
+def test_congruence_is_bitwise_greedy_einsum():
+    rng = np.random.default_rng(41)
+    for order in range(1, 19):
+        for k in range(1, 5):
+            for g in (1, 5):
+                a = rng.standard_normal((g, order, order))
+                w = 0.5 * (a + np.swapaxes(a, 1, 2))
+                b = rng.standard_normal((g, k, order, order))
+                m = 0.5 * (b + np.swapaxes(b, 2, 3))
+                path = np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy")[0]
+                oracle = np.einsum(_CONGRUENCE, w, m, w, optimize=path)
+                assert np.array_equal(_congruence(w, m), oracle)
+
+
+def test_repeat_hess_inv_apply_searches_no_path(monkeypatch):
+    ops = ConeOps(COMPOSITE)
+    rng = np.random.default_rng(42)
+    w = ops.scaling_point(make_interior(ops, rng), make_interior(ops, rng))
+    v = rng.standard_normal((ops.dim, 3))
+    first = ops.hess_inv_apply(w, v), ops.hess_inv_apply(w, v[:, 0])
+    calls = count_einsum_paths(monkeypatch)
+    second = ops.hess_inv_apply(w, v), ops.hess_inv_apply(w, v[:, 0])
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(first, second))
+
+
+def test_congruence_cache_holds_more_than_64_shape_pairs(monkeypatch):
+    # one wide-bag solve needs two shape pairs per bag order; 80 pairs
+    # here, as on a 40-order graph, must all hit on the second pass
+    shapes = [((2, o, o), (2, k, o, o)) for o in range(1, 21) for k in (1, 2, 3, 4)]
+    for w_shape, m_shape in shapes:
+        _congruence(np.ones(w_shape), np.ones(m_shape))
+    before = _congruence_steps.cache_info()
+    calls = count_einsum_paths(monkeypatch)
+    for w_shape, m_shape in shapes:
+        _congruence(np.ones(w_shape), np.ones(m_shape))
+    after = _congruence_steps.cache_info()
+    assert len(shapes) > 64
+    assert calls == []
+    assert (after.hits - before.hits, after.misses) == (len(shapes), before.misses)
 
 
 def test_scaling_point_psd_example():

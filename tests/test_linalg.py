@@ -13,7 +13,7 @@ from treesdp.linalg import (
     svec_stack,
     sym_kron_stack,
 )
-from util import sym_kron_matrix
+from util import oracle_sym_kron_stack, sym_kron_matrix
 
 
 # ----------------------------------------------------------------- oracles
@@ -126,6 +126,20 @@ def test_sym_kron_stack_matches_matrix():
     stacked = sym_kron_stack(ws)
     for g in range(5):
         assert np.allclose(stacked[g], naive_sym_kron_matrix(ws[g], ws[g]), atol=1e-12)
+
+
+def test_sym_kron_stack_is_bitwise_the_full_formula():
+    # one triangle, mirrored, gives the very floats of the full t x t
+    # formula for W symmetrized as ConeOps.scaling_point symmetrizes it
+    rng = np.random.default_rng(31)
+    for order in range(1, 19):
+        for g in (0, 1, 40):
+            a = rng.standard_normal((g, order, order))
+            w = a @ np.swapaxes(a, 1, 2) + order * np.eye(order)
+            w = 0.5 * (w + np.swapaxes(w, 1, 2))
+            stacked = sym_kron_stack(w)
+            assert np.array_equal(stacked, oracle_sym_kron_stack(w))
+            assert np.array_equal(stacked, np.swapaxes(stacked, 1, 2))
 
 
 def test_sym_kron_of_pd_operand_is_pd():

@@ -34,7 +34,6 @@ from treesdp.linalg import (
     svec_stack,
     svec_coords,
     svec_scale,
-    sym_kron_stack,
     tri,
     tri_indices,
 )
@@ -280,6 +279,22 @@ def sym_kron_matrix(a, b):
         + b[np.ix_(r, c)] * a[np.ix_(c, r)]
     )
     return 0.25 * np.outer(s, s) * term
+
+
+def oracle_sym_kron_stack(w):
+    """``W (x)_s W`` for each matrix of a (g, o, o) stack by the full
+    tri(o) x tri(o) formula, every (p, q) computed on its own:
+    0.5 s_p s_q (W[r_p,r_q] W[c_p,c_q] + W[r_p,c_q] W[c_p,r_q]).  The
+    oracle of ``linalg.sym_kron_stack``, which computes one triangle."""
+    w = np.asarray(w, dtype=float)
+    order = w.shape[-1]
+    r, c = tri_indices(order)
+    s = svec_scale(order)
+    term = (
+        w[:, r[:, None], r[None, :]] * w[:, c[:, None], c[None, :]]
+        + w[:, r[:, None], c[None, :]] * w[:, c[:, None], r[None, :]]
+    )
+    return 0.5 * (s[:, None] * s[None, :]) * term
 
 
 def plain_row_coupling(ctc) -> set:
@@ -767,7 +782,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
         for j, blk in enumerate(self.ctc.blocks):
             groups.setdefault(blk.order, []).append(j)
         for o, idxs in groups.items():
-            kron = sym_kron_stack(np.stack([mats[j] for j in idxs]))
+            kron = oracle_sym_kron_stack(np.stack([mats[j] for j in idxs]))
             t = tri(o)
             for pos, j in enumerate(idxs):
                 s = self.at[j]
