@@ -67,18 +67,25 @@ def svec(mat: np.ndarray) -> np.ndarray:
     return mat[rows, cols] * svec_scale(order)
 
 
+@lru_cache(maxsize=None)
+def _smat_plan(order: int):
+    """Cached gather plan of :func:`smat_stack`: the packed position of
+    every entry of the full order x order matrix, and its scale."""
+    rows, cols = tri_indices(order)
+    pos = np.empty((order, order), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(tri(order))
+    scale = svec_scale(order)[pos]
+    pos.setflags(write=False)
+    scale.setflags(write=False)
+    return pos, scale
+
+
 def smat(vec: np.ndarray) -> np.ndarray:
     """Inverse of :func:`svec`: rebuild the full symmetric matrix."""
     vec = np.asarray(vec, dtype=float)
     if vec.ndim != 1:
         raise DimensionMismatch(f"smat expects a vector, got shape {vec.shape}")
-    order = order_of_tri(vec.shape[0])
-    rows, cols = tri_indices(order)
-    vals = vec / svec_scale(order)
-    out = np.zeros((order, order))
-    out[rows, cols] = vals
-    out[cols, rows] = vals
-    return out
+    return smat_stack(vec)
 
 
 def svec_stack(mats: np.ndarray) -> np.ndarray:
@@ -90,14 +97,12 @@ def svec_stack(mats: np.ndarray) -> np.ndarray:
 
 
 def smat_stack(vecs: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`smat` over a stack of packed vectors (g, t)."""
+    """Vectorized :func:`smat` over a stack of packed vectors (..., t): one
+    gather of every full-matrix entry and one division by its scale."""
     vecs = np.asarray(vecs, dtype=float)
-    order = order_of_tri(vecs.shape[-1])
-    rows, cols = tri_indices(order)
-    vals = vecs / svec_scale(order)
-    out = np.zeros(vecs.shape[:-1] + (order, order))
-    out[..., rows, cols] = vals
-    out[..., cols, rows] = vals
+    pos, scale = _smat_plan(order_of_tri(vecs.shape[-1]))
+    out = vecs[..., pos]
+    out /= scale
     return out
 
 

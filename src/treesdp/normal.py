@@ -18,13 +18,17 @@ arithmetic.  So the engine works on *groups* of bags, as relaxed
 supernode amalgamation does (Ashcraft & Grimes, ACM TOMS 1989).
 :func:`group_bags` walks the bags in postorder.  It merges each child's
 group into its parent's while the merged width stays within
-``GROUP_WIDTH`` coordinates, and packs the children that did not fit into
-sibling groups under the same cap; a bag wider than the cap stays alone.
+``GROUP_WIDTH`` = 32 coordinates (about ten order-2 bags), and packs the
+children that did not fit into sibling groups under the same cap; a bag
+wider than the cap (an order-8 bag has 36 coordinates) stays alone.
 The top bags of a group share one parent, the group's *attach bag*, which
 lies in the parent group.  So the groups form a tree, and every bag edge
 lies inside a group or joins a group to its attach bag.  Each group's
 members are eliminated in postorder, so the bag blocks that are zero in H
 stay exactly zero in L (:meth:`TreeNormalSystem.nonzero_bag_pairs`).
+Each group's factor, triangular solves and products are one dense LAPACK
+or BLAS call, and storage stays linear in the number of bags: a merged
+group of w coordinates holds w^2 <= ``GROUP_WIDTH`` * w entries.
 
 Storage.  The coordinates are permuted once so that each group is one
 contiguous slice, its members in postorder; ``solve_h`` and ``apply_h``
@@ -37,8 +41,11 @@ blocks are mostly zeros.  The slack scalings, the static shift and the
 finiteness checks are one vectorized pass each: ``factor`` checks the
 assembled H and ``solve_h`` its right-hand side, once per call, and both
 raise :class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks
-are added one bag at a time through precomputed views into their group
-blocks: an index array over every Kronecker entry (1.4 MB of int64 on a
+are added one *run* of bags at a time: same-order bags that lie in one
+group at a constant step along its diagonal share one strided
+(bags, t, t) view into H's buffer, so a chain needs about one in-place
+add per group and order, each entry the same single addition as bag by
+bag.  An index array over every Kronecker entry (1.4 MB of int64 on a
 random graph with 18-vertex bags, plus a temporary as large) raised the
 peak memory of a whole solve there by 2-3 %.  The per-group triangular
 solves call LAPACK ``dtrtrs`` directly, with the operands and flags
@@ -74,10 +81,11 @@ from .linalg import dense_factor, sym_kron_stack, tri
 
 REGULARIZATION_REL = 1e-12
 DENOMINATOR_FLOOR = 1e-14
-# Largest merged group, in coordinates.  Caps 24 and 32 were faster on a
-# chain of width-2 bags but raised a whole solve's peak memory there by
-# 1.2 % and 1.9 %.
-GROUP_WIDTH = 16
+# Largest merged group, in coordinates.  Against a cap of 16, 32 cut the
+# bench workloads' solve times by 5-27 % and raised a whole solve's peak
+# memory by 0.0-0.7 % (2-core host); 48 was no faster on a chain of
+# width-2 bags and raised it there by 1.3-1.5 %.
+GROUP_WIDTH = 32
 
 
 def _solve_lower(lj: np.ndarray, b: np.ndarray, trans: int = 0):
@@ -162,17 +170,7 @@ class TreeNormalSystem:
         self._h_blocks = self._blocks(self._h_flat)
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
-        # order -> views of the order-o bags' Kronecker blocks in H, in
-        # block order: row k of the order-o scaling stack goes to view k
-        self._kron_views: dict = {}
-        h_diag = self._h_blocks[0]
-        for j, b in enumerate(self.blocks):
-            k = self._group_of[j]
-            a = self._bag_start[j] - self.slices[k].start
-            t = b.svec_len
-            self._kron_views.setdefault(b.order, []).append(
-                h_diag[k][a:a + t, a:a + t]
-            )
+        self._kron_runs = self._kron_run_views()
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
         self._nn_pos = self._diag_pos[
@@ -186,8 +184,8 @@ class TreeNormalSystem:
         self._assemble_ops = sum(
             b.width * b.width for b in self.blocks
         ) + sum(
-            len(views) * tri(o) * tri(o) * o
-            for o, views in self._kron_views.items()
+            runs[-1][1] * tri(o) * tri(o) * o
+            for o, runs in self._kron_runs.items()
         )
         self._factor_ops = 0
         for sl, rows in zip(self.slices, self._parent_rows):
@@ -325,6 +323,48 @@ class TreeNormalSystem:
             None if slab is None else next(edges) for slab in self._slabs
         ]
 
+    def _kron_run_views(self) -> dict:
+        """Order o -> the runs of the order-o bags' Kronecker blocks in H,
+        as (first stack row, end stack row, view) triples.
+
+        Row i of the order-o scaling stack belongs to the i-th order-o bag
+        in block order, whose t x t Kronecker block (t = tri(o)) lies on
+        its group block's diagonal.  Consecutive rows whose blocks lie in
+        one group at a constant flat step form a run, and a run's view is
+        one (rows, t, t) strided view into ``_h_flat``.  The runs of an
+        order tile its stack, so the last one ends at its bag count.
+        """
+        item = self._h_flat.itemsize
+        spans = self._spans.tolist()
+        starts: dict = {}  # order -> (group, flat offset) of each bag
+        for j, b in enumerate(self.blocks):
+            k = self._group_of[j]
+            lo, row0, w, _, _ = spans[k]
+            at = lo + (self._bag_start[j] - row0) * (w + 1)
+            starts.setdefault(b.order, []).append((k, at))
+        runs: dict = {}
+        for o, places in starts.items():
+            t = tri(o)
+            cuts = [0]
+            for i in range(1, len(places)):
+                (k, at), (pk, pat) = places[i], places[i - 1]
+                if k != pk or (
+                    i - cuts[-1] > 1 and at - pat != pat - places[i - 2][1]
+                ):
+                    cuts.append(i)
+            cuts.append(len(places))
+            runs[o] = []
+            for lo, hi in zip(cuts, cuts[1:]):
+                k, at = places[lo]
+                step = places[lo + 1][1] - at if hi - lo > 1 else 0
+                # the buffer constructor raises if the view leaves _h_flat
+                view = np.ndarray(
+                    (hi - lo, t, t), self._h_flat.dtype, self._h_flat,
+                    at * item, (step * item, spans[k][2] * item, item),
+                )
+                runs[o].append((lo, hi, view))
+        return runs
+
     def _static_gram(self) -> tuple:
         """(flat positions, values) of the nonzeros of G^T G that the flat
         layout stores.  Of the two mirror entries that couple a group with
@@ -371,12 +411,12 @@ class TreeNormalSystem:
         no block-diagonal term.
         """
         self.h_diag = []  # H counts as assembled once this call completes
-        for o, views in self._kron_views.items():
+        for o, runs in self._kron_runs.items():
             shape = np.shape(psd_w.get(o))
-            if shape != (len(views), o, o):
+            if shape != (runs[-1][1], o, o):
                 raise DimensionMismatch(
                     f"order-{o} scaling stack has shape {shape}, expected "
-                    f"{(len(views), o, o)}"
+                    f"{(runs[-1][1], o, o)}"
                 )
         nn_w2 = np.asarray(nn_w2, dtype=float)
         if nn_w2.shape != self._nn_pos.shape:
@@ -387,9 +427,10 @@ class TreeNormalSystem:
         h = self._h_flat
         h.fill(0.0)
         h[self._gtg_pos] = sigma * self._gtg_val
-        for o, views in self._kron_views.items():
-            for view, kron in zip(views, sym_kron_stack(psd_w[o])):
-                view += kron
+        for o, runs in self._kron_runs.items():
+            kron = sym_kron_stack(psd_w[o])
+            for lo, hi, view in runs:
+                view += kron[lo:hi]
         h[self._nn_pos] += nn_w2
         self.h_diag, self.h_off = self._h_blocks
         self.sigma = float(sigma)

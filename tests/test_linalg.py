@@ -13,7 +13,7 @@ from treesdp.linalg import (
     svec_stack,
     sym_kron_stack,
 )
-from util import oracle_sym_kron_stack, sym_kron_matrix
+from util import oracle_smat_stack, oracle_sym_kron_stack, sym_kron_matrix
 
 
 # ----------------------------------------------------------------- oracles
@@ -106,6 +106,18 @@ def test_stacked_variants_match_per_item():
         assert np.allclose(packed[g], svec(mats[g]), atol=1e-14)
     back = smat_stack(packed)
     assert np.allclose(back, mats, atol=1e-14)
+
+
+def test_smat_stack_is_bitwise_the_scatter_formula():
+    rng = np.random.default_rng(19)
+    for order in range(19):
+        t = order * (order + 1) // 2
+        for shape in ((t,), (0, t), (1, t), (40, t), (3, 5, t)):
+            vecs = rng.standard_normal(shape)
+            got = smat_stack(vecs)
+            assert got.shape == shape[:-1] + (order, order)
+            assert np.array_equal(got, oracle_smat_stack(vecs))
+        assert np.array_equal(smat(vecs[0, 0]), oracle_smat_stack(vecs[0, 0]))
 
 
 # ------------------------------------------------------- symmetric Kronecker

@@ -11,6 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from numpy.lib.array_utils import byte_bounds
 
 from treesdp import normal
 from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
@@ -22,6 +23,7 @@ from treesdp.errors import (
     NotFinite,
     StructureViolation,
 )
+from treesdp.linalg import tri
 from treesdp.normal import (
     GROUP_WIDTH,
     DenseNormalSystem,
@@ -612,7 +614,7 @@ def _reference_instance(kind):
         problem, td = path_problem(12, m=3)
         return problem, td, False
     if kind == "star":
-        problem = star_arrow_problem(9)
+        problem = star_arrow_problem(30)  # sibling groups below the hub's
         td = decompose(sparsity_graph(problem.n, problem.triplets))
         return problem, td, False
     if kind == "random-tree":
@@ -626,12 +628,19 @@ def _reference_instance(kind):
     return problem, td, True
 
 
-@pytest.mark.parametrize("kind", ["path", "star", "random-tree", "dctc-aux"])
+REFERENCE_KINDS = ["path", "star", "random-tree", "dctc-aux"]
+
+
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
 def test_engine_matches_reference_bit_for_bit(kind):
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
         problem, td, with_aux=with_aux, seed=19
     )
+    # edge blocks and the sweeps between groups are covered only when
+    # the instance spans several groups under the engine's cap
+    assert len(sys_.groups) >= 2
+    assert any(slab is not None for slab in sys_._slabs)
     ref = ReferenceTreeNormal(sys_.dualized)
     widths = {blk.width for blk in ctc.blocks}
     if kind == "random-tree":
@@ -669,3 +678,37 @@ def test_engine_matches_reference_bit_for_bit(kind):
         assert np.array_equal(
             sys_.solve_with_rank1(rhs), ref.solve_with_rank1(rhs)
         )
+
+
+@pytest.mark.parametrize("kind", REFERENCE_KINDS)
+def test_kron_run_views_alias_each_bag_block(kind):
+    # each bag's slice of its run view is its Kronecker block in its
+    # group's diagonal block, and no view reaches outside the flat buffer
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
+    h_diag = sys_._h_blocks[0]
+    flat_lo, flat_hi = byte_bounds(sys_._h_flat)
+    lengths = set()
+    for o, runs in sys_._kron_runs.items():
+        bags = [j for j, blk in enumerate(ctc.blocks) if blk.order == o]
+        t = tri(o)
+        ends = [0] + [hi for _, hi, _ in runs]  # the runs tile the stack
+        assert [lo for lo, _, _ in runs] == ends[:-1]
+        assert ends[-1] == len(bags)
+        for lo, hi, view in runs:
+            lengths.add(hi - lo)
+            view_lo, view_hi = byte_bounds(view)
+            assert flat_lo <= view_lo and view_hi <= flat_hi
+            for i, j in enumerate(bags[lo:hi]):
+                k = sys_._group_of[j]
+                a = sys_._bag_start[j] - sys_.slices[k].start
+                want, got = h_diag[k][a:a + t, a:a + t], view[i]
+                assert got.ctypes.data == want.ctypes.data
+                assert got.shape == want.shape
+                assert got.strides == want.strides
+    if kind in ("random-tree", "dctc-aux"):  # mixed orders and widths
+        assert len(sys_._kron_runs) > 1
+        assert 1 in lengths and max(lengths) > 1
+    assert sys_._assemble_ops == sum(
+        blk.width ** 2 + tri(blk.order) ** 2 * blk.order for blk in ctc.blocks
+    )

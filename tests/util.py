@@ -28,6 +28,7 @@ from treesdp.errors import (
 from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
 from treesdp.linalg import (
     Triplets,
+    order_of_tri,
     smat,
     smat_stack,
     svec,
@@ -279,6 +280,20 @@ def sym_kron_matrix(a, b):
         + b[np.ix_(r, c)] * a[np.ix_(c, r)]
     )
     return 0.25 * np.outer(s, s) * term
+
+
+def oracle_smat_stack(vecs):
+    """Stacked ``smat`` by dividing the packed entries by their scales and
+    scattering them into both triangles of a zero stack.  The oracle of
+    ``linalg.smat_stack``, which gathers each full-matrix entry."""
+    vecs = np.asarray(vecs, dtype=float)
+    order = order_of_tri(vecs.shape[-1])
+    rows, cols = tri_indices(order)
+    vals = vecs / svec_scale(order)
+    out = np.zeros(vecs.shape[:-1] + (order, order))
+    out[..., rows, cols] = vals
+    out[..., cols, rows] = vals
+    return out
 
 
 def oracle_sym_kron_stack(w):
