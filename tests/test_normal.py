@@ -107,7 +107,8 @@ def test_postorder_star_leaves_first():
 # groups of bags
 # ---------------------------------------------------------------------------
 
-CAPS = (0, GROUP_WIDTH, np.inf)  # no merge, the engine's cap, one group
+# no merge, a cap below the engine's, the engine's cap, one group
+CAPS = (0, 16, GROUP_WIDTH, np.inf)
 
 
 def _star(leaves):
