@@ -8,6 +8,12 @@ chained by free auxiliary scalars, so every row touches at most two
 tree-adjacent blocks.  Dualization embeds the converted problem's dual into a
 second-order cone program whose normal equations inherit the tree block
 structure.
+
+A :class:`ConvertedProblem` is its matrices (constraint rows, overlap
+rows, cost, right-hand side) plus four per-bag integer arrays, ``order``,
+``svec_start``, ``n_aux`` and ``n_nn``, from which the rest of the layout
+of z is derived.  It keeps no per-row bookkeeping: the bags a row touches
+are those of its stored entries.
 """
 
 from __future__ import annotations
@@ -21,7 +27,9 @@ from .chordal import TreeDecomposition, decompose, sparsity_graph
 from .errors import (
     DimensionMismatch, DisconnectedSupport, InvalidSplit, UncoverableEntry
 )
-from .linalg import Triplets, smat_stack, sorted_lookup, svec_coords, tri
+from .linalg import (
+    Triplets, ranges, smat_stack, sorted_lookup, svec_coords, tri
+)
 from .model import SdpProblem
 from .splitting import (
     SplitResult,
@@ -82,10 +90,6 @@ class ConeSpec:
             elif kind == "nonneg":
                 total += size
         return total
-
-    @property
-    def has_free(self) -> bool:
-        return any(kind == "free" for kind, _ in self.segments)
 
 
 # --------------------------------------------------------------------------
@@ -184,111 +188,70 @@ def validate_support_tree(td: TreeDecomposition, members: list) -> int:
 
 
 @dataclass
-class BlockLayout:
-    bag: tuple
-    order: int
-    svec_start: int
-    n_aux: int
-    aux_start: int
-    n_nn: int
-    nn_start: int
-
-    @property
-    def svec_len(self) -> int:
-        return tri(self.order)
-
-    @property
-    def end(self) -> int:
-        return self.nn_start + self.n_nn
-
-    @property
-    def width(self) -> int:
-        return self.svec_len + self.n_aux + self.n_nn
-
-
-@dataclass
-class AuxConstraint:
-    index: int  # original constraint index
-    members: list  # support-tree bags in postorder (children before the root)
-    root: int
-    aux_coord: dict  # member bag -> z-coordinate of its chain scalar u_j
-    row_range: tuple  # [start, end) rows in a_rows
-
-
-@dataclass
-class AuxPlan:
-    constraints: list  # AuxConstraint per separated constraint
-
-    @property
-    def n_aux(self) -> int:
-        return sum(len(c.aux_coord) for c in self.constraints)
-
-
-@dataclass
 class ConvertedProblem:
-    """Block-tree form: min <c_z, z> s.t. A z = b-part, N z = 0, with z laid
-    out per bag as [svec(X_j) | aux_j | slacks_j]."""
+    """Block-tree form: min <c_z, z> s.t. A z = b-part, N z = 0.
+
+    z is laid out bag by bag, and bag j's block is [svec(X_j) | aux_j |
+    slacks_j]: the packed matrix of order ``order[j]`` from coordinate
+    ``svec_start[j]``, then ``n_aux[j]`` free chain scalars, then
+    ``n_nn[j]`` orthant slacks.  Every other layout quantity is derived
+    from these four per-bag arrays."""
 
     problem: SdpProblem
     td: TreeDecomposition
-    blocks: list  # BlockLayout per bag
     a_rows: sp.csr_matrix
     n_rows: sp.csr_matrix
     g_rhs: np.ndarray  # rhs for [A; N] (zeros on the N part)
     c_z: np.ndarray
     cone: ConeSpec
-    row_kind: list  # per A-row: ("plain", i) | ("aux", i, bag, is_root)
-    block_of_row: list  # per G-row: sorted tuple of blocks touched
-    slack_coord: dict  # constraint index -> z coordinate of its slack
-    aux_plan: AuxPlan | None
     dual_row_of_constraint: np.ndarray  # constraint -> representative A-row
+    order: np.ndarray
+    svec_start: np.ndarray
+    n_aux: np.ndarray
+    n_nn: np.ndarray
+
+    @property
+    def aux_start(self) -> np.ndarray:
+        return self.svec_start + tri(self.order)
+
+    @property
+    def nn_start(self) -> np.ndarray:
+        return self.aux_start + self.n_aux
+
+    @property
+    def width(self) -> np.ndarray:
+        return tri(self.order) + self.n_aux + self.n_nn
 
     @property
     def dim_z(self) -> int:
-        return self.blocks[-1].end if self.blocks else 0
-
-    @property
-    def n_overlap(self) -> int:
-        return self.n_rows.shape[0]
-
-    @property
-    def f(self) -> int:
-        return self.a_rows.shape[0] + self.n_rows.shape[0]
+        return int(self.width.sum())
 
     def g_matrix(self) -> sp.csr_matrix:
         return sp.vstack([self.a_rows, self.n_rows], format="csr")
 
     def nonaux_coords(self) -> np.ndarray:
-        keep = []
-        for blk in self.blocks:
-            keep.extend(range(blk.svec_start, blk.svec_start + blk.svec_len))
-            keep.extend(range(blk.nn_start, blk.nn_start + blk.n_nn))
-        return np.array(keep, dtype=np.int64)
+        keep = np.ones(self.dim_z, dtype=bool)
+        keep[ranges(self.aux_start, self.n_aux)] = False
+        return np.flatnonzero(keep)
 
     def extract_bag_matrices(self, z: np.ndarray) -> list:
         """The bag matrices of z in bag order, by one ``smat_stack`` per
         bag order."""
-        spans = np.array(
-            [(b.svec_start, b.svec_len) for b in self.blocks], np.int64
-        ).reshape(-1, 2)
-        out = [None] * len(self.blocks)
-        for t in np.unique(spans[:, 1]).tolist():
-            grp = np.flatnonzero(spans[:, 1] == t)
-            mats = smat_stack(z[spans[grp, :1] + np.arange(t)])
+        lengths = tri(self.order)
+        out = [None] * lengths.size
+        for t in np.unique(lengths).tolist():
+            grp = np.flatnonzero(lengths == t)
+            mats = smat_stack(z[self.svec_start[grp, None] + np.arange(t)])
             for j, mat in zip(grp.tolist(), mats):
                 out[j] = mat
         return out
 
 
 def _assemble(
-    problem: SdpProblem,
-    td: TreeDecomposition | None,
-    order: list | None,
-    with_aux: bool,
+    problem: SdpProblem, td: TreeDecomposition | None, with_aux: bool
 ) -> ConvertedProblem:
     if td is None:
-        graph = sparsity_graph(problem.n, problem.triplets)
-        td = decompose(graph, order=order)
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
     m, ell = problem.m, td.ell
     post_index = td.post_index
     partition = build_unique_partition(td)
@@ -316,9 +279,9 @@ def _assemble(
         cover = cover_bag[cover_start[i]:cover_start[i] + n_cover[i]]
         wide[i] = sorted(cover.tolist(), key=post_index.__getitem__)
 
-    # ---- aux plan --------------------------------------------------------
+    # ---- aux chains ------------------------------------------------------
     aux_members = {}
-    n_aux_at = [0] * ell
+    n_aux = [0] * ell
     aux_local = {}  # (i, member bag) -> local index in parent block
     for i, cover in wide.items():
         if not with_aux:
@@ -331,36 +294,28 @@ def _assemble(
         for j in aux_members[i][0]:
             if j != root_w:
                 p = int(td.parent[j])
-                aux_local[(i, j)] = n_aux_at[p]
-                n_aux_at[p] += 1
+                aux_local[(i, j)] = n_aux[p]
+                n_aux[p] += 1
 
     senses = np.asarray(problem.senses, dtype=str)
     slack_i = np.flatnonzero(senses != "eq")
     slack_owner = home[slack_i]
-    n_nn_at = np.bincount(slack_owner, minlength=ell)
 
     # ---- layout ----------------------------------------------------------
-    n_aux_at = np.asarray(n_aux_at, dtype=np.int64)
-    orders = np.diff(partition.bag_start)
-    svec_len = orders * (orders + 1) // 2
-    ends = np.cumsum(svec_len + n_aux_at + n_nn_at)
-    aux_start = ends - n_aux_at - n_nn_at
-    svec_start = aux_start - svec_len
-    blocks = [
-        BlockLayout(td.bags[j], o, s, a, s + t, nn, s + t + a)
-        for j, (o, s, t, a, nn) in enumerate(
-            zip(*(x.tolist() for x in (
-                orders, svec_start, svec_len, n_aux_at, n_nn_at
-            )))
-        )
-    ]
+    order = np.diff(partition.bag_start)
+    n_aux = np.asarray(n_aux, dtype=np.int64)
+    n_nn = np.bincount(slack_owner, minlength=ell)
+    ends = np.cumsum(tri(order) + n_aux + n_nn)
+    nn_start = ends - n_nn
+    aux_start = nn_start - n_aux
+    svec_start = aux_start - tri(order)
     segments = []
-    for blk in blocks:
-        segments.append(("psd", blk.order))
-        if blk.n_aux:
-            segments.append(("free", blk.n_aux))
-        if blk.n_nn:
-            segments.append(("nonneg", blk.n_nn))
+    for o, a, nn in zip(order.tolist(), n_aux.tolist(), n_nn.tolist()):
+        segments.append(("psd", o))
+        if a:
+            segments.append(("free", a))
+        if nn:
+            segments.append(("nonneg", nn))
     dim_z = int(ends[-1]) if ell else 0
     aux_coord = {
         key: int(aux_start[td.parent[key[1]]]) + local
@@ -370,7 +325,7 @@ def _assemble(
     by_owner = np.argsort(slack_owner, kind="stable")
     slack_coord = np.empty_like(by_owner)
     slack_coord[by_owner] = np.arange(by_owner.size)
-    slack_coord += (ends - np.cumsum(n_nn_at))[slack_owner]
+    slack_coord += (ends - np.cumsum(n_nn))[slack_owner]
 
     # ---- cost vector -----------------------------------------------------
     pos, val = svec_coords(pieces.rows, pieces.cols, pieces.vals)
@@ -386,24 +341,17 @@ def _assemble(
     dual_row = np.zeros(m, dtype=np.int64)
     # u_j enters the row of j with -1 and the row of its parent with +1
     chain_i, chain_r, chain_c = [], [], []
-    aux_kinds, aux_blocks = {}, {}
     for i, (members, root_w) in aux_members.items():
         at = {j: r for r, j in enumerate(members)}
         s, t = np.searchsorted(ids[:k], [i, i + 1])
         rank[s:t] = [at[j] for j in bag[s:t].tolist()]
         rows_per[i] = len(members)
         dual_row[i] = at[root_w]
-        aux_kinds[i] = [("aux", i, j, j == root_w) for j in members]
-        aux_blocks[i] = []
         for j in members:
-            p = int(td.parent[j])
-            if j == root_w:
-                aux_blocks[i].append((j,))
-                continue
-            aux_blocks[i].append((min(j, p), max(j, p)))
-            chain_i += [i, i]
-            chain_r += [at[j], at[p]]
-            chain_c += [aux_coord[(i, j)]] * 2
+            if j != root_w:
+                chain_i += [i, i]
+                chain_r += [at[j], at[int(td.parent[j])]]
+                chain_c += [aux_coord[(i, j)]] * 2
     row_of = np.cumsum(rows_per) - rows_per  # first row of each constraint
     dual_row += row_of
     rhs = np.zeros(int(rows_per.sum()))
@@ -429,55 +377,28 @@ def _assemble(
         ),
         shape=(rhs.size, dim_z),
     )
-    row_kind = [("plain", i) for i in range(m)]
-    block_of_row = [(j,) for j in home.tolist()]
-    for i in np.flatnonzero((n_cover == 0) & (senses == "eq")).tolist():
-        block_of_row[i] = ()
-    for i, cover in wide.items():
-        block_of_row[i] = tuple(sorted(cover))
-    aux_constraints = [
-        AuxConstraint(
-            i,
-            members,
-            root_w,
-            {j: aux_coord[(i, j)] for j in members if j != root_w},
-            (int(row_of[i]), int(row_of[i]) + len(members)),
-        )
-        for i, (members, root_w) in aux_members.items()
-    ]
 
-    n_rows, n_block_of_row = _overlap_rows(td, partition, svec_start, dim_z)
+    n_rows = _overlap_rows(td, partition, svec_start, dim_z)
     return ConvertedProblem(
         problem=problem,
         td=td,
-        blocks=blocks,
         a_rows=a_rows,
         n_rows=n_rows,
         g_rhs=np.concatenate([rhs, np.zeros(n_rows.shape[0])]),
         c_z=c_z,
         cone=ConeSpec(segments=tuple(segments)),
-        row_kind=_splice(row_kind, aux_kinds),
-        block_of_row=_splice(block_of_row, aux_blocks) + n_block_of_row,
-        slack_coord=dict(zip(slack_i.tolist(), slack_coord.tolist())),
-        aux_plan=AuxPlan(constraints=aux_constraints) if with_aux else None,
         dual_row_of_constraint=dual_row,
+        order=order,
+        svec_start=svec_start,
+        n_aux=n_aux,
+        n_nn=n_nn,
     )
-
-
-def _splice(per_constraint: list, groups: dict) -> list:
-    """One entry per row: the constraints' own entries, with the rows of
-    each constraint in ``groups`` (ascending keys) in place of its one."""
-    out, prev = [], 0
-    for i, rows in groups.items():
-        out += per_constraint[prev:i] + rows
-        prev = i + 1
-    return out + per_constraint[prev:]
 
 
 def _overlap_rows(td, partition, svec_start, dim_z):
     """Rows X_j[x, y] - X_p[x, y] = 0 over the separator pairs x <= y of
     each non-root bag j and its parent p, bags in postorder and pairs in
-    lexicographic order; returns the rows and the blocks of each."""
+    lexicographic order."""
     post = np.asarray(td.postorder(), dtype=np.int64)
     child = post[td.parent[post] != post]
     parent = td.parent[child]
@@ -500,38 +421,31 @@ def _overlap_rows(td, partition, svec_start, dim_z):
         for blk, local in ((child, local_c), (parent, local_p))
     ]
     rows = np.arange(a.size)
-    n_rows = sp.csr_matrix(
+    return sp.csr_matrix(
         (
             np.repeat([1.0, -1.0], a.size),
             (np.concatenate([rows, rows]), np.concatenate(cols)),
         ),
         shape=(a.size, dim_z),
     )
-    j, p = child[of[a]], parent[of[a]]
-    blocks = zip(np.minimum(j, p).tolist(), np.maximum(j, p).tolist())
-    return n_rows, list(blocks)
 
 
 def build_ctc(
-    problem: SdpProblem,
-    td: TreeDecomposition | None = None,
-    order: list | None = None,
+    problem: SdpProblem, td: TreeDecomposition | None = None
 ) -> ConvertedProblem:
     """Clique-tree conversion without auxiliary separation: each constraint
     stays one row over its split pieces."""
-    return _assemble(problem, td, order, with_aux=False)
+    return _assemble(problem, td, with_aux=False)
 
 
 def separate_with_aux(
-    problem: SdpProblem,
-    td: TreeDecomposition | None = None,
-    order: list | None = None,
+    problem: SdpProblem, td: TreeDecomposition | None = None
 ) -> ConvertedProblem:
     """Clique-tree conversion with auxiliary chain variables: a constraint
     whose pieces span several bags becomes one row per support-tree bag,
     telescoped by free scalars stored in the parent block, so every row
     touches only tree-adjacent blocks."""
-    return _assemble(problem, td, order, with_aux=True)
+    return _assemble(problem, td, with_aux=True)
 
 
 # --------------------------------------------------------------------------
@@ -604,10 +518,9 @@ class DualizedProblem:
     def ctc_primal(self, y: np.ndarray, tau: float) -> np.ndarray:
         return -y / tau
 
-    def ctc_dual(self, x: np.ndarray, tau: float):
-        u = -x[1:1 + self.f] / tau
-        sigma = x[1 + self.f:] / tau
-        return u, sigma
+    def ctc_dual(self, x: np.ndarray, tau: float) -> np.ndarray:
+        """The multipliers u of the rows of G."""
+        return -x[1:1 + self.f] / tau
 
 
 def dualize(ctc: ConvertedProblem) -> DualizedProblem:

@@ -39,6 +39,9 @@ from .recovery import LowRankFactor, Metrics, complete_low_rank, dimacs_metrics
 
 METHODS = ("ctc", "dctc", "dctc-aux")
 STEPS = ("short", "adaptive")
+# iteration caps of solve_sdp, per step rule
+SHORT_STEP_MAX_ITER = 50_000
+ADAPTIVE_MAX_ITER = 200
 ORACLE_MAX_ORDER = 50
 
 
@@ -404,8 +407,6 @@ def solve_sdp(
     method: str = "dctc",
     eps: float = 1e-8,
     step: str = "adaptive",
-    max_iter: int | None = None,
-    order: list | None = None,
     **solver_kw,
 ) -> SolveOutcome:
     """Convert, solve, and recover a low-rank completion.
@@ -421,7 +422,7 @@ def solve_sdp(
     if step not in STEPS:
         raise ValueError(f"step must be one of {STEPS}, got {step!r}")
 
-    td = decompose(sparsity_graph(sdp.n, sdp.triplets), order)
+    td = decompose(sparsity_graph(sdp.n, sdp.triplets))
     if method == "dctc-aux":
         ctc = separate_with_aux(sdp, td)
     else:
@@ -436,11 +437,11 @@ def solve_sdp(
 
     if step == "short":
         res = short_step_solve(
-            program, eps=eps, max_iter=max_iter or 50000, **solver_kw
+            program, eps=eps, max_iter=SHORT_STEP_MAX_ITER, **solver_kw
         )
     else:
         res = adaptive_step_solve(
-            program, eps=eps, max_iter=max_iter or 200, **solver_kw
+            program, eps=eps, max_iter=ADAPTIVE_MAX_ITER, **solver_kw
         )
 
     st = res.state
@@ -450,7 +451,7 @@ def solve_sdp(
     else:
         dualized = program.dualized
         z = dualized.ctc_primal(st.y, st.tau)
-        u, _sigma = dualized.ctc_dual(st.x, st.tau)
+        u = dualized.ctc_dual(st.x, st.tau)
 
     objective = float(ctc.c_z @ z)
     factor = complete_low_rank(ctc.extract_bag_matrices(z), td, eps)

@@ -28,6 +28,13 @@ def tri(order: int) -> int:
     return order * (order + 1) // 2
 
 
+def ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The integer ranges [starts[i], starts[i] + lengths[i]), concatenated
+    in order."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(np.sum(lengths))
+
+
 @lru_cache(maxsize=None)
 def order_of_tri(length: int) -> int:
     """Inverse of :func:`tri`; raises NonTriangularLength if not triangular."""
@@ -199,11 +206,6 @@ class CholeskyOrEig:
     eig_vals: np.ndarray | None = None
     eig_vecs: np.ndarray | None = None
     _solve_floor: float = field(default=0.0, repr=False)
-
-    def reconstruct(self) -> np.ndarray:
-        if self.kind == "chol":
-            return self.chol_l @ self.chol_l.T
-        return (self.eig_vecs * self.eig_vals) @ self.eig_vecs.T
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)

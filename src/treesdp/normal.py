@@ -10,7 +10,15 @@ scalings on the slack coordinates, zeros on the chain coordinates) and
 every row of ``G`` touches coordinates of at most two tree-adjacent
 bags.  Consequently H has nonzero off-diagonal bag blocks only on tree
 edges, and a block Cholesky factorization that eliminates children
-before parents produces no fill.
+before parents produces no fill.  The engine checks that property once,
+on G itself: :func:`row_bags` reads the distinct bags of each row off
+G's stored pattern, and a row with more than two bags, or with two that
+are not parent and child, raises
+:class:`~treesdp.errors.StructureViolation` naming the row and its bags.
+
+Bag j's block of coordinates is read off the conversion's per-bag
+arrays: it starts at ``svec_start[j]`` and holds ``tri(order[j])``
+matrix coordinates, ``n_aux[j]`` chain scalars and ``n_nn[j]`` slacks.
 
 Groups.  A bag of order 2 has 3 coordinates, and at that size the fixed
 cost of a Python step and a LAPACK call per block outweighs the
@@ -77,7 +85,7 @@ from .errors import (
     NotFinite,
     StructureViolation,
 )
-from .linalg import dense_factor, sym_kron_stack, tri
+from .linalg import dense_factor, ranges, sym_kron_stack, tri
 
 REGULARIZATION_REL = 1e-12
 DENOMINATOR_FLOOR = 1e-14
@@ -144,6 +152,14 @@ def group_bags(td: TreeDecomposition, widths, cap) -> list:
     return groups
 
 
+def row_bags(g, bag_of: np.ndarray, ell: int) -> tuple:
+    """The distinct (row, bag) pairs of the stored entries of the CSR
+    matrix ``g``, as two arrays sorted by row and then bag; ``bag_of[c]``
+    is the bag of column c, one of ``ell``."""
+    rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    return np.divmod(np.unique(rows * ell + bag_of[g.indices]), ell)
+
+
 class TreeNormalSystem:
     """Assemble, factor, and solve the block-tree normal equations."""
 
@@ -156,13 +172,11 @@ class TreeNormalSystem:
         # Python ints: the per-group loops index lists with them
         self.parent = td.parent.tolist()
         self.dim = ctc.dim_z
-        self.blocks = ctc.blocks
+        width = ctc.width
 
         self._check_row_structure()
-        self.groups = group_bags(
-            td, [b.width for b in self.blocks], GROUP_WIDTH
-        )
-        self._layout()
+        self.groups = group_bags(td, width.tolist(), GROUP_WIDTH)
+        self._layout(width)
         self._gtg_pos, self._gtg_val = self._static_gram()
         # H and L are rewritten in place every iteration, through fixed
         # block views; L's diagonal blocks start as H's shifted copy
@@ -174,16 +188,9 @@ class TreeNormalSystem:
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
         self._nn_pos = self._diag_pos[
-            self._inv_perm[
-                np.concatenate(
-                    [np.arange(b.nn_start, b.end, dtype=np.int64)
-                     for b in self.blocks]
-                )
-            ]
+            self._inv_perm[ranges(ctc.nn_start, ctc.n_nn)]
         ]
-        self._assemble_ops = sum(
-            b.width * b.width for b in self.blocks
-        ) + sum(
+        self._assemble_ops = int(np.sum(width * width)) + sum(
             runs[-1][1] * tri(o) * tri(o) * o
             for o, runs in self._kron_runs.items()
         )
@@ -218,22 +225,26 @@ class TreeNormalSystem:
     # static structure
     # ------------------------------------------------------------------
     def _check_row_structure(self) -> None:
-        for r, blocks in enumerate(self.ctc.block_of_row):
-            if len(blocks) > 2:
-                raise StructureViolation(
-                    f"row {r} touches blocks {blocks}; a tree-structured "
-                    "normal matrix needs at most two tree-adjacent blocks "
-                    "per row"
-                )
-            if len(blocks) == 2:
-                a, b = blocks
-                if self.parent[a] != b and self.parent[b] != a:
-                    raise StructureViolation(
-                        f"row {r} touches blocks {a} and {b}, which are not "
-                        "adjacent in the block tree"
-                    )
+        """Raise StructureViolation unless every row of G touches at most
+        two bags, and two only if one is the other's parent."""
+        bag_of = np.repeat(np.arange(self.ell), self.ctc.width)
+        row, bag = row_bags(self.dualized.g_csr, bag_of, self.ell)
+        pair = np.flatnonzero(row[1:] == row[:-1])  # bag[i], bag[i+1]: one row
+        a, b = bag[pair], bag[pair + 1]
+        parent = self.ctc.td.parent
+        far = (parent[a] != b) & (parent[b] != a)
+        bad = np.union1d(
+            np.flatnonzero(np.bincount(row) > 2), row[pair[far]]
+        )
+        if bad.size:
+            r = int(bad[0])
+            raise StructureViolation(
+                f"row {r} of G touches bags {tuple(bag[row == r].tolist())}; "
+                "a tree-structured normal matrix needs at most two "
+                "tree-adjacent bags per row"
+            )
 
-    def _layout(self) -> None:
+    def _layout(self, width: np.ndarray) -> None:
         """The permuted coordinates and the flat layout of the blocks.
 
         Permuted coordinate i is original coordinate ``perm[i]``.  Group
@@ -245,34 +256,26 @@ class TreeNormalSystem:
         ``i`` of ``_spans`` is block i's (flat offset, first row, rows,
         first column, columns).
         """
-        self._group_of = [0] * self.ell
-        self._bag_start = [0] * self.ell
-        self.slices = []
-        pos = 0
-        for k, members in enumerate(self.groups):
-            lo = pos
-            for j in members:
-                self._group_of[j] = k
-                self._bag_start[j] = pos
-                pos += self.blocks[j].width
-            self.slices.append(slice(lo, pos))
-        if pos != self.dim:
-            raise DimensionMismatch(
-                "block layout does not tile the coordinate space"
-            )
-        bags = [j for members in self.groups for j in members]
-        widths = [self.blocks[j].width for j in bags]
-        self.perm = np.concatenate(
-            [
-                np.arange(self.blocks[j].svec_start,
-                          self.blocks[j].end, dtype=np.int64)
-                for j in bags
-            ]
+        sizes = [len(members) for members in self.groups]
+        bags = np.array(
+            [j for members in self.groups for j in members], dtype=np.int64
         )
+        w = width[bags]
+        ends = np.cumsum(w)
+        self.perm = ranges(self.ctc.svec_start[bags], w)
         self._inv_perm = np.empty_like(self.perm)
         self._inv_perm[self.perm] = np.arange(self.dim, dtype=np.int64)
-        self._bag_of = np.repeat(np.array(bags, dtype=np.int64), widths)
+        self._bag_of = np.repeat(bags, w)
+        bag_start = np.empty(self.ell, dtype=np.int64)
+        bag_start[bags] = ends - w
+        group_of = np.empty(self.ell, dtype=np.int64)
+        group_of[bags] = np.repeat(np.arange(len(sizes)), sizes)
+        self._bag_start = bag_start.tolist()
+        self._group_of = group_of.tolist()
+        bounds = [0] + ends[np.cumsum(sizes) - 1].tolist()
+        self.slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
 
+        bag_width = width.tolist()
         self.group_parent, self._slabs, self._parent_rows = [], [], []
         for k, members in enumerate(self.groups):
             b = self.parent[members[-1]]  # the last member is a top bag
@@ -283,7 +286,7 @@ class TreeNormalSystem:
                 continue
             p = self._group_of[b]
             lo = self._bag_start[b]
-            hi = lo + self.blocks[b].width
+            hi = lo + bag_width[b]
             self.group_parent.append(p)
             self._slabs.append(slice(lo, hi))
             base = self.slices[p].start
@@ -337,11 +340,11 @@ class TreeNormalSystem:
         item = self._h_flat.itemsize
         spans = self._spans.tolist()
         starts: dict = {}  # order -> (group, flat offset) of each bag
-        for j, b in enumerate(self.blocks):
+        for j, o in enumerate(self.ctc.order.tolist()):
             k = self._group_of[j]
             lo, row0, w, _, _ = spans[k]
             at = lo + (self._bag_start[j] - row0) * (w + 1)
-            starts.setdefault(b.order, []).append((k, at))
+            starts.setdefault(o, []).append((k, at))
         runs: dict = {}
         for o, places in starts.items():
             t = tri(o)
@@ -376,14 +379,7 @@ class TreeNormalSystem:
         cols = self._inv_perm[gtg.col]
         br = self._bag_of[rows]
         bc = self._bag_of[cols]
-        parent = np.asarray(self.parent, dtype=np.int64)
-        adjacent = (br == bc) | (parent[bc] == br) | (parent[br] == bc)
-        if not adjacent.all():  # pragma: no cover - excluded by the row check
-            k = int(np.argmin(adjacent))
-            raise StructureViolation(
-                f"G^T G has an entry coupling non-adjacent blocks "
-                f"{br[k]} and {bc[k]}"
-            )
+        parent = self.ctc.td.parent
         group_of = np.asarray(self._group_of, dtype=np.int64)
         gc = group_of[bc]
         on_diag = group_of[br] == gc

@@ -54,6 +54,7 @@ from util import (
     random_connected_graph,
     random_partially_separable_problem,
     random_scaling_data,
+    row_assemble,
     stack_triplets,
     star_arrow_problem,
 )
@@ -164,7 +165,7 @@ def test_criterion_04_star_contrast():
     # plain conversion: all overlap rows pairwise coupled (dense block)
     pairs = plain_row_coupling(ctc)
     m_rows = ctc.a_rows.shape[0]
-    n_over = ctc.n_overlap
+    n_over = ctc.n_rows.shape[0]
     assert n_over == n - 1
     dense_ok = all(
         (m_rows + a, m_rows + b) in pairs
@@ -384,7 +385,7 @@ def test_criterion_08_splitting_optimality_and_linear_time():
 
     sizes = (300, 700, 1400, 3000)
     nnz_totals = []
-    elapsed = []
+    cases = []
     for n in sizes:
         td = decompose(path_graph(n))
         mats = [
@@ -394,15 +395,18 @@ def test_criterion_08_splitting_optimality_and_linear_time():
             for _ in range(n)
         ]
         nnz_totals.append(sum(m.nnz for m in mats))
-        stacks = [stack_triplets([m]) for m in mats]  # one-matrix stacks
-        best = np.inf
-        for _rep in range(3):
+        # one stack of all n matrices, split by one call, as build_ctc
+        # splits a problem's matrices
+        cases.append((stack_triplets(mats), td))
+    # best of 3 per size, the sizes interleaved: the host's speed swings
+    # for tens of milliseconds at a time, and a slow spell then costs every
+    # size one repetition instead of one size all three
+    elapsed = [np.inf] * len(sizes)
+    for _rep in range(3):
+        for k, (stack, td) in enumerate(cases):
             t0 = time.perf_counter()
-            partition = build_unique_partition(td)
-            for stack in stacks:
-                split(stack, td, partition)
-            best = min(best, time.perf_counter() - t0)
-        elapsed.append(best)
+            split(stack, td, build_unique_partition(td))
+            elapsed[k] = min(elapsed[k], time.perf_counter() - t0)
     exponent = float(
         np.polyfit(np.log(nnz_totals), np.log(elapsed), 1)[0]
     )
@@ -421,12 +425,11 @@ def _row_entry_dict(ctc, vec):
     """Map a row vector over the block layout to {(i, j): coefficient} in
     global matrix coordinates (svec scaling kept as stored)."""
     out = {}
-    for blk in ctc.blocks:
-        bag = blk.bag
+    for bag, lo in zip(ctc.td.bags, ctc.svec_start.tolist()):
         t = 0
-        for a in range(blk.order):
+        for a in range(len(bag)):
             for b_ in range(a + 1):
-                v = float(vec[blk.svec_start + t])
+                v = float(vec[lo + t])
                 if v != 0.0:
                     key = (max(bag[a], bag[b_]), min(bag[a], bag[b_]))
                     out[key] = out.get(key, 0.0) + v
@@ -449,10 +452,11 @@ def test_criterion_09_aux_equivalence_and_elimination():
         td = decompose(sparsity_graph(sdp.n, sdp.triplets))
         plain = build_ctc(sdp, td)
         aux = separate_with_aux(sdp, td)
-        assert aux.aux_plan is not None and aux.aux_plan.constraints
+        want, record = row_assemble(sdp, td, True)
+        assert (aux.a_rows != want.a_rows).nnz == 0 and record.aux_chains
         g_aux = aux.g_matrix().toarray()
         g_plain = plain.g_matrix().toarray()
-        for chain in aux.aux_plan.constraints:
+        for chain in record.aux_chains:
             lo, hi = chain.row_range
             summed = g_aux[lo:hi].sum(axis=0)
             for coord in chain.aux_coord.values():

@@ -18,11 +18,13 @@ from treesdp.convert import (
     verify_split,
 )
 from treesdp.errors import DisconnectedSupport, InvalidSplit, UncoverableEntry
-from treesdp.linalg import svec, tri
+from treesdp.linalg import tri
+from treesdp.normal import row_bags
 from treesdp.splitting import build_unique_partition, split
 from util import (
     SparseSymmetric,
     ancestors,
+    bags_of_rows,
     consistent_block_vector,
     dot_sym,
     make_problem,
@@ -41,7 +43,6 @@ def test_cone_spec_dims_and_nu():
     cone = ConeSpec(segments=(("soc", 4), ("psd", 3), ("nonneg", 2), ("free", 1)))
     assert cone.dim == 4 + tri(3) + 2 + 1
     assert cone.nu() == 1 + 3 + 2
-    assert cone.has_free
 
 
 # ----------------------------------------------------------------- build_ctc
@@ -54,7 +55,7 @@ def test_ctc_rows_evaluate_constraints_on_consistent_vectors():
         ctc = build_ctc(problem)
         z, x_dense = consistent_block_vector(rng, ctc)
         # overlap rows vanish exactly on consistent vectors
-        if ctc.n_overlap:
+        if ctc.n_rows.shape[0]:
             assert np.max(np.abs(ctc.n_rows @ z)) == 0.0
         # constraint rows reproduce <A_i, X>
         vals = ctc.a_rows @ z
@@ -73,9 +74,9 @@ def test_ctc_overlap_count_and_root_free():
     expected = sum(
         tri(len(separator(td, j))) for j in range(td.ell) if td.parent[j] != j
     )
-    assert ctc.n_overlap == expected
+    assert ctc.n_rows.shape[0] == expected
     # every overlap row touches exactly a (parent, child) pair
-    for kinds in ctc.block_of_row[ctc.a_rows.shape[0]:]:
+    for kinds in bags_of_rows(ctc)[ctc.a_rows.shape[0]:]:
         assert len(kinds) == 2
         p, c = max(kinds), min(kinds)
         assert int(td.parent[c]) == p or int(td.parent[p]) == c
@@ -93,7 +94,7 @@ def test_ctc_overlap_block_pattern_is_tree_adjacency():
             if td.parent[j] != j
         }
         seen = set()
-        for kinds in ctc.block_of_row[ctc.a_rows.shape[0]:]:
+        for kinds in bags_of_rows(ctc)[ctc.a_rows.shape[0]:]:
             pair = (max(kinds), min(kinds))
             assert pair in edges
             seen.add(pair)
@@ -138,7 +139,7 @@ def test_inequality_slack_wiring():
     rng = np.random.default_rng(83)
     problem, td = random_partially_separable_problem(rng, 8, 4, ineq_prob=1.0)
     ctc = build_ctc(problem)
-    slacks = ctc.slack_coord
+    slacks = record_of(ctc, False).slack_coord
     assert set(slacks) == {i for i, s in enumerate(problem.senses) if s != "eq"}
     z, x_dense = consistent_block_vector(rng, ctc)
     for i, coord in slacks.items():
@@ -148,11 +149,10 @@ def test_inequality_slack_wiring():
         z2[coord] = margin if sense == "ge" else -margin
         val = (ctc.a_rows @ z2)[ctc.dual_row_of_constraint[i]]
         assert abs(val - problem.b[i]) <= 1e-10 * (1 + abs(problem.b[i]))
-        # slack lives in the owning block's orthant segment
-        blk = next(
-            b for b in ctc.blocks if b.nn_start <= coord < b.nn_start + b.n_nn
+        # slack lives in a block's orthant segment
+        assert np.any(
+            (ctc.nn_start <= coord) & (coord < ctc.nn_start + ctc.n_nn)
         )
-        assert blk is not None
 
 
 def split_with_table(mat, td):
@@ -224,14 +224,32 @@ def assert_same_conversion(got, want):
         for part in ("data", "indices", "indptr"):
             assert np.array_equal(getattr(a, part), getattr(b, part))
             assert getattr(a, part).dtype == getattr(b, part).dtype
-    for name in ("c_z", "g_rhs", "dual_row_of_constraint"):
-        assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert getattr(got, name).dtype == getattr(want, name).dtype
     for name in (
-        "blocks", "cone", "row_kind", "block_of_row", "slack_coord",
-        "aux_plan",
+        "c_z", "g_rhs", "dual_row_of_constraint",
+        "order", "svec_start", "n_aux", "n_nn",
     ):
-        assert getattr(got, name) == getattr(want, name), name
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+    assert got.cone == want.cone
+
+
+def record_of(ctc, with_aux):
+    """The per-row oracle's record of a conversion, checked to be of the
+    same conversion."""
+    want, record = row_assemble(ctc.problem, ctc.td, with_aux)
+    assert_same_conversion(ctc, want)
+    return record
+
+
+def bags_read_off_g(ctc):
+    """Per row of G, the tuple of its bags as the normal engine's structure
+    check reads them off G's pattern."""
+    g = ctc.g_matrix()
+    row, bag = row_bags(
+        g, np.repeat(np.arange(ctc.td.ell), ctc.width), ctc.td.ell
+    )
+    per_row = np.split(bag, np.searchsorted(row, np.arange(1, g.shape[0])))
+    return [tuple(b.tolist()) for b in per_row]
 
 
 @pytest.mark.parametrize("with_aux", [False, True])
@@ -242,18 +260,40 @@ def test_conversion_matches_the_per_row_oracle(with_aux):
     for _ in range(120):
         problem, td = random_chordal_problem(rng)
         got = convert(problem, td)
-        assert_same_conversion(got, row_assemble(problem, td, with_aux))
+        want, record = row_assemble(problem, td, with_aux)
+        assert_same_conversion(got, want)
         # an empty inequality's slack sits in the root block
+        root = td.root
         for i, a in enumerate(problem.constraints):
             if a.rows.size == 0 and problem.senses[i] != "eq":
-                blk = got.blocks[td.root]
-                coord = got.slack_coord[i]
-                assert blk.nn_start <= coord < blk.nn_start + blk.n_nn
-        wide += sum(len(kinds) > 1 for kinds in got.block_of_row[: problem.m])
+                coord = record.slack_coord[i]
+                lo = got.nn_start[root]
+                assert lo <= coord < lo + got.n_nn[root]
+        wide += sum(len(kinds) > 1 for kinds in record.block_of_row[: problem.m])
         if with_aux:
-            aux_rows += sum(kind[0] == "aux" for kind in got.row_kind)
+            aux_rows += sum(kind[0] == "aux" for kind in record.row_kind)
     # the instances exercise multi-bag rows and aux chains
     assert (aux_rows if with_aux else wide) > 50
+
+
+@pytest.mark.parametrize("with_aux", [False, True])
+def test_bags_read_off_g_match_the_per_row_record(with_aux):
+    # the instances of test_conversion_matches_the_per_row_oracle: the bags
+    # the structure check reads off each row of G are the bags the per-row
+    # oracle wrote that row for
+    rng = np.random.default_rng(211)
+    convert = separate_with_aux if with_aux else build_ctc
+    rows = wide = 0
+    for _ in range(120):
+        problem, td = random_chordal_problem(rng)
+        got = convert(problem, td)
+        record = record_of(got, with_aux)
+        assert bags_read_off_g(got) == record.block_of_row
+        assert bags_of_rows(got) == record.block_of_row
+        rows += len(record.block_of_row)
+        wide += sum(len(kinds) > 2 for kinds in record.block_of_row)
+    # rows of more than two bags occur only without aux chains
+    assert rows > 2000 and (wide == 0 if with_aux else wide > 50)
 
 
 def test_uncoverable_entry_names_the_oracles_entry():
@@ -276,7 +316,7 @@ def test_uncoverable_entry_names_the_oracles_entry():
             )
         bad = make_problem(mats[0], mats[1:], problem.b, problem.senses, n)
         try:
-            want = row_assemble(bad, td, False)
+            want, _ = row_assemble(bad, td, False)
         except UncoverableEntry as err:
             with pytest.raises(UncoverableEntry) as got:
                 build_ctc(bad, td)
@@ -314,9 +354,8 @@ def test_build_ctc_decomposes_the_stacked_pattern():
     for _ in range(20):
         problem, _ = random_chordal_problem(rng)
         graph = sparsity_graph(problem.n, problem.triplets)
-        assert_same_conversion(
-            build_ctc(problem), row_assemble(problem, decompose(graph), False)
-        )
+        want, _ = row_assemble(problem, decompose(graph), False)
+        assert_same_conversion(build_ctc(problem), want)
 
 
 # ----------------------------------------------------------------- aux rows
@@ -338,20 +377,19 @@ def test_aux_rows_touch_tree_adjacent_blocks_only():
     problem = path_maxcut_like(8)
     ctc = separate_with_aux(problem)
     td = ctc.td
-    for kinds, kind in zip(ctc.block_of_row, ctc.row_kind):
+    for kinds in bags_of_rows(ctc):
         assert len(kinds) <= 2
         if len(kinds) == 2:
             p, c = max(kinds), min(kinds)
             assert int(td.parent[c]) == p or int(td.parent[p]) == c
-    plan = ctc.aux_plan
-    assert plan is not None and len(plan.constraints) == 1
-    aux = plan.constraints[0]
+    chains = record_of(ctc, True).aux_chains
+    assert len(chains) == 1
+    aux = chains[0]
     assert len(aux.aux_coord) == len(aux.members) - 1
     # aux scalars live in the parent block's free segment
     for j, coord in aux.aux_coord.items():
         p = int(td.parent[j])
-        blk = ctc.blocks[p]
-        assert blk.aux_start <= coord < blk.aux_start + blk.n_aux
+        assert ctc.aux_start[p] <= coord < ctc.aux_start[p] + ctc.n_aux[p]
 
 
 def test_aux_elimination_reproduces_plain_rows_exactly():
@@ -360,7 +398,7 @@ def test_aux_elimination_reproduces_plain_rows_exactly():
     td = decompose(sparsity_graph(problem.n, problem.triplets))
     plain = build_ctc(problem, td=td)
     auxed = separate_with_aux(problem, td=td)
-    for aux in auxed.aux_plan.constraints:
+    for aux in record_of(auxed, True).aux_chains:
         i = aux.index
         start, end = aux.row_range
         summed = np.asarray(
@@ -373,9 +411,12 @@ def test_aux_elimination_reproduces_plain_rows_exactly():
         plain_row = np.asarray(
             plain.a_rows[plain.dual_row_of_constraint[i]].todense()
         ).ravel()
-        for j, (blk_a, blk_p) in enumerate(zip(auxed.blocks, plain.blocks)):
-            sa = summed[blk_a.svec_start:blk_a.svec_start + blk_a.svec_len]
-            sp_ = plain_row[blk_p.svec_start:blk_p.svec_start + blk_p.svec_len]
+        for o, lo_a, lo_p in zip(
+            auxed.order.tolist(), auxed.svec_start.tolist(),
+            plain.svec_start.tolist(),
+        ):
+            sa = summed[lo_a:lo_a + tri(o)]
+            sp_ = plain_row[lo_p:lo_p + tri(o)]
             assert np.array_equal(sa, sp_)
         # rhs: b_i on the root row, zero elsewhere
         group_rhs = auxed.g_rhs[start:end]
@@ -437,12 +478,12 @@ def test_flow_rows_through_aux_elimination():
     )
     ctc = separate_with_aux(problem)
     td = ctc.td
-    aux = ctc.aux_plan.constraints[0]
+    aux = record_of(ctc, True).aux_chains[0]
     assert aux.index == 0 and len(aux.members) > 1
     # the support tree stays inside the bags holding the center
     assert all(0 in td.bags[j] for j in aux.members)
     start, end = aux.row_range
-    for kinds in ctc.block_of_row[start:end]:
+    for kinds in bags_of_rows(ctc)[start:end]:
         assert len(kinds) <= 2
         if len(kinds) == 2:
             p, c = max(kinds), min(kinds)
@@ -453,7 +494,7 @@ def test_flow_rows_through_aux_elimination():
     val = float(np.asarray(ctc.a_rows[start:end] @ z).sum())
     ref = dot_sym(mat, x_dense)
     assert abs(val - ref) <= 1e-12 * (1 + abs(ref))
-    gamma = [blk.n_aux for blk in ctc.blocks]
+    gamma = ctc.n_aux.tolist()
     d_max = max(
         sum(1 for j in range(td.ell) if int(td.parent[j]) == p) + 1
         for p in range(td.ell)
@@ -468,9 +509,9 @@ def test_dualize_shapes_and_adjoint():
     ctc = build_ctc(problem)
     dp = dualize(ctc)
     assert dp.dim_x == 1 + dp.f + dp.k2
-    assert dp.f == ctc.a_rows.shape[0] + ctc.n_overlap
+    assert dp.f == ctc.a_rows.shape[0] + ctc.n_rows.shape[0]
     assert dp.cone_x.segments[0] == ("soc", 1 + dp.f)
-    assert not dp.cone_x.has_free
+    assert all(kind != "free" for kind, _ in dp.cone_x.segments)
     assert dp.b_t is ctc.c_z
     ct = dp.c_t()
     assert ct[0] == 0.0 and np.allclose(ct[1:1 + dp.f], ctc.g_rhs)
@@ -491,7 +532,7 @@ def test_dualize_aux_skips_free_coordinates():
     problem = path_maxcut_like(7)
     ctc = separate_with_aux(problem)
     dp = dualize(ctc)
-    n_aux = sum(blk.n_aux for blk in ctc.blocks)
+    n_aux = int(ctc.n_aux.sum())
     assert n_aux > 0
     assert dp.k2 == ctc.dim_z - n_aux
     # E~ scatters K2 into non-aux coordinates only
@@ -511,4 +552,4 @@ def test_star_arrow_structure():
     assert td.ell == n
     root = td.root
     assert all(int(td.parent[j]) == root for j in range(td.ell) if j != root)
-    assert ctc.n_overlap == n - 1  # one shared hub entry per non-root bag
+    assert ctc.n_rows.shape[0] == n - 1  # one shared hub entry per non-root bag

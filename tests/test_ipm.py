@@ -42,7 +42,7 @@ from treesdp.ipm import (
     adaptive_step_solve,
     short_step_solve,
 )
-from treesdp.linalg import smat
+from treesdp.linalg import smat, tri
 
 from util import (
     SparseSymmetric,
@@ -746,25 +746,27 @@ def test_scaling_stacks_are_in_the_normal_engines_block_order():
     # engine as they are, which is right only if the cone lists the matrix
     # and slack segments of the engine's blocks in block order
     program = every_segment_program()
-    blocks = program.normal.blocks
-    assert program.dualized.ctc.aux_plan.n_aux > 0
-    assert len({blk.order for blk in blocks}) > 1
-    assert any(blk.n_nn for blk in blocks)
+    ctc = program.dualized.ctc
+    order = ctc.order.tolist()
+    assert ctc.n_aux.sum() > 0
+    assert len(set(order)) > 1
+    assert ctc.n_nn.any()
     ops = ConeOps(program.cone)
     # x's K2 coordinate 1 + f + k is paired with z coordinate nonaux[k]
     z_of = program.dualized.nonaux
     offset = 1 + program.dualized.f
-    assert set(ops.psd_groups) == {blk.order for blk in blocks}
+    assert set(ops.psd_groups) == set(order)
     for o, idx in ops.psd_groups.items():
         want = np.stack([
-            np.arange(blk.svec_start, blk.svec_start + blk.svec_len)
-            for blk in blocks
-            if blk.order == o
+            np.arange(lo, lo + tri(o))
+            for lo, oj in zip(ctc.svec_start.tolist(), order)
+            if oj == o
         ])
         assert np.array_equal(z_of[idx - offset], want)
-    want_nn = np.concatenate(
-        [np.arange(blk.nn_start, blk.end) for blk in blocks]
-    )
+    want_nn = np.concatenate([
+        np.arange(lo, lo + k)
+        for lo, k in zip(ctc.nn_start.tolist(), ctc.n_nn.tolist())
+    ])
     assert np.array_equal(z_of[ops.nn_idx - offset], want_nn)
 
 

@@ -13,7 +13,12 @@ from treesdp.linalg import (
     svec_stack,
     sym_kron_stack,
 )
-from util import oracle_smat_stack, oracle_sym_kron_stack, sym_kron_matrix
+from util import (
+    oracle_smat_stack,
+    oracle_sym_kron_stack,
+    reconstruct_factor,
+    sym_kron_matrix,
+)
 
 
 # ----------------------------------------------------------------- oracles
@@ -169,7 +174,7 @@ def test_dense_factor_pd_uses_cholesky():
         mat = random_pd(rng, order)
         fac = dense_factor(mat)
         assert fac.kind == "chol"
-        err = np.linalg.norm(fac.reconstruct() - mat)
+        err = np.linalg.norm(reconstruct_factor(fac) - mat)
         assert err <= 1e-10 * (1 + np.linalg.norm(mat))
         rhs = rng.standard_normal(order)
         assert np.allclose(mat @ fac.solve(rhs), rhs, atol=1e-8 * (1 + np.abs(rhs).max()))
@@ -183,7 +188,7 @@ def test_dense_factor_indefinite_falls_back_to_eig():
         mat[0, 0] -= 10 * np.trace(mat)
     fac = dense_factor(mat)
     assert fac.kind == "eig"
-    err = np.linalg.norm(fac.reconstruct() - mat)
+    err = np.linalg.norm(reconstruct_factor(fac) - mat)
     assert err <= 1e-10 * (1 + np.linalg.norm(mat))
 
 
@@ -193,7 +198,7 @@ def test_dense_factor_tiny_pivot_falls_back_to_eig():
     v = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank one
     fac = dense_factor(v)
     assert fac.kind == "eig"
-    assert np.linalg.norm(fac.reconstruct() - v) <= 1e-10 * (1 + np.linalg.norm(v))
+    assert np.linalg.norm(reconstruct_factor(fac) - v) <= 1e-10 * (1 + np.linalg.norm(v))
 
 
 def test_dense_factor_rejects_non_finite():
@@ -207,6 +212,6 @@ def test_dense_factor_order_up_to_64_reconstruction():
     mat = random_sym(rng, 64)
     fac = dense_factor(mat)
     assert isinstance(fac, CholeskyOrEig)
-    assert np.linalg.norm(fac.reconstruct() - mat) <= 1e-10 * (
+    assert np.linalg.norm(reconstruct_factor(fac) - mat) <= 1e-10 * (
         1 + np.linalg.norm(mat)
     )

@@ -7,6 +7,7 @@ block-elimination fill simulator for orderings.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from numpy.lib.array_utils import byte_bounds
 from treesdp import normal
 from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
 from treesdp.convert import build_ctc, dualize, separate_with_aux
+from treesdp.frontends import solve_sdp
 from treesdp.errors import (
     DenominatorUnderflow,
     DimensionMismatch,
@@ -37,6 +39,7 @@ from util import (
     dense_h_oracle,
     h_dense,
     make_problem,
+    path_rayleigh_problem,
     plain_row_coupling,
     random_partially_separable_problem,
     random_rooted_tree,
@@ -231,7 +234,7 @@ def test_assemble_matches_dense_oracle_with_aux():
         ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
             problem, td, with_aux=True, seed=trial
         )
-        assert ctc.aux_plan is not None and ctc.aux_plan.n_aux > 0
+        assert ctc.n_aux.sum() > 0
         sys_.assemble_h(sigma, psd_w, nn_w2)
         oracle = dense_h_oracle(ctc, sigma, psd_w, nn_w2)
         assert np.allclose(h_dense(sys_), oracle, atol=1e-12)
@@ -245,16 +248,14 @@ def test_no_constraint_path_gives_identity_plus_overlap_gram():
         ctc,
         a_rows=sp.csr_matrix((0, ctc.dim_z)),
         g_rhs=np.zeros(ctc.n_rows.shape[0]),
-        row_kind=[],
-        block_of_row=ctc.block_of_row[ctc.a_rows.shape[0]:],
         dual_row_of_constraint=np.zeros(0, dtype=np.int64),
     )
     sys_ = TreeNormalSystem(dualize(bare))
     sigma = 0.7
     psd_w, nn_w2 = stack_scalings(
         bare,
-        [np.eye(blk.order) for blk in bare.blocks],
-        [np.ones(blk.n_nn) for blk in bare.blocks],
+        [np.eye(o) for o in bare.order.tolist()],
+        [np.ones(k) for k in bare.n_nn.tolist()],
     )
     sys_.assemble_h(sigma, psd_w, nn_w2)
     n_rows = bare.n_rows.toarray()
@@ -264,22 +265,49 @@ def test_no_constraint_path_gives_identity_plus_overlap_gram():
     assert sys_.offdiag_block_counts() == (1, 1)
 
 
+def with_extra_row(ctc, bags):
+    """``ctc`` with one more A-row: a unit entry in the first coordinate of
+    each bag of ``bags``."""
+    cols = ctc.svec_start[list(bags)]
+    row = sp.csr_matrix(
+        (np.ones(cols.size), (np.zeros(cols.size, dtype=np.int64), cols)),
+        shape=(1, ctc.dim_z),
+    )
+    m = ctc.a_rows.shape[0]
+    return dataclasses.replace(
+        ctc,
+        a_rows=sp.vstack([ctc.a_rows, row], format="csr"),
+        g_rhs=np.insert(ctc.g_rhs, m, 0.0),
+    )
+
+
 def test_structure_violation_on_nonadjacent_row():
     problem, td = path_problem(4, m=1)
     ctc = build_ctc(problem, td)
-    assert ctc.td.ell >= 3
-    # fabricate a row claiming to touch two non-adjacent blocks
-    bad = list(ctc.block_of_row)
-    pairs = [
+    ell, parent = td.ell, td.parent
+    assert ell >= 3
+    TreeNormalSystem(dualize(ctc))  # the conversion's own rows pass
+    far = next(
         (a, b)
-        for a in range(ctc.td.ell)
-        for b in range(a + 1, ctc.td.ell)
-        if int(ctc.td.parent[a]) != b and int(ctc.td.parent[b]) != a
-    ]
-    bad[0] = pairs[0]
-    corrupted = dataclasses.replace(ctc, block_of_row=bad)
-    with pytest.raises(StructureViolation):
-        TreeNormalSystem(dualize(corrupted))
+        for a in range(ell)
+        for b in range(a + 1, ell)
+        if parent[a] != b and parent[b] != a
+    )
+    # rows of G: the A-rows, then the overlap rows; the new row is row m
+    m = ctc.a_rows.shape[0]
+    for bags in (far, (0, 1, 2)):
+        named = re.escape(f"row {m} of G touches bags {bags}")
+        with pytest.raises(StructureViolation, match=named):
+            TreeNormalSystem(dualize(with_extra_row(ctc, bags)))
+
+
+def test_dctc_rejects_a_row_over_many_bags():
+    # the Rayleigh constraint spans every bag of the path: one row of G
+    # under dctc, a chain of two-bag rows under dctc-aux
+    problem = path_rayleigh_problem(6)
+    with pytest.raises(StructureViolation, match="row 0 of G"):
+        solve_sdp(problem, method="dctc")
+    assert solve_sdp(problem, method="dctc-aux").status == "optimal"
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +361,7 @@ def test_indefinite_pivot_raised():
     problem, td = path_problem(3, m=1)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
     psd_w = {o: w.copy() for o, w in psd_w.items()}
-    psd_w[ctc.blocks[0].order][0][0, 0] = -50.0  # block 0: not a scaling
+    psd_w[int(ctc.order[0])][0][0, 0] = -50.0  # block 0: not a scaling
     sys_.assemble_h(0.0, psd_w, nn_w2)
     with pytest.raises(IndefinitePivot):
         sys_.factor()
@@ -408,8 +436,8 @@ def test_solve_identity_rank_one_halves_e1():
     sys_ = TreeNormalSystem(dualize(ctc))
     psd_w, nn_w2 = stack_scalings(
         ctc,
-        [np.eye(blk.order) for blk in ctc.blocks],
-        [np.ones(blk.n_nn) for blk in ctc.blocks],
+        [np.eye(o) for o in ctc.order.tolist()],
+        [np.ones(k) for k in ctc.n_nn.tolist()],
     )
     e1 = np.zeros(ctc.dim_z)
     e1[0] = 1.0
@@ -474,7 +502,7 @@ def test_star_plain_mode_overlap_coupling_is_dense():
     ctc = build_ctc(problem, td)
     pairs = plain_row_coupling(ctc)
     m = ctc.a_rows.shape[0]
-    n_over = ctc.n_overlap
+    n_over = ctc.n_rows.shape[0]
     assert n_over == td.ell - 1
     overlap_rows = list(range(m, m + n_over))
     for a in range(n_over):
@@ -643,12 +671,12 @@ def test_engine_matches_reference_bit_for_bit(kind):
     assert len(sys_.groups) >= 2
     assert any(slab is not None for slab in sys_._slabs)
     ref = ReferenceTreeNormal(sys_.dualized)
-    widths = {blk.width for blk in ctc.blocks}
+    widths = set(ctc.width.tolist())
     if kind == "random-tree":
         assert len(widths) > 1
     if kind == "dctc-aux":
-        assert ctc.aux_plan.n_aux > 0
-        assert any(blk.n_nn for blk in ctc.blocks)
+        assert ctc.n_aux.sum() > 0
+        assert ctc.n_nn.any()
     sys_.update(sigma, q, psd_w, nn_w2)
     # a second iteration's data: the engine rewrites its buffers in place
     sigma, q, psd_w, nn_w2 = random_scaling_data(
@@ -691,7 +719,7 @@ def test_kron_run_views_alias_each_bag_block(kind):
     flat_lo, flat_hi = byte_bounds(sys_._h_flat)
     lengths = set()
     for o, runs in sys_._kron_runs.items():
-        bags = [j for j, blk in enumerate(ctc.blocks) if blk.order == o]
+        bags = np.flatnonzero(ctc.order == o).tolist()
         t = tri(o)
         ends = [0] + [hi for _, hi, _ in runs]  # the runs tile the stack
         assert [lo for lo, _, _ in runs] == ends[:-1]
@@ -711,5 +739,6 @@ def test_kron_run_views_alias_each_bag_block(kind):
         assert len(sys_._kron_runs) > 1
         assert 1 in lengths and max(lengths) > 1
     assert sys_._assemble_ops == sum(
-        blk.width ** 2 + tri(blk.order) ** 2 * blk.order for blk in ctc.blocks
+        w ** 2 + tri(o) ** 2 * o
+        for w, o in zip(ctc.width.tolist(), ctc.order.tolist())
     )

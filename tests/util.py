@@ -10,9 +10,6 @@ from scipy.linalg import solve_triangular
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
 from treesdp.convert import (
-    AuxConstraint,
-    AuxPlan,
-    BlockLayout,
     ConeSpec,
     ConvertedProblem,
     steiner_closure,
@@ -251,6 +248,13 @@ def h_dense(sys_):
     return _dense_blocks(sys_, sys_.h_diag, sys_.h_off, mirror=True)
 
 
+def reconstruct_factor(fac):
+    """The matrix a ``CholeskyOrEig`` factorization stands for."""
+    if fac.kind == "chol":
+        return fac.chol_l @ fac.chol_l.T
+    return (fac.eig_vecs * fac.eig_vals) @ fac.eig_vecs.T
+
+
 def reconstruct_dense(sys_):
     """L L^T of a normal system's factor as a dense matrix."""
     lower = _dense_blocks(sys_, sys_.l_diag, sys_.l_off, mirror=False)
@@ -312,6 +316,17 @@ def oracle_sym_kron_stack(w):
     return 0.5 * (s[:, None] * s[None, :]) * term
 
 
+def bags_of_rows(ctc) -> list:
+    """Per row of G = [A; N], the sorted tuple of the bags that its stored
+    entries lie in, read one row at a time."""
+    bag_of = np.repeat(np.arange(ctc.td.ell), ctc.width)
+    g = ctc.g_matrix()
+    return [
+        tuple(sorted(set(bag_of[g.indices[lo:hi]].tolist())))
+        for lo, hi in zip(g.indptr[:-1].tolist(), g.indptr[1:].tolist())
+    ]
+
+
 def plain_row_coupling(ctc) -> set:
     """Symbolic sparsity of the row-space normal matrix ``G D^{-1} G^T``.
 
@@ -321,7 +336,7 @@ def plain_row_coupling(ctc) -> set:
     Intended for moderate row counts; the set is materialized.
     """
     rows_by_block: dict = {}
-    for r, blocks in enumerate(ctc.block_of_row):
+    for r, blocks in enumerate(bags_of_rows(ctc)):
         for j in blocks:
             rows_by_block.setdefault(j, []).append(r)
     pairs = set()
@@ -521,11 +536,9 @@ def consistent_block_vector(rng, ctc, x_dense=None):
         x_dense = rng.standard_normal((n, n))
         x_dense = 0.5 * (x_dense + x_dense.T)
     z = np.zeros(ctc.dim_z)
-    for j, blk in enumerate(ctc.blocks):
-        bag = np.asarray(blk.bag)
-        z[blk.svec_start:blk.svec_start + blk.svec_len] = svec(
-            x_dense[np.ix_(bag, bag)]
-        )
+    for bag, lo in zip(ctc.td.bags, ctc.svec_start.tolist()):
+        bag = np.asarray(bag)
+        z[lo:lo + tri(bag.size)] = svec(x_dense[np.ix_(bag, bag)])
     return z, x_dense
 
 
@@ -553,8 +566,8 @@ def stack_scalings(ctc, mats, slacks):
     engine's format: order -> (g, o, o) stack and one slack vector, both
     in block order."""
     per_order = {}
-    for blk, mat in zip(ctc.blocks, mats, strict=True):
-        per_order.setdefault(blk.order, []).append(mat)
+    for o, mat in zip(ctc.order.tolist(), mats, strict=True):
+        per_order.setdefault(o, []).append(mat)
     psd_w = {o: np.stack(group) for o, group in per_order.items()}
     return psd_w, np.concatenate([np.asarray(v, float) for v in slacks])
 
@@ -565,12 +578,12 @@ def unstack_scalings(ctc, psd_w, nn_w2):
     seen = {}
     mats, slacks = [], []
     lo = 0
-    for blk in ctc.blocks:
-        k = seen.get(blk.order, 0)
-        seen[blk.order] = k + 1
-        mats.append(psd_w[blk.order][k])
-        slacks.append(nn_w2[lo:lo + blk.n_nn])
-        lo += blk.n_nn
+    for o, n_nn in zip(ctc.order.tolist(), ctc.n_nn.tolist()):
+        k = seen.get(o, 0)
+        seen[o] = k + 1
+        mats.append(psd_w[o][k])
+        slacks.append(nn_w2[lo:lo + n_nn])
+        lo += n_nn
     assert all(len(psd_w[o]) == k for o, k in seen.items())
     assert lo == len(nn_w2)
     return mats, slacks
@@ -581,11 +594,10 @@ def random_scaling_data(rng, ctc, sigma_range=(0.2, 2.0)):
     the normal engine's format (see :func:`stack_scalings`)."""
     mats = []
     slacks = []
-    for blk in ctc.blocks:
-        o = blk.order
+    for o, n_nn in zip(ctc.order.tolist(), ctc.n_nn.tolist()):
         q = rng.standard_normal((o, o))
         mats.append(q @ q.T + o * np.eye(o))
-        slacks.append(np.abs(rng.standard_normal(blk.n_nn)) + 0.5)
+        slacks.append(np.abs(rng.standard_normal(n_nn)) + 0.5)
     sigma = float(rng.uniform(*sigma_range))
     q_vec = rng.standard_normal(ctc.dim_z)
     return (sigma, q_vec) + stack_scalings(ctc, mats, slacks)
@@ -596,12 +608,12 @@ def dense_h_oracle(ctc, sigma, psd_w, nn_w2):
     mats, slacks = unstack_scalings(ctc, psd_w, nn_w2)
     dim = ctc.dim_z
     d_block = np.zeros((dim, dim))
-    for j, blk in enumerate(ctc.blocks):
-        s0 = blk.svec_start
-        t = blk.svec_len
+    for j in range(ctc.td.ell):
+        s0 = int(ctc.svec_start[j])
+        t = tri(int(ctc.order[j]))
         d_block[s0:s0 + t, s0:s0 + t] = sym_kron_matrix(mats[j], mats[j])
-        for k in range(blk.n_nn):
-            c = blk.nn_start + k
+        for k in range(int(ctc.n_nn[j])):
+            c = int(ctc.nn_start[j]) + k
             d_block[c, c] = slacks[j][k]
     g = ctc.g_matrix().toarray()
     return d_block + sigma * (g.T @ g)
@@ -742,7 +754,8 @@ class ReferenceTreeNormal(TreeNormalSystem):
 
     def __init__(self, dualized):
         super().__init__(dualized)
-        blocks = self.ctc.blocks
+        self.bag_width = self.ctc.width.tolist()
+        starts = self.ctc.svec_start.tolist()
         # bag -> its group and its first row inside the group block
         self.group_of, self.at = {}, {}
         self.widths, perm = [], []
@@ -750,8 +763,8 @@ class ReferenceTreeNormal(TreeNormalSystem):
             w = 0
             for j in members:
                 self.group_of[j], self.at[j] = k, w
-                w += blocks[j].width
-                perm.extend(range(blocks[j].svec_start, blocks[j].end))
+                w += self.bag_width[j]
+                perm.extend(range(starts[j], starts[j] + self.bag_width[j]))
             self.widths.append(w)
         self.ref_perm = np.array(perm)
         # the attach bag: the one parent outside the group of its tops
@@ -767,21 +780,19 @@ class ReferenceTreeNormal(TreeNormalSystem):
 
     def _reference_gram(self):
         """Diagonal and edge blocks of G^T G, one entry at a time."""
-        blocks = self.ctc.blocks
+        starts = self.ctc.svec_start
         gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocoo()
-        block_of_coord = np.repeat(
-            np.arange(self.ell), [blk.width for blk in blocks]
-        )
+        block_of_coord = np.repeat(np.arange(self.ell), self.bag_width)
         diag = [np.zeros((w, w)) for w in self.widths]
         off = [
-            None if b is None else np.zeros((blocks[b].width, w))
+            None if b is None else np.zeros((self.bag_width[b], w))
             for b, w in zip(self.attach, self.widths)
         ]
         for r, c, v in zip(gtg.row, gtg.col, gtg.data):
             a, b = int(block_of_coord[r]), int(block_of_coord[c])
             ga, gb = self.group_of[a], self.group_of[b]
-            lr = r - blocks[a].svec_start
-            lc = self.at[b] + c - blocks[b].svec_start
+            lr = r - starts[a]
+            lc = self.at[b] + c - starts[b]
             if ga == gb:
                 diag[ga][self.at[a] + lr, lc] += v
             elif self.attach[gb] == a:
@@ -794,18 +805,20 @@ class ReferenceTreeNormal(TreeNormalSystem):
         mats, slacks = unstack_scalings(self.ctc, psd_w, nn_w2)
         h_diag = [sigma * blk for blk in self.gtg_diag]
         groups = {}
-        for j, blk in enumerate(self.ctc.blocks):
-            groups.setdefault(blk.order, []).append(j)
+        for j, o in enumerate(self.ctc.order.tolist()):
+            groups.setdefault(o, []).append(j)
         for o, idxs in groups.items():
             kron = oracle_sym_kron_stack(np.stack([mats[j] for j in idxs]))
             t = tri(o)
             for pos, j in enumerate(idxs):
                 s = self.at[j]
                 h_diag[self.group_of[j]][s:s + t, s:s + t] += kron[pos]
-        for j, blk in enumerate(self.ctc.blocks):
-            lo = self.at[j] + blk.svec_len + blk.n_aux
-            sub = h_diag[self.group_of[j]][lo:lo + blk.n_nn, lo:lo + blk.n_nn]
-            sub[np.diag_indices(blk.n_nn)] += slacks[j]
+        ctc = self.ctc
+        for j in range(self.ell):
+            n_nn = int(ctc.n_nn[j])
+            lo = self.at[j] + int(ctc.nn_start[j] - ctc.svec_start[j])
+            sub = h_diag[self.group_of[j]][lo:lo + n_nn, lo:lo + n_nn]
+            sub[np.diag_indices(n_nn)] += slacks[j]
         self.h_diag = h_diag
         self.h_off = [
             None if blk is None else sigma * blk for blk in self.gtg_off
@@ -829,7 +842,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
             if b is not None:
                 r = solve_triangular(lk, self.h_off[k].T, lower=True).T
                 l_off[k] = r
-                s, wb = self.at[b], self.ctc.blocks[b].width
+                s, wb = self.at[b], self.bag_width[b]
                 work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
         self.l_diag = l_diag
         self.l_off = l_off
@@ -843,7 +856,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
         """The permuted coordinates of group k's attach bag."""
         b = self.attach[k]
         lo = self._rows(self.group_of[b]).start + self.at[b]
-        return slice(lo, lo + self.ctc.blocks[b].width)
+        return slice(lo, lo + self.bag_width[b])
 
     def _unpermute(self, x, single):
         out = np.empty_like(x)
@@ -1103,9 +1116,31 @@ def _packed_pos(bag, u, v):
     return hi * (hi + 1) // 2 + lo
 
 
+@dataclass
+class AuxChain:
+    """The rows of one separated constraint."""
+
+    index: int  # original constraint index
+    members: list  # support-tree bags in postorder (children before the root)
+    root: int
+    aux_coord: dict  # member bag -> z-coordinate of its chain scalar u_j
+    row_range: tuple  # [start, end) rows in a_rows
+
+
+@dataclass
+class RowRecord:
+    """What :func:`row_assemble` wrote each row for."""
+
+    row_kind: list  # per A-row: ("plain", i) | ("aux", i, bag, is_root)
+    block_of_row: list  # per G-row: sorted tuple of the bags it touches
+    slack_coord: dict  # constraint index -> z coordinate of its slack
+    aux_chains: list  # AuxChain per separated constraint
+
+
 def row_assemble(problem, td, with_aux):
     """``build_ctc`` (``with_aux=False``) or ``separate_with_aux`` by a
-    loop over the constraints, each split by :func:`row_split`."""
+    loop over the constraints, each split by :func:`row_split`.  Returns
+    the conversion and its :class:`RowRecord`."""
     post_index = td.post_index
     cost_split = row_split(problem.cost, td)
     piece_sets, members_of = [], []
@@ -1148,39 +1183,36 @@ def row_assemble(problem, td, with_aux):
         slack_local[i] = n_nn_at[owner]
         n_nn_at[owner] += 1
 
-    blocks, segments, offset = [], [], 0
+    svec_start, aux_start, nn_start, segments, offset = [], [], [], [], 0
     for j in range(td.ell):
         o = len(td.bags[j])
-        blk = BlockLayout(
-            bag=td.bags[j], order=o, svec_start=offset, n_aux=n_aux_at[j],
-            aux_start=offset + tri(o), n_nn=n_nn_at[j],
-            nn_start=offset + tri(o) + n_aux_at[j],
-        )
-        blocks.append(blk)
-        offset = blk.end
+        svec_start.append(offset)
+        aux_start.append(offset + tri(o))
+        nn_start.append(offset + tri(o) + n_aux_at[j])
+        offset = nn_start[j] + n_nn_at[j]
         segments.append(("psd", o))
-        if blk.n_aux:
-            segments.append(("free", blk.n_aux))
-        if blk.n_nn:
-            segments.append(("nonneg", blk.n_nn))
+        if n_aux_at[j]:
+            segments.append(("free", n_aux_at[j]))
+        if n_nn_at[j]:
+            segments.append(("nonneg", n_nn_at[j]))
     dim_z = offset
     aux_coord = {
-        key: blocks[int(td.parent[key[1]])].aux_start + local
+        key: aux_start[int(td.parent[key[1]])] + local
         for key, local in aux_coord_local.items()
     }
     c_z = np.zeros(dim_z)
     for j, piece in cost_split.pieces.items():
         pos, vals = svec_coords(piece.rows, piece.cols, piece.vals)
-        np.add.at(c_z, blocks[j].svec_start + pos, vals)
+        np.add.at(c_z, svec_start[j] + pos, vals)
 
     rows_i, cols_i, vals_i = [], [], []
     row_kind, block_of_row, rhs, slack_coord = [], [], [], {}
     dual_row = -np.ones(problem.m, dtype=np.int64)
-    aux_constraints = []
+    aux_chains = []
 
     def add_piece(row, j, piece):
         pos, vals = svec_coords(piece.rows, piece.cols, piece.vals)
-        for p, v in zip(blocks[j].svec_start + pos, vals):
+        for p, v in zip(svec_start[j] + pos, vals):
             rows_i.append(row)
             cols_i.append(int(p))
             vals_i.append(float(v))
@@ -1196,7 +1228,7 @@ def row_assemble(problem, td, with_aux):
                 touched.add(j)
             if slack_sign:
                 owner = slack_owner[i]
-                coord = blocks[owner].nn_start + slack_local[i]
+                coord = nn_start[owner] + slack_local[i]
                 rows_i.append(row)
                 cols_i.append(coord)
                 vals_i.append(slack_sign)
@@ -1230,7 +1262,7 @@ def row_assemble(problem, td, with_aux):
                 rhs.append(0.0)
             else:
                 if slack_sign:
-                    coord = blocks[root_w].nn_start + slack_local[i]
+                    coord = nn_start[root_w] + slack_local[i]
                     rows_i.append(row)
                     cols_i.append(coord)
                     vals_i.append(slack_sign)
@@ -1240,8 +1272,8 @@ def row_assemble(problem, td, with_aux):
             row_kind.append(("aux", i, j, j == root_w))
             block_of_row.append(tuple(sorted(touched)))
             row += 1
-        aux_constraints.append(
-            AuxConstraint(
+        aux_chains.append(
+            AuxChain(
                 index=i, members=list(members), root=root_w,
                 aux_coord={j: aux_coord[(i, j)] for j in members if j != root_w},
                 row_range=(start, row),
@@ -1265,8 +1297,8 @@ def row_assemble(problem, td, with_aux):
         for x, y in combinations_with_replacement(sep, 2):
             rows_n += [nrow, nrow]
             cols_n += [
-                blocks[j].svec_start + _packed_pos(td.bags[j], x, y),
-                blocks[p].svec_start + _packed_pos(td.bags[p], x, y),
+                svec_start[j] + _packed_pos(td.bags[j], x, y),
+                svec_start[p] + _packed_pos(td.bags[p], x, y),
             ]
             vals_n += [1.0, -1.0]
             n_block_of_row.append(tuple(sorted((j, p))))
@@ -1278,18 +1310,24 @@ def row_assemble(problem, td, with_aux):
         ),
         shape=(nrow, dim_z),
     )
-    return ConvertedProblem(
+    ctc = ConvertedProblem(
         problem=problem,
         td=td,
-        blocks=blocks,
         a_rows=a_rows,
         n_rows=n_rows,
         g_rhs=np.concatenate([np.array(rhs), np.zeros(nrow)]),
         c_z=c_z,
         cone=ConeSpec(segments=tuple(segments)),
+        dual_row_of_constraint=dual_row,
+        order=np.array([len(bag) for bag in td.bags], dtype=np.int64),
+        svec_start=np.array(svec_start, dtype=np.int64),
+        n_aux=np.array(n_aux_at, dtype=np.int64),
+        n_nn=np.array(n_nn_at, dtype=np.int64),
+    )
+    record = RowRecord(
         row_kind=row_kind,
         block_of_row=block_of_row + n_block_of_row,
         slack_coord=slack_coord,
-        aux_plan=AuxPlan(constraints=aux_constraints) if with_aux else None,
-        dual_row_of_constraint=dual_row,
+        aux_chains=aux_chains,
     )
+    return ctc, record
