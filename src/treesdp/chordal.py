@@ -1,11 +1,11 @@
 """Undirected graphs, elimination orderings, and clique-tree decompositions.
 
 The decomposition pipeline is: aggregate a sparsity pattern into a graph,
-choose an elimination order (greedy minimum degree by default), run a symbolic
-factorization to obtain one bag per vertex with elimination-tree parents, then
-merge nested bags (supernodes).  The result is a rooted tree of index sets
+play the elimination game once in greedy minimum-degree order (or a given
+one), recording one bag per vertex with elimination-tree parents, then merge
+nested bags (supernodes).  The result is a rooted tree of index sets
 covering all vertices and edges and satisfying the running-intersection
-property.
+property.  It owns its (bag, vertex) table, each bag's separator included.
 """
 
 from __future__ import annotations
@@ -13,11 +13,12 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .linalg import Triplets
+from .linalg import Triplets, sorted_lookup
 
 
 @dataclass(frozen=True)
@@ -124,18 +125,20 @@ class TreeDecomposition:
     root; every bag is stored sorted ascending.
 
     The decomposition is immutable (``parent`` is a read-only array), so it
-    owns the tree tables every layer walks: ``root``, ``postorder()``,
-    ``post_index`` and ``depth``.  Each is computed on first use and kept,
-    so a tree that breaks the decomposition axioms still constructs."""
+    owns the tables every layer walks: the tree's ``root``,
+    ``postorder()``, ``post_index`` and ``depth``, and the (bag, vertex)
+    table ``bag_start``, ``members``, ``bag_of`` and ``parent_pos``, which
+    ``locate`` searches.  Each is computed on first use and kept (arrays
+    read-only), so a tree that breaks the decomposition axioms still
+    constructs."""
 
     n: int
     bags: list  # list of sorted tuples of vertex ids
     parent: np.ndarray
 
     def __post_init__(self):
-        bags = [tuple(sorted(int(v) for v in bag)) for bag in self.bags]
-        parent = np.array(self.parent, dtype=np.int64)
-        parent.flags.writeable = False
+        bags = [tuple(sorted(map(int, bag))) for bag in self.bags]
+        parent = _frozen(np.array(self.parent, dtype=np.int64))
         object.__setattr__(self, "bags", bags)
         object.__setattr__(self, "parent", parent)
 
@@ -202,6 +205,47 @@ class TreeDecomposition:
                 depth[j] = depth[p] + 1
         return tuple(depth)
 
+    # ---- the (bag, vertex) table: every bag's members, bag after bag ----
+    @cached_property
+    def bag_start(self) -> np.ndarray:
+        """Bag -> offset of its run in ``members``; ell + 1 entries."""
+        return _frozen(np.cumsum([0] + [len(bag) for bag in self.bags]))
+
+    @cached_property
+    def members(self) -> np.ndarray:
+        """Every bag's sorted vertices, bag after bag."""
+        return _frozen(np.fromiter(chain.from_iterable(self.bags), np.int64))
+
+    @cached_property
+    def bag_of(self) -> np.ndarray:
+        """Entry of ``members`` -> its bag."""
+        return _frozen(np.repeat(np.arange(self.ell), np.diff(self.bag_start)))
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        return self.bag_of * self.n + self.members  # ascending
+
+    def locate(self, bags: np.ndarray, verts: np.ndarray):
+        """Positions of the (bag, vertex) pairs in ``members`` and whether
+        each vertex is a member of its bag."""
+        return sorted_lookup(self._keys, bags * self.n + verts)
+
+    @cached_property
+    def parent_pos(self) -> np.ndarray:
+        """Entry of ``members`` -> position of its vertex in the parent
+        bag, or -1 at the root and where the parent lacks the vertex.  The
+        entries at or above 0 are the bag's separator."""
+        parent = self.parent[self.bag_of]
+        pos, shared = self.locate(parent, self.members)
+        pos -= self.bag_start[parent]
+        pos[~shared | (parent == self.bag_of)] = -1
+        return _frozen(pos)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
 
 def format_decomposition(td: TreeDecomposition) -> str:
     """One line per bag: ``j p(j) |J_j| : members`` (all 1-based)."""
@@ -227,72 +271,55 @@ def sparsity_graph(n: int, stack: Triplets) -> Graph:
     return Graph(n=n, edges=zip(lo.tolist(), hi.tolist()))
 
 
-def min_degree_order(graph: Graph) -> list:
-    """Greedy minimum-degree elimination order; ties break to the smallest
-    vertex id.  Deterministic.
+def eliminate(graph: Graph, order: list | None = None) -> TreeDecomposition:
+    """Play the elimination game once, in ``order`` or else in greedy
+    minimum-degree order (ties to the smallest vertex id), recording bag k
+    as the k-th eliminated vertex plus its later neighbors in the filled
+    graph.  The min-degree heap, keyed on (degree, id), holds an entry for
+    every degree a vertex has had; a stale entry is skipped when it
+    surfaces.
 
-    A heap keyed on (degree, id) holds an entry for every degree a vertex
-    has had; an entry whose vertex is gone or whose degree is stale is
-    skipped when it surfaces."""
-    adj = graph.adjacency()
-    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
-    heapq.heapify(heap)
-    eliminated = [False] * graph.n
-    order = []
-    while heap:
-        degree, best = heapq.heappop(heap)
-        if eliminated[best] or degree != len(adj[best]):
-            continue
-        eliminated[best] = True
-        order.append(best)
-        nbrs = adj[best]
-        for u in nbrs:
-            adj[u].discard(best)
-        nbr_list = sorted(nbrs)
-        for i, u in enumerate(nbr_list):
-            for w in nbr_list[i + 1:]:
-                adj[u].add(w)
-                adj[w].add(u)
-        for u in nbr_list:
-            heapq.heappush(heap, (len(adj[u]), u))
-        adj[best] = set()
-    return order
-
-
-def symbolic_factor(graph: Graph, order: list | None = None) -> TreeDecomposition:
-    """Symbolic Cholesky of the permuted pattern: one bag per vertex
-    (the vertex plus its later neighbors in the filled graph), parent = bag of
-    the earliest-eliminated later neighbor.  Disconnected components produce
-    an elimination forest; every non-final component root is re-parented to
-    the final root so the result is a single tree."""
-    if order is None:
-        order = min_degree_order(graph)
+    Bag k's parent is the bag of its earliest-eliminated later neighbor.
+    The roots of an elimination forest hang from the last bag, itself a
+    root, so the result is a single tree."""
     n = graph.n
-    if sorted(order) != list(range(n)):
+    if order is not None and sorted(order) != list(range(n)):
         raise DimensionMismatch("elimination order is not a permutation")
-    pos = {v: k for k, v in enumerate(order)}
     adj = graph.adjacency()
-    bags = []
-    parent = np.arange(n, dtype=np.int64)
-    for k, v in enumerate(order):
-        nbrs = adj[v]  # uneliminated neighbors in the current filled graph
-        bags.append(tuple(sorted([v] + list(nbrs))))
-        if nbrs:
-            first = min(nbrs, key=lambda u: pos[u])
-            parent[k] = pos[first]
+    heap = None
+    if order is None:
+        heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+        heapq.heapify(heap)
+    pos = [-1] * n  # vertex -> elimination position
+    bags, later, count = [], [], []
+    while len(bags) < n:
+        if heap is None:
+            v = order[len(bags)]
+        else:
+            degree, v = heapq.heappop(heap)
+            if pos[v] >= 0 or degree != len(adj[v]):
+                continue
+        pos[v] = len(bags)
+        nbrs = sorted(adj[v])
+        bags.append((v, *nbrs))
+        later += nbrs
+        count.append(len(nbrs))
         for u in nbrs:
             adj[u].discard(v)
-        nbr_list = sorted(nbrs)
-        for i, u in enumerate(nbr_list):
-            for w in nbr_list[i + 1:]:
+        for i, u in enumerate(nbrs):
+            for w in nbrs[i + 1:]:
                 adj[u].add(w)
                 adj[w].add(u)
-        adj[v] = set()
-    roots = [j for j in range(n) if parent[j] == j]
-    final_root = max(roots) if roots else n - 1
-    for r in roots:
-        if r != final_root:
-            parent[r] = final_root
+        if heap is not None:
+            for u in nbrs:
+                heapq.heappush(heap, (len(adj[u]), u))
+
+    count = np.asarray(count, dtype=np.int64)
+    parent = np.full(n, n - 1, dtype=np.int64)
+    has = count > 0
+    parent[has] = np.minimum.reduceat(
+        np.asarray(pos)[later], (np.cumsum(count) - count)[has]
+    )
     return TreeDecomposition(n=n, bags=bags, parent=parent)
 
 
@@ -345,6 +372,6 @@ def supernode_merge(td: TreeDecomposition) -> TreeDecomposition:
 
 
 def decompose(graph: Graph, order: list | None = None) -> TreeDecomposition:
-    """Full pipeline: ordering (min-degree unless supplied), symbolic
-    factorization, supernode merge."""
-    return supernode_merge(symbolic_factor(graph, order))
+    """Full pipeline: one elimination pass (min-degree order unless one is
+    supplied), then supernode merge."""
+    return supernode_merge(eliminate(graph, order))

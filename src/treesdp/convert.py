@@ -31,12 +31,7 @@ from .linalg import (
     Triplets, ranges, smat_stack, sorted_lookup, svec_coords, tri
 )
 from .model import SdpProblem
-from .splitting import (
-    SplitResult,
-    UniquePartition,
-    build_unique_partition,
-    split,
-)
+from .splitting import SplitResult, build_unique_partition, split
 
 # --------------------------------------------------------------------------
 # Cones
@@ -98,7 +93,7 @@ class ConeSpec:
 
 
 def verify_split(
-    stack: Triplets, pieces: SplitResult, partition: UniquePartition
+    stack: Triplets, pieces: SplitResult, td: TreeDecomposition
 ) -> None:
     """Exact check that the embedded per-bag pieces sum to the stacked
     matrices; raises InvalidSplit on disagreement.
@@ -107,11 +102,11 @@ def verify_split(
     match its sum to ``1e-9 * (1 + |value|)``; a piece entry outside the
     stored pattern of its matrix is rejected.  One binary search per piece
     entry over the stored entries."""
-    n = partition.n
-    start = partition.bag_start[pieces.assignment]
+    n = td.n
+    start = td.bag_start[pieces.assignment]
     # bags are sorted, so lower storage maps to lower storage
-    rows = partition.members[start + pieces.rows]
-    cols = partition.members[start + pieces.cols]
+    rows = td.members[start + pieces.rows]
+    cols = td.members[start + pieces.cols]
     stored = (stack.ids * n + stack.rows) * n + stack.cols  # ascending
     key = (pieces.ids * n + rows) * n + cols
     pos, inside = sorted_lookup(stored, key)
@@ -262,7 +257,7 @@ def _assemble(
         # an uncoverable entry of C is named before those of the A_i
         split(problem.cost, td, partition)
         raise
-    verify_split(stack, pieces, partition)
+    verify_split(stack, pieces, td)
     ids, bag = pieces.ids, pieces.assignment
     k = int(np.searchsorted(ids, m))  # the cost's entries come last
 
@@ -302,7 +297,7 @@ def _assemble(
     slack_owner = home[slack_i]
 
     # ---- layout ----------------------------------------------------------
-    order = np.diff(partition.bag_start)
+    order = np.diff(td.bag_start)
     n_aux = np.asarray(n_aux, dtype=np.int64)
     n_nn = np.bincount(slack_owner, minlength=ell)
     ends = np.cumsum(tri(order) + n_aux + n_nn)
@@ -378,7 +373,7 @@ def _assemble(
         shape=(rhs.size, dim_z),
     )
 
-    n_rows = _overlap_rows(td, partition, svec_start, dim_z)
+    n_rows = _overlap_rows(td, svec_start, dim_z)
     return ConvertedProblem(
         problem=problem,
         td=td,
@@ -395,30 +390,27 @@ def _assemble(
     )
 
 
-def _overlap_rows(td, partition, svec_start, dim_z):
+def _overlap_rows(td, svec_start, dim_z):
     """Rows X_j[x, y] - X_p[x, y] = 0 over the separator pairs x <= y of
     each non-root bag j and its parent p, bags in postorder and pairs in
     lexicographic order."""
     post = np.asarray(td.postorder(), dtype=np.int64)
-    child = post[td.parent[post] != post]
-    parent = td.parent[child]
-    start = partition.bag_start
-    sizes = np.diff(start)[child]
-    # the children's members, child after child, and which are shared
-    of = np.repeat(np.arange(child.size), sizes)
-    at = start[child][of] + np.arange(of.size) - (np.cumsum(sizes) - sizes)[of]
-    in_parent, shared = partition.locate(parent[of], partition.members[at])
-    of = of[shared]  # separator entries, child after child
-    local_c = at[shared] - start[child][of]
-    local_p = in_parent[shared] - start[parent][of]
+    start = td.bag_start
+    at = ranges(start[post], np.diff(start)[post])
+    at = at[td.parent_pos[at] >= 0]  # separator entries, child after child
+    child = td.bag_of[at]
     # pairs (a, b), a <= b, of separator entries of one child
-    count = np.cumsum(np.bincount(of, minlength=child.size))[of]
-    count -= np.arange(of.size)
-    a = np.repeat(np.arange(of.size), count)
-    b = a + np.arange(a.size) - np.repeat(np.cumsum(count) - count, count)
+    rank = np.asarray(td.post_index, dtype=np.int64)[child]
+    count = np.cumsum(np.bincount(rank, minlength=td.ell))[rank]
+    count -= np.arange(at.size)
+    a = np.repeat(np.arange(at.size), count)
+    b = ranges(np.arange(at.size), count)
     cols = [
-        svec_start[blk[of[a]]] + local[b] * (local[b] + 1) // 2 + local[a]
-        for blk, local in ((child, local_c), (parent, local_p))
+        svec_start[blk[a]] + local[b] * (local[b] + 1) // 2 + local[a]
+        for blk, local in (
+            (child, at - start[child]),
+            (td.parent[child], td.parent_pos[at]),
+        )
     ]
     rows = np.arange(a.size)
     return sp.csr_matrix(

@@ -239,7 +239,8 @@ class TreeNormalSystem:
         if bad.size:
             r = int(bad[0])
             raise StructureViolation(
-                f"row {r} of G touches bags {tuple(bag[row == r].tolist())}; "
+                f"row {r} of G touches bags "
+                f"{tuple((bag[row == r] + 1).tolist())}; "
                 "a tree-structured normal matrix needs at most two "
                 "tree-adjacent bags per row"
             )
@@ -461,7 +462,8 @@ class TreeNormalSystem:
                 lk = np.linalg.cholesky(l_diag[k])
             except np.linalg.LinAlgError as exc:
                 raise IndefinitePivot(
-                    f"diagonal block of bags {self.groups[k]} is not "
+                    f"diagonal block of bags "
+                    f"{tuple(j + 1 for j in self.groups[k])} is not "
                     "positive definite"
                 ) from exc
             l_diag[k][...] = lk

@@ -26,9 +26,7 @@ from .errors import (
     NotFinite,
     OverlapMismatch,
 )
-from .linalg import sorted_lookup
 from .model import SdpProblem
-from .splitting import bag_entries
 
 OVERLAP_TOL = 1e-6  # tree-adjacent blocks must agree on overlaps to this
 SCORE_CAP = 16.0  # digit scores saturate at float precision
@@ -127,19 +125,17 @@ def complete_low_rank(
     for j, (bag, block) in enumerate(zip(td.bags, blocks)):
         if block.shape != (len(bag), len(bag)):
             raise DimensionMismatch(
-                f"block {j} has shape {block.shape}, bag size {len(bag)}"
+                f"block {j + 1} has shape {block.shape}, bag size {len(bag)}"
             )
     ell, n, parent = td.ell, td.n, td.parent
     bags = np.arange(ell)
 
     # (bag, vertex) entries, bag after bag, and the parent's copy of each
-    start, members, bag_of = bag_entries(td)
+    start, members, bag_of = td.bag_start, td.members, td.bag_of
+    in_parent = td.parent_pos
+    shared = in_parent >= 0
     sizes = np.diff(start)
     local = np.arange(members.size) - start[bag_of]
-    keys = bag_of * n + members  # ascending
-    in_parent, shared = sorted_lookup(keys, parent[bag_of] * n + members)
-    shared &= parent[bag_of] != bag_of  # a root has no separator
-    in_parent -= start[parent[bag_of]]
     sep = np.flatnonzero(shared)  # separator entries, child after child
     sep_size = np.bincount(bag_of[sep], minlength=ell)
     slot = np.arange(sep.size) - (np.cumsum(sep_size) - sep_size)[bag_of[sep]]
@@ -148,9 +144,14 @@ def complete_low_rank(
     placer = (np.bincount(bag_of[~shared], minlength=ell) > 0) | (
         parent == bags
     )
+    # the nearest placing bag at or above each bag, and each entry's copy
+    # there: a bag that places nothing shares every vertex with its parent
+    above = start[parent[bag_of]] + in_parent  # the parent's copy in members
     up = np.where(placer, bags, parent)
+    copy = np.where(placer[bag_of], np.arange(members.size), above)
     for _ in range(ell.bit_length()):
         up = up[up]
+        copy = copy[copy]
     anchor = up[parent]
 
     # one eigendecomposition per bag order; F rows right-aligned in omega
@@ -201,11 +202,11 @@ def complete_low_rank(
         j = int(root_first[j])
         if overlap:
             raise OverlapMismatch(
-                f"bags {j} and {parent[j]} disagree on their overlap by "
-                f"{mismatch[j]:.3e}"
+                f"bags {j + 1} and {parent[j] + 1} disagree on their overlap "
+                f"by {mismatch[j]:.3e}"
             )
         raise BlockNotPsd(
-            f"bag {j} block has eigenvalue {low[j]:.3e}, beyond the PSD "
+            f"bag {j + 1} block has eigenvalue {low[j]:.3e}, beyond the PSD "
             f"cap {-cap[j]:.3e}"
         )
 
@@ -215,8 +216,9 @@ def complete_low_rank(
     kids = np.flatnonzero(placer & (parent != bags))
     own = np.full((ell, int(np.max(sep_size, initial=0))), members.size)
     own[bag_of[sep], slot] = sep
-    at_anchor = sorted_lookup(keys, anchor[bag_of] * n + members)[0]
-    at_anchor = np.append(at_anchor, members.size)[own[kids]]
+    at_anchor = np.full(members.size + 1, members.size)
+    at_anchor[sep] = copy[above[sep]]
+    at_anchor = at_anchor[own[kids]]
     rot = np.broadcast_to(np.eye(r), (ell, r, r)).copy()
     svd = np.linalg.svd(np.swapaxes(f[own[kids]], 1, 2) @ f[at_anchor])
     rot[kids] = svd.U @ svd.Vh

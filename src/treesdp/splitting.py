@@ -10,7 +10,7 @@ a selected bag greedily claims every remaining entry it can hold.
 
 The splitter runs once over the stacked triplets of all matrices
 (``linalg.Triplets``).  Trigger bags and the coverability test are array
-lookups.  A matrix whose entries all trigger one bag goes to that bag whole;
+lookups in the decomposition's (bag, vertex) table.  A matrix whose entries all trigger one bag goes to that bag whole;
 only a matrix with several trigger bags runs the greedy traversal, which
 reads the decomposition's postorder positions (``post_index``).
 """
@@ -18,62 +18,31 @@ reads the decomposition's postorder positions (``post_index``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from .chordal import TreeDecomposition
 from .errors import UncoverableEntry
-from .linalg import Triplets, sorted_lookup
+from .linalg import Triplets
 
 
 @dataclass
 class UniquePartition:
-    """Owner bag of each vertex (the root-most bag holding it, the one bag
-    where it is not shared with the parent) and the membership table the
-    splitter searches.  Built once per decomposition, so each ``split``
-    call pays only for its own entries."""
+    """Owner bag of each vertex: the root-most bag holding it, the one bag
+    where it is not shared with the parent.  Built once per decomposition,
+    so each ``split`` call pays only for its own entries."""
 
-    n: int
     owner: np.ndarray  # vertex -> root-most bag containing it
     depth: np.ndarray  # bag -> number of edges to the root
-    bag_start: np.ndarray  # bag -> offset of its members; ell + 1 entries
-    members: np.ndarray  # every bag's sorted vertices, bag after bag
-    keys: np.ndarray  # bag * n + vertex of ``members``, ascending
-
-    def locate(self, bags: np.ndarray, verts: np.ndarray):
-        """Positions of the (bag, vertex) pairs in ``members`` and whether
-        each vertex is a member of its bag."""
-        return sorted_lookup(self.keys, bags * self.n + verts)
-
-
-def bag_entries(td: TreeDecomposition):
-    """The (bag, vertex) entries of a decomposition, bag after bag: the
-    offset of each bag's run (ell + 1 entries), the vertices, and the bag
-    of each entry."""
-    sizes = np.fromiter(map(len, td.bags), np.int64, td.ell)
-    bag_start = np.zeros(td.ell + 1, dtype=np.int64)
-    np.cumsum(sizes, out=bag_start[1:])
-    members = np.fromiter(
-        chain.from_iterable(td.bags), np.int64, int(bag_start[-1])
-    )
-    return bag_start, members, np.repeat(np.arange(td.ell), sizes)
 
 
 def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
-    bag_start, members, bag_of = bag_entries(td)
-    part = UniquePartition(
-        n=td.n,
-        owner=-np.ones(td.n, dtype=np.int64),
-        depth=np.asarray(td.depth, dtype=np.int64),
-        bag_start=bag_start,
-        members=members,
-        keys=bag_of * td.n + members,
+    unique = td.parent_pos < 0
+    owner = np.full(td.n, -1, dtype=np.int64)
+    owner[td.members[unique]] = td.bag_of[unique]
+    return UniquePartition(
+        owner=owner, depth=np.asarray(td.depth, dtype=np.int64)
     )
-    parent = td.parent[bag_of]
-    unique = (parent == bag_of) | ~part.locate(parent, members)[1]
-    part.owner[members[unique]] = bag_of[unique]
-    return part
 
 
 @dataclass
@@ -108,7 +77,7 @@ def split(
     own_r, own_c = partition.owner[rows], partition.owner[cols]
     row_deeper = partition.depth[own_r] >= partition.depth[own_c]
     trigger = np.where(row_deeper, own_r, own_c)
-    fits = partition.locate(trigger, np.where(row_deeper, cols, rows))[1]
+    fits = td.locate(trigger, np.where(row_deeper, cols, rows))[1]
     if not fits.all():
         e = np.flatnonzero(~fits)[0]
         raise UncoverableEntry(
@@ -130,12 +99,12 @@ def split(
                 trigger[s:t].tolist(), td,
             )
 
-    offset = partition.bag_start[assignment]
+    offset = td.bag_start[assignment]
     return SplitResult(
         ids=ids,
         assignment=assignment,
-        rows=partition.locate(assignment, rows)[0] - offset,
-        cols=partition.locate(assignment, cols)[0] - offset,
+        rows=td.locate(assignment, rows)[0] - offset,
+        cols=td.locate(assignment, cols)[0] - offset,
         vals=stack.vals,
     )
 

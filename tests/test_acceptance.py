@@ -13,10 +13,8 @@ the module test files.
 
 import time
 import tracemalloc
-from itertools import combinations
 
 import numpy as np
-import pytest
 
 from treesdp.chordal import (
     Graph,
@@ -38,7 +36,6 @@ from treesdp.ipm import (
     SolverOptions,
     short_step_solve,
 )
-from treesdp.linalg import tri
 from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import LowRankFactor, complete_low_rank, dimacs_metrics
 from treesdp.splitting import build_unique_partition, split

@@ -7,13 +7,12 @@ from treesdp.chordal import (
     Graph,
     TreeDecomposition,
     decompose,
+    eliminate,
     format_decomposition,
-    min_degree_order,
     parse_graph,
     parse_permutation,
     sparsity_graph,
     supernode_merge,
-    symbolic_factor,
 )
 from treesdp.errors import DimensionMismatch, ParseError
 from util import (
@@ -23,6 +22,7 @@ from util import (
     min_degree_order_reference,
     random_rooted_tree,
     separator,
+    symbolic_factor,
     validate,
 )
 
@@ -48,6 +48,18 @@ def random_graph(rng, n, p):
 
 def random_tree(rng, n):
     return Graph(n, [(int(rng.integers(0, i)), i) for i in range(1, n)])
+
+
+def random_graph_in_parts(rng, n, p, parts):
+    """Random graph with no edge between its ``parts`` vertex sets; the
+    vertices are dealt to the sets at random."""
+    part = rng.integers(0, parts, n)
+    edge = np.triu(rng.random((n, n)) < p, 1) & (part[:, None] == part)
+    return Graph(n, zip(*np.nonzero(edge)))
+
+
+def same_tree(got, want):
+    return got.bags == want.bags and list(got.parent) == list(want.parent)
 
 
 # ----------------------------------------------------------------- graphs
@@ -100,12 +112,14 @@ def test_sparsity_graph_counts_explicit_zeros():
 
 
 # ----------------------------------------------------------------- ordering
+# bag k of ``eliminate`` is the k-th eliminated vertex and its later
+# neighbors, so the bags show the order
 def test_min_degree_is_deterministic_with_smallest_id_ties():
     g = star_graph(6)  # hub = 5, all leaves degree 1
-    assert min_degree_order(g) == [0, 1, 2, 3, 4, 5]
+    assert eliminate(g).bags == [(0, 5), (1, 5), (2, 5), (3, 5), (4, 5), (5,)]
     g2 = path_graph(3)
     # after vertex 0 leaves, vertices 1 and 2 tie at degree 1 -> smallest id
-    assert min_degree_order(g2) == [0, 1, 2]
+    assert eliminate(g2).bags == [(0, 1), (1, 2), (2,)]
 
 
 def test_min_degree_is_a_permutation_on_random_graphs():
@@ -113,8 +127,9 @@ def test_min_degree_is_a_permutation_on_random_graphs():
     for _ in range(10):
         n = int(rng.integers(2, 25))
         g = random_graph(rng, n, 0.3)
-        order = min_degree_order(g)
-        assert sorted(order) == list(range(n))
+        # the last bag holding each vertex is the one that eliminates it
+        last = {v: k for k, bag in enumerate(eliminate(g).bags) for v in bag}
+        assert sorted(last.values()) == list(range(n))
 
 
 def test_min_degree_matches_the_scan_over_live_vertices():
@@ -122,14 +137,35 @@ def test_min_degree_matches_the_scan_over_live_vertices():
     for _ in range(40):
         n = int(rng.integers(1, 60))
         g = random_graph(rng, n, float(rng.uniform(0.02, 0.5)))
-        assert min_degree_order(g) == min_degree_order_reference(g)
+        want = symbolic_factor(g, min_degree_order_reference(g))
+        assert same_tree(eliminate(g), want)
     star = star_graph(30)  # leaves tie at degree 1, the hub comes last
-    assert min_degree_order(star) == min_degree_order_reference(star)
+    want = symbolic_factor(star, min_degree_order_reference(star))
+    assert same_tree(eliminate(star), want)
+
+
+def test_one_elimination_pass_matches_the_two_pass_oracle():
+    # min-degree and random given orders on random, edgeless, two-part
+    # and empty graphs: bags and parents equal the oracle's, before and
+    # after the supernode merge
+    rng = np.random.default_rng(17)
+    seen = set()
+    for trial in range(2000):
+        n = int(rng.integers(0, 40))
+        kind = ("random", "edgeless", "two parts")[trial % 3]
+        p = 0.0 if kind == "edgeless" else rng.uniform(0.02, 0.3)
+        g = random_graph_in_parts(rng, n, p, 2 if kind == "two parts" else 1)
+        for order in (None, rng.permutation(n).tolist()):
+            want = symbolic_factor(g, order)
+            assert same_tree(eliminate(g, order), want)
+            assert same_tree(decompose(g, order), supernode_merge(want))
+        seen.add(kind if n else "empty")
+    assert seen == {"random", "edgeless", "two parts", "empty"}
 
 
 # ----------------------------------------------------------------- symbolic factor
 def test_symbolic_factor_path_natural_order():
-    td = symbolic_factor(path_graph(3), order=[0, 1, 2])
+    td = eliminate(path_graph(3), order=[0, 1, 2])
     assert td.bags == [(0, 1), (1, 2), (2,)]
     assert list(td.parent) == [1, 2, 2]
     assert validate(td, path_graph(3)) == []
@@ -137,7 +173,7 @@ def test_symbolic_factor_path_natural_order():
 
 def test_symbolic_factor_edgeless_single_root():
     g = Graph(4, [])
-    td = symbolic_factor(g, order=[0, 1, 2, 3])
+    td = eliminate(g, order=[0, 1, 2, 3])
     assert td.bags == [(0,), (1,), (2,), (3,)]
     assert list(td.parent) == [3, 3, 3, 3]
     assert validate(td, g) == []
@@ -145,7 +181,7 @@ def test_symbolic_factor_edgeless_single_root():
 
 def test_symbolic_factor_rejects_non_permutation():
     with pytest.raises(DimensionMismatch):
-        symbolic_factor(path_graph(3), order=[0, 0, 2])
+        eliminate(path_graph(3), order=[0, 0, 2])
 
 
 def test_symbolic_factor_validates_on_random_graphs():
@@ -153,7 +189,7 @@ def test_symbolic_factor_validates_on_random_graphs():
     for _ in range(20):
         n = int(rng.integers(2, 30))
         g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
-        td = symbolic_factor(g)
+        td = eliminate(g)
         assert validate(td, g) == []
 
 
@@ -170,7 +206,7 @@ def test_supernode_merge_is_idempotent_and_width_preserving():
     for _ in range(20):
         n = int(rng.integers(2, 25))
         g = random_graph(rng, n, 0.25)
-        td = symbolic_factor(g)
+        td = eliminate(g)
         merged = supernode_merge(td)
         assert merged.width == td.width
         again = supernode_merge(merged)
@@ -257,6 +293,41 @@ def test_tree_tables_match_walks_up_the_parents():
             td.parent[0] = 0
 
 
+def test_bag_table_matches_a_walk_over_each_bag():
+    # unmerged elimination trees keep bags nested in their parents; random
+    # rooted trees with random bags put parents at any index
+    rng = np.random.default_rng(43)
+    tds = []
+    for _ in range(40):
+        g = random_graph(rng, int(rng.integers(0, 30)), rng.uniform(0.05, 0.5))
+        tds += [eliminate(g), decompose(g)]
+        tree = random_rooted_tree(rng, int(rng.integers(1, 20)))
+        n = int(rng.integers(1, 12))
+        bags = [
+            rng.choice(n, int(rng.integers(1, n + 1)), replace=False)
+            for _ in range(tree.ell)
+        ]
+        tds.append(TreeDecomposition(n=n, bags=bags, parent=tree.parent))
+    nested = 0
+    for td in tds:
+        sizes = [len(bag) for bag in td.bags]
+        assert td.bag_start.tolist() == np.cumsum([0] + sizes).tolist()
+        assert td.members.size == td.bag_of.size == sum(sizes)
+        for j, bag in enumerate(td.bags):
+            run = slice(td.bag_start[j], td.bag_start[j + 1])
+            assert tuple(td.members[run].tolist()) == bag
+            assert (td.bag_of[run] == j).all()
+            pos = td.parent_pos[run].tolist()
+            shared = separator(td, j)
+            assert tuple(v for v, k in zip(bag, pos) if k >= 0) == shared
+            parent_bag = td.bags[td.parent[j]]
+            assert all(parent_bag[k] == v for v, k in zip(bag, pos) if k >= 0)
+            nested += td.parent[j] != j and len(shared) == len(bag)
+        for table in (td.bag_start, td.members, td.bag_of, td.parent_pos):
+            assert not table.flags.writeable
+    assert nested > 0
+
+
 def test_validate_flags_broken_decompositions():
     # vertex 2 appears in two disconnected bags -> running intersection fails
     td = TreeDecomposition(
@@ -279,7 +350,7 @@ def test_validate_flags_broken_decompositions():
 
 
 def test_format_decomposition_is_one_based():
-    td = symbolic_factor(path_graph(3), order=[0, 1, 2])
+    td = eliminate(path_graph(3), order=[0, 1, 2])
     text = format_decomposition(td)
     assert text.splitlines() == ["1 2 2 : 1 2", "2 3 2 : 2 3", "3 3 1 : 3"]
 

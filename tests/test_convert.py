@@ -20,7 +20,7 @@ from treesdp.convert import (
 from treesdp.errors import DisconnectedSupport, InvalidSplit, UncoverableEntry
 from treesdp.linalg import tri
 from treesdp.normal import row_bags
-from treesdp.splitting import build_unique_partition, split
+from treesdp.splitting import split
 from util import (
     SparseSymmetric,
     ancestors,
@@ -155,24 +155,22 @@ def test_inequality_slack_wiring():
         )
 
 
-def split_with_table(mat, td):
-    """The one-matrix stack of ``mat``, its split and the partition the
-    split searched."""
+def split_stack(mat, td):
+    """The one-matrix stack of ``mat`` and its split."""
     stack = stack_triplets([mat])
-    partition = build_unique_partition(td)
-    return stack, split(stack, td, partition), partition
+    return stack, split(stack, td)
 
 
 def test_verify_split_raises_on_corruption():
     rng = np.random.default_rng(89)
     problem, td = random_partially_separable_problem(rng, 6, 1)
-    stack, res, partition = split_with_table(problem.cost, td)
+    stack, res = split_stack(problem.cost, td)
     j0 = res.assignment.min()
     bad = replace(
         res, vals=np.where(res.assignment == j0, res.vals + 1.0, res.vals)
     )
     with pytest.raises(InvalidSplit):
-        verify_split(stack, bad, partition)
+        verify_split(stack, bad, td)
 
 
 def test_verify_split_rejects_a_small_error_beside_a_large_diagonal():
@@ -187,12 +185,12 @@ def test_verify_split_rejects_a_small_error_beside_a_large_diagonal():
         vals=[1e6] * n + [1.0] * (n - 1),
     )
     td = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
-    stack, pieces, partition = split_with_table(mat, td)
-    verify_split(stack, pieces, partition)
+    stack, pieces = split_stack(mat, td)
+    verify_split(stack, pieces, td)
     vals = pieces.vals.copy()
     vals[np.flatnonzero(pieces.rows != pieces.cols)[0]] += 1e-7
     with pytest.raises(InvalidSplit):
-        verify_split(stack, replace(pieces, vals=vals), partition)
+        verify_split(stack, replace(pieces, vals=vals), td)
 
 
 def test_verify_split_rejects_entries_outside_the_pattern():
@@ -201,7 +199,7 @@ def test_verify_split_rejects_entries_outside_the_pattern():
         order=n, rows=list(range(n)), cols=list(range(n)), vals=[1.0] * n
     )
     td = decompose(Graph(n, [(i, i + 1) for i in range(n - 1)]))
-    stack, pieces, partition = split_with_table(mat, td)
+    stack, pieces = split_stack(mat, td)
     # a zero-valued entry the matrix does not store changes no sum, so only
     # the pattern check can see it
     extra = replace(
@@ -213,7 +211,7 @@ def test_verify_split_rejects_entries_outside_the_pattern():
         vals=np.append(pieces.vals, 0.0),
     )
     with pytest.raises(InvalidSplit, match="does not"):
-        verify_split(stack, extra, partition)
+        verify_split(stack, extra, td)
 
 
 # ------------------------------------------------------- per-row oracle

@@ -296,7 +296,8 @@ def test_structure_violation_on_nonadjacent_row():
     # rows of G: the A-rows, then the overlap rows; the new row is row m
     m = ctc.a_rows.shape[0]
     for bags in (far, (0, 1, 2)):
-        named = re.escape(f"row {m} of G touches bags {bags}")
+        one_based = tuple(j + 1 for j in bags)
+        named = re.escape(f"row {m} of G touches bags {one_based}")
         with pytest.raises(StructureViolation, match=named):
             TreeNormalSystem(dualize(with_extra_row(ctc, bags)))
 
@@ -363,8 +364,11 @@ def test_indefinite_pivot_raised():
     psd_w = {o: w.copy() for o, w in psd_w.items()}
     psd_w[int(ctc.order[0])][0][0, 0] = -50.0  # block 0: not a scaling
     sys_.assemble_h(0.0, psd_w, nn_w2)
-    with pytest.raises(IndefinitePivot):
+    with pytest.raises(IndefinitePivot) as err:
         sys_.factor()
+    # the bags of the failing group, numbered from 1
+    group = next(g for g in sys_.groups if 0 in g)
+    assert f"bags {tuple(j + 1 for j in group)} " in str(err.value)
 
 
 def hub_first_fill_oracle(parent, root, order):

@@ -10,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesdp.chordal import Graph, TreeDecomposition, decompose
+from treesdp.chordal import (
+    Graph, TreeDecomposition, decompose, format_decomposition
+)
 from treesdp.errors import (
     BlockNotPsd,
     DimensionMismatch,
@@ -20,7 +22,6 @@ from treesdp.errors import (
 from treesdp.frontends import gen_maxcut
 from treesdp.recovery import (
     LowRankFactor,
-    Metrics,
     _Shifted,
     _spectral_norm,
     complete_low_rank,
@@ -152,6 +153,21 @@ def test_rounding_beside_a_large_entry_is_within_the_cap(
     factor = complete_low_rank([root, child], td, eps=1e-8)
     assert factor.rank <= 2
     assert bag_agreement_error(factor, [root, child], td) <= 1e-8
+
+
+def test_block_not_psd_names_the_bag_as_the_decomposition_dump():
+    # the message's bag number starts the dump line of the failing bag
+    td = decompose(random_connected_graph(np.random.default_rng(3), 12))
+    lines = format_decomposition(td).splitlines()
+    for j, bag in enumerate(td.bags):
+        blocks = [np.eye(len(b)) for b in td.bags]
+        blocks[j] = -blocks[j]
+        with pytest.raises(BlockNotPsd) as err:
+            complete_low_rank(blocks, td)
+        number = named_bags(err.value)[0]
+        head, members = lines[int(number) - 1].split(" : ")
+        assert head.split()[0] == number
+        assert members.split() == [str(v + 1) for v in bag]
 
 
 def test_block_count_mismatch_raises():

@@ -1,6 +1,7 @@
 """Shared instance generators and reference implementations for the test
 suite."""
 
+import heapq
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -407,6 +408,70 @@ def min_degree_order_reference(graph):
         adj[best] = set()
         alive.discard(best)
     return order
+
+
+def min_degree_order(graph):
+    """Greedy minimum-degree order by a lazy (degree, id) heap; ties break
+    to the smallest vertex id.  With ``symbolic_factor``, the two-pass
+    oracle of ``chordal.eliminate``."""
+    adj = graph.adjacency()
+    heap = [(len(nbrs), v) for v, nbrs in enumerate(adj)]
+    heapq.heapify(heap)
+    eliminated = [False] * graph.n
+    order = []
+    while heap:
+        degree, best = heapq.heappop(heap)
+        if eliminated[best] or degree != len(adj[best]):
+            continue
+        eliminated[best] = True
+        order.append(best)
+        nbrs = adj[best]
+        for u in nbrs:
+            adj[u].discard(best)
+        nbr_list = sorted(nbrs)
+        for i, u in enumerate(nbr_list):
+            for w in nbr_list[i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+        for u in nbr_list:
+            heapq.heappush(heap, (len(adj[u]), u))
+        adj[best] = set()
+    return order
+
+
+def symbolic_factor(graph, order=None):
+    """Replay the elimination game in ``order`` (``min_degree_order`` when
+    None): one bag per vertex, the vertex plus its later neighbors in the
+    filled graph, and parent the bag of the earliest-eliminated later
+    neighbor.  Every non-final root is re-parented to the final one."""
+    if order is None:
+        order = min_degree_order(graph)
+    n = graph.n
+    if sorted(order) != list(range(n)):
+        raise DimensionMismatch("elimination order is not a permutation")
+    pos = {v: k for k, v in enumerate(order)}
+    adj = graph.adjacency()
+    bags = []
+    parent = np.arange(n, dtype=np.int64)
+    for k, v in enumerate(order):
+        nbrs = adj[v]  # uneliminated neighbors in the current filled graph
+        bags.append(tuple(sorted([v] + list(nbrs))))
+        if nbrs:
+            parent[k] = pos[min(nbrs, key=lambda u: pos[u])]
+        for u in nbrs:
+            adj[u].discard(v)
+        nbr_list = sorted(nbrs)
+        for i, u in enumerate(nbr_list):
+            for w in nbr_list[i + 1:]:
+                adj[u].add(w)
+                adj[w].add(u)
+        adj[v] = set()
+    roots = [j for j in range(n) if parent[j] == j]
+    final_root = max(roots) if roots else n - 1
+    for r in roots:
+        if r != final_root:
+            parent[r] = final_root
+    return TreeDecomposition(n=n, bags=bags, parent=parent)
 
 
 def random_bag_supported_matrix(rng, n, bag, density=0.8):
@@ -970,7 +1035,8 @@ def loop_complete_low_rank(blocks, td, eps=1e-8):
     for j, bag in enumerate(td.bags):
         if blocks[j].shape != (len(bag), len(bag)):
             raise DimensionMismatch(
-                f"block {j} has shape {blocks[j].shape}, bag size {len(bag)}"
+                f"block {j + 1} has shape {blocks[j].shape}, bag size "
+                f"{len(bag)}"
             )
 
     u = np.zeros((td.n, td.omega))
@@ -979,7 +1045,7 @@ def loop_complete_low_rank(blocks, td, eps=1e-8):
         bag = td.bags[j]
         sep = separator(td, j)
         own = [bag.index(v) for v in sep]
-        blocks[j], f = _psd_factor(blocks[j], eps, f"bag {j} block")
+        blocks[j], f = _psd_factor(blocks[j], eps, f"bag {j + 1} block")
         if own:
             p = int(td.parent[j])
             par = [td.bags[p].index(v) for v in sep]
@@ -988,7 +1054,7 @@ def loop_complete_low_rank(blocks, td, eps=1e-8):
             )
             if diff > OVERLAP_TOL:
                 raise OverlapMismatch(
-                    f"bags {j} and {p} disagree on their overlap by "
+                    f"bags {j + 1} and {p + 1} disagree on their overlap by "
                     f"{diff:.3e}"
                 )
         new = [i for i in range(len(bag)) if i not in own]
