@@ -401,9 +401,6 @@ class DualizedHsdeProgram:
     def apply_mt(self, rows: np.ndarray) -> np.ndarray:
         return self.dualized.apply_mt(rows)
 
-    def data_norm(self) -> float:
-        return self.dualized.data_norm()
-
     def normal_update(self, ops: ConeOps, w: ScalingPoint) -> None:
         # the cone lists each block's matrix and slack segments in block
         # order, so the scaling stacks are already in the engine's format
@@ -446,15 +443,6 @@ class DenseHsdeProgram:
 
     def apply_mt(self, rows: np.ndarray) -> np.ndarray:
         return rows @ self.m
-
-    def data_norm(self) -> float:
-        return float(
-            np.sqrt(
-                np.linalg.norm(self.m) ** 2
-                + self.b @ self.b
-                + self.c @ self.c
-            )
-        )
 
     def normal_update(self, ops: ConeOps, w: ScalingPoint) -> None:
         self.normal.update(lambda cols: ops.hess_inv_apply(w, cols))
@@ -553,7 +541,6 @@ class HsdeSolver:
         self.r_p = self.b - program.apply_m(e)
         self.r_c = 1.0 + float(self.c @ e)
         self.nu = self.ops.nu
-        self._data_norm = program.data_norm()
 
     # -- state ------------------------------------------------------------
     def init_embedding(self) -> EmbeddingState:

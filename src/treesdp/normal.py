@@ -40,25 +40,30 @@ group of w coordinates holds w^2 <= ``GROUP_WIDTH`` * w entries.
 
 Storage.  The coordinates are permuted once so that each group is one
 contiguous slice, its members in postorder; ``solve_h`` and ``apply_h``
-gather and scatter once per call.  H lives in one flat buffer: each
-group's dense diagonal block, then each group's edge block, which holds
-only the attach bag's rows.  L lives in a second buffer of the same
-layout, which ``factor`` overwrites in place.  G^T G is kept as the
-(position, value) pairs of its nonzeros in that layout, since merged
-blocks are mostly zeros.  The slack scalings, the static shift and the
-finiteness checks are one vectorized pass each: ``factor`` checks the
-assembled H and ``solve_h`` its right-hand side, once per call, and both
-raise :class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks
-are added one *run* of bags at a time: same-order bags that lie in one
-group at a constant step along its diagonal share one strided
-(bags, t, t) view into H's buffer, so a chain needs about one in-place
-add per group and order, each entry the same single addition as bag by
-bag.  An index array over every Kronecker entry (1.4 MB of int64 on a
-random graph with 18-vertex bags, plus a temporary as large) raised the
-peak memory of a whole solve there by 2-3 %.  The per-group triangular
-solves call LAPACK ``dtrtrs`` directly, with the operands and flags
-``scipy.linalg.solve_triangular`` would pass, so every result is the same
-to the last bit without the per-call argument validation.
+gather and scatter once per call.  The static structure is int arrays
+built by array passes: per bag its first permuted coordinate and its
+group, and per group its first coordinate and width, its attach bag's
+first coordinate and row count, and the flat offsets of its diagonal and
+edge blocks.  H lives in one flat buffer: each group's dense diagonal
+block, then each group's edge block, which holds only the attach bag's
+rows.  L lives in a second buffer of the same layout, which ``factor``
+overwrites in place, subtracting each group's update from a fixed view
+of its attach bag's block.  G^T G is kept as the (position, value) pairs
+of its nonzeros in that layout, since merged blocks are mostly zeros.
+The slack scalings, the static shift and the finiteness checks are one
+vectorized pass each: ``factor`` checks the assembled H and ``solve_h``
+its right-hand side, once per call, and both raise
+:class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks are
+added one *run* of bags at a time: same-order bags that lie in one group
+at a constant step along its diagonal share one strided (bags, t, t)
+view into H's buffer, so a chain needs about one in-place add per group
+and order, each entry the same single addition as bag by bag.  An index
+array over every Kronecker entry (1.4 MB of int64 on a random graph with
+18-vertex bags, plus a temporary as large) raised the peak memory of a
+whole solve there by 2-3 %.  The per-group triangular solves call LAPACK
+``dtrtrs`` directly, with the operands and flags
+``scipy.linalg.solve_triangular`` would pass, so every result is the
+same to the last bit without the per-call argument validation.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
@@ -72,6 +77,8 @@ full normal matrix ``M D^{-1} M^T`` densely and factors it directly.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -152,12 +159,43 @@ def group_bags(td: TreeDecomposition, widths, cap) -> list:
     return groups
 
 
-def row_bags(g, bag_of: np.ndarray, ell: int) -> tuple:
+def row_bags(g, bag_of: np.ndarray) -> tuple:
     """The distinct (row, bag) pairs of the stored entries of the CSR
     matrix ``g``, as two arrays sorted by row and then bag; ``bag_of[c]``
-    is the bag of column c, one of ``ell``."""
+    is the bag of column c, laid out bag after bag.  So along a row with
+    sorted indices the bag never decreases, and each pair is one stretch
+    of equal neighbours.  Unsorted indices are sorted in a copy.
+    """
+    if not g.has_sorted_indices:
+        g = g.sorted_indices()
     rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
-    return np.divmod(np.unique(rows * ell + bag_of[g.indices]), ell)
+    bags = bag_of[g.indices]
+    new = np.ones(bags.size, dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]) | (bags[1:] != bags[:-1])
+    return rows[new], bags[new]
+
+
+def run_starts(group: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """Where the runs start in a sequence of blocks, block i lying in group
+    ``group[i]`` at flat offset ``at[i]``: a run is consecutive blocks of
+    one group at the step set by its first two.  Block i starts one when
+    its group differs from block i-1's, or when the step changes at i
+    within one group and block i-1 starts none.  A chain of consecutive
+    changes follows a block inside a run, so its first change starts a
+    run, the next continues it, and so on.
+    """
+    n = at.size
+    same = group[1:] == group[:-1]
+    step = np.diff(at)
+    change = np.zeros(n, dtype=bool)
+    change[2:] = same[1:] & same[:-1] & (step[1:] != step[:-1])
+    idx = np.arange(n)
+    # the last block at or before i that is no change
+    before = np.maximum.accumulate(np.where(change, 0, idx))
+    start = change & ((idx - before) % 2 == 1)
+    start[0] = True
+    start[1:] |= ~same
+    return np.flatnonzero(start)
 
 
 class TreeNormalSystem:
@@ -169,8 +207,6 @@ class TreeNormalSystem:
         self.ctc = ctc
         td = ctc.td
         self.ell = td.ell
-        # Python ints: the per-group loops index lists with them
-        self.parent = td.parent.tolist()
         self.dim = ctc.dim_z
         width = ctc.width
 
@@ -184,6 +220,16 @@ class TreeNormalSystem:
         self._h_blocks = self._blocks(self._h_flat)
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
+        # each group's attach bag's block of L, in the parent group's block
+        row0 = self._block_row[len(self.groups):]  # of the edge blocks
+        parent = self._group_of[self._bag_of[row0]]
+        spans = np.column_stack(
+            (parent, row0 - self._first[parent], self._attach_rows)
+        ).tolist()
+        self._l_attach = [
+            self._l_blocks[0][p][a:a + r, a:a + r] if r else None
+            for p, a, r in spans
+        ]
         self._kron_runs = self._kron_run_views()
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
@@ -194,13 +240,8 @@ class TreeNormalSystem:
             runs[-1][1] * tri(o) * tri(o) * o
             for o, runs in self._kron_runs.items()
         )
-        self._factor_ops = 0
-        for sl, rows in zip(self.slices, self._parent_rows):
-            w = sl.stop - sl.start
-            self._factor_ops += w ** 3 // 3 + w
-            if rows is not None:
-                wp = rows.stop - rows.start
-                self._factor_ops += w * w * wp + w * wp * wp
+        w, r = self._width, self._attach_rows
+        self._factor_ops = int(np.sum(w ** 3 // 3 + w + w * r * (w + r)))
 
         # per-factorization state
         self.h_diag: list = []
@@ -228,7 +269,7 @@ class TreeNormalSystem:
         """Raise StructureViolation unless every row of G touches at most
         two bags, and two only if one is the other's parent."""
         bag_of = np.repeat(np.arange(self.ell), self.ctc.width)
-        row, bag = row_bags(self.dualized.g_csr, bag_of, self.ell)
+        row, bag = row_bags(self.dualized.g_csr, bag_of)
         pair = np.flatnonzero(row[1:] == row[:-1])  # bag[i], bag[i+1]: one row
         a, b = bag[pair], bag[pair + 1]
         parent = self.ctc.td.parent
@@ -239,7 +280,7 @@ class TreeNormalSystem:
         if bad.size:
             r = int(bad[0])
             raise StructureViolation(
-                f"row {r} of G touches bags "
+                f"row {r + 1} of G touches bags "
                 f"{tuple((bag[row == r] + 1).tolist())}; "
                 "a tree-structured normal matrix needs at most two "
                 "tree-adjacent bags per row"
@@ -248,18 +289,19 @@ class TreeNormalSystem:
     def _layout(self, width: np.ndarray) -> None:
         """The permuted coordinates and the flat layout of the blocks.
 
-        Permuted coordinate i is original coordinate ``perm[i]``.  Group
-        k holds the permuted coordinates ``slices[k]``, bag j those from
-        ``_bag_start[j]``.  Group k's edge block couples it with the rows
-        ``_slabs[k]`` of its attach bag, which are ``_parent_rows[k]``
-        within the parent group ``group_parent[k]``.  The flat buffers
-        hold every group's diagonal block, then every edge block; row
-        ``i`` of ``_spans`` is block i's (flat offset, first row, rows,
-        first column, columns).
+        Permuted coordinate i is original coordinate ``perm[i]``, in bag
+        ``_bag_of[i]``; bag j's coordinates start at ``_bag_start[j]``, in
+        group ``_group_of[j]``.  Group k holds ``_width[k]`` coordinates
+        from ``_first[k]``; its attach bag has ``_attach_rows[k]`` (0 at
+        the root).  The flat buffers hold every group's diagonal block,
+        then every group's edge block, ``_width[k]`` columns each: block b
+        starts at ``_block_off[b]``, its rows at ``_block_row[b]``.
+        ``slices`` and ``_slabs`` are those rows as slices, for the sweeps.
         """
-        sizes = [len(members) for members in self.groups]
-        bags = np.array(
-            [j for members in self.groups for j in members], dtype=np.int64
+        n_groups = len(self.groups)
+        sizes = np.fromiter(map(len, self.groups), np.int64, n_groups)
+        bags = np.fromiter(
+            chain.from_iterable(self.groups), np.int64, self.ell
         )
         w = width[bags]
         ends = np.cumsum(w)
@@ -267,65 +309,45 @@ class TreeNormalSystem:
         self._inv_perm = np.empty_like(self.perm)
         self._inv_perm[self.perm] = np.arange(self.dim, dtype=np.int64)
         self._bag_of = np.repeat(bags, w)
-        bag_start = np.empty(self.ell, dtype=np.int64)
-        bag_start[bags] = ends - w
-        group_of = np.empty(self.ell, dtype=np.int64)
-        group_of[bags] = np.repeat(np.arange(len(sizes)), sizes)
-        self._bag_start = bag_start.tolist()
-        self._group_of = group_of.tolist()
-        bounds = [0] + ends[np.cumsum(sizes) - 1].tolist()
-        self.slices = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        self._bag_start = np.empty(self.ell, dtype=np.int64)
+        self._bag_start[bags] = ends - w
+        self._group_of = np.empty(self.ell, dtype=np.int64)
+        self._group_of[bags] = np.repeat(np.arange(n_groups), sizes)
 
-        bag_width = width.tolist()
-        self.group_parent, self._slabs, self._parent_rows = [], [], []
-        for k, members in enumerate(self.groups):
-            b = self.parent[members[-1]]  # the last member is a top bag
-            if b == members[-1]:
-                self.group_parent.append(k)
-                self._slabs.append(None)
-                self._parent_rows.append(None)
-                continue
-            p = self._group_of[b]
-            lo = self._bag_start[b]
-            hi = lo + bag_width[b]
-            self.group_parent.append(p)
-            self._slabs.append(slice(lo, hi))
-            base = self.slices[p].start
-            self._parent_rows.append(slice(lo - base, hi - base))
-
-        spans = []
-        pos = 0
-        for sl in self.slices:
-            w = sl.stop - sl.start
-            spans.append((pos, sl.start, w, sl.start, w))
-            pos += w * w
-        self._n_diag = pos
-        for sl, slab in zip(self.slices, self._slabs):
-            if slab is not None:
-                w, rows = sl.stop - sl.start, slab.stop - slab.start
-                spans.append((pos, slab.start, rows, sl.start, w))
-                pos += rows * w
-        self._n_flat = pos
-        self._spans = np.array(spans, dtype=np.int64).reshape(-1, 5)
-        self._diag_pos = np.concatenate(
-            [
-                lo + np.arange(w, dtype=np.int64) * (w + 1)
-                for lo, _, w, _, _ in spans[:len(self.groups)]
-            ]
+        last = np.cumsum(sizes) - 1
+        top = bags[last]  # the last member is a top bag
+        attach = self.ctc.td.parent[top]
+        self._width = np.diff(ends[last], prepend=0)
+        self._first = ends[last] - self._width
+        self._attach_rows = np.where(attach == top, 0, width[attach])
+        rows = np.concatenate((self._width, self._attach_rows))
+        size = rows * np.tile(self._width, 2)
+        self._block_off = np.cumsum(size) - size
+        self._block_row = np.concatenate(
+            (self._first, self._bag_start[attach])
         )
+        self._n_diag = int(self._block_off[n_groups])
+        self._n_flat = int(size.sum())
+        group = self._group_of[self._bag_of]
+        self._diag_pos = self._block_off[group] + (
+            np.arange(self.dim) - self._first[group]
+        ) * (self._width[group] + 1)
+        bounds = np.column_stack((self._block_row, self._block_row + rows))
+        self.slices = [slice(*b) for b in bounds[:n_groups].tolist()]
+        self._slabs = [slice(lo, hi) if hi > lo else None
+                       for lo, hi in bounds[n_groups:].tolist()]
 
     def _blocks(self, flat: np.ndarray) -> tuple:
         """Views of the diagonal blocks and of the edge blocks (None at the
         root group) held in ``flat``."""
-        views = [
-            flat[lo:lo + rows * cols].reshape(rows, cols)
-            for lo, _, rows, _, cols in self._spans.tolist()
-        ]
         n_groups = len(self.groups)
-        edges = iter(views[n_groups:])
-        return views[:n_groups], [
-            None if slab is None else next(edges) for slab in self._slabs
-        ]
+        spans = np.column_stack((
+            self._block_off, np.append(self._block_off[1:], self._n_flat),
+            np.tile(self._width, 2),
+        )).tolist()
+        views = [flat[lo:hi].reshape(-1, w) for lo, hi, w in spans]
+        edges = [v if v.size else None for v in views[n_groups:]]
+        return views[:n_groups], edges
 
     def _kron_run_views(self) -> dict:
         """Order o -> the runs of the order-o bags' Kronecker blocks in H,
@@ -333,40 +355,32 @@ class TreeNormalSystem:
 
         Row i of the order-o scaling stack belongs to the i-th order-o bag
         in block order, whose t x t Kronecker block (t = tri(o)) lies on
-        its group block's diagonal.  Consecutive rows whose blocks lie in
-        one group at a constant flat step form a run, and a run's view is
-        one (rows, t, t) strided view into ``_h_flat``.  The runs of an
-        order tile its stack, so the last one ends at its bag count.
+        its group block's diagonal.  The runs are those of
+        :func:`run_starts`, and a run's view is one (rows, t, t) strided
+        view into ``_h_flat``.  The runs of an order tile its stack, so the
+        last one ends at its bag count.
         """
-        item = self._h_flat.itemsize
-        spans = self._spans.tolist()
-        starts: dict = {}  # order -> (group, flat offset) of each bag
-        for j, o in enumerate(self.ctc.order.tolist()):
-            k = self._group_of[j]
-            lo, row0, w, _, _ = spans[k]
-            at = lo + (self._bag_start[j] - row0) * (w + 1)
-            starts.setdefault(o, []).append((k, at))
+        h, item = self._h_flat, self._h_flat.itemsize
+        group = self._group_of
+        at = self._diag_pos[self._bag_start]  # where each bag block starts
+        order = self.ctc.order
         runs: dict = {}
-        for o, places in starts.items():
+        for o in dict.fromkeys(order.tolist()):
+            bags = np.flatnonzero(order == o)
+            lo = run_starts(group[bags], at[bags])
+            hi = np.append(lo[1:], bags.size)
+            gap = np.append(np.diff(at[bags]), 0)
+            spans = np.column_stack((
+                lo, hi, at[bags[lo]], np.where(hi - lo > 1, gap[lo], 0),
+                self._width[group[bags[lo]]],
+            )).tolist()
             t = tri(o)
-            cuts = [0]
-            for i in range(1, len(places)):
-                (k, at), (pk, pat) = places[i], places[i - 1]
-                if k != pk or (
-                    i - cuts[-1] > 1 and at - pat != pat - places[i - 2][1]
-                ):
-                    cuts.append(i)
-            cuts.append(len(places))
-            runs[o] = []
-            for lo, hi in zip(cuts, cuts[1:]):
-                k, at = places[lo]
-                step = places[lo + 1][1] - at if hi - lo > 1 else 0
-                # the buffer constructor raises if the view leaves _h_flat
-                view = np.ndarray(
-                    (hi - lo, t, t), self._h_flat.dtype, self._h_flat,
-                    at * item, (step * item, spans[k][2] * item, item),
-                )
-                runs[o].append((lo, hi, view))
+            # the buffer constructor raises if a view leaves _h_flat
+            runs[o] = [
+                (a, b, np.ndarray((b - a, t, t), h.dtype, h, at0 * item,
+                                  (step * item, w * item, item)))
+                for a, b, at0, step, w in spans
+            ]
         return runs
 
     def _static_gram(self) -> tuple:
@@ -380,21 +394,19 @@ class TreeNormalSystem:
         cols = self._inv_perm[gtg.col]
         br = self._bag_of[rows]
         bc = self._bag_of[cols]
-        parent = self.ctc.td.parent
-        group_of = np.asarray(self._group_of, dtype=np.int64)
-        gc = group_of[bc]
-        on_diag = group_of[br] == gc
+        gc = self._group_of[bc]
+        on_diag = self._group_of[br] == gc
         # off the diagonal blocks, keep bc topping its group below br, the
         # group's attach bag
-        keep = on_diag | (parent[bc] == br)
+        keep = on_diag | (self.ctc.td.parent[bc] == br)
         rows, cols, gc, on_diag = (
             rows[keep], cols[keep], gc[keep], on_diag[keep]
         )
-        has_edge = np.array([slab is not None for slab in self._slabs])
-        edge_span = np.cumsum(has_edge) - 1 + len(self.groups)
-        span = self._spans[np.where(on_diag, gc, edge_span[gc])]
-        lo, row0, _, col0, ncols = span.T
-        return lo + (rows - row0) * ncols + cols - col0, gtg.data[keep]
+        blk = np.where(on_diag, gc, gc + len(self.groups))
+        pos = self._block_off[blk] + (rows - self._block_row[blk]) * (
+            self._width[gc]
+        )
+        return pos + cols - self._first[gc], gtg.data[keep]
 
     # ------------------------------------------------------------------
     # per-iteration assembly and factorization
@@ -457,7 +469,7 @@ class TreeNormalSystem:
         work[self._diag_pos] += reg
         l_diag, l_off = self._l_blocks
         h_off = self.h_off
-        for k, rows in enumerate(self._parent_rows):
+        for k, attach in enumerate(self._l_attach):
             try:
                 lk = np.linalg.cholesky(l_diag[k])
             except np.linalg.LinAlgError as exc:
@@ -467,10 +479,10 @@ class TreeNormalSystem:
                     "positive definite"
                 ) from exc
             l_diag[k][...] = lk
-            if rows is not None:
+            if attach is not None:
                 r = _solve_lower(lk, h_off[k].T).T
                 l_off[k][...] = r
-                l_diag[self.group_parent[k]][rows, rows] -= r @ r.T
+                attach -= r @ r.T
         self.l_diag, self.l_off = l_diag, l_off
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
@@ -600,11 +612,11 @@ class TreeNormalSystem:
         """Distinct bag pairs (a, b), a after b in the permuted order, whose
         sub-block of the lower triangle held in ``flat`` is nonzero."""
         pos = np.flatnonzero(flat)
-        lo, row0, _, col0, ncols = self._spans.T
-        blk = np.searchsorted(lo, pos, side="right") - 1
-        local = pos - lo[blk]
-        rows = row0[blk] + local // ncols[blk]
-        cols = col0[blk] + local % ncols[blk]
+        blk = np.searchsorted(self._block_off, pos, side="right") - 1
+        k = blk % len(self.groups)
+        rows, cols = np.divmod(pos - self._block_off[blk], self._width[k])
+        rows += self._block_row[blk]
+        cols += self._first[k]
         a, b = self._bag_of[rows], self._bag_of[cols]
         keep = (rows > cols) & (a != b)
         ids = np.unique(a[keep] * self.ell + b[keep])

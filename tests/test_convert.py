@@ -243,9 +243,7 @@ def bags_read_off_g(ctc):
     """Per row of G, the tuple of its bags as the normal engine's structure
     check reads them off G's pattern."""
     g = ctc.g_matrix()
-    row, bag = row_bags(
-        g, np.repeat(np.arange(ctc.td.ell), ctc.width), ctc.td.ell
-    )
+    row, bag = row_bags(g, np.repeat(np.arange(ctc.td.ell), ctc.width))
     per_row = np.split(bag, np.searchsorted(row, np.arange(1, g.shape[0])))
     return [tuple(b.tolist()) for b in per_row]
 

@@ -139,7 +139,7 @@ def objective_of(program, result):
 
 
 def assert_feasibility_kept(program, result):
-    bound = 1e-8 * (1.0 + program.data_norm())
+    bound = 1e-8 * (1.0 + program.dualized.data_norm())
     assert result.feas_residual_max <= bound
 
 
@@ -367,7 +367,7 @@ def test_init_is_feasible_and_centered():
     assert st.tau == st.theta == st.kappa == 1.0
     assert np.array_equal(st.x, solver.e)
     assert np.array_equal(st.s, solver.e)
-    bound = 1e-13 * (1.0 + program.data_norm())
+    bound = 1e-13 * (1.0 + program.dualized.data_norm())
     assert solver.feasibility_residual(st) <= bound
 
 
@@ -553,7 +553,7 @@ def test_step_preserves_linear_feasibility_for_any_alpha():
     w = solver.ops.scaling_point(st.x, st.s)
     program.normal_update(solver.ops, w)
     step = solver.nt_direction(st, w, 0.3 * st.mu)
-    bound = 1e-8 * (1.0 + program.data_norm())
+    bound = 1e-8 * (1.0 + program.dualized.data_norm())
     for alpha in (0.1, 0.37, 0.9):
         probe = solver.apply_step(st, step, alpha)
         assert solver.feasibility_residual(probe) <= bound

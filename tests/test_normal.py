@@ -31,6 +31,7 @@ from treesdp.normal import (
     DenseNormalSystem,
     TreeNormalSystem,
     group_bags,
+    row_bags,
 )
 
 from util import (
@@ -38,6 +39,8 @@ from util import (
     SparseSymmetric,
     dense_h_oracle,
     h_dense,
+    loop_factor_ops,
+    loop_kron_runs,
     make_problem,
     path_rayleigh_problem,
     plain_row_coupling,
@@ -47,6 +50,7 @@ from util import (
     reconstruct_dense,
     stack_scalings,
     star_arrow_problem,
+    unique_row_bags,
     with_wide_constraint,
 )
 
@@ -293,11 +297,12 @@ def test_structure_violation_on_nonadjacent_row():
         for b in range(a + 1, ell)
         if parent[a] != b and parent[b] != a
     )
-    # rows of G: the A-rows, then the overlap rows; the new row is row m
+    # rows of G: the A-rows, then the overlap rows; the new row is row
+    # m + 1, counting from 1 like the bags
     m = ctc.a_rows.shape[0]
     for bags in (far, (0, 1, 2)):
         one_based = tuple(j + 1 for j in bags)
-        named = re.escape(f"row {m} of G touches bags {one_based}")
+        named = re.escape(f"row {m + 1} of G touches bags {one_based}")
         with pytest.raises(StructureViolation, match=named):
             TreeNormalSystem(dualize(with_extra_row(ctc, bags)))
 
@@ -306,7 +311,7 @@ def test_dctc_rejects_a_row_over_many_bags():
     # the Rayleigh constraint spans every bag of the path: one row of G
     # under dctc, a chain of two-bag rows under dctc-aux
     problem = path_rayleigh_problem(6)
-    with pytest.raises(StructureViolation, match="row 0 of G"):
+    with pytest.raises(StructureViolation, match="row 1 of G"):
         solve_sdp(problem, method="dctc")
     assert solve_sdp(problem, method="dctc-aux").status == "optimal"
 
@@ -746,3 +751,93 @@ def test_kron_run_views_alias_each_bag_block(kind):
         w ** 2 + tri(o) ** 2 * o
         for w, o in zip(ctc.width.tolist(), ctc.order.tolist())
     )
+
+
+def engine_kron_runs(sys_):
+    """The engine's runs as (first stack row, end stack row, byte offset
+    into ``_h_flat``, shape, strides), by order."""
+    base = sys_._h_flat.ctypes.data
+    return {
+        o: [
+            (lo, hi, view.ctypes.data - base, view.shape, view.strides)
+            for lo, hi, view in runs
+        ]
+        for o, runs in sys_._kron_runs.items()
+    }
+
+
+def test_kron_runs_and_factor_ops_match_the_bag_loops():
+    # the array-built runs must be exactly the per-bag loop's, whose step
+    # is set by each run's first two bags; the operation count the bench
+    # reads as normal.factor_ops must be the per-group formula's
+    rng = np.random.default_rng(61)
+    instances = [_reference_instance(kind) for kind in REFERENCE_KINDS]
+    instances += [
+        (*random_partially_separable_problem(rng, 14, 5, ineq_prob=0.3), False)
+        for _ in range(300)
+    ]
+    n_runs = n_bags = 0
+    for problem, td, with_aux in instances:
+        _, sys_, *_ = build_system(problem, td, with_aux=with_aux)
+        got = engine_kron_runs(sys_)
+        assert list(got.items()) == list(loop_kron_runs(sys_).items())
+        assert sys_._factor_ops == loop_factor_ops(sys_)
+        n_runs += sum(len(runs) for runs in got.values())
+        n_bags += td.ell
+    assert n_runs < n_bags  # runs of several bags were formed
+
+
+def shuffled_rows(rng, g):
+    """A copy of the CSR matrix ``g`` with each row's entries in random
+    order."""
+    rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    order = np.lexsort((rng.random(g.nnz), rows))
+    return type(g)(
+        (g.data[order], g.indices[order], g.indptr.copy()), shape=g.shape
+    )
+
+
+def with_duplicates(rng, g):
+    """A copy of the CSR matrix ``g`` that stores some entries twice, next
+    to each other."""
+    rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    take = np.repeat(np.arange(g.nnz), rng.integers(1, 3, g.nnz))
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(rows[take], minlength=g.shape[0])))
+    )
+    return type(g)((g.data[take], g.indices[take], indptr), shape=g.shape)
+
+
+def test_row_bags_matches_unique_over_row_bag_keys():
+    rng = np.random.default_rng(67)
+    instances = [_reference_instance(kind) for kind in REFERENCE_KINDS]
+    instances += [
+        (*random_partially_separable_problem(rng, 14, 5, ineq_prob=0.3), False)
+        for _ in range(20)
+    ]
+    unsorted = 0
+    for problem, td, with_aux in instances:
+        ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
+        g = sys_.dualized.g_csr
+        bag_of = np.repeat(np.arange(td.ell), ctc.width)
+        shuffled = shuffled_rows(rng, g)
+        for variant in (
+            g, shuffled, with_duplicates(rng, g),
+            shuffled_rows(rng, with_duplicates(rng, g)),
+        ):
+            indices, data = variant.indices.copy(), variant.data.copy()
+            unsorted += not variant.has_sorted_indices
+            row, bag = row_bags(variant, bag_of)
+            want_row, want_bag = unique_row_bags(variant, bag_of, td.ell)
+            assert np.array_equal(row, want_row)
+            assert np.array_equal(bag, want_bag)
+            # read from a sorted copy, never reordered in place
+            assert np.array_equal(variant.indices, indices)
+            assert np.array_equal(variant.data, data)
+        # apply_m and apply_mt sum each row of G in storage order, so the
+        # engine must leave a shuffled G as it found it
+        dual = dataclasses.replace(sys_.dualized, g_csr=shuffled)
+        indices = shuffled.indices.copy()
+        TreeNormalSystem(dual)
+        assert np.array_equal(shuffled.indices, indices)
+    assert unsorted > 0

@@ -819,6 +819,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
 
     def __init__(self, dualized):
         super().__init__(dualized)
+        self.parent = self.ctc.td.parent.tolist()
         self.bag_width = self.ctc.width.tolist()
         starts = self.ctc.svec_start.tolist()
         # bag -> its group and its first row inside the group block
@@ -917,7 +918,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
         lo = sum(self.widths[:k])
         return slice(lo, lo + self.widths[k])
 
-    def _attach_rows(self, k):
+    def _attach_slice(self, k):
         """The permuted coordinates of group k's attach bag."""
         b = self.attach[k]
         lo = self._rows(self.group_of[b]).start + self.at[b]
@@ -936,12 +937,12 @@ class ReferenceTreeNormal(TreeNormalSystem):
             yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
             x[sl] = yk
             if b is not None:
-                x[self._attach_rows(k)] -= self.l_off[k] @ yk
+                x[self._attach_slice(k)] -= self.l_off[k] @ yk
         for k in reversed(range(len(self.groups))):
             sl = self._rows(k)
             t = x[sl]
             if self.attach[k] is not None:
-                t = t - self.l_off[k].T @ x[self._attach_rows(k)]
+                t = t - self.l_off[k].T @ x[self._attach_slice(k)]
             x[sl] = solve_triangular(self.l_diag[k], t, lower=True, trans="T")
         return self._unpermute(x, single)
 
@@ -953,10 +954,79 @@ class ReferenceTreeNormal(TreeNormalSystem):
             sl = self._rows(k)
             out[sl] += self.h_diag[k] @ v[sl]
             if b is not None:
-                slp = self._attach_rows(k)
+                slp = self._attach_slice(k)
                 out[slp] += self.h_off[k] @ v[sl]
                 out[sl] += self.h_off[k].T @ v[slp]
         return self._unpermute(out, single)
+
+
+def loop_kron_runs(sys_) -> dict:
+    """A normal engine's Kronecker runs, cut bag by bag: order o -> (first
+    stack row, end stack row, byte offset into ``_h_flat``, shape,
+    strides) per run.
+
+    The i-th order-o bag in block order has its t x t block (t = tri(o))
+    on its group block's diagonal.  Walking an order's bags, a run ends
+    where the group changes, or where a run of at least two bags meets a
+    step other than the one set by its first two.
+    """
+    item = sys_._h_flat.itemsize
+    width = sys_.ctc.width.tolist()
+    place, pos = {}, 0  # bag -> (group, flat offset, group width)
+    for k, members in enumerate(sys_.groups):
+        w = sum(width[j] for j in members)
+        row = 0
+        for j in members:
+            place[j] = (k, pos + row * (w + 1), w)
+            row += width[j]
+        pos += w * w
+    places = {}
+    for j, o in enumerate(sys_.ctc.order.tolist()):
+        places.setdefault(o, []).append(place[j])
+    runs = {}
+    for o, seq in places.items():
+        t = tri(o)
+        cuts = [0]
+        for i in range(1, len(seq)):
+            (k, at, _), (pk, pat, _) = seq[i], seq[i - 1]
+            if k != pk or (
+                i - cuts[-1] > 1 and at - pat != pat - seq[i - 2][1]
+            ):
+                cuts.append(i)
+        cuts.append(len(seq))
+        runs[o] = []
+        for lo, hi in zip(cuts, cuts[1:]):
+            _, at, w = seq[lo]
+            step = seq[lo + 1][1] - at if hi - lo > 1 else 0
+            runs[o].append(
+                (lo, hi, at * item, (hi - lo, t, t),
+                 (step * item, w * item, item))
+            )
+    return runs
+
+
+def loop_factor_ops(sys_) -> int:
+    """The engine's per-factorization operation count, group by group: a
+    w-wide group costs w^3 // 3 + w, plus w^2 r + w r^2 for the r rows of
+    its attach bag."""
+    width = sys_.ctc.width.tolist()
+    parent = sys_.ctc.td.parent.tolist()
+    ops = 0
+    for members in sys_.groups:
+        w = sum(width[j] for j in members)
+        ops += w ** 3 // 3 + w
+        b = parent[members[-1]]
+        if b != members[-1]:
+            ops += w * w * width[b] + w * width[b] ** 2
+    return ops
+
+
+def unique_row_bags(g, bag_of, ell) -> tuple:
+    """The distinct (row, bag) pairs of the stored entries of the CSR
+    matrix ``g``, sorted by row and then bag, by ``np.unique`` over
+    row * ell + bag keys."""
+    rows = np.repeat(np.arange(g.shape[0]), np.diff(g.indptr))
+    return np.divmod(np.unique(rows * ell + bag_of[g.indices]), ell)
 
 
 def _digits(numerator, denominator):
