@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import DimensionMismatch, ParseError
-from .linalg import Triplets, sorted_lookup
+from .linalg import Triplets, sorted_lookup, sorted_unique
 
 
 @dataclass(frozen=True)
@@ -266,7 +266,7 @@ def sparsity_graph(n: int, stack: Triplets) -> Graph:
 
     Stored entries count as structural even when their value is zero."""
     off = stack.rows != stack.cols
-    edges = np.unique(stack.cols[off] * n + stack.rows[off])
+    edges = sorted_unique(stack.cols[off] * n + stack.rows[off])
     lo, hi = np.divmod(edges, n)
     return Graph(n=n, edges=zip(lo.tolist(), hi.tolist()))
 

@@ -28,7 +28,8 @@ from .errors import (
     DimensionMismatch, DisconnectedSupport, InvalidSplit, UncoverableEntry
 )
 from .linalg import (
-    Triplets, ranges, smat_stack, sorted_lookup, svec_coords, tri
+    Triplets, ranges, smat_stack, sorted_lookup, sorted_unique, svec_coords,
+    tri,
 )
 from .model import SdpProblem
 from .splitting import SplitResult, build_unique_partition, split
@@ -262,7 +263,9 @@ def _assemble(
     k = int(np.searchsorted(ids, m))  # the cost's entries come last
 
     # ---- covers: the bags of each constraint's pieces --------------------
-    cover_row, cover_bag = np.divmod(np.unique(ids[:k] * ell + bag[:k]), ell)
+    cover_row, cover_bag = np.divmod(
+        sorted_unique(ids[:k] * ell + bag[:k]), ell
+    )
     n_cover = np.bincount(cover_row, minlength=m)
     cover_start = np.cumsum(n_cover) - n_cover
     # owner of the slack: the one bag of a single-bag cover, the root for

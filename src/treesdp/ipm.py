@@ -33,7 +33,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from numpy._core.einsumfunc import bmm_einsum  # np.einsum's pairwise step
 
 from .blas import one_blas_thread
 from .convert import ConeSpec, DualizedProblem
@@ -47,7 +46,14 @@ from .errors import (
     NumericalStall,
     SingularNormalMatrix,
 )
-from .linalg import smat_stack, svec_stack
+from .linalg import (
+    congruence_stack,
+    eigh_lo,
+    eigvalsh_lo,
+    lapack_errstate,
+    smat_stack,
+    svec_stack,
+)
 from .normal import DenseNormalSystem, TreeNormalSystem
 
 DET_FLOOR = 1e-14
@@ -117,32 +123,6 @@ def _soc_g2(v: np.ndarray) -> float:
     return float(v[0] * v[0] - v[1:] @ v[1:])
 
 
-_CONGRUENCE = "gij,gkjl,glm->gkim"  # W M W for each group g and column k
-
-
-@functools.lru_cache(maxsize=None)  # a solve needs 2 per order; keep all
-def _congruence_steps(w_shape: tuple, m_shape: tuple) -> tuple:
-    """(operand positions, einsum string) of each pairwise step of the
-    contraction ``optimize="greedy"`` picks, found once per pair of
-    operand shapes."""
-    w, m = np.broadcast_to(0.0, w_shape), np.broadcast_to(0.0, m_shape)
-    steps = np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy",
-                           einsum_call=True)[1]
-    return tuple((step[0], step[1]) for step in steps)
-
-
-def _congruence(w: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """W M W for each group and column: the steps of
-    ``np.einsum(_CONGRUENCE, w, m, w, optimize="greedy")`` run as that
-    call runs them, so every float is the same, without the path search
-    numpy repeats inside each call."""
-    ops = [w, m, w]
-    for inds, eq in _congruence_steps(w.shape, m.shape):
-        a, b = (ops.pop(i) for i in inds)
-        ops.append(bmm_einsum(eq, a, b))
-    return ops[0]
-
-
 class ConeOps:
     """Barrier calculus over a ConeSpec (soc x psd... x nonneg...).
 
@@ -210,7 +190,7 @@ class ConeOps:
     def _spectral(vecs: np.ndarray, f: np.ndarray) -> np.ndarray:
         """V diag(f) V^T for each matrix of a stack of eigenvector columns
         ``vecs`` (g, o, o) and spectral values ``f`` (g, o)."""
-        return (vecs * f[:, None, :]) @ np.swapaxes(vecs, 1, 2)
+        return (vecs * f[:, None, :]) @ vecs.transpose(0, 2, 1)
 
     def grad(self, w: ScalingPoint) -> np.ndarray:
         """Barrier gradient ∇F(x) at the iterate x that w scales."""
@@ -246,35 +226,38 @@ class ConeOps:
             w = (xv + gamma * jsv) / np.sqrt(2.0 * big_t)
             soc.append(SocScaling(sl=sl, w=w, g2=_soc_g2(w)))
         psd_stacks, x_inv, x_eig, s_ihalf = {}, {}, {}, {}
-        for order, idx in self.psd_groups.items():
-            xm = smat_stack(x[idx])
-            sm = smat_stack(s[idx])
-            svals, svecs = np.linalg.eigh(sm)
-            if np.min(svals) <= 0.0:
-                raise NotInterior(
-                    f"order-{order} s segment not positive definite"
+        with lapack_errstate():
+            for order, idx in self.psd_groups.items():
+                xm = smat_stack(np.take(x, idx))
+                sm = smat_stack(np.take(s, idx))
+                svals, svecs = eigh_lo(sm)
+                if np.min(svals) <= 0.0:
+                    raise NotInterior(
+                        f"order-{order} s segment not positive definite"
+                    )
+                xvals, xvecs = eigh_lo(xm)
+                if np.min(xvals) <= 0.0:
+                    raise NotInterior(
+                        f"order-{order} x segment not positive definite"
+                    )
+                x_inv[order] = self._spectral(xvecs, 1.0 / xvals)
+                x_eig[order] = (xvals, xvecs)
+                s_half = self._spectral(svecs, np.sqrt(svals))
+                s_ihalf[order] = self._spectral(svecs, 1.0 / np.sqrt(svals))
+                a = s_half @ xm @ s_half
+                a = 0.5 * (a + a.transpose(0, 2, 1))
+                avals, avecs = eigh_lo(a)
+                if np.min(avals) <= 0.0:
+                    raise NotInterior(
+                        f"order-{order} x segment not positive definite"
+                    )
+                a_half = self._spectral(avecs, np.sqrt(avals))
+                w_stack = s_ihalf[order] @ a_half @ s_ihalf[order]
+                psd_stacks[order] = 0.5 * (
+                    w_stack + w_stack.transpose(0, 2, 1)
                 )
-            xvals, xvecs = np.linalg.eigh(xm)
-            if np.min(xvals) <= 0.0:
-                raise NotInterior(
-                    f"order-{order} x segment not positive definite"
-                )
-            x_inv[order] = self._spectral(xvecs, 1.0 / xvals)
-            x_eig[order] = (xvals, xvecs)
-            s_half = self._spectral(svecs, np.sqrt(svals))
-            s_ihalf[order] = self._spectral(svecs, 1.0 / np.sqrt(svals))
-            a = s_half @ xm @ s_half
-            a = 0.5 * (a + np.swapaxes(a, 1, 2))
-            avals, avecs = np.linalg.eigh(a)
-            if np.min(avals) <= 0.0:
-                raise NotInterior(
-                    f"order-{order} x segment not positive definite"
-                )
-            a_half = self._spectral(avecs, np.sqrt(avals))
-            w_stack = s_ihalf[order] @ a_half @ s_ihalf[order]
-            psd_stacks[order] = 0.5 * (w_stack + np.swapaxes(w_stack, 1, 2))
         if self.nn_idx.size:
-            xn, sn = x[self.nn_idx], s[self.nn_idx]
+            xn, sn = np.take(x, self.nn_idx), np.take(s, self.nn_idx)
             if np.min(xn) <= 0.0 or np.min(sn) <= 0.0:
                 raise NotInterior("slack coordinates not interior")
             nn_w = np.sqrt(xn / sn)
@@ -289,8 +272,9 @@ class ConeOps:
     def hess_inv_apply(self, w: ScalingPoint, v):
         """(∇²F(w))^{-1} v for a vector or a (dim, k) column batch.
 
-        PSD segments take W M W per order group by :func:`_congruence`: the
-        floats of ``np.einsum``, with no path search per call."""
+        PSD segments take W M W per order group by
+        :func:`~treesdp.linalg.congruence_stack`: the floats of
+        ``np.einsum``, with no path search per call."""
         cols, single = self._cols(v)
         out = np.zeros_like(cols)
         for sc in w.soc:
@@ -299,20 +283,18 @@ class ConeOps:
             jv[1:] = -jv[1:]
             coef = sc.w @ vv
             out[sc.sl] = 2.0 * sc.w[:, None] * coef[None, :] - sc.g2 * jv
+        # np.take copies a source that is not C-ordered (as M^T v's
+        # transpose is) on every call, so copy it once
+        src = np.ascontiguousarray(cols)
         for order, idx in self.psd_groups.items():
-            w_stack = w.psd_stacks[order]
-            k = cols.shape[1]
-            vecs = cols[idx]
-            mats = smat_stack(
-                np.moveaxis(vecs, 2, 1).reshape(-1, vecs.shape[1])
-            ).reshape(vecs.shape[0], k, order, order)
-            res = _congruence(w_stack, mats)
-            flat = svec_stack(res.reshape(-1, order, order)).reshape(
-                vecs.shape[0], k, -1
-            )
-            out[idx] = np.moveaxis(flat, 1, 2)
+            # (g, t, k) coordinates -> (g, k, o, o) matrices, and back
+            mats = smat_stack(np.take(src, idx, axis=0).transpose(0, 2, 1))
+            res = congruence_stack(w.psd_stacks[order], mats)
+            out[idx] = svec_stack(res).transpose(0, 2, 1)
         if self.nn_idx.size:
-            out[self.nn_idx] = cols[self.nn_idx] * (w.nn_w ** 2)[:, None]
+            out[self.nn_idx] = (
+                np.take(src, self.nn_idx, axis=0) * (w.nn_w ** 2)[:, None]
+            )
         return out[:, 0] if single else out
 
     # -- boundary distance ---------------------------------------------------
@@ -331,15 +313,16 @@ class ConeOps:
                 b = 2.0 * float(v @ jd)
                 c = _soc_g2(v)
                 alpha = min(alpha, _positive_quadratic_root(a, b, c))
-            for order, idx in self.psd_groups.items():
-                dm = smat_stack(dz[idx])
-                c = ihalf[order] @ dm @ ihalf[order]
-                c = 0.5 * (c + np.swapaxes(c, 1, 2))
-                lam_min = float(np.min(np.linalg.eigvalsh(c)))
-                if lam_min < 0.0:
-                    alpha = min(alpha, -1.0 / lam_min)
+            with lapack_errstate():
+                for order, idx in self.psd_groups.items():
+                    dm = smat_stack(np.take(dz, idx))
+                    c = ihalf[order] @ dm @ ihalf[order]
+                    c = 0.5 * (c + c.transpose(0, 2, 1))
+                    lam_min = float(np.min(eigvalsh_lo(c)))
+                    if lam_min < 0.0:
+                        alpha = min(alpha, -1.0 / lam_min)
             if self.nn_idx.size:
-                v, d = z[self.nn_idx], dz[self.nn_idx]
+                v, d = np.take(z, self.nn_idx), np.take(dz, self.nn_idx)
                 neg = d < 0.0
                 if np.any(neg):
                     alpha = min(alpha, float(np.min(-v[neg] / d[neg])))

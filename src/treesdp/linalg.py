@@ -1,5 +1,6 @@
 """Symmetric-matrix kernels: scaled triangular vectorization (svec/smat),
-symmetric Kronecker action, and a guarded dense factorization.
+symmetric Kronecker action, congruence, numpy's stacked LAPACK kernels,
+and a guarded dense factorization.
 
 Conventions
 -----------
@@ -8,6 +9,11 @@ Conventions
   by sqrt(2) so that ``svec(A) . svec(B) == trace(A @ B)``.
 * Indices are 0-based everywhere inside the package; file formats and error
   messages convert to 1-based at the boundary.
+* Private numpy API is imported here and nowhere else in the package:
+  ``bmm_einsum``, the pairwise step of ``np.einsum``, and the LAPACK
+  gufuncs that ``np.linalg.cholesky``, ``eigh`` and ``eigvalsh`` call
+  after their argument checks.  ``tests/test_linalg.py`` checks each
+  against its public counterpart bit for bit.
 """
 
 from __future__ import annotations
@@ -17,10 +23,18 @@ from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
+from numpy._core.einsumfunc import bmm_einsum
+from numpy.linalg import _umath_linalg
 
 from .errors import DimensionMismatch, NonTriangularLength, NotFinite
 
 SQRT2 = float(np.sqrt(2.0))
+
+# the LAPACK gufuncs of np.linalg.cholesky, eigh and eigvalsh (lower
+# triangle); call them under lapack_errstate()
+cholesky_lo = _umath_linalg.cholesky_lo
+eigh_lo = _umath_linalg.eigh_lo
+eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 def tri(order: int) -> int:
@@ -95,12 +109,23 @@ def smat(vec: np.ndarray) -> np.ndarray:
     return smat_stack(vec)
 
 
+@lru_cache(maxsize=None)
+def _svec_plan(order: int) -> np.ndarray:
+    """Cached gather plan of :func:`svec_stack`: the flat position
+    r * order + c of every packed position (r, c)."""
+    rows, cols = tri_indices(order)
+    flat = rows * order + cols
+    flat.setflags(write=False)
+    return flat
+
+
 def svec_stack(mats: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`svec` over a stack of symmetric matrices (g, o, o)."""
+    """Vectorized :func:`svec` over a stack of symmetric matrices (..., o, o):
+    one gather of the packed entries and one product with their scale."""
     mats = np.asarray(mats, dtype=float)
     order = mats.shape[-1]
-    rows, cols = tri_indices(order)
-    return mats[..., rows, cols] * svec_scale(order)
+    flat = mats.reshape(mats.shape[:-2] + (order * order,))
+    return np.take(flat, _svec_plan(order), axis=-1) * svec_scale(order)
 
 
 def smat_stack(vecs: np.ndarray) -> np.ndarray:
@@ -108,7 +133,7 @@ def smat_stack(vecs: np.ndarray) -> np.ndarray:
     gather of every full-matrix entry and one division by its scale."""
     vecs = np.asarray(vecs, dtype=float)
     pos, scale = _smat_plan(order_of_tri(vecs.shape[-1]))
-    out = vecs[..., pos]
+    out = np.take(vecs, pos, axis=-1)
     out /= scale
     return out
 
@@ -148,16 +173,54 @@ def sym_kron_stack(w: np.ndarray) -> np.ndarray:
     for an exactly symmetric W (as ``ConeOps.scaling_point`` makes it) entry
     (q, p) is the same float, since IEEE products and sums commute, so the
     result is bit for bit that of the full t x t formula.
+
+    The gathers are ``np.take`` calls on the cached uint8/uint16 plans,
+    along axis 0 of one transposed copy of the flat W stack, so each index
+    moves a whole row of g entries.  The result is a transposed view of the
+    (t * t, g) gather, with the same floats as a C-ordered stack.
+    ``np.take`` makes a full intp copy of each plan, so the products are
+    taken in place: with at most three (pairs, g) arrays alive at once, a
+    solve's peak memory stays that of the fancy-indexing gathers.
     """
     w = np.asarray(w, dtype=float)
     g, order = w.shape[0], w.shape[-1]
     t = tri(order)
     (rr, cc, rc, cr), n_off, pair = _sym_kron_plan(order)
-    flat = w.reshape(g, order * order)
-    lower = flat[:, rr] * flat[:, cc]
-    lower += flat[:, rc] * flat[:, cr]
-    lower *= _KRON_COEF[n_off]
-    return lower[:, pair].reshape(g, t, t)
+    flat = np.ascontiguousarray(w.reshape(g, order * order).T)
+    lower = np.take(flat, rr, axis=0)
+    lower *= np.take(flat, cc, axis=0)
+    cross = np.take(flat, rc, axis=0)
+    cross *= np.take(flat, cr, axis=0)
+    lower += cross
+    del cross
+    lower *= np.take(_KRON_COEF, n_off)[:, None]
+    return np.take(lower, pair, axis=0).T.reshape(g, t, t)
+
+
+_CONGRUENCE = "gij,gkjl,glm->gkim"  # W M W for each group g and column k
+
+
+@lru_cache(maxsize=None)  # a solve needs 2 per order; keep all
+def _congruence_steps(w_shape: tuple, m_shape: tuple) -> tuple:
+    """(operand positions, einsum string) of each pairwise step of the
+    contraction ``optimize="greedy"`` picks, found once per pair of
+    operand shapes."""
+    w, m = np.broadcast_to(0.0, w_shape), np.broadcast_to(0.0, m_shape)
+    steps = np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy",
+                           einsum_call=True)[1]
+    return tuple((step[0], step[1]) for step in steps)
+
+
+def congruence_stack(w: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """W M W for each group g of ``w`` (g, o, o) and column k of ``m``
+    (g, k, o, o): the steps of ``np.einsum(_CONGRUENCE, w, m, w,
+    optimize="greedy")`` run as that call runs them, so every float is the
+    same, without the path search numpy repeats inside each call."""
+    ops = [w, m, w]
+    for inds, eq in _congruence_steps(w.shape, m.shape):
+        a, b = (ops.pop(i) for i in inds)
+        ops.append(bmm_einsum(eq, a, b))
+    return ops[0]
 
 
 def svec_coords(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray):
@@ -180,12 +243,53 @@ class Triplets(NamedTuple):
     vals: np.ndarray
 
 
+def sorted_unique(keys: np.ndarray) -> np.ndarray:
+    """``np.unique(keys)`` for integer keys: the keys sorted, each kept
+    where it differs from its left neighbour.  numpy 2.4's ``np.unique``
+    took 20-75 times as long as this sort on 10 k - 1 M int64 keys."""
+    keys = np.sort(keys, axis=None)
+    new = np.ones(keys.size, dtype=bool)
+    new[1:] = keys[1:] != keys[:-1]
+    return keys[new]
+
+
 def sorted_lookup(table: np.ndarray, keys: np.ndarray):
     """Positions of ``keys`` in the ascending ``table``, and which it holds."""
     pos = np.searchsorted(table, keys)
     hit = pos < table.size
     hit[hit] = table[pos[hit]] == keys[hit]
     return pos, hit
+
+
+# --------------------------------------------------------------------------
+# numpy's stacked LAPACK kernels, without their Python wrappers
+# --------------------------------------------------------------------------
+
+
+def _lapack_failed(err, flag):
+    raise np.linalg.LinAlgError(
+        "LAPACK failed: a matrix is not positive definite, has a "
+        "non-finite entry, or its eigenvalues did not converge"
+    )
+
+
+def lapack_errstate() -> np.errstate:
+    """The error state ``np.linalg`` calls its gufuncs under: a failed
+    call sets the invalid flag, which raises ``np.linalg.LinAlgError``;
+    overflow, division and underflow are ignored.
+
+    Enter one per call site, around the loop of :func:`cholesky_lo`,
+    :func:`eigh_lo` or :func:`eigvalsh_lo` calls: each takes a float64
+    stack and reads its lower triangle, as ``np.linalg.cholesky``,
+    ``eigh`` and ``eigvalsh`` call it, so every float is theirs.  Entering
+    the state costs about half of what a wrapper adds per call (4 against
+    9 us for a 2 x 2 ``eigh`` on a 2-core host), so one per loop.  The
+    other ufuncs in the block run under it too: an invalid operation
+    raises the same error, and overflow or division warns no more.  On
+    finite data the callers' other operations raise neither.
+    """
+    return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
+                       divide="ignore", under="ignore")
 
 
 # --------------------------------------------------------------------------

@@ -40,30 +40,43 @@ group of w coordinates holds w^2 <= ``GROUP_WIDTH`` * w entries.
 
 Storage.  The coordinates are permuted once so that each group is one
 contiguous slice, its members in postorder; ``solve_h`` and ``apply_h``
-gather and scatter once per call.  The static structure is int arrays
-built by array passes: per bag its first permuted coordinate and its
-group, and per group its first coordinate and width, its attach bag's
-first coordinate and row count, and the flat offsets of its diagonal and
-edge blocks.  H lives in one flat buffer: each group's dense diagonal
-block, then each group's edge block, which holds only the attach bag's
-rows.  L lives in a second buffer of the same layout, which ``factor``
-overwrites in place, subtracting each group's update from a fixed view
-of its attach bag's block.  G^T G is kept as the (position, value) pairs
-of its nonzeros in that layout, since merged blocks are mostly zeros.
-The slack scalings, the static shift and the finiteness checks are one
-vectorized pass each: ``factor`` checks the assembled H and ``solve_h``
-its right-hand side, once per call, and both raise
-:class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks are
-added one *run* of bags at a time: same-order bags that lie in one group
-at a constant step along its diagonal share one strided (bags, t, t)
-view into H's buffer, so a chain needs about one in-place add per group
-and order, each entry the same single addition as bag by bag.  An index
-array over every Kronecker entry (1.4 MB of int64 on a random graph with
-18-vertex bags, plus a temporary as large) raised the peak memory of a
-whole solve there by 2-3 %.  The per-group triangular solves call LAPACK
-``dtrtrs`` directly, with the operands and flags
+permute their columns in and out by one ``np.take`` each per call.  The
+static structure is int arrays built by array passes: per bag its first
+permuted coordinate and its group, and per group its first coordinate
+and width, its attach bag's first coordinate and row count, and the flat
+offsets of its diagonal and edge blocks.  H lives in one flat buffer:
+each group's dense diagonal block, then each group's edge block, which
+holds only the attach bag's rows.  L lives in a second buffer of the same
+layout, which ``factor`` overwrites in place, subtracting each group's
+update from a fixed view of its attach bag's block.  G^T G is kept as the
+(position, value) pairs of its nonzeros in that layout, since merged
+blocks are mostly zeros.  The slack scalings, the static shift and the
+finiteness checks are one vectorized pass each: ``factor`` checks the
+assembled H and ``solve_h`` its right-hand side, once per call, and both
+raise :class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks
+are added one *run* of bags at a time: same-order bags that lie in one
+group at a constant step along its diagonal share one strided
+(bags, t, t) view into H's buffer, so a chain needs about one in-place
+add per group and order, each entry the same single addition as bag by
+bag.  An index array over every Kronecker entry (1.4 MB of int64 on a
+random graph with 18-vertex bags, plus a temporary as large) raised the
+peak memory of a whole solve there by 2-3 %.  The per-group triangular
+solves call LAPACK ``dtrtrs`` directly, with the operands and flags
 ``scipy.linalg.solve_triangular`` would pass, so every result is the
 same to the last bit without the per-call argument validation.
+``factor`` writes each diagonal block's Cholesky factor in place through
+numpy's LAPACK gufunc, the kernel ``np.linalg.cholesky`` calls, under
+one error state around its loop
+(:func:`~treesdp.linalg.lapack_errstate`).  ``factor``, ``solve_h`` and
+``apply_h`` walk per-group tuples built once with the engine, in
+elimination order.  A sweep tuple holds a diagonal block (L's transposed,
+the F-ordered upper triangle that dtrtrs reads, or H's for ``apply_h``),
+the group's slice, its attach bag's slab, and its edge block with that
+block's transpose (None at the root group).  A factor step holds L's
+diagonal block and its transpose, H's edge block transposed, L's edge
+block, and the attach bag's block of L.  Every entry is a view into the H
+or L buffer, fixed for the engine's life, so the loops index nothing per
+call and no workspace outlives a call.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
@@ -92,7 +105,15 @@ from .errors import (
     NotFinite,
     StructureViolation,
 )
-from .linalg import dense_factor, ranges, sym_kron_stack, tri
+from .linalg import (
+    cholesky_lo,
+    dense_factor,
+    lapack_errstate,
+    ranges,
+    sorted_unique,
+    sym_kron_stack,
+    tri,
+)
 
 REGULARIZATION_REL = 1e-12
 DENOMINATOR_FLOOR = 1e-14
@@ -103,20 +124,10 @@ DENOMINATOR_FLOOR = 1e-14
 GROUP_WIDTH = 32
 
 
-def _solve_lower(lj: np.ndarray, b: np.ndarray, trans: int = 0):
-    """``L^{-1} b`` (trans=0) or ``L^{-T} b`` (trans=1) for a C-ordered
-    lower-triangular L.
-
-    The LAPACK call ``solve_triangular(lj, b, lower=True, trans=trans)``
-    makes: dtrtrs on the F-ordered upper triangle ``L^T`` with the
-    transpose flag flipped.  ``b`` is copied, never overwritten.
-    """
-    x, info = dtrtrs(lj.T, b, lower=0, trans=1 - trans)
-    if info != 0:
-        raise IndefinitePivot(
-            f"triangular solve failed: LAPACK dtrtrs info = {info}"
-        )
-    return x
+def _trtrs_failed(info: int) -> IndefinitePivot:
+    return IndefinitePivot(
+        f"triangular solve failed: LAPACK dtrtrs info = {info}"
+    )
 
 
 def group_bags(td: TreeDecomposition, widths, cap) -> list:
@@ -220,16 +231,26 @@ class TreeNormalSystem:
         self._h_blocks = self._blocks(self._h_flat)
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
+        l_diag, l_off = self._l_blocks
+        h_diag, h_off = self._h_blocks
         # each group's attach bag's block of L, in the parent group's block
         row0 = self._block_row[len(self.groups):]  # of the edge blocks
         parent = self._group_of[self._bag_of[row0]]
         spans = np.column_stack(
             (parent, row0 - self._first[parent], self._attach_rows)
         ).tolist()
-        self._l_attach = [
-            self._l_blocks[0][p][a:a + r, a:a + r] if r else None
-            for p, a, r in spans
+        attach = [
+            l_diag[p][a:a + r, a:a + r] if r else None for p, a, r in spans
         ]
+        # what factor, solve_h and apply_h walk, per group in elimination
+        # order; dtrtrs reads L's diagonal block as the F-ordered upper
+        # triangle of its transpose
+        self._factor_steps = [
+            (ld, ld.T, None if ho is None else ho.T, lo, at)
+            for ld, ho, lo, at in zip(l_diag, h_off, l_off, attach)
+        ]
+        self._l_sweep = self._sweep([ld.T for ld in l_diag], l_off)
+        self._h_sweep = self._sweep(h_diag, h_off)
         self._kron_runs = self._kron_run_views()
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
@@ -349,6 +370,15 @@ class TreeNormalSystem:
         edges = [v if v.size else None for v in views[n_groups:]]
         return views[:n_groups], edges
 
+    def _sweep(self, diag: list, off: list) -> list:
+        """Per group: ``diag[k]``, its slice, its attach bag's slab, and
+        its edge block ``off[k]`` with that block's transpose (None for
+        the last three at the root group)."""
+        return [
+            (d, sl, slab, e, None if e is None else e.T)
+            for d, sl, slab, e in zip(diag, self.slices, self._slabs, off)
+        ]
+
     def _kron_run_views(self) -> dict:
         """Order o -> the runs of the order-o bags' Kronecker blocks in H,
         as (first stack row, end stack row, view) triples.
@@ -386,12 +416,16 @@ class TreeNormalSystem:
     def _static_gram(self) -> tuple:
         """(flat positions, values) of the nonzeros of G^T G that the flat
         layout stores.  Of the two mirror entries that couple a group with
-        its attach bag, the one in the attach bag's rows is stored."""
+        its attach bag, the one in the attach bag's rows is stored.
+
+        scipy's sparse product sums each position of a column once, so
+        its COO form holds no duplicates and needs no sort; the pairs come
+        in the product's order, and ``assemble_h`` scatters them to
+        distinct positions."""
         g = self.dualized.g_csr
         gtg = (g.T @ g).tocoo()
-        gtg.sum_duplicates()
-        rows = self._inv_perm[gtg.row]
-        cols = self._inv_perm[gtg.col]
+        rows = np.take(self._inv_perm, gtg.row)
+        cols = np.take(self._inv_perm, gtg.col)
         br = self._bag_of[rows]
         bc = self._bag_of[cols]
         gc = self._group_of[bc]
@@ -461,29 +495,33 @@ class TreeNormalSystem:
         self.l_diag = []  # L counts as factored once this call completes
         if not np.isfinite(self._h_flat).all():
             raise NotFinite("assembled normal matrix has non-finite entries")
-        diag = self._h_flat[self._diag_pos]
+        diag = np.take(self._h_flat, self._diag_pos)
         max_diag = float(np.max(diag)) if diag.size else 0.0
         reg = REGULARIZATION_REL * (1.0 + max(max_diag, 0.0))
         work = self._l_flat[:self._n_diag]
         np.copyto(work, self._h_flat[:self._n_diag])
         work[self._diag_pos] += reg
-        l_diag, l_off = self._l_blocks
-        h_off = self.h_off
-        for k, attach in enumerate(self._l_attach):
-            try:
-                lk = np.linalg.cholesky(l_diag[k])
-            except np.linalg.LinAlgError as exc:
-                raise IndefinitePivot(
-                    f"diagonal block of bags "
-                    f"{tuple(j + 1 for j in self.groups[k])} is not "
-                    "positive definite"
-                ) from exc
-            l_diag[k][...] = lk
-            if attach is not None:
-                r = _solve_lower(lk, h_off[k].T).T
-                l_off[k][...] = r
-                attach -= r @ r.T
-        self.l_diag, self.l_off = l_diag, l_off
+        with lapack_errstate():
+            for k, (lk, lt, h_t, l_off, attach) in enumerate(
+                self._factor_steps
+            ):
+                try:
+                    cholesky_lo(lk, out=lk)
+                except np.linalg.LinAlgError as exc:
+                    raise IndefinitePivot(
+                        f"diagonal block of bags "
+                        f"{tuple(j + 1 for j in self.groups[k])} is not "
+                        "positive definite"
+                    ) from exc
+                if attach is not None:
+                    # L^{-1} H_off^T, as solve_triangular(lk, h_t, lower=True)
+                    r, info = dtrtrs(lt, h_t, lower=0, trans=1)
+                    if info != 0:
+                        raise _trtrs_failed(info)
+                    r = r.T
+                    l_off[...] = r
+                    attach -= r @ r.T
+        self.l_diag, self.l_off = self._l_blocks
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
         self._note_bytes()
@@ -543,23 +581,25 @@ class TreeNormalSystem:
             raise NotFinite("normal-equation right-hand side has non-finite "
                             "entries")
         self.n_solve_columns += cols.shape[1]
-        x = cols[self.perm]
-        l_diag, l_off = self.l_diag, self.l_off
-        slices, slabs = self.slices, self._slabs
-        for k, sl in enumerate(slices):
-            yk = _solve_lower(l_diag[k], x[sl])
+        x = np.take(cols, self.perm, axis=0)
+        # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
+        # solve_triangular(L, b, lower=True, trans=...) calls it
+        for lt, sl, slab, off, _ in self._l_sweep:
+            yk, info = dtrtrs(lt, x[sl], lower=0, trans=1)
+            if info != 0:
+                raise _trtrs_failed(info)
             x[sl] = yk
-            slab = slabs[k]
             if slab is not None:
-                x[slab] -= l_off[k] @ yk
-        for k in range(len(slices) - 1, -1, -1):
-            sl = slices[k]
+                x[slab] -= off @ yk
+        for lt, sl, slab, _, off_t in reversed(self._l_sweep):
             t = x[sl]
-            slab = slabs[k]
             if slab is not None:
-                t = t - l_off[k].T @ x[slab]
-            x[sl] = _solve_lower(l_diag[k], t, trans=1)
-        x = x[self._inv_perm]
+                t = t - off_t @ x[slab]
+            xk, info = dtrtrs(lt, t, lower=0, trans=0)
+            if info != 0:
+                raise _trtrs_failed(info)
+            x[sl] = xk
+        x = np.take(x, self._inv_perm, axis=0)
         return x[:, 0] if single else x
 
     def _rank1_correct(self, u):
@@ -586,16 +626,17 @@ class TreeNormalSystem:
     # ------------------------------------------------------------------
     def apply_h(self, x):
         """H x using the assembled (unregularized) blocks."""
+        if not self.h_diag:
+            raise StructureViolation("assemble_h must run before apply_h")
         v, single = self._as_columns(x)
-        v = v[self.perm]
+        v = np.take(v, self.perm, axis=0)
         out = np.zeros_like(v)
-        h_diag, h_off = self.h_diag, self.h_off
-        for k, (sl, slab) in enumerate(zip(self.slices, self._slabs)):
-            out[sl] += h_diag[k] @ v[sl]
+        for hk, sl, slab, off, off_t in self._h_sweep:
+            out[sl] += hk @ v[sl]
             if slab is not None:
-                out[slab] += h_off[k] @ v[sl]
-                out[sl] += h_off[k].T @ v[slab]
-        out = out[self._inv_perm]
+                out[slab] += off @ v[sl]
+                out[sl] += off_t @ v[slab]
+        out = np.take(out, self._inv_perm, axis=0)
         return out[:, 0] if single else out
 
     def apply_normal(self, x):
@@ -619,7 +660,7 @@ class TreeNormalSystem:
         cols += self._first[k]
         a, b = self._bag_of[rows], self._bag_of[cols]
         keep = (rows > cols) & (a != b)
-        ids = np.unique(a[keep] * self.ell + b[keep])
+        ids = sorted_unique(a[keep] * self.ell + b[keep])
         return np.column_stack(np.divmod(ids, self.ell))
 
     def nonzero_bag_pairs(self) -> tuple:

@@ -1,9 +1,15 @@
-"""Every module-level import of the package and of the tests is read.
+"""Every module-level import of the package and of the tests is read, and
+private numpy API enters the package through ``treesdp.linalg`` only.
 
 No linter is installed, so this is the check for unused imports: each
 module is parsed with ``ast``, and a name bound by a module-level import
 must occur as a name somewhere in the module.  ``__future__`` imports and
-names listed in ``__all__`` (re-exports) are exempt."""
+names listed in ``__all__`` (re-exports) are exempt.
+
+Private numpy modules (``numpy._core``, ``numpy.linalg._umath_linalg``)
+can change in any numpy release.  Keeping their imports in one module
+keeps one place to mend, and ``tests/test_linalg.py`` checks each private
+callable against its public counterpart."""
 
 import ast
 from pathlib import Path
@@ -11,9 +17,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = sorted((ROOT / "src" / "treesdp").glob("*.py")) + sorted(
-    (ROOT / "tests").glob("*.py")
-)
+PACKAGE = sorted((ROOT / "src" / "treesdp").glob("*.py"))
+MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list:
@@ -50,3 +55,54 @@ def test_the_scan_finds_an_unused_import():
 )
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private_numpy(path: str) -> bool:
+    parts = path.split(".")
+    return parts[0] == "numpy" and any(p.startswith("_") for p in parts[1:])
+
+
+def private_numpy_imports(source: str) -> list:
+    """The private numpy modules and names that ``source`` imports, at any
+    level: dotted paths under ``numpy`` with a part that starts with an
+    underscore."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {a.name for a in node.names if _private_numpy(a.name)}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if _private_numpy(node.module):
+                found.add(node.module)
+                continue
+            paths = (f"{node.module}.{a.name}" for a in node.names)
+            found |= {path for path in paths if _private_numpy(path)}
+    return sorted(found)
+
+
+def test_the_scan_finds_private_numpy_imports():
+    source = (
+        "import numpy as np\nimport numpy.linalg\n"
+        "from numpy.linalg import LinAlgError\n"
+        "from numpy._core.einsumfunc import bmm_einsum\n"
+        "import numpy._core as core\n"
+        "from numpy.linalg import _umath_linalg, norm\n"
+        "from . import _private\n"
+        "def f():\n    from numpy.linalg._linalg import eigh\n"
+    )
+    assert private_numpy_imports(source) == [
+        "numpy._core",
+        "numpy._core.einsumfunc",
+        "numpy.linalg._linalg",
+        "numpy.linalg._umath_linalg",
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", PACKAGE, ids=[str(p.relative_to(ROOT)) for p in PACKAGE]
+)
+def test_private_numpy_api_is_imported_in_linalg_only(path):
+    found = private_numpy_imports(path.read_text())
+    if path.name == "linalg.py":
+        assert found  # the scan sees the imports it allows
+    else:
+        assert found == []

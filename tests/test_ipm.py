@@ -18,6 +18,7 @@ import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
 
+from treesdp import ipm
 from treesdp.chordal import decompose, sparsity_graph
 from treesdp.convert import ConeSpec, build_ctc, dualize, separate_with_aux
 from treesdp.errors import (
@@ -30,19 +31,22 @@ from treesdp.errors import (
     SingularNormalMatrix,
 )
 from treesdp.ipm import (
-    _CONGRUENCE,
     ConeOps,
     DenseHsdeProgram,
     DualizedHsdeProgram,
     HsdeSolver,
     SolverOptions,
     Step,
-    _congruence,
-    _congruence_steps,
     adaptive_step_solve,
     short_step_solve,
 )
-from treesdp.linalg import smat, tri
+from treesdp.linalg import (
+    _CONGRUENCE,
+    _congruence_steps,
+    congruence_stack,
+    smat,
+    tri,
+)
 
 from util import (
     SparseSymmetric,
@@ -50,6 +54,7 @@ from util import (
     hess_apply,
     make_problem,
     oracle_grad,
+    oracle_hess_inv_apply,
     oracle_max_step,
     oracle_psd_stacks,
     random_partially_separable_problem,
@@ -247,7 +252,65 @@ def test_congruence_is_bitwise_greedy_einsum():
                 m = 0.5 * (b + np.swapaxes(b, 2, 3))
                 path = np.einsum_path(_CONGRUENCE, w, m, w, optimize="greedy")[0]
                 oracle = np.einsum(_CONGRUENCE, w, m, w, optimize=path)
-                assert np.array_equal(_congruence(w, m), oracle)
+                assert np.array_equal(congruence_stack(w, m), oracle)
+
+
+# matrix segments of every order 1-18, two of some, between a second-order
+# cone and orthant segments
+WIDE = ConeSpec(
+    segments=(("soc", 4),)
+    + tuple(("psd", o) for o in range(1, 19))
+    + (("nonneg", 5), ("psd", 3), ("psd", 18), ("nonneg", 2))
+)
+
+
+def test_hess_inv_apply_is_bitwise_the_gather_formula():
+    ops = ConeOps(WIDE)
+    rng = np.random.default_rng(61)
+    w = ops.scaling_point(make_interior(ops, rng), make_interior(ops, rng))
+    for k in (1, 3):
+        v = rng.standard_normal((ops.dim, k))
+        assert np.array_equal(
+            ops.hess_inv_apply(w, v), oracle_hess_inv_apply(ops, w, v)
+        )
+    v = rng.standard_normal(ops.dim)
+    assert np.array_equal(
+        ops.hess_inv_apply(w, v), oracle_hess_inv_apply(ops, w, v)
+    )
+
+
+def _nan_in_psd_segment(ops, z, order):
+    """A copy of z with one off-diagonal entry of the first order-``order``
+    matrix segment set to NaN.  From order 3 on, LAPACK's eigensolver
+    reports the NaN as a failure."""
+    z = z.copy()
+    z[ops.psd_groups[order][0, 1]] = np.nan
+    return z
+
+
+@pytest.mark.parametrize("order", [3, 7, 18])
+def test_nan_in_x_makes_scaling_point_raise_linalg_error(order):
+    ops = ConeOps(WIDE)
+    rng = np.random.default_rng(67)
+    x, s = make_interior(ops, rng), make_interior(ops, rng)
+    with pytest.raises(np.linalg.LinAlgError):
+        ops.scaling_point(_nan_in_psd_segment(ops, x, order), s)
+    with pytest.raises(np.linalg.LinAlgError):
+        ops.scaling_point(x, _nan_in_psd_segment(ops, s, order))
+
+
+@pytest.mark.parametrize("order", [3, 7, 18])
+def test_nan_in_a_direction_makes_max_step_raise_linalg_error(order):
+    ops = ConeOps(WIDE)
+    rng = np.random.default_rng(71)
+    w = ops.scaling_point(make_interior(ops, rng), make_interior(ops, rng))
+    d = rng.standard_normal(ops.dim)
+    bad = _nan_in_psd_segment(ops, d, order)
+    assert np.isfinite(ops.max_step(w, d, d))
+    with pytest.raises(np.linalg.LinAlgError):
+        ops.max_step(w, bad, d)
+    with pytest.raises(np.linalg.LinAlgError):
+        ops.max_step(w, d, bad)
 
 
 def test_repeat_hess_inv_apply_searches_no_path(monkeypatch):
@@ -267,11 +330,11 @@ def test_congruence_cache_holds_more_than_64_shape_pairs(monkeypatch):
     # here, as on a 40-order graph, must all hit on the second pass
     shapes = [((2, o, o), (2, k, o, o)) for o in range(1, 21) for k in (1, 2, 3, 4)]
     for w_shape, m_shape in shapes:
-        _congruence(np.ones(w_shape), np.ones(m_shape))
+        congruence_stack(np.ones(w_shape), np.ones(m_shape))
     before = _congruence_steps.cache_info()
     calls = count_einsum_paths(monkeypatch)
     for w_shape, m_shape in shapes:
-        _congruence(np.ones(w_shape), np.ones(m_shape))
+        congruence_stack(np.ones(w_shape), np.ones(m_shape))
     after = _congruence_steps.cache_info()
     assert len(shapes) > 64
     assert calls == []
@@ -814,14 +877,22 @@ def test_cone_layer_matches_the_per_call_oracle(monkeypatch):
     assert calls == {"scaling_point": n, "grad": n, "max_step": 2 * n}
 
 
-def count_linalg_calls(monkeypatch, names):
-    counts = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _fn=getattr(np.linalg, name), _name=name, **kw):
-            counts[_name] += 1
+def count_decompositions(monkeypatch):
+    """Counter of the eigh and eigvalsh calls: numpy's LAPACK gufuncs as
+    ``treesdp.ipm`` binds them, and ``np.linalg``'s wrappers (which call
+    the gufuncs through their own module, so no call counts twice)."""
+    counts = {"eigh": 0, "eigvalsh": 0}
+    for kind, owner, name in (
+        ("eigh", ipm, "eigh_lo"),
+        ("eigh", np.linalg, "eigh"),
+        ("eigvalsh", ipm, "eigvalsh_lo"),
+        ("eigvalsh", np.linalg, "eigvalsh"),
+    ):
+        def counted(*args, _fn=getattr(owner, name), _kind=kind, **kw):
+            counts[_kind] += 1
             return _fn(*args, **kw)
 
-        monkeypatch.setattr(np.linalg, name, counted)
+        monkeypatch.setattr(owner, name, counted)
     return counts
 
 
@@ -834,7 +905,7 @@ def test_each_iterate_is_decomposed_once(monkeypatch, method):
     program = build_program(problem)
     groups = len(ConeOps(program.cone).psd_groups)
     assert groups > 1
-    counts = count_linalg_calls(monkeypatch, ("eigh", "eigvalsh"))
+    counts = count_decompositions(monkeypatch)
     if method == "adaptive":
         n = adaptive_step_solve(program, eps=1e-8, max_iter=100).iterations
         assert n >= 5

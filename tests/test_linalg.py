@@ -6,9 +6,15 @@ import pytest
 from treesdp.errors import DimensionMismatch, NonTriangularLength, NotFinite
 from treesdp.linalg import (
     CholeskyOrEig,
+    bmm_einsum,
+    cholesky_lo,
     dense_factor,
+    eigh_lo,
+    eigvalsh_lo,
+    lapack_errstate,
     smat,
     smat_stack,
+    sorted_unique,
     svec,
     svec_stack,
     sym_kron_stack,
@@ -165,6 +171,72 @@ def test_sym_kron_of_pd_operand_is_pd():
         w = random_pd(rng, order)
         mat = sym_kron_matrix(w, w)
         assert np.min(np.linalg.eigvalsh(mat)) > 0
+
+
+# ------------------------------------------------ private numpy kernels
+def test_private_numpy_kernels_match_their_public_counterparts():
+    # a numpy upgrade that changes or removes one of them fails here
+    rng = np.random.default_rng(37)
+    a = rng.standard_normal((5, 7, 7))
+    sym = 0.5 * (a + np.swapaxes(a, 1, 2))
+    spd = a @ np.swapaxes(a, 1, 2) + 7.0 * np.eye(7)
+    with lapack_errstate():
+        chol = cholesky_lo(spd)
+        vals, vecs = eigh_lo(sym)
+        only = eigvalsh_lo(sym)
+        flat = np.zeros(400)
+        block = flat[9:58].reshape(7, 7)  # a block view written in place
+        block[...] = spd[2]
+        cholesky_lo(block, out=block)
+    assert np.array_equal(chol, np.linalg.cholesky(spd))
+    want_vals, want_vecs = np.linalg.eigh(sym)
+    assert np.array_equal(vals, want_vals)
+    assert np.array_equal(vecs, want_vecs)
+    assert np.array_equal(only, np.linalg.eigvalsh(sym))
+    assert np.array_equal(block, np.linalg.cholesky(spd[2]))
+    m = rng.standard_normal((5, 3, 7, 7))
+    for eq, x, y in (("gij,gkjl->gkil", sym, m), ("gkil,glm->gkim", m, sym)):
+        assert np.array_equal(
+            bmm_einsum(eq, x, y), np.einsum(eq, x, y, optimize=True)
+        )
+
+
+def test_lapack_errstate_raises_what_np_linalg_raises():
+    not_pd = np.array([[[1.0, 2.0], [2.0, 1.0]]])
+    nan = np.full((1, 4, 4), np.nan)
+    for call, public, arg in (
+        (cholesky_lo, np.linalg.cholesky, not_pd),
+        (eigh_lo, np.linalg.eigh, nan),
+        (eigvalsh_lo, np.linalg.eigvalsh, nan),
+    ):
+        with pytest.raises(np.linalg.LinAlgError):
+            public(arg)
+        with pytest.raises(np.linalg.LinAlgError), lapack_errstate():
+            call(arg)
+
+
+# ------------------------------------------------------------ sorted unique
+@pytest.mark.parametrize(
+    "keys",
+    [
+        np.random.default_rng(43).integers(0, 40_000, 25_000),
+        np.random.default_rng(47).integers(-(2 ** 40), 2 ** 40, 100_000),
+        np.random.default_rng(53).integers(0, 50, 1_000).astype(np.int32),
+        np.zeros(0, dtype=np.int64),
+        np.full(300, 7, dtype=np.int64),
+        -np.arange(1, 200, dtype=np.int64) % 17 - 40,
+        np.arange(-500, 500, 3, dtype=np.int64),
+        np.repeat(np.arange(100, dtype=np.int64), 4),
+    ],
+    ids=["random", "random-wide", "int32", "empty", "all-equal",
+         "negative", "sorted", "sorted-repeats"],
+)
+def test_sorted_unique_is_np_unique(keys):
+    before = keys.copy()
+    got, want = sorted_unique(keys), np.unique(keys)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert np.array_equal(keys, before)  # the input is not sorted in place
 
 
 # ----------------------------------------------------------------- factorization

@@ -376,6 +376,30 @@ def test_indefinite_pivot_raised():
     assert f"bags {tuple(j + 1 for j in group)} " in str(err.value)
 
 
+def test_non_pd_group_raises_indefinite_pivot_naming_its_bags():
+    # sigma = 0 leaves H block diagonal, so the group that fails is the one
+    # holding the bag whose scaling is indefinite; its bags count from 1,
+    # and L does not count as factored until a factor completes
+    problem, td = path_problem(40, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
+    groups = sys_.groups
+    assert len(groups) >= 3
+    for group in (groups[0], groups[len(groups) // 2], groups[-1]):
+        j = group[-1]
+        o = int(ctc.order[j])
+        bad = {k: w.copy() for k, w in psd_w.items()}
+        bad[o][int(np.sum(ctc.order[:j] == o))][0, 0] = -50.0
+        sys_.assemble_h(0.0, bad, nn_w2)
+        with pytest.raises(IndefinitePivot) as err:
+            sys_.factor()
+        assert f"bags {tuple(b + 1 for b in group)} " in str(err.value)
+        with pytest.raises(StructureViolation):
+            sys_.solve_h(np.ones(sys_.dim))
+    sys_.update(sigma, q, psd_w, nn_w2)
+    rhs = np.random.default_rng(3).standard_normal(sys_.dim)
+    assert np.allclose(sys_.apply_h(sys_.solve_h(rhs)), rhs, atol=1e-8)
+
+
 def hub_first_fill_oracle(parent, root, order):
     """Symbolic block elimination: count fill blocks created by `order`."""
     ell = len(parent)
@@ -614,6 +638,20 @@ def test_failed_assembly_is_not_factored():
             sys_.assemble_h(sigma, bad_w, bad_nn)
         with pytest.raises(StructureViolation):
             sys_.factor()
+
+
+def test_apply_h_needs_an_assembled_h():
+    # the engine walks fixed views of its H buffer, which hold no H until
+    # an assembly completes
+    problem, td = path_problem(5, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
+    with pytest.raises(StructureViolation):
+        sys_.apply_h(np.ones(sys_.dim))
+    bad_w, bad_nn, _ = _misshapen_scaling_data(psd_w, nn_w2, 2)[0]
+    with pytest.raises(DimensionMismatch):
+        sys_.assemble_h(sigma, bad_w, bad_nn)
+    with pytest.raises(StructureViolation):
+        sys_.apply_h(np.ones(sys_.dim))
 
 
 def test_assemble_rejects_one_misshapen_scaling_matrix():

@@ -25,6 +25,7 @@ from treesdp.errors import (
 )
 from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
 from treesdp.linalg import (
+    _CONGRUENCE,
     Triplets,
     order_of_tri,
     smat,
@@ -736,6 +737,39 @@ def hess_apply(ops, w, v):
                 out[coords, k] = svec(w_inv[g] @ mat @ w_inv[g])
     out[ops.nn_idx] = cols[ops.nn_idx] / (w.nn_w ** 2)[:, None]
     return out.reshape(v.shape)
+
+
+def oracle_hess_inv_apply(ops, w, v):
+    """(∇²F(w))^{-1} v for a vector or a (dim, k) column batch, as
+    ``ConeOps.hess_inv_apply`` computed it with fancy-index gathers,
+    ``np.moveaxis``, the scatter form of smat and ``np.einsum`` with the
+    greedy path: the oracle its ``np.take`` gathers and direct einsum
+    steps must match bit for bit."""
+    v = np.asarray(v, dtype=float)
+    single = v.ndim == 1
+    cols = v.reshape(-1, 1) if single else v
+    out = np.zeros_like(cols)
+    for sc in w.soc:
+        vv = cols[sc.sl]
+        jv = vv.copy()
+        jv[1:] = -jv[1:]
+        coef = sc.w @ vv
+        out[sc.sl] = 2.0 * sc.w[:, None] * coef[None, :] - sc.g2 * jv
+    for order, idx in ops.psd_groups.items():
+        w_stack = w.psd_stacks[order]
+        k = cols.shape[1]
+        vecs = cols[idx]
+        mats = oracle_smat_stack(
+            np.moveaxis(vecs, 2, 1).reshape(-1, vecs.shape[1])
+        ).reshape(vecs.shape[0], k, order, order)
+        res = np.einsum(_CONGRUENCE, w_stack, mats, w_stack, optimize="greedy")
+        rows, cols_ = tri_indices(order)
+        packed = res.reshape(-1, order, order)[..., rows, cols_]
+        flat = (packed * svec_scale(order)).reshape(vecs.shape[0], k, -1)
+        out[idx] = np.moveaxis(flat, 1, 2)
+    if ops.nn_idx.size:
+        out[ops.nn_idx] = cols[ops.nn_idx] * (w.nn_w ** 2)[:, None]
+    return out[:, 0] if single else out
 
 
 def oracle_grad(ops, z):
