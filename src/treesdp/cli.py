@@ -13,7 +13,9 @@ solve
     Read an SDPA sparse file, run the conversion + interior-point pipeline,
     write the low-rank solution factor and a metrics JSON file, and print
     the metrics JSON on stdout.  ``--diag`` additionally streams one JSON
-    line of per-iteration block-pattern statistics to stderr.
+    line per iteration to stderr: its number and mu, then the normal
+    matrix's block-pattern statistics, which the engine reads off its
+    static structure and so are the same on every line.
 
 Exit codes: 0 success; 1 solver failure; 2 usage or input-parse error.
 """
@@ -97,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sol.add_argument(
         "--diag",
         action="store_true",
-        help="stream per-iteration block-pattern JSON lines to stderr",
+        help="stream per-iteration mu and block-pattern JSON lines to stderr",
     )
     sol.add_argument(
         "--solution",
@@ -157,18 +159,11 @@ def _cmd_decompose(args) -> int:
 def _cmd_solve(args) -> int:
     in_path = Path(args.problem)
     sdp = read_sdpa(in_path)
-    outcome = solve_sdp(
-        sdp,
-        method=args.method,
-        eps=args.eps,
-        step=args.step,
-        collect_diagnostics=args.diag,
-    )
+    outcome = solve_sdp(sdp, method=args.method, eps=args.eps, step=args.step)
     if args.diag:
         for rec in outcome.result.records:
             line = {"iteration": rec.iteration, "mu": rec.mu}
-            line.update(rec.pattern or {})
-            print(json.dumps(line), file=sys.stderr)
+            print(json.dumps({**line, **outcome.pattern}), file=sys.stderr)
     sol_path = (
         Path(args.solution)
         if args.solution is not None

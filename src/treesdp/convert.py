@@ -500,15 +500,6 @@ class DualizedProblem:
         out[..., 1 + self.f:] = y[..., self.nonaux]
         return out
 
-    def data_norm(self) -> float:
-        return float(
-            np.sqrt(
-                sp.linalg.norm(self.g_csr) ** 2
-                + np.linalg.norm(self.ctc.c_z) ** 2
-                + np.linalg.norm(self.ctc.g_rhs) ** 2
-            )
-        )
-
     # ---- solution readout -------------------------------------------------
     def ctc_primal(self, y: np.ndarray, tau: float) -> np.ndarray:
         return -y / tau

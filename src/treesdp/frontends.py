@@ -9,7 +9,7 @@ relaxations and the theta problem the quantity of interest is the
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -393,13 +393,19 @@ class SolveOutcome:
     iterations: int
     eps: float
     ctc: ConvertedProblem
+    pattern: dict  # the normal matrix's block-pattern statistics
     result: SolveResult = field(repr=False, default=None)
 
     def metrics_json(self) -> str:
-        payload = json.loads(self.metrics.to_json())
-        payload["omega"] = self.omega
-        payload["ell"] = self.ell
-        return json.dumps(payload)
+        """The scores, the iteration count and median iteration time, and
+        the decomposition's width and bag count, as one JSON object."""
+        return json.dumps({
+            **asdict(self.metrics),
+            "iters": self.result.iterations,
+            "time_per_iter_s": self.result.time_per_iter_s,
+            "omega": self.omega,
+            "ell": self.ell,
+        })
 
 
 def solve_sdp(
@@ -407,7 +413,6 @@ def solve_sdp(
     method: str = "dctc",
     eps: float = 1e-8,
     step: str = "adaptive",
-    **solver_kw,
 ) -> SolveOutcome:
     """Convert, solve, and recover a low-rank completion.
 
@@ -436,13 +441,9 @@ def solve_sdp(
         program = DualizedHsdeProgram(dualize(ctc))
 
     if step == "short":
-        res = short_step_solve(
-            program, eps=eps, max_iter=SHORT_STEP_MAX_ITER, **solver_kw
-        )
+        res = short_step_solve(program, eps=eps, max_iter=SHORT_STEP_MAX_ITER)
     else:
-        res = adaptive_step_solve(
-            program, eps=eps, max_iter=ADAPTIVE_MAX_ITER, **solver_kw
-        )
+        res = adaptive_step_solve(program, eps=eps, max_iter=ADAPTIVE_MAX_ITER)
 
     st = res.state
     if method == "ctc":
@@ -457,13 +458,7 @@ def solve_sdp(
     factor = complete_low_rank(ctc.extract_bag_matrices(z), td, eps)
     y_sdp = u[ctc.dual_row_of_constraint]
 
-    metrics = dimacs_metrics(
-        sdp,
-        factor,
-        y_sdp,
-        iterations=res.iterations,
-        time_per_iter_s=res.time_per_iter_s,
-    )
+    metrics = dimacs_metrics(sdp, factor, y_sdp)
     return SolveOutcome(
         method=method,
         step=step,
@@ -478,5 +473,6 @@ def solve_sdp(
         iterations=res.iterations,
         eps=eps,
         ctc=ctc,
+        pattern=program.pattern_stats(),
         result=res,
     )

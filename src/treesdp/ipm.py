@@ -70,7 +70,6 @@ class SolverOptions:
     method: str = "adaptive"  # "short" | "adaptive"
     eps: float = 1e-8
     max_iter: int = 200
-    collect_diagnostics: bool = False
 
     def __post_init__(self):
         if self.method not in ("short", "adaptive"):
@@ -487,7 +486,6 @@ class IterationRecord:
     feas_residual: float
     wall_s: float
     guard: float
-    pattern: dict = None
 
 
 @dataclass
@@ -761,11 +759,6 @@ class HsdeSolver:
                     feas_residual=feas,
                     wall_s=wall,
                     guard=guard,
-                    pattern=(
-                        self.program.pattern_stats()
-                        if opts.collect_diagnostics
-                        else None
-                    ),
                 )
             )
             if st.mu >= mu_before:
@@ -813,11 +806,11 @@ class HsdeSolver:
         )
 
 
-def short_step_solve(program, eps=1e-8, max_iter=5000, **kw) -> SolveResult:
-    opts = SolverOptions(method="short", eps=eps, max_iter=max_iter, **kw)
+def short_step_solve(program, eps=1e-8, max_iter=5000) -> SolveResult:
+    opts = SolverOptions(method="short", eps=eps, max_iter=max_iter)
     return HsdeSolver(program, opts).solve()
 
 
-def adaptive_step_solve(program, eps=1e-8, max_iter=200, **kw) -> SolveResult:
-    opts = SolverOptions(method="adaptive", eps=eps, max_iter=max_iter, **kw)
+def adaptive_step_solve(program, eps=1e-8, max_iter=200) -> SolveResult:
+    opts = SolverOptions(method="adaptive", eps=eps, max_iter=max_iter)
     return HsdeSolver(program, opts).solve()

@@ -33,7 +33,10 @@ The top bags of a group share one parent, the group's *attach bag*, which
 lies in the parent group.  So the groups form a tree, and every bag edge
 lies inside a group or joins a group to its attach bag.  Each group's
 members are eliminated in postorder, so the bag blocks that are zero in H
-stay exactly zero in L (:meth:`TreeNormalSystem.nonzero_bag_pairs`).
+stay exactly zero in L.  The block pattern is thus known before any
+number is assembled: :meth:`TreeNormalSystem.pattern_stats` reports the
+tree-adjacent bag pairs that share a row of G, which both H and L hold,
+and no fill.
 Each group's factor, triangular solves and products are one dense LAPACK
 or BLAS call, and storage stays linear in the number of bags: a merged
 group of w coordinates holds w^2 <= ``GROUP_WIDTH`` * w entries.
@@ -221,7 +224,7 @@ class TreeNormalSystem:
         self.dim = ctc.dim_z
         width = ctc.width
 
-        self._check_row_structure()
+        self._offdiag_blocks = self._check_row_structure()
         self.groups = group_bags(td, width.tolist(), GROUP_WIDTH)
         self._layout(width)
         self._gtg_pos, self._gtg_val = self._static_gram()
@@ -275,20 +278,19 @@ class TreeNormalSystem:
         self._denom = None
 
         # instrumentation
-        self.n_assemble = 0
         self.n_factor = 0
         self.n_solve_columns = 0
         self.n_refine = 0
-        self.last_assemble_ops = 0
         self.last_factor_ops = 0
-        self._peak_bytes = 0
 
     # ------------------------------------------------------------------
     # static structure
     # ------------------------------------------------------------------
-    def _check_row_structure(self) -> None:
+    def _check_row_structure(self) -> int:
         """Raise StructureViolation unless every row of G touches at most
-        two bags, and two only if one is the other's parent."""
+        two bags, and two only if one is the other's parent.  Returns the
+        number of distinct bag pairs that share a row: H's off-diagonal
+        bag blocks, and L's."""
         bag_of = np.repeat(np.arange(self.ell), self.ctc.width)
         row, bag = row_bags(self.dualized.g_csr, bag_of)
         pair = np.flatnonzero(row[1:] == row[:-1])  # bag[i], bag[i+1]: one row
@@ -306,6 +308,7 @@ class TreeNormalSystem:
                 "a tree-structured normal matrix needs at most two "
                 "tree-adjacent bags per row"
             )
+        return int(sorted_unique(a * self.ell + b).size)
 
     def _layout(self, width: np.ndarray) -> None:
         """The permuted coordinates and the flat layout of the blocks.
@@ -453,7 +456,11 @@ class TreeNormalSystem:
         every slack coordinate, in block order.  Chain coordinates carry
         no block-diagonal term.
         """
-        self.h_diag = []  # H counts as assembled once this call completes
+        # H counts as assembled once this call completes; the factor and
+        # the rank-1 term of the previous H no longer apply
+        self.h_diag = []
+        self.l_diag = []
+        self.set_rank1(None)
         for o, runs in self._kron_runs.items():
             shape = np.shape(psd_w.get(o))
             if shape != (runs[-1][1], o, o):
@@ -477,9 +484,6 @@ class TreeNormalSystem:
         h[self._nn_pos] += nn_w2
         self.h_diag, self.h_off = self._h_blocks
         self.sigma = float(sigma)
-        self.n_assemble += 1
-        self.last_assemble_ops = self._assemble_ops
-        self._note_bytes()
 
     def factor(self) -> None:
         """Block Cholesky along the group tree, children eliminated first.
@@ -524,7 +528,6 @@ class TreeNormalSystem:
         self.l_diag, self.l_off = self._l_blocks
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
-        self._note_bytes()
 
     def set_rank1(self, q) -> None:
         """Install the rank-1 term and precompute its solve and denominator."""
@@ -548,7 +551,6 @@ class TreeNormalSystem:
         self.q = q
         self._u_q = u_q
         self._denom = denom
-        self._note_bytes()
 
     def update(self, sigma: float, q, psd_w: dict, nn_w2) -> None:
         """Assemble, factor, and install the rank-1 term in one call."""
@@ -649,67 +651,27 @@ class TreeNormalSystem:
                 out = out + self.q[:, None] * (self.q @ v)
         return out
 
-    def _bag_pairs(self, flat: np.ndarray) -> np.ndarray:
-        """Distinct bag pairs (a, b), a after b in the permuted order, whose
-        sub-block of the lower triangle held in ``flat`` is nonzero."""
-        pos = np.flatnonzero(flat)
-        blk = np.searchsorted(self._block_off, pos, side="right") - 1
-        k = blk % len(self.groups)
-        rows, cols = np.divmod(pos - self._block_off[blk], self._width[k])
-        rows += self._block_row[blk]
-        cols += self._first[k]
-        a, b = self._bag_of[rows], self._bag_of[cols]
-        keep = (rows > cols) & (a != b)
-        ids = sorted_unique(a[keep] * self.ell + b[keep])
-        return np.column_stack(np.divmod(ids, self.ell))
-
-    def nonzero_bag_pairs(self) -> tuple:
-        """The off-diagonal bag pairs with a nonzero sub-block in H and in
-        L, each a (k, 2) array of (later bag, earlier bag) rows.  The
-        merged group blocks store every bag pair of a group, so a pair of
-        bags that are not adjacent in the tree appears here exactly when
-        it has filled in."""
-        none = np.zeros((0, 2), dtype=np.int64)
-        return (
-            self._bag_pairs(self._h_flat) if self.h_diag else none,
-            self._bag_pairs(self._l_flat) if self.l_diag else none,
-        )
-
-    def offdiag_block_counts(self):
-        """(nonzero off-diagonal bag blocks of H, of L) — equal when no
-        fill."""
-        in_h, in_l = self.nonzero_bag_pairs()
-        return len(in_h), len(in_l)
-
     def pattern_stats(self) -> dict:
-        in_h, in_l = self.offdiag_block_counts()
+        """Block-pattern statistics, read off the static structure: H's
+        off-diagonal bag blocks are the tree-adjacent pairs that share a
+        row of G, and eliminating children first keeps L's the same."""
         return {
             "blocks": self.ell,
             "groups": len(self.groups),
-            "offdiag_blocks": in_h,
-            "factor_offdiag_blocks": in_l,
-            "fill_blocks": in_l - in_h,
-            "flops_estimate": int(
-                self.last_assemble_ops + self.last_factor_ops
-            ),
+            "offdiag_blocks": self._offdiag_blocks,
+            "factor_offdiag_blocks": self._offdiag_blocks,
+            "fill_blocks": 0,
+            "flops_estimate": self._assemble_ops + self._factor_ops,
             "bytes": self.memory_bytes(),
         }
 
-    def _note_bytes(self) -> None:
-        held = self._gtg_pos.nbytes + self._gtg_val.nbytes
-        if self.h_diag:
-            held += self._h_flat.nbytes
-        if self.l_diag:
-            held += self._l_flat.nbytes
-        for vec in (self.q, self._u_q):
-            if vec is not None:
-                held += vec.nbytes
-        self._peak_bytes = max(self._peak_bytes, held)
-
     def memory_bytes(self) -> int:
-        """Peak bytes held in block storage (allocation counter)."""
-        self._note_bytes()
-        return self._peak_bytes
+        """Bytes of the engine's numeric storage, allocated once: the H and
+        L buffers, G^T G's (position, value) pairs, and q with its solve."""
+        return (
+            self._h_flat.nbytes + self._l_flat.nbytes + self._gtg_pos.nbytes
+            + self._gtg_val.nbytes + 2 * self.dim * self._h_flat.itemsize
+        )
 
 
 class DenseNormalSystem:

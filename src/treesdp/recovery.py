@@ -11,7 +11,6 @@ program.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,20 +76,6 @@ class Metrics:
     dinf: float
     gap: float
     L: float
-    iterations: int = 0
-    time_per_iter_s: float = 0.0  # median wall time of one IPM iteration
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "pinf": self.pinf,
-                "dinf": self.dinf,
-                "gap": self.gap,
-                "L": self.L,
-                "iters": self.iterations,
-                "time_per_iter_s": self.time_per_iter_s,
-            }
-        )
 
 
 def complete_low_rank(
@@ -359,8 +344,6 @@ def dimacs_metrics(
     sdp: SdpProblem,
     factor: LowRankFactor,
     y: np.ndarray,
-    iterations: int = 0,
-    time_per_iter_s: float = 0.0,
 ) -> Metrics:
     """Accurate-digit scores of the iterate (X, y) with X = U U^T.
 
@@ -422,6 +405,4 @@ def dimacs_metrics(
         dinf=dinf,
         gap=gap,
         L=min(pinf, dinf, gap),
-        iterations=iterations,
-        time_per_iter_s=time_per_iter_s,
     )

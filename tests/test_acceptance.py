@@ -45,6 +45,8 @@ from util import (
     SparseSymmetric,
     dot_sym,
     make_problem,
+    measured_pattern,
+    offdiag_block_counts,
     path_rayleigh_problem,
     plain_row_coupling,
     random_bag_supported_matrix,
@@ -176,7 +178,7 @@ def test_criterion_04_star_contrast():
     sigma, _q, psd_w, nn_w2 = random_scaling_data(rng, ctc)
     sys_.assemble_h(sigma, psd_w, nn_w2)
     sys_.factor()
-    in_h, in_l = sys_.offdiag_block_counts()
+    in_h, in_l = offdiag_block_counts(sys_)
     tree_ok = in_h == n - 1 and in_l == n - 1
 
     # per-iteration time separation: 8x the block count must cost < 10x
@@ -223,9 +225,10 @@ def random_block_tree(rng):
     return TreeDecomposition(n=nxt, bags=bags, parent=parent)
 
 
-def test_criterion_05_no_block_fill_on_random_trees():
+def random_tree_systems():
+    """Normal engines of 100 programs on random block trees (seed 505),
+    each with its scaling data (sigma, q, psd_w, nn_w2)."""
     rng = np.random.default_rng(505)
-    checked = 0
     for _ in range(100):
         td = random_block_tree(rng)
         n = td.n
@@ -245,10 +248,15 @@ def test_criterion_05_no_block_fill_on_random_trees():
         problem = make_problem(cost, constraints, np.zeros(m))
         ctc = build_ctc(problem, td)
         sys_ = TreeNormalSystem(dualize(ctc))
-        sigma, _q, psd_w, nn_w2 = random_scaling_data(rng, ctc)
+        yield sys_, random_scaling_data(rng, ctc)
+
+
+def test_criterion_05_no_block_fill_on_random_trees():
+    checked = 0
+    for sys_, (sigma, _q, psd_w, nn_w2) in random_tree_systems():
         sys_.assemble_h(sigma, psd_w, nn_w2)
         sys_.factor()
-        in_h, in_l = sys_.offdiag_block_counts()
+        in_h, in_l = offdiag_block_counts(sys_)
         assert in_h == in_l, (
             f"tree {checked}: H offdiag {in_h} != factor offdiag {in_l}"
         )
@@ -256,6 +264,21 @@ def test_criterion_05_no_block_fill_on_random_trees():
     _line(5, "no block fill on 100 random trees", checked == 100,
           f"{checked} trees, exact count match")
     assert checked == 100
+
+
+def test_structural_pattern_equals_measured_on_random_trees():
+    # pattern_stats reads the block counts off G's rows; after a real
+    # update the numbers in H and L show the same blocks and no fill
+    for sys_, scaling in random_tree_systems():
+        sys_.update(*scaling)
+        stats, measured = sys_.pattern_stats(), measured_pattern(sys_)
+        assert measured["fill_blocks"] == 0
+        assert (
+            stats["offdiag_blocks"]
+            == stats["factor_offdiag_blocks"]
+            == measured["offdiag_blocks"]
+            == measured["factor_offdiag_blocks"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -268,13 +291,9 @@ def test_criterion_06_linear_per_iteration_scaling():
     times = []
     mems = []
     for n in sizes:
-        outcome = solve_sdp(
-            gen_maxkcut(path_graph(n), 2),
-            method="dctc",
-            collect_diagnostics=True,
-        )
+        outcome = solve_sdp(gen_maxkcut(path_graph(n), 2), method="dctc")
         times.append(outcome.result.time_per_iter_s)
-        mems.append(max(r.pattern["bytes"] for r in outcome.result.records))
+        mems.append(outcome.pattern["bytes"])
     t_ratios = [times[i + 1] / times[i] for i in range(3)]
     m_ratios = [mems[i + 1] / mems[i] for i in range(3)]
     ok = all(1.5 <= r <= 2.7 for r in t_ratios + m_ratios)

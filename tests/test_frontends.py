@@ -303,7 +303,7 @@ def test_solve_outcome_metrics_json_schema():
     sdp = gen_maxcut(K2)
     out = solve_sdp(sdp, method="dctc", eps=1e-8, step="adaptive")
     payload = json.loads(out.metrics_json())
-    assert set(payload) == {
+    assert list(payload) == [
         "pinf",
         "dinf",
         "gap",
@@ -312,10 +312,13 @@ def test_solve_outcome_metrics_json_schema():
         "time_per_iter_s",
         "omega",
         "ell",
-    }
+    ]
+    for key in ("pinf", "dinf", "gap", "L"):
+        assert payload[key] == getattr(out.metrics, key)
+    assert payload["L"] == min(payload["pinf"], payload["dinf"], payload["gap"])
     assert payload["omega"] == out.omega
     assert payload["ell"] == out.ell
-    assert payload["iters"] == out.iterations
+    assert payload["iters"] == out.iterations == out.result.iterations
     assert payload["time_per_iter_s"] > 0.0
     # one definition: the median per-iteration wall time of the IPM
     assert payload["time_per_iter_s"] == out.result.time_per_iter_s

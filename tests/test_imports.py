@@ -1,10 +1,16 @@
-"""Every module-level import of the package and of the tests is read, and
-private numpy API enters the package through ``treesdp.linalg`` only.
+"""Every module-level import of the package and of the tests is read,
+every function the package defines is named by the package or the bench,
+and private numpy API enters the package through ``treesdp.linalg`` only.
 
 No linter is installed, so this is the check for unused imports: each
 module is parsed with ``ast``, and a name bound by a module-level import
 must occur as a name somewhere in the module.  ``__future__`` imports and
 names listed in ``__all__`` (re-exports) are exempt.
+
+A ``def`` in ``src/treesdp`` that only the tests name belongs in the
+tests: every non-dunder function or method must be named in ``src/`` or
+``bench/`` on some line other than a ``def`` of that name, or be listed in
+``treesdp.__all__``.
 
 Private numpy modules (``numpy._core``, ``numpy.linalg._umath_linalg``)
 can change in any numpy release.  Keeping their imports in one module
@@ -12,6 +18,7 @@ keeps one place to mend, and ``tests/test_linalg.py`` checks each private
 callable against its public counterpart."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -19,6 +26,9 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = sorted((ROOT / "src" / "treesdp").glob("*.py"))
 MODULES = PACKAGE + sorted((ROOT / "tests").glob("*.py"))
+READERS = sorted((ROOT / "src").rglob("*.py")) + sorted(
+    (ROOT / "bench").rglob("*.py")
+)
 
 
 def unused_imports(source: str) -> list:
@@ -55,6 +65,58 @@ def test_the_scan_finds_an_unused_import():
 )
 def test_module_level_imports_are_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unnamed_defs(sources: list, readers: list, exported=()) -> list:
+    """The names of the non-dunder functions and methods defined in
+    ``sources`` that no line of ``readers`` names, other than a ``def`` of
+    that name, and that ``exported`` does not list."""
+    defined = {
+        node.name
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    }
+    named = set()
+    for text in readers:
+        for line in text.splitlines():
+            words = re.findall(r"\w+", line)
+            own = re.match(r"\s*(?:async\s+)?def\s+(\w+)", line)
+            if own:
+                words.remove(own.group(1))
+            named.update(words)
+    return sorted(defined - named - set(exported))
+
+
+def test_the_scan_finds_an_unnamed_def():
+    source = (
+        "def used():\n    return 1\n"
+        "class A:\n    def __init__(self):\n        self.run = self.helper\n"
+        "    def helper(self):\n        return used()\n"
+        "    def orphan(self):\n        pass\n"
+        "def exported_only():\n    pass\n"
+    )
+    # a second def of a name does not name it; a string does
+    other = "class B:\n    def orphan(self):\n        pass\n"
+    reader = "SPANS = {'A.orphan': 'layer'}\n"
+    mods = [source, other]
+    assert unnamed_defs(mods, mods) == ["exported_only", "orphan"]
+    assert unnamed_defs(mods, mods, ["exported_only"]) == ["orphan"]
+    assert unnamed_defs(mods, mods + [reader], ["exported_only"]) == []
+
+
+def test_every_package_def_is_named_outside_the_tests():
+    init = ast.parse((ROOT / "src" / "treesdp" / "__init__.py").read_text())
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+    )
+    sources = [path.read_text() for path in PACKAGE]
+    readers = [path.read_text() for path in READERS]
+    assert unnamed_defs(sources, readers, exported) == []
 
 
 def _private_numpy(path: str) -> bool:

@@ -42,6 +42,9 @@ from util import (
     loop_factor_ops,
     loop_kron_runs,
     make_problem,
+    measured_pattern,
+    nonzero_bag_pairs,
+    offdiag_block_counts,
     path_rayleigh_problem,
     plain_row_coupling,
     random_partially_separable_problem,
@@ -200,7 +203,7 @@ def test_factor_has_no_bag_fill_for_each_cap(cap, monkeypatch):
         )
         sys_.assemble_h(sigma, psd_w, nn_w2)
         sys_.factor()
-        in_h, in_l = sys_.nonzero_bag_pairs()
+        in_h, in_l = nonzero_bag_pairs(sys_)
         for a, b in in_l.tolist():
             assert int(td.parent[a]) == b or int(td.parent[b]) == a
         assert np.array_equal(in_h, in_l)
@@ -208,6 +211,26 @@ def test_factor_has_no_bag_fill_for_each_cap(cap, monkeypatch):
         assert stats["blocks"] == td.ell
         assert stats["groups"] == len(sys_.groups)
         assert stats["fill_blocks"] == 0
+
+
+@pytest.mark.parametrize("cap", CAPS)
+def test_structural_pattern_equals_measured_for_each_cap(cap, monkeypatch):
+    # pattern_stats counts the tree-adjacent bag pairs that share a row of
+    # G; after a real update, H's and L's numbers show exactly those
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    for trial, (problem, td) in enumerate(_grouping_instances()):
+        ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+            problem, td, seed=500 + trial
+        )
+        sys_.update(sigma, q, psd_w, nn_w2)
+        stats, measured = sys_.pattern_stats(), measured_pattern(sys_)
+        assert measured["fill_blocks"] == 0
+        assert (
+            stats["offdiag_blocks"]
+            == stats["factor_offdiag_blocks"]
+            == measured["offdiag_blocks"]
+            == measured["factor_offdiag_blocks"]
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +289,7 @@ def test_no_constraint_path_gives_identity_plus_overlap_gram():
     oracle = np.eye(bare.dim_z) + sigma * (n_rows.T @ n_rows)
     assert np.allclose(h_dense(sys_), oracle, atol=1e-14)
     sys_.factor()
-    assert sys_.offdiag_block_counts() == (1, 1)
+    assert offdiag_block_counts(sys_) == (1, 1)
 
 
 def with_extra_row(ctc, bags):
@@ -348,7 +371,7 @@ def test_factor_no_fill_block_counts_match():
         )
         sys_.assemble_h(sigma, psd_w, nn_w2)
         sys_.factor()
-        in_h, in_l = sys_.offdiag_block_counts()
+        in_h, in_l = offdiag_block_counts(sys_)
         assert in_h == in_l
 
 
@@ -358,7 +381,7 @@ def test_block_diagonal_h_gives_block_diagonal_factor():
     ctc, sys_, _, q, psd_w, nn_w2 = build_system(problem, td, seed=5)
     sys_.assemble_h(0.0, psd_w, nn_w2)
     sys_.factor()
-    assert sys_.offdiag_block_counts() == (0, 0)
+    assert offdiag_block_counts(sys_) == (0, 0)
     for blk in sys_.l_off:
         assert blk is None or not np.any(blk != 0.0)
 
@@ -549,7 +572,7 @@ def test_star_dualized_h_has_tree_pattern():
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
     sys_.assemble_h(sigma, psd_w, nn_w2)
     sys_.factor()
-    in_h, in_l = sys_.offdiag_block_counts()
+    in_h, in_l = offdiag_block_counts(sys_)
     assert in_h == td.ell - 1
     assert in_l == td.ell - 1
 
@@ -558,6 +581,7 @@ def test_memory_counter_equals_walk_over_blocks():
     rng = np.random.default_rng(47)
     problem, td = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=6)
+    before = sys_.memory_bytes()  # the buffers are allocated with the engine
     sys_.update(sigma, q, psd_w, nn_w2)
     walked = sum(
         blk.nbytes
@@ -567,9 +591,9 @@ def test_memory_counter_equals_walk_over_blocks():
     ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
         sys_._u_q.nbytes
     )
-    assert sys_.memory_bytes() == walked
+    assert before == sys_.memory_bytes() == walked
     assert sys_.pattern_stats()["bytes"] == walked
-    sys_.set_rank1(None)  # the counter keeps its peak
+    sys_.set_rank1(None)
     assert sys_.memory_bytes() == walked
 
 
@@ -638,6 +662,32 @@ def test_failed_assembly_is_not_factored():
             sys_.assemble_h(sigma, bad_w, bad_nn)
         with pytest.raises(StructureViolation):
             sys_.factor()
+
+
+def test_reassembly_drops_the_previous_factor_and_rank1_term():
+    # a factor and a rank-1 term belong to the H they were made for: after
+    # a new assembly the solves refuse until factor runs, and then solve
+    # with the new H only
+    problem, td = path_problem(8, m=2)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
+    sys_.update(sigma, q, psd_w, nn_w2)
+    rng = np.random.default_rng(5)
+    sigma2, q2, psd_w2, nn_w22 = random_scaling_data(rng, ctc)
+    sys_.assemble_h(sigma2, psd_w2, nn_w22)
+    r = rng.standard_normal(ctc.dim_z)
+    for solve in (sys_.solve_h, sys_.solve_with_rank1):
+        with pytest.raises(StructureViolation):
+            solve(r)
+    assert sys_.q is None
+    sys_.factor()
+    h = h_dense(sys_)
+    for solve in (sys_.solve_h, sys_.solve_with_rank1):
+        x = solve(r)
+        assert np.linalg.norm(h @ x - r) <= 1e-10 * np.linalg.norm(r)
+    sys_.set_rank1(q2)
+    x = sys_.solve_with_rank1(r)
+    n2 = h + np.outer(q2, q2)
+    assert np.linalg.norm(n2 @ x - r) <= 1e-10 * np.linalg.norm(r)
 
 
 def test_apply_h_needs_an_assembled_h():

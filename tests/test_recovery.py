@@ -2,7 +2,6 @@
 
 import collections
 import io
-import json
 import re
 
 import numpy as np
@@ -671,26 +670,3 @@ def test_shifted_inertia_survives_a_shift_on_an_eigenvalue():
     vals = np.r_[deg, -np.ones(n - 1)]
     assert _Shifted(n, rows, cols, vals).exceeds(0.0)
     assert not _Shifted(n, rows, cols, -vals).exceeds(0.0)
-
-
-def test_metrics_json_shape():
-    sdp = one_by_one_toy()
-    m = dimacs_metrics(
-        sdp,
-        LowRankFactor(U=[[1.0]]),
-        np.array([1.0]),
-        iterations=9,
-        time_per_iter_s=0.012,
-    )
-    payload = json.loads(m.to_json())
-    assert set(payload) == {
-        "pinf",
-        "dinf",
-        "gap",
-        "L",
-        "iters",
-        "time_per_iter_s",
-    }
-    assert payload["iters"] == 9
-    assert payload["time_per_iter_s"] == pytest.approx(0.012)
-    assert payload["L"] == min(payload["pinf"], payload["dinf"], payload["gap"])

@@ -1063,6 +1063,65 @@ def unique_row_bags(g, bag_of, ell) -> tuple:
     return np.divmod(np.unique(rows * ell + bag_of[g.indices]), ell)
 
 
+def nonzero_bag_pairs(sys_) -> tuple:
+    """The off-diagonal bag pairs with a nonzero sub-block in a normal
+    engine's assembled H and in its factor L, found by scanning every
+    stored entry of the two flat buffers; each a (k, 2) array of (later
+    bag, earlier bag) rows in the permuted order.  The merged group blocks
+    store every bag pair of a group, so a pair of bags that are not
+    adjacent in the tree appears here exactly when it is nonzero."""
+
+    def pairs(flat):
+        pos = np.flatnonzero(flat)
+        blk = np.searchsorted(sys_._block_off, pos, side="right") - 1
+        k = blk % len(sys_.groups)
+        rows, cols = np.divmod(pos - sys_._block_off[blk], sys_._width[k])
+        rows += sys_._block_row[blk]
+        cols += sys_._first[k]
+        a, b = sys_._bag_of[rows], sys_._bag_of[cols]
+        keep = (rows > cols) & (a != b)
+        ids = np.unique(a[keep] * sys_.ell + b[keep])
+        return np.column_stack(np.divmod(ids, sys_.ell))
+
+    none = np.zeros((0, 2), dtype=np.int64)
+    return (
+        pairs(sys_._h_flat) if sys_.h_diag else none,
+        pairs(sys_._l_flat) if sys_.l_diag else none,
+    )
+
+
+def offdiag_block_counts(sys_) -> tuple:
+    """(nonzero off-diagonal bag blocks of H, of L), as scanned: equal when
+    the factor has no fill."""
+    in_h, in_l = nonzero_bag_pairs(sys_)
+    return len(in_h), len(in_l)
+
+
+def measured_pattern(sys_) -> dict:
+    """The block counts of ``TreeNormalSystem.pattern_stats``, measured on
+    the engine's numbers: a fill block is a pair nonzero in L and zero in
+    H."""
+    in_h, in_l = nonzero_bag_pairs(sys_)
+    in_h = set(map(tuple, in_h.tolist()))
+    return {
+        "offdiag_blocks": len(in_h),
+        "factor_offdiag_blocks": len(in_l),
+        "fill_blocks": sum(p not in in_h for p in map(tuple, in_l.tolist())),
+    }
+
+
+def data_norm(dualized) -> float:
+    """Frobenius norm of a dualized program's data: G, c and the rows'
+    right-hand side."""
+    return float(
+        np.sqrt(
+            sp.linalg.norm(dualized.g_csr) ** 2
+            + np.linalg.norm(dualized.ctc.c_z) ** 2
+            + np.linalg.norm(dualized.ctc.g_rhs) ** 2
+        )
+    )
+
+
 def _digits(numerator, denominator):
     if numerator <= 0.0:
         return SCORE_CAP
