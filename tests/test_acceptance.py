@@ -181,12 +181,16 @@ def test_criterion_04_star_contrast():
     in_h, in_l = offdiag_block_counts(sys_)
     tree_ok = in_h == n - 1 and in_l == n - 1
 
-    # per-iteration time separation: 8x the block count must cost < 10x
-    tpi_small = solve_sdp(problem, method="dctc").result.time_per_iter_s
-    tpi_big = solve_sdp(
-        star_arrow_problem(1600), method="dctc"
-    ).result.time_per_iter_s
-    ratio = tpi_big / tpi_small
+    # per-iteration time separation: 8x the block count must cost < 10x;
+    # the ratio is the median over three back-to-back pairs of solves, as
+    # a shared host changes speed for spells (see criterion 06)
+    big = star_arrow_problem(1600)
+    ratios = []
+    for _round in range(3):
+        tpi_small = solve_sdp(problem, method="dctc").result.time_per_iter_s
+        tpi_big = solve_sdp(big, method="dctc").result.time_per_iter_s
+        ratios.append(tpi_big / tpi_small)
+    ratio = float(np.median(ratios))
     time_ok = ratio < 10.0
 
     ok = dense_ok and tree_ok and time_ok
@@ -288,13 +292,21 @@ def test_structural_pattern_equals_measured_on_random_trees():
 
 def test_criterion_06_linear_per_iteration_scaling():
     sizes = (500, 1000, 2000, 4000)
-    times = []
-    mems = []
-    for n in sizes:
-        outcome = solve_sdp(gen_maxkcut(path_graph(n), 2), method="dctc")
-        times.append(outcome.result.time_per_iter_s)
-        mems.append(outcome.pattern["bytes"])
-    t_ratios = [times[i + 1] / times[i] for i in range(3)]
+    sdps = [gen_maxkcut(path_graph(n), 2) for n in sizes]
+    # a shared host changes speed for spells of a fraction of a second
+    # to several seconds; two sizes solved back to back mostly share a
+    # spell, so each time ratio is the median over five rounds of the
+    # ratio between neighbouring solves
+    rounds = []
+    mems = [0] * len(sizes)
+    for _round in range(5):
+        times = []
+        for i, sdp in enumerate(sdps):
+            outcome = solve_sdp(sdp, method="dctc")
+            times.append(outcome.result.time_per_iter_s)
+            mems[i] = outcome.pattern["bytes"]
+        rounds.append([times[i + 1] / times[i] for i in range(3)])
+    t_ratios = list(np.median(rounds, axis=0))
     m_ratios = [mems[i + 1] / mems[i] for i in range(3)]
     ok = all(1.5 <= r <= 2.7 for r in t_ratios + m_ratios)
     _line(6, "linear per-iteration scaling (path MAXCUT)", ok,

@@ -2,6 +2,7 @@
 
 import collections
 import io
+import json
 import re
 
 import numpy as np
@@ -18,7 +19,7 @@ from treesdp.errors import (
     NotFinite,
     OverlapMismatch,
 )
-from treesdp.frontends import gen_maxcut
+from treesdp.frontends import gen_maxcut, solve_sdp
 from treesdp.recovery import (
     LowRankFactor,
     _Shifted,
@@ -670,3 +671,25 @@ def test_shifted_inertia_survives_a_shift_on_an_eigenvalue():
     vals = np.r_[deg, -np.ones(n - 1)]
     assert _Shifted(n, rows, cols, vals).exceeds(0.0)
     assert not _Shifted(n, rows, cols, -vals).exceeds(0.0)
+
+
+def test_metrics_json_shape():
+    # the four scores of dimacs_metrics, with the solve's iteration count
+    # and median iteration time, then the decomposition's width and bags
+    out = solve_sdp(one_by_one_toy(), method="dctc")
+    payload = json.loads(out.metrics_json())
+    assert set(payload) == {
+        "pinf",
+        "dinf",
+        "gap",
+        "L",
+        "iters",
+        "time_per_iter_s",
+        "omega",
+        "ell",
+    }
+    assert payload["iters"] == out.result.iterations
+    assert payload["time_per_iter_s"] == pytest.approx(
+        out.result.time_per_iter_s
+    )
+    assert payload["L"] == min(payload["pinf"], payload["dinf"], payload["gap"])
