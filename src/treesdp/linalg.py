@@ -14,6 +14,37 @@ Conventions
   gufuncs that ``np.linalg.cholesky``, ``eigh`` and ``eigvalsh`` call
   after their argument checks.  ``tests/test_linalg.py`` checks each
   against its public counterpart bit for bit.
+
+Order-2 eigenproblems in closed form
+------------------------------------
+A gufunc call costs about 0.45 us per 2 x 2 ``eigh`` and 0.25 us per
+``eigvalsh``: on the chains' width-2 bags, a quarter of the cone layer's
+time.  :func:`eigh_lo` and :func:`eigvalsh_lo` instead run, vectorized
+over an order-2 stack, the very path LAPACK takes on each matrix
+[[a, b], [b, c]] (its lower triangle): ``dsyevd`` reduces it to the
+tridiagonal (a, c; b) unchanged (``dsytd2`` with tau = 0), then
+
+* ``eigvalsh`` (``dsterf``): a lane splits where |b| <= sqrt|a| sqrt|c|
+  eps or b^2 <= eps^2 |a c|, keeping (a, c); others take
+  ``dlae2(a, sqrt(b*b), c)``.  The pair is sorted ascending.
+* ``eigh`` (``dstedc`` -> ``dsteqr``): the same first test, or
+  |b|^2 <= eps^2 |d_l| |d_l+1| + safmin in its QL or QR order; a split
+  lane keeps Z = I, others rotate I by ``dlaev2(a, b, c)``'s (cs1, sn1).
+  The selection sort then swaps the columns where rt2 < rt1.
+
+with eps = 2^-53 and safmin = 2^-1022.  Each operation is the one LAPACK
+makes, in its order, so every float is the gufunc's.  That holds only
+where no routine rescales the matrix: its largest |entry| must lie in
+[2^-405, 2^485] (about 1.2e-122 to 1e146).  A stack with any matrix
+outside it, or with a non-finite entry, goes to the gufunc whole, as
+does any stack under ``CLOSED_FORM_MIN_STACK`` matrices, where the
+gufunc is faster.  In the range the formulas raise no invalid flag.
+
+Exactness is the point.  A closed form that is merely accurate moves the
+chaotic trajectory of ``test_dense_program_matches_tree_program``: a
+half-trace +- radius form took its tree solve from 14 to 21 iterations.
+It would also break the exact repeat of ``y``, the iteration count and L
+that the bench and the differential tests rely on.
 """
 
 from __future__ import annotations
@@ -30,11 +61,9 @@ from .errors import DimensionMismatch, NonTriangularLength, NotFinite
 
 SQRT2 = float(np.sqrt(2.0))
 
-# the LAPACK gufuncs of np.linalg.cholesky, eigh and eigvalsh (lower
-# triangle); call them under lapack_errstate()
+# the LAPACK gufunc of np.linalg.cholesky (lower triangle); call it under
+# lapack_errstate(), as eigh_lo and eigvalsh_lo below
 cholesky_lo = _umath_linalg.cholesky_lo
-eigh_lo = _umath_linalg.eigh_lo
-eigvalsh_lo = _umath_linalg.eigvalsh_lo
 
 
 def tri(order: int) -> int:
@@ -119,21 +148,39 @@ def _svec_plan(order: int) -> np.ndarray:
     return flat
 
 
+# Gathers along the short last axes of orders 2 and 3 (3-9 entries) index
+# the stack: np.take copies one entry per index there, indexing a strided
+# row of the stack per index.  smat_stack and svec_stack of 599 order-2
+# bags, as on path-maxcut, ran 1.6-2.8 times faster that way; from order
+# 4 on np.take was as fast or faster (2-core host, one BLAS thread).
+SHORT_GATHER_MAX_ORDER = 3
+
+
+def _gather_last(arr: np.ndarray, index: np.ndarray, order: int):
+    """``np.take(arr, index, axis=-1)``, by indexing for the short last
+    axes of orders up to ``SHORT_GATHER_MAX_ORDER``.  The same floats
+    either way; indexing lays out ``index``'s axes outermost."""
+    if order <= SHORT_GATHER_MAX_ORDER:
+        return arr[..., index]
+    return np.take(arr, index, axis=-1)
+
+
 def svec_stack(mats: np.ndarray) -> np.ndarray:
     """Vectorized :func:`svec` over a stack of symmetric matrices (..., o, o):
     one gather of the packed entries and one product with their scale."""
     mats = np.asarray(mats, dtype=float)
     order = mats.shape[-1]
     flat = mats.reshape(mats.shape[:-2] + (order * order,))
-    return np.take(flat, _svec_plan(order), axis=-1) * svec_scale(order)
+    return _gather_last(flat, _svec_plan(order), order) * svec_scale(order)
 
 
 def smat_stack(vecs: np.ndarray) -> np.ndarray:
     """Vectorized :func:`smat` over a stack of packed vectors (..., t): one
     gather of every full-matrix entry and one division by its scale."""
     vecs = np.asarray(vecs, dtype=float)
-    pos, scale = _smat_plan(order_of_tri(vecs.shape[-1]))
-    out = np.take(vecs, pos, axis=-1)
+    order = order_of_tri(vecs.shape[-1])
+    pos, scale = _smat_plan(order)
+    out = _gather_last(vecs, pos, order)
     out /= scale
     return out
 
@@ -290,6 +337,148 @@ def lapack_errstate() -> np.errstate:
     """
     return np.errstate(call=_lapack_failed, invalid="call", over="ignore",
                        divide="ignore", under="ignore")
+
+
+# LAPACK's dlamch('E'), its square and dlamch('S')
+_EPS = 2.0 ** -53
+_EPS2 = _EPS * _EPS
+_SAFMIN = 2.0 ** -1022
+# the largest |entry| of an order-2 matrix that no routine on its path
+# rescales: dsteqr and dsterf scale below ssfmin = sqrt(safmin) / eps^2,
+# dsyevd above rmax = sqrt(bignum) = 2^485
+_UNSCALED = (2.0 ** -405, 2.0 ** 485)
+# an order-2 stack of fewer matrices goes to the gufuncs, which are faster
+# there: the closed forms cost about 35-60 us per call at any small size.
+# On a 2-core x86 host at one BLAS thread, an iteration's 3 eigh and 4
+# eigvalsh calls broke even near 130 matrices: about 330 against 150 us
+# at 54, 380 against 630 us at 250.  Of the bench's order-2 stacks,
+# rgraph-maxcut's 54 stay on the gufuncs, and star-arrow's 250 and the
+# chains' 499 and 599 take the closed forms.
+CLOSED_FORM_MIN_STACK = 128
+
+
+def _order2_lower(mats: np.ndarray):
+    """(a, b, c, |a|, |b|, |c|) of the lower triangles [[a], [b, c]] of a
+    float64 order-2 stack that the closed forms may take, else None: a
+    short stack, or one with a largest |entry| outside ``_UNSCALED`` or
+    not finite (NaN fails both comparisons)."""
+    if (mats.dtype != np.float64 or mats.shape[-2:] != (2, 2)
+            or mats.size < 4 * CLOSED_FORM_MIN_STACK):
+        return None
+    a, b, c = mats[..., 0, 0], mats[..., 1, 0], mats[..., 1, 1]
+    abs_a, abs_b, abs_c = np.abs(a), np.abs(b), np.abs(c)
+    big = np.maximum(np.maximum(abs_a, abs_b), abs_c)
+    if not (big.min() >= _UNSCALED[0] and big.max() <= _UNSCALED[1]):
+        return None
+    return a, b, c, abs_a, abs_b, abs_c
+
+
+def _dlae2(a, b, c, a_wider):
+    """LAPACK dlae2 (dlaev2's eigenvalue part) on each lane, step for
+    step: the eigenvalue rt1 of larger modulus, rt2, and the
+    intermediates dlaev2 goes on with.  ``b`` must have no zero lane."""
+    sm = a + c
+    df = a - c
+    adf = np.abs(df)
+    tb = b + b
+    ab = np.abs(tb)
+    acmx = np.where(a_wider, a, c)
+    acmn = np.where(a_wider, c, a)
+    # ADF*SQRT(1+(AB/ADF)**2), AB*SQRT(1+(ADF/AB)**2) or AB*SQRT(2)
+    hi = np.maximum(adf, ab)
+    lo = np.minimum(adf, ab) / hi
+    rt = hi * np.sqrt(1.0 + lo * lo)
+    neg = sm < 0.0
+    minus_rt = -rt
+    rt1 = 0.5 * (sm + np.where(neg, minus_rt, rt))
+    rt2 = np.where(sm == 0.0, -rt1,
+                   (acmx / rt1) * acmn - (b / rt1) * b)
+    return rt1, rt2, df, tb, ab, rt, minus_rt, neg
+
+
+def _negligible(abs_a, abs_b, abs_c):
+    """The lanes where dsterf's and dsteqr's first test splits b off:
+    |b| <= sqrt|a| sqrt|c| eps."""
+    return abs_b <= (np.sqrt(abs_a) * np.sqrt(abs_c)) * _EPS
+
+
+def eigvalsh_lo(mats: np.ndarray) -> np.ndarray:
+    """``np.linalg.eigvalsh`` of a float64 stack, bit for bit, without its
+    wrapper.  Order-2 stacks of at least ``CLOSED_FORM_MIN_STACK``
+    matrices take dsyevd's own path in closed form (dsterf's two split
+    tests, then dlae2(a, sqrt(b*b), c)); every other stack, and any stack
+    that path would rescale, goes to numpy's gufunc.  Call it under
+    :func:`lapack_errstate`."""
+    mats = np.asarray(mats)
+    lower = _order2_lower(mats)
+    if lower is None:
+        return _umath_linalg.eigvalsh_lo(mats)
+    a, b, c, abs_a, abs_b, abs_c = lower
+    bb = b * b
+    split = _negligible(abs_a, abs_b, abs_c) | (bb <= _EPS2 * np.abs(a * c))
+    cut = split.any()
+    if cut:  # any lane with b != 0 keeps 0/0 out of the split lanes
+        bb = np.where(split, 1.0, bb)
+    rt1, rt2 = _dlae2(a, np.sqrt(bb), c, abs_a > abs_c)[:2]
+    if cut:
+        rt1, rt2 = np.where(split, a, rt1), np.where(split, c, rt2)
+    # rt1 and rt2 are never two zeros of opposite signs (a split lane
+    # has a or c nonzero, others |rt1| >= |b|), so min and max sort them
+    # as dlasrt does
+    vals = np.empty(mats.shape[:-1])
+    np.minimum(rt1, rt2, out=vals[..., 0])
+    np.maximum(rt1, rt2, out=vals[..., 1])
+    return vals
+
+
+def eigh_lo(mats: np.ndarray):
+    """``np.linalg.eigh`` of a float64 stack, bit for bit, without its
+    wrapper.  Order-2 stacks of at least ``CLOSED_FORM_MIN_STACK``
+    matrices take dsyevd's own path in closed form (dsteqr's two split
+    tests, dlaev2 and its one plane rotation of the identity, then the
+    selection sort); every other stack, and any stack that path would
+    rescale, goes to numpy's gufunc.  Call it under
+    :func:`lapack_errstate`."""
+    mats = np.asarray(mats)
+    lower = _order2_lower(mats)
+    if lower is None:
+        return _umath_linalg.eigh_lo(mats)
+    a, b, c, abs_a, abs_b, abs_c = lower
+    a_wider = abs_a > abs_c
+    # dsteqr's QL (QR when |c| < |a|) test: |b|^2 <= eps^2 |d_l| |d_l+1|
+    # + safmin, its products taken in that order
+    split = _negligible(abs_a, abs_b, abs_c) | (
+        b * b <= np.where(a_wider, (_EPS2 * abs_c) * abs_a,
+                          (_EPS2 * abs_a) * abs_c) + _SAFMIN
+    )
+    cut = split.any()
+    if cut:  # any lane with b != 0 keeps 0/0 out of the split lanes
+        b = np.where(split, 1.0, b)
+    rt1, rt2, df, tb, ab, rt, minus_rt, neg = _dlae2(a, b, c, a_wider)
+    # dlaev2's eigenvector (cs1, sn1) for rt1
+    df_nonneg = df >= 0.0
+    cs = df + np.where(df_nonneg, rt, minus_rt)
+    tall = np.abs(cs) > ab
+    ratio = np.where(tall, tb / cs, cs / tb)  # -CT or -TN
+    root = 1.0 / np.sqrt(1.0 + ratio * ratio)
+    prod = -(ratio * root)  # CT*SN1 or TN*CS1
+    cs1, sn1 = np.where(tall, prod, root), np.where(tall, root, prod)
+    turn = neg != df_nonneg  # SGN1 == SGN2: (cs1, sn1) <- (-sn1, cs1)
+    cs1, sn1 = np.where(turn, -sn1, cs1), np.where(turn, cs1, sn1)
+    if cut:  # a split lane keeps Z = I
+        cs1, sn1 = np.where(split, 1.0, cs1), np.where(split, 0.0, sn1)
+        rt1, rt2 = np.where(split, a, rt1), np.where(split, c, rt2)
+    # dlasr's rotation of I gives [[cs1, 0 - sn1], [sn1, cs1]], and the
+    # sort swaps its columns where rt2 < rt1 (see eigvalsh_lo on min/max)
+    vals = np.empty(mats.shape[:-1])
+    np.minimum(rt1, rt2, out=vals[..., 0])
+    np.maximum(rt1, rt2, out=vals[..., 1])
+    z = np.empty(mats.shape)
+    z[..., 0, 0] = z[..., 1, 1] = cs1
+    z[..., 1, 0] = sn1
+    np.subtract(0.0, sn1, out=z[..., 0, 1])
+    swap = (rt2 < rt1)[..., None, None]
+    return vals, np.where(swap, z[..., ::-1], z)
 
 
 # --------------------------------------------------------------------------

@@ -699,4 +699,7 @@ class DenseNormalSystem:
         return self._factor.solve(rhs)
 
     def memory_bytes(self) -> int:
-        return int(self.m.nbytes * 2)
+        """Bytes of M and of the factor the last ``update`` left."""
+        fac = self._factor
+        held = () if fac is None else (fac.chol_l, fac.eig_vals, fac.eig_vecs)
+        return self.m.nbytes + sum(a.nbytes for a in held if a is not None)

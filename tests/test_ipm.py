@@ -17,9 +17,10 @@ Oracles used here, all independent of the implementation under test:
 import numpy as np
 import numpy._core.einsumfunc as einsumfunc
 import pytest
+from numpy.linalg import _umath_linalg as umath_linalg
 
-from treesdp import ipm
-from treesdp.chordal import decompose, sparsity_graph
+from treesdp import ipm, linalg
+from treesdp.chordal import Graph, decompose, sparsity_graph
 from treesdp.convert import ConeSpec, build_ctc, dualize, separate_with_aux
 from treesdp.errors import (
     IndefinitePivot,
@@ -30,6 +31,7 @@ from treesdp.errors import (
     NumericalStall,
     SingularNormalMatrix,
 )
+from treesdp.frontends import gen_maxcut, solve_sdp
 from treesdp.ipm import (
     ConeOps,
     DenseHsdeProgram,
@@ -41,6 +43,7 @@ from treesdp.ipm import (
     short_step_solve,
 )
 from treesdp.linalg import (
+    CLOSED_FORM_MIN_STACK,
     _CONGRUENCE,
     _congruence_steps,
     congruence_stack,
@@ -60,6 +63,8 @@ from util import (
     oracle_max_step,
     oracle_psd_stacks,
     random_partially_separable_problem,
+    same_bits,
+    star_arrow_problem,
     with_wide_constraint,
 )
 
@@ -876,6 +881,104 @@ def test_cone_layer_matches_the_per_call_oracle(monkeypatch):
     assert n >= 5
     # the affine direction (mu_target = 0) skips the gradient
     assert calls == {"scaling_point": n, "grad": n, "max_step": 2 * n}
+
+
+def path_maxcut(n):
+    """MAXCUT on the path P_n: under dctc, one stack of n - 1 order-2
+    bags."""
+    return gen_maxcut(Graph(n, [(i, i + 1) for i in range(n - 1)]))
+
+
+class CountingGufuncs:
+    """Stand-in for ``linalg._umath_linalg`` that counts the eigen
+    gufunc calls the closed forms leave to LAPACK."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        self.calls += 1
+        return getattr(umath_linalg, name)
+
+
+def test_cone_layer_matches_the_oracle_above_the_crossover(monkeypatch):
+    # on a chain whose order-2 stack the closed forms take, every scaling
+    # stack, gradient and step length equals, bit for bit, what
+    # np.linalg's decompositions give at every iterate of an adaptive solve
+    program = build_program(path_maxcut(CLOSED_FORM_MIN_STACK + 73))
+    ops = ConeOps(program.cone)
+    assert list(ops.psd_groups) == [2]
+    assert len(ops.psd_groups[2]) >= CLOSED_FORM_MIN_STACK
+    gufuncs = CountingGufuncs()
+    monkeypatch.setattr(linalg, "_umath_linalg", gufuncs)
+    scaling_point, grad = ConeOps.scaling_point, ConeOps.grad
+    max_step = ConeOps.max_step
+    checked = {"scaling_point": 0, "grad": 0, "max_step": 0}
+
+    def checked_scaling_point(self, x, s):
+        w = scaling_point(self, x, s)
+        assert same_bits(w.psd_stacks[2], oracle_psd_stacks(self, x, s)[2])
+        checked["scaling_point"] += 1
+        return w
+
+    def checked_grad(self, w):
+        g = grad(self, w)
+        assert same_bits(g, oracle_grad(self, w.x))
+        checked["grad"] += 1
+        return g
+
+    def checked_max_step(self, w, dx, ds):
+        alpha = max_step(self, w, dx, ds)
+        assert same_bits(alpha, min(
+            oracle_max_step(self, w.x, dx), oracle_max_step(self, w.s, ds)
+        ))
+        checked["max_step"] += 1
+        return alpha
+
+    monkeypatch.setattr(ConeOps, "scaling_point", checked_scaling_point)
+    monkeypatch.setattr(ConeOps, "grad", checked_grad)
+    monkeypatch.setattr(ConeOps, "max_step", checked_max_step)
+    n = adaptive_step_solve(program, eps=1e-8, max_iter=100).iterations
+    assert n >= 5
+    assert checked == {"scaling_point": n, "grad": n, "max_step": 2 * n}
+    assert gufuncs.calls == 0  # every decomposition took the closed forms
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [path_maxcut(CLOSED_FORM_MIN_STACK + 73),
+     star_arrow_problem(CLOSED_FORM_MIN_STACK + 22)],
+    ids=["chain", "star"],
+)
+def test_solves_are_the_same_without_the_closed_forms(monkeypatch, problem):
+    # the closed forms and the short-axis gathers move no float: y, the
+    # iteration count and L repeat with both switched off
+    gufuncs = CountingGufuncs()
+    monkeypatch.setattr(linalg, "_umath_linalg", gufuncs)
+    shipped = solve_sdp(problem, eps=1e-8)
+    assert gufuncs.calls == 0  # one order-2 stack, above the crossover
+    monkeypatch.setattr(linalg, "CLOSED_FORM_MIN_STACK", np.inf)
+    monkeypatch.setattr(linalg, "SHORT_GATHER_MAX_ORDER", 0)
+    plain = solve_sdp(problem, eps=1e-8)
+    assert gufuncs.calls == 7 * plain.iterations
+    assert same_bits(shipped.y, plain.y)
+    assert shipped.iterations == plain.iterations
+    assert same_bits(shipped.metrics.L, plain.metrics.L)
+
+
+def test_closed_forms_keep_the_chaotic_trajectory(monkeypatch):
+    # test_dense_program_matches_tree_program's problem sits on a chaotic
+    # trajectory: a naive 2 x 2 closed form (half-trace +- radius) took
+    # its tree solve from 14 to 21 iterations.  Forced onto its 3-matrix
+    # order-2 stack, the LAPACK formulas repeat the gufuncs' solve exactly.
+    rng = np.random.default_rng(51)
+    problem = random_partially_separable_problem(rng, 7, 4, ineq_prob=0.4)[0]
+    want = adaptive_step_solve(build_program(problem), eps=1e-9, max_iter=100)
+    monkeypatch.setattr(linalg, "CLOSED_FORM_MIN_STACK", 1)
+    got = adaptive_step_solve(build_program(problem), eps=1e-9, max_iter=100)
+    assert got.iterations == want.iterations == 14
+    for name in ("x", "y", "s"):
+        assert same_bits(getattr(got.state, name), getattr(want.state, name))
 
 
 def count_decompositions(monkeypatch):

@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesdp.errors import DimensionMismatch, NonTriangularLength, NotFinite
 from treesdp.linalg import (
+    CLOSED_FORM_MIN_STACK,
+    SHORT_GATHER_MAX_ORDER,
     CholeskyOrEig,
+    _order2_lower,
     bmm_einsum,
     cholesky_lo,
     dense_factor,
@@ -23,6 +28,7 @@ from util import (
     oracle_smat_stack,
     oracle_sym_kron_stack,
     reconstruct_factor,
+    same_bits,
     sym_kron_matrix,
 )
 
@@ -127,8 +133,23 @@ def test_smat_stack_is_bitwise_the_scatter_formula():
             vecs = rng.standard_normal(shape)
             got = smat_stack(vecs)
             assert got.shape == shape[:-1] + (order, order)
-            assert np.array_equal(got, oracle_smat_stack(vecs))
-        assert np.array_equal(smat(vecs[0, 0]), oracle_smat_stack(vecs[0, 0]))
+            assert same_bits(got, oracle_smat_stack(vecs))
+        assert same_bits(smat(vecs[0, 0]), oracle_smat_stack(vecs[0, 0]))
+
+
+def test_svec_stack_is_bitwise_svec_on_each_matrix():
+    # orders up to SHORT_GATHER_MAX_ORDER gather by indexing, the rest by
+    # np.take; strided stacks as hess_inv_apply passes them
+    rng = np.random.default_rng(83)
+    assert 1 < SHORT_GATHER_MAX_ORDER < 18
+    for order in range(1, 19):
+        for shape in ((0,), (1,), (40,), (3, 5)):
+            mats = rng.standard_normal((order, order) + shape)
+            mats = np.moveaxis(mats + np.swapaxes(mats, 0, 1), (0, 1), (-2, -1))
+            got = svec_stack(mats)
+            flat = mats.reshape(-1, order, order)
+            want = np.stack([svec(m) for m in flat]) if flat.size else got
+            assert same_bits(got, want.reshape(shape + want.shape[-1:]))
 
 
 # ------------------------------------------------------- symmetric Kronecker
@@ -188,15 +209,15 @@ def test_private_numpy_kernels_match_their_public_counterparts():
         block = flat[9:58].reshape(7, 7)  # a block view written in place
         block[...] = spd[2]
         cholesky_lo(block, out=block)
-    assert np.array_equal(chol, np.linalg.cholesky(spd))
+    assert same_bits(chol, np.linalg.cholesky(spd))
     want_vals, want_vecs = np.linalg.eigh(sym)
-    assert np.array_equal(vals, want_vals)
-    assert np.array_equal(vecs, want_vecs)
-    assert np.array_equal(only, np.linalg.eigvalsh(sym))
-    assert np.array_equal(block, np.linalg.cholesky(spd[2]))
+    assert same_bits(vals, want_vals)
+    assert same_bits(vecs, want_vecs)
+    assert same_bits(only, np.linalg.eigvalsh(sym))
+    assert same_bits(block, np.linalg.cholesky(spd[2]))
     m = rng.standard_normal((5, 3, 7, 7))
     for eq, x, y in (("gij,gkjl->gkil", sym, m), ("gkil,glm->gkim", m, sym)):
-        assert np.array_equal(
+        assert same_bits(
             bmm_einsum(eq, x, y), np.einsum(eq, x, y, optimize=True)
         )
 
@@ -213,6 +234,151 @@ def test_lapack_errstate_raises_what_np_linalg_raises():
             public(arg)
         with pytest.raises(np.linalg.LinAlgError), lapack_errstate():
             call(arg)
+
+
+# -------------------------------------------------- order-2 closed forms
+# Stack sizes on both sides of the closed forms' crossover
+SIZES_2X2 = (1, CLOSED_FORM_MIN_STACK - 1, CLOSED_FORM_MIN_STACK, 599)
+
+
+def lower_2x2(a, b, c):
+    """The order-2 stack [[a, b], [b, c]] of three equal-length arrays."""
+    a, b, c = np.broadcast_arrays(*(np.asarray(x, float) for x in (a, b, c)))
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+def outcome(fn, mats):
+    """What ``fn(mats)`` gives: its arrays, or the type of what it raised."""
+    try:
+        with lapack_errstate():
+            got = fn(mats)
+    except np.linalg.LinAlgError as err:
+        return type(err)
+    return got if isinstance(got, tuple) else (got,)
+
+
+def assert_like_numpy(mats):
+    """eigh_lo and eigvalsh_lo give np.linalg's bits, or raise as it does."""
+    for ours, public in ((eigh_lo, np.linalg.eigh),
+                         (eigvalsh_lo, np.linalg.eigvalsh)):
+        got, want = outcome(ours, mats), outcome(public, mats)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert len(got) == len(want)
+            assert all(same_bits(g, w) for g, w in zip(got, want))
+
+
+def tiled(mats, size):
+    """A stack of ``size`` matrices: ``mats`` repeated cyclically."""
+    return np.resize(mats, (size,) + mats.shape[1:])
+
+
+def fixed_2x2_stacks():
+    rng = np.random.default_rng(61)
+    n = 599
+    stacks = {}
+    for scale in (1.0, 1e8, 1e-8, 1e100, 1e-100):
+        g = rng.standard_normal((n, 2, 2))
+        stacks[f"sym {scale:g}"] = 0.5 * (g + g.transpose(0, 2, 1)) * scale
+        stacks[f"pd {scale:g}"] = (g @ g.transpose(0, 2, 1) + np.eye(2)) * scale
+    d = rng.standard_normal((2, n))
+    stacks["identity"] = np.tile(np.eye(2), (n, 1, 1))
+    stacks["zero"] = np.zeros((n, 2, 2))
+    stacks["diagonal"] = lower_2x2(d[0], 0.0, d[1])
+    stacks["diagonal signed zeros"] = lower_2x2(
+        d[0], -0.0, np.where(d[1] > 0, 0.0, -0.0)
+    )
+    zeros = np.where(rng.random((2, n)) < 0.5, 0.0, -0.0)
+    stacks["zero diagonal, signs mixed"] = lower_2x2(zeros[0], d[0], zeros[1])
+    stacks["a = c"] = lower_2x2(d[0], d[1], d[0])
+    stacks["a = -c"] = lower_2x2(d[0], d[1], -d[0])
+    for rel in (1e-20, 3e-17, 1e-16, 1e-17):  # around the split test
+        stacks[f"b = {rel:g} a"] = lower_2x2(
+            d[0], rel * d[0], d[0] * (1 + d[1] * 1e-15)
+        )
+        stacks[f"b = {rel:g} c"] = lower_2x2(d[0], rel * np.abs(d[1]), d[1])
+    # LAPACK's second split tests: b^2 that underflows beside c = 0, and
+    # b^2 near eps^2 |a c| + safmin with eps^2 |c| subnormal
+    sign = np.sign(d[1])
+    stacks["b^2 underflows"] = lower_2x2(
+        d[0], sign * 2.0 ** rng.uniform(-1074, -540, n), 0.0 * sign
+    )
+    a = d[0] * 2.0 ** rng.uniform(0, 60, n)
+    c = sign * 2.0 ** rng.uniform(-1060, -917, n)
+    b = np.sqrt(2.0 ** -106 * np.abs(a * c) + 2.0 ** -1022)
+    stacks["b^2 near safmin"] = lower_2x2(a, b * rng.uniform(0.97, 1.03, n), c)
+    ints = rng.integers(-2, 3, (3, n)).astype(float)
+    ints[0, np.abs(ints).max(axis=0) == 0] = 1.0
+    stacks["small integers with ties"] = lower_2x2(*ints)
+    return stacks
+
+
+@pytest.mark.parametrize("size", SIZES_2X2)
+@pytest.mark.parametrize("name", sorted(fixed_2x2_stacks()))
+def test_order_2_kernels_are_numpys_bits(name, size):
+    mats = tiled(fixed_2x2_stacks()[name], size)
+    # every stack but the zero one is in the closed forms' range
+    takes_closed_form = size >= CLOSED_FORM_MIN_STACK and name != "zero"
+    assert (_order2_lower(mats) is not None) == takes_closed_form
+    assert_like_numpy(mats)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2.0 ** 486, 2.0 ** -406])
+def test_order_2_kernels_fall_back_on_one_bad_matrix(bad):
+    # one non-finite or rescaled matrix sends the whole stack to LAPACK
+    rng = np.random.default_rng(67)
+    d = rng.standard_normal((3, 599))
+    mats = lower_2x2(*d)
+    assert _order2_lower(mats) is not None
+    mats[300] = [[bad, 0.5 * bad], [0.5 * bad, -bad]]
+    assert _order2_lower(mats) is None
+    assert_like_numpy(mats)
+
+
+def test_order_2_kernels_at_the_edges_of_the_unscaled_range():
+    # 2^-405 and 2^485 are the largest |entry| no routine rescales
+    rng = np.random.default_rng(71)
+    d = rng.uniform(-1.0, 1.0, (3, 599))
+    for edge in (2.0 ** -405, 2.0 ** 485):
+        for which in range(3):
+            entries = [edge * x for x in d]
+            entries[which] = np.full(599, edge)
+            mats = lower_2x2(*entries)
+            assert _order2_lower(mats) is not None
+            assert_like_numpy(mats)
+
+
+def test_order_2_kernels_read_only_the_lower_triangle():
+    rng = np.random.default_rng(73)
+    mats = lower_2x2(*rng.standard_normal((3, 599)))
+    mats[:, 0, 1] = np.nan  # as the gufuncs, never read
+    assert _order2_lower(mats) is not None
+    assert_like_numpy(mats)
+
+
+def test_order_2_kernels_keep_the_stack_shape():
+    rng = np.random.default_rng(79)
+    mats = lower_2x2(*rng.standard_normal((3, 4, CLOSED_FORM_MIN_STACK)))
+    assert _order2_lower(mats) is not None
+    assert_like_numpy(mats)
+
+
+_2x2_entry = st.floats(width=64)
+_2x2_scaled = st.builds(
+    lambda m, e: m * 2.0 ** e,
+    st.floats(-2.0, 2.0), st.integers(-420, 490),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(*(st.one_of(_2x2_entry, _2x2_scaled),) * 3),
+             min_size=1, max_size=6),
+    st.sampled_from(SIZES_2X2),
+)
+def test_order_2_kernels_are_numpys_bits_on_any_entries(entries, size):
+    assert_like_numpy(tiled(lower_2x2(*np.array(entries).T), size))
 
 
 # ------------------------------------------------------------ sorted unique

@@ -625,6 +625,20 @@ def test_dense_normal_system_matches_direct_solve():
     assert np.allclose(x, np.linalg.solve(n_full, rhs), atol=1e-10)
 
 
+def test_dense_normal_system_counts_m_and_its_factor_once():
+    rng = np.random.default_rng(59)
+    dim_y, dim_x = 5, 9
+    m = rng.standard_normal((dim_y, dim_x))
+    sys_ = DenseNormalSystem(m)
+    assert sys_.memory_bytes() == m.nbytes  # no factor before update
+    sys_.update(lambda cols: cols)  # N = M M^T is positive definite
+    assert sys_._factor.kind == "chol"
+    assert sys_.memory_bytes() == m.nbytes + dim_y * dim_y * 8
+    sys_.update(lambda cols: 0.0 * cols)  # N = 0 takes the eigen fallback
+    assert sys_._factor.kind == "eig"
+    assert sys_.memory_bytes() == m.nbytes + (dim_y + dim_y * dim_y) * 8
+
+
 # ---------------------------------------------------------------------------
 # non-finite input and the block-by-block reference engine
 # ---------------------------------------------------------------------------

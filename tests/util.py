@@ -288,6 +288,14 @@ def sym_kron_matrix(a, b):
     return 0.25 * np.outer(s, s) * term
 
 
+def same_bits(a, b) -> bool:
+    """Whether two arrays are the same floats bit for bit: equal shape,
+    dtype and ``tobytes()``, so -0.0 differs from 0.0 (``np.array_equal``
+    lets them match) and a NaN matches the same NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def oracle_smat_stack(vecs):
     """Stacked ``smat`` by dividing the packed entries by their scales and
     scattering them into both triangles of a zero stack.  The oracle of
