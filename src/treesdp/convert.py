@@ -18,7 +18,7 @@ are those of its stored entries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -457,6 +457,13 @@ class DualizedProblem:
     g_csr: sp.csr_matrix
     nonaux: np.ndarray
     cone_x: ConeSpec
+    gt_csr: sp.csr_matrix = field(init=False, repr=False)
+
+    def __post_init__(self):
+        # G^T in CSR, built once; each row lists its entries by increasing
+        # row of G, the order the CSC product with g_csr.T sums them in, so
+        # products with it give the same floats
+        self.gt_csr = self.g_csr.T.tocsr()
 
     @property
     def f(self) -> int:
@@ -488,7 +495,7 @@ class DualizedProblem:
         vector or a batch of rows."""
         x1 = x[..., 1:1 + self.f]
         x2 = x[..., 1 + self.f:]
-        out = -(self.g_csr.T @ x1.T).T
+        out = -(self.gt_csr @ x1.T).T
         out[..., self.nonaux] += x2
         return out
 

@@ -4,12 +4,23 @@ and the end-to-end solve driver.
 Generators build standard-form minimization problems; for the cut
 relaxations and the theta problem the quantity of interest is the
 *negated* optimal value (the solver minimizes).
+
+``read_sdpa`` reads the four header lines one at a time with ``int()``
+and ``float()``.  It parses every entry line in one call of numpy's C
+text reader, then range-checks the entries and rebuilds the senses by
+array passes.  A faulty file raises the error of its first faulty line,
+with that line's number, as a line-by-line read would.  Entry-line tokens
+take numpy's grammar: the first four fields are decimal integers that fit
+in int64, the fifth is anything ``float()`` reads (``inf``, ``nan``,
+``1e500``, ``1.``).  Unlike ``int()`` and ``float()``, it rejects
+digit-group underscores (``1_0``) and non-ASCII digits.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -140,20 +151,150 @@ def gen_lovasz_theta(graph: Graph) -> SdpProblem:
 # SDPA sparse format (subset: one PSD block, optional trailing LP block)
 # ---------------------------------------------------------------------------
 
+# one entry line: matno blkno i j value
+ENTRY = np.dtype([
+    ("matno", np.int64),
+    ("blkno", np.int64),
+    ("i", np.int64),
+    ("j", np.int64),
+    ("value", np.float64),
+])
 
-def _content_lines(text: str):
-    """(lineno, line) pairs with blanks and comment lines removed."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line[0] in '"*':
-            continue
-        yield lineno, line
+
+def _content_lines(lines: list) -> list:
+    """The lines, stripped, without blanks and comment lines (those that
+    start with " or *)."""
+    return [s for s in map(str.strip, lines) if s and s[0] not in '"*']
+
+
+def _numbered_content_lines(lines: list, start: int = 1):
+    """(lineno, line) of each content line of ``lines``, numbered from
+    ``start``."""
+    for lineno, raw in enumerate(lines, start):
+        for line in _content_lines([raw]):
+            yield lineno, line
 
 
 def _vector_tokens(line: str) -> list:
     return line.replace(",", " ").replace("{", " ").replace("}", " ").replace(
         "(", " "
     ).replace(")", " ").split()
+
+
+def _parse_entries(lines: list) -> np.ndarray:
+    """The entry lines as one ENTRY array, read by numpy's C text reader.
+    ValueError if a line does not hold five whitespace-separated fields,
+    or a field is not an int64 (the first four) or a float (the fifth)."""
+    if not lines:
+        return np.zeros(0, dtype=ENTRY)
+    return np.loadtxt(lines, dtype=ENTRY, comments=None, ndmin=1)
+
+
+def _first_unreadable(lines: list) -> int:
+    """Index of the first line ``_parse_entries`` rejects, found by
+    bisection: a prefix fails exactly when it holds a rejected line."""
+    good, bad = 0, len(lines)  # lines[:good] reads, lines[:bad] does not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            _parse_entries(lines[:mid])
+            good = mid
+        except ValueError:
+            bad = mid
+    return good
+
+
+def _first_entry_fault(rows, m, nblocks, n, lp_size):
+    """(row, message) of the first entry that fails a range check, taking
+    the checks of a row in the order matrix number, block number, index
+    range, off-diagonal entry in the diagonal block; None if none does."""
+    matno, blkno, i, j = (rows[f] for f in ENTRY.names[:4])
+    low, high = np.minimum(i, j), np.maximum(i, j)
+    faults = (
+        (matno < 0) | (matno > m),
+        (blkno < 1) | (blkno > nblocks),
+        (low < 1) | np.where(blkno == 1, high > n, high > lp_size),
+        (blkno != 1) & (i != j),
+    )
+    bad = np.logical_or.reduce(faults)
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    k, blk, ii, jj = (int(a[r]) for a in (matno, blkno, i, j))
+    messages = (
+        f"matrix number {k} outside [0, {m}]",
+        f"block number {blk} outside [1, {nblocks}]",
+        f"entry ({ii}, {jj}) outside block of size "
+        f"{n if blk == 1 else lp_size}",
+        "off-diagonal entry in a diagonal block",
+    )
+    return r, next(msg for msg, f in zip(messages, faults) if f[r])
+
+
+def _read_entries(body: list, start: int, m, nblocks, n, lp_size):
+    """The entry lines among ``body``, the raw lines from line ``start``
+    on, parsed and range-checked.  A ParseError names the first faulty
+    line and its first fault, as a line-by-line read would."""
+    texts = _content_lines(body)
+    try:
+        rows = _parse_entries(texts)
+        stop = None
+    except ValueError:
+        stop = _first_unreadable(texts)
+        rows = _parse_entries(texts[:stop])
+    fault = _first_entry_fault(rows, m, nblocks, n, lp_size)
+    if fault is None and stop is None:
+        return rows
+    linenos = [lineno for lineno, _ in _numbered_content_lines(body, start)]
+    if fault is not None:
+        r, message = fault
+        raise ParseError(f"line {linenos[r]}: {message}")
+    count = len(texts[stop].split())
+    if count != 5:
+        raise ParseError(
+            f"line {linenos[stop]}: expected 'matno blkno i j value', "
+            f"got {count} fields"
+        )
+    raise ParseError(f"line {linenos[stop]}: non-numeric entry fields")
+
+
+def _senses(k, pos, val, m) -> list:
+    """The senses encoded by the diagonal-block entries (matrix k,
+    coordinate pos, value val): a coordinate used by exactly one
+    constraint marks it >= (negative coefficient) or <= (positive); its
+    duplicate entries are summed in file order."""
+    if (k == 0).any():
+        raise UnsupportedBlockStructure(
+            "the objective touches the diagonal block; senses cannot "
+            "be reconstructed"
+        )
+    # distinct (constraint, coordinate) pairs, by constraint then coordinate
+    order = np.lexsort((pos, k))
+    k, pos, val = k[order], pos[order], val[order]
+    new = np.ones(k.size, dtype=bool)
+    new[1:] = (k[1:] != k[:-1]) | (pos[1:] != pos[:-1])
+    pk, ppos = k[new], pos[new]
+    several = np.flatnonzero(pk[1:] == pk[:-1])
+    if several.size:
+        raise UnsupportedBlockStructure(
+            f"constraint {pk[several[0]]} touches several diagonal "
+            "coordinates"
+        )
+    # each constraint has one coordinate; name the shared coordinate whose
+    # first constraint comes first
+    shared = np.bincount(ppos)[ppos] > 1
+    if shared.any():
+        p = ppos[np.argmax(shared)]
+        raise UnsupportedBlockStructure(
+            f"diagonal coordinate {p + 1} is shared by "
+            f"constraints {pk[ppos == p].tolist()}"
+        )
+    # lexsort is stable: each constraint's entries are still in file order
+    coef = np.bincount(k, weights=val)[pk]
+    senses = np.full(m, "eq")
+    senses[pk[coef != 0.0] - 1] = "le"  # a NaN sum marks <= as well
+    senses[pk[coef < 0.0] - 1] = "ge"
+    return senses.tolist()
 
 
 def read_sdpa(source) -> SdpProblem:
@@ -166,7 +307,8 @@ def read_sdpa(source) -> SdpProblem:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    lines = list(_content_lines(text))
+    raw = text.splitlines()
+    lines = list(islice(_numbered_content_lines(raw), 4))  # the header
     if len(lines) < 4:
         raise ParseError(
             f"line {lines[-1][0] if lines else 1}: "
@@ -219,75 +361,16 @@ def read_sdpa(source) -> SdpProblem:
     except ValueError:
         raise ParseError(f"line {lineno}: non-numeric right-hand side")
 
-    psd = ([], [], [], [])  # matno, i, j, value of each PSD-block entry
-    lp_entries: dict = {}  # (matno, diagonal coordinate) -> value
-    for lineno, line in lines[4:]:
-        toks = line.split()
-        if len(toks) != 5:
-            raise ParseError(
-                f"line {lineno}: expected 'matno blkno i j value', "
-                f"got {len(toks)} fields"
-            )
-        try:
-            matno, blkno, i, j = (int(t) for t in toks[:4])
-            value = float(toks[4])
-        except ValueError:
-            raise ParseError(f"line {lineno}: non-numeric entry fields")
-        if not (0 <= matno <= m):
-            raise ParseError(
-                f"line {lineno}: matrix number {matno} outside [0, {m}]"
-            )
-        if not (1 <= blkno <= nblocks):
-            raise ParseError(
-                f"line {lineno}: block number {blkno} outside [1, {nblocks}]"
-            )
-        size = n if blkno == 1 else lp_size
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise ParseError(
-                f"line {lineno}: entry ({i}, {j}) outside block of size "
-                f"{size}"
-            )
-        if blkno == 1:
-            for column, x in zip(psd, (matno, i - 1, j - 1, value)):
-                column.append(x)
-        else:
-            if i != j:
-                raise ParseError(
-                    f"line {lineno}: off-diagonal entry in a diagonal block"
-                )
-            key = (matno, i - 1)
-            lp_entries[key] = lp_entries.get(key, 0.0) + value
-
-    senses = ["eq"] * m
-    coords: dict = {}  # constraint -> the diagonal coordinates it touches
-    for (k, pos), val in lp_entries.items():
-        if k == 0:
-            raise UnsupportedBlockStructure(
-                "the objective touches the diagonal block; senses cannot "
-                "be reconstructed"
-            )
-        coords.setdefault(k, []).append((pos, val))
-    users: dict = {}  # diagonal coordinate -> the constraints touching it
-    for k in sorted(coords):
-        if len(coords[k]) > 1:
-            raise UnsupportedBlockStructure(
-                f"constraint {k} touches several diagonal coordinates"
-            )
-        pos, val = coords[k][0]
-        users.setdefault(pos, []).append((k, val))
-    for pos, touching in users.items():
-        if len(touching) != 1:
-            raise UnsupportedBlockStructure(
-                f"diagonal coordinate {pos + 1} is shared by "
-                f"constraints {sorted(k for k, _ in touching)}"
-            )
-        k, val = touching[0]
-        if val != 0.0:
-            senses[k - 1] = "ge" if val < 0 else "le"
-
+    start = lines[3][0]  # the entry lines follow the header
+    rows = _read_entries(raw[start:], start + 1, m, nblocks, n, lp_size)
+    lp = rows["blkno"] == 2
+    diag = rows[lp]
+    senses = _senses(diag["matno"], diag["i"] - 1, diag["value"], m)
+    psd = rows[~lp]
     # file matrix 0 is the cost, stored under id m after A_1..A_m
-    ids = (np.array(psd[0], dtype=np.int64) - 1) % (m + 1)
-    return SdpProblem(n, (ids, *psd[1:]), b, senses)
+    ids = (psd["matno"] - 1) % (m + 1)
+    triplets = (ids, psd["i"] - 1, psd["j"] - 1, psd["value"])
+    return SdpProblem(n, triplets, b, senses)
 
 
 def write_sdpa(sdp: SdpProblem, destination) -> None:
@@ -295,7 +378,9 @@ def write_sdpa(sdp: SdpProblem, destination) -> None:
     n_ineq = sdp.n_ineq
     lines = [f"{sdp.m}", "2" if n_ineq else "1"]
     lines.append(f"{sdp.n} -{n_ineq}" if n_ineq else f"{sdp.n}")
-    lines.append(" ".join(f"{v:.17g}" for v in sdp.b))
+    # with no constraints the vector is written {}: the reader skips a
+    # blank line, and would take the first entry line for b
+    lines.append(" ".join(f"{v:.17g}" for v in sdp.b) or "{}")
 
     ids, rows, cols, vals = sdp.triplets
     # stored lower triangle (r >= c); the format wants i <= j

@@ -387,7 +387,7 @@ class DualizedHsdeProgram:
         # the cone lists each block's matrix and slack segments in block
         # order, so the scaling stacks are already in the engine's format
         sc = w.soc[0]
-        q_z = self.dualized.g_csr.T.dot(np.sqrt(2.0) * sc.w[1:])
+        q_z = self.dualized.gt_csr @ (np.sqrt(2.0) * sc.w[1:])
         self.normal.update(sc.g2, q_z, w.psd_stacks, w.nn_w ** 2)
 
     def normal_solve(self, rhs: np.ndarray) -> np.ndarray:

@@ -6,10 +6,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesdp.chordal import Graph, decompose, sparsity_graph
 from treesdp.convert import (
     ConeSpec,
+    DualizedProblem,
     build_ctc,
     dualize,
     separate_with_aux,
@@ -32,6 +36,7 @@ from util import (
     random_partially_separable_problem,
     random_rooted_tree,
     row_assemble,
+    same_bits,
     separator,
     stack_triplets,
     star_arrow_problem,
@@ -522,6 +527,36 @@ def test_dualize_shapes_and_adjoint():
     ys = rng.standard_normal((3, dp.dim_y))
     assert np.allclose(dp.apply_m(xs)[1], dp.apply_m(xs[1]), atol=1e-12)
     assert np.allclose(dp.apply_mt(ys)[2], dp.apply_mt(ys[2]), atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.floats(0.2, 1.0),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_stored_g_transpose_gives_the_same_bits(f, d, density, seed):
+    # G with several entries per column, both signs, scales 1e-8..1e8
+    # and explicit zeros; apply_m and the q of normal_update multiply by
+    # the stored CSR G^T in place of the CSC view g_csr.T
+    rng = np.random.default_rng(seed)
+    mask = rng.random((f, d)) < density
+    vals = rng.standard_normal((f, d)) * 10.0 ** rng.integers(-8, 9, (f, d))
+    vals[rng.random((f, d)) < 0.2] = 0.0
+    indptr = np.concatenate([[0], np.cumsum(mask.sum(axis=1))])
+    g = sp.csr_matrix(
+        (vals[mask], np.nonzero(mask)[1], indptr), shape=(f, d)
+    )
+    assert g.nnz == mask.sum()  # the zeros stay stored
+    dp = DualizedProblem(
+        ctc=None, g_csr=g, nonaux=np.zeros(0, dtype=np.int64), cone_x=None
+    )
+    x = rng.standard_normal((3, 1 + f))
+    for rows in (x[0], x[:1], x):
+        x1 = rows[..., 1:]
+        assert same_bits(dp.apply_m(rows), -(g.T @ x1.T).T)
+    for scale in (1.0, 1e-8, 1e8):
+        q = np.sqrt(2.0) * scale * x[0, 1:]
+        assert same_bits(dp.gt_csr @ q, g.T.dot(q))
 
 
 def test_dualize_aux_skips_free_coordinates():

@@ -1,15 +1,20 @@
 """Tests for generators, SDPA I/O, the dense reference oracle, and the
 solve driver."""
 
+import importlib.util
 import io
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesdp.chordal import Graph, decompose, parse_graph, sparsity_graph
 from treesdp.errors import (
     DimensionMismatch,
     ParseError,
+    TreeSdpError,
     UnsupportedBlockStructure,
 )
 from treesdp.frontends import (
@@ -22,6 +27,7 @@ from treesdp.frontends import (
     solve_sdp,
     write_sdpa,
 )
+from treesdp.model import SdpProblem
 from util import (
     SparseSymmetric,
     dense_dimacs_metrics,
@@ -29,6 +35,9 @@ from util import (
     is_partially_separable,
     make_problem,
     path_rayleigh_problem,
+    reference_read_sdpa,
+    same_bits,
+    same_problem,
     to_dense,
 )
 
@@ -218,6 +227,299 @@ def test_sdpa_rejects_unsupported_block_structure():
     offdiag_lp = "1\n2\n1 -2\n1.0\n1 2 1 2 1.0\n"
     with pytest.raises(ParseError):
         read_sdpa(io.StringIO(offdiag_lp))
+
+
+def test_sdpa_round_trip_without_constraints():
+    # m = 0: the right-hand-side line must survive as a content line
+    cost = SparseSymmetric(order=2, rows=[0, 1, 1], cols=[0, 0, 1],
+                           vals=[1.0, -0.5, 2.0])
+    sdp = make_problem(cost, [], np.zeros(0))
+    text = io.StringIO()
+    write_sdpa(sdp, text)
+    assert same_problem(read_sdpa(io.StringIO(text.getvalue())), sdp)
+
+
+# ---------------------------------------------------------------------------
+# the array reader against the per-line reference
+# ---------------------------------------------------------------------------
+
+
+def read_outcome(reader, text):
+    """The problem ``reader`` makes of ``text``, or the type and message
+    of the error it raises."""
+    try:
+        return reader(io.StringIO(text))
+    except TreeSdpError as exc:
+        return type(exc), str(exc)
+
+
+def assert_reads_as_the_reference(text):
+    got = read_outcome(read_sdpa, text)
+    want = read_outcome(reference_read_sdpa, text)
+    if isinstance(want, SdpProblem):
+        assert isinstance(got, SdpProblem), got
+        assert same_problem(got, want)
+    else:
+        assert got == want
+
+
+_FILLER = ('" a comment', "* a star comment", '"1 1 1 1 1.0', "", "   ", "\t")
+_SEP = st.sampled_from((" ", "  ", "\t", " \t "))
+_VALUE = st.one_of(
+    st.floats(width=64).map(repr),
+    st.floats(width=64).map(lambda v: f"{v:.17g}"),
+    st.floats(width=64).map(lambda v: f"{v:E}"),
+    st.sampled_from((
+        "inf", "-inf", "+inf", "Infinity", "nan", "-nan", "NaN", "1e500",
+        "-1e500", "1e-400", "1.", ".5", "+2", "-0", "-0.0", "0", "3e+2",
+        "7E-3",
+    )),
+)
+
+
+def _int_token(draw, value):
+    if value < 0:
+        return str(value)
+    return draw(st.sampled_from(("{}", "+{}", "0{}", "00{}"))).format(value)
+
+
+def _vector_line(draw, tokens):
+    sep = draw(st.sampled_from((" ", ", ", ",", "\t")))
+    left, right = draw(st.sampled_from((("", ""), ("{", "}"), ("(", ")"))))
+    return left + sep.join(tokens) + right
+
+
+@st.composite
+def sdpa_texts(draw):
+    """SDPA texts of the supported subset in varied layouts, some with
+    faulty entry lines: wrong field counts, tokens neither reader takes,
+    numbers out of range, and diagonal-block entries that encode no
+    sense."""
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(0, 4))
+    ineq = [k for k in range(1, m + 1) if draw(st.booleans())]
+    lp_size = len(ineq) + draw(st.integers(0, 1))
+    nblocks = 2 if lp_size else 1
+    sizes = [str(n)] + ([f"-{lp_size}"] if lp_size else [])
+    b = [draw(_VALUE) for _ in range(m)]
+    head = [
+        _int_token(draw, m),
+        _int_token(draw, nblocks),
+        _vector_line(draw, sizes),
+        _vector_line(draw, b) if m else draw(st.sampled_from(("{}", "()"))),
+    ]
+    fields = []  # (matno, blkno, i, j, value token)
+    for _ in range(draw(st.integers(0, 10))):
+        k = draw(st.integers(0, m))
+        i, j = draw(st.integers(1, n)), draw(st.integers(1, n))
+        fields.append((k, 1, i, j, draw(_VALUE)))
+    # summed duplicates: zeros, sums whose sign depends on the order, NaN
+    for slot, k in enumerate(ineq, 1):
+        for coef in draw(st.lists(
+            st.sampled_from((
+                "-1.0", "1", "0.0", "-0.5", "2e0", "0.1", "0.2", "-0.3",
+                "nan", "inf", "-inf",
+            )),
+            min_size=1, max_size=3,
+        )):
+            fields.append((k, 2, slot, slot, coef))
+    faulty = [
+        f"{m + 1} 1 1 1 1.0", "-1 1 1 1 1.0", f"1 {nblocks + 1} 1 1 1.0",
+        "1 0 1 1 1.0", f"0 1 {n + 1} 1 1.0", "0 1 1 0 1.0",
+        f"1 2 {lp_size + 1} {lp_size + 1} 1.0", "1 2 1 2 1.0",
+        "0 2 1 1 -1.0", f"{m} 2 {lp_size} {lp_size} -1.0",
+        "1 1 1 1", "1 1 1 1 1.0 2.0", "x 1 1 1 1.0", "1.0 1 1 1 1.0",
+        "1 1 1 1 1e5x", "1 1 1 1 0x10", "1 1 1 1 1D3", "--1 1 1 1 1",
+    ]
+    sep = draw(_SEP)
+    lines = [
+        sep.join([_int_token(draw, x) for x in f[:4]] + [f[4]])
+        for f in fields
+    ]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(faulty)))
+    lines = draw(st.permutations(lines)) if draw(st.booleans()) else lines
+    out = []
+    for line in head + lines:
+        out += draw(st.lists(st.sampled_from(_FILLER), max_size=2))
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        out.append(pad + line + draw(st.sampled_from(("", " ", "\t"))))
+    out += draw(st.lists(st.sampled_from(_FILLER), max_size=2))
+    eol = draw(st.sampled_from(("\n", "\r\n", "\r")))
+    return eol.join(out) + draw(st.sampled_from(("", eol)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(sdpa_texts())
+def test_read_sdpa_matches_the_reference(text):
+    assert_reads_as_the_reference(text)
+
+
+# one file per error branch of the per-line reader; the entry and sense
+# files share the header of an order-2 block and a diagonal block of 2
+_HEAD = "2\n2\n2 -2\n1.0 1.0\n"
+MALFORMED = {
+    "empty": "",
+    "comments-only": '" a\n* b\n',
+    "no-rhs": "1\n1\n1\n",
+    "two-counts": "1 2\n1\n1\n1.0\n",
+    "text-count": "x\n1\n1\n1.0\n",
+    "two-block-counts": "1\n1 1\n1\n1.0\n",
+    "text-block-count": "1\nx\n1\n1.0\n",
+    "negative-m": "-1\n1\n1\n1.0\n",
+    "zero-blocks": "1\n0\n1\n1.0\n",
+    "size-count": "1\n2\n1\n1.0\n",
+    "text-size": "1\n1\nx\n1.0\n",
+    "zero-size": "1\n1\n0\n1.0\n",
+    "three-blocks": "1\n3\n1 1 1\n1.0\n",
+    "diagonal-first": "1\n1\n-2\n1.0\n",
+    "two-psd": "1\n2\n2 2\n1.0\n",
+    "rhs-count": "2\n1\n1\n1.0\n",
+    "text-rhs": "1\n1\n1\nxx\n",
+    "four-fields": _HEAD + "1 1 1 1\n",
+    "six-fields": _HEAD + "1 1 1 1 1.0 2.0\n",
+    "text-field": _HEAD + "1 1 1 1 x\n",
+    "float-matno": _HEAD + "1.0 1 1 1 1.0\n",
+    "matno-high": _HEAD + "3 1 1 1 1.0\n",
+    "matno-negative": _HEAD + "-1 1 1 1 1.0\n",
+    "blkno-high": _HEAD + "1 3 1 1 1.0\n",
+    "blkno-zero": _HEAD + "1 0 1 1 1.0\n",
+    "psd-index-high": _HEAD + "1 1 1 3 1.0\n",
+    "psd-index-zero": _HEAD + "1 1 0 1 1.0\n",
+    "diagonal-index-high": _HEAD + "1 2 3 3 1.0\n",
+    "off-diagonal": _HEAD + "1 2 1 2 1.0\n",
+    "objective-sense": _HEAD + "0 2 1 1 -1.0\n",
+    "several-coordinates": _HEAD + "1 2 1 1 -1.0\n1 2 2 2 -1.0\n",
+    "shared-coordinate": _HEAD + "2 2 1 1 -1.0\n1 2 1 1 1.0\n",
+    "several-before-shared": _HEAD + "2 2 1 1 1\n1 2 1 1 1\n2 2 2 2 1\n",
+    "first-shared-by-constraint": (
+        "4\n2\n2 -2\n1 1 1 1\n"
+        "3 2 1 1 1\n2 2 1 1 1\n1 2 2 2 1\n4 2 2 2 1\n"
+    ),
+    "entry-before-sense": _HEAD + "0 2 1 1 -1.0\n1 1 1 3 1.0\n",
+}
+
+
+@pytest.mark.parametrize("text", MALFORMED.values(), ids=MALFORMED.keys())
+def test_read_sdpa_faults_match_the_reference(text):
+    assert isinstance(read_outcome(reference_read_sdpa, text), tuple)
+    assert_reads_as_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "coefs, sense",
+    [(("1", "1e16", "-1e16"), "eq"), (("-1e16", "1e16", "1"), "le"),
+     (("-1", "1e16", "-1e16"), "eq"), (("-1e16", "1e16", "-1"), "ge")],
+)
+def test_read_sdpa_sums_diagonal_entries_in_file_order(coefs, sense):
+    # 1 + 1e16 rounds to 1e16, so only the file order gives the reference's
+    # sign
+    text = _HEAD + "".join(f"2 2 2 2 {c}\n" for c in coefs)
+    assert read_sdpa(io.StringIO(text)).senses == ["eq", sense]
+    assert_reads_as_the_reference(text)
+
+
+# one faulty entry line of each kind; every ordered pair is tried on two
+# lines, so each kind comes both first and second
+LINE_FAULTS = {
+    "fields": "1 1 1 1",
+    "token": "1 1 1 1 1e5x",
+    "underscore": "1_0 1 1 1 1.0",
+    "matno": "3 1 1 1 1.0",
+    "blkno": "1 3 1 1 1.0",
+    "index": "1 1 1 3 1.0",
+    "off-diagonal": "1 2 1 2 1.0",
+}
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [(a, b) for a in LINE_FAULTS for b in LINE_FAULTS if a != b],
+)
+def test_read_sdpa_reports_the_first_faulty_line(first, second):
+    text = (
+        _HEAD + "0 1 1 1 1.0\n" + LINE_FAULTS[first] + "\n"
+        + "2 1 2 1 1.0\n" + LINE_FAULTS[second] + "\n"
+    )
+    kind, message = read_outcome(read_sdpa, text)
+    assert kind is ParseError
+    assert message.startswith("line 6: ")
+    if "underscore" not in (first, second):
+        assert_reads_as_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "matno, value",
+    [("+1", "1"), ("01", "1"), ("1", "1."), ("1", "inf"), ("1", "nan"),
+     ("1", "-nan"), ("1", "Infinity"), ("1", "1e500"), ("1", "1e-400")],
+)
+def test_entry_tokens_read_as_int_and_float_do(matno, value):
+    text = f"{_HEAD}{matno} 1 1 2 {value}\n"
+    assert_reads_as_the_reference(text)
+    vals = read_sdpa(io.StringIO(text)).triplets.vals
+    assert same_bits(vals, np.array([float(value)]))
+
+
+@pytest.mark.parametrize(
+    "line", ["1.0 1 1 1 1", "0x10 1 1 1 1", "1 1 1 1 1D3", "1 1 1 1 0x1p3"]
+)
+def test_entry_tokens_int_and_float_reject_stay_rejected(line):
+    text = f"{_HEAD}{line}\n"
+    assert read_outcome(read_sdpa, text) == (
+        ParseError, "line 5: non-numeric entry fields"
+    )
+    assert_reads_as_the_reference(text)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "1_0 1 1 1 1.0",  # digit-group underscores
+        "1 1 1 1 1_0",
+        "1 1 1 1 1_0.5",
+        "\u0661 1 1 1 1.0",  # a non-ASCII digit
+        "1 1 1 1 \u0663",
+        "99999999999999999999 1 1 1 1.0",  # beyond int64
+    ],
+)
+def test_entry_tokens_are_ascii_without_underscores(line):
+    # int() and float() accept these; the entry reader does not
+    text = f"{_HEAD}{line}\n"
+    assert read_outcome(read_sdpa, text) == (
+        ParseError, "line 5: non-numeric entry fields"
+    )
+
+
+def test_header_tokens_keep_int_and_float():
+    # the four header lines are still read by int() and float()
+    sdp = read_sdpa(io.StringIO("1\n1\n1_0\n1_0.5\n1 1 1 1 1.0\n"))
+    assert sdp.n == 10
+    assert same_bits(sdp.b, np.array([10.5]))
+
+
+def _bench_texts():
+    """(label, text) of every benchmark instance at its bench size, for
+    the seeds 1 and 7."""
+    from test_bench_entry_points import BENCH, _module_tables
+
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", BENCH / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks itself up
+    spec.loader.exec_module(workloads)
+    sizes = _module_tables(BENCH / "run.py", ("SIZES",))["SIZES"]
+    return [
+        (f"{name}-{seed}", make(sizes[name], np.random.default_rng(seed)).text)
+        for name, make in workloads.FAMILIES.items()
+        for seed in (1, 7)
+    ]
+
+
+@pytest.mark.parametrize("label, text", _bench_texts())
+def test_read_sdpa_matches_the_reference_on_bench_files(label, text):
+    assert_reads_as_the_reference(text)
 
 
 # ---------------------------------------------------------------------------

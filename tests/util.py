@@ -21,7 +21,9 @@ from treesdp.errors import (
     DimensionMismatch,
     NotInterior,
     OverlapMismatch,
+    ParseError,
     UncoverableEntry,
+    UnsupportedBlockStructure,
 )
 from treesdp.ipm import ConeOps, _positive_quadratic_root, _soc_g2
 from treesdp.linalg import (
@@ -294,6 +296,17 @@ def same_bits(a, b) -> bool:
     lets them match) and a NaN matches the same NaN."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_problem(a, b) -> bool:
+    """Whether two ``SdpProblem`` are the same bit for bit: order, every
+    triplet array and ``b`` by ``same_bits``, and the senses."""
+    return (
+        a.n == b.n
+        and all(same_bits(x, y) for x, y in zip(a.triplets, b.triplets))
+        and same_bits(a.b, b.b)
+        and a.senses == b.senses
+    )
 
 
 def oracle_smat_stack(vecs):
@@ -1568,3 +1581,159 @@ def row_assemble(problem, td, with_aux):
         aux_chains=aux_chains,
     )
     return ctc, record
+
+
+# ---------------------------------------------------------------------------
+# SDPA reader reference: one entry line at a time
+# ---------------------------------------------------------------------------
+
+
+def _reference_content_lines(text: str):
+    """(lineno, line) pairs with blanks and comment lines removed."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line[0] in '"*':
+            continue
+        yield lineno, line
+
+
+def _reference_vector_tokens(line: str) -> list:
+    return line.replace(",", " ").replace("{", " ").replace("}", " ").replace(
+        "(", " "
+    ).replace(")", " ").split()
+
+
+def reference_read_sdpa(source) -> SdpProblem:
+    """The reference of ``frontends.read_sdpa``: it splits, converts with
+    ``int()`` and ``float()``, range-checks and appends each entry line in
+    turn, so its first failing line is the one it reports.  Python's
+    ``int()`` and ``float()`` also accept digit-group underscores,
+    non-ASCII digits and integers beyond int64, which ``read_sdpa``
+    rejects as non-numeric."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    lines = list(_reference_content_lines(text))
+    if len(lines) < 4:
+        raise ParseError(
+            f"line {lines[-1][0] if lines else 1}: "
+            "file ends before the block-size and right-hand-side lines"
+        )
+
+    def intline(idx, what):
+        lineno, line = lines[idx]
+        toks = _reference_vector_tokens(line)
+        if len(toks) != 1:
+            raise ParseError(f"line {lineno}: expected a single {what}")
+        try:
+            return int(toks[0])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-integer {what}")
+
+    m = intline(0, "constraint count")
+    nblocks = intline(1, "block count")
+    if m < 0 or nblocks <= 0:
+        raise ParseError(f"line {lines[0][0]}: negative counts")
+
+    lineno, sizes_line = lines[2]
+    toks = _reference_vector_tokens(sizes_line)
+    if len(toks) != nblocks:
+        raise ParseError(
+            f"line {lineno}: expected {nblocks} block sizes, got {len(toks)}"
+        )
+    try:
+        sizes = [int(t) for t in toks]
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-integer block size")
+    if any(s == 0 for s in sizes):
+        raise ParseError(f"line {lineno}: zero block size")
+    if nblocks > 2 or sizes[0] < 0 or (nblocks == 2 and sizes[1] > 0):
+        raise UnsupportedBlockStructure(
+            "supported files have one PSD block, optionally followed by "
+            f"one diagonal block; got sizes {sizes}"
+        )
+    n = sizes[0]
+    lp_size = -sizes[1] if nblocks == 2 else 0
+
+    lineno, b_line = lines[3]
+    toks = _reference_vector_tokens(b_line)
+    if len(toks) != m:
+        raise ParseError(
+            f"line {lineno}: expected {m} right-hand sides, got {len(toks)}"
+        )
+    try:
+        b = np.array([float(t) for t in toks])
+    except ValueError:
+        raise ParseError(f"line {lineno}: non-numeric right-hand side")
+
+    psd = ([], [], [], [])  # matno, i, j, value of each PSD-block entry
+    lp_entries: dict = {}  # (matno, diagonal coordinate) -> value
+    for lineno, line in lines[4:]:
+        toks = line.split()
+        if len(toks) != 5:
+            raise ParseError(
+                f"line {lineno}: expected 'matno blkno i j value', "
+                f"got {len(toks)} fields"
+            )
+        try:
+            matno, blkno, i, j = (int(t) for t in toks[:4])
+            value = float(toks[4])
+        except ValueError:
+            raise ParseError(f"line {lineno}: non-numeric entry fields")
+        if not (0 <= matno <= m):
+            raise ParseError(
+                f"line {lineno}: matrix number {matno} outside [0, {m}]"
+            )
+        if not (1 <= blkno <= nblocks):
+            raise ParseError(
+                f"line {lineno}: block number {blkno} outside [1, {nblocks}]"
+            )
+        size = n if blkno == 1 else lp_size
+        if not (1 <= i <= size and 1 <= j <= size):
+            raise ParseError(
+                f"line {lineno}: entry ({i}, {j}) outside block of size "
+                f"{size}"
+            )
+        if blkno == 1:
+            for column, x in zip(psd, (matno, i - 1, j - 1, value)):
+                column.append(x)
+        else:
+            if i != j:
+                raise ParseError(
+                    f"line {lineno}: off-diagonal entry in a diagonal block"
+                )
+            key = (matno, i - 1)
+            lp_entries[key] = lp_entries.get(key, 0.0) + value
+
+    senses = ["eq"] * m
+    coords: dict = {}  # constraint -> the diagonal coordinates it touches
+    for (k, pos), val in lp_entries.items():
+        if k == 0:
+            raise UnsupportedBlockStructure(
+                "the objective touches the diagonal block; senses cannot "
+                "be reconstructed"
+            )
+        coords.setdefault(k, []).append((pos, val))
+    users: dict = {}  # diagonal coordinate -> the constraints touching it
+    for k in sorted(coords):
+        if len(coords[k]) > 1:
+            raise UnsupportedBlockStructure(
+                f"constraint {k} touches several diagonal coordinates"
+            )
+        pos, val = coords[k][0]
+        users.setdefault(pos, []).append((k, val))
+    for pos, touching in users.items():
+        if len(touching) != 1:
+            raise UnsupportedBlockStructure(
+                f"diagonal coordinate {pos + 1} is shared by "
+                f"constraints {sorted(k for k, _ in touching)}"
+            )
+        k, val = touching[0]
+        if val != 0.0:
+            senses[k - 1] = "ge" if val < 0 else "le"
+
+    # file matrix 0 is the cost, stored under id m after A_1..A_m
+    ids = (np.array(psd[0], dtype=np.int64) - 1) % (m + 1)
+    return SdpProblem(n, (ids, *psd[1:]), b, senses)
