@@ -134,48 +134,56 @@ def verify_split(
 # --------------------------------------------------------------------------
 
 
-def steiner_closure(td: TreeDecomposition, bags: list) -> list:
-    """Smallest connected set of tree nodes containing ``bags``; result is
-    sorted root-first (ancestors before descendants along each path)."""
-    if not bags:
-        return []
-    depth = td.depth
-    # lowest common ancestor of all bags
-    anchor = bags[0]
-    for other in bags[1:]:
-        a, b = anchor, other
-        while depth[a] > depth[b]:
-            a = int(td.parent[a])
-        while depth[b] > depth[a]:
-            b = int(td.parent[b])
-        while a != b:
-            a = int(td.parent[a])
-            b = int(td.parent[b])
-        anchor = a
-    members = {anchor}
-    for j in bags:
-        cur = j
-        while cur != anchor:
-            members.add(cur)
-            cur = int(td.parent[cur])
-    return sorted(members, key=lambda j: depth[j])
+def steiner_closure(td: TreeDecomposition, row: np.ndarray, bag: np.ndarray):
+    """The support tree of each row's bags, given as (row, bag) pairs: the
+    smallest connected set of tree nodes holding them, as (row, bag) pairs
+    sorted by row and then postorder.
+
+    The rows climb in lockstep: in each row whose bags have not met, the
+    deepest bags step to their parents.  A bag whose parent is among its
+    row's bags leaves the climb, since its path goes on from there."""
+    ell = td.ell
+    depth = np.asarray(td.depth, dtype=np.int64)
+    post = np.asarray(td.post_index, dtype=np.int64)
+    key = sorted_unique(row * ell + bag)
+    found = [key]
+    while key.size:
+        row, bag = np.divmod(key, ell)
+        up = td.parent[bag]
+        _, joined = sorted_lookup(key, row * ell + up)
+        keep = ~joined | (up == bag)
+        row, bag, up = row[keep], bag[keep], up[keep]
+        start = np.flatnonzero(np.diff(row, prepend=-1))
+        size = np.diff(start, append=row.size)
+        apart = np.repeat(size > 1, size)
+        deepest = np.repeat(np.maximum.reduceat(depth[bag], start), size)
+        step = apart & (depth[bag] == deepest)
+        found.append(row[step] * ell + up[step])
+        key = sorted_unique(row[apart] * ell + np.where(step, up, bag)[apart])
+    row, bag = np.divmod(sorted_unique(np.concatenate(found)), ell)
+    order = np.argsort(row * ell + post[bag])
+    return row[order], bag[order]
 
 
-def validate_support_tree(td: TreeDecomposition, members: list) -> int:
-    """Check that ``members`` forms a connected subtree; returns its root
-    (the member closest to the global root) or raises DisconnectedSupport."""
-    if not members:
-        raise DisconnectedSupport("empty constraint support")
-    member_set = set(members)
-    roots = [
-        j for j in members
-        if int(td.parent[j]) == j or int(td.parent[j]) not in member_set
-    ]
-    if len(roots) != 1:
+def validate_support_tree(
+    td: TreeDecomposition, row: np.ndarray, bag: np.ndarray
+) -> np.ndarray:
+    """Check that each row's bags, given as (row, bag) pairs sorted by row,
+    form a connected subtree, that is, that exactly one of them, its root,
+    has its parent outside them.  Returns the roots' positions, row by row,
+    or raises DisconnectedSupport."""
+    ell = td.ell
+    up = td.parent[bag]
+    _, inside = sorted_lookup(np.sort(row * ell + bag), row * ell + up)
+    root = ~inside | (up == bag)
+    start = np.flatnonzero(np.diff(row, prepend=-1))
+    count = np.add.reduceat(root.astype(np.int64), start)
+    bad = np.flatnonzero(count != 1)
+    if bad.size:
         raise DisconnectedSupport(
-            f"constraint support spans {len(roots)} disconnected subtrees"
+            f"constraint support spans {count[bad[0]]} disconnected subtrees"
         )
-    return roots[0]
+    return np.flatnonzero(root)
 
 
 # --------------------------------------------------------------------------
@@ -249,7 +257,6 @@ def _assemble(
     if td is None:
         td = decompose(sparsity_graph(problem.n, problem.triplets))
     m, ell = problem.m, td.ell
-    post_index = td.post_index
     partition = build_unique_partition(td)
     stack = problem.triplets
     try:
@@ -262,38 +269,29 @@ def _assemble(
     ids, bag = pieces.ids, pieces.assignment
     k = int(np.searchsorted(ids, m))  # the cost's entries come last
 
-    # ---- covers: the bags of each constraint's pieces --------------------
-    cover_row, cover_bag = np.divmod(
-        sorted_unique(ids[:k] * ell + bag[:k]), ell
-    )
+    # ---- covers: the bags of each constraint's pieces, in postorder ------
+    post = np.asarray(td.post_index, dtype=np.int64)
+    entry_key = ids[:k] * ell + post[bag[:k]]
+    cover_row, cover_bag = np.divmod(sorted_unique(entry_key), ell)
+    cover_bag = np.asarray(td.postorder(), dtype=np.int64)[cover_bag]
     n_cover = np.bincount(cover_row, minlength=m)
-    cover_start = np.cumsum(n_cover) - n_cover
-    # owner of the slack: the one bag of a single-bag cover, the root for
-    # an empty one
+    # owner of the slack: the first cover bag in postorder, the root for an
+    # empty cover; with aux chains, the root of a wide cover's support tree
     home = np.full(m, td.root, dtype=np.int64)
-    home[n_cover > 0] = cover_bag[cover_start[n_cover > 0]]
-    wide = {}  # constraint with several cover bags -> them in postorder
-    for i in np.flatnonzero(n_cover > 1).tolist():
-        cover = cover_bag[cover_start[i]:cover_start[i] + n_cover[i]]
-        wide[i] = sorted(cover.tolist(), key=post_index.__getitem__)
-
-    # ---- aux chains ------------------------------------------------------
-    aux_members = {}
-    n_aux = [0] * ell
-    aux_local = {}  # (i, member bag) -> local index in parent block
-    for i, cover in wide.items():
-        if not with_aux:
-            home[i] = cover[0]
-            continue
-        members = steiner_closure(td, cover)
-        root_w = validate_support_tree(td, members)
-        aux_members[i] = (sorted(members, key=post_index.__getitem__), root_w)
-        home[i] = root_w
-        for j in aux_members[i][0]:
-            if j != root_w:
-                p = int(td.parent[j])
-                aux_local[(i, j)] = n_aux[p]
-                n_aux[p] += 1
+    home[n_cover > 0] = cover_bag[(np.cumsum(n_cover) - n_cover)[n_cover > 0]]
+    tree_row = tree_bag = tree_root = np.zeros(0, dtype=np.int64)
+    wide = n_cover[cover_row] > 1
+    if with_aux and wide.any():
+        tree_row, tree_bag = steiner_closure(
+            td, cover_row[wide], cover_bag[wide]
+        )
+        tree_root = validate_support_tree(td, tree_row, tree_bag)
+        home[tree_row[tree_root]] = tree_bag[tree_root]
+    # the chain scalar u_j of a support-tree bag j below the root lives in
+    # the block of j's parent
+    link = np.ones(tree_row.size, dtype=bool)
+    link[tree_root] = False
+    link_row, link_up = tree_row[link], td.parent[tree_bag[link]]
 
     senses = np.asarray(problem.senses, dtype=str)
     slack_i = np.flatnonzero(senses != "eq")
@@ -301,7 +299,7 @@ def _assemble(
 
     # ---- layout ----------------------------------------------------------
     order = np.diff(td.bag_start)
-    n_aux = np.asarray(n_aux, dtype=np.int64)
+    n_aux = np.bincount(link_up, minlength=ell)
     n_nn = np.bincount(slack_owner, minlength=ell)
     ends = np.cumsum(tri(order) + n_aux + n_nn)
     nn_start = ends - n_nn
@@ -315,15 +313,9 @@ def _assemble(
         if nn:
             segments.append(("nonneg", nn))
     dim_z = int(ends[-1]) if ell else 0
-    aux_coord = {
-        key: int(aux_start[td.parent[key[1]]]) + local
-        for key, local in aux_local.items()
-    }
-    # each slack's rank among those of its owner block, in constraint order
-    by_owner = np.argsort(slack_owner, kind="stable")
-    slack_coord = np.empty_like(by_owner)
-    slack_coord[by_owner] = np.arange(by_owner.size)
-    slack_coord += (ends - np.cumsum(n_nn))[slack_owner]
+    # slacks in constraint order, chain scalars by (constraint, postorder)
+    slack_coord = _slots(slack_owner, nn_start, n_nn)
+    aux_coord = _slots(link_up, aux_start, n_aux)
 
     # ---- cost vector -----------------------------------------------------
     pos, val = svec_coords(pieces.rows, pieces.cols, pieces.vals)
@@ -332,45 +324,40 @@ def _assemble(
     np.add.at(c_z, col[k:], val[k:])
 
     # ---- constraint rows -------------------------------------------------
-    # a plain constraint is one row; an aux chain has one row per member
-    # bag, in postorder, and its root's row carries b_i and the slack
-    rows_per = np.ones(m, dtype=np.int64)
-    rank = np.zeros(k, dtype=np.int64)  # entry -> its row within the chain
-    dual_row = np.zeros(m, dtype=np.int64)
-    # u_j enters the row of j with -1 and the row of its parent with +1
-    chain_i, chain_r, chain_c = [], [], []
-    for i, (members, root_w) in aux_members.items():
-        at = {j: r for r, j in enumerate(members)}
-        s, t = np.searchsorted(ids[:k], [i, i + 1])
-        rank[s:t] = [at[j] for j in bag[s:t].tolist()]
-        rows_per[i] = len(members)
-        dual_row[i] = at[root_w]
-        for j in members:
-            if j != root_w:
-                chain_i += [i, i]
-                chain_r += [at[j], at[int(td.parent[j])]]
-                chain_c += [aux_coord[(i, j)]] * 2
-    row_of = np.cumsum(rows_per) - rows_per  # first row of each constraint
-    dual_row += row_of
+    # a plain constraint is one row; an aux chain has one row per
+    # support-tree bag, in postorder, and its root's row carries b_i and
+    # the slack; u_j enters the row of j with -1 and that of its parent
+    # with +1
+    rows_per = np.maximum(np.bincount(tree_row, minlength=m), 1)
+    # a (constraint, bag) pair's row is the first of its constraint plus
+    # the bag's rank in its support tree (0 outside the trees)
+    tree_key = tree_row * ell + post[tree_bag]
+    base = np.cumsum(rows_per) - rows_per
+    base -= np.searchsorted(tree_row, np.arange(m))
+    entry_row = base[ids[:k]] + np.searchsorted(tree_key, entry_key)
+    dual_row = base + np.searchsorted(
+        tree_key, np.arange(m) * ell + post[home]
+    )
+    link_at = base[link_row] + np.stack([  # rows of -u_j and +u_j
+        np.flatnonzero(link),
+        np.searchsorted(tree_key, link_row * ell + post[link_up]),
+    ])
     rhs = np.zeros(int(rows_per.sum()))
     rhs[dual_row] = problem.b
-    chain_i, chain_r, chain_c = (
-        np.array(x, dtype=np.int64) for x in (chain_i, chain_r, chain_c)
-    )
     a_rows = sp.csr_matrix(
         (
             np.concatenate([
                 val[:k],
                 np.where(senses[slack_i] == "ge", -1.0, 1.0),
-                np.tile([-1.0, 1.0], chain_i.size // 2),
+                np.tile([-1.0, 1.0], aux_coord.size),
             ]),
             (
                 np.concatenate([
-                    row_of[ids[:k]] + rank,
-                    dual_row[slack_i],
-                    row_of[chain_i] + chain_r,
+                    entry_row, dual_row[slack_i], link_at.T.ravel()
                 ]),
-                np.concatenate([col[:k], slack_coord, chain_c]),
+                np.concatenate([
+                    col[:k], slack_coord, np.repeat(aux_coord, 2)
+                ]),
             ),
         ),
         shape=(rhs.size, dim_z),
@@ -391,6 +378,15 @@ def _assemble(
         n_aux=n_aux,
         n_nn=n_nn,
     )
+
+
+def _slots(owner, start, count):
+    """Coordinate of each item in its owner's run of ``count`` slots from
+    ``start``; the items of one owner take its slots in their order."""
+    by_owner = np.argsort(owner, kind="stable")
+    out = np.empty_like(by_owner)
+    out[by_owner] = np.arange(by_owner.size)
+    return out + (start - np.cumsum(count) + count)[owner]
 
 
 def _overlap_rows(td, svec_start, dim_z):

@@ -496,7 +496,6 @@ class SolveResult:
     records: list
     nu: float
     eps: float
-    guard_min: float
     feas_residual_max: float
 
     @property
@@ -683,25 +682,19 @@ class HsdeSolver:
         opts = self.options
         st = self.init_embedding()
         records = []
-        guard_min = np.inf
         feas_max = self.feasibility_residual(st)
         stall = 0
         short = opts.method == "short"
         contraction = 1.0 - 1.0 / (15.0 * np.sqrt(self.nu + 1.0))
         for it in range(opts.max_iter):
             if st.mu <= opts.eps:
-                return self._finish(st, records, guard_min, feas_max)
+                return self._finish(st, records, feas_max)
             if st.tau < TAU_FLOOR and st.kappa > KAPPA_AWAY:
                 raise InfeasibleOrUnbounded(
                     f"tau = {st.tau:.3e} collapsed with kappa = "
                     f"{st.kappa:.3e}; the embedding certifies primal or "
                     "dual infeasibility",
-                    certificate={
-                        "x": st.x / max(st.kappa, np.finfo(float).tiny),
-                        "y": st.y / max(st.kappa, np.finfo(float).tiny),
-                        "tau": st.tau,
-                        "kappa": st.kappa,
-                    },
+                    certificate=_certificate(st),
                 )
             t0 = time.perf_counter()
             try:
@@ -746,7 +739,6 @@ class HsdeSolver:
             feas = self.feasibility_residual(st)
             feas_max = max(feas_max, feas)
             guard = st.tau * st.kappa / st.mu if st.mu > 0 else np.inf
-            guard_min = min(guard_min, guard)
             records.append(
                 IterationRecord(
                     iteration=st.iteration,
@@ -771,13 +763,13 @@ class HsdeSolver:
             else:
                 stall = 0
         if st.mu <= opts.eps:
-            return self._finish(st, records, guard_min, feas_max)
+            return self._finish(st, records, feas_max)
         raise MaxIterations(
             f"mu = {st.mu:.3e} > eps = {opts.eps:.3e} after "
             f"{opts.max_iter} iterations"
         )
 
-    def _finish(self, st, records, guard_min, feas_max) -> SolveResult:
+    def _finish(self, st, records, feas_max) -> SolveResult:
         if st.kappa > KAPPA_AWAY and st.tau < 1e-3 * st.kappa:
             # mu reached eps along the tau -> 0 branch of the embedding:
             # kappa stays bounded away from zero, so the limit certifies
@@ -786,12 +778,7 @@ class HsdeSolver:
                 f"mu converged with tau = {st.tau:.3e} vanishing against "
                 f"kappa = {st.kappa:.3e}; the embedding certifies primal "
                 "or dual infeasibility",
-                certificate={
-                    "x": st.x / max(st.kappa, np.finfo(float).tiny),
-                    "y": st.y / max(st.kappa, np.finfo(float).tiny),
-                    "tau": st.tau,
-                    "kappa": st.kappa,
-                },
+                certificate=_certificate(st),
             )
         guard_ok = st.tau * st.kappa >= GUARD_GAMMA * st.mu
         return SolveResult(
@@ -801,9 +788,16 @@ class HsdeSolver:
             records=records,
             nu=self.nu,
             eps=self.options.eps,
-            guard_min=guard_min,
             feas_residual_max=feas_max,
         )
+
+
+def _certificate(st: EmbeddingState) -> dict:
+    """The infeasibility certificate of an iterate whose kappa dominates:
+    x and y scaled by 1/kappa, with tau and kappa."""
+    kappa = max(st.kappa, np.finfo(float).tiny)
+    return {"x": st.x / kappa, "y": st.y / kappa, "tau": st.tau,
+            "kappa": st.kappa}
 
 
 def short_step_solve(program, eps=1e-8, max_iter=5000) -> SolveResult:

@@ -10,7 +10,10 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from treesdp.chordal import Graph, decompose, sparsity_graph
+import treesdp.convert
+from treesdp.chordal import (
+    Graph, TreeDecomposition, decompose, sparsity_graph
+)
 from treesdp.convert import (
     ConeSpec,
     DualizedProblem,
@@ -22,6 +25,7 @@ from treesdp.convert import (
     verify_split,
 )
 from treesdp.errors import DisconnectedSupport, InvalidSplit, UncoverableEntry
+from treesdp.frontends import gen_maxkcut
 from treesdp.linalg import tri
 from treesdp.normal import row_bags
 from treesdp.splitting import split
@@ -32,6 +36,7 @@ from util import (
     consistent_block_vector,
     dot_sym,
     make_problem,
+    power_flow_problem,
     random_chordal_problem,
     random_partially_separable_problem,
     random_rooted_tree,
@@ -275,6 +280,16 @@ def test_conversion_matches_the_per_row_oracle(with_aux):
             aux_rows += sum(kind[0] == "aux" for kind in record.row_kind)
     # the instances exercise multi-bag rows and aux chains
     assert (aux_rows if with_aux else wide) > 50
+    # power-flow rows: each bus's row covers its closed neighbourhood,
+    # which spans several bags
+    wide = 0
+    for width, length in ((2, 3), (3, 7), (4, 6)):
+        problem = power_flow_problem(width, length)
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
+        want, record = row_assemble(problem, td, with_aux)
+        assert_same_conversion(convert(problem, td), want)
+        wide += sum(len(kinds) > 2 for kinds in record.block_of_row)
+    assert wide == 0 if with_aux else wide > 10
 
 
 @pytest.mark.parametrize("with_aux", [False, True])
@@ -374,6 +389,27 @@ def path_maxcut_like(n_vertices):
     return make_problem(cost, [spanning, diag], np.array([1.0, 1.0]))
 
 
+def test_support_trees_are_built_only_for_multi_bag_rows(monkeypatch):
+    # MAX 3-CUT on a path under dctc-aux, the bench's path-max3cut-aux
+    # shape, has no row over several bags: its conversion calls neither
+    # support-tree function.  The power-flow grid's rows span several
+    # bags, and its conversion calls each once.
+    calls = []
+    for name in ("steiner_closure", "validate_support_tree"):
+        real = getattr(treesdp.convert, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(treesdp.convert, name, counted)
+    path = gen_maxkcut(Graph(40, [(i, i + 1) for i in range(39)]), 3)
+    assert path.senses.count("ge") == 39
+    assert separate_with_aux(path).n_aux.sum() == 0 and calls == []
+    assert separate_with_aux(power_flow_problem(3, 8)).n_aux.sum() > 0
+    assert calls == ["steiner_closure", "validate_support_tree"]
+
+
 def test_aux_rows_touch_tree_adjacent_blocks_only():
     problem = path_maxcut_like(8)
     ctc = separate_with_aux(problem)
@@ -428,36 +464,60 @@ def test_aux_elimination_reproduces_plain_rows_exactly():
 def test_support_tree_validation():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
     td = decompose(g)
-    with pytest.raises(DisconnectedSupport):
-        validate_support_tree(td, [])
+    leafs = np.array([0, td.ell - 1])
+    one_row = np.zeros(2, dtype=np.int64)
     # two far-apart bags are not connected without the closure
-    leafs = [0, td.ell - 1]
     if int(td.parent[leafs[0]]) not in leafs:
         with pytest.raises(DisconnectedSupport):
-            validate_support_tree(td, leafs)
-    closed = steiner_closure(td, leafs)
-    root_w = validate_support_tree(td, closed)
-    assert root_w in closed
+            validate_support_tree(td, one_row, leafs)
+    row, closed = steiner_closure(td, one_row, leafs)
+    root = validate_support_tree(td, row, closed)
+    assert root.size == 1 and set(leafs.tolist()) <= set(closed.tolist())
+
+
+def test_support_tree_validation_names_a_disconnected_row_among_others():
+    # three rows on the path 0 - 1 - 2 - 3 rooted at 3: the middle row
+    # {0, 2} misses bag 1 and falls apart into two subtrees
+    td = TreeDecomposition(
+        n=4, bags=[(0,), (1,), (2,), (3,)], parent=[1, 2, 3, 3]
+    )
+    row = np.array([0, 0, 4, 4, 7])
+    bag = np.array([0, 1, 0, 2, 3])
+    with pytest.raises(DisconnectedSupport, match="spans 2 disconnected"):
+        validate_support_tree(td, row, bag)
+    bag[3] = 1
+    assert validate_support_tree(td, row, bag).tolist() == [1, 3, 4]
 
 
 def test_steiner_closure_is_the_union_of_paths_to_the_lca():
+    # several rows of random bags at once (repeats allowed, row ids with
+    # gaps): each row's closure is the union of its bags' paths up to
+    # their lowest common ancestor, listed in postorder, and its root is
+    # that ancestor
     rng = np.random.default_rng(43)
     for _ in range(40):
         td = random_rooted_tree(rng, int(rng.integers(1, 30)))
-        bags = [
-            int(j) for j in rng.integers(0, td.ell, size=rng.integers(1, 6))
-        ]
-        up = {j: ancestors(td, j) for j in bags}
-        common = set.intersection(*(set(path) for path in up.values()))
-        lca = max(common, key=lambda a: len(ancestors(td, a)))
-        want = set()
-        for path in up.values():
-            want.update(path[:path.index(lca) + 1])
-        closed = steiner_closure(td, bags)
-        assert len(closed) == len(want) and set(closed) == want
-        depths = [len(ancestors(td, j)) for j in closed]
-        assert depths == sorted(depths)  # root-first
-        assert validate_support_tree(td, closed) == lca
+        rows, bags, want, lcas = [], [], {}, []
+        for r in range(int(rng.integers(1, 6))):
+            picked = [
+                int(j)
+                for j in rng.integers(0, td.ell, size=rng.integers(1, 6))
+            ]
+            up = {j: ancestors(td, j) for j in picked}
+            common = set.intersection(*(set(path) for path in up.values()))
+            lca = max(common, key=lambda a: len(ancestors(td, a)))
+            members = set()
+            for path in up.values():
+                members.update(path[:path.index(lca) + 1])
+            want[3 * r] = sorted(members, key=td.post_index.__getitem__)
+            lcas.append(lca)
+            rows += [3 * r] * len(picked)
+            bags += picked
+        row, closed = steiner_closure(td, np.array(rows), np.array(bags))
+        got = {r: closed[row == r].tolist() for r in np.unique(row).tolist()}
+        assert got == want
+        assert row.tolist() == sorted(row.tolist())
+        assert closed[validate_support_tree(td, row, closed)].tolist() == lcas
 
 
 def test_flow_rows_through_aux_elimination():

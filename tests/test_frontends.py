@@ -14,6 +14,7 @@ from treesdp.chordal import Graph, decompose, parse_graph, sparsity_graph
 from treesdp.errors import (
     DimensionMismatch,
     ParseError,
+    StructureViolation,
     TreeSdpError,
     UnsupportedBlockStructure,
 )
@@ -35,6 +36,7 @@ from util import (
     is_partially_separable,
     make_problem,
     path_rayleigh_problem,
+    power_flow_problem,
     reference_read_sdpa,
     same_bits,
     same_problem,
@@ -597,6 +599,22 @@ def test_solve_driver_rayleigh_path_aux_equivalence():
     ref = dot_sym(sdp.cost, x)
     out = solve_sdp(sdp, method="dctc-aux", eps=1e-8, step="adaptive")
     assert out.objective == pytest.approx(ref, abs=1e-5 * (1 + abs(ref)))
+
+
+def test_solve_driver_power_flow_rows_match_the_oracle_under_dctc_aux():
+    # the 3 x 10 power-flow grid (n = 30): each bus row covers the bus's
+    # closed neighbourhood, which spans several bags.  dctc refuses the
+    # rows; dctc-aux chains them and agrees with the dense oracle and with
+    # the optimum 0.81 n, which X = 0.81 * 1 1^T attains (Y.X >= 0 and
+    # tr X >= 0.81 n for the Laplacian Y and every feasible X)
+    sdp = power_flow_problem(3, 10)
+    with pytest.raises(StructureViolation, match="touches bags"):
+        solve_sdp(sdp, method="dctc", eps=1e-6, step="adaptive")
+    out = solve_sdp(sdp, method="dctc-aux", eps=1e-6, step="adaptive")
+    assert out.status == "optimal" and out.ctc.n_aux.sum() > 0
+    best = 0.81 * sdp.n
+    assert out.objective == pytest.approx(best, abs=1e-4)
+    assert oracle_objective(sdp, eps=1e-6) == pytest.approx(best, abs=1e-4)
 
 
 def test_solve_outcome_metrics_json_schema():

@@ -10,15 +10,11 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
-from treesdp.convert import (
-    ConeSpec,
-    ConvertedProblem,
-    steiner_closure,
-    validate_support_tree,
-)
+from treesdp.convert import ConeSpec, ConvertedProblem
 from treesdp.errors import (
     BlockNotPsd,
     DimensionMismatch,
+    DisconnectedSupport,
     NotInterior,
     OverlapMismatch,
     ParseError,
@@ -735,6 +731,55 @@ def path_rayleigh_problem(n_plus_1, seed=0):
     return make_problem(c_mat, [a_mat], np.array([1.0]))
 
 
+def power_flow_problem(width, length, seed=0):
+    """Power-flow-shaped instance on the ``width`` x ``length`` grid
+    network, bus (r, c) being vertex c * width + r, with edge weights drawn
+    from [0.5, 2] and weighted Laplacian Y:
+
+    min (Y + I).X subject to, for each bus k, |A_k.X| <= 0.05 with
+    A_k = (e_k y_k^T + y_k e_k^T) / 2 (y_k the row k of Y), and
+    0.81 <= X_kk <= 1.21.
+
+    Each A_k covers bus k's closed neighbourhood, which spans several bags
+    of the grid's decomposition: ``dctc`` rejects the rows, and
+    ``dctc-aux`` chains them.  X = 0.81 * 1 1^T is feasible."""
+    n = width * length
+    edges = [
+        (c * width + r, c * width + r + 1)
+        for c in range(length) for r in range(width - 1)
+    ] + [
+        (c * width + r, (c + 1) * width + r)
+        for c in range(length - 1) for r in range(width)
+    ]
+    weight = np.random.default_rng(seed).uniform(0.5, 2.0, len(edges))
+    degree = np.zeros(n)
+    links = [[] for _ in range(n)]  # bus -> (neighbour, weight)
+    for (u, v), w in zip(edges, weight):
+        degree[[u, v]] += w
+        links[u].append((v, w))
+        links[v].append((u, w))
+    constraints, b, senses = [], [], []
+    for k in range(n):
+        a_k = SparseSymmetric(
+            n,
+            [k] + [max(j, k) for j, _ in links[k]],
+            [k] + [min(j, k) for j, _ in links[k]],
+            [degree[k]] + [-w / 2.0 for _, w in links[k]],
+        )
+        diag = SparseSymmetric(n, [k], [k], [1.0])
+        constraints += [a_k, a_k, diag, diag]
+        b += [0.05, -0.05, 0.81, 1.21]
+        senses += ["le", "ge", "ge", "le"]
+    u, v = np.array(edges).T
+    cost = SparseSymmetric(
+        n,
+        np.concatenate([np.arange(n), v]),
+        np.concatenate([np.arange(n), u]),
+        np.concatenate([degree + 1.0, -weight]),
+    )
+    return make_problem(cost, constraints, np.array(b), senses)
+
+
 def hess_apply(ops, w, v):
     """Barrier Hessian at the scaling point, ∇²F(w) v, for a vector or a
     (dim, k) column batch; the inverse of ``ops.hess_inv_apply``.  Forms
@@ -1387,6 +1432,53 @@ class RowRecord:
     aux_chains: list  # AuxChain per separated constraint
 
 
+def reference_steiner_closure(td: TreeDecomposition, bags: list) -> list:
+    """Smallest connected set of tree nodes containing ``bags``; result is
+    sorted root-first (ancestors before descendants along each path).  The
+    per-row form ``convert.steiner_closure`` replaced, kept as the oracle
+    of :func:`row_assemble`."""
+    if not bags:
+        return []
+    depth = td.depth
+    # lowest common ancestor of all bags
+    anchor = bags[0]
+    for other in bags[1:]:
+        a, b = anchor, other
+        while depth[a] > depth[b]:
+            a = int(td.parent[a])
+        while depth[b] > depth[a]:
+            b = int(td.parent[b])
+        while a != b:
+            a = int(td.parent[a])
+            b = int(td.parent[b])
+        anchor = a
+    members = {anchor}
+    for j in bags:
+        cur = j
+        while cur != anchor:
+            members.add(cur)
+            cur = int(td.parent[cur])
+    return sorted(members, key=lambda j: depth[j])
+
+
+def reference_validate_support_tree(td: TreeDecomposition, members: list) -> int:
+    """Check that ``members`` forms a connected subtree; returns its root
+    (the member closest to the global root) or raises DisconnectedSupport.
+    The per-row form ``convert.validate_support_tree`` replaced."""
+    if not members:
+        raise DisconnectedSupport("empty constraint support")
+    member_set = set(members)
+    roots = [
+        j for j in members
+        if int(td.parent[j]) == j or int(td.parent[j]) not in member_set
+    ]
+    if len(roots) != 1:
+        raise DisconnectedSupport(
+            f"constraint support spans {len(roots)} disconnected subtrees"
+        )
+    return roots[0]
+
+
 def row_assemble(problem, td, with_aux):
     """``build_ctc`` (``with_aux=False``) or ``separate_with_aux`` by a
     loop over the constraints, each split by :func:`row_split`.  Returns
@@ -1404,8 +1496,8 @@ def row_assemble(problem, td, with_aux):
         for i in range(problem.m):
             if not members_of[i]:
                 continue
-            members = steiner_closure(td, list(members_of[i]))
-            root_w = validate_support_tree(td, members)
+            members = reference_steiner_closure(td, list(members_of[i]))
+            root_w = reference_validate_support_tree(td, members)
             if len(members) > 1:
                 aux_members[i] = (
                     sorted(members, key=post_index.__getitem__), root_w
