@@ -70,16 +70,27 @@ same to the last bit without the per-call argument validation.
 ``factor`` writes each diagonal block's Cholesky factor in place through
 numpy's LAPACK gufunc, the kernel ``np.linalg.cholesky`` calls, under
 one error state around its loop
-(:func:`~treesdp.linalg.lapack_errstate`).  ``factor``, ``solve_h`` and
-``apply_h`` walk per-group tuples built once with the engine, in
-elimination order.  A sweep tuple holds a diagonal block (L's transposed,
-the F-ordered upper triangle that dtrtrs reads, or H's for ``apply_h``),
-the group's slice, its attach bag's slab, and its edge block with that
-block's transpose (None at the root group).  A factor step holds L's
+(:func:`~treesdp.linalg.lapack_errstate`).  ``factor`` and ``solve_h``
+walk per-group tuples built once with the engine, in elimination order,
+since each group's step needs its children's.  A sweep tuple holds L's
+diagonal block transposed (the F-ordered upper triangle that dtrtrs
+reads), the group's slice, its attach bag's slab, and its edge block with
+that block's transpose (None at the root group).  A factor step holds L's
 diagonal block and its transpose, H's edge block transposed, L's edge
-block, and the attach bag's block of L.  Every entry is a view into the H
-or L buffer, fixed for the engine's life, so the loops index nothing per
-call and no workspace outlives a call.
+block, and the attach bag's block of L.  ``apply_h`` has no such
+dependence and walks *runs* instead: maximal stretches of consecutive
+groups of equal width and equal attach-row count, whose diagonal and edge
+blocks lie at constant steps in H's buffer.  A run of several groups is
+one strided (groups, w, w) view, one (groups, r, w) view and an index
+array of its attach rows, so each of a group's three products is one
+stacked product per run; a run of one group keeps its 2-D blocks and
+slices.  ``apply_h`` keeps the per-group loop's order of additions, so
+every float of H x is that loop's: each entry takes its children's edge
+terms in elimination order, then its diagonal term, then its transposed
+edge term, and a run scatters its edge terms (``np.add.at`` adds repeated
+rows in sequence) before its own rows take theirs.  Every block is a view
+into the H or L buffer, fixed for the engine's life, and no workspace
+outlives a call.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
@@ -235,7 +246,7 @@ class TreeNormalSystem:
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
         l_diag, l_off = self._l_blocks
-        h_diag, h_off = self._h_blocks
+        h_off = self._h_blocks[1]
         # each group's attach bag's block of L, in the parent group's block
         row0 = self._block_row[len(self.groups):]  # of the edge blocks
         parent = self._group_of[self._bag_of[row0]]
@@ -245,15 +256,20 @@ class TreeNormalSystem:
         attach = [
             l_diag[p][a:a + r, a:a + r] if r else None for p, a, r in spans
         ]
-        # what factor, solve_h and apply_h walk, per group in elimination
-        # order; dtrtrs reads L's diagonal block as the F-ordered upper
-        # triangle of its transpose
+        # what factor and solve_h walk, per group in elimination order
+        # (apply_h walks runs of groups); dtrtrs reads L's diagonal block
+        # as the F-ordered upper triangle of its transpose
         self._factor_steps = [
             (ld, ld.T, None if ho is None else ho.T, lo, at)
             for ld, ho, lo, at in zip(l_diag, h_off, l_off, attach)
         ]
-        self._l_sweep = self._sweep([ld.T for ld in l_diag], l_off)
-        self._h_sweep = self._sweep(h_diag, h_off)
+        self._l_sweep = [
+            (ld.T, sl, slab, lo, None if lo is None else lo.T)
+            for ld, sl, slab, lo in zip(
+                l_diag, self.slices, self._slabs, l_off
+            )
+        ]
+        self._h_runs, self._attach_idx = self._h_run_views()
         self._kron_runs = self._kron_run_views()
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
@@ -373,14 +389,54 @@ class TreeNormalSystem:
         edges = [v if v.size else None for v in views[n_groups:]]
         return views[:n_groups], edges
 
-    def _sweep(self, diag: list, off: list) -> list:
-        """Per group: ``diag[k]``, its slice, its attach bag's slab, and
-        its edge block ``off[k]`` with that block's transpose (None for
-        the last three at the root group)."""
-        return [
-            (d, sl, slab, e, None if e is None else e.T)
-            for d, sl, slab, e in zip(diag, self.slices, self._slabs, off)
-        ]
+    def _h_run_views(self) -> tuple:
+        """The runs ``apply_h`` walks, and the permuted rows of every
+        group's attach bag, concatenated in elimination order.
+
+        A run is a maximal stretch of consecutive groups, in elimination
+        order, of equal width w and equal attach-row count r.  Their
+        diagonal blocks lie in ``_h_flat`` at a step of w * w, their edge
+        blocks at a step of r * w, and their rows are one slice of the
+        permuted coordinates.  Per run: that slice, (n, w, r), its
+        diagonal blocks, its edge blocks and their transposes, and its
+        attach rows.  A run of n > 1 groups holds (n, w, w) and (n, r, w)
+        strided views and its stretch of the attach-row array.  A run of
+        one group holds None for (n, w, r), its 2-D blocks and its attach
+        bag's slice (None for the last three at the root group).
+        """
+        n_groups = len(self.groups)
+        w, r = self._width, self._attach_rows
+        attach_idx = ranges(self._block_row[n_groups:], r)
+        new = np.ones(n_groups, dtype=bool)
+        new[1:] = (w[1:] != w[:-1]) | (r[1:] != r[:-1])
+        lo = np.flatnonzero(new)
+        n = np.diff(lo, append=n_groups)
+        att_end = np.cumsum(r)
+        spans = np.column_stack((
+            lo, n, w[lo], r[lo], self._first[lo], att_end[lo] - r[lo],
+            att_end[lo + n - 1], self._block_off[lo],
+            self._block_off[lo + n_groups],
+        )).tolist()
+        h, item = self._h_flat, self._h_flat.itemsize
+        h_diag, h_off = self._h_blocks
+        runs = []
+        for k, n, wk, rk, row0, a0, a1, d0, e0 in spans:
+            rows = slice(row0, row0 + n * wk)
+            if n == 1:
+                edge = h_off[k]
+                runs.append((
+                    rows, None, h_diag[k], edge,
+                    None if edge is None else edge.T, self._slabs[k],
+                ))
+                continue
+            # the buffer constructor raises if a view leaves _h_flat
+            diag = np.ndarray((n, wk, wk), h.dtype, h, d0 * item,
+                              (wk * wk * item, wk * item, item))
+            edge = np.ndarray((n, rk, wk), h.dtype, h, e0 * item,
+                              (rk * wk * item, wk * item, item))
+            runs.append((rows, (n, wk, rk), diag, edge,
+                         edge.transpose(0, 2, 1), attach_idx[a0:a1]))
+        return runs, attach_idx
 
     def _kron_run_views(self) -> dict:
         """Order o -> the runs of the order-o bags' Kronecker blocks in H,
@@ -627,17 +683,41 @@ class TreeNormalSystem:
     # operator applications and diagnostics
     # ------------------------------------------------------------------
     def apply_h(self, x):
-        """H x using the assembled (unregularized) blocks."""
+        """H x using the assembled (unregularized) blocks.
+
+        One stacked product per run for each of a group's three terms:
+        the edge block's on its attach rows, the diagonal block's and the
+        transposed edge block's on its own rows.  Each entry gets its
+        terms in the order of a per-group loop in elimination order,
+        starting from +0.0: its children's edge terms, then its diagonal
+        term, then its transposed edge term.  A run's edge terms are
+        scattered before its own rows take their terms, since a child may
+        lie in the same run as its attach bag; so every float is that
+        loop's.
+        """
         if not self.h_diag:
             raise StructureViolation("assemble_h must run before apply_h")
         v, single = self._as_columns(x)
         v = np.take(v, self.perm, axis=0)
+        k = v.shape[1]
         out = np.zeros_like(v)
-        for hk, sl, slab, off, off_t in self._h_sweep:
-            out[sl] += hk @ v[sl]
-            if slab is not None:
-                out[slab] += off @ v[sl]
-                out[sl] += off_t @ v[slab]
+        for rows, dims, diag, edge, edge_t, att in self._h_runs:
+            vr, o = v[rows], out[rows]
+            if dims is None:  # one group, in the per-group loop's order
+                o += diag @ vr
+                if edge is not None:
+                    out[att] += edge @ vr
+                    o += edge_t @ v[att]
+                continue
+            n, w, r = dims
+            vr, o = vr.reshape(n, w, k), o.reshape(n, w, k)
+            # ufunc.at adds repeated rows in sequence, one column at a time
+            # since on a 1-D operand it skips numpy's per-row subarray loop
+            below = (edge @ vr).reshape(n * r, k)
+            for j in range(k):
+                np.add.at(out[:, j], att, below[:, j])
+            o += diag @ vr
+            o += edge_t @ v[att].reshape(n, r, k)
         out = np.take(out, self._inv_perm, axis=0)
         return out[:, 0] if single else out
 
@@ -667,10 +747,13 @@ class TreeNormalSystem:
 
     def memory_bytes(self) -> int:
         """Bytes of the engine's numeric storage, allocated once: the H and
-        L buffers, G^T G's (position, value) pairs, and q with its solve."""
+        L buffers, G^T G's (position, value) pairs, the attach-row index
+        array that ``apply_h``'s runs gather and scatter through, and q
+        with its solve."""
         return (
             self._h_flat.nbytes + self._l_flat.nbytes + self._gtg_pos.nbytes
-            + self._gtg_val.nbytes + 2 * self.dim * self._h_flat.itemsize
+            + self._gtg_val.nbytes + self._attach_idx.nbytes
+            + 2 * self.dim * self._h_flat.itemsize
         )
 
 

@@ -426,11 +426,13 @@ def test_criterion_08_splitting_optimality_and_linear_time():
         # one stack of all n matrices, split by one call, as build_ctc
         # splits a problem's matrices
         cases.append((stack_triplets(mats), td))
-    # best of 3 per size, the sizes interleaved: the host's speed swings
+    # best of 5 per size, the sizes interleaved: the host's speed swings
     # for tens of milliseconds at a time, and a slow spell then costs every
-    # size one repetition instead of one size all three
+    # size one repetition instead of one size all of them; the smallest
+    # size takes 16-32 ms, so one slow spell over three repetitions could
+    # still move the slope past the band
     elapsed = [np.inf] * len(sizes)
-    for _rep in range(3):
+    for _rep in range(5):
         for k, (stack, td) in enumerate(cases):
             t0 = time.perf_counter()
             split(stack, td, build_unique_partition(td))

@@ -17,7 +17,7 @@ from numpy.lib.array_utils import byte_bounds
 from treesdp import normal
 from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
 from treesdp.convert import build_ctc, dualize, separate_with_aux
-from treesdp.frontends import solve_sdp
+from treesdp.frontends import gen_maxkcut, solve_sdp
 from treesdp.errors import (
     DenominatorUnderflow,
     DimensionMismatch,
@@ -590,7 +590,7 @@ def test_memory_counter_equals_walk_over_blocks():
         if blk is not None
     ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
         sys_._u_q.nbytes
-    )
+    ) + sys_._attach_idx.nbytes
     assert before == sys_.memory_bytes() == walked
     assert sys_.pattern_stats()["bytes"] == walked
     sys_.set_rank1(None)
@@ -762,6 +762,14 @@ def _reference_instance(kind):
             rng, 14, 5, ineq_prob=0.3
         )
         return problem, td, False
+    if kind == "spider":
+        # MAXCUT on three 20-vertex legs from a hub: apply_h takes the
+        # legs' groups as one run, in which a child's attach bag lies in
+        # the same run and sibling tops share one, and the root as another
+        edges = [(0 if i % 20 == 0 else i, i + 1) for i in range(60)]
+        problem = gen_maxkcut(Graph(61, edges), 2)
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
+        return problem, td, False
     base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
     problem = with_wide_constraint(base)
     td = decompose(sparsity_graph(problem.n, problem.triplets))
@@ -769,6 +777,7 @@ def _reference_instance(kind):
 
 
 REFERENCE_KINDS = ["path", "star", "random-tree", "dctc-aux"]
+RUN_KINDS = [*REFERENCE_KINDS, "spider"]
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -853,6 +862,100 @@ def test_kron_run_views_alias_each_bag_block(kind):
         w ** 2 + tri(o) ** 2 * o
         for w, o in zip(ctc.width.tolist(), ctc.order.tolist())
     )
+
+
+def same_view(got, want):
+    return (
+        got.ctypes.data == want.ctypes.data
+        and got.shape == want.shape
+        and got.strides == want.strides
+    )
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_h_run_views_alias_each_group_block(kind):
+    # apply_h's runs tile the groups in elimination order, each a maximal
+    # stretch of one (width, attach rows); each group's slice of a run
+    # view is its diagonal or edge block, and no view leaves _h_flat
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
+    h_diag, h_off = sys_._h_blocks
+    flat_lo, flat_hi = byte_bounds(sys_._h_flat)
+    shape = list(zip(sys_._width.tolist(), sys_._attach_rows.tolist()))
+    slabs = [
+        np.arange(s.start, s.stop) for s in sys_._slabs if s is not None
+    ]
+    assert np.array_equal(sys_._attach_idx, np.concatenate(slabs))
+    k, lengths = 0, []
+    for rows, dims, diag, edge, edge_t, att in sys_._h_runs:
+        n = 1 if dims is None else dims[0]
+        group = range(k, k + n)
+        lengths.append(n)
+        assert {shape[g] for g in group} == {shape[k]}
+        assert rows == slice(sys_.slices[k].start, sys_.slices[k + n - 1].stop)
+        if dims is None:
+            assert same_view(diag, h_diag[k])
+            if h_off[k] is None:
+                assert edge is edge_t is att is None
+            else:
+                assert same_view(edge, h_off[k])
+                assert same_view(edge_t, h_off[k].T)
+                assert att == sys_._slabs[k]
+        else:
+            assert dims == (n, *shape[k])
+            for view in (diag, edge, edge_t):
+                view_lo, view_hi = byte_bounds(view)
+                assert flat_lo <= view_lo and view_hi <= flat_hi
+            for i, g in enumerate(group):
+                assert same_view(diag[i], h_diag[g])
+                assert same_view(edge[i], h_off[g])
+                assert same_view(edge_t[i], h_off[g].T)
+            assert np.array_equal(att, np.concatenate(slabs[k:k + n]))
+        k += n
+    assert k == len(sys_.groups)
+    ends = np.cumsum(lengths)
+    assert all(shape[e - 1] != shape[e] for e in ends[:-1].tolist())
+    if kind == "spider":
+        assert 1 in lengths and max(lengths) > 1
+        (run,) = [r for r in sys_._h_runs if r[1] is not None]
+        rows, att = run[0], run[-1]
+        assert np.unique(att).size < att.size  # siblings share rows
+        assert ((att >= rows.start) & (att < rows.stop)).any()
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
+    # bit for bit against the per-group loop, on strided and transposed
+    # columns (the layout of apply_mt(v.T).T, a transposed row batch),
+    # and after a second update: the run views read H's buffer, not a copy
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, *first = build_system(problem, td, with_aux=with_aux, seed=19)
+    ref = ReferenceTreeNormal(sys_.dualized)
+    second = random_scaling_data(np.random.default_rng(23), ctc)
+    rng = np.random.default_rng(71)
+    dim = ctc.dim_z
+    inputs = (
+        rng.standard_normal(dim),
+        rng.standard_normal((dim, 2))[:, 1],
+        rng.standard_normal((1, dim)).T,
+        rng.standard_normal((dim, 3)),
+        rng.standard_normal((3, dim)).T,
+    )
+    assert not inputs[1].flags.c_contiguous
+    assert not inputs[4].flags.c_contiguous
+    seen = []
+    for data in (first, second):
+        sys_.update(*data)
+        ref.update(*data)
+        outs = []
+        for rhs in inputs:
+            got, want = sys_.apply_h(rhs), ref.apply_h(rhs)
+            assert got.shape == want.shape == rhs.shape
+            assert got.tobytes() == want.tobytes()
+            assert got.tobytes() == sys_.apply_h(rhs.copy()).tobytes()
+            outs.append(got)
+        seen.append(outs)
+    assert all(not np.array_equal(a, b) for a, b in zip(*seen))
 
 
 def engine_kron_runs(sys_):
