@@ -164,7 +164,7 @@ class TreeDecomposition:
         return -1
 
     @cached_property
-    def _postorder(self) -> tuple:
+    def _postorder(self) -> np.ndarray:
         children = [[] for _ in range(self.ell)]
         for j, p in enumerate(self.parent.tolist()):
             if p != j:
@@ -179,31 +179,30 @@ class TreeDecomposition:
             stack.append((node, True))
             for c in reversed(children[node]):
                 stack.append((c, False))
-        return tuple(order)
+        return _frozen(np.array(order, dtype=np.int64))
 
-    def postorder(self) -> tuple:
+    def postorder(self) -> np.ndarray:
         """Deterministic postorder: children before parents, smallest child
         index first (iterative DFS from the root)."""
         return self._postorder
 
     @cached_property
-    def post_index(self) -> tuple:
+    def post_index(self) -> np.ndarray:
         """Bag -> its position in :meth:`postorder`."""
-        index = [0] * self.ell
-        for k, j in enumerate(self._postorder):
-            index[j] = k
-        return tuple(index)
+        index = np.zeros(self.ell, dtype=np.int64)
+        index[self._postorder] = np.arange(self._postorder.size)
+        return _frozen(index)
 
     @cached_property
-    def depth(self) -> tuple:
+    def depth(self) -> np.ndarray:
         """Bag -> number of edges to the root (root = 0)."""
         depth = [0] * self.ell
         parent = self.parent.tolist()
-        for j in reversed(self._postorder):  # parents before children
+        for j in self._postorder[::-1].tolist():  # parents before children
             p = parent[j]
             if p != j:
                 depth[j] = depth[p] + 1
-        return tuple(depth)
+        return _frozen(np.array(depth, dtype=np.int64))
 
     # ---- the (bag, vertex) table: every bag's members, bag after bag ----
     @cached_property

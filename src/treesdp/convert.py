@@ -12,8 +12,9 @@ structure.
 A :class:`ConvertedProblem` is its matrices (constraint rows, overlap
 rows, cost, right-hand side) plus four per-bag integer arrays, ``order``,
 ``svec_start``, ``n_aux`` and ``n_nn``, from which the rest of the layout
-of z is derived.  It keeps no per-row bookkeeping: the bags a row touches
-are those of its stored entries.
+of z is derived, its cone included (block j of the :class:`ConeSpec` is
+bag j).  It keeps no per-row bookkeeping: the bags a row touches are those
+of its stored entries.
 """
 
 from __future__ import annotations
@@ -38,54 +39,49 @@ from .splitting import SplitResult, build_unique_partition, split
 # Cones
 # --------------------------------------------------------------------------
 
-KINDS = ("soc", "psd", "nonneg", "free")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ConeSpec:
-    """Ordered product of cone segments matching a coordinate layout.
+    """The cone of a coordinate layout: a second-order cone of dimension
+    ``soc`` (0 for none), then block after block.  Block j is a PSD matrix
+    of order ``order[j]`` (tri(order[j]) coordinates), then ``n_free[j]``
+    free scalars, then ``n_nn[j]`` nonnegative orthant coordinates."""
 
-    Segment kinds: ``soc`` (second-order cone of the given dimension),
-    ``psd`` (PSD matrices of the given order, covering tri(order)
-    coordinates), ``nonneg`` (nonnegative orthant), ``free``.
-    """
-
-    segments: tuple
+    soc: int
+    order: np.ndarray  # int64, one entry per block, as are n_free, n_nn
+    n_free: np.ndarray
+    n_nn: np.ndarray
 
     def __post_init__(self):
-        for kind, size in self.segments:
-            if kind not in KINDS:
-                raise DimensionMismatch(f"unknown cone kind {kind!r}")
-            if size < 0:
-                raise DimensionMismatch("negative segment size")
+        names = ("order", "n_free", "n_nn")
+        sizes = [np.asarray(getattr(self, k), dtype=np.int64) for k in names]
+        if sizes[0].ndim != 1 or any(a.shape != sizes[0].shape for a in sizes):
+            raise DimensionMismatch("order, n_free and n_nn differ in length")
+        if self.soc < 0 or any((a < 0).any() for a in sizes):
+            raise DimensionMismatch("negative cone size")
+        object.__setattr__(self, "soc", int(self.soc))
+        for name, a in zip(names, sizes):
+            object.__setattr__(self, name, a)
 
-    def coord_len(self, kind, size) -> int:
-        return tri(size) if kind == "psd" else size
+    @property
+    def width(self) -> np.ndarray:
+        """Block -> its number of coordinates."""
+        return tri(self.order) + self.n_free + self.n_nn
+
+    @property
+    def block_start(self) -> np.ndarray:
+        """Block -> its first coordinate."""
+        width = self.width
+        return self.soc + np.cumsum(width) - width
 
     @property
     def dim(self) -> int:
-        return sum(self.coord_len(k, s) for k, s in self.segments)
-
-    def slices(self) -> list:
-        out = []
-        start = 0
-        for kind, size in self.segments:
-            ln = self.coord_len(kind, size)
-            out.append((kind, size, slice(start, start + ln)))
-            start += ln
-        return out
+        return int(self.soc + self.width.sum())
 
     def nu(self) -> float:
-        """Barrier parameter: PSD order + orthant size + 1 per SOC."""
-        total = 0.0
-        for kind, size in self.segments:
-            if kind == "soc":
-                total += 1.0
-            elif kind == "psd":
-                total += size
-            elif kind == "nonneg":
-                total += size
-        return total
+        """Barrier parameter: 1 for the SOC, plus PSD orders and orthant
+        size."""
+        return float((self.soc > 0) + self.order.sum() + self.n_nn.sum())
 
 
 # --------------------------------------------------------------------------
@@ -142,9 +138,7 @@ def steiner_closure(td: TreeDecomposition, row: np.ndarray, bag: np.ndarray):
     The rows climb in lockstep: in each row whose bags have not met, the
     deepest bags step to their parents.  A bag whose parent is among its
     row's bags leaves the climb, since its path goes on from there."""
-    ell = td.ell
-    depth = np.asarray(td.depth, dtype=np.int64)
-    post = np.asarray(td.post_index, dtype=np.int64)
+    ell, depth, post = td.ell, td.depth, td.post_index
     key = sorted_unique(row * ell + bag)
     found = [key]
     while key.size:
@@ -207,12 +201,16 @@ class ConvertedProblem:
     n_rows: sp.csr_matrix
     g_rhs: np.ndarray  # rhs for [A; N] (zeros on the N part)
     c_z: np.ndarray
-    cone: ConeSpec
     dual_row_of_constraint: np.ndarray  # constraint -> representative A-row
     order: np.ndarray
     svec_start: np.ndarray
     n_aux: np.ndarray
     n_nn: np.ndarray
+
+    @property
+    def cone(self) -> ConeSpec:
+        """Block j is bag j: its matrix, chain scalars and slacks."""
+        return ConeSpec(0, self.order, self.n_aux, self.n_nn)
 
     @property
     def aux_start(self) -> np.ndarray:
@@ -270,10 +268,10 @@ def _assemble(
     k = int(np.searchsorted(ids, m))  # the cost's entries come last
 
     # ---- covers: the bags of each constraint's pieces, in postorder ------
-    post = np.asarray(td.post_index, dtype=np.int64)
+    post = td.post_index
     entry_key = ids[:k] * ell + post[bag[:k]]
     cover_row, cover_bag = np.divmod(sorted_unique(entry_key), ell)
-    cover_bag = np.asarray(td.postorder(), dtype=np.int64)[cover_bag]
+    cover_bag = td.postorder()[cover_bag]
     n_cover = np.bincount(cover_row, minlength=m)
     # owner of the slack: the first cover bag in postorder, the root for an
     # empty cover; with aux chains, the root of a wide cover's support tree
@@ -305,13 +303,6 @@ def _assemble(
     nn_start = ends - n_nn
     aux_start = nn_start - n_aux
     svec_start = aux_start - tri(order)
-    segments = []
-    for o, a, nn in zip(order.tolist(), n_aux.tolist(), n_nn.tolist()):
-        segments.append(("psd", o))
-        if a:
-            segments.append(("free", a))
-        if nn:
-            segments.append(("nonneg", nn))
     dim_z = int(ends[-1]) if ell else 0
     # slacks in constraint order, chain scalars by (constraint, postorder)
     slack_coord = _slots(slack_owner, nn_start, n_nn)
@@ -371,7 +362,6 @@ def _assemble(
         n_rows=n_rows,
         g_rhs=np.concatenate([rhs, np.zeros(n_rows.shape[0])]),
         c_z=c_z,
-        cone=ConeSpec(segments=tuple(segments)),
         dual_row_of_constraint=dual_row,
         order=order,
         svec_start=svec_start,
@@ -393,13 +383,13 @@ def _overlap_rows(td, svec_start, dim_z):
     """Rows X_j[x, y] - X_p[x, y] = 0 over the separator pairs x <= y of
     each non-root bag j and its parent p, bags in postorder and pairs in
     lexicographic order."""
-    post = np.asarray(td.postorder(), dtype=np.int64)
+    post = td.postorder()
     start = td.bag_start
     at = ranges(start[post], np.diff(start)[post])
     at = at[td.parent_pos[at] >= 0]  # separator entries, child after child
     child = td.bag_of[at]
     # pairs (a, b), a <= b, of separator entries of one child
-    rank = np.asarray(td.post_index, dtype=np.int64)[child]
+    rank = td.post_index[child]
     count = np.cumsum(np.bincount(rank, minlength=td.ell))[rank]
     count -= np.arange(at.size)
     a = np.repeat(np.arange(at.size), count)
@@ -514,15 +504,11 @@ class DualizedProblem:
 
 def dualize(ctc: ConvertedProblem) -> DualizedProblem:
     g = ctc.g_matrix()
-    nonaux = ctc.nonaux_coords()
-    segments = [("soc", 1 + g.shape[0])]
-    for kind, size in ctc.cone.segments:
-        if kind == "free":
-            continue
-        segments.append((kind, size))
     return DualizedProblem(
         ctc=ctc,
         g_csr=g,
-        nonaux=nonaux,
-        cone_x=ConeSpec(segments=tuple(segments)),
+        nonaux=ctc.nonaux_coords(),
+        cone_x=ConeSpec(
+            1 + g.shape[0], ctc.order, np.zeros_like(ctc.order), ctc.n_nn
+        ),
     )

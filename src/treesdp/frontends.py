@@ -5,15 +5,16 @@ Generators build standard-form minimization problems; for the cut
 relaxations and the theta problem the quantity of interest is the
 *negated* optimal value (the solver minimizes).
 
-``read_sdpa`` reads the four header lines one at a time with ``int()``
-and ``float()``.  It parses every entry line in one call of numpy's C
-text reader, then range-checks the entries and rebuilds the senses by
-array passes.  A faulty file raises the error of its first faulty line,
-with that line's number, as a line-by-line read would.  Entry-line tokens
-take numpy's grammar: the first four fields are decimal integers that fit
-in int64, the fifth is anything ``float()`` reads (``inf``, ``nan``,
-``1e500``, ``1.``).  Unlike ``int()`` and ``float()``, it rejects
-digit-group underscores (``1_0``) and non-ASCII digits.
+``read_sdpa`` reads the four header lines one at a time.  It parses every
+entry line in one call of numpy's C text reader, then range-checks the
+entries and rebuilds the senses by array passes.  A faulty file raises the
+error of its first faulty line, with that line's number, as a line-by-line
+read would.  Every token, header or entry, takes numpy's grammar: counts,
+block sizes and the first four fields of an entry are decimal integers
+that fit in int64; right-hand sides and entry values are anything
+``float()`` reads (``inf``, ``nan``, ``1e500``, ``1.``).  Unlike ``int()``
+and ``float()``, it rejects digit-group underscores (``1_0``) and non-ASCII
+digits.
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ from .recovery import LowRankFactor, Metrics, complete_low_rank, dimacs_metrics
 
 METHODS = ("ctc", "dctc", "dctc-aux")
 STEPS = ("short", "adaptive")
-# iteration caps of solve_sdp, per step rule
-SHORT_STEP_MAX_ITER = 50_000
-ADAPTIVE_MAX_ITER = 200
 ORACLE_MAX_ORDER = 50
 
 
@@ -190,6 +188,14 @@ def _parse_entries(lines: list) -> np.ndarray:
     return np.loadtxt(lines, dtype=ENTRY, comments=None, ndmin=1)
 
 
+def _header_numbers(toks: list, dtype) -> np.ndarray:
+    """The tokens of a header line as one ``dtype`` array, read by the
+    entry lines' reader.  ValueError if a token does not read."""
+    if not toks:
+        return np.zeros(0, dtype=dtype)
+    return np.loadtxt([" ".join(toks)], dtype=dtype, comments=None, ndmin=1)
+
+
 def _first_unreadable(lines: list) -> int:
     """Index of the first line ``_parse_entries`` rejects, found by
     bisection: a prefix fails exactly when it holds a rejected line."""
@@ -321,7 +327,7 @@ def read_sdpa(source) -> SdpProblem:
         if len(toks) != 1:
             raise ParseError(f"line {lineno}: expected a single {what}")
         try:
-            return int(toks[0])
+            return int(_header_numbers(toks, np.int64)[0])
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer {what}")
 
@@ -337,7 +343,7 @@ def read_sdpa(source) -> SdpProblem:
             f"line {lineno}: expected {nblocks} block sizes, got {len(toks)}"
         )
     try:
-        sizes = [int(t) for t in toks]
+        sizes = _header_numbers(toks, np.int64).tolist()
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer block size")
     if any(s == 0 for s in sizes):
@@ -357,7 +363,7 @@ def read_sdpa(source) -> SdpProblem:
             f"line {lineno}: expected {m} right-hand sides, got {len(toks)}"
         )
     try:
-        b = np.array([float(t) for t in toks])
+        b = _header_numbers(toks, np.float64)
     except ValueError:
         raise ParseError(f"line {lineno}: non-numeric right-hand side")
 
@@ -442,13 +448,9 @@ def dense_reference_solve(sdp: SdpProblem, eps: float = 1e-8):
         m_op[i, k + slot] = -1.0 if sense == "ge" else 1.0
         slot += 1
     c = np.concatenate([sdp.cost_svec(), np.zeros(n_ineq)])
-    segments = [("psd", n)]
-    if n_ineq:
-        segments.append(("nonneg", n_ineq))
-    program = DenseHsdeProgram(
-        m_op, sdp.b, c, ConeSpec(segments=tuple(segments))
-    )
-    res = adaptive_step_solve(program, eps=eps, max_iter=200)
+    cone = ConeSpec(0, [n], [0], [n_ineq])
+    program = DenseHsdeProgram(m_op, sdp.b, c, cone)
+    res = adaptive_step_solve(program, eps=eps)
     st = res.state
     x_mat = smat(st.x[:k] / st.tau)
     y = st.y / st.tau
@@ -526,9 +528,9 @@ def solve_sdp(
         program = DualizedHsdeProgram(dualize(ctc))
 
     if step == "short":
-        res = short_step_solve(program, eps=eps, max_iter=SHORT_STEP_MAX_ITER)
+        res = short_step_solve(program, eps=eps)
     else:
-        res = adaptive_step_solve(program, eps=eps, max_iter=ADAPTIVE_MAX_ITER)
+        res = adaptive_step_solve(program, eps=eps)
 
     st = res.state
     if method == "ctc":

@@ -51,8 +51,10 @@ from .linalg import (
     eigh_lo,
     eigvalsh_lo,
     lapack_errstate,
+    ranges,
     smat_stack,
     svec_stack,
+    tri,
 )
 from .normal import DenseNormalSystem, TreeNormalSystem
 
@@ -63,17 +65,20 @@ GUARD_GAMMA = 0.9
 STALL_LIMIT = 5
 BOUNDARY_FRACTION = 0.99
 SIGMA_MIN, SIGMA_MAX = 0.05, 0.9
+MAX_ITER = {"short": 50_000, "adaptive": 200}  # iteration cap per step rule
 
 
 @dataclass
 class SolverOptions:
     method: str = "adaptive"  # "short" | "adaptive"
     eps: float = 1e-8
-    max_iter: int = 200
+    max_iter: int = None  # None: the step rule's MAX_ITER
 
     def __post_init__(self):
-        if self.method not in ("short", "adaptive"):
+        if self.method not in MAX_ITER:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.max_iter is None:
+            self.max_iter = MAX_ITER[self.method]
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +98,7 @@ class ScalingPoint:
     """Nesterov-Todd scaling point w with ∇²F(w) x = s, and the spectral
     data of the iterate (x, s) it was computed at.
 
-    ``ConeOps.scaling_point`` decomposes each matrix segment of x and of s
+    ``ConeOps.scaling_point`` decomposes each matrix block of x and of s
     once (one ``eigh`` each, plus one of S^½ X S^½ for W) and keeps X⁻¹,
     X's decomposition and S^-½ here for ``grad`` and ``max_step``; X^-½
     is formed on the first ``max_step``, which the short step never makes.
@@ -102,7 +107,7 @@ class ScalingPoint:
     """
 
     soc: list
-    psd_stacks: dict  # order -> W stack, matrix segments in cone order
+    psd_stacks: dict  # order -> W stack, matrix blocks in cone order
     nn_w: np.ndarray  # concatenated over all nonneg coordinates
     x: np.ndarray  # the iterate (x, s) that w scales
     s: np.ndarray
@@ -123,11 +128,13 @@ def _soc_g2(v: np.ndarray) -> float:
 
 
 class ConeOps:
-    """Barrier calculus over a ConeSpec (soc x psd... x nonneg...).
+    """Barrier calculus over a ConeSpec: an optional second-order cone,
+    then blocks of one PSD matrix and an orthant each.
 
     The second-order cone uses F = -1/2 log(x_0^2 - |x_1|^2) with identity
-    (1, 0, ...), contributing 1 to the barrier parameter nu; PSD and
-    nonnegative segments use -log det X and -log x.
+    (1, 0, ...), contributing 1 to the barrier parameter nu; the matrices
+    and orthant coordinates use -log det X and -log x.  A free coordinate
+    has no barrier, so a cone with one is rejected.
 
     In a solve, ``scaling_point`` is the only method that decomposes the
     iterate: per order group one ``eigh`` of S, of X and of S^½ X S^½.  ``grad`` and
@@ -138,34 +145,24 @@ class ConeOps:
     """
 
     def __init__(self, spec: ConeSpec):
+        if spec.n_free.any():
+            raise DimensionMismatch(
+                "free coordinates cannot appear in a barrier cone"
+            )
         self.spec = spec
         self.dim = spec.dim
-        self.soc_slices = []
-        # order -> coord index matrix (g, t), one row per matrix segment in
-        # cone order
+        self.soc_slices = [slice(0, spec.soc)] if spec.soc else []
+        start, order = spec.block_start, spec.order
+        # order -> coord index matrix (g, t), one row per block of that
+        # order in cone order; orders by first appearance, order 0 skipped
+        orders, first = np.unique(order, return_index=True)
         self.psd_groups = {}
-        nn_idx = []
-        psd_group_lists = {}
-        for kind, size, sl in spec.slices():
-            if kind == "soc":
-                self.soc_slices.append(sl)
-            elif kind == "psd":
-                coords = np.arange(sl.start, sl.stop, dtype=np.int64)
-                psd_group_lists.setdefault(size, []).append(coords)
-            elif kind == "nonneg":
-                nn_idx.append(np.arange(sl.start, sl.stop, dtype=np.int64))
-            elif kind == "free":
-                raise DimensionMismatch(
-                    "free segments cannot appear in a barrier cone"
-                )
-        for order, lists in psd_group_lists.items():
-            self.psd_groups[order] = np.stack(lists)
-        self.nn_idx = (
-            np.concatenate(nn_idx)
-            if nn_idx
-            else np.zeros(0, dtype=np.int64)
-        )
-        self.nu = float(spec.nu())
+        for o in orders[np.argsort(first)].tolist():
+            if o:
+                first_coord = start[order == o, None]
+                self.psd_groups[o] = first_coord + np.arange(tri(o))
+        self.nn_idx = ranges(start + tri(order), spec.n_nn)
+        self.nu = spec.nu()
 
     # -- helpers ----------------------------------------------------------
     def _cols(self, v):
@@ -271,7 +268,7 @@ class ConeOps:
     def hess_inv_apply(self, w: ScalingPoint, v):
         """(∇²F(w))^{-1} v for a vector or a (dim, k) column batch.
 
-        PSD segments take W M W per order group by
+        PSD blocks take W M W per order group by
         :func:`~treesdp.linalg.congruence_stack`: the floats of
         ``np.einsum``, with no path search per call."""
         cols, single = self._cols(v)
@@ -384,8 +381,8 @@ class DualizedHsdeProgram:
         return self.dualized.apply_mt(rows)
 
     def normal_update(self, ops: ConeOps, w: ScalingPoint) -> None:
-        # the cone lists each block's matrix and slack segments in block
-        # order, so the scaling stacks are already in the engine's format
+        # block j of the cone is bag j, so the scaling stacks list the
+        # engine's blocks in its order
         sc = w.soc[0]
         q_z = self.dualized.gt_csr @ (np.sqrt(2.0) * sc.w[1:])
         self.normal.update(sc.g2, q_z, w.psd_stacks, w.nn_w ** 2)
@@ -800,11 +797,11 @@ def _certificate(st: EmbeddingState) -> dict:
             "kappa": st.kappa}
 
 
-def short_step_solve(program, eps=1e-8, max_iter=5000) -> SolveResult:
+def short_step_solve(program, eps=1e-8, max_iter=None) -> SolveResult:
     opts = SolverOptions(method="short", eps=eps, max_iter=max_iter)
     return HsdeSolver(program, opts).solve()
 
 
-def adaptive_step_solve(program, eps=1e-8, max_iter=200) -> SolveResult:
+def adaptive_step_solve(program, eps=1e-8, max_iter=None) -> SolveResult:
     opts = SolverOptions(method="adaptive", eps=eps, max_iter=max_iter)
     return HsdeSolver(program, opts).solve()

@@ -155,15 +155,15 @@ def group_bags(td: TreeDecomposition, widths, cap) -> list:
     bags, each in postorder, in an elimination order: every group comes
     before the group that holds its attach bag.
     """
-    parent = td.parent.tolist()
+    parent, post = td.parent.tolist(), td.postorder().tolist()
     children = [[] for _ in range(td.ell)]
-    for j in td.postorder():
+    for j in post:
         if parent[j] != j:
             children[parent[j]].append(j)
     members = [None] * td.ell  # bag -> its open group, in postorder
     width = [0] * td.ell
     groups = []
-    for j in td.postorder():
+    for j in post:
         merged, w = [], widths[j]
         pack, pack_w = [], 0
         for c in children[j]:

@@ -179,7 +179,7 @@ def complete_low_rank(
     )
     mismatch = np.zeros(ell)
     np.maximum.at(mismatch, child, diff)
-    root_first = np.asarray(td.postorder()[::-1], dtype=np.int64)
+    root_first = td.postorder()[::-1]
     failed = np.stack([low < -cap, mismatch > OVERLAP_TOL], axis=1)
     failed = failed[root_first].ravel()  # a bag's PSD check first
     if failed.any():

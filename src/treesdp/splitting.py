@@ -33,16 +33,13 @@ class UniquePartition:
     so each ``split`` call pays only for its own entries."""
 
     owner: np.ndarray  # vertex -> root-most bag containing it
-    depth: np.ndarray  # bag -> number of edges to the root
 
 
 def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
     unique = td.parent_pos < 0
     owner = np.full(td.n, -1, dtype=np.int64)
     owner[td.members[unique]] = td.bag_of[unique]
-    return UniquePartition(
-        owner=owner, depth=np.asarray(td.depth, dtype=np.int64)
-    )
+    return UniquePartition(owner=owner)
 
 
 @dataclass
@@ -75,7 +72,7 @@ def split(
     # trigger bag per entry: the deeper of the two endpoint owners; the entry
     # is coverable iff that bag also holds the other endpoint.
     own_r, own_c = partition.owner[rows], partition.owner[cols]
-    row_deeper = partition.depth[own_r] >= partition.depth[own_c]
+    row_deeper = td.depth[own_r] >= td.depth[own_c]
     trigger = np.where(row_deeper, own_r, own_c)
     fits = td.locate(trigger, np.where(row_deeper, cols, rows))[1]
     if not fits.all():
@@ -124,7 +121,8 @@ def _greedy_cover(rows: list, cols: list, trigger: list, td) -> list:
     assignment = [-1] * len(rows)
     # postorder restricted to trigger bags: non-trigger bags never enter
     # the cover, so skipping them is behavior-preserving
-    for j in sorted(buckets, key=td.post_index.__getitem__):
+    bags = np.fromiter(buckets, np.int64, len(buckets))
+    for j in bags[np.argsort(td.post_index[bags])].tolist():
         if all(assignment[e] >= 0 for e in buckets[j]):
             continue
         bag = set(td.bags[j])

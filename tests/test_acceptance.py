@@ -353,7 +353,7 @@ def _dense_program(sdp):
         sdp.stacked_rows().toarray(),
         sdp.b,
         sdp.cost_svec(),
-        ConeSpec(segments=(("psd", sdp.n),)),
+        ConeSpec(0, [sdp.n], [0], [0]),
     )
 
 

@@ -24,7 +24,9 @@ from treesdp.convert import (
     validate_support_tree,
     verify_split,
 )
-from treesdp.errors import DisconnectedSupport, InvalidSplit, UncoverableEntry
+from treesdp.errors import (
+    DimensionMismatch, DisconnectedSupport, InvalidSplit, UncoverableEntry
+)
 from treesdp.frontends import gen_maxkcut
 from treesdp.linalg import tri
 from treesdp.normal import row_bags
@@ -50,9 +52,31 @@ from util import (
 
 # ----------------------------------------------------------------- ConeSpec
 def test_cone_spec_dims_and_nu():
-    cone = ConeSpec(segments=(("soc", 4), ("psd", 3), ("nonneg", 2), ("free", 1)))
-    assert cone.dim == 4 + tri(3) + 2 + 1
-    assert cone.nu() == 1 + 3 + 2
+    cone = ConeSpec(4, [3, 2], [1, 0], [0, 2])
+    assert cone.dim == 4 + tri(3) + 1 + tri(2) + 2
+    assert cone.nu() == 1 + 3 + 2 + 2
+    assert cone.block_start.tolist() == [4, 4 + tri(3) + 1]
+    assert ConeSpec(0, [3], [0], [0]).nu() == 3  # no second-order cone
+    for sizes in (cone.order, cone.n_free, cone.n_nn):
+        assert sizes.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, [3, 2], [0], [0, 0]), "differ in length"),
+        ((0, [3], [0], [0, 1]), "differ in length"),
+        ((0, [3], [[0]], [0]), "differ in length"),
+        ((0, 3, 0, 0), "differ in length"),
+        ((-1, [3], [0], [0]), "negative cone size"),
+        ((0, [-3], [0], [0]), "negative cone size"),
+        ((0, [3], [-1], [0]), "negative cone size"),
+        ((0, [3], [0], [-1]), "negative cone size"),
+    ],
+)
+def test_cone_spec_rejects_mismatched_or_negative_sizes(args, message):
+    with pytest.raises(DimensionMismatch, match=message):
+        ConeSpec(*args)
 
 
 # ----------------------------------------------------------------- build_ctc
@@ -238,7 +262,6 @@ def assert_same_conversion(got, want):
     ):
         assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert getattr(got, name).dtype == getattr(want, name).dtype
-    assert got.cone == want.cone
 
 
 def record_of(ctc, with_aux):
@@ -571,8 +594,11 @@ def test_dualize_shapes_and_adjoint():
     dp = dualize(ctc)
     assert dp.dim_x == 1 + dp.f + dp.k2
     assert dp.f == ctc.a_rows.shape[0] + ctc.n_rows.shape[0]
-    assert dp.cone_x.segments[0] == ("soc", 1 + dp.f)
-    assert all(kind != "free" for kind, _ in dp.cone_x.segments)
+    assert dp.cone_x.soc == 1 + dp.f
+    assert not dp.cone_x.n_free.any()
+    assert np.array_equal(dp.cone_x.order, ctc.order)
+    assert np.array_equal(dp.cone_x.n_nn, ctc.n_nn)
+    assert dp.cone_x.dim == dp.dim_x
     assert dp.b_t is ctc.c_z
     ct = dp.c_t()
     assert ct[0] == 0.0 and np.allclose(ct[1:1 + dp.f], ctc.g_rhs)

@@ -493,11 +493,27 @@ def test_entry_tokens_are_ascii_without_underscores(line):
     )
 
 
-def test_header_tokens_keep_int_and_float():
-    # the four header lines are still read by int() and float()
-    sdp = read_sdpa(io.StringIO("1\n1\n1_0\n1_0.5\n1 1 1 1 1.0\n"))
-    assert sdp.n == 10
-    assert same_bits(sdp.b, np.array([10.5]))
+# header tokens that int() and float() accept, on each header line
+HEADER_FAULTS = {
+    "count-underscore": ("1_0\n1\n1\n1.0", 1, "constraint count"),
+    "blocks-non-ascii": ("1\n\u0661\n1\n1.0", 2, "block count"),
+    "size-underscore": ("1\n1\n1_0\n1.0", 3, "block size"),
+    "size-beyond-int64": ("1\n1\n99999999999999999999\n1.0", 3, "block size"),
+    "rhs-underscore": ("1\n1\n1\n1_0.5", 4, "right-hand side"),
+    "rhs-non-ascii": ("1\n1\n1\n\u0663", 4, "right-hand side"),
+}
+
+
+@pytest.mark.parametrize(
+    "head, lineno, what", HEADER_FAULTS.values(), ids=HEADER_FAULTS.keys()
+)
+def test_header_tokens_take_the_entry_grammar(head, lineno, what):
+    text = head + "\n1 1 1 1 1.0\n"
+    kind = "non-numeric" if what == "right-hand side" else "non-integer"
+    assert read_outcome(read_sdpa, text) == (
+        ParseError, f"line {lineno}: {kind} {what}"
+    )
+    assert_reads_as_the_reference(text)
 
 
 def _bench_texts():

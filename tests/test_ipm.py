@@ -19,10 +19,11 @@ import numpy._core.einsumfunc as einsumfunc
 import pytest
 from numpy.linalg import _umath_linalg as umath_linalg
 
-from treesdp import ipm, linalg
+from treesdp import frontends, ipm, linalg
 from treesdp.chordal import Graph, decompose, sparsity_graph
 from treesdp.convert import ConeSpec, build_ctc, dualize, separate_with_aux
 from treesdp.errors import (
+    DimensionMismatch,
     IndefinitePivot,
     InfeasibleOrUnbounded,
     MaxIterations,
@@ -31,7 +32,7 @@ from treesdp.errors import (
     NumericalStall,
     SingularNormalMatrix,
 )
-from treesdp.frontends import gen_maxcut, solve_sdp
+from treesdp.frontends import gen_maxcut, gen_maxkcut, solve_sdp
 from treesdp.ipm import (
     ConeOps,
     DenseHsdeProgram,
@@ -62,20 +63,21 @@ from util import (
     oracle_hess_inv_apply,
     oracle_max_step,
     oracle_psd_stacks,
+    power_flow_problem,
     random_partially_separable_problem,
+    reference_cone_tables,
+    row_assemble,
     same_bits,
     star_arrow_problem,
     with_wide_constraint,
 )
+from test_normal import REFERENCE_KINDS, _reference_instance
 
-COMPOSITE = ConeSpec(
-    segments=(
-        ("soc", 3),
-        ("psd", 3),
-        ("psd", 2),
-        ("psd", 3),
-        ("nonneg", 4),
-    )
+# a second-order cone, then matrix blocks of orders 3, 2 and 3, the last
+# with four orthant coordinates
+COMPOSITE = ConeSpec(3, [3, 2, 3], [0, 0, 0], [0, 0, 4])
+COMPOSITE_SEGMENTS = (
+    ("soc", 3), ("psd", 3), ("psd", 2), ("psd", 3), ("nonneg", 4),
 )
 
 
@@ -262,10 +264,13 @@ def test_congruence_is_bitwise_greedy_einsum():
                 assert np.array_equal(congruence_stack(w, m), oracle)
 
 
-# matrix segments of every order 1-18, two of some, between a second-order
-# cone and orthant segments
+# matrix blocks of every order 1-18, two of some, after a second-order
+# cone, and orthant coordinates in two of them
 WIDE = ConeSpec(
-    segments=(("soc", 4),)
+    4, [*range(1, 19), 3, 18], [0] * 20, [0] * 17 + [5, 0, 2]
+)
+WIDE_SEGMENTS = (
+    (("soc", 4),)
     + tuple(("psd", o) for o in range(1, 19))
     + (("nonneg", 5), ("psd", 3), ("psd", 18), ("nonneg", 2))
 )
@@ -350,7 +355,7 @@ def test_congruence_cache_holds_more_than_64_shape_pairs(monkeypatch):
 
 def test_scaling_point_psd_example():
     # X = 4 I, S = I on one psd(3) segment: W = 2 I
-    ops = ConeOps(ConeSpec(segments=(("psd", 3),)))
+    ops = ConeOps(ConeSpec(0, [3], [0], [0]))
     x = ops.identity() * 4.0
     s = ops.identity()
     w = ops.scaling_point(x, s)
@@ -358,7 +363,7 @@ def test_scaling_point_psd_example():
 
 
 def test_scaling_point_soc_identity_fixpoint():
-    ops = ConeOps(ConeSpec(segments=(("soc", 4),)))
+    ops = ConeOps(ConeSpec(4, [], [], []))
     e = ops.identity()
     w = ops.scaling_point(e, e)
     assert np.allclose(w.soc[0].w, e, atol=1e-12)
@@ -370,13 +375,8 @@ def test_scaling_point_rejects_boundary():
     x = make_interior(ops, rng)
     s = make_interior(ops, rng)
     bad = s.copy()
-    # break the first psd segment: make it indefinite
-    sl = None
-    for kind, size, seg in COMPOSITE.slices():
-        if kind == "psd":
-            sl = seg
-            break
-    bad[sl.start] = -5.0
+    # break the first matrix block: make it indefinite
+    bad[COMPOSITE.block_start[0]] = -5.0
     with pytest.raises(NotInterior):
         ops.scaling_point(x, bad)
     with pytest.raises(NotInterior):
@@ -410,16 +410,95 @@ def test_max_step_boundary_oracle():
 
 
 def test_max_step_exact_values():
-    ops = ConeOps(ConeSpec(segments=(("nonneg", 3),)))
+    ops = ConeOps(ConeSpec(0, [0], [0], [3]))  # an orthant alone
     z = np.array([1.0, 2.0, 3.0])
     dz = np.array([-2.0, 1.0, -1.0])
     assert step_of_x(ops, z, dz) == pytest.approx(0.5)
     assert step_of_x(ops, z, np.ones(3)) == np.inf
 
-    ops = ConeOps(ConeSpec(segments=(("psd", 2),)))
+    ops = ConeOps(ConeSpec(0, [2], [0], [0]))
     x = ops.identity()
     d = -2.0 * ops.identity()
     assert step_of_x(ops, x, d) == pytest.approx(0.5)
+
+
+# ---------------------------------------------------------------------------
+# cone tables against the per-segment walk
+# ---------------------------------------------------------------------------
+
+
+def assert_same_cone_tables(ops, want):
+    """ConeOps's tables are the reference's, byte for byte: the slices and
+    the order keys by repr (so a numpy integer would not pass for an int),
+    the index arrays and the identity by ``same_bits``."""
+    assert repr(ops.soc_slices) == repr(want.soc_slices)
+    assert repr(list(ops.psd_groups)) == repr(list(want.psd_groups))
+    for got, ref in zip(ops.psd_groups.values(), want.psd_groups.values()):
+        assert same_bits(got, ref)
+    assert same_bits(ops.nn_idx, want.nn_idx)
+    assert repr(ops.nu) == repr(want.nu)
+    assert repr(ops.dim) == repr(want.dim)
+    assert same_bits(ops.identity(), want.identity)
+
+
+@pytest.mark.parametrize("kind", [*REFERENCE_KINDS, "power-flow"])
+def test_cone_tables_match_the_segment_walk_on_conversions(kind):
+    # the cones of a dctc, dctc-aux and ctc solve, against the walk over
+    # the per-bag segments the per-row oracle lists
+    if kind == "power-flow":
+        problem = power_flow_problem(3, 8)
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
+    else:
+        problem, td, _ = _reference_instance(kind)
+    for with_aux in (False, True):
+        ctc = (separate_with_aux if with_aux else build_ctc)(problem, td)
+        segments = row_assemble(problem, td, with_aux)[1].segments
+        if with_aux and kind in ("dctc-aux", "power-flow"):
+            assert any(seg[0] == "free" for seg in segments)
+        else:
+            ops = ConeOps(ctc.cone)  # the ctc method's cone
+            assert_same_cone_tables(ops, reference_cone_tables(segments))
+        dual = dualize(ctc)
+        kept = [seg for seg in segments if seg[0] != "free"]
+        assert_same_cone_tables(
+            ConeOps(dual.cone_x),
+            reference_cone_tables([("soc", 1 + dual.f), *kept]),
+        )
+
+
+class _Captured(Exception):
+    pass
+
+
+def test_cone_tables_match_the_segment_walk_on_fixed_and_oracle_cones(
+    monkeypatch,
+):
+    cases = [(COMPOSITE, COMPOSITE_SEGMENTS), (WIDE, WIDE_SEGMENTS)]
+    cones = []
+
+    def capture(program, eps):
+        cones.append(program.cone)
+        raise _Captured
+
+    monkeypatch.setattr(frontends, "adaptive_step_solve", capture)
+    path = Graph(4, [(0, 1), (1, 2), (2, 3)])
+    for k in (2, 3):  # MAX 3-CUT has inequality rows, MAX CUT none
+        sdp = gen_maxkcut(path, k)
+        with pytest.raises(_Captured):
+            frontends.dense_reference_solve(sdp)
+        slacks = [("nonneg", sdp.n_ineq)] if sdp.n_ineq else []
+        cases.append((cones[-1], [("psd", sdp.n), *slacks]))
+    for cone, segments in cases:
+        assert_same_cone_tables(ConeOps(cone), reference_cone_tables(segments))
+
+
+def test_cone_ops_rejects_a_free_coordinate():
+    problem, td, _ = _reference_instance("dctc-aux")
+    ctc = separate_with_aux(problem, td)
+    assert ctc.n_aux.any()
+    for cone in (ctc.cone, ConeSpec(0, [2], [1], [0])):
+        with pytest.raises(DimensionMismatch, match="free coordinates"):
+            ConeOps(cone)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ suite."""
 
 import heapq
 from dataclasses import dataclass
+from types import SimpleNamespace
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -10,7 +11,7 @@ import scipy.sparse as sp
 from scipy.linalg import solve_triangular
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
-from treesdp.convert import ConeSpec, ConvertedProblem
+from treesdp.convert import ConvertedProblem
 from treesdp.errors import (
     BlockNotPsd,
     DimensionMismatch,
@@ -1430,6 +1431,8 @@ class RowRecord:
     block_of_row: list  # per G-row: sorted tuple of the bags it touches
     slack_coord: dict  # constraint index -> z coordinate of its slack
     aux_chains: list  # AuxChain per separated constraint
+    segments: list  # z's cone: per bag ("psd", order), then its non-empty
+    # ("free", chain scalars) and ("nonneg", slacks), bag after bag
 
 
 def reference_steiner_closure(td: TreeDecomposition, bags: list) -> list:
@@ -1659,7 +1662,6 @@ def row_assemble(problem, td, with_aux):
         n_rows=n_rows,
         g_rhs=np.concatenate([np.array(rhs), np.zeros(nrow)]),
         c_z=c_z,
-        cone=ConeSpec(segments=tuple(segments)),
         dual_row_of_constraint=dual_row,
         order=np.array([len(bag) for bag in td.bags], dtype=np.int64),
         svec_start=np.array(svec_start, dtype=np.int64),
@@ -1671,8 +1673,53 @@ def row_assemble(problem, td, with_aux):
         block_of_row=block_of_row + n_block_of_row,
         slack_coord=slack_coord,
         aux_chains=aux_chains,
+        segments=segments,
     )
     return ctc, record
+
+
+def reference_cone_tables(segments) -> SimpleNamespace:
+    """The tables ``ConeOps`` holds for the cone that lists its
+    ``("soc" | "psd" | "nonneg", size)`` segments in coordinate order, by
+    one walk over the segments: ``soc_slices``, ``psd_groups`` (order ->
+    one row of coordinates per matrix segment, orders by first
+    appearance), ``nn_idx``, ``nu``, ``dim`` and the ``identity``.  The
+    per-segment form ``ConeOps.__init__`` replaced."""
+    soc_slices, psd_lists, nn_idx, ones = [], {}, [], []
+    nu = 0.0
+    start = 0
+    for kind, size in segments:
+        length = tri(size) if kind == "psd" else size
+        coords = np.arange(start, start + length, dtype=np.int64)
+        if kind == "soc":
+            soc_slices.append(slice(start, start + length))
+            ones.append(start)
+            nu += 1.0
+        elif kind == "psd":
+            psd_lists.setdefault(size, []).append(coords)
+            ones += [start + r * (r + 1) // 2 + r for r in range(size)]
+            nu += size
+        elif kind == "nonneg":
+            nn_idx.append(coords)
+            ones += coords.tolist()
+            nu += size
+        else:
+            raise DimensionMismatch(
+                "free segments cannot appear in a barrier cone"
+            )
+        start += length
+    identity = np.zeros(start)
+    identity[ones] = 1.0
+    return SimpleNamespace(
+        soc_slices=soc_slices,
+        psd_groups={o: np.stack(rows) for o, rows in psd_lists.items()},
+        nn_idx=(
+            np.concatenate(nn_idx) if nn_idx else np.zeros(0, dtype=np.int64)
+        ),
+        nu=nu,
+        dim=start,
+        identity=identity,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1695,13 +1742,26 @@ def _reference_vector_tokens(line: str) -> list:
     ).replace(")", " ").split()
 
 
+def _reference_header_number(token: str, kind):
+    """``kind(token)``, ``kind`` being ``int`` or ``float``, under the
+    grammar of numpy's text reader: no digit-group underscores, ASCII
+    digits only, and integers within int64."""
+    if "_" in token or not token.isascii():
+        raise ValueError(f"{token!r} is not a {kind.__name__}")
+    value = kind(token)
+    if kind is int and not -2 ** 63 <= value < 2 ** 63:
+        raise ValueError(f"{token!r} overflows int64")
+    return value
+
+
 def reference_read_sdpa(source) -> SdpProblem:
     """The reference of ``frontends.read_sdpa``: it splits, converts with
     ``int()`` and ``float()``, range-checks and appends each entry line in
-    turn, so its first failing line is the one it reports.  Python's
-    ``int()`` and ``float()`` also accept digit-group underscores,
-    non-ASCII digits and integers beyond int64, which ``read_sdpa``
-    rejects as non-numeric."""
+    turn, so its first failing line is the one it reports.  On entry
+    lines, Python's ``int()`` and ``float()`` also accept digit-group
+    underscores, non-ASCII digits and integers beyond int64, which
+    ``read_sdpa`` rejects as non-numeric; header tokens are read under
+    ``read_sdpa``'s grammar."""
     if hasattr(source, "read"):
         text = source.read()
     else:
@@ -1720,7 +1780,7 @@ def reference_read_sdpa(source) -> SdpProblem:
         if len(toks) != 1:
             raise ParseError(f"line {lineno}: expected a single {what}")
         try:
-            return int(toks[0])
+            return _reference_header_number(toks[0], int)
         except ValueError:
             raise ParseError(f"line {lineno}: non-integer {what}")
 
@@ -1736,7 +1796,7 @@ def reference_read_sdpa(source) -> SdpProblem:
             f"line {lineno}: expected {nblocks} block sizes, got {len(toks)}"
         )
     try:
-        sizes = [int(t) for t in toks]
+        sizes = [_reference_header_number(t, int) for t in toks]
     except ValueError:
         raise ParseError(f"line {lineno}: non-integer block size")
     if any(s == 0 for s in sizes):
@@ -1756,7 +1816,7 @@ def reference_read_sdpa(source) -> SdpProblem:
             f"line {lineno}: expected {m} right-hand sides, got {len(toks)}"
         )
     try:
-        b = np.array([float(t) for t in toks])
+        b = np.array([_reference_header_number(t, float) for t in toks])
     except ValueError:
         raise ParseError(f"line {lineno}: non-numeric right-hand side")
 
