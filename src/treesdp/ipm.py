@@ -439,6 +439,8 @@ class DenseHsdeProgram:
             "fill_blocks": 0,
             "flops_estimate": self.normal.dim ** 3 // 3,
             "bytes": self.normal.memory_bytes(),
+            "sweep_steps": 1,
+            "stacked_groups": 0,
         }
 
 

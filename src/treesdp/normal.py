@@ -37,9 +37,10 @@ stay exactly zero in L.  The block pattern is thus known before any
 number is assembled: :meth:`TreeNormalSystem.pattern_stats` reports the
 tree-adjacent bag pairs that share a row of G, which both H and L hold,
 and no fill.
-Each group's factor, triangular solves and products are one dense LAPACK
-or BLAS call, and storage stays linear in the number of bags: a merged
-group of w coordinates holds w^2 <= ``GROUP_WIDTH`` * w entries.
+The factor, the triangular solves and the products are dense LAPACK or
+BLAS calls per group or per run of like groups (see Sweeps), and storage
+stays linear in the number of bags: a merged group of w coordinates holds
+w^2 <= ``GROUP_WIDTH`` * w entries.
 
 Storage.  The coordinates are permuted once so that each group is one
 contiguous slice, its members in postorder; ``solve_h`` and ``apply_h``
@@ -49,12 +50,15 @@ permuted coordinate and its group, and per group its first coordinate
 and width, its attach bag's first coordinate and row count, and the flat
 offsets of its diagonal and edge blocks.  H lives in one flat buffer:
 each group's dense diagonal block, then each group's edge block, which
-holds only the attach bag's rows.  L lives in a second buffer of the same
-layout, which ``factor`` overwrites in place, subtracting each group's
-update from a fixed view of its attach bag's block.  G^T G is kept as the
-(position, value) pairs of its nonzeros in that layout, since merged
-blocks are mostly zeros.  The slack scalings, the static shift and the
-finiteness checks are one vectorized pass each: ``factor`` checks the
+holds only the attach bag's rows.  Only the diagonal part of H's buffer
+is cleared per assembly: the edge blocks hold sigma G^T G alone, whose
+entries every assembly overwrites at fixed positions, and the rest of
+them stays zero from the allocation.  L lives in a second buffer of the
+same layout, which ``factor`` overwrites in place, subtracting each
+group's update from a fixed view of its attach bag's block.  G^T G is
+kept as the (position, value) pairs of its nonzeros in that layout, since
+merged blocks are mostly zeros.  The slack scalings, the static shift and
+the finiteness checks are one vectorized pass each: ``factor`` checks the
 assembled H and ``solve_h`` its right-hand side, once per call, and both
 raise :class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks
 are added one *run* of bags at a time: same-order bags that lie in one
@@ -70,32 +74,52 @@ same to the last bit without the per-call argument validation.
 ``factor`` writes each diagonal block's Cholesky factor in place through
 numpy's LAPACK gufunc, the kernel ``np.linalg.cholesky`` calls, under
 one error state around its loop
-(:func:`~treesdp.linalg.lapack_errstate`).  ``factor`` and ``solve_h``
-walk per-group tuples built once with the engine, in elimination order,
-since each group's step needs its children's.  A sweep tuple holds L's
-diagonal block transposed (the F-ordered upper triangle that dtrtrs
-reads), the group's slice, its attach bag's slab, and its edge block with
-that block's transpose (None at the root group).  A factor step holds L's
-diagonal block and its transpose, H's edge block transposed, L's edge
-block, and the attach bag's block of L.  ``apply_h`` has no such
-dependence and walks *runs* instead: maximal stretches of consecutive
-groups of equal width and equal attach-row count, whose diagonal and edge
-blocks lie at constant steps in H's buffer.  A run of several groups is
-one strided (groups, w, w) view, one (groups, r, w) view and an index
-array of its attach rows, so each of a group's three products is one
-stacked product per run; a run of one group keeps its 2-D blocks and
-slices.  ``apply_h`` keeps the per-group loop's order of additions, so
-every float of H x is that loop's: each entry takes its children's edge
-terms in elimination order, then its diagonal term, then its transposed
-edge term, and a run scatters its edge terms (``np.add.at`` adds repeated
-rows in sequence) before its own rows take theirs.  Every block is a view
-into the H or L buffer, fixed for the engine's life, and no workspace
-outlives a call.
+(:func:`~treesdp.linalg.lapack_errstate`).
+
+Sweeps.  ``factor`` and ``solve_h`` walk one plan of *runs*, built once
+with the engine: maximal stretches of consecutive groups, in elimination
+order, of equal width w and equal attach-row count r, in which no group
+holds another member's attach bag.  The members of a run do not depend on
+one another in either sweep (level scheduling of a sparse triangular
+solve; Anderson & Saad 1989): their children lie in earlier runs and
+their attach bags in later ones.  A run of one group keeps its 2-D blocks
+and the per-group steps: ``cholesky_lo``, then ``dtrtrs`` (in ``factor``
+in place in L's edge block, copied there from H's), then slices.  A run
+of n groups is strided (n, w, w) and (n, r, w) views into the buffers.
+``factor`` takes one ``cholesky_lo`` over its diagonal blocks, writes
+each factor's inverse (LAPACK ``dtrtri``) into a third buffer, since the
+block counts of :meth:`TreeNormalSystem.pattern_stats` are measured on
+L's own blocks, makes its edge blocks by one stacked product
+``H_off L^{-T}`` and subtracts each member's update from its attach block
+in elimination order.  ``solve_h`` makes one stacked product per run and
+direction, and scatters a run's edge terms by ``np.subtract.at``, which
+subtracts repeated attach rows (siblings that share an attach bag) in
+sequence, as the per-group loop does.  The inverse buffer holds a w x w
+block per stacked group: the leaves' share of L's diagonal part on a
+star, nothing on a chain, whose every group attaches to the next and so
+forms a run of one.  A star's leaf groups form one run and its hub
+another, so each sweep takes two steps there instead of one per group.
+
+``apply_h`` has no dependence between groups and walks its own runs,
+cut by shape alone: a run of several groups is one strided
+(groups, w, w) view, one (groups, r, w) view and an index array of its
+attach rows, so each of a group's three products is one stacked product
+per run; a run of one group keeps its 2-D blocks and slices.  ``apply_h``
+keeps the per-group loop's order of additions, so every float of H x is
+that loop's: each entry takes its children's edge terms in elimination
+order, then its diagonal term, then its transposed edge term, and a run
+scatters its edge terms (``np.add.at`` adds repeated rows in sequence)
+before its own rows take theirs.  Every block is a view into the H, L or
+inverse buffer, fixed for the engine's life, and no workspace outlives a
+call.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
 computed once per factorization, followed by exactly one
-iterative-refinement pass.  The pass is unconditional: when a residual
+iterative-refinement pass.  A stacked run's products with explicit
+inverses round otherwise than triangular solves, so its floats differ
+from the per-group sweep's in the last bits; a run of one group gives
+that sweep's floats exactly.  The pass is unconditional: when a residual
 tolerance decided it, rounding noise decided which directions were
 refined, and the final dual infeasibility of a solve followed that noise.
 
@@ -108,7 +132,7 @@ from __future__ import annotations
 from itertools import chain
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.lapack import dtrtri, dtrtrs
 
 from .chordal import TreeDecomposition
 from .convert import DualizedProblem
@@ -138,9 +162,9 @@ DENOMINATOR_FLOOR = 1e-14
 GROUP_WIDTH = 32
 
 
-def _trtrs_failed(info: int) -> IndefinitePivot:
+def _trtrs_failed(info: int, routine: str = "dtrtrs") -> IndefinitePivot:
     return IndefinitePivot(
-        f"triangular solve failed: LAPACK dtrtrs info = {info}"
+        f"triangular solve failed: LAPACK {routine} info = {info}"
     )
 
 
@@ -223,6 +247,15 @@ def run_starts(group: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
+def _stack(flat: np.ndarray, off, n: int, rows: int, w: int) -> np.ndarray:
+    """The (n, rows, w) view of n consecutive C-ordered rows x w blocks
+    of ``flat``, the first at offset ``off``.  The buffer constructor
+    raises if the view leaves ``flat``."""
+    item = flat.itemsize
+    return np.ndarray((n, rows, w), flat.dtype, flat, int(off) * item,
+                      (rows * w * item, w * item, item))
+
+
 class TreeNormalSystem:
     """Assemble, factor, and solve the block-tree normal equations."""
 
@@ -240,36 +273,15 @@ class TreeNormalSystem:
         self._layout(width)
         self._gtg_pos, self._gtg_val = self._static_gram()
         # H and L are rewritten in place every iteration, through fixed
-        # block views; L's diagonal blocks start as H's shifted copy
-        self._h_flat = np.empty(self._n_flat)
+        # block views; H's edge blocks hold sigma G^T G alone, at fixed
+        # positions, so only its diagonal part is cleared per assembly
+        self._h_flat = np.zeros(self._n_flat)
         self._h_blocks = self._blocks(self._h_flat)
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
-        l_diag, l_off = self._l_blocks
-        h_off = self._h_blocks[1]
-        # each group's attach bag's block of L, in the parent group's block
-        row0 = self._block_row[len(self.groups):]  # of the edge blocks
-        parent = self._group_of[self._bag_of[row0]]
-        spans = np.column_stack(
-            (parent, row0 - self._first[parent], self._attach_rows)
-        ).tolist()
-        attach = [
-            l_diag[p][a:a + r, a:a + r] if r else None for p, a, r in spans
-        ]
-        # what factor and solve_h walk, per group in elimination order
-        # (apply_h walks runs of groups); dtrtrs reads L's diagonal block
-        # as the F-ordered upper triangle of its transpose
-        self._factor_steps = [
-            (ld, ld.T, None if ho is None else ho.T, lo, at)
-            for ld, ho, lo, at in zip(l_diag, h_off, l_off, attach)
-        ]
-        self._l_sweep = [
-            (ld.T, sl, slab, lo, None if lo is None else lo.T)
-            for ld, sl, slab, lo in zip(
-                l_diag, self.slices, self._slabs, l_off
-            )
-        ]
         self._h_runs, self._attach_idx = self._h_run_views()
+        self._sweep_runs = self._sweep_plan()
+        self._factor_steps, self._l_sweep = self._sweep_views()
         self._kron_runs = self._kron_run_views()
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
@@ -282,6 +294,10 @@ class TreeNormalSystem:
         )
         w, r = self._width, self._attach_rows
         self._factor_ops = int(np.sum(w ** 3 // 3 + w + w * r * (w + r)))
+        # the stacked groups' inverses, w^3 / 3 each
+        self._factor_ops += sum(
+            n * (w ** 3 // 3) for _, n, w, _ in self._sweep_runs if n > 1
+        )
 
         # per-factorization state
         self.h_diag: list = []
@@ -333,9 +349,10 @@ class TreeNormalSystem:
         ``_bag_of[i]``; bag j's coordinates start at ``_bag_start[j]``, in
         group ``_group_of[j]``.  Group k holds ``_width[k]`` coordinates
         from ``_first[k]``; its attach bag has ``_attach_rows[k]`` (0 at
-        the root).  The flat buffers hold every group's diagonal block,
-        then every group's edge block, ``_width[k]`` columns each: block b
-        starts at ``_block_off[b]``, its rows at ``_block_row[b]``.
+        the root) and lies in group ``_attach_group[k]``.  The flat
+        buffers hold every group's diagonal block, then every group's edge
+        block, ``_width[k]`` columns each: block b starts at
+        ``_block_off[b]``, its rows at ``_block_row[b]``.
         ``slices`` and ``_slabs`` are those rows as slices, for the sweeps.
         """
         n_groups = len(self.groups)
@@ -360,6 +377,7 @@ class TreeNormalSystem:
         self._width = np.diff(ends[last], prepend=0)
         self._first = ends[last] - self._width
         self._attach_rows = np.where(attach == top, 0, width[attach])
+        self._attach_group = self._group_of[attach]
         rows = np.concatenate((self._width, self._attach_rows))
         size = rows * np.tile(self._width, 2)
         self._block_off = np.cumsum(size) - size
@@ -417,7 +435,7 @@ class TreeNormalSystem:
             att_end[lo + n - 1], self._block_off[lo],
             self._block_off[lo + n_groups],
         )).tolist()
-        h, item = self._h_flat, self._h_flat.itemsize
+        h = self._h_flat
         h_diag, h_off = self._h_blocks
         runs = []
         for k, n, wk, rk, row0, a0, a1, d0, e0 in spans:
@@ -429,14 +447,108 @@ class TreeNormalSystem:
                     None if edge is None else edge.T, self._slabs[k],
                 ))
                 continue
-            # the buffer constructor raises if a view leaves _h_flat
-            diag = np.ndarray((n, wk, wk), h.dtype, h, d0 * item,
-                              (wk * wk * item, wk * item, item))
-            edge = np.ndarray((n, rk, wk), h.dtype, h, e0 * item,
-                              (rk * wk * item, wk * item, item))
-            runs.append((rows, (n, wk, rk), diag, edge,
+            edge = _stack(h, e0, n, rk, wk)
+            runs.append((rows, (n, wk, rk), _stack(h, d0, n, wk, wk), edge,
                          edge.transpose(0, 2, 1), attach_idx[a0:a1]))
         return runs, attach_idx
+
+    def _sweep_plan(self) -> list:
+        """The runs ``factor`` and ``solve_h`` walk, as (first group,
+        group count, width, attach rows) in elimination order.
+
+        A run is a maximal stretch of consecutive groups of equal width
+        and equal attach-row count in which no group holds another's
+        attach bag.  So no member's elimination touches another member's
+        rows, and a sweep may take the whole run in one step: its
+        members' children lie in earlier runs, their attach bags in later
+        ones.  A chain, whose every group attaches to the next, has only
+        runs of one group.
+        """
+        n_groups = len(self.groups)
+        w, r = self._width.tolist(), self._attach_rows.tolist()
+        # the last group whose attach bag each group holds (-1: none)
+        kids = np.flatnonzero(self._attach_rows)
+        last_kid = np.full(n_groups, -1)
+        np.maximum.at(last_kid, self._attach_group[kids], kids)
+        last_kid = last_kid.tolist()
+        starts = [0]
+        for k in range(1, n_groups):
+            if w[k] != w[k - 1] or r[k] != r[k - 1] or (
+                last_kid[k] >= starts[-1]
+            ):
+                starts.append(k)
+        ends = starts[1:] + [n_groups]
+        return [(a, b - a, w[a], r[a]) for a, b in zip(starts, ends)]
+
+    def _sweep_views(self) -> tuple:
+        """Per run of :meth:`_sweep_plan`, what ``factor`` and what
+        ``solve_h`` walk.
+
+        A run of one group keeps its 2-D blocks.  Its factor step holds
+        (group, L's diagonal block and its transpose (the F-ordered upper
+        triangle that dtrtrs reads), H's edge block, L's edge block and
+        its transpose, its attach bag's block of L, None); its sweep step
+        holds (rows, None, L's diagonal block transposed, None, L's edge
+        block and its transpose, the attach bag's slice).  The edge
+        entries are None at the root group.
+
+        A run of n groups of width w and r attach rows holds strided
+        (n, w, w) and (n, r, w) views into the flat buffers, made as
+        ``_h_run_views`` makes them, and the inverses of its diagonal
+        factors in ``_linv_flat``.  Its factor step holds (first group,
+        L's diagonal blocks, None, H's edge blocks, L's edge blocks and
+        their transposes, the list of attach blocks of L, the inverses);
+        its sweep step holds (rows,
+        (n, w, r), the inverses and their transposes, L's edge blocks and
+        their transposes, the stretch of the attach-row array).
+        """
+        n_groups = len(self.groups)
+        l_diag, l_off = self._l_blocks
+        h_off = self._h_blocks[1]
+        # each group's attach bag's block of L, in the parent group's block
+        row0 = self._block_row[n_groups:]
+        up = self._attach_group
+        spans = np.column_stack(
+            (up, row0 - self._first[up], self._attach_rows)
+        ).tolist()
+        attach = [
+            l_diag[p][a:a + r, a:a + r] if r else None for p, a, r in spans
+        ]
+        self._linv_flat = np.empty(sum(
+            n * w * w for _, n, w, _ in self._sweep_runs if n > 1
+        ))
+        inv_at = 0
+        att_end = np.cumsum(self._attach_rows).tolist()
+        factor_steps, sweep = [], []
+        for k, n, w, r in self._sweep_runs:
+            if n == 1:
+                lo = l_off[k]
+                lo_t = None if lo is None else lo.T
+                factor_steps.append((
+                    k, l_diag[k], l_diag[k].T, h_off[k], lo, lo_t, attach[k],
+                    None,
+                ))
+                sweep.append((
+                    self.slices[k], None, l_diag[k].T, None, lo, lo_t,
+                    self._slabs[k],
+                ))
+                continue
+            diag = _stack(self._l_flat, self._block_off[k], n, w, w)
+            inv = _stack(self._linv_flat, inv_at, n, w, w)
+            inv_at += n * w * w
+            e0 = self._block_off[k + n_groups]
+            edge = _stack(self._l_flat, e0, n, r, w)
+            edge_t = edge.transpose(0, 2, 1)
+            factor_steps.append((
+                k, diag, None, _stack(self._h_flat, e0, n, r, w), edge,
+                edge_t, attach[k:k + n], inv,
+            ))
+            rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
+            sweep.append((
+                rows, (n, w, r), inv, inv.transpose(0, 2, 1), edge, edge_t,
+                self._attach_idx[att_end[k] - r:att_end[k + n - 1]],
+            ))
+        return factor_steps, sweep
 
     def _kron_run_views(self) -> dict:
         """Order o -> the runs of the order-o bags' Kronecker blocks in H,
@@ -531,7 +643,7 @@ class TreeNormalSystem:
                 f"{self._nn_pos.shape}"
             )
         h = self._h_flat
-        h.fill(0.0)
+        h[:self._n_diag].fill(0.0)
         h[self._gtg_pos] = sigma * self._gtg_val
         for o, runs in self._kron_runs.items():
             kron = sym_kron_stack(psd_w[o])
@@ -542,13 +654,16 @@ class TreeNormalSystem:
         self.sigma = float(sigma)
 
     def factor(self) -> None:
-        """Block Cholesky along the group tree, children eliminated first.
+        """Block Cholesky along the group tree, children eliminated first,
+        one run of the sweep plan per step.
 
         Eliminating a group updates only its attach bag's diagonal block
         in the parent group, so the factor's bag-level off-diagonal
         pattern equals that of H itself (no fill).  A static shift of
         ``1e-12 * (1 + max diagonal)`` is applied before pivoting.  L is
-        written over the previous factor.
+        written over the previous factor, and a run of several groups
+        also writes its factors' inverses, which ``solve_h`` multiplies
+        by.
         """
         if not self.h_diag:
             raise StructureViolation("assemble_h must run before factor")
@@ -562,25 +677,41 @@ class TreeNormalSystem:
         np.copyto(work, self._h_flat[:self._n_diag])
         work[self._diag_pos] += reg
         with lapack_errstate():
-            for k, (lk, lt, h_t, l_off, attach) in enumerate(
+            for k, ld, lt, h_off, l_off, l_off_t, attach, inv in (
                 self._factor_steps
             ):
                 try:
-                    cholesky_lo(lk, out=lk)
+                    cholesky_lo(ld, out=ld)
                 except np.linalg.LinAlgError as exc:
+                    # the gufunc writes NaN over each block it failed on
+                    failed = np.isnan(ld.reshape(-1, ld.shape[-1] ** 2))
+                    group = self.groups[k + int(np.argmax(failed.any(1)))]
                     raise IndefinitePivot(
                         f"diagonal block of bags "
-                        f"{tuple(j + 1 for j in self.groups[k])} is not "
+                        f"{tuple(j + 1 for j in group)} is not "
                         "positive definite"
                     ) from exc
-                if attach is not None:
-                    # L^{-1} H_off^T, as solve_triangular(lk, h_t, lower=True)
-                    r, info = dtrtrs(lt, h_t, lower=0, trans=1)
+                if inv is None:
+                    if attach is not None:
+                        # L_off = H_off L^{-T}, solved in place, as
+                        # solve_triangular(ld, h_off.T, lower=True).T
+                        l_off[...] = h_off
+                        _, info = dtrtrs(lt, l_off_t, lower=0, trans=1,
+                                         overwrite_b=1)
+                        if info != 0:
+                            raise _trtrs_failed(info)
+                        attach -= l_off @ l_off_t
+                    continue
+                # a run: each factor's inverse, in place in its copy, from
+                # the upper triangle of its F-ordered transpose
+                np.copyto(inv, ld)
+                for a in inv:
+                    _, info = dtrtri(a.T, lower=0, overwrite_c=1)
                     if info != 0:
-                        raise _trtrs_failed(info)
-                    r = r.T
-                    l_off[...] = r
-                    attach -= r @ r.T
+                        raise _trtrs_failed(info, "dtrtri")
+                np.matmul(h_off, inv.transpose(0, 2, 1), out=l_off)
+                for a, s in zip(attach, l_off @ l_off_t):
+                    a -= s
         self.l_diag, self.l_off = self._l_blocks
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
@@ -640,23 +771,40 @@ class TreeNormalSystem:
                             "entries")
         self.n_solve_columns += cols.shape[1]
         x = np.take(cols, self.perm, axis=0)
+        k = x.shape[1]
         # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
-        # solve_triangular(L, b, lower=True, trans=...) calls it
-        for lt, sl, slab, off, _ in self._l_sweep:
-            yk, info = dtrtrs(lt, x[sl], lower=0, trans=1)
-            if info != 0:
-                raise _trtrs_failed(info)
-            x[sl] = yk
-            if slab is not None:
-                x[slab] -= off @ yk
-        for lt, sl, slab, _, off_t in reversed(self._l_sweep):
-            t = x[sl]
-            if slab is not None:
-                t = t - off_t @ x[slab]
-            xk, info = dtrtrs(lt, t, lower=0, trans=0)
-            if info != 0:
-                raise _trtrs_failed(info)
-            x[sl] = xk
+        # solve_triangular(L, b, lower=True, trans=...) calls it; a run
+        # multiplies by its factors' inverses instead
+        for rows, dims, a, _, off, _, att in self._l_sweep:
+            if dims is None:
+                yk, info = dtrtrs(a, x[rows], lower=0, trans=1)
+                if info != 0:
+                    raise _trtrs_failed(info)
+                x[rows] = yk
+                if att is not None:
+                    x[att] -= off @ yk
+                continue
+            n, w, r = dims
+            y = a @ x[rows].reshape(n, w, k)
+            x[rows] = y.reshape(n * w, k)
+            # ufunc.at subtracts repeated rows in sequence, one column at a
+            # time, as apply_h adds them
+            below = (off @ y).reshape(n * r, k)
+            for j in range(k):
+                np.subtract.at(x[:, j], att, below[:, j])
+        for rows, dims, a, a_t, _, off_t, att in reversed(self._l_sweep):
+            if dims is None:
+                t = x[rows]
+                if att is not None:
+                    t = t - off_t @ x[att]
+                xk, info = dtrtrs(a, t, lower=0, trans=0)
+                if info != 0:
+                    raise _trtrs_failed(info)
+                x[rows] = xk
+                continue
+            n, w, r = dims
+            t = x[rows].reshape(n, w, k) - off_t @ x[att].reshape(n, r, k)
+            x[rows] = (a_t @ t).reshape(n * w, k)
         x = np.take(x, self._inv_perm, axis=0)
         return x[:, 0] if single else x
 
@@ -743,15 +891,20 @@ class TreeNormalSystem:
             "fill_blocks": 0,
             "flops_estimate": self._assemble_ops + self._factor_ops,
             "bytes": self.memory_bytes(),
+            "sweep_steps": len(self._sweep_runs),
+            "stacked_groups": sum(
+                n for _, n, _, _ in self._sweep_runs if n > 1
+            ),
         }
 
     def memory_bytes(self) -> int:
         """Bytes of the engine's numeric storage, allocated once: the H and
-        L buffers, G^T G's (position, value) pairs, the attach-row index
-        array that ``apply_h``'s runs gather and scatter through, and q
-        with its solve."""
+        L buffers, the stacked runs' inverse factors, G^T G's (position,
+        value) pairs, the attach-row index array that the runs gather and
+        scatter through, and q with its solve."""
         return (
-            self._h_flat.nbytes + self._l_flat.nbytes + self._gtg_pos.nbytes
+            self._h_flat.nbytes + self._l_flat.nbytes
+            + self._linv_flat.nbytes + self._gtg_pos.nbytes
             + self._gtg_val.nbytes + self._attach_idx.nbytes
             + 2 * self.dim * self._h_flat.itemsize
         )

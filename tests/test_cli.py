@@ -165,7 +165,8 @@ def test_solve_diag_streams_pattern_lines(tmp_path, capsys):
         assert err_lines
         keys[method] = set(json.loads(err_lines[0]))
     assert {"iteration", "mu", "blocks", "groups", "fill_blocks",
-            "flops_estimate", "bytes"} <= keys["dctc"]
+            "flops_estimate", "bytes", "sweep_steps",
+            "stacked_groups"} <= keys["dctc"]
     assert keys["ctc"] == keys["dctc"]
 
 

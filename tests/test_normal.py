@@ -51,6 +51,7 @@ from util import (
     random_rooted_tree,
     random_scaling_data,
     reconstruct_dense,
+    reference_sweep_runs,
     stack_scalings,
     star_arrow_problem,
     unique_row_bags,
@@ -578,23 +579,28 @@ def test_star_dualized_h_has_tree_pattern():
 
 
 def test_memory_counter_equals_walk_over_blocks():
+    # the star's leaf groups form a stacked run, whose inverses count too
     rng = np.random.default_rng(47)
-    problem, td = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
-    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=6)
-    before = sys_.memory_bytes()  # the buffers are allocated with the engine
-    sys_.update(sigma, q, psd_w, nn_w2)
-    walked = sum(
-        blk.nbytes
-        for group in (sys_.h_diag, sys_.h_off, sys_.l_diag, sys_.l_off)
-        for blk in group
-        if blk is not None
-    ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
-        sys_._u_q.nbytes
-    ) + sys_._attach_idx.nbytes
-    assert before == sys_.memory_bytes() == walked
-    assert sys_.pattern_stats()["bytes"] == walked
-    sys_.set_rank1(None)
-    assert sys_.memory_bytes() == walked
+    random_tree = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
+    star = _reference_instance("star")[:2]
+    for (problem, td), stacked in ((random_tree, False), (star, True)):
+        ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=6)
+        before = sys_.memory_bytes()  # allocated with the engine
+        sys_.update(sigma, q, psd_w, nn_w2)
+        inverses = [inv for *_, inv in sys_._factor_steps if inv is not None]
+        assert bool(inverses) == stacked
+        walked = sum(
+            blk.nbytes
+            for group in (sys_.h_diag, sys_.h_off, sys_.l_diag, sys_.l_off)
+            for blk in group
+            if blk is not None
+        ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
+            sys_._u_q.nbytes
+        ) + sys_._attach_idx.nbytes + sum(inv.nbytes for inv in inverses)
+        assert before == sys_.memory_bytes() == walked
+        assert sys_.pattern_stats()["bytes"] == walked
+        sys_.set_rank1(None)
+        assert sys_.memory_bytes() == walked
 
 
 def test_memory_counter_grows_linearly_in_blocks():
@@ -780,7 +786,7 @@ REFERENCE_KINDS = ["path", "star", "random-tree", "dctc-aux"]
 RUN_KINDS = [*REFERENCE_KINDS, "spider"]
 
 
-@pytest.mark.parametrize("kind", REFERENCE_KINDS)
+@pytest.mark.parametrize("kind", RUN_KINDS)
 def test_engine_matches_reference_bit_for_bit(kind):
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
@@ -817,6 +823,14 @@ def test_engine_matches_reference_bit_for_bit(kind):
     assert same(gtg_diag, ref.gtg_diag) and same(gtg_off, ref.gtg_off)
     assert same(sys_.h_diag, ref.h_diag) and same(sys_.h_off, ref.h_off)
     assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
+    # the stacked runs' inverses, against the reference's per group
+    inverses = {
+        k + i: inv[i] for k, *_, inv in sys_._factor_steps
+        if inv is not None for i in range(len(inv))
+    }
+    assert inverses.keys() == ref.l_inv.keys()
+    assert all(np.array_equal(inverses[k], ref.l_inv[k]) for k in inverses)
+    assert bool(inverses) == (kind in ("star", "spider"))
     rng = np.random.default_rng(59)
     for rhs in (
         rng.standard_normal(ctc.dim_z),
@@ -956,6 +970,142 @@ def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
             outs.append(got)
         seen.append(outs)
     assert all(not np.array_equal(a, b) for a, b in zip(*seen))
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
+    # factor and solve_h walk runs that tile the groups in elimination
+    # order, each of one (width, attach rows) with no member holding
+    # another's attach bag, and each ending only where the next group
+    # changes shape or holds such a bag; a run of several is strided views
+    # of its groups' blocks and of a separate inverse buffer
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
+    groups, parent = sys_.groups, td.parent.tolist()
+    group_of = {j: k for k, g in enumerate(groups) for j in g}
+    up = [group_of[parent[g[-1]]] for g in groups]  # root: itself
+    shape = list(zip(sys_._width.tolist(), sys_._attach_rows.tolist()))
+    plan = sys_._sweep_runs
+    counts = [n for _, n, _, _ in plan]
+    assert [k for k, *_ in plan] == np.cumsum([0, *counts[:-1]]).tolist()
+    assert sum(counts) == len(groups)
+    assert [(k, n) for k, n, *_ in plan] == reference_sweep_runs(
+        groups, parent, ctc.width.tolist()
+    )
+    for (k, n, w, r), (j, _, _, _) in zip(plan, plan[1:] + [(None,) * 4]):
+        run = range(k, k + n)
+        assert {shape[g] for g in run} == {(w, r)}
+        assert n == 1 or not any(up[g] in run for g in run)
+        if j is not None:  # maximal
+            assert shape[j] != (w, r) or j in {up[g] for g in run}
+    if kind in ("path", "dctc-aux"):
+        assert set(counts) == {1}
+    if kind in ("star", "spider"):
+        assert max(counts) >= 2
+    stats = sys_.pattern_stats()
+    assert stats["sweep_steps"] == len(plan)
+    assert stats["stacked_groups"] == sum(n for n in counts if n > 1)
+
+    l_diag, l_off = sys_._l_blocks
+    h_off = sys_._h_blocks[1]
+    inv_lo, inv_hi = byte_bounds(sys_._linv_flat)
+    assert sys_._linv_flat.size == sum(
+        n * w * w for _, n, w, _ in plan if n > 1
+    )
+    for (k, n, w, r), fac, sweep in zip(
+        plan, sys_._factor_steps, sys_._l_sweep, strict=True
+    ):
+        g0, diag, diag_t, h_edge, edge, edge_t, attach, inv = fac
+        rows, dims, a, a_t, off, off_t, att = sweep
+        assert g0 == k
+        assert rows == slice(sys_.slices[k].start, sys_.slices[k + n - 1].stop)
+        assert off is edge and off_t is edge_t
+        if n == 1:
+            assert dims is None and a_t is inv is None
+            assert same_view(diag, l_diag[k])
+            assert same_view(diag_t, l_diag[k].T) and same_view(a, diag_t)
+            assert att == sys_._slabs[k]
+            continue
+        assert dims == (n, w, r) and diag_t is None and a is inv
+        assert same_view(a_t, inv.transpose(0, 2, 1))
+        view_lo, view_hi = byte_bounds(inv)
+        assert inv_lo <= view_lo and view_hi <= inv_hi
+        for i, g in enumerate(range(k, k + n)):
+            assert same_view(diag[i], l_diag[g])
+            assert same_view(h_edge[i], h_off[g])
+            assert same_view(edge[i], l_off[g])
+            assert same_view(edge_t[i], l_off[g].T)
+            b = parent[groups[g][-1]]
+            at = sys_._bag_start[b] - sys_.slices[up[g]].start
+            assert same_view(attach[i], l_diag[up[g]][at:at + r, at:at + r])
+        assert np.array_equal(att, np.concatenate(
+            [np.arange(sys_._slabs[g].start, sys_._slabs[g].stop)
+             for g in range(k, k + n)]
+        ))
+
+
+@pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
+@pytest.mark.parametrize("kind", ["star", "spider", "random-tree"])
+def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
+    # the stacked runs multiply by explicit inverses; after two updates,
+    # the residual against H plus factor's static shift (H applied by
+    # apply_h) stays at rounding.  Against H alone the shift leaves
+    # 1e-12 (1 + max diag) |x|, about 1e-11 |b| here.
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, *first = build_system(problem, td, with_aux=with_aux, seed=19)
+    assert sys_.pattern_stats()["stacked_groups"] > 0 or (
+        kind == "random-tree" and cap == GROUP_WIDTH
+    )
+    sys_.update(*first)
+    sys_.update(*random_scaling_data(np.random.default_rng(23), ctc))
+    max_diag = float(np.max(sys_._h_flat[sys_._diag_pos]))
+    shift = normal.REGULARIZATION_REL * (1.0 + max(max_diag, 0.0))
+    rng = np.random.default_rng(31)
+    for b in (
+        rng.standard_normal(ctc.dim_z),
+        rng.standard_normal((ctc.dim_z, 3)),
+    ):
+        x = sys_.solve_h(b)
+        resid = b - sys_.apply_h(x) - shift * x
+        assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(b)
+
+
+def test_factor_solves_edge_blocks_in_place_in_l(monkeypatch):
+    # a group swept alone solves its edge block in L's buffer, not in a
+    # copy
+    problem, td, _ = _reference_instance("path")
+    ctc, sys_, sigma, _, psd_w, nn_w2 = build_system(problem, td)
+    results, dtrtrs = [], normal.dtrtrs
+
+    def recording(*args, **kwargs):
+        out = dtrtrs(*args, **kwargs)
+        results.append(out[0])
+        return out
+
+    monkeypatch.setattr(normal, "dtrtrs", recording)
+    sys_.assemble_h(sigma, psd_w, nn_w2)
+    sys_.factor()
+    assert len(results) == sum(off is not None for off in sys_.l_off)
+    assert all(np.shares_memory(r, sys_._l_flat) for r in results)
+
+
+def test_indefinite_block_in_a_run_names_its_group(monkeypatch):
+    # sigma = 0 leaves H block diagonal; one stacked cholesky_lo call
+    # fails on the leaf group whose bag is indefinite, and it is named
+    monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
+    problem, td, _ = _reference_instance("star")
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
+    ((k, n, _, _),) = [run for run in sys_._sweep_runs if run[1] > 1]
+    for g in (k + 1, k + n // 2, k + n - 1):  # not the run's first
+        (j,) = sys_.groups[g]
+        o = int(ctc.order[j])
+        bad = {key: w.copy() for key, w in psd_w.items()}
+        bad[o][int(np.sum(ctc.order[:j] == o))][0, 0] = -50.0
+        sys_.assemble_h(0.0, bad, nn_w2)
+        with pytest.raises(IndefinitePivot) as err:
+            sys_.factor()
+        assert f"bags ({j + 1},) " in str(err.value)
 
 
 def engine_kron_runs(sys_):

@@ -9,6 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtri
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
 from treesdp.convert import ConvertedProblem
@@ -910,13 +911,46 @@ def oracle_psd_stacks(ops, x, s):
     return stacks
 
 
+def reference_sweep_runs(groups, parent, width) -> list:
+    """(first group, group count) of each run that a normal engine's
+    factor and solve_h walk, cut group by group: a run grows while the
+    next group has the same width and the same attach-bag width (0 at the
+    root) and holds no member's attach bag."""
+    group_of = {j: k for k, members in enumerate(groups) for j in members}
+    runs = []
+    for k, members in enumerate(groups):
+        top = members[-1]
+        b = parent[top]
+        shape = (sum(width[j] for j in members), 0 if b == top else width[b])
+        if runs and shape == runs[-1][2] and all(
+            group_of[parent[groups[m][-1]]] != k
+            for m in range(runs[-1][0], k)
+        ):
+            runs[-1][1] += 1
+        else:
+            runs.append([k, 1, shape])
+    return [(first, n) for first, n, _ in runs]
+
+
+def stacked_groups(groups, parent, width) -> set:
+    """The groups in runs of several of :func:`reference_sweep_runs`."""
+    return {
+        k for first, n in reference_sweep_runs(groups, parent, width)
+        if n > 1 for k in range(first, first + n)
+    }
+
+
 class ReferenceTreeNormal(TreeNormalSystem):
     """The block-tree normal engine over the engine's groups, one group at
     a time through ``scipy.linalg.solve_triangular``, each block a separate
     array, with the coordinate permutation worked out bag by bag, the
     scaling data unstacked per bag and G^T G summed entry by entry: the
     reference the engine's flat buffers and direct LAPACK calls must match
-    bit for bit."""
+    bit for bit.
+
+    A group that the engine sweeps in a run of several (cut here group by
+    group) is taken through its factor's explicit inverse, one 2-D
+    product at a time, as the engine's stacked products take it."""
 
     def __init__(self, dualized):
         super().__init__(dualized)
@@ -943,6 +977,9 @@ class ReferenceTreeNormal(TreeNormalSystem):
             }
             assert len(outside) <= 1
             self.attach.append(outside.pop() if outside else None)
+        self.stacked = stacked_groups(
+            self.groups, self.parent, self.bag_width
+        )
         self.gtg_diag, self.gtg_off = self._reference_gram()
 
     def _reference_gram(self):
@@ -1003,12 +1040,21 @@ class ReferenceTreeNormal(TreeNormalSystem):
             blk[np.diag_indices(blk.shape[0])] += reg
         l_diag = [None] * len(self.groups)
         l_off = [None] * len(self.groups)
+        self.l_inv = {}
         for k, b in enumerate(self.attach):
             lk = np.linalg.cholesky(work[k])
             l_diag[k] = lk
-            if b is not None:
+            if k in self.stacked:
+                # the inverse of lk from the upper triangle of lk^T
+                inv, info = dtrtri(lk.T, lower=0)
+                assert info == 0
+                self.l_inv[k] = inv.T
+                r = self.h_off[k] @ inv
+                l_off[k] = r
+            elif b is not None:
                 r = solve_triangular(lk, self.h_off[k].T, lower=True).T
                 l_off[k] = r
+            if b is not None:
                 s, wb = self.at[b], self.bag_width[b]
                 work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
         self.l_diag = l_diag
@@ -1035,7 +1081,10 @@ class ReferenceTreeNormal(TreeNormalSystem):
         x = cols[self.ref_perm]
         for k, b in enumerate(self.attach):
             sl = self._rows(k)
-            yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
+            if k in self.stacked:
+                yk = self.l_inv[k] @ x[sl]
+            else:
+                yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
             x[sl] = yk
             if b is not None:
                 x[self._attach_slice(k)] -= self.l_off[k] @ yk
@@ -1044,7 +1093,12 @@ class ReferenceTreeNormal(TreeNormalSystem):
             t = x[sl]
             if self.attach[k] is not None:
                 t = t - self.l_off[k].T @ x[self._attach_slice(k)]
-            x[sl] = solve_triangular(self.l_diag[k], t, lower=True, trans="T")
+            if k in self.stacked:
+                x[sl] = self.l_inv[k].T @ t
+            else:
+                x[sl] = solve_triangular(
+                    self.l_diag[k], t, lower=True, trans="T"
+                )
         return self._unpermute(x, single)
 
     def apply_h(self, x):
@@ -1109,13 +1163,17 @@ def loop_kron_runs(sys_) -> dict:
 def loop_factor_ops(sys_) -> int:
     """The engine's per-factorization operation count, group by group: a
     w-wide group costs w^3 // 3 + w, plus w^2 r + w r^2 for the r rows of
-    its attach bag."""
+    its attach bag, plus w^3 // 3 for its factor's inverse when it lies in
+    a run of several groups."""
     width = sys_.ctc.width.tolist()
     parent = sys_.ctc.td.parent.tolist()
+    stacked = stacked_groups(sys_.groups, parent, width)
     ops = 0
-    for members in sys_.groups:
+    for k, members in enumerate(sys_.groups):
         w = sum(width[j] for j in members)
         ops += w ** 3 // 3 + w
+        if k in stacked:
+            ops += w ** 3 // 3
         b = parent[members[-1]]
         if b != members[-1]:
             ops += w * w * width[b] + w * width[b] ** 2
