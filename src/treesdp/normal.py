@@ -55,7 +55,12 @@ is cleared per assembly: the edge blocks hold sigma G^T G alone, whose
 entries every assembly overwrites at fixed positions, and the rest of
 them stays zero from the allocation.  L lives in a second buffer of the
 same layout, which ``factor`` overwrites in place, subtracting each
-group's update from a fixed view of its attach bag's block.  G^T G is
+group's update from a fixed view of its attach bag's block.  The runs of
+several groups (see Sweeps) keep their inverse factors in a third
+buffer, w x w per member, and the runs with links their band arrays in a
+fourth: the band (2 r rows by n r columns), a link's r columns of the
+next member's inverse, and each member's w x r back product; the band's
+entries outside the link blocks stay zero from the allocation.  G^T G is
 kept as the (position, value) pairs of its nonzeros in that layout, since
 merged blocks are mostly zeros.  The slack scalings, the static shift and
 the finiteness checks are one vectorized pass each: ``factor`` checks the
@@ -78,27 +83,52 @@ one error state around its loop
 
 Sweeps.  ``factor`` and ``solve_h`` walk one plan of *runs*, built once
 with the engine: maximal stretches of consecutive groups, in elimination
-order, of equal width w and equal attach-row count r, in which no group
-holds another member's attach bag.  The members of a run do not depend on
-one another in either sweep (level scheduling of a sparse triangular
-solve; Anderson & Saad 1989): their children lie in earlier runs and
-their attach bags in later ones.  A run of one group keeps its 2-D blocks
-and the per-group steps: ``cholesky_lo``, then ``dtrtrs`` (in ``factor``
-in place in L's edge block, copied there from H's), then slices.  A run
-of n groups is strided (n, w, w) and (n, r, w) views into the buffers.
-``factor`` takes one ``cholesky_lo`` over its diagonal blocks, writes
-each factor's inverse (LAPACK ``dtrtri``) into a third buffer, since the
-block counts of :meth:`TreeNormalSystem.pattern_stats` are measured on
-L's own blocks, makes its edge blocks by one stacked product
-``H_off L^{-T}`` and subtracts each member's update from its attach block
-in elimination order.  ``solve_h`` makes one stacked product per run and
-direction, and scatters a run's edge terms by ``np.subtract.at``, which
-subtracts repeated attach rows (siblings that share an attach bag) in
-sequence, as the per-group loop does.  The inverse buffer holds a w x w
-block per stacked group: the leaves' share of L's diagonal part on a
-star, nothing on a chain, whose every group attaches to the next and so
-forms a run of one.  A star's leaf groups form one run and its hub
-another, so each sweep takes two steps there instead of one per group.
+order, of equal width w and equal attach-row count r, in which the only
+member whose attach bag a group may hold is its predecessor.  A member
+whose attach bag lies in the next member is a *link*; every other
+member's attach bag lies in a later run, and its children in earlier
+ones.  So the members of a run without links do not depend on one
+another in either sweep (level scheduling of a sparse triangular solve;
+Anderson & Saad 1989), and those of a run with links depend on one
+another only through the r overlap rows of each link.  A run of one
+group keeps its 2-D blocks and the per-group steps: ``cholesky_lo``,
+then ``dtrtrs`` (in ``factor`` in place in L's edge block, copied there
+from H's), then slices.  A run of n groups is strided (n, w, w) and
+(n, r, w) views into the buffers, and ``factor`` writes each member's
+inverse factor (LAPACK ``dtrtri``) into a third buffer, since the block
+counts of :meth:`TreeNormalSystem.pattern_stats` are measured on L's own
+blocks.
+
+A run without links takes one ``cholesky_lo`` over its diagonal blocks,
+makes its edge blocks by one stacked product ``H_off L^{-T}`` and
+subtracts its members' updates from their attach blocks by one
+``np.subtract.at`` over fixed flat positions, which takes repeated
+positions (siblings that share an attach bag) in member order.
+``solve_h`` makes one stacked product per run and direction, and scatters
+a run's edge terms by ``np.subtract.at``, which subtracts repeated attach
+rows in sequence, as the per-group loop does.  A star's leaf groups form
+one such run and its hub another, so each sweep takes two steps there
+instead of one per group.
+
+A run with links (a chain's groups each attach to the next) is factored
+member by member with the per-group steps, since each diagonal block
+waits for its predecessor's update; then come the inverses, each link's
+r x r block T = L_off L^{-1}[:, p:p+r] of the next member (p the link's
+first row in it) by one stacked product, and each member's
+L^{-T} L_off^T by another.  The blocks T are scattered at fixed
+positions into the LAPACK band storage of the unit lower band matrix
+I + T over the run's n r edge terms, of bandwidth 2 r - 1 (the reduced
+system of the SPIKE scheme for banded solves; Polizzi & Sameh, Parallel
+Computing 2006).  ``solve_h``'s forward sweep takes y' = L^{-1} x and
+a = L_off y' by stacked products, solves (I + T) c = a by one LAPACK
+``dtbtrs``, takes each link's term off the next member's rows,
+y = y' - L^{-1}[:, p:p+r] c, and scatters the other members' terms onto
+their attach rows.  The backward sweep takes v = L^{-T} y, solves the
+transposed band system for the final values d of every member's attach
+rows (a link's read off v of the next member, the others' off a later
+run's), and sets x = v - L^{-T} L_off^T d.  So a path's groups form one
+run, its root group another, and each sweep takes two steps there at any
+length.  The band arrays lie in a fourth buffer.
 
 ``apply_h`` has no dependence between groups and walks its own runs,
 cut by shape alone: a run of several groups is one strided
@@ -109,17 +139,18 @@ keeps the per-group loop's order of additions, so every float of H x is
 that loop's: each entry takes its children's edge terms in elimination
 order, then its diagonal term, then its transposed edge term, and a run
 scatters its edge terms (``np.add.at`` adds repeated rows in sequence)
-before its own rows take theirs.  Every block is a view into the H, L or
-inverse buffer, fixed for the engine's life, and no workspace outlives a
-call.
+before its own rows take theirs.  Every block is a view into the H, L,
+inverse or band buffer, fixed for the engine's life, and no workspace
+outlives a call.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
 computed once per factorization, followed by exactly one
-iterative-refinement pass.  A stacked run's products with explicit
-inverses round otherwise than triangular solves, so its floats differ
-from the per-group sweep's in the last bits; a run of one group gives
-that sweep's floats exactly.  The pass is unconditional: when a residual
+iterative-refinement pass.  A run of several groups multiplies by
+explicit inverses, and a run with links adds its band solve, so their
+floats differ from the per-group sweep's in the last bits (L's blocks
+keep the per-group floats on a chain); a run of one group gives that
+sweep's floats exactly.  The pass is unconditional: when a residual
 tolerance decided it, rounding noise decided which directions were
 refined, and the final dual infeasibility of a solve followed that noise.
 
@@ -130,9 +161,10 @@ full normal matrix ``M D^{-1} M^T`` densely and factors it directly.
 from __future__ import annotations
 
 from itertools import chain
+from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dtrtri, dtrtrs
+from scipy.linalg.lapack import dtbtrs, dtrtri, dtrtrs
 
 from .chordal import TreeDecomposition
 from .convert import DualizedProblem
@@ -160,6 +192,40 @@ DENOMINATOR_FLOOR = 1e-14
 # memory by 0.0-0.7 % (2-core host); 48 was no faster on a chain of
 # width-2 bags and raised it there by 1.3-1.5 %.
 GROUP_WIDTH = 32
+
+
+class _Links(NamedTuple):
+    """A sweep run's links: its members ``src`` attach to the members
+    ``dst`` = ``src`` + 1, each at r rows of the next member's block, and
+    every other member to a group in a later run.
+
+    ``members`` are the one-group factor steps that ``factor`` takes in
+    order, each (group, L's diagonal block and its transpose, H's and L's
+    edge blocks, L's edge block transposed, its attach bag's block of L).
+    The run's n r edge terms ``c`` (member i's at rows i r .. i r + r)
+    solve the unit lower band system (I + T) c = L_off L^{-1} x, whose
+    link block ``T`` couples a member's terms to its predecessor's: T =
+    L_off L^{-1}[:, p:p+r] of the next member, p the link's first row in
+    it.  ``lp`` holds those r columns of each next member's inverse, read
+    from ``_linv_flat`` at ``lp_idx``; ``band`` is the system's LAPACK
+    band storage (2r rows, F-ordered), which ``factor`` fills at
+    ``band_pos`` of ``_link_flat``; and ``u`` holds each member's
+    L^{-T} L_off^T.  The backward sweep's right-hand side takes the band
+    unknowns of a link from the rows ``b_src`` of the run's L^{-T} y and
+    those at ``out_rows``, the members attaching outside, from their
+    attach rows.
+    """
+
+    members: list
+    src: np.ndarray
+    dst: np.ndarray
+    lp_idx: np.ndarray
+    lp: np.ndarray
+    band: np.ndarray
+    band_pos: np.ndarray
+    u: np.ndarray
+    b_src: np.ndarray
+    out_rows: np.ndarray
 
 
 def _trtrs_failed(info: int, routine: str = "dtrtrs") -> IndefinitePivot:
@@ -247,6 +313,13 @@ def run_starts(group: np.ndarray, at: np.ndarray) -> np.ndarray:
     return np.flatnonzero(start)
 
 
+def _link_size(n: int, w: int, r: int, m: int) -> int:
+    """Floats of a :class:`_Links`' arrays for a run of n groups of width
+    w and r attach rows with m links: the band over n r unknowns, 2 r
+    rows deep, the m link columns and the n back products, w x r each."""
+    return n * r * 2 * r + (m + n) * w * r
+
+
 def _stack(flat: np.ndarray, off, n: int, rows: int, w: int) -> np.ndarray:
     """The (n, rows, w) view of n consecutive C-ordered rows x w blocks
     of ``flat``, the first at offset ``off``.  The buffer constructor
@@ -294,10 +367,16 @@ class TreeNormalSystem:
         )
         w, r = self._width, self._attach_rows
         self._factor_ops = int(np.sum(w ** 3 // 3 + w + w * r * (w + r)))
-        # the stacked groups' inverses, w^3 / 3 each
+        # the inverses in runs of several groups, w^3 / 3 each, and per
+        # run with links its link blocks, r^2 w each, and its back
+        # products, w^2 r per member
         self._factor_ops += sum(
             n * (w ** 3 // 3) for _, n, w, _ in self._sweep_runs if n > 1
         )
+        for _, dims, *_, links in self._l_sweep:
+            if links:
+                n, w, r = dims
+                self._factor_ops += links.src.size * w * r * r + n * w * w * r
 
         # per-factorization state
         self.h_diag: list = []
@@ -457,17 +536,18 @@ class TreeNormalSystem:
         group count, width, attach rows) in elimination order.
 
         A run is a maximal stretch of consecutive groups of equal width
-        and equal attach-row count in which no group holds another's
-        attach bag.  So no member's elimination touches another member's
-        rows, and a sweep may take the whole run in one step: its
-        members' children lie in earlier runs, their attach bags in later
-        ones.  A chain, whose every group attaches to the next, has only
-        runs of one group.
+        and equal attach-row count in which the only member whose attach
+        bag a group may hold is its predecessor.  Such a *link* (a chain's
+        groups each attach to the next) couples two members through the
+        attach bag's rows alone; every other member's attach bag lies in a
+        later run, and its children in earlier ones.
         """
         n_groups = len(self.groups)
         w, r = self._width.tolist(), self._attach_rows.tolist()
-        # the last group whose attach bag each group holds (-1: none)
+        # the last group, other than its predecessor, whose attach bag
+        # each group holds (-1: none)
         kids = np.flatnonzero(self._attach_rows)
+        kids = kids[self._attach_group[kids] != kids + 1]
         last_kid = np.full(n_groups, -1)
         np.maximum.at(last_kid, self._attach_group[kids], kids)
         last_kid = last_kid.tolist()
@@ -482,73 +562,139 @@ class TreeNormalSystem:
 
     def _sweep_views(self) -> tuple:
         """Per run of :meth:`_sweep_plan`, what ``factor`` and what
-        ``solve_h`` walk.
+        ``solve_h`` walk: (group, L's diagonal blocks, their transposes,
+        H's edge blocks, L's edge blocks and their transposes, the attach
+        blocks, the inverses, the links) and (rows, (n, w, r), the
+        inverses or L's transposed diagonal block, the inverses'
+        transposes, L's edge blocks and their transposes, the attach rows,
+        the links).
 
-        A run of one group keeps its 2-D blocks.  Its factor step holds
-        (group, L's diagonal block and its transpose (the F-ordered upper
-        triangle that dtrtrs reads), H's edge block, L's edge block and
-        its transpose, its attach bag's block of L, None); its sweep step
-        holds (rows, None, L's diagonal block transposed, None, L's edge
-        block and its transpose, the attach bag's slice).  The edge
-        entries are None at the root group.
-
-        A run of n groups of width w and r attach rows holds strided
-        (n, w, w) and (n, r, w) views into the flat buffers, made as
-        ``_h_run_views`` makes them, and the inverses of its diagonal
-        factors in ``_linv_flat``.  Its factor step holds (first group,
-        L's diagonal blocks, None, H's edge blocks, L's edge blocks and
-        their transposes, the list of attach blocks of L, the inverses);
-        its sweep step holds (rows,
-        (n, w, r), the inverses and their transposes, L's edge blocks and
-        their transposes, the stretch of the attach-row array).
+        A run of one group keeps its 2-D blocks: L's diagonal block, and
+        its transpose, the F-ordered upper triangle that dtrtrs reads; its
+        attach bag's block of L and that bag's slice (None at the root
+        group, as are its edge blocks).  A run of n groups of width w and
+        r attach rows holds strided (n, w, w) and (n, r, w) views into the
+        flat buffers, made as ``_h_run_views`` makes them, the inverses of
+        its diagonal factors in ``_linv_flat``, and, when it has no links,
+        the flat positions of its attach blocks in ``_l_flat`` (the
+        members' updates, in order) and its stretch of the attach-row
+        array.  A run with links holds a :class:`_Links` instead, and the
+        attach rows of the members that attach outside it.
         """
         n_groups = len(self.groups)
         l_diag, l_off = self._l_blocks
         h_off = self._h_blocks[1]
-        # each group's attach bag's block of L, in the parent group's block
-        row0 = self._block_row[n_groups:]
+        # each group's attach bag's first row in its group's block, and
+        # that bag's block of L
         up = self._attach_group
-        spans = np.column_stack(
-            (up, row0 - self._first[up], self._attach_rows)
-        ).tolist()
+        rel = self._block_row[n_groups:] - self._first[up]
+        spans = np.column_stack((up, rel, self._attach_rows)).tolist()
         attach = [
             l_diag[p][a:a + r, a:a + r] if r else None for p, a, r in spans
         ]
+
+        def one(g):  # group g's factor step, taken alone
+            lo = l_off[g]
+            return (g, l_diag[g], l_diag[g].T, h_off[g], lo,
+                    None if lo is None else lo.T, attach[g])
+
+        att_end = np.cumsum(self._attach_rows)
+        # the members of each run that attach to the next member
+        linked = {
+            k: np.flatnonzero(up[k:k + n - 1] == np.arange(k + 1, k + n))
+            for k, n, _, _ in self._sweep_runs if n > 1
+        }
         self._linv_flat = np.empty(sum(
             n * w * w for _, n, w, _ in self._sweep_runs if n > 1
         ))
-        inv_at = 0
-        att_end = np.cumsum(self._attach_rows).tolist()
+        self._link_flat = np.zeros(sum(
+            _link_size(n, w, r, linked[k].size)
+            for k, n, w, r in self._sweep_runs if n > 1 and linked[k].size
+        ))
+        self._sweep_index_bytes = 0
+        inv_at = link_at = 0
         factor_steps, sweep = [], []
         for k, n, w, r in self._sweep_runs:
             if n == 1:
-                lo = l_off[k]
-                lo_t = None if lo is None else lo.T
-                factor_steps.append((
-                    k, l_diag[k], l_diag[k].T, h_off[k], lo, lo_t, attach[k],
-                    None,
-                ))
+                step = one(k)
+                factor_steps.append((*step, None, None))
                 sweep.append((
-                    self.slices[k], None, l_diag[k].T, None, lo, lo_t,
-                    self._slabs[k],
+                    self.slices[k], None, step[2], None, *step[4:6],
+                    self._slabs[k], None,
                 ))
                 continue
             diag = _stack(self._l_flat, self._block_off[k], n, w, w)
             inv = _stack(self._linv_flat, inv_at, n, w, w)
-            inv_at += n * w * w
             e0 = self._block_off[k + n_groups]
             edge = _stack(self._l_flat, e0, n, r, w)
+            h_edge = _stack(self._h_flat, e0, n, r, w)
+            rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
+            att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
+            src = linked[k]
+            if src.size:
+                links = self._links(
+                    [one(g) for g in range(k, k + n)], w, r, src,
+                    rel[k + src], inv_at, link_at,
+                )
+                link_at += _link_size(n, w, r, src.size)
+                att = att[links.out_rows]
+                blocks = None
+                self._sweep_index_bytes += att.nbytes + sum(
+                    a.nbytes for a in links[1:] if a.dtype.kind == "i"
+                )
+            else:
+                # the flat positions of the members' attach blocks in L
+                g = np.arange(k, k + n)
+                wu = self._width[up[g], None, None]
+                blocks = (
+                    self._block_off[up[g], None, None] + rel[g, None, None]
+                    * (wu + 1) + np.arange(r)[:, None] * wu + np.arange(r)
+                ).ravel()
+                links = None
+                self._sweep_index_bytes += blocks.nbytes
+            inv_at += n * w * w
             edge_t = edge.transpose(0, 2, 1)
             factor_steps.append((
-                k, diag, None, _stack(self._h_flat, e0, n, r, w), edge,
-                edge_t, attach[k:k + n], inv,
+                k, diag, None, h_edge, edge, edge_t, blocks, inv, links,
             ))
-            rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
             sweep.append((
                 rows, (n, w, r), inv, inv.transpose(0, 2, 1), edge, edge_t,
-                self._attach_idx[att_end[k] - r:att_end[k + n - 1]],
+                att, links,
             ))
         return factor_steps, sweep
+
+    def _links(self, members, w, r, src, at, inv_at, link_at) -> _Links:
+        """The :class:`_Links` of the run of one-group factor steps
+        ``members``, of width w and r attach rows, whose members ``src``
+        attach to the next member at row ``at`` of its block.  The run's
+        inverses lie in ``_linv_flat`` from ``inv_at`` on; the band, the
+        link columns and the back products in ``_link_flat`` from
+        ``link_at`` on."""
+        n, m = len(members), src.size
+        size, kd = n * r, 2 * r - 1
+        flat = self._link_flat
+        lp_at = link_at + size * (kd + 1)
+        u_at = lp_at + m * w * r
+        # band column c holds the unknowns' rows c .. c + kd; link i's
+        # (a, b) entry lies in band row r + a - b of column i r + b
+        a, b = np.arange(r)[:, None], np.arange(r)
+        band_pos = link_at + (src[:, None, None] * r + b) * (kd + 1) + (
+            r + a - b
+        )
+        # columns at .. at + r of the next member's inverse
+        lp_idx = inv_at + (src + 1)[:, None, None] * (w * w) + (
+            np.arange(w)[:, None] * w + at[:, None, None] + b
+        )
+        b_src = np.zeros(size, dtype=np.int64)
+        b_src.reshape(n, r)[src] = (src + 1)[:, None] * w + at[:, None] + b
+        out = np.setdiff1d(np.arange(n), src)
+        return _Links(
+            members, src, src + 1, lp_idx,
+            flat[lp_at:u_at].reshape(m, w, r),
+            flat[link_at:lp_at].reshape(size, kd + 1).T, band_pos.ravel(),
+            flat[u_at:u_at + n * w * r].reshape(n, w, r),
+            b_src, (out[:, None] * r + b).ravel(),
+        )
 
     def _kron_run_views(self) -> dict:
         """Order o -> the runs of the order-o bags' Kronecker blocks in H,
@@ -663,7 +809,8 @@ class TreeNormalSystem:
         ``1e-12 * (1 + max diagonal)`` is applied before pivoting.  L is
         written over the previous factor, and a run of several groups
         also writes its factors' inverses, which ``solve_h`` multiplies
-        by.
+        by; a run with links takes its members one at a time and then
+        fills its band arrays.
         """
         if not self.h_diag:
             raise StructureViolation("assemble_h must run before factor")
@@ -677,44 +824,70 @@ class TreeNormalSystem:
         np.copyto(work, self._h_flat[:self._n_diag])
         work[self._diag_pos] += reg
         with lapack_errstate():
-            for k, ld, lt, h_off, l_off, l_off_t, attach, inv in (
+            for k, ld, lt, h_off, l_off, l_off_t, attach, inv, links in (
                 self._factor_steps
             ):
-                try:
-                    cholesky_lo(ld, out=ld)
-                except np.linalg.LinAlgError as exc:
-                    # the gufunc writes NaN over each block it failed on
-                    failed = np.isnan(ld.reshape(-1, ld.shape[-1] ** 2))
-                    group = self.groups[k + int(np.argmax(failed.any(1)))]
-                    raise IndefinitePivot(
-                        f"diagonal block of bags "
-                        f"{tuple(j + 1 for j in group)} is not "
-                        "positive definite"
-                    ) from exc
                 if inv is None:
-                    if attach is not None:
-                        # L_off = H_off L^{-T}, solved in place, as
-                        # solve_triangular(ld, h_off.T, lower=True).T
-                        l_off[...] = h_off
-                        _, info = dtrtrs(lt, l_off_t, lower=0, trans=1,
-                                         overwrite_b=1)
-                        if info != 0:
-                            raise _trtrs_failed(info)
-                        attach -= l_off @ l_off_t
+                    self._factor_group(k, ld, lt, h_off, l_off, l_off_t,
+                                       attach)
                     continue
-                # a run: each factor's inverse, in place in its copy, from
-                # the upper triangle of its F-ordered transpose
+                if links is None:
+                    self._cholesky(k, ld)
+                else:
+                    # each diagonal block waits for its predecessor's update
+                    for step in links.members:
+                        self._factor_group(*step)
+                # each factor's inverse, in place in its copy, from the
+                # upper triangle of its F-ordered transpose
                 np.copyto(inv, ld)
                 for a in inv:
                     _, info = dtrtri(a.T, lower=0, overwrite_c=1)
                     if info != 0:
                         raise _trtrs_failed(info, "dtrtri")
-                np.matmul(h_off, inv.transpose(0, 2, 1), out=l_off)
-                for a, s in zip(attach, l_off @ l_off_t):
-                    a -= s
+                inv_t = inv.transpose(0, 2, 1)
+                if links is None:
+                    np.matmul(h_off, inv_t, out=l_off)
+                    # ufunc.at subtracts repeated positions (siblings that
+                    # share an attach bag) in member order
+                    np.subtract.at(self._l_flat, attach,
+                                   (l_off @ l_off_t).ravel())
+                    continue
+                np.take(self._linv_flat, links.lp_idx, out=links.lp)
+                self._link_flat[links.band_pos] = (
+                    l_off[links.dst] @ links.lp
+                ).ravel()
+                np.matmul(inv_t, l_off_t, out=links.u)
         self.l_diag, self.l_off = self._l_blocks
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
+
+    def _cholesky(self, k, ld) -> None:
+        """L's diagonal blocks ``ld`` of group k on, 2-D or stacked, in
+        place; a failed block is named by its group's bags."""
+        try:
+            cholesky_lo(ld, out=ld)
+        except np.linalg.LinAlgError as exc:
+            # the gufunc writes NaN over each block it failed on
+            failed = np.isnan(ld.reshape(-1, ld.shape[-1] ** 2))
+            group = self.groups[k + int(np.argmax(failed.any(1)))]
+            raise IndefinitePivot(
+                f"diagonal block of bags {tuple(j + 1 for j in group)} is "
+                "not positive definite"
+            ) from exc
+
+    def _factor_group(self, k, ld, lt, h_off, l_off, l_off_t, attach):
+        """Group k's factor step: its diagonal block, then its edge block
+        L_off = H_off L^{-T}, solved in place as
+        solve_triangular(ld, h_off.T, lower=True).T, then its update of
+        its attach bag's block (none at the root group)."""
+        self._cholesky(k, ld)
+        if attach is None:
+            return
+        l_off[...] = h_off
+        _, info = dtrtrs(lt, l_off_t, lower=0, trans=1, overwrite_b=1)
+        if info != 0:
+            raise _trtrs_failed(info)
+        attach -= l_off @ l_off_t
 
     def set_rank1(self, q) -> None:
         """Install the rank-1 term and precompute its solve and denominator."""
@@ -775,7 +948,7 @@ class TreeNormalSystem:
         # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
         # solve_triangular(L, b, lower=True, trans=...) calls it; a run
         # multiplies by its factors' inverses instead
-        for rows, dims, a, _, off, _, att in self._l_sweep:
+        for rows, dims, a, _, off, _, att, links in self._l_sweep:
             if dims is None:
                 yk, info = dtrtrs(a, x[rows], lower=0, trans=1)
                 if info != 0:
@@ -786,13 +959,23 @@ class TreeNormalSystem:
                 continue
             n, w, r = dims
             y = a @ x[rows].reshape(n, w, k)
+            below = (off @ y).reshape(n * r, k)
+            if links is not None:
+                # the edge terms, each link's taken off the next member
+                below, info = dtbtrs(links.band, below, uplo="L", diag="U",
+                                     overwrite_b=1)
+                if info != 0:
+                    raise _trtrs_failed(info, "dtbtrs")
+                y[links.dst] -= links.lp @ below.reshape(n, r, k)[links.src]
+                below = below[links.out_rows]
             x[rows] = y.reshape(n * w, k)
             # ufunc.at subtracts repeated rows in sequence, one column at a
             # time, as apply_h adds them
-            below = (off @ y).reshape(n * r, k)
             for j in range(k):
                 np.subtract.at(x[:, j], att, below[:, j])
-        for rows, dims, a, a_t, _, off_t, att in reversed(self._l_sweep):
+        for rows, dims, a, a_t, _, off_t, att, links in reversed(
+            self._l_sweep
+        ):
             if dims is None:
                 t = x[rows]
                 if att is not None:
@@ -803,8 +986,21 @@ class TreeNormalSystem:
                 x[rows] = xk
                 continue
             n, w, r = dims
-            t = x[rows].reshape(n, w, k) - off_t @ x[att].reshape(n, r, k)
-            x[rows] = (a_t @ t).reshape(n * w, k)
+            y = x[rows].reshape(n, w, k)
+            if links is None:
+                t = y - off_t @ x[att].reshape(n, r, k)
+                x[rows] = (a_t @ t).reshape(n * w, k)
+                continue
+            # the attach rows' final values: a link's from the next
+            # member's, the others' from a later run's
+            v = a_t @ y
+            d = v.reshape(n * w, k)[links.b_src]
+            d[links.out_rows] = x[att]
+            d, info = dtbtrs(links.band, d, uplo="L", trans="T", diag="U",
+                             overwrite_b=1)
+            if info != 0:
+                raise _trtrs_failed(info, "dtbtrs")
+            x[rows] = (v - links.u @ d.reshape(n, r, k)).reshape(n * w, k)
         x = np.take(x, self._inv_perm, axis=0)
         return x[:, 0] if single else x
 
@@ -899,13 +1095,15 @@ class TreeNormalSystem:
 
     def memory_bytes(self) -> int:
         """Bytes of the engine's numeric storage, allocated once: the H and
-        L buffers, the stacked runs' inverse factors, G^T G's (position,
-        value) pairs, the attach-row index array that the runs gather and
-        scatter through, and q with its solve."""
+        L buffers, the inverse factors of the runs of several groups, the
+        band arrays of the runs with links, G^T G's (position, value)
+        pairs, the index arrays that the runs gather and scatter through,
+        and q with its solve."""
         return (
             self._h_flat.nbytes + self._l_flat.nbytes
-            + self._linv_flat.nbytes + self._gtg_pos.nbytes
-            + self._gtg_val.nbytes + self._attach_idx.nbytes
+            + self._linv_flat.nbytes + self._link_flat.nbytes
+            + self._gtg_pos.nbytes + self._gtg_val.nbytes
+            + self._attach_idx.nbytes + self._sweep_index_bytes
             + 2 * self.dim * self._h_flat.itemsize
         )
 

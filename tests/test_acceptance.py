@@ -3,7 +3,8 @@
 Each test prints one ``[criterion NN] name: PASS|FAIL`` line (visible in
 captured output; the pytest -v status line mirrors it) and then asserts,
 so a failure is both visible and red.  Beside criterion 06, a memory bound
-on the DIMACS metrics at n = 4000 measures no wall time.
+on the DIMACS metrics at n = 4000 and a count of the sweep steps along a
+path measure no wall time.
 
 Oracles used here: the dense reference solver (same interior-point
 machinery, no conversion, dense normal matrix), brute-force set-cover
@@ -316,6 +317,22 @@ def test_criterion_06_linear_per_iteration_scaling():
         assert 1.5 <= r <= 2.7, f"time ratio {r:.2f} outside [1.5, 2.7]"
     for r in m_ratios:
         assert 1.5 <= r <= 2.7, f"memory ratio {r:.2f} outside [1.5, 2.7]"
+
+
+def test_sweep_steps_stay_constant_along_a_path():
+    # criterion 06's question asked of a count instead of a clock: the
+    # Python steps that each sweep of the factorization and of a solve
+    # takes do not grow with the number of bags, since a path's groups
+    # form one run with links, and its root group another
+    seen = []
+    for n in (200, 1600):
+        sdp = gen_maxkcut(path_graph(n), 2)
+        stats = _dualized_program(sdp).pattern_stats()
+        assert stats["stacked_groups"] == stats["groups"] - 1
+        seen.append((stats["groups"], stats["sweep_steps"]))
+    (small, steps), (large, large_steps) = seen
+    assert large > 7 * small
+    assert steps == large_steps == 2
 
 
 def test_metrics_memory_stays_linear_on_path_4000():

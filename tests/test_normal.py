@@ -579,16 +579,27 @@ def test_star_dualized_h_has_tree_pattern():
 
 
 def test_memory_counter_equals_walk_over_blocks():
-    # the star's leaf groups form a stacked run, whose inverses count too
+    # the star's leaf groups form a stacked run, whose inverses count too;
+    # the chain on a path under dctc-aux forms a run with links, whose
+    # band arrays and index arrays count as well
     rng = np.random.default_rng(47)
     random_tree = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
-    star = _reference_instance("star")[:2]
-    for (problem, td), stacked in ((random_tree, False), (star, True)):
-        ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=6)
+    cases = (
+        ((*random_tree, False), None),
+        (_reference_instance("star"), "stacked"),
+        (_reference_instance("path-aux"), "links"),
+    )
+    for (problem, td, with_aux), runs in cases:
+        ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+            problem, td, with_aux=with_aux, seed=6
+        )
         before = sys_.memory_bytes()  # allocated with the engine
         sys_.update(sigma, q, psd_w, nn_w2)
-        inverses = [inv for *_, inv in sys_._factor_steps if inv is not None]
-        assert bool(inverses) == stacked
+        steps = [step for step in sys_._factor_steps if step[7] is not None]
+        inverses = [inv for *_, inv, _ in steps]
+        chains = [(links, att) for *_, att, links in sys_._l_sweep if links]
+        assert bool(inverses) == (runs is not None)
+        assert bool(chains) == (runs == "links")
         walked = sum(
             blk.nbytes
             for group in (sys_.h_diag, sys_.h_off, sys_.l_diag, sys_.l_off)
@@ -597,6 +608,15 @@ def test_memory_counter_equals_walk_over_blocks():
         ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
             sys_._u_q.nbytes
         ) + sys_._attach_idx.nbytes + sum(inv.nbytes for inv in inverses)
+        # a stacked run's attach-block positions
+        walked += sum(
+            attach.nbytes for *_, attach, _, links in steps if links is None
+        )
+        for links, att in chains:
+            walked += att.nbytes + sum(a.nbytes for a in (
+                links.band, links.lp, links.u, links.src, links.dst,
+                links.lp_idx, links.band_pos, links.b_src, links.out_rows,
+            ))
         assert before == sys_.memory_bytes() == walked
         assert sys_.pattern_stats()["bytes"] == walked
         sys_.set_rank1(None)
@@ -604,7 +624,11 @@ def test_memory_counter_equals_walk_over_blocks():
 
 
 def test_memory_counter_grows_linearly_in_blocks():
-    sizes = [20, 40]
+    # every size holds a run with links, so each doubling compares one
+    # layout: a 20-vertex path has two groups and no run of several, and
+    # the inverse buffer of the run that forms from three groups on adds
+    # w^2 per member at once
+    sizes = [40, 80, 160]
     bytes_seen = []
     for n in sizes:
         problem, td = path_problem(n, m=2)
@@ -613,9 +637,10 @@ def test_memory_counter_grows_linearly_in_blocks():
         stats = sys_.pattern_stats()
         assert stats["fill_blocks"] == 0
         assert stats["blocks"] == td.ell
+        assert any(links for *_, links in sys_._l_sweep)
         bytes_seen.append(stats["bytes"])
-    ratio = bytes_seen[1] / bytes_seen[0]
-    assert 1.5 <= ratio <= 2.7
+    for small, large in zip(bytes_seen, bytes_seen[1:]):
+        assert 1.5 <= large / small <= 2.7
 
 
 def test_dense_normal_system_matches_direct_solve():
@@ -776,6 +801,13 @@ def _reference_instance(kind):
         problem = gen_maxkcut(Graph(61, edges), 2)
         td = decompose(sparsity_graph(problem.n, problem.triplets))
         return problem, td, False
+    if kind == "path-aux":
+        # MAX 3-CUT on a 40-vertex path under dctc-aux: a chain of groups
+        # with slacks, which factor and solve_h take as a run with links
+        edges = [(i, i + 1) for i in range(39)]
+        problem = gen_maxkcut(Graph(40, edges), 3)
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
+        return problem, td, True
     base, _ = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.7)
     problem = with_wide_constraint(base)
     td = decompose(sparsity_graph(problem.n, problem.triplets))
@@ -783,11 +815,13 @@ def _reference_instance(kind):
 
 
 REFERENCE_KINDS = ["path", "star", "random-tree", "dctc-aux"]
-RUN_KINDS = [*REFERENCE_KINDS, "spider"]
+RUN_KINDS = [*REFERENCE_KINDS, "spider", "path-aux"]
 
 
-@pytest.mark.parametrize("kind", RUN_KINDS)
-def test_engine_matches_reference_bit_for_bit(kind):
+def assert_matches_reference(kind):
+    """Build ``kind``'s engine and ReferenceTreeNormal, update both twice
+    and check every block, inverse, band array and solve for equal bits.
+    Returns the engine."""
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
         problem, td, with_aux=with_aux, seed=19
@@ -797,12 +831,6 @@ def test_engine_matches_reference_bit_for_bit(kind):
     assert len(sys_.groups) >= 2
     assert any(slab is not None for slab in sys_._slabs)
     ref = ReferenceTreeNormal(sys_.dualized)
-    widths = set(ctc.width.tolist())
-    if kind == "random-tree":
-        assert len(widths) > 1
-    if kind == "dctc-aux":
-        assert ctc.n_aux.sum() > 0
-        assert ctc.n_nn.any()
     sys_.update(sigma, q, psd_w, nn_w2)
     # a second iteration's data: the engine rewrites its buffers in place
     sigma, q, psd_w, nn_w2 = random_scaling_data(
@@ -823,14 +851,24 @@ def test_engine_matches_reference_bit_for_bit(kind):
     assert same(gtg_diag, ref.gtg_diag) and same(gtg_off, ref.gtg_off)
     assert same(sys_.h_diag, ref.h_diag) and same(sys_.h_off, ref.h_off)
     assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
-    # the stacked runs' inverses, against the reference's per group
+    # the inverses of the runs of several, against the reference's per
+    # group, and the band arrays of the runs with links
     inverses = {
-        k + i: inv[i] for k, *_, inv in sys_._factor_steps
+        k + i: inv[i] for k, *_, inv, _ in sys_._factor_steps
         if inv is not None for i in range(len(inv))
     }
     assert inverses.keys() == ref.l_inv.keys()
     assert all(np.array_equal(inverses[k], ref.l_inv[k]) for k in inverses)
-    assert bool(inverses) == (kind in ("star", "spider"))
+    chains = {k: links for k, *_, links in sys_._factor_steps if links}
+    assert chains.keys() == ref.band.keys()
+    for k, links in chains.items():
+        assert np.array_equal(links.band, ref.band[k])
+        assert np.array_equal(links.band[0], np.zeros(links.band.shape[1]))
+        g = k + links.src
+        assert all(np.array_equal(a, ref.lp[i]) for a, i in zip(links.lp, g))
+        assert all(
+            np.array_equal(a, ref.u[k + i]) for i, a in enumerate(links.u)
+        )
     rng = np.random.default_rng(59)
     for rhs in (
         rng.standard_normal(ctc.dim_z),
@@ -841,6 +879,42 @@ def test_engine_matches_reference_bit_for_bit(kind):
         assert np.array_equal(
             sys_.solve_with_rank1(rhs), ref.solve_with_rank1(rhs)
         )
+    return sys_
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_engine_matches_reference_bit_for_bit(kind):
+    sys_ = assert_matches_reference(kind)
+    ctc = sys_.ctc
+    if kind == "random-tree":
+        assert len(set(ctc.width.tolist())) > 1
+    if kind == "dctc-aux":
+        assert ctc.n_aux.sum() > 0
+        assert ctc.n_nn.any()
+    steps = sys_._factor_steps
+    assert any(inv is not None for *_, inv, _ in steps) == (
+        kind in ("star", "spider", "path-aux")
+    )
+    assert any(links for *_, links in steps) == (kind == "path-aux")
+
+
+@pytest.mark.parametrize("kind", ["path", "spider", "path-aux"])
+def test_engine_matches_reference_on_one_bag_groups(kind, monkeypatch):
+    # with one bag per group a path is one run of links, and the spider's
+    # legs share runs that mix links with members attaching outside the
+    # run (a leg's top attaches to the hub)
+    monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
+    sys_ = assert_matches_reference(kind)
+    chains = [
+        (n, links) for (_, n, _, _), (*_, links)
+        in zip(sys_._sweep_runs, sys_._factor_steps) if links
+    ]
+    outside = [n - links.src.size for n, links in chains]
+    if kind == "spider":
+        assert max(outside) > 1
+    else:
+        assert outside == [1]
+        assert chains[0][1].src.tolist() == list(range(chains[0][0] - 1))
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -975,10 +1049,12 @@ def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     # factor and solve_h walk runs that tile the groups in elimination
-    # order, each of one (width, attach rows) with no member holding
-    # another's attach bag, and each ending only where the next group
-    # changes shape or holds such a bag; a run of several is strided views
-    # of its groups' blocks and of a separate inverse buffer
+    # order, each of one (width, attach rows) in which the only member
+    # whose attach bag a group holds is its predecessor (a link), and each
+    # ending only where the next group changes shape or holds another
+    # member's attach bag; a run of several is strided views of its
+    # groups' blocks and of a separate inverse buffer, and a run with
+    # links holds its band arrays in a buffer of their own
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     groups, parent = sys_.groups, td.parent.tolist()
@@ -995,13 +1071,18 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     for (k, n, w, r), (j, _, _, _) in zip(plan, plan[1:] + [(None,) * 4]):
         run = range(k, k + n)
         assert {shape[g] for g in run} == {(w, r)}
-        assert n == 1 or not any(up[g] in run for g in run)
+        assert n == 1 or all(up[g] not in run or up[g] == g + 1 for g in run)
         if j is not None:  # maximal
-            assert shape[j] != (w, r) or j in {up[g] for g in run}
-    if kind in ("path", "dctc-aux"):
+            assert shape[j] != (w, r) or j in {up[g] for g in run[:-1]}
+    linked = [
+        sum(up[g] == g + 1 for g in range(k, k + n - 1)) for k, n, *_ in plan
+    ]
+    if kind in ("path", "dctc-aux"):  # a group, then the root group
         assert set(counts) == {1}
     if kind in ("star", "spider"):
-        assert max(counts) >= 2
+        assert max(counts) >= 2 and not any(linked)
+    if kind == "path-aux":
+        assert linked == [counts[0] - 1, 0] and counts[0] >= 3
     stats = sys_.pattern_stats()
     assert stats["sweep_steps"] == len(plan)
     assert stats["stacked_groups"] == sum(n for n in counts if n > 1)
@@ -1012,16 +1093,20 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     assert sys_._linv_flat.size == sum(
         n * w * w for _, n, w, _ in plan if n > 1
     )
-    for (k, n, w, r), fac, sweep in zip(
-        plan, sys_._factor_steps, sys_._l_sweep, strict=True
+    assert sys_._link_flat.size == sum(
+        n * r * 2 * r + (m + n) * w * r
+        for (_, n, w, r), m in zip(plan, linked) if m
+    )
+    for (k, n, w, r), m, fac, sweep in zip(
+        plan, linked, sys_._factor_steps, sys_._l_sweep, strict=True
     ):
-        g0, diag, diag_t, h_edge, edge, edge_t, attach, inv = fac
-        rows, dims, a, a_t, off, off_t, att = sweep
+        g0, diag, diag_t, h_edge, edge, edge_t, attach, inv, links = fac
+        rows, dims, a, a_t, off, off_t, att, sweep_links = sweep
         assert g0 == k
         assert rows == slice(sys_.slices[k].start, sys_.slices[k + n - 1].stop)
-        assert off is edge and off_t is edge_t
+        assert off is edge and off_t is edge_t and sweep_links is links
         if n == 1:
-            assert dims is None and a_t is inv is None
+            assert dims is None and a_t is inv is links is None
             assert same_view(diag, l_diag[k])
             assert same_view(diag_t, l_diag[k].T) and same_view(a, diag_t)
             assert att == sys_._slabs[k]
@@ -1030,6 +1115,7 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
         assert same_view(a_t, inv.transpose(0, 2, 1))
         view_lo, view_hi = byte_bounds(inv)
         assert inv_lo <= view_lo and view_hi <= inv_hi
+        blocks = []
         for i, g in enumerate(range(k, k + n)):
             assert same_view(diag[i], l_diag[g])
             assert same_view(h_edge[i], h_off[g])
@@ -1037,25 +1123,66 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
             assert same_view(edge_t[i], l_off[g].T)
             b = parent[groups[g][-1]]
             at = sys_._bag_start[b] - sys_.slices[up[g]].start
-            assert same_view(attach[i], l_diag[up[g]][at:at + r, at:at + r])
-        assert np.array_equal(att, np.concatenate(
-            [np.arange(sys_._slabs[g].start, sys_._slabs[g].stop)
-             for g in range(k, k + n)]
-        ))
+            blocks.append(l_diag[up[g]][at:at + r, at:at + r])
+        slabs = [
+            np.arange(sys_._slabs[g].start, sys_._slabs[g].stop)
+            for g in range(k, k + n)
+        ]
+        if not m:
+            assert links is None
+            # the flat positions of each member's attach block, in order
+            base = sys_._l_flat.ctypes.data
+            assert np.array_equal(attach, np.concatenate([
+                (blk.ctypes.data - base) // 8 + np.add.outer(
+                    np.arange(r) * blk.strides[0] // 8, np.arange(r)
+                ).ravel() for blk in blocks
+            ]))
+            assert np.array_equal(att, np.concatenate(slabs))
+            continue
+        # a run with links: its members' one-group steps, its link
+        # members and the attach rows of the others
+        assert attach is None and len(links.members) == n
+        for i, step in enumerate(links.members):
+            g = k + i
+            assert step[0] == g
+            assert same_view(step[1], l_diag[g])
+            assert same_view(step[2], l_diag[g].T)
+            assert same_view(step[3], h_off[g])
+            assert same_view(step[4], l_off[g])
+            assert same_view(step[5], l_off[g].T)
+            assert same_view(step[6], blocks[i])
+        src = [i for i in range(n - 1) if up[k + i] == k + i + 1]
+        assert links.src.tolist() == src
+        assert links.dst.tolist() == [i + 1 for i in src]
+        out = [i for i in range(n) if i not in src]
+        assert np.array_equal(att, np.concatenate([slabs[i] for i in out]))
+        assert links.band.shape == (2 * r, n * r)
+        assert links.band.flags.f_contiguous
+        assert links.lp.shape == (m, w, r) and links.u.shape == (n, w, r)
+        link_lo, link_hi = byte_bounds(sys_._link_flat)
+        for view in (links.band, links.lp, links.u):
+            view_lo, view_hi = byte_bounds(view)
+            assert link_lo <= view_lo and view_hi <= link_hi
 
 
 @pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
-@pytest.mark.parametrize("kind", ["star", "spider", "random-tree"])
+@pytest.mark.parametrize(
+    "kind", ["star", "spider", "random-tree", "path", "dctc-aux", "path-aux"]
+)
 def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
-    # the stacked runs multiply by explicit inverses; after two updates,
-    # the residual against H plus factor's static shift (H applied by
-    # apply_h) stays at rounding.  Against H alone the shift leaves
-    # 1e-12 (1 + max diag) |x|, about 1e-11 |b| here.
+    # the runs of several multiply by explicit inverses, and the runs with
+    # links solve a band system; after two updates, the residual against
+    # H plus factor's static shift (H applied by apply_h) stays at
+    # rounding.  Against H alone the shift leaves 1e-12 (1 + max diag) |x|,
+    # about 1e-11 |b| here.
     monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *first = build_system(problem, td, with_aux=with_aux, seed=19)
     assert sys_.pattern_stats()["stacked_groups"] > 0 or (
-        kind == "random-tree" and cap == GROUP_WIDTH
+        kind in ("random-tree", "path", "dctc-aux") and cap == GROUP_WIDTH
+    )
+    assert any(links for *_, links in sys_._l_sweep) == (
+        kind == "path-aux" or (kind in ("path", "spider") and cap == 0)
     )
     sys_.update(*first)
     sys_.update(*random_scaling_data(np.random.default_rng(23), ctc))
@@ -1108,6 +1235,24 @@ def test_indefinite_block_in_a_run_names_its_group(monkeypatch):
         assert f"bags ({j + 1},) " in str(err.value)
 
 
+def test_indefinite_block_in_a_run_with_links_names_its_group(monkeypatch):
+    # a run with links factors its members one at a time: the first
+    # indefinite block stops the factor and is named
+    monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
+    problem, td, _ = _reference_instance("path")
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
+    ((k, n, _, _),) = [run for run in sys_._sweep_runs if run[1] > 1]
+    assert any(links for *_, links in sys_._factor_steps)
+    for g in (k + 1, k + n // 2, k + n - 1):  # not the run's first
+        (j,) = sys_.groups[g]
+        bad = {key: w.copy() for key, w in psd_w.items()}
+        bad[2][int(np.sum(ctc.order[:j] == 2))][0, 0] = -50.0
+        sys_.assemble_h(0.0, bad, nn_w2)
+        with pytest.raises(IndefinitePivot) as err:
+            sys_.factor()
+        assert f"bags ({j + 1},) " in str(err.value)
+
+
 def engine_kron_runs(sys_):
     """The engine's runs as (first stack row, end stack row, byte offset
     into ``_h_flat``, shape, strides), by order."""
@@ -1126,7 +1271,7 @@ def test_kron_runs_and_factor_ops_match_the_bag_loops():
     # is set by each run's first two bags; the operation count the bench
     # reads as normal.factor_ops must be the per-group formula's
     rng = np.random.default_rng(61)
-    instances = [_reference_instance(kind) for kind in REFERENCE_KINDS]
+    instances = [_reference_instance(kind) for kind in RUN_KINDS]
     instances += [
         (*random_partially_separable_problem(rng, 14, 5, ineq_prob=0.3), False)
         for _ in range(300)

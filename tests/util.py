@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtrtri
+from scipy.linalg.lapack import dtbtrs, dtrtri
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
 from treesdp.convert import ConvertedProblem
@@ -915,7 +915,7 @@ def reference_sweep_runs(groups, parent, width) -> list:
     """(first group, group count) of each run that a normal engine's
     factor and solve_h walk, cut group by group: a run grows while the
     next group has the same width and the same attach-bag width (0 at the
-    root) and holds no member's attach bag."""
+    root) and holds no member's attach bag but its predecessor's."""
     group_of = {j: k for k, members in enumerate(groups) for j in members}
     runs = []
     for k, members in enumerate(groups):
@@ -924,7 +924,7 @@ def reference_sweep_runs(groups, parent, width) -> list:
         shape = (sum(width[j] for j in members), 0 if b == top else width[b])
         if runs and shape == runs[-1][2] and all(
             group_of[parent[groups[m][-1]]] != k
-            for m in range(runs[-1][0], k)
+            for m in range(runs[-1][0], k - 1)
         ):
             runs[-1][1] += 1
         else:
@@ -950,7 +950,11 @@ class ReferenceTreeNormal(TreeNormalSystem):
 
     A group that the engine sweeps in a run of several (cut here group by
     group) is taken through its factor's explicit inverse, one 2-D
-    product at a time, as the engine's stacked products take it."""
+    product at a time, as the engine's stacked products take it.  A run
+    with links (a member attaching to the next) is factored group by
+    group through ``solve_triangular``, then each member is inverted; its
+    link blocks are entered one entry at a time into a LAPACK band matrix
+    that ``dtbtrs`` solves, as the engine's solve does."""
 
     def __init__(self, dualized):
         super().__init__(dualized)
@@ -977,9 +981,24 @@ class ReferenceTreeNormal(TreeNormalSystem):
             }
             assert len(outside) <= 1
             self.attach.append(outside.pop() if outside else None)
+        self.runs = reference_sweep_runs(
+            self.groups, self.parent, self.bag_width
+        )
         self.stacked = stacked_groups(
             self.groups, self.parent, self.bag_width
         )
+        # run -> (members that attach to the next member, attach rows)
+        self.links = {}
+        for first, n in self.runs:
+            linked = [
+                i for i in range(n - 1)
+                if self.attach[first + i] is not None
+                and self.group_of[self.attach[first + i]] == first + i + 1
+            ]
+            if linked:
+                self.links[first] = (
+                    linked, self.bag_width[self.attach[first]]
+                )
         self.gtg_diag, self.gtg_off = self._reference_gram()
 
     def _reference_gram(self):
@@ -1041,6 +1060,10 @@ class ReferenceTreeNormal(TreeNormalSystem):
         l_diag = [None] * len(self.groups)
         l_off = [None] * len(self.groups)
         self.l_inv = {}
+        chained = {
+            first + i for first, n in self.runs if first in self.links
+            for i in range(n)
+        }
         for k, b in enumerate(self.attach):
             lk = np.linalg.cholesky(work[k])
             l_diag[k] = lk
@@ -1049,16 +1072,37 @@ class ReferenceTreeNormal(TreeNormalSystem):
                 inv, info = dtrtri(lk.T, lower=0)
                 assert info == 0
                 self.l_inv[k] = inv.T
+            if b is None:
+                continue
+            if k in self.stacked and k not in chained:
                 r = self.h_off[k] @ inv
-                l_off[k] = r
-            elif b is not None:
+            else:
                 r = solve_triangular(lk, self.h_off[k].T, lower=True).T
-                l_off[k] = r
-            if b is not None:
-                s, wb = self.at[b], self.bag_width[b]
-                work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
+            l_off[k] = r
+            s, wb = self.at[b], self.bag_width[b]
+            work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
         self.l_diag = l_diag
         self.l_off = l_off
+        self.band, self.lp, self.u = {}, {}, {}
+        for first, n in self.runs:
+            if first not in self.links:
+                continue
+            linked, r = self.links[first]
+            band = np.zeros((n * r, 2 * r)).T  # F-ordered LAPACK band
+            for i in linked:
+                g = first + i
+                p = self.at[self.attach[g]]
+                lp = np.ascontiguousarray(self.l_inv[g + 1][:, p:p + r])
+                t = np.ascontiguousarray(l_off[g + 1]) @ lp
+                for a in range(r):
+                    for c in range(r):
+                        band[r + a - c, i * r + c] = t[a, c]
+                self.lp[g] = lp
+            for g in range(first, first + n):
+                self.u[g] = self.l_inv[g].T @ np.ascontiguousarray(
+                    l_off[g]
+                ).T
+            self.band[first] = band
 
     def _rows(self, k):
         """Group k's slice of the permuted coordinates."""
@@ -1079,27 +1123,77 @@ class ReferenceTreeNormal(TreeNormalSystem):
     def solve_h(self, rhs):
         cols, single = self._as_columns(rhs)
         x = cols[self.ref_perm]
-        for k, b in enumerate(self.attach):
-            sl = self._rows(k)
-            if k in self.stacked:
-                yk = self.l_inv[k] @ x[sl]
-            else:
-                yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
-            x[sl] = yk
-            if b is not None:
-                x[self._attach_slice(k)] -= self.l_off[k] @ yk
-        for k in reversed(range(len(self.groups))):
-            sl = self._rows(k)
-            t = x[sl]
-            if self.attach[k] is not None:
-                t = t - self.l_off[k].T @ x[self._attach_slice(k)]
-            if k in self.stacked:
-                x[sl] = self.l_inv[k].T @ t
-            else:
-                x[sl] = solve_triangular(
-                    self.l_diag[k], t, lower=True, trans="T"
-                )
+        for first, n in self.runs:
+            if first in self.links:
+                self._forward_links(x, first, n)
+                continue
+            for k in range(first, first + n):
+                sl = self._rows(k)
+                if k in self.stacked:
+                    yk = self.l_inv[k] @ x[sl]
+                else:
+                    yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
+                x[sl] = yk
+                if self.attach[k] is not None:
+                    x[self._attach_slice(k)] -= self.l_off[k] @ yk
+        for first, n in reversed(self.runs):
+            if first in self.links:
+                self._backward_links(x, first, n)
+                continue
+            for k in reversed(range(first, first + n)):
+                sl = self._rows(k)
+                t = x[sl]
+                if self.attach[k] is not None:
+                    t = t - self.l_off[k].T @ x[self._attach_slice(k)]
+                if k in self.stacked:
+                    x[sl] = self.l_inv[k].T @ t
+                else:
+                    x[sl] = solve_triangular(
+                        self.l_diag[k], t, lower=True, trans="T"
+                    )
         return self._unpermute(x, single)
+
+    def _forward_links(self, x, first, n):
+        """The forward sweep over a run with links: each member's L^{-1} x
+        and edge term, the band solve for the true edge terms, then each
+        link's term taken off the next member and every other member's
+        subtracted from its attach rows."""
+        linked, r = self.links[first]
+        members = range(first, first + n)
+        ys = [self.l_inv[g] @ x[self._rows(g)] for g in members]
+        a = np.concatenate([self.l_off[g] @ y for g, y in zip(members, ys)])
+        c, info = dtbtrs(self.band[first], a, uplo="L", diag="U")
+        assert info == 0
+        cs = [np.ascontiguousarray(c[i * r:i * r + r]) for i in range(n)]
+        for i in linked:
+            ys[i + 1] = ys[i + 1] - self.lp[first + i] @ cs[i]
+        for g, y in zip(members, ys):
+            x[self._rows(g)] = y
+        for i, g in enumerate(members):
+            if i not in linked:
+                x[self._attach_slice(g)] -= cs[i]
+
+    def _backward_links(self, x, first, n):
+        """The backward sweep over a run with links: each member's L^{-T}
+        y, the transposed band solve for its attach rows' final values
+        (a link's read off the next member's, the others' off a later
+        run's), then each member's back term."""
+        linked, r = self.links[first]
+        members = range(first, first + n)
+        vs = [self.l_inv[g].T @ x[self._rows(g)] for g in members]
+        d = np.empty((n * r, x.shape[1]))
+        for i, g in enumerate(members):
+            if i in linked:
+                p = self.at[self.attach[g]]
+                d[i * r:i * r + r] = vs[i + 1][p:p + r]
+            else:
+                d[i * r:i * r + r] = x[self._attach_slice(g)]
+        d, info = dtbtrs(self.band[first], d, uplo="L", trans="T", diag="U")
+        assert info == 0
+        for i, g in enumerate(members):
+            x[self._rows(g)] = vs[i] - self.u[g] @ np.ascontiguousarray(
+                d[i * r:i * r + r]
+            )
 
     def apply_h(self, x):
         v, single = self._as_columns(x)
@@ -1164,10 +1258,21 @@ def loop_factor_ops(sys_) -> int:
     """The engine's per-factorization operation count, group by group: a
     w-wide group costs w^3 // 3 + w, plus w^2 r + w r^2 for the r rows of
     its attach bag, plus w^3 // 3 for its factor's inverse when it lies in
-    a run of several groups."""
+    a run of several groups.  In a run with links, each member adds w^2 r
+    for its back product, and each member that attaches to the next adds
+    r^2 w for its link block."""
     width = sys_.ctc.width.tolist()
     parent = sys_.ctc.td.parent.tolist()
+    runs = reference_sweep_runs(sys_.groups, parent, width)
     stacked = stacked_groups(sys_.groups, parent, width)
+    group_of = {j: k for k, members in enumerate(sys_.groups) for j in members}
+    ups = [group_of[parent[members[-1]]] for members in sys_.groups]
+    # group -> the first group of its run, for the runs with links
+    chained = {
+        k: first for first, n in runs
+        if any(ups[g] == g + 1 for g in range(first, first + n - 1))
+        for k in range(first, first + n)
+    }
     ops = 0
     for k, members in enumerate(sys_.groups):
         w = sum(width[j] for j in members)
@@ -1176,7 +1281,12 @@ def loop_factor_ops(sys_) -> int:
             ops += w ** 3 // 3
         b = parent[members[-1]]
         if b != members[-1]:
-            ops += w * w * width[b] + w * width[b] ** 2
+            r = width[b]
+            ops += w * w * r + w * r ** 2
+            if k in chained:
+                ops += w * w * r
+                if chained.get(k + 1) == chained[k] and ups[k] == k + 1:
+                    ops += r * r * w
     return ops
 
 
