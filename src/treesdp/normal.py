@@ -81,23 +81,23 @@ numpy's LAPACK gufunc, the kernel ``np.linalg.cholesky`` calls, under
 one error state around its loop
 (:func:`~treesdp.linalg.lapack_errstate`).
 
-Sweeps.  ``factor`` and ``solve_h`` walk one plan of *runs*, built once
-with the engine: maximal stretches of consecutive groups, in elimination
-order, of equal width w and equal attach-row count r, in which the only
-member whose attach bag a group may hold is its predecessor.  A member
-whose attach bag lies in the next member is a *link*; every other
-member's attach bag lies in a later run, and its children in earlier
-ones.  So the members of a run without links do not depend on one
-another in either sweep (level scheduling of a sparse triangular solve;
-Anderson & Saad 1989), and those of a run with links depend on one
-another only through the r overlap rows of each link.  A run of one
-group keeps its 2-D blocks and the per-group steps: ``cholesky_lo``,
-then ``dtrtrs`` (in ``factor`` in place in L's edge block, copied there
-from H's), then slices.  A run of n groups is strided (n, w, w) and
-(n, r, w) views into the buffers, and ``factor`` writes each member's
-inverse factor (LAPACK ``dtrtri``) into a third buffer, since the block
-counts of :meth:`TreeNormalSystem.pattern_stats` are measured on L's own
-blocks.
+Sweeps.  ``factor``, ``solve_h`` and ``apply_h`` walk one plan of
+*runs*, built once with the engine: maximal stretches of consecutive
+groups, in elimination order, of equal width w and equal attach-row
+count r, in which the only member whose attach bag a group may hold is
+its predecessor.  A member whose attach bag lies in the next member is a
+*link*; every other member's attach bag lies in a later run, and its
+children in earlier ones.  So the members of a run without links do not
+depend on one another in either sweep (level scheduling of a sparse
+triangular solve; Anderson & Saad 1989), and those of a run with links
+depend on one another only through the r overlap rows of each link.
+Each run is one record that all three walk.  A run of one group keeps
+its 2-D blocks and the per-group steps: ``cholesky_lo``, then ``dtrtrs``
+(in ``factor`` in place in L's edge block, copied there from H's), then
+slices.  A run of n groups is strided (n, w, w) and (n, r, w) views into
+the buffers, and ``factor`` writes each member's inverse factor (LAPACK
+``dtrtri``) into a third buffer, since the block counts of
+:meth:`TreeNormalSystem.pattern_stats` are measured on L's own blocks.
 
 A run without links takes one ``cholesky_lo`` over its diagonal blocks,
 makes its edge blocks by one stacked product ``H_off L^{-T}`` and
@@ -130,18 +130,11 @@ run's), and sets x = v - L^{-T} L_off^T d.  So a path's groups form one
 run, its root group another, and each sweep takes two steps there at any
 length.  The band arrays lie in a fourth buffer.
 
-``apply_h`` has no dependence between groups and walks its own runs,
-cut by shape alone: a run of several groups is one strided
-(groups, w, w) view, one (groups, r, w) view and an index array of its
-attach rows, so each of a group's three products is one stacked product
-per run; a run of one group keeps its 2-D blocks and slices.  ``apply_h``
-keeps the per-group loop's order of additions, so every float of H x is
-that loop's: each entry takes its children's edge terms in elimination
-order, then its diagonal term, then its transposed edge term, and a run
-scatters its edge terms (``np.add.at`` adds repeated rows in sequence)
-before its own rows take theirs.  Every block is a view into the H, L,
-inverse or band buffer, fixed for the engine's life, and no workspace
-outlives a call.
+``apply_h`` takes one stacked product per run for each of a group's
+three terms, in the per-group loop's order of additions, so every float
+of H x is that loop's.  Every block is a view into the H, L, inverse or
+band buffer, fixed for the engine's life, and no workspace outlives a
+call.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
@@ -199,9 +192,6 @@ class _Links(NamedTuple):
     ``dst`` = ``src`` + 1, each at r rows of the next member's block, and
     every other member to a group in a later run.
 
-    ``members`` are the one-group factor steps that ``factor`` takes in
-    order, each (group, L's diagonal block and its transpose, H's and L's
-    edge blocks, L's edge block transposed, its attach bag's block of L).
     The run's n r edge terms ``c`` (member i's at rows i r .. i r + r)
     solve the unit lower band system (I + T) c = L_off L^{-1} x, whose
     link block ``T`` couples a member's terms to its predecessor's: T =
@@ -213,10 +203,9 @@ class _Links(NamedTuple):
     L^{-T} L_off^T.  The backward sweep's right-hand side takes the band
     unknowns of a link from the rows ``b_src`` of the run's L^{-T} y and
     those at ``out_rows``, the members attaching outside, from their
-    attach rows.
+    attach rows ``out_att``.
     """
 
-    members: list
     src: np.ndarray
     dst: np.ndarray
     lp_idx: np.ndarray
@@ -226,6 +215,40 @@ class _Links(NamedTuple):
     u: np.ndarray
     b_src: np.ndarray
     out_rows: np.ndarray
+    out_att: np.ndarray
+
+
+class _Run(NamedTuple):
+    """One step of the sweep plan: the n groups from k on, of width w and
+    r attach rows, whose permuted coordinates are ``rows``.
+
+    A run of one group holds its 2-D blocks of H and L, their transposes
+    and its attach bag's slice ``att`` (None at the root group, as are its
+    edge blocks).  A run of n > 1 groups holds strided (n, w, w) and
+    (n, r, w) views into the flat buffers, the inverses of its diagonal
+    factors in ``_linv_flat`` and ``att``, its stretch of the attach-row
+    array.  A run without links also holds ``blocks``, the flat positions
+    of its members' attach blocks in ``_l_flat`` (their updates, in
+    order); a run with links holds its :class:`_Links` instead.
+    """
+
+    k: int
+    n: int
+    w: int
+    r: int
+    rows: slice
+    h_diag: np.ndarray
+    h_off: np.ndarray
+    h_off_t: np.ndarray
+    l_diag: np.ndarray
+    l_diag_t: np.ndarray
+    l_off: np.ndarray
+    l_off_t: np.ndarray
+    inv: np.ndarray
+    inv_t: np.ndarray
+    att: object
+    blocks: np.ndarray
+    links: _Links
 
 
 def _trtrs_failed(info: int, routine: str = "dtrtrs") -> IndefinitePivot:
@@ -329,6 +352,11 @@ def _stack(flat: np.ndarray, off, n: int, rows: int, w: int) -> np.ndarray:
                       (rows * w * item, w * item, item))
 
 
+def _t(a):
+    """``a`` with its last two axes swapped (None stays None)."""
+    return None if a is None else a.swapaxes(-1, -2)
+
+
 class TreeNormalSystem:
     """Assemble, factor, and solve the block-tree normal equations."""
 
@@ -352,9 +380,7 @@ class TreeNormalSystem:
         self._h_blocks = self._blocks(self._h_flat)
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
-        self._h_runs, self._attach_idx = self._h_run_views()
-        self._sweep_runs = self._sweep_plan()
-        self._factor_steps, self._l_sweep = self._sweep_views()
+        self._runs = self._sweep_views(self._sweep_plan())
         self._kron_runs = self._kron_run_views()
         # flat positions of the slack coordinates' diagonal entries, in
         # block order (the order of the slack scaling vector)
@@ -365,18 +391,20 @@ class TreeNormalSystem:
             runs[-1][1] * tri(o) * tri(o) * o
             for o, runs in self._kron_runs.items()
         )
-        w, r = self._width, self._attach_rows
-        self._factor_ops = int(np.sum(w ** 3 // 3 + w + w * r * (w + r)))
-        # the inverses in runs of several groups, w^3 / 3 each, and per
-        # run with links its link blocks, r^2 w each, and its back
-        # products, w^2 r per member
-        self._factor_ops += sum(
-            n * (w ** 3 // 3) for _, n, w, _ in self._sweep_runs if n > 1
-        )
-        for _, dims, *_, links in self._l_sweep:
-            if links:
-                n, w, r = dims
-                self._factor_ops += links.src.size * w * r * r + n * w * w * r
+        # per group w^3 / 3 + w for its diagonal block and w r (w + r) for
+        # its edge block and update; per run of several its inverses,
+        # w^3 / 3 each, and per run with links its link blocks, r^2 w
+        # each, and its back products, w^2 r per member
+        self._factor_ops = 0
+        for run in self._runs:
+            n, w, r = run.n, run.w, run.r
+            self._factor_ops += n * (
+                w ** 3 // 3 * (1 + (n > 1)) + w + w * r * (w + r)
+            )
+            if run.links:
+                self._factor_ops += (
+                    run.links.src.size * w * r * r + n * w * w * r
+                )
 
         # per-factorization state
         self.h_diag: list = []
@@ -486,54 +514,9 @@ class TreeNormalSystem:
         edges = [v if v.size else None for v in views[n_groups:]]
         return views[:n_groups], edges
 
-    def _h_run_views(self) -> tuple:
-        """The runs ``apply_h`` walks, and the permuted rows of every
-        group's attach bag, concatenated in elimination order.
-
-        A run is a maximal stretch of consecutive groups, in elimination
-        order, of equal width w and equal attach-row count r.  Their
-        diagonal blocks lie in ``_h_flat`` at a step of w * w, their edge
-        blocks at a step of r * w, and their rows are one slice of the
-        permuted coordinates.  Per run: that slice, (n, w, r), its
-        diagonal blocks, its edge blocks and their transposes, and its
-        attach rows.  A run of n > 1 groups holds (n, w, w) and (n, r, w)
-        strided views and its stretch of the attach-row array.  A run of
-        one group holds None for (n, w, r), its 2-D blocks and its attach
-        bag's slice (None for the last three at the root group).
-        """
-        n_groups = len(self.groups)
-        w, r = self._width, self._attach_rows
-        attach_idx = ranges(self._block_row[n_groups:], r)
-        new = np.ones(n_groups, dtype=bool)
-        new[1:] = (w[1:] != w[:-1]) | (r[1:] != r[:-1])
-        lo = np.flatnonzero(new)
-        n = np.diff(lo, append=n_groups)
-        att_end = np.cumsum(r)
-        spans = np.column_stack((
-            lo, n, w[lo], r[lo], self._first[lo], att_end[lo] - r[lo],
-            att_end[lo + n - 1], self._block_off[lo],
-            self._block_off[lo + n_groups],
-        )).tolist()
-        h = self._h_flat
-        h_diag, h_off = self._h_blocks
-        runs = []
-        for k, n, wk, rk, row0, a0, a1, d0, e0 in spans:
-            rows = slice(row0, row0 + n * wk)
-            if n == 1:
-                edge = h_off[k]
-                runs.append((
-                    rows, None, h_diag[k], edge,
-                    None if edge is None else edge.T, self._slabs[k],
-                ))
-                continue
-            edge = _stack(h, e0, n, rk, wk)
-            runs.append((rows, (n, wk, rk), _stack(h, d0, n, wk, wk), edge,
-                         edge.transpose(0, 2, 1), attach_idx[a0:a1]))
-        return runs, attach_idx
-
     def _sweep_plan(self) -> list:
-        """The runs ``factor`` and ``solve_h`` walk, as (first group,
-        group count, width, attach rows) in elimination order.
+        """The cut of the groups into runs, as (first group, group count,
+        width, attach rows) in elimination order.
 
         A run is a maximal stretch of consecutive groups of equal width
         and equal attach-row count in which the only member whose attach
@@ -560,117 +543,89 @@ class TreeNormalSystem:
         ends = starts[1:] + [n_groups]
         return [(a, b - a, w[a], r[a]) for a, b in zip(starts, ends)]
 
-    def _sweep_views(self) -> tuple:
-        """Per run of :meth:`_sweep_plan`, what ``factor`` and what
-        ``solve_h`` walk: (group, L's diagonal blocks, their transposes,
-        H's edge blocks, L's edge blocks and their transposes, the attach
-        blocks, the inverses, the links) and (rows, (n, w, r), the
-        inverses or L's transposed diagonal block, the inverses'
-        transposes, L's edge blocks and their transposes, the attach rows,
-        the links).
+    def _sweep_views(self, plan) -> list:
+        """The :class:`_Run` of each run of ``plan``, and the per-group
+        factor steps of the runs of one group and of the runs with links.
 
-        A run of one group keeps its 2-D blocks: L's diagonal block, and
-        its transpose, the F-ordered upper triangle that dtrtrs reads; its
-        attach bag's block of L and that bag's slice (None at the root
-        group, as are its edge blocks).  A run of n groups of width w and
-        r attach rows holds strided (n, w, w) and (n, r, w) views into the
-        flat buffers, made as ``_h_run_views`` makes them, the inverses of
-        its diagonal factors in ``_linv_flat``, and, when it has no links,
-        the flat positions of its attach blocks in ``_l_flat`` (the
-        members' updates, in order) and its stretch of the attach-row
-        array.  A run with links holds a :class:`_Links` instead, and the
-        attach rows of the members that attach outside it.
+        ``_steps[g]`` is group g's 2-D factor step: L's diagonal block and
+        its transpose, the F-ordered upper triangle that dtrtrs reads, H's
+        and L's edge blocks, L's edge block transposed and its attach
+        bag's block of L (None for the last four at the root group).
+        ``_attach_idx`` is the permuted rows of every group's attach bag,
+        concatenated in elimination order.
         """
         n_groups = len(self.groups)
+        h_diag, h_off = self._h_blocks
         l_diag, l_off = self._l_blocks
-        h_off = self._h_blocks[1]
         # each group's attach bag's first row in its group's block, and
         # that bag's block of L
         up = self._attach_group
         rel = self._block_row[n_groups:] - self._first[up]
         spans = np.column_stack((up, rel, self._attach_rows)).tolist()
-        attach = [
-            l_diag[p][a:a + r, a:a + r] if r else None for p, a, r in spans
+        self._steps = [
+            (ld, ld.T, h, lo, _t(lo),
+             l_diag[p][a:a + r, a:a + r] if r else None)
+            for ld, h, lo, (p, a, r) in zip(l_diag, h_off, l_off, spans)
         ]
-
-        def one(g):  # group g's factor step, taken alone
-            lo = l_off[g]
-            return (g, l_diag[g], l_diag[g].T, h_off[g], lo,
-                    None if lo is None else lo.T, attach[g])
-
+        self._attach_idx = ranges(
+            self._block_row[n_groups:], self._attach_rows
+        )
         att_end = np.cumsum(self._attach_rows)
         # the members of each run that attach to the next member
-        linked = {
-            k: np.flatnonzero(up[k:k + n - 1] == np.arange(k + 1, k + n))
-            for k, n, _, _ in self._sweep_runs if n > 1
-        }
+        linked = [
+            np.flatnonzero(up[k:k + n - 1] == np.arange(k + 1, k + n))
+            for k, n, _, _ in plan
+        ]
         self._linv_flat = np.empty(sum(
-            n * w * w for _, n, w, _ in self._sweep_runs if n > 1
+            n * w * w for _, n, w, _ in plan if n > 1
         ))
         self._link_flat = np.zeros(sum(
-            _link_size(n, w, r, linked[k].size)
-            for k, n, w, r in self._sweep_runs if n > 1 and linked[k].size
+            _link_size(n, w, r, src.size)
+            for (_, n, w, r), src in zip(plan, linked) if src.size
         ))
-        self._sweep_index_bytes = 0
         inv_at = link_at = 0
-        factor_steps, sweep = [], []
-        for k, n, w, r in self._sweep_runs:
-            if n == 1:
-                step = one(k)
-                factor_steps.append((*step, None, None))
-                sweep.append((
-                    self.slices[k], None, step[2], None, *step[4:6],
-                    self._slabs[k], None,
-                ))
-                continue
-            diag = _stack(self._l_flat, self._block_off[k], n, w, w)
-            inv = _stack(self._linv_flat, inv_at, n, w, w)
-            e0 = self._block_off[k + n_groups]
-            edge = _stack(self._l_flat, e0, n, r, w)
-            h_edge = _stack(self._h_flat, e0, n, r, w)
+        runs = []
+        for (k, n, w, r), src in zip(plan, linked):
             rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
-            att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
-            src = linked[k]
-            if src.size:
-                links = self._links(
-                    [one(g) for g in range(k, k + n)], w, r, src,
-                    rel[k + src], inv_at, link_at,
-                )
-                link_at += _link_size(n, w, r, src.size)
-                att = att[links.out_rows]
-                blocks = None
-                self._sweep_index_bytes += att.nbytes + sum(
-                    a.nbytes for a in links[1:] if a.dtype.kind == "i"
-                )
+            blocks = links = None
+            if n == 1:
+                hd, ho, ld, lo = h_diag[k], h_off[k], l_diag[k], l_off[k]
+                inv, att = None, self._slabs[k]
             else:
-                # the flat positions of the members' attach blocks in L
-                g = np.arange(k, k + n)
-                wu = self._width[up[g], None, None]
-                blocks = (
-                    self._block_off[up[g], None, None] + rel[g, None, None]
-                    * (wu + 1) + np.arange(r)[:, None] * wu + np.arange(r)
-                ).ravel()
-                links = None
-                self._sweep_index_bytes += blocks.nbytes
-            inv_at += n * w * w
-            edge_t = edge.transpose(0, 2, 1)
-            factor_steps.append((
-                k, diag, None, h_edge, edge, edge_t, blocks, inv, links,
+                d0, e0 = self._block_off[k], self._block_off[k + n_groups]
+                hd, ld = (_stack(f, d0, n, w, w)
+                          for f in (self._h_flat, self._l_flat))
+                ho, lo = (_stack(f, e0, n, r, w)
+                          for f in (self._h_flat, self._l_flat))
+                inv = _stack(self._linv_flat, inv_at, n, w, w)
+                att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
+                if src.size:
+                    links = self._links(n, w, r, src, rel[k + src], att,
+                                        inv_at, link_at)
+                    link_at += _link_size(n, w, r, src.size)
+                else:
+                    # the flat positions of the members' attach blocks in L
+                    g = np.arange(k, k + n)
+                    wu = self._width[up[g], None, None]
+                    blocks = (
+                        self._block_off[up[g], None, None]
+                        + rel[g, None, None] * (wu + 1)
+                        + np.arange(r)[:, None] * wu + np.arange(r)
+                    ).ravel()
+                inv_at += n * w * w
+            runs.append(_Run(
+                k, n, w, r, rows, hd, ho, _t(ho), ld, _t(ld), lo, _t(lo),
+                inv, _t(inv), att, blocks, links,
             ))
-            sweep.append((
-                rows, (n, w, r), inv, inv.transpose(0, 2, 1), edge, edge_t,
-                att, links,
-            ))
-        return factor_steps, sweep
+        return runs
 
-    def _links(self, members, w, r, src, at, inv_at, link_at) -> _Links:
-        """The :class:`_Links` of the run of one-group factor steps
-        ``members``, of width w and r attach rows, whose members ``src``
-        attach to the next member at row ``at`` of its block.  The run's
-        inverses lie in ``_linv_flat`` from ``inv_at`` on; the band, the
-        link columns and the back products in ``_link_flat`` from
-        ``link_at`` on."""
-        n, m = len(members), src.size
+    def _links(self, n, w, r, src, at, att, inv_at, link_at) -> _Links:
+        """The :class:`_Links` of a run of n groups of width w and r attach
+        rows ``att``, whose members ``src`` attach to the next member at
+        row ``at`` of its block.  The run's inverses lie in ``_linv_flat``
+        from ``inv_at`` on; the band, the link columns and the back
+        products in ``_link_flat`` from ``link_at`` on."""
+        m = src.size
         size, kd = n * r, 2 * r - 1
         flat = self._link_flat
         lp_at = link_at + size * (kd + 1)
@@ -688,12 +643,12 @@ class TreeNormalSystem:
         b_src = np.zeros(size, dtype=np.int64)
         b_src.reshape(n, r)[src] = (src + 1)[:, None] * w + at[:, None] + b
         out = np.setdiff1d(np.arange(n), src)
+        out_rows = (out[:, None] * r + b).ravel()
         return _Links(
-            members, src, src + 1, lp_idx,
-            flat[lp_at:u_at].reshape(m, w, r),
+            src, src + 1, lp_idx, flat[lp_at:u_at].reshape(m, w, r),
             flat[link_at:lp_at].reshape(size, kd + 1).T, band_pos.ravel(),
             flat[u_at:u_at + n * w * r].reshape(n, w, r),
-            b_src, (out[:, None] * r + b).ravel(),
+            b_src, out_rows, att[out_rows],
         )
 
     def _kron_run_views(self) -> dict:
@@ -824,39 +779,36 @@ class TreeNormalSystem:
         np.copyto(work, self._h_flat[:self._n_diag])
         work[self._diag_pos] += reg
         with lapack_errstate():
-            for k, ld, lt, h_off, l_off, l_off_t, attach, inv, links in (
-                self._factor_steps
-            ):
-                if inv is None:
-                    self._factor_group(k, ld, lt, h_off, l_off, l_off_t,
-                                       attach)
+            for run in self._runs:
+                k, n, links = run.k, run.n, run.links
+                if n == 1:
+                    self._factor_group(k)
                     continue
                 if links is None:
-                    self._cholesky(k, ld)
+                    self._cholesky(k, run.l_diag)
                 else:
                     # each diagonal block waits for its predecessor's update
-                    for step in links.members:
-                        self._factor_group(*step)
+                    for g in range(k, k + n):
+                        self._factor_group(g)
                 # each factor's inverse, in place in its copy, from the
                 # upper triangle of its F-ordered transpose
-                np.copyto(inv, ld)
-                for a in inv:
+                np.copyto(run.inv, run.l_diag)
+                for a in run.inv:
                     _, info = dtrtri(a.T, lower=0, overwrite_c=1)
                     if info != 0:
                         raise _trtrs_failed(info, "dtrtri")
-                inv_t = inv.transpose(0, 2, 1)
                 if links is None:
-                    np.matmul(h_off, inv_t, out=l_off)
+                    np.matmul(run.h_off, run.inv_t, out=run.l_off)
                     # ufunc.at subtracts repeated positions (siblings that
                     # share an attach bag) in member order
-                    np.subtract.at(self._l_flat, attach,
-                                   (l_off @ l_off_t).ravel())
+                    np.subtract.at(self._l_flat, run.blocks,
+                                   (run.l_off @ run.l_off_t).ravel())
                     continue
                 np.take(self._linv_flat, links.lp_idx, out=links.lp)
                 self._link_flat[links.band_pos] = (
-                    l_off[links.dst] @ links.lp
+                    run.l_off[links.dst] @ links.lp
                 ).ravel()
-                np.matmul(inv_t, l_off_t, out=links.u)
+                np.matmul(run.inv_t, run.l_off_t, out=links.u)
         self.l_diag, self.l_off = self._l_blocks
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
@@ -875,11 +827,12 @@ class TreeNormalSystem:
                 "not positive definite"
             ) from exc
 
-    def _factor_group(self, k, ld, lt, h_off, l_off, l_off_t, attach):
+    def _factor_group(self, k):
         """Group k's factor step: its diagonal block, then its edge block
         L_off = H_off L^{-T}, solved in place as
         solve_triangular(ld, h_off.T, lower=True).T, then its update of
         its attach bag's block (none at the root group)."""
+        ld, lt, h_off, l_off, l_off_t, attach = self._steps[k]
         self._cholesky(k, ld)
         if attach is None:
             return
@@ -948,18 +901,19 @@ class TreeNormalSystem:
         # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
         # solve_triangular(L, b, lower=True, trans=...) calls it; a run
         # multiplies by its factors' inverses instead
-        for rows, dims, a, _, off, _, att, links in self._l_sweep:
-            if dims is None:
-                yk, info = dtrtrs(a, x[rows], lower=0, trans=1)
+        for run in self._runs:
+            rows, att, links = run.rows, run.att, run.links
+            if run.n == 1:
+                yk, info = dtrtrs(run.l_diag_t, x[rows], lower=0, trans=1)
                 if info != 0:
                     raise _trtrs_failed(info)
                 x[rows] = yk
                 if att is not None:
-                    x[att] -= off @ yk
+                    x[att] -= run.l_off @ yk
                 continue
-            n, w, r = dims
-            y = a @ x[rows].reshape(n, w, k)
-            below = (off @ y).reshape(n * r, k)
+            n, w, r = run.n, run.w, run.r
+            y = run.inv @ x[rows].reshape(n, w, k)
+            below = (run.l_off @ y).reshape(n * r, k)
             if links is not None:
                 # the edge terms, each link's taken off the next member
                 below, info = dtbtrs(links.band, below, uplo="L", diag="U",
@@ -967,35 +921,34 @@ class TreeNormalSystem:
                 if info != 0:
                     raise _trtrs_failed(info, "dtbtrs")
                 y[links.dst] -= links.lp @ below.reshape(n, r, k)[links.src]
-                below = below[links.out_rows]
+                below, att = below[links.out_rows], links.out_att
             x[rows] = y.reshape(n * w, k)
             # ufunc.at subtracts repeated rows in sequence, one column at a
             # time, as apply_h adds them
             for j in range(k):
                 np.subtract.at(x[:, j], att, below[:, j])
-        for rows, dims, a, a_t, _, off_t, att, links in reversed(
-            self._l_sweep
-        ):
-            if dims is None:
+        for run in reversed(self._runs):
+            rows, att, links = run.rows, run.att, run.links
+            if run.n == 1:
                 t = x[rows]
                 if att is not None:
-                    t = t - off_t @ x[att]
-                xk, info = dtrtrs(a, t, lower=0, trans=0)
+                    t = t - run.l_off_t @ x[att]
+                xk, info = dtrtrs(run.l_diag_t, t, lower=0, trans=0)
                 if info != 0:
                     raise _trtrs_failed(info)
                 x[rows] = xk
                 continue
-            n, w, r = dims
+            n, w, r = run.n, run.w, run.r
             y = x[rows].reshape(n, w, k)
             if links is None:
-                t = y - off_t @ x[att].reshape(n, r, k)
-                x[rows] = (a_t @ t).reshape(n * w, k)
+                t = y - run.l_off_t @ x[att].reshape(n, r, k)
+                x[rows] = (run.inv_t @ t).reshape(n * w, k)
                 continue
             # the attach rows' final values: a link's from the next
             # member's, the others' from a later run's
-            v = a_t @ y
+            v = run.inv_t @ y
             d = v.reshape(n * w, k)[links.b_src]
-            d[links.out_rows] = x[att]
+            d[links.out_rows] = x[links.out_att]
             d, info = dtbtrs(links.band, d, uplo="L", trans="T", diag="U",
                              overwrite_b=1)
             if info != 0:
@@ -1045,23 +998,24 @@ class TreeNormalSystem:
         v = np.take(v, self.perm, axis=0)
         k = v.shape[1]
         out = np.zeros_like(v)
-        for rows, dims, diag, edge, edge_t, att in self._h_runs:
+        for run in self._runs:
+            rows, att = run.rows, run.att
             vr, o = v[rows], out[rows]
-            if dims is None:  # one group, in the per-group loop's order
-                o += diag @ vr
-                if edge is not None:
-                    out[att] += edge @ vr
-                    o += edge_t @ v[att]
+            if run.n == 1:  # one group, in the per-group loop's order
+                o += run.h_diag @ vr
+                if att is not None:
+                    out[att] += run.h_off @ vr
+                    o += run.h_off_t @ v[att]
                 continue
-            n, w, r = dims
+            n, w, r = run.n, run.w, run.r
             vr, o = vr.reshape(n, w, k), o.reshape(n, w, k)
             # ufunc.at adds repeated rows in sequence, one column at a time
             # since on a 1-D operand it skips numpy's per-row subarray loop
-            below = (edge @ vr).reshape(n * r, k)
+            below = (run.h_off @ vr).reshape(n * r, k)
             for j in range(k):
                 np.add.at(out[:, j], att, below[:, j])
-            o += diag @ vr
-            o += edge_t @ v[att].reshape(n, r, k)
+            o += run.h_diag @ vr
+            o += run.h_off_t @ v[att].reshape(n, r, k)
         out = np.take(out, self._inv_perm, axis=0)
         return out[:, 0] if single else out
 
@@ -1087,10 +1041,8 @@ class TreeNormalSystem:
             "fill_blocks": 0,
             "flops_estimate": self._assemble_ops + self._factor_ops,
             "bytes": self.memory_bytes(),
-            "sweep_steps": len(self._sweep_runs),
-            "stacked_groups": sum(
-                n for _, n, _, _ in self._sweep_runs if n > 1
-            ),
+            "sweep_steps": len(self._runs),
+            "stacked_groups": sum(run.n for run in self._runs if run.n > 1),
         }
 
     def memory_bytes(self) -> int:
@@ -1099,11 +1051,16 @@ class TreeNormalSystem:
         band arrays of the runs with links, G^T G's (position, value)
         pairs, the index arrays that the runs gather and scatter through,
         and q with its solve."""
+        index = sum(
+            a.nbytes for run in self._runs
+            for a in (run.blocks, *(run.links or ()))
+            if a is not None and a.dtype.kind == "i"
+        )
         return (
             self._h_flat.nbytes + self._l_flat.nbytes
             + self._linv_flat.nbytes + self._link_flat.nbytes
             + self._gtg_pos.nbytes + self._gtg_val.nbytes
-            + self._attach_idx.nbytes + self._sweep_index_bytes
+            + self._attach_idx.nbytes + index
             + 2 * self.dim * self._h_flat.itemsize
         )
 

@@ -595,10 +595,9 @@ def test_memory_counter_equals_walk_over_blocks():
         )
         before = sys_.memory_bytes()  # allocated with the engine
         sys_.update(sigma, q, psd_w, nn_w2)
-        steps = [step for step in sys_._factor_steps if step[7] is not None]
-        inverses = [inv for *_, inv, _ in steps]
-        chains = [(links, att) for *_, att, links in sys_._l_sweep if links]
-        assert bool(inverses) == (runs is not None)
+        stacked = [run for run in sys_._runs if run.n > 1]
+        chains = [run.links for run in stacked if run.links]
+        assert bool(stacked) == (runs is not None)
         assert bool(chains) == (runs == "links")
         walked = sum(
             blk.nbytes
@@ -607,15 +606,16 @@ def test_memory_counter_equals_walk_over_blocks():
             if blk is not None
         ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
             sys_._u_q.nbytes
-        ) + sys_._attach_idx.nbytes + sum(inv.nbytes for inv in inverses)
+        ) + sys_._attach_idx.nbytes + sum(run.inv.nbytes for run in stacked)
         # a stacked run's attach-block positions
         walked += sum(
-            attach.nbytes for *_, attach, _, links in steps if links is None
+            run.blocks.nbytes for run in stacked if run.links is None
         )
-        for links, att in chains:
-            walked += att.nbytes + sum(a.nbytes for a in (
+        for links in chains:
+            walked += sum(a.nbytes for a in (
                 links.band, links.lp, links.u, links.src, links.dst,
                 links.lp_idx, links.band_pos, links.b_src, links.out_rows,
+                links.out_att,
             ))
         assert before == sys_.memory_bytes() == walked
         assert sys_.pattern_stats()["bytes"] == walked
@@ -637,7 +637,7 @@ def test_memory_counter_grows_linearly_in_blocks():
         stats = sys_.pattern_stats()
         assert stats["fill_blocks"] == 0
         assert stats["blocks"] == td.ell
-        assert any(links for *_, links in sys_._l_sweep)
+        assert any(run.links for run in sys_._runs)
         bytes_seen.append(stats["bytes"])
     for small, large in zip(bytes_seen, bytes_seen[1:]):
         assert 1.5 <= large / small <= 2.7
@@ -794,12 +794,24 @@ def _reference_instance(kind):
         )
         return problem, td, False
     if kind == "spider":
-        # MAXCUT on three 20-vertex legs from a hub: apply_h takes the
-        # legs' groups as one run, in which a child's attach bag lies in
-        # the same run and sibling tops share one, and the root as another
+        # MAXCUT on three 20-vertex legs from a hub: the legs' groups
+        # share one shape but form three runs, each cut where the next
+        # group holds an earlier member's attach bag; the root is a fourth
         edges = [(0 if i % 20 == 0 else i, i + 1) for i in range(60)]
         problem = gen_maxkcut(Graph(61, edges), 2)
         td = decompose(sparsity_graph(problem.n, problem.triplets))
+        return problem, td, False
+    if kind == "branch":
+        # MAXCUT on a 21-vertex path with a triangle on vertex 10, which is
+        # eliminated first: with one bag per group, the path bag {10, 11}
+        # takes the triangle's edge terms from an earlier run and its
+        # predecessor {9, 10}'s from its own run with links
+        edges = [(i, i + 1) for i in range(20)]
+        edges += [(10, 21), (10, 22), (21, 22)]
+        problem = gen_maxkcut(Graph(23, edges), 2)
+        td = decompose(
+            sparsity_graph(problem.n, problem.triplets), [21, 22, *range(21)]
+        )
         return problem, td, False
     if kind == "path-aux":
         # MAX 3-CUT on a 40-vertex path under dctc-aux: a chain of groups
@@ -854,12 +866,12 @@ def assert_matches_reference(kind):
     # the inverses of the runs of several, against the reference's per
     # group, and the band arrays of the runs with links
     inverses = {
-        k + i: inv[i] for k, *_, inv, _ in sys_._factor_steps
-        if inv is not None for i in range(len(inv))
+        run.k + i: inv for run in sys_._runs if run.inv is not None
+        for i, inv in enumerate(run.inv)
     }
     assert inverses.keys() == ref.l_inv.keys()
     assert all(np.array_equal(inverses[k], ref.l_inv[k]) for k in inverses)
-    chains = {k: links for k, *_, links in sys_._factor_steps if links}
+    chains = {run.k: run.links for run in sys_._runs if run.links}
     assert chains.keys() == ref.band.keys()
     for k, links in chains.items():
         assert np.array_equal(links.band, ref.band[k])
@@ -891,30 +903,37 @@ def test_engine_matches_reference_bit_for_bit(kind):
     if kind == "dctc-aux":
         assert ctc.n_aux.sum() > 0
         assert ctc.n_nn.any()
-    steps = sys_._factor_steps
-    assert any(inv is not None for *_, inv, _ in steps) == (
+    assert any(run.inv is not None for run in sys_._runs) == (
         kind in ("star", "spider", "path-aux")
     )
-    assert any(links for *_, links in steps) == (kind == "path-aux")
+    assert any(run.links for run in sys_._runs) == (kind == "path-aux")
 
 
-@pytest.mark.parametrize("kind", ["path", "spider", "path-aux"])
+@pytest.mark.parametrize("kind", ["path", "spider", "path-aux", "branch"])
 def test_engine_matches_reference_on_one_bag_groups(kind, monkeypatch):
     # with one bag per group a path is one run of links, and the spider's
     # legs share runs that mix links with members attaching outside the
-    # run (a leg's top attaches to the hub)
+    # run (a leg's top attaches to the hub); on the branch a member of a
+    # run with links also takes edge terms from an earlier run, on the
+    # same rows as its predecessor's, so apply_h's bits depend on a run
+    # scattering its edge terms before its own rows take theirs
     monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
     sys_ = assert_matches_reference(kind)
-    chains = [
-        (n, links) for (_, n, _, _), (*_, links)
-        in zip(sys_._sweep_runs, sys_._factor_steps) if links
-    ]
-    outside = [n - links.src.size for n, links in chains]
+    chains = [run for run in sys_._runs if run.links]
+    outside = [run.n - run.links.src.size for run in chains]
     if kind == "spider":
         assert max(outside) > 1
+    elif kind == "branch":
+        assert outside == [1, 1]
+        up = sys_._attach_group.tolist()
+        assert any(
+            up[h] == run.k + i
+            for run in chains for i in run.links.dst.tolist()
+            for h in range(run.k)
+        )
     else:
         assert outside == [1]
-        assert chains[0][1].src.tolist() == list(range(chains[0][0] - 1))
+        assert chains[0].links.src.tolist() == list(range(chains[0].n - 1))
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -961,57 +980,6 @@ def same_view(got, want):
 
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
-def test_h_run_views_alias_each_group_block(kind):
-    # apply_h's runs tile the groups in elimination order, each a maximal
-    # stretch of one (width, attach rows); each group's slice of a run
-    # view is its diagonal or edge block, and no view leaves _h_flat
-    problem, td, with_aux = _reference_instance(kind)
-    ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
-    h_diag, h_off = sys_._h_blocks
-    flat_lo, flat_hi = byte_bounds(sys_._h_flat)
-    shape = list(zip(sys_._width.tolist(), sys_._attach_rows.tolist()))
-    slabs = [
-        np.arange(s.start, s.stop) for s in sys_._slabs if s is not None
-    ]
-    assert np.array_equal(sys_._attach_idx, np.concatenate(slabs))
-    k, lengths = 0, []
-    for rows, dims, diag, edge, edge_t, att in sys_._h_runs:
-        n = 1 if dims is None else dims[0]
-        group = range(k, k + n)
-        lengths.append(n)
-        assert {shape[g] for g in group} == {shape[k]}
-        assert rows == slice(sys_.slices[k].start, sys_.slices[k + n - 1].stop)
-        if dims is None:
-            assert same_view(diag, h_diag[k])
-            if h_off[k] is None:
-                assert edge is edge_t is att is None
-            else:
-                assert same_view(edge, h_off[k])
-                assert same_view(edge_t, h_off[k].T)
-                assert att == sys_._slabs[k]
-        else:
-            assert dims == (n, *shape[k])
-            for view in (diag, edge, edge_t):
-                view_lo, view_hi = byte_bounds(view)
-                assert flat_lo <= view_lo and view_hi <= flat_hi
-            for i, g in enumerate(group):
-                assert same_view(diag[i], h_diag[g])
-                assert same_view(edge[i], h_off[g])
-                assert same_view(edge_t[i], h_off[g].T)
-            assert np.array_equal(att, np.concatenate(slabs[k:k + n]))
-        k += n
-    assert k == len(sys_.groups)
-    ends = np.cumsum(lengths)
-    assert all(shape[e - 1] != shape[e] for e in ends[:-1].tolist())
-    if kind == "spider":
-        assert 1 in lengths and max(lengths) > 1
-        (run,) = [r for r in sys_._h_runs if r[1] is not None]
-        rows, att = run[0], run[-1]
-        assert np.unique(att).size < att.size  # siblings share rows
-        assert ((att >= rows.start) & (att < rows.stop)).any()
-
-
-@pytest.mark.parametrize("kind", RUN_KINDS)
 def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
     # bit for bit against the per-group loop, on strided and transposed
     # columns (the layout of apply_mt(v.T).T, a transposed row batch),
@@ -1048,34 +1016,39 @@ def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
-    # factor and solve_h walk runs that tile the groups in elimination
-    # order, each of one (width, attach rows) in which the only member
-    # whose attach bag a group holds is its predecessor (a link), and each
-    # ending only where the next group changes shape or holds another
-    # member's attach bag; a run of several is strided views of its
-    # groups' blocks and of a separate inverse buffer, and a run with
-    # links holds its band arrays in a buffer of their own
+    # factor, solve_h and apply_h walk runs that tile the groups in
+    # elimination order, each of one (width, attach rows) in which the
+    # only member whose attach bag a group holds is its predecessor (a
+    # link), and each ending only where the next group changes shape or
+    # holds another member's attach bag; a run of several is strided views
+    # of its groups' blocks of H and L and of a separate inverse buffer,
+    # and a run with links holds its band arrays in a buffer of their own
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     groups, parent = sys_.groups, td.parent.tolist()
     group_of = {j: k for k, g in enumerate(groups) for j in g}
     up = [group_of[parent[g[-1]]] for g in groups]  # root: itself
     shape = list(zip(sys_._width.tolist(), sys_._attach_rows.tolist()))
-    plan = sys_._sweep_runs
-    counts = [n for _, n, _, _ in plan]
-    assert [k for k, *_ in plan] == np.cumsum([0, *counts[:-1]]).tolist()
+    plan = sys_._runs
+    counts = [run.n for run in plan]
+    assert [run.k for run in plan] == np.cumsum([0, *counts[:-1]]).tolist()
     assert sum(counts) == len(groups)
-    assert [(k, n) for k, n, *_ in plan] == reference_sweep_runs(
+    assert [(run.k, run.n) for run in plan] == reference_sweep_runs(
         groups, parent, ctc.width.tolist()
     )
-    for (k, n, w, r), (j, _, _, _) in zip(plan, plan[1:] + [(None,) * 4]):
-        run = range(k, k + n)
-        assert {shape[g] for g in run} == {(w, r)}
-        assert n == 1 or all(up[g] not in run or up[g] == g + 1 for g in run)
-        if j is not None:  # maximal
-            assert shape[j] != (w, r) or j in {up[g] for g in run[:-1]}
+    for run, nxt in zip(plan, plan[1:] + [None]):
+        members = range(run.k, run.k + run.n)
+        assert {shape[g] for g in members} == {(run.w, run.r)}
+        assert run.n == 1 or all(
+            up[g] not in members or up[g] == g + 1 for g in members
+        )
+        if nxt is not None:  # maximal
+            assert shape[nxt.k] != (run.w, run.r) or (
+                nxt.k in {up[g] for g in members[:-1]}
+            )
     linked = [
-        sum(up[g] == g + 1 for g in range(k, k + n - 1)) for k, n, *_ in plan
+        sum(up[g] == g + 1 for g in range(run.k, run.k + run.n - 1))
+        for run in plan
     ]
     if kind in ("path", "dctc-aux"):  # a group, then the root group
         assert set(counts) == {1}
@@ -1087,75 +1060,106 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     assert stats["sweep_steps"] == len(plan)
     assert stats["stacked_groups"] == sum(n for n in counts if n > 1)
 
+    h_diag, h_off = sys_._h_blocks
     l_diag, l_off = sys_._l_blocks
-    h_off = sys_._h_blocks[1]
-    inv_lo, inv_hi = byte_bounds(sys_._linv_flat)
+    slabs = [
+        None if s is None else np.arange(s.start, s.stop)
+        for s in sys_._slabs
+    ]
+    assert np.array_equal(
+        sys_._attach_idx, np.concatenate([s for s in slabs if s is not None])
+    )
+    # each group's 2-D factor step, which the runs of one group and the
+    # members of a run with links take
+    attach_of = [attach for *_, attach in sys_._steps]
+    for g, (ld, lt, ho, lo, lo_t, attach) in enumerate(sys_._steps):
+        assert same_view(ld, l_diag[g]) and same_view(lt, l_diag[g].T)
+        assert ho is h_off[g]
+        if lo is None:
+            assert lo_t is attach is None
+            continue
+        assert same_view(lo, l_off[g]) and same_view(lo_t, l_off[g].T)
+        b = parent[groups[g][-1]]
+        at = sys_._bag_start[b] - sys_.slices[up[g]].start
+        r = shape[g][1]
+        assert same_view(attach, l_diag[up[g]][at:at + r, at:at + r])
     assert sys_._linv_flat.size == sum(
-        n * w * w for _, n, w, _ in plan if n > 1
+        run.n * run.w * run.w for run in plan if run.n > 1
     )
     assert sys_._link_flat.size == sum(
-        n * r * 2 * r + (m + n) * w * r
-        for (_, n, w, r), m in zip(plan, linked) if m
+        run.n * run.r * 2 * run.r + (m + run.n) * run.w * run.r
+        for run, m in zip(plan, linked) if m
     )
-    for (k, n, w, r), m, fac, sweep in zip(
-        plan, linked, sys_._factor_steps, sys_._l_sweep, strict=True
-    ):
-        g0, diag, diag_t, h_edge, edge, edge_t, attach, inv, links = fac
-        rows, dims, a, a_t, off, off_t, att, sweep_links = sweep
-        assert g0 == k
-        assert rows == slice(sys_.slices[k].start, sys_.slices[k + n - 1].stop)
-        assert off is edge and off_t is edge_t and sweep_links is links
+    buffers = (
+        (sys_._h_flat, ("h_diag", "h_off", "h_off_t")),
+        (sys_._l_flat, ("l_diag", "l_diag_t", "l_off", "l_off_t")),
+        (sys_._linv_flat, ("inv", "inv_t")),
+    )
+    for run, m in zip(plan, linked, strict=True):
+        k, n, w, r = run.k, run.n, run.w, run.r
+        members = range(k, k + n)
+        assert run.rows == slice(
+            sys_.slices[k].start, sys_.slices[k + n - 1].stop
+        )
         if n == 1:
-            assert dims is None and a_t is inv is links is None
-            assert same_view(diag, l_diag[k])
-            assert same_view(diag_t, l_diag[k].T) and same_view(a, diag_t)
-            assert att == sys_._slabs[k]
+            assert run.inv is run.inv_t is run.blocks is run.links is None
+            assert same_view(run.h_diag, h_diag[k])
+            assert same_view(run.l_diag, l_diag[k])
+            assert same_view(run.l_diag_t, l_diag[k].T)
+            if h_off[k] is None:
+                assert run.att is None
+                assert run.h_off is run.h_off_t is None
+                assert run.l_off is run.l_off_t is None
+                continue
+            assert same_view(run.h_off, h_off[k])
+            assert same_view(run.h_off_t, h_off[k].T)
+            assert same_view(run.l_off, l_off[k])
+            assert same_view(run.l_off_t, l_off[k].T)
+            assert run.att == sys_._slabs[k]
             continue
-        assert dims == (n, w, r) and diag_t is None and a is inv
-        assert same_view(a_t, inv.transpose(0, 2, 1))
-        view_lo, view_hi = byte_bounds(inv)
-        assert inv_lo <= view_lo and view_hi <= inv_hi
-        blocks = []
-        for i, g in enumerate(range(k, k + n)):
-            assert same_view(diag[i], l_diag[g])
-            assert same_view(h_edge[i], h_off[g])
-            assert same_view(edge[i], l_off[g])
-            assert same_view(edge_t[i], l_off[g].T)
-            b = parent[groups[g][-1]]
-            at = sys_._bag_start[b] - sys_.slices[up[g]].start
-            blocks.append(l_diag[up[g]][at:at + r, at:at + r])
-        slabs = [
-            np.arange(sys_._slabs[g].start, sys_._slabs[g].stop)
-            for g in range(k, k + n)
-        ]
+        for flat, names in buffers:
+            flat_lo, flat_hi = byte_bounds(flat)
+            for name in names:
+                view_lo, view_hi = byte_bounds(getattr(run, name))
+                assert flat_lo <= view_lo and view_hi <= flat_hi
+        assert run.h_diag.shape == run.l_diag.shape == run.inv.shape == (
+            n, w, w
+        )
+        assert run.h_off.shape == run.l_off.shape == (n, r, w)
+        for i, g in enumerate(members):
+            assert same_view(run.h_diag[i], h_diag[g])
+            assert same_view(run.h_off[i], h_off[g])
+            assert same_view(run.h_off_t[i], h_off[g].T)
+            assert same_view(run.l_diag[i], l_diag[g])
+            assert same_view(run.l_diag_t[i], l_diag[g].T)
+            assert same_view(run.l_off[i], l_off[g])
+            assert same_view(run.l_off_t[i], l_off[g].T)
+            assert same_view(run.inv_t[i], run.inv[i].T)
+        # the full attach stretch, which apply_h scatters onto
+        assert np.array_equal(
+            run.att, np.concatenate([slabs[g] for g in members])
+        )
         if not m:
-            assert links is None
+            assert run.links is None
             # the flat positions of each member's attach block, in order
             base = sys_._l_flat.ctypes.data
-            assert np.array_equal(attach, np.concatenate([
+            assert np.array_equal(run.blocks, np.concatenate([
                 (blk.ctypes.data - base) // 8 + np.add.outer(
                     np.arange(r) * blk.strides[0] // 8, np.arange(r)
-                ).ravel() for blk in blocks
+                ).ravel() for blk in (attach_of[g] for g in members)
             ]))
-            assert np.array_equal(att, np.concatenate(slabs))
             continue
-        # a run with links: its members' one-group steps, its link
-        # members and the attach rows of the others
-        assert attach is None and len(links.members) == n
-        for i, step in enumerate(links.members):
-            g = k + i
-            assert step[0] == g
-            assert same_view(step[1], l_diag[g])
-            assert same_view(step[2], l_diag[g].T)
-            assert same_view(step[3], h_off[g])
-            assert same_view(step[4], l_off[g])
-            assert same_view(step[5], l_off[g].T)
-            assert same_view(step[6], blocks[i])
+        # a run with links: its link members and the attach rows of the
+        # others
+        links = run.links
+        assert run.blocks is None
         src = [i for i in range(n - 1) if up[k + i] == k + i + 1]
         assert links.src.tolist() == src
         assert links.dst.tolist() == [i + 1 for i in src]
         out = [i for i in range(n) if i not in src]
-        assert np.array_equal(att, np.concatenate([slabs[i] for i in out]))
+        assert np.array_equal(
+            links.out_att, np.concatenate([slabs[k + i] for i in out])
+        )
         assert links.band.shape == (2 * r, n * r)
         assert links.band.flags.f_contiguous
         assert links.lp.shape == (m, w, r) and links.u.shape == (n, w, r)
@@ -1163,6 +1167,17 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
         for view in (links.band, links.lp, links.u):
             view_lo, view_hi = byte_bounds(view)
             assert link_lo <= view_lo and view_hi <= link_hi
+    # apply_h's two ordering hazards: siblings that share attach rows in
+    # one stacked run (np.add.at adds a repeated row in sequence), and a
+    # child whose attach bag lies in its own run (the run scatters its
+    # edge terms before its rows take theirs)
+    stacked = [run for run in plan if run.n > 1]
+    if kind == "star":
+        assert any(np.unique(run.att).size < run.att.size for run in stacked)
+    if kind == "path-aux":
+        (run,) = [run for run in stacked if run.links]
+        rows = run.rows
+        assert ((run.att >= rows.start) & (run.att < rows.stop)).any()
 
 
 @pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
@@ -1181,7 +1196,7 @@ def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
     assert sys_.pattern_stats()["stacked_groups"] > 0 or (
         kind in ("random-tree", "path", "dctc-aux") and cap == GROUP_WIDTH
     )
-    assert any(links for *_, links in sys_._l_sweep) == (
+    assert any(run.links for run in sys_._runs) == (
         kind == "path-aux" or (kind in ("path", "spider") and cap == 0)
     )
     sys_.update(*first)
@@ -1223,9 +1238,9 @@ def test_indefinite_block_in_a_run_names_its_group(monkeypatch):
     monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
     problem, td, _ = _reference_instance("star")
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
-    ((k, n, _, _),) = [run for run in sys_._sweep_runs if run[1] > 1]
-    for g in (k + 1, k + n // 2, k + n - 1):  # not the run's first
-        (j,) = sys_.groups[g]
+    (run,) = [run for run in sys_._runs if run.n > 1]
+    for g in (run.k + 1, run.k + run.n // 2, run.k + run.n - 1):
+        (j,) = sys_.groups[g]  # not the run's first
         o = int(ctc.order[j])
         bad = {key: w.copy() for key, w in psd_w.items()}
         bad[o][int(np.sum(ctc.order[:j] == o))][0, 0] = -50.0
@@ -1241,10 +1256,10 @@ def test_indefinite_block_in_a_run_with_links_names_its_group(monkeypatch):
     monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
     problem, td, _ = _reference_instance("path")
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
-    ((k, n, _, _),) = [run for run in sys_._sweep_runs if run[1] > 1]
-    assert any(links for *_, links in sys_._factor_steps)
-    for g in (k + 1, k + n // 2, k + n - 1):  # not the run's first
-        (j,) = sys_.groups[g]
+    (run,) = [run for run in sys_._runs if run.n > 1]
+    assert run.links
+    for g in (run.k + 1, run.k + run.n // 2, run.k + run.n - 1):
+        (j,) = sys_.groups[g]  # not the run's first
         bad = {key: w.copy() for key, w in psd_w.items()}
         bad[2][int(np.sum(ctc.order[:j] == 2))][0, 0] = -50.0
         sys_.assemble_h(0.0, bad, nn_w2)
