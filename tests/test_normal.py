@@ -1021,8 +1021,8 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     # only member whose attach bag a group holds is its predecessor (a
     # link), and each ending only where the next group changes shape or
     # holds another member's attach bag; a run of several is strided views
-    # of its groups' blocks of H and L and of a separate inverse buffer,
-    # and a run with links holds its band arrays in a buffer of their own
+    # of its groups' blocks of L and of a separate inverse buffer, and a
+    # run with links holds its band arrays in a buffer of their own
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     groups, parent = sys_.groups, td.parent.tolist()
@@ -1060,15 +1060,12 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     assert stats["sweep_steps"] == len(plan)
     assert stats["stacked_groups"] == sum(n for n in counts if n > 1)
 
-    h_diag, h_off = sys_._h_blocks
+    h_off = sys_._h_blocks[1]
     l_diag, l_off = sys_._l_blocks
     slabs = [
         None if s is None else np.arange(s.start, s.stop)
         for s in sys_._slabs
     ]
-    assert np.array_equal(
-        sys_._attach_idx, np.concatenate([s for s in slabs if s is not None])
-    )
     # each group's 2-D factor step, which the runs of one group and the
     # members of a run with links take
     attach_of = [attach for *_, attach in sys_._steps]
@@ -1091,54 +1088,35 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
         for run, m in zip(plan, linked) if m
     )
     buffers = (
-        (sys_._h_flat, ("h_diag", "h_off", "h_off_t")),
         (sys_._l_flat, ("l_diag", "l_diag_t", "l_off", "l_off_t")),
         (sys_._linv_flat, ("inv", "inv_t")),
     )
     for run, m in zip(plan, linked, strict=True):
         k, n, w, r = run.k, run.n, run.w, run.r
         members = range(k, k + n)
-        assert run.rows == slice(
-            sys_.slices[k].start, sys_.slices[k + n - 1].stop
-        )
         if n == 1:
             assert run.inv is run.inv_t is run.blocks is run.links is None
-            assert same_view(run.h_diag, h_diag[k])
             assert same_view(run.l_diag, l_diag[k])
             assert same_view(run.l_diag_t, l_diag[k].T)
-            if h_off[k] is None:
-                assert run.att is None
-                assert run.h_off is run.h_off_t is None
+            if l_off[k] is None:
                 assert run.l_off is run.l_off_t is None
                 continue
-            assert same_view(run.h_off, h_off[k])
-            assert same_view(run.h_off_t, h_off[k].T)
             assert same_view(run.l_off, l_off[k])
             assert same_view(run.l_off_t, l_off[k].T)
-            assert run.att == sys_._slabs[k]
             continue
         for flat, names in buffers:
             flat_lo, flat_hi = byte_bounds(flat)
             for name in names:
                 view_lo, view_hi = byte_bounds(getattr(run, name))
                 assert flat_lo <= view_lo and view_hi <= flat_hi
-        assert run.h_diag.shape == run.l_diag.shape == run.inv.shape == (
-            n, w, w
-        )
-        assert run.h_off.shape == run.l_off.shape == (n, r, w)
+        assert run.l_diag.shape == run.inv.shape == (n, w, w)
+        assert run.l_off.shape == (n, r, w)
         for i, g in enumerate(members):
-            assert same_view(run.h_diag[i], h_diag[g])
-            assert same_view(run.h_off[i], h_off[g])
-            assert same_view(run.h_off_t[i], h_off[g].T)
             assert same_view(run.l_diag[i], l_diag[g])
             assert same_view(run.l_diag_t[i], l_diag[g].T)
             assert same_view(run.l_off[i], l_off[g])
             assert same_view(run.l_off_t[i], l_off[g].T)
             assert same_view(run.inv_t[i], run.inv[i].T)
-        # the full attach stretch, which apply_h scatters onto
-        assert np.array_equal(
-            run.att, np.concatenate([slabs[g] for g in members])
-        )
         if not m:
             assert run.links is None
             # the flat positions of each member's attach block, in order
@@ -1167,6 +1145,55 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
         for view in (links.band, links.lp, links.u):
             view_lo, view_hi = byte_bounds(view)
             assert link_lo <= view_lo and view_hi <= link_hi
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_h_run_views_alias_each_group_block(kind):
+    # the H side of the run plan that apply_h walks: each run spans its
+    # groups' rows, each group's slice of a run view is its diagonal or
+    # edge block, no view leaves _h_flat, and each run scatters onto the
+    # attach rows of its members
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
+    h_diag, h_off = sys_._h_blocks
+    flat_lo, flat_hi = byte_bounds(sys_._h_flat)
+    slabs = [
+        None if s is None else np.arange(s.start, s.stop)
+        for s in sys_._slabs
+    ]
+    assert np.array_equal(
+        sys_._attach_idx, np.concatenate([s for s in slabs if s is not None])
+    )
+    plan = sys_._runs
+    assert sum(run.n for run in plan) == len(sys_.groups)
+    for run in plan:
+        k, n = run.k, run.n
+        assert run.rows == slice(
+            sys_.slices[k].start, sys_.slices[k + n - 1].stop
+        )
+        if n == 1:
+            assert same_view(run.h_diag, h_diag[k])
+            if h_off[k] is None:
+                assert run.att is None
+                assert run.h_off is run.h_off_t is None
+                continue
+            assert same_view(run.h_off, h_off[k])
+            assert same_view(run.h_off_t, h_off[k].T)
+            assert run.att == sys_._slabs[k]
+            continue
+        for view in (run.h_diag, run.h_off, run.h_off_t):
+            view_lo, view_hi = byte_bounds(view)
+            assert flat_lo <= view_lo and view_hi <= flat_hi
+        assert run.h_diag.shape == (n, run.w, run.w)
+        assert run.h_off.shape == (n, run.r, run.w)
+        for i, g in enumerate(range(k, k + n)):
+            assert same_view(run.h_diag[i], h_diag[g])
+            assert same_view(run.h_off[i], h_off[g])
+            assert same_view(run.h_off_t[i], h_off[g].T)
+        # the full attach stretch, which apply_h scatters onto
+        assert np.array_equal(
+            run.att, np.concatenate([slabs[g] for g in range(k, k + n)])
+        )
     # apply_h's two ordering hazards: siblings that share attach rows in
     # one stacked run (np.add.at adds a repeated row in sequence), and a
     # child whose attach bag lies in its own run (the run scatters its
