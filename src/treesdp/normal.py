@@ -37,73 +37,75 @@ stay exactly zero in L.  The block pattern is thus known before any
 number is assembled: :meth:`TreeNormalSystem.pattern_stats` reports the
 tree-adjacent bag pairs that share a row of G, which both H and L hold,
 and no fill.
-The factor, the triangular solves and the products are dense LAPACK or
-BLAS calls per group or per run of like groups (see Sweeps), and storage
+The factor and the triangular solves are dense LAPACK or BLAS calls per
+group or per run of like groups (see Sweeps), and storage
 stays linear in the number of bags: a merged group of w coordinates holds
 w^2 <= ``GROUP_WIDTH`` * w entries.
 
 Storage.  The coordinates are permuted once so that each group is one
-contiguous slice, its members in postorder; ``solve_h`` and ``apply_h``
-permute their columns in and out by one ``np.take`` each per call.  The
-static structure is int arrays built by array passes: per bag its first
+contiguous slice, its members in postorder; ``solve_h`` permutes its
+columns in and out by one ``np.take`` each per call.  The static
+structure is int arrays built by array passes: per bag its first
 permuted coordinate and its group, and per group its first coordinate
 and width, its attach bag's first coordinate and row count, and the flat
-offsets of its diagonal and edge blocks.  H lives in one flat buffer:
-each group's dense diagonal block, then each group's edge block, which
-holds only the attach bag's rows.  Only the diagonal part of H's buffer
-is cleared per assembly: the edge blocks hold sigma G^T G alone, whose
-entries every assembly overwrites at fixed positions, and the rest of
-them stays zero from the allocation.  L lives in a second buffer of the
-same layout, which ``factor`` overwrites in place, subtracting each
-group's update from a fixed view of its attach bag's block.  The runs of
-several groups (see Sweeps) keep their inverse factors in a third
+offsets of its diagonal and edge blocks.  The normal matrix lives in one
+flat buffer: each group's dense diagonal block, then each group's edge
+block, which holds only the attach bag's rows.  ``assemble_h`` clears the
+whole buffer, since the edge blocks hold the previous factor's, and
+writes H into it; ``factor`` overwrites that H with L in place,
+subtracting each group's update from a fixed view of its attach bag's
+block.  So the buffer holds H from an assembly to the factor that
+follows, and L after it, and each assembly is factored once.  The runs
+of several groups (see Sweeps) keep their inverse factors in a second
 buffer, w x w per member, and the runs with links their band arrays in a
-fourth: the band (2 r rows by n r columns), a link's r columns of the
+third: the band (2 r rows by n r columns), a link's r columns of the
 next member's inverse, and each member's w x r back product; the band's
 entries outside the link blocks stay zero from the allocation.  G^T G is
-kept as the (position, value) pairs of its nonzeros in that layout, since
-merged blocks are mostly zeros.  The slack scalings, the static shift and
-the finiteness checks are one vectorized pass each: ``factor`` checks the
-assembled H and ``solve_h`` its right-hand side, once per call, and both
-raise :class:`~treesdp.errors.NotFinite`.  The symmetric-Kronecker blocks
-are added one *run* of bags at a time: same-order bags that lie in one
-group at a constant step along its diagonal share one strided
-(bags, t, t) view into H's buffer, so a chain needs about one in-place
-add per group and order, each entry the same single addition as bag by
-bag.  An index array over every Kronecker entry (1.4 MB of int64 on a
-random graph with 18-vertex bags, plus a temporary as large) raised the
-peak memory of a whole solve there by 2-3 %.  The per-group triangular
-solves call LAPACK ``dtrtrs`` directly, with the operands and flags
-``scipy.linalg.solve_triangular`` would pass, so every result is the
-same to the last bit without the per-call argument validation.
-``factor`` writes each diagonal block's Cholesky factor in place through
-numpy's LAPACK gufunc, the kernel ``np.linalg.cholesky`` calls, under
-one error state around its loop
+kept as the (position, value) pairs of its nonzeros in that layout,
+since merged blocks are mostly zeros, and as one CSR matrix in the
+original coordinates for ``apply_h``.  The slack scalings, the static
+shift and the finiteness checks are one vectorized pass each: ``factor``
+checks the assembled H and ``solve_h`` its right-hand side, once per
+call, and both raise :class:`~treesdp.errors.NotFinite`.  The
+symmetric-Kronecker blocks are added one *run* of bags at a time:
+same-order bags that lie in one group at a constant step along its
+diagonal share one strided (bags, t, t) view into the buffer, so a chain
+needs about one in-place add per group and order, each entry the same
+single addition as bag by bag.  An index array over every Kronecker
+entry (1.4 MB of int64 on a random graph with 18-vertex bags, plus a
+temporary as large) raised the peak memory of a whole solve there by
+2-3 %.  The per-group triangular solves call LAPACK ``dtrtrs`` directly,
+with the operands and flags ``scipy.linalg.solve_triangular`` would pass,
+so every result is the same to the last bit without the per-call
+argument validation.  ``factor`` writes each diagonal block's Cholesky
+factor in place through numpy's LAPACK gufunc, the kernel
+``np.linalg.cholesky`` calls, under one error state around its loop
 (:func:`~treesdp.linalg.lapack_errstate`).
 
-Sweeps.  ``factor``, ``solve_h`` and ``apply_h`` walk one plan of
-*runs*, built once with the engine: maximal stretches of consecutive
-groups, in elimination order, of equal width w and equal attach-row
-count r, in which the only member whose attach bag a group may hold is
-its predecessor.  A member whose attach bag lies in the next member is a
-*link*; every other member's attach bag lies in a later run, and its
-children in earlier ones.  So the members of a run without links do not
-depend on one another in either sweep (level scheduling of a sparse
-triangular solve; Anderson & Saad 1989), and those of a run with links
-depend on one another only through the r overlap rows of each link.
-Each run is one record that all three walk.  A run of one group keeps
-its 2-D blocks and the per-group steps: ``cholesky_lo``, then ``dtrtrs``
-(in ``factor`` in place in L's edge block, copied there from H's), then
-slices.  A run of n groups is strided (n, w, w) and (n, r, w) views into
-the buffers, and ``factor`` writes each member's inverse factor (LAPACK
-``dtrtri``) into a third buffer, since the block counts of
+Sweeps.  ``factor`` and ``solve_h`` walk one plan of *runs*, built once
+with the engine: maximal stretches of consecutive groups, in elimination
+order, of equal width w and equal attach-row count r, in which the only
+member whose attach bag a group may hold is its predecessor.  A member
+whose attach bag lies in the next member is a *link*; every other
+member's attach bag lies in a later run, and its children in earlier
+ones.  So the members of a run without links do not depend on one
+another in either sweep (level scheduling of a sparse triangular solve;
+Anderson & Saad 1989), and those of a run with links depend on one
+another only through the r overlap rows of each link.  Each run is one
+record that both walk.  A run of one group keeps its 2-D blocks and the
+per-group steps: ``cholesky_lo``, then ``dtrtrs`` (in ``factor`` in
+place in the edge block, which holds H's until then), then slices.  A run
+of n groups is strided (n, w, w) and (n, r, w) views into the buffers,
+and ``factor`` writes each member's inverse factor (LAPACK ``dtrtri``)
+into the inverse buffer, since the block counts of
 :meth:`TreeNormalSystem.pattern_stats` are measured on L's own blocks.
 
 A run without links takes one ``cholesky_lo`` over its diagonal blocks,
-makes its edge blocks by one stacked product ``H_off L^{-T}`` and
-subtracts its members' updates from their attach blocks by one
-``np.subtract.at`` over fixed flat positions, which takes repeated
-positions (siblings that share an attach bag) in member order.
+makes its edge blocks by one stacked product ``H_off L^{-T}`` over the
+edge blocks in place, and subtracts its members' updates from their
+attach blocks by one ``np.subtract.at`` over fixed flat positions, which
+takes repeated positions (siblings that share an attach bag) in member
+order.
 ``solve_h`` makes one stacked product per run and direction, and scatters
 a run's edge terms by ``np.subtract.at``, which subtracts repeated attach
 rows in sequence, as the per-group loop does.  A star's leaf groups form
@@ -128,13 +130,19 @@ transposed band system for the final values d of every member's attach
 rows (a link's read off v of the next member, the others' off a later
 run's), and sets x = v - L^{-T} L_off^T d.  So a path's groups form one
 run, its root group another, and each sweep takes two steps there at any
-length.  The band arrays lie in a fourth buffer.
+length.  Every block is a view into the normal matrix's, the inverse or
+the band buffer, fixed for the engine's life, and no workspace outlives
+a call.
 
-``apply_h`` takes one stacked product per run for each of a group's
-three terms, in the per-group loop's order of additions, so every float
-of H x is that loop's.  Every block is a view into the H, L, inverse or
-band buffer, fixed for the engine's life, and no workspace outlives a
-call.
+``apply_h`` reads none of the buffers above, so it gives the same H x
+before and after ``factor``.  It forms H x from H's parts, which
+``assemble_h`` writes, beside H, into arrays allocated with the engine:
+sigma (G^T G) x by one sparse product, each order's Kronecker stack
+(tri(o)^2 floats per bag) by one stacked product over its bags'
+coordinates, then the slack scalings.  It works in the original
+coordinates and permutes nothing.  Each entry gets its terms in the
+order ``assemble_h`` adds them, so H times a unit vector is H's column
+to the last bit.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
@@ -222,12 +230,11 @@ class _Run(NamedTuple):
     """One step of the sweep plan: the n groups from k on, of width w and
     r attach rows, whose permuted coordinates are ``rows``.
 
-    A run of one group holds its 2-D blocks of H and L, their transposes
-    and its attach bag's slice ``att`` (None at the root group, as are its
+    A run of one group holds its 2-D blocks of L, their transposes and
+    its attach bag's slice ``att`` (None at the root group, as are its
     edge blocks).  A run of n > 1 groups holds strided (n, w, w) and
-    (n, r, w) views into the flat buffers, the inverses of its diagonal
-    factors in ``_linv_flat`` and ``att``, its stretch of the attach-row
-    array.  A run without links also holds ``blocks``, the flat positions
+    (n, r, w) views into ``_l_flat``, the inverses of its diagonal factors
+    in ``_linv_flat`` and ``att``, its stretch of the attach-row array.  A run without links also holds ``blocks``, the flat positions
     of its members' attach blocks in ``_l_flat`` (their updates, in
     order); a run with links holds its :class:`_Links` instead.
     """
@@ -237,9 +244,6 @@ class _Run(NamedTuple):
     w: int
     r: int
     rows: slice
-    h_diag: np.ndarray
-    h_off: np.ndarray
-    h_off_t: np.ndarray
     l_diag: np.ndarray
     l_diag_t: np.ndarray
     l_off: np.ndarray
@@ -372,21 +376,43 @@ class TreeNormalSystem:
         self._offdiag_blocks = self._check_row_structure()
         self.groups = group_bags(td, width.tolist(), GROUP_WIDTH)
         self._layout(width)
-        self._gtg_pos, self._gtg_val = self._static_gram()
-        # H and L are rewritten in place every iteration, through fixed
-        # block views; H's edge blocks hold sigma G^T G alone, at fixed
-        # positions, so only its diagonal part is cleared per assembly
-        self._h_flat = np.zeros(self._n_flat)
-        self._h_blocks = self._blocks(self._h_flat)
+        self._gtg, self._gtg_pos, self._gtg_val = self._static_gram()
+        # each assembly writes H here and factor overwrites it with L, in
+        # place, through fixed block views
         self._l_flat = np.empty(self._n_flat)
         self._l_blocks = self._blocks(self._l_flat)
         self._runs = self._sweep_views(self._sweep_plan())
         self._kron_runs = self._kron_run_views()
-        # flat positions of the slack coordinates' diagonal entries, in
-        # block order (the order of the slack scaling vector)
-        self._nn_pos = self._diag_pos[
-            self._inv_perm[ranges(ctc.nn_start, ctc.n_nn)]
-        ]
+        # the original coordinates of each order-o bag's matrix block, one
+        # row per bag in block order, and of the slack coordinates in block
+        # order (the order of the slack scaling vector), with their flat
+        # positions on the diagonal
+        self._kron_idx = {
+            o: ctc.svec_start[ctc.order == o, None] + np.arange(tri(o))
+            for o in self._kron_runs
+        }
+        self._nn = ranges(ctc.nn_start, ctc.n_nn)
+        self._nn_pos = self._diag_pos[self._inv_perm[self._nn]]
+        # H's parts for apply_h, rewritten by each assembly: each order's
+        # Kronecker stack in one buffer allocated once (freeing and
+        # refaulting new stacks every assembly cost rgraph-maxcut about
+        # 1 ms per assembly on a 2-core host), laid out as sym_kron_stack
+        # returns it, the transpose of a C-ordered (t, t, bags) array: the
+        # copy then moves whole rows, and apply_h's stacked products give
+        # the floats they gave on sym_kron_stack's own result (a C-ordered
+        # stack takes another numpy matmul path, whose last bits differ);
+        # and the slack scalings
+        sizes = [idx.size * idx.shape[1] for idx in self._kron_idx.values()]
+        self._kron_flat = np.empty(sum(sizes))
+        self._kron = {
+            o: self._kron_flat[end - size:end].reshape(
+                idx.shape[1], idx.shape[1], idx.shape[0]
+            ).transpose(2, 0, 1)
+            for (o, idx), size, end in zip(
+                self._kron_idx.items(), sizes, np.cumsum(sizes)
+            )
+        }
+        self._nn_w2 = np.empty(self._nn.size)
         self._assemble_ops = int(np.sum(width * width)) + sum(
             runs[-1][1] * tri(o) * tri(o) * o
             for o, runs in self._kron_runs.items()
@@ -406,12 +432,14 @@ class TreeNormalSystem:
                     run.links.src.size * w * r * r + n * w * w * r
                 )
 
-        # per-factorization state
-        self.h_diag: list = []
-        self.h_off: list = []  # per group; None for the root group
-        self.l_diag: list = []
-        self.l_off: list = []
+        # per-assembly state: sigma, and where H is held: None before an
+        # assembly completes, "buffer" in _l_flat and its parts until
+        # factor runs, "parts" after
         self.sigma = 0.0
+        self._h_in = None
+        # per-factorization state
+        self.l_diag: list = []
+        self.l_off: list = []  # per group; None for the root group
         self.q = None
         self._u_q = None
         self._denom = None
@@ -457,7 +485,7 @@ class TreeNormalSystem:
         group ``_group_of[j]``.  Group k holds ``_width[k]`` coordinates
         from ``_first[k]``; its attach bag has ``_attach_rows[k]`` (0 at
         the root) and lies in group ``_attach_group[k]``.  The flat
-        buffers hold every group's diagonal block, then every group's edge
+        buffer holds every group's diagonal block, then every group's edge
         block, ``_width[k]`` columns each: block b starts at
         ``_block_off[b]``, its rows at ``_block_row[b]``.
         ``slices`` and ``_slabs`` are those rows as slices, for the sweeps.
@@ -491,7 +519,6 @@ class TreeNormalSystem:
         self._block_row = np.concatenate(
             (self._first, self._bag_start[attach])
         )
-        self._n_diag = int(self._block_off[n_groups])
         self._n_flat = int(size.sum())
         group = self._group_of[self._bag_of]
         self._diag_pos = self._block_off[group] + (
@@ -548,14 +575,13 @@ class TreeNormalSystem:
         factor steps of the runs of one group and of the runs with links.
 
         ``_steps[g]`` is group g's 2-D factor step: L's diagonal block and
-        its transpose, the F-ordered upper triangle that dtrtrs reads, H's
-        and L's edge blocks, L's edge block transposed and its attach
-        bag's block of L (None for the last four at the root group).
+        its transpose, the F-ordered upper triangle that dtrtrs reads, L's
+        edge block, its transpose and its attach bag's block of L (None
+        for the last three at the root group).
         ``_attach_idx`` is the permuted rows of every group's attach bag,
         concatenated in elimination order.
         """
         n_groups = len(self.groups)
-        h_diag, h_off = self._h_blocks
         l_diag, l_off = self._l_blocks
         # each group's attach bag's first row in its group's block, and
         # that bag's block of L
@@ -563,9 +589,8 @@ class TreeNormalSystem:
         rel = self._block_row[n_groups:] - self._first[up]
         spans = np.column_stack((up, rel, self._attach_rows)).tolist()
         self._steps = [
-            (ld, ld.T, h, lo, _t(lo),
-             l_diag[p][a:a + r, a:a + r] if r else None)
-            for ld, h, lo, (p, a, r) in zip(l_diag, h_off, l_off, spans)
+            (ld, ld.T, lo, _t(lo), l_diag[p][a:a + r, a:a + r] if r else None)
+            for ld, lo, (p, a, r) in zip(l_diag, l_off, spans)
         ]
         self._attach_idx = ranges(
             self._block_row[n_groups:], self._attach_rows
@@ -589,14 +614,12 @@ class TreeNormalSystem:
             rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
             blocks = links = None
             if n == 1:
-                hd, ho, ld, lo = h_diag[k], h_off[k], l_diag[k], l_off[k]
+                ld, lo = l_diag[k], l_off[k]
                 inv, att = None, self._slabs[k]
             else:
                 d0, e0 = self._block_off[k], self._block_off[k + n_groups]
-                hd, ld = (_stack(f, d0, n, w, w)
-                          for f in (self._h_flat, self._l_flat))
-                ho, lo = (_stack(f, e0, n, r, w)
-                          for f in (self._h_flat, self._l_flat))
+                ld = _stack(self._l_flat, d0, n, w, w)
+                lo = _stack(self._l_flat, e0, n, r, w)
                 inv = _stack(self._linv_flat, inv_at, n, w, w)
                 att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
                 if src.size:
@@ -614,8 +637,8 @@ class TreeNormalSystem:
                     ).ravel()
                 inv_at += n * w * w
             runs.append(_Run(
-                k, n, w, r, rows, hd, ho, _t(ho), ld, _t(ld), lo, _t(lo),
-                inv, _t(inv), att, blocks, links,
+                k, n, w, r, rows, ld, _t(ld), lo, _t(lo), inv, _t(inv), att,
+                blocks, links,
             ))
         return runs
 
@@ -659,10 +682,10 @@ class TreeNormalSystem:
         in block order, whose t x t Kronecker block (t = tri(o)) lies on
         its group block's diagonal.  The runs are those of
         :func:`run_starts`, and a run's view is one (rows, t, t) strided
-        view into ``_h_flat``.  The runs of an order tile its stack, so the
-        last one ends at its bag count.
+        view into ``_l_flat``, where ``assemble_h`` writes H.  The runs of
+        an order tile its stack, so the last one ends at its bag count.
         """
-        h, item = self._h_flat, self._h_flat.itemsize
+        h, item = self._l_flat, self._l_flat.itemsize
         group = self._group_of
         at = self._diag_pos[self._bag_start]  # where each bag block starts
         order = self.ctc.order
@@ -677,7 +700,7 @@ class TreeNormalSystem:
                 self._width[group[bags[lo]]],
             )).tolist()
             t = tri(o)
-            # the buffer constructor raises if a view leaves _h_flat
+            # the buffer constructor raises if a view leaves _l_flat
             runs[o] = [
                 (a, b, np.ndarray((b - a, t, t), h.dtype, h, at0 * item,
                                   (step * item, w * item, item)))
@@ -686,16 +709,18 @@ class TreeNormalSystem:
         return runs
 
     def _static_gram(self) -> tuple:
-        """(flat positions, values) of the nonzeros of G^T G that the flat
-        layout stores.  Of the two mirror entries that couple a group with
-        its attach bag, the one in the attach bag's rows is stored.
+        """G^T G as a CSR matrix in the original coordinates, and the
+        (flat positions, values) of the nonzeros that the flat layout
+        stores.  Of the two mirror entries that couple a group with its
+        attach bag, the one in the attach bag's rows is stored.
 
         scipy's sparse product sums each position of a column once, so
         its COO form holds no duplicates and needs no sort; the pairs come
         in the product's order, and ``assemble_h`` scatters them to
         distinct positions."""
         g = self.dualized.g_csr
-        gtg = (g.T @ g).tocoo()
+        product = g.T @ g
+        gtg = product.tocoo()
         rows = np.take(self._inv_perm, gtg.row)
         cols = np.take(self._inv_perm, gtg.col)
         br = self._bag_of[rows]
@@ -712,22 +737,24 @@ class TreeNormalSystem:
         pos = self._block_off[blk] + (rows - self._block_row[blk]) * (
             self._width[gc]
         )
-        return pos + cols - self._first[gc], gtg.data[keep]
+        return product.tocsr(), pos + cols - self._first[gc], gtg.data[keep]
 
     # ------------------------------------------------------------------
     # per-iteration assembly and factorization
     # ------------------------------------------------------------------
     def assemble_h(self, sigma: float, psd_w: dict, nn_w2) -> None:
-        """Build H = D_block + sigma * G^T G from the scaling data.
+        """Build H = D_block + sigma * G^T G from the scaling data, in L's
+        buffer, and keep its parts for ``apply_h``: sigma, each order's
+        Kronecker stack and the slack scalings.
 
         ``psd_w[o]`` is the (g, o, o) stack of scaling matrices of the
         order-o blocks, in block order; ``nn_w2`` the squared scalings of
         every slack coordinate, in block order.  Chain coordinates carry
         no block-diagonal term.
         """
-        # H counts as assembled once this call completes; the factor and
-        # the rank-1 term of the previous H no longer apply
-        self.h_diag = []
+        # H counts as assembled once this call completes; the factor, the
+        # parts and the rank-1 term of the previous H no longer apply
+        self._h_in = None
         self.l_diag = []
         self.set_rank1(None)
         for o, runs in self._kron_runs.items():
@@ -743,16 +770,18 @@ class TreeNormalSystem:
                 f"slack scalings have shape {nn_w2.shape}, expected "
                 f"{self._nn_pos.shape}"
             )
-        h = self._h_flat
-        h[:self._n_diag].fill(0.0)
+        h = self._l_flat
+        h.fill(0.0)  # the edge blocks hold the previous L's
         h[self._gtg_pos] = sigma * self._gtg_val
         for o, runs in self._kron_runs.items():
-            kron = sym_kron_stack(psd_w[o])
+            kron = self._kron[o]
+            np.copyto(kron, sym_kron_stack(psd_w[o]))
             for lo, hi, view in runs:
                 view += kron[lo:hi]
         h[self._nn_pos] += nn_w2
-        self.h_diag, self.h_off = self._h_blocks
+        self._nn_w2[...] = nn_w2
         self.sigma = float(sigma)
+        self._h_in = "buffer"
 
     def factor(self) -> None:
         """Block Cholesky along the group tree, children eliminated first,
@@ -762,21 +791,21 @@ class TreeNormalSystem:
         in the parent group, so the factor's bag-level off-diagonal
         pattern equals that of H itself (no fill).  A static shift of
         ``1e-12 * (1 + max diagonal)`` is applied before pivoting.  L is
-        written over the previous factor, and a run of several groups
-        also writes its factors' inverses, which ``solve_h`` multiplies
-        by; a run with links takes its members one at a time and then
-        fills its band arrays.
+        written over the assembled H, so each assembly is factored once,
+        and a run of several groups also writes its factors' inverses,
+        which ``solve_h`` multiplies by; a run with links takes its
+        members one at a time and then fills its band arrays.
         """
-        if not self.h_diag:
-            raise StructureViolation("assemble_h must run before factor")
+        if self._h_in != "buffer":
+            raise StructureViolation("assemble_h must run before each factor")
+        self._h_in = "parts"
         self.l_diag = []  # L counts as factored once this call completes
-        if not np.isfinite(self._h_flat).all():
+        work = self._l_flat
+        if not np.isfinite(work).all():
             raise NotFinite("assembled normal matrix has non-finite entries")
-        diag = np.take(self._h_flat, self._diag_pos)
+        diag = np.take(work, self._diag_pos)
         max_diag = float(np.max(diag)) if diag.size else 0.0
         reg = REGULARIZATION_REL * (1.0 + max(max_diag, 0.0))
-        work = self._l_flat[:self._n_diag]
-        np.copyto(work, self._h_flat[:self._n_diag])
         work[self._diag_pos] += reg
         with lapack_errstate():
             for run in self._runs:
@@ -798,7 +827,7 @@ class TreeNormalSystem:
                     if info != 0:
                         raise _trtrs_failed(info, "dtrtri")
                 if links is None:
-                    np.matmul(run.h_off, run.inv_t, out=run.l_off)
+                    run.l_off[...] = run.l_off @ run.inv_t
                     # ufunc.at subtracts repeated positions (siblings that
                     # share an attach bag) in member order
                     np.subtract.at(self._l_flat, run.blocks,
@@ -829,14 +858,13 @@ class TreeNormalSystem:
 
     def _factor_group(self, k):
         """Group k's factor step: its diagonal block, then its edge block
-        L_off = H_off L^{-T}, solved in place as
+        L_off = H_off L^{-T}, solved over H_off in place as
         solve_triangular(ld, h_off.T, lower=True).T, then its update of
         its attach bag's block (none at the root group)."""
-        ld, lt, h_off, l_off, l_off_t, attach = self._steps[k]
+        ld, lt, l_off, l_off_t, attach = self._steps[k]
         self._cholesky(k, ld)
         if attach is None:
             return
-        l_off[...] = h_off
         _, info = dtrtrs(lt, l_off_t, lower=0, trans=1, overwrite_b=1)
         if info != 0:
             raise _trtrs_failed(info)
@@ -900,20 +928,20 @@ class TreeNormalSystem:
         k = x.shape[1]
         # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
         # solve_triangular(L, b, lower=True, trans=...) calls it; a run
-        # multiplies by its factors' inverses instead
-        for run in self._runs:
-            rows, att, links = run.rows, run.att, run.links
-            if run.n == 1:
-                yk, info = dtrtrs(run.l_diag_t, x[rows], lower=0, trans=1)
+        # multiplies by its factors' inverses instead.  Each record is
+        # unpacked once, which costs less than its attribute reads
+        for (_, n, w, r, rows, _, l_diag_t, l_off, _, inv, _, att, _,
+             links) in self._runs:
+            if n == 1:
+                yk, info = dtrtrs(l_diag_t, x[rows], lower=0, trans=1)
                 if info != 0:
                     raise _trtrs_failed(info)
                 x[rows] = yk
                 if att is not None:
-                    x[att] -= run.l_off @ yk
+                    x[att] -= l_off @ yk
                 continue
-            n, w, r = run.n, run.w, run.r
-            y = run.inv @ x[rows].reshape(n, w, k)
-            below = (run.l_off @ y).reshape(n * r, k)
+            y = inv @ x[rows].reshape(n, w, k)
+            below = (l_off @ y).reshape(n * r, k)
             if links is not None:
                 # the edge terms, each link's taken off the next member
                 below, info = dtbtrs(links.band, below, uplo="L", diag="U",
@@ -924,29 +952,29 @@ class TreeNormalSystem:
                 below, att = below[links.out_rows], links.out_att
             x[rows] = y.reshape(n * w, k)
             # ufunc.at subtracts repeated rows in sequence, one column at a
-            # time, as apply_h adds them
+            # time since on a 1-D operand it skips numpy's per-row subarray
+            # loop
             for j in range(k):
                 np.subtract.at(x[:, j], att, below[:, j])
-        for run in reversed(self._runs):
-            rows, att, links = run.rows, run.att, run.links
-            if run.n == 1:
+        for (_, n, w, r, rows, _, l_diag_t, _, l_off_t, _, inv_t, att, _,
+             links) in reversed(self._runs):
+            if n == 1:
                 t = x[rows]
                 if att is not None:
-                    t = t - run.l_off_t @ x[att]
-                xk, info = dtrtrs(run.l_diag_t, t, lower=0, trans=0)
+                    t = t - l_off_t @ x[att]
+                xk, info = dtrtrs(l_diag_t, t, lower=0, trans=0)
                 if info != 0:
                     raise _trtrs_failed(info)
                 x[rows] = xk
                 continue
-            n, w, r = run.n, run.w, run.r
             y = x[rows].reshape(n, w, k)
             if links is None:
-                t = y - run.l_off_t @ x[att].reshape(n, r, k)
-                x[rows] = (run.inv_t @ t).reshape(n * w, k)
+                t = y - l_off_t @ x[att].reshape(n, r, k)
+                x[rows] = (inv_t @ t).reshape(n * w, k)
                 continue
             # the attach rows' final values: a link's from the next
             # member's, the others' from a later run's
-            v = run.inv_t @ y
+            v = inv_t @ y
             d = v.reshape(n * w, k)[links.b_src]
             d[links.out_rows] = x[links.out_att]
             d, info = dtbtrs(links.band, d, uplo="L", trans="T", diag="U",
@@ -980,43 +1008,22 @@ class TreeNormalSystem:
     # operator applications and diagnostics
     # ------------------------------------------------------------------
     def apply_h(self, x):
-        """H x using the assembled (unregularized) blocks.
-
-        One stacked product per run for each of a group's three terms:
-        the edge block's on its attach rows, the diagonal block's and the
-        transposed edge block's on its own rows.  Each entry gets its
-        terms in the order of a per-group loop in elimination order,
-        starting from +0.0: its children's edge terms, then its diagonal
-        term, then its transposed edge term.  A run's edge terms are
-        scattered before its own rows take their terms, since a child may
-        lie in the same run as its attach bag; so every float is that
-        loop's.
+        """H x from the parts of the assembled (unregularized) H, in the
+        original coordinates: sigma (G^T G) x by one sparse product, then
+        per order one stacked product of its Kronecker blocks with its
+        bags' coordinates, then the slack scalings.  Each entry gets its
+        terms in the order ``assemble_h`` adds them, and no buffer is
+        read, so the result is the same before and after ``factor``.
         """
-        if not self.h_diag:
+        if self._h_in is None:
             raise StructureViolation("assemble_h must run before apply_h")
         v, single = self._as_columns(x)
-        v = np.take(v, self.perm, axis=0)
-        k = v.shape[1]
-        out = np.zeros_like(v)
-        for run in self._runs:
-            rows, att = run.rows, run.att
-            vr, o = v[rows], out[rows]
-            if run.n == 1:  # one group, in the per-group loop's order
-                o += run.h_diag @ vr
-                if att is not None:
-                    out[att] += run.h_off @ vr
-                    o += run.h_off_t @ v[att]
-                continue
-            n, w, r = run.n, run.w, run.r
-            vr, o = vr.reshape(n, w, k), o.reshape(n, w, k)
-            # ufunc.at adds repeated rows in sequence, one column at a time
-            # since on a 1-D operand it skips numpy's per-row subarray loop
-            below = (run.h_off @ vr).reshape(n * r, k)
-            for j in range(k):
-                np.add.at(out[:, j], att, below[:, j])
-            o += run.h_diag @ vr
-            o += run.h_off_t @ v[att].reshape(n, r, k)
-        out = np.take(out, self._inv_perm, axis=0)
+        out = self.sigma * (self._gtg @ v)
+        for o, kron in self._kron.items():
+            idx = self._kron_idx[o]
+            out[idx] += kron @ np.take(v, idx, axis=0)
+        nn = self._nn
+        out[nn] += self._nn_w2[:, None] * v[nn]
         return out[:, 0] if single else out
 
     def apply_normal(self, x):
@@ -1046,22 +1053,27 @@ class TreeNormalSystem:
         }
 
     def memory_bytes(self) -> int:
-        """Bytes of the engine's numeric storage, allocated once: the H and
-        L buffers, the inverse factors of the runs of several groups, the
-        band arrays of the runs with links, G^T G's (position, value)
-        pairs, the index arrays that the runs gather and scatter through,
-        and q with its solve."""
+        """Bytes of the engine's numeric storage, allocated once: the buffer
+        of H and L, the inverse factors of the runs of several groups, the
+        band arrays of the runs with links, G^T G as (position, value)
+        pairs and as a CSR matrix, H's parts that ``apply_h`` reads
+        (tri(o)^2 Kronecker floats per order-o bag and one scaling per
+        slack coordinate), the index arrays that the runs and ``apply_h``
+        gather and scatter through, and q with its solve."""
+        gtg = self._gtg
         index = sum(
             a.nbytes for run in self._runs
             for a in (run.blocks, *(run.links or ()))
             if a is not None and a.dtype.kind == "i"
-        )
+        ) + sum(a.nbytes for a in self._kron_idx.values())
         return (
-            self._h_flat.nbytes + self._l_flat.nbytes
-            + self._linv_flat.nbytes + self._link_flat.nbytes
+            self._l_flat.nbytes + self._linv_flat.nbytes
+            + self._link_flat.nbytes
             + self._gtg_pos.nbytes + self._gtg_val.nbytes
-            + self._attach_idx.nbytes + index
-            + 2 * self.dim * self._h_flat.itemsize
+            + gtg.data.nbytes + gtg.indices.nbytes + gtg.indptr.nbytes
+            + self._kron_flat.nbytes + self._nn_w2.nbytes
+            + self._attach_idx.nbytes + self._nn.nbytes + index
+            + 2 * self.dim * self._l_flat.itemsize
         )
 
 

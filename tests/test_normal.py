@@ -37,6 +37,7 @@ from treesdp.normal import (
 from util import (
     ReferenceTreeNormal,
     SparseSymmetric,
+    buffer_h_dense,
     dense_h_oracle,
     h_dense,
     loop_factor_ops,
@@ -52,6 +53,7 @@ from util import (
     random_scaling_data,
     reconstruct_dense,
     reference_sweep_runs,
+    same_bits,
     stack_scalings,
     star_arrow_problem,
     unique_row_bags,
@@ -581,7 +583,8 @@ def test_star_dualized_h_has_tree_pattern():
 def test_memory_counter_equals_walk_over_blocks():
     # the star's leaf groups form a stacked run, whose inverses count too;
     # the chain on a path under dctc-aux forms a run with links, whose
-    # band arrays and index arrays count as well
+    # band arrays and index arrays count as well, and so do H's parts,
+    # which apply_h reads
     rng = np.random.default_rng(47)
     random_tree = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
     cases = (
@@ -599,14 +602,23 @@ def test_memory_counter_equals_walk_over_blocks():
         chains = [run.links for run in stacked if run.links]
         assert bool(stacked) == (runs is not None)
         assert bool(chains) == (runs == "links")
+        gtg = sys_._gtg
         walked = sum(
             blk.nbytes
-            for group in (sys_.h_diag, sys_.h_off, sys_.l_diag, sys_.l_off)
+            for group in (sys_.l_diag, sys_.l_off)
             for blk in group
             if blk is not None
         ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
             sys_._u_q.nbytes
         ) + sys_._attach_idx.nbytes + sum(run.inv.nbytes for run in stacked)
+        # G^T G for apply_h, and the parts of H it reads with their index
+        # arrays
+        walked += gtg.data.nbytes + gtg.indices.nbytes + gtg.indptr.nbytes
+        walked += sum(
+            kron.nbytes for kron in sys_._kron.values()
+        ) + sys_._nn_w2.nbytes + sys_._nn.nbytes + sum(
+            idx.nbytes for idx in sys_._kron_idx.values()
+        )
         # a stacked run's attach-block positions
         walked += sum(
             run.blocks.nbytes for run in stacked if run.links is None
@@ -679,8 +691,10 @@ def test_factor_rejects_non_finite_offdiagonal_block():
     problem, td = path_problem(12, m=2)  # long enough for several groups
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
     sys_.assemble_h(sigma, psd_w, nn_w2)
-    child = next(j for j, blk in enumerate(sys_.h_off) if blk is not None)
-    sys_.h_off[child][0, 0] = np.nan
+    # the assembled edge block of a child group, in the one buffer
+    h_off = sys_._l_blocks[1]
+    child = next(j for j, blk in enumerate(h_off) if blk is not None)
+    h_off[child][0, 0] = np.nan
     with pytest.raises(NotFinite):
         sys_.factor()
 
@@ -736,8 +750,8 @@ def test_reassembly_drops_the_previous_factor_and_rank1_term():
 
 
 def test_apply_h_needs_an_assembled_h():
-    # the engine walks fixed views of its H buffer, which hold no H until
-    # an assembly completes
+    # apply_h reads the parts of H that an assembly keeps, which exist
+    # only once an assembly completes
     problem, td = path_problem(5, m=2)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=3)
     with pytest.raises(StructureViolation):
@@ -844,11 +858,15 @@ def assert_matches_reference(kind):
     assert any(slab is not None for slab in sys_._slabs)
     ref = ReferenceTreeNormal(sys_.dualized)
     sys_.update(sigma, q, psd_w, nn_w2)
-    # a second iteration's data: the engine rewrites its buffers in place
+    # a second iteration's data: the engine rewrites its buffers in place,
+    # H over the previous L and then L over H
     sigma, q, psd_w, nn_w2 = random_scaling_data(
         np.random.default_rng(23), ctc
     )
-    sys_.update(sigma, q, psd_w, nn_w2)
+    sys_.assemble_h(sigma, psd_w, nn_w2)
+    h_diag, h_off = sys_._blocks(sys_._l_flat.copy())
+    sys_.factor()
+    sys_.set_rank1(q)
     ref.update(sigma, q, psd_w, nn_w2)
 
     def same(a, b):
@@ -861,7 +879,7 @@ def assert_matches_reference(kind):
     gtg_flat[sys_._gtg_pos] = sys_._gtg_val
     gtg_diag, gtg_off = sys_._blocks(gtg_flat)
     assert same(gtg_diag, ref.gtg_diag) and same(gtg_off, ref.gtg_off)
-    assert same(sys_.h_diag, ref.h_diag) and same(sys_.h_off, ref.h_off)
+    assert same(h_diag, ref.h_diag) and same(h_off, ref.h_off)
     assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
     # the inverses of the runs of several, against the reference's per
     # group, and the band arrays of the runs with links
@@ -942,8 +960,8 @@ def test_kron_run_views_alias_each_bag_block(kind):
     # group's diagonal block, and no view reaches outside the flat buffer
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
-    h_diag = sys_._h_blocks[0]
-    flat_lo, flat_hi = byte_bounds(sys_._h_flat)
+    h_diag = sys_._l_blocks[0]
+    flat_lo, flat_hi = byte_bounds(sys_._l_flat)
     lengths = set()
     for o, runs in sys_._kron_runs.items():
         bags = np.flatnonzero(ctc.order == o).tolist()
@@ -981,9 +999,10 @@ def same_view(got, want):
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
-    # bit for bit against the per-group loop, on strided and transposed
-    # columns (the layout of apply_mt(v.T).T, a transposed row batch),
-    # and after a second update: the run views read H's buffer, not a copy
+    # bit for bit against the reference's entry-by-entry and bag-by-bag
+    # loops, on strided and transposed columns (the layout of
+    # apply_mt(v.T).T, a transposed row batch), and after a second update:
+    # apply_h reads the parts of the latest assembly
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *first = build_system(problem, td, with_aux=with_aux, seed=19)
     ref = ReferenceTreeNormal(sys_.dualized)
@@ -1016,7 +1035,7 @@ def test_apply_h_matches_the_group_loop_on_any_layout_and_update(kind):
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
-    # factor, solve_h and apply_h walk runs that tile the groups in
+    # factor and solve_h walk runs that tile the groups in
     # elimination order, each of one (width, attach rows) in which the
     # only member whose attach bag a group holds is its predecessor (a
     # link), and each ending only where the next group changes shape or
@@ -1060,7 +1079,6 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     assert stats["sweep_steps"] == len(plan)
     assert stats["stacked_groups"] == sum(n for n in counts if n > 1)
 
-    h_off = sys_._h_blocks[1]
     l_diag, l_off = sys_._l_blocks
     slabs = [
         None if s is None else np.arange(s.start, s.stop)
@@ -1069,9 +1087,8 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     # each group's 2-D factor step, which the runs of one group and the
     # members of a run with links take
     attach_of = [attach for *_, attach in sys_._steps]
-    for g, (ld, lt, ho, lo, lo_t, attach) in enumerate(sys_._steps):
+    for g, (ld, lt, lo, lo_t, attach) in enumerate(sys_._steps):
         assert same_view(ld, l_diag[g]) and same_view(lt, l_diag[g].T)
-        assert ho is h_off[g]
         if lo is None:
             assert lo_t is attach is None
             continue
@@ -1148,15 +1165,12 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
 
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
-def test_h_run_views_alias_each_group_block(kind):
-    # the H side of the run plan that apply_h walks: each run spans its
-    # groups' rows, each group's slice of a run view is its diagonal or
-    # edge block, no view leaves _h_flat, and each run scatters onto the
-    # attach rows of its members
+def test_runs_span_their_groups_and_attach_rows(kind):
+    # each run spans its groups' rows, and a run of several scatters onto
+    # the attach rows of its members, the full stretch of the attach-row
+    # array
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
-    h_diag, h_off = sys_._h_blocks
-    flat_lo, flat_hi = byte_bounds(sys_._h_flat)
     slabs = [
         None if s is None else np.arange(s.start, s.stop)
         for s in sys_._slabs
@@ -1172,32 +1186,14 @@ def test_h_run_views_alias_each_group_block(kind):
             sys_.slices[k].start, sys_.slices[k + n - 1].stop
         )
         if n == 1:
-            assert same_view(run.h_diag, h_diag[k])
-            if h_off[k] is None:
-                assert run.att is None
-                assert run.h_off is run.h_off_t is None
-                continue
-            assert same_view(run.h_off, h_off[k])
-            assert same_view(run.h_off_t, h_off[k].T)
             assert run.att == sys_._slabs[k]
             continue
-        for view in (run.h_diag, run.h_off, run.h_off_t):
-            view_lo, view_hi = byte_bounds(view)
-            assert flat_lo <= view_lo and view_hi <= flat_hi
-        assert run.h_diag.shape == (n, run.w, run.w)
-        assert run.h_off.shape == (n, run.r, run.w)
-        for i, g in enumerate(range(k, k + n)):
-            assert same_view(run.h_diag[i], h_diag[g])
-            assert same_view(run.h_off[i], h_off[g])
-            assert same_view(run.h_off_t[i], h_off[g].T)
-        # the full attach stretch, which apply_h scatters onto
         assert np.array_equal(
             run.att, np.concatenate([slabs[g] for g in range(k, k + n)])
         )
-    # apply_h's two ordering hazards: siblings that share attach rows in
-    # one stacked run (np.add.at adds a repeated row in sequence), and a
-    # child whose attach bag lies in its own run (the run scatters its
-    # edge terms before its rows take theirs)
+    # the sweeps' two ordering hazards: siblings that share attach rows in
+    # one stacked run (np.subtract.at takes a repeated row in sequence),
+    # and a child whose attach bag lies in its own run
     stacked = [run for run in plan if run.n > 1]
     if kind == "star":
         assert any(np.unique(run.att).size < run.att.size for run in stacked)
@@ -1205,6 +1201,47 @@ def test_h_run_views_alias_each_group_block(kind):
         (run,) = [run for run in stacked if run.links]
         rows = run.rows
         assert ((run.att >= rows.start) & (run.att < rows.stop)).any()
+
+
+@pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_apply_h_never_reads_the_factored_buffer(kind, cap, monkeypatch):
+    # H and L share one buffer, so apply_h forms H x from H's parts: it
+    # gives the same bits before factor, after it and after a factor that
+    # failed, H times the identity is the assembled H to the last bit, and
+    # a second factor of one assembly refuses, since the buffer holds L
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
+        problem, td, with_aux=with_aux, seed=19
+    )
+    rng = np.random.default_rng(37)
+    x = rng.standard_normal((ctc.dim_z, 3))
+    sys_.update(sigma, q, psd_w, nn_w2)  # the buffer holds an old L
+    # the first order-o bag's scaling is indefinite, o > 1
+    o = min(o for o in psd_w if o > 1)
+    bad = {k: w.copy() for k, w in psd_w.items()}
+    bad[o][0][0, 0] = -50.0
+    for w, fails in ((psd_w, False), (bad, True)):
+        sys_.assemble_h(sigma, w, nn_w2)
+        assembled = buffer_h_dense(sys_)
+        assert same_bits(h_dense(sys_), assembled)
+        before = sys_.apply_h(x)
+        oracle = dense_h_oracle(ctc, sigma, w, nn_w2) @ x
+        assert np.allclose(before, oracle, rtol=1e-13, atol=1e-13 * (
+            np.abs(oracle).max()
+        ))
+        if fails:
+            with pytest.raises(IndefinitePivot):
+                sys_.factor()
+        else:
+            sys_.factor()
+            assert not same_bits(buffer_h_dense(sys_), assembled)
+        assert same_bits(sys_.apply_h(x), before)
+        assert same_bits(h_dense(sys_), assembled)
+        with pytest.raises(StructureViolation):
+            sys_.factor()
+        assert same_bits(sys_.apply_h(x), before)
 
 
 @pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
@@ -1228,7 +1265,7 @@ def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
     )
     sys_.update(*first)
     sys_.update(*random_scaling_data(np.random.default_rng(23), ctc))
-    max_diag = float(np.max(sys_._h_flat[sys_._diag_pos]))
+    max_diag = float(np.max(np.diag(h_dense(sys_))))
     shift = normal.REGULARIZATION_REL * (1.0 + max(max_diag, 0.0))
     rng = np.random.default_rng(31)
     for b in (
@@ -1297,8 +1334,8 @@ def test_indefinite_block_in_a_run_with_links_names_its_group(monkeypatch):
 
 def engine_kron_runs(sys_):
     """The engine's runs as (first stack row, end stack row, byte offset
-    into ``_h_flat``, shape, strides), by order."""
-    base = sys_._h_flat.ctypes.data
+    into ``_l_flat``, shape, strides), by order."""
+    base = sys_._l_flat.ctypes.data
     return {
         o: [
             (lo, hi, view.ctypes.data - base, view.shape, view.strides)

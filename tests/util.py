@@ -246,8 +246,19 @@ def _dense_blocks(sys_, diag, off, mirror):
 
 
 def h_dense(sys_):
-    """A normal system's assembled H as a dense matrix."""
-    return _dense_blocks(sys_, sys_.h_diag, sys_.h_off, mirror=True)
+    """A normal system's assembled H as a dense matrix: ``apply_h`` of the
+    identity columns, which is H to the last bit, before and after
+    ``factor``.  (At sigma = 0 an edge entry that is zero may differ in
+    sign: the buffer holds 0 * G^T G there, and apply_h adds a +0.0 from
+    the Kronecker product of a zero column.)"""
+    return sys_.apply_h(np.eye(sys_.dim))
+
+
+def buffer_h_dense(sys_):
+    """The H that ``assemble_h`` wrote into a normal system's buffer, as a
+    dense matrix; the buffer holds it until ``factor`` runs."""
+    diag, off = sys_._l_blocks
+    return _dense_blocks(sys_, diag, off, mirror=True)
 
 
 def reconstruct_factor(fac):
@@ -1000,6 +1011,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
                     linked, self.bag_width[self.attach[first]]
                 )
         self.gtg_diag, self.gtg_off = self._reference_gram()
+        self.ref_gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocsr()
 
     def _reference_gram(self):
         """Diagonal and edge blocks of G^T G, one entry at a time."""
@@ -1030,12 +1042,14 @@ class ReferenceTreeNormal(TreeNormalSystem):
         groups = {}
         for j, o in enumerate(self.ctc.order.tolist()):
             groups.setdefault(o, []).append(j)
+        self.kron_of, self.slacks = {}, slacks  # per bag, for apply_h
         for o, idxs in groups.items():
             kron = oracle_sym_kron_stack(np.stack([mats[j] for j in idxs]))
             t = tri(o)
             for pos, j in enumerate(idxs):
                 s = self.at[j]
                 h_diag[self.group_of[j]][s:s + t, s:s + t] += kron[pos]
+                self.kron_of[j] = kron[pos]
         ctc = self.ctc
         for j in range(self.ell):
             n_nn = int(ctc.n_nn[j])
@@ -1196,22 +1210,30 @@ class ReferenceTreeNormal(TreeNormalSystem):
             )
 
     def apply_h(self, x):
+        """H x in the original coordinates, in the engine's order of
+        additions: each row of sigma G^T G x summed from 0.0 entry by entry
+        in the CSR product's storage order, then bag by bag its Kronecker
+        block's term and its slack scalings' term."""
         v, single = self._as_columns(x)
-        v = v[self.ref_perm]
-        out = np.zeros_like(v)
-        for k, b in enumerate(self.attach):
-            sl = self._rows(k)
-            out[sl] += self.h_diag[k] @ v[sl]
-            if b is not None:
-                slp = self._attach_slice(k)
-                out[slp] += self.h_off[k] @ v[sl]
-                out[sl] += self.h_off[k].T @ v[slp]
-        return self._unpermute(out, single)
+        gtg, ctc = self.ref_gtg, self.ctc
+        out = np.zeros((self.dim, v.shape[1]))
+        for i in range(self.dim):
+            for jj in range(gtg.indptr[i], gtg.indptr[i + 1]):
+                out[i] += gtg.data[jj] * v[gtg.indices[jj]]
+        out = self.sigma * out
+        for j, kron in self.kron_of.items():
+            s = int(ctc.svec_start[j])
+            sl = slice(s, s + kron.shape[0])
+            out[sl] += kron @ np.ascontiguousarray(v[sl])
+            s = int(ctc.nn_start[j])
+            sl = slice(s, s + int(ctc.n_nn[j]))
+            out[sl] += self.slacks[j][:, None] * v[sl]
+        return out[:, 0] if single else out
 
 
 def loop_kron_runs(sys_) -> dict:
     """A normal engine's Kronecker runs, cut bag by bag: order o -> (first
-    stack row, end stack row, byte offset into ``_h_flat``, shape,
+    stack row, end stack row, byte offset into ``_l_flat``, shape,
     strides) per run.
 
     The i-th order-o bag in block order has its t x t block (t = tri(o))
@@ -1219,7 +1241,7 @@ def loop_kron_runs(sys_) -> dict:
     where the group changes, or where a run of at least two bags meets a
     step other than the one set by its first two.
     """
-    item = sys_._h_flat.itemsize
+    item = sys_._l_flat.itemsize
     width = sys_.ctc.width.tolist()
     place, pos = {}, 0  # bag -> (group, flat offset, group width)
     for k, members in enumerate(sys_.groups):
@@ -1300,29 +1322,30 @@ def unique_row_bags(g, bag_of, ell) -> tuple:
 
 def nonzero_bag_pairs(sys_) -> tuple:
     """The off-diagonal bag pairs with a nonzero sub-block in a normal
-    engine's assembled H and in its factor L, found by scanning every
-    stored entry of the two flat buffers; each a (k, 2) array of (later
-    bag, earlier bag) rows in the permuted order.  The merged group blocks
-    store every bag pair of a group, so a pair of bags that are not
-    adjacent in the tree appears here exactly when it is nonzero."""
+    engine's assembled H and in its factor L, each a (k, 2) array of
+    (later bag, earlier bag) rows in the permuted order.  H's are read off
+    every entry of :func:`h_dense`, L's off every stored entry of the flat
+    buffer.  The merged group blocks store every bag pair of a group, so a
+    pair of bags that are not adjacent in the tree appears here exactly
+    when it is nonzero."""
 
-    def pairs(flat):
-        pos = np.flatnonzero(flat)
-        blk = np.searchsorted(sys_._block_off, pos, side="right") - 1
-        k = blk % len(sys_.groups)
-        rows, cols = np.divmod(pos - sys_._block_off[blk], sys_._width[k])
-        rows += sys_._block_row[blk]
-        cols += sys_._first[k]
+    def pairs(rows, cols):
         a, b = sys_._bag_of[rows], sys_._bag_of[cols]
         keep = (rows > cols) & (a != b)
         ids = np.unique(a[keep] * sys_.ell + b[keep])
         return np.column_stack(np.divmod(ids, sys_.ell))
 
-    none = np.zeros((0, 2), dtype=np.int64)
-    return (
-        pairs(sys_._h_flat) if sys_.h_diag else none,
-        pairs(sys_._l_flat) if sys_.l_diag else none,
-    )
+    in_h = in_l = np.zeros((0, 2), dtype=np.int64)
+    if sys_._h_in is not None:
+        perm = sys_.perm
+        in_h = pairs(*np.nonzero(h_dense(sys_)[np.ix_(perm, perm)]))
+    if sys_.l_diag:
+        pos = np.flatnonzero(sys_._l_flat)
+        blk = np.searchsorted(sys_._block_off, pos, side="right") - 1
+        k = blk % len(sys_.groups)
+        rows, cols = np.divmod(pos - sys_._block_off[blk], sys_._width[k])
+        in_l = pairs(rows + sys_._block_row[blk], cols + sys_._first[k])
+    return in_h, in_l
 
 
 def offdiag_block_counts(sys_) -> tuple:
