@@ -332,9 +332,11 @@ def read_sdpa(source) -> SdpProblem:
             raise ParseError(f"line {lineno}: non-integer {what}")
 
     m = intline(0, "constraint count")
+    if m < 0:
+        raise ParseError(f"line {lines[0][0]}: negative constraint count")
     nblocks = intline(1, "block count")
-    if m < 0 or nblocks <= 0:
-        raise ParseError(f"line {lines[0][0]}: negative counts")
+    if nblocks <= 0:
+        raise ParseError(f"line {lines[1][0]}: block count must be positive")
 
     lineno, sizes_line = lines[2]
     toks = _vector_tokens(sizes_line)

@@ -148,30 +148,13 @@ def _svec_plan(order: int) -> np.ndarray:
     return flat
 
 
-# Gathers along the short last axes of orders 2 and 3 (3-9 entries) index
-# the stack: np.take copies one entry per index there, indexing a strided
-# row of the stack per index.  smat_stack and svec_stack of 599 order-2
-# bags, as on path-maxcut, ran 1.6-2.8 times faster that way; from order
-# 4 on np.take was as fast or faster (2-core host, one BLAS thread).
-SHORT_GATHER_MAX_ORDER = 3
-
-
-def _gather_last(arr: np.ndarray, index: np.ndarray, order: int):
-    """``np.take(arr, index, axis=-1)``, by indexing for the short last
-    axes of orders up to ``SHORT_GATHER_MAX_ORDER``.  The same floats
-    either way; indexing lays out ``index``'s axes outermost."""
-    if order <= SHORT_GATHER_MAX_ORDER:
-        return arr[..., index]
-    return np.take(arr, index, axis=-1)
-
-
 def svec_stack(mats: np.ndarray) -> np.ndarray:
     """Vectorized :func:`svec` over a stack of symmetric matrices (..., o, o):
     one gather of the packed entries and one product with their scale."""
     mats = np.asarray(mats, dtype=float)
     order = mats.shape[-1]
     flat = mats.reshape(mats.shape[:-2] + (order * order,))
-    return _gather_last(flat, _svec_plan(order), order) * svec_scale(order)
+    return flat[..., _svec_plan(order)] * svec_scale(order)
 
 
 def smat_stack(vecs: np.ndarray) -> np.ndarray:
@@ -180,7 +163,7 @@ def smat_stack(vecs: np.ndarray) -> np.ndarray:
     vecs = np.asarray(vecs, dtype=float)
     order = order_of_tri(vecs.shape[-1])
     pos, scale = _smat_plan(order)
-    out = _gather_last(vecs, pos, order)
+    out = vecs[..., pos]
     out /= scale
     return out
 

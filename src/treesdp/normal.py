@@ -68,7 +68,7 @@ shift and the finiteness checks are one vectorized pass each: ``factor``
 checks the assembled H and ``solve_h`` its right-hand side, once per
 call, and both raise :class:`~treesdp.errors.NotFinite`.  The
 symmetric-Kronecker blocks are added one *run* of bags at a time:
-same-order bags that lie in one group at a constant step along its
+same-order bags of one width that lie next to each other on one group's
 diagonal share one strided (bags, t, t) view into the buffer, so a chain
 needs about one in-place add per group and order, each entry the same
 single addition as bag by bag.  An index array over every Kronecker
@@ -315,29 +315,6 @@ def row_bags(g, bag_of: np.ndarray) -> tuple:
     new = np.ones(bags.size, dtype=bool)
     new[1:] = (rows[1:] != rows[:-1]) | (bags[1:] != bags[:-1])
     return rows[new], bags[new]
-
-
-def run_starts(group: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """Where the runs start in a sequence of blocks, block i lying in group
-    ``group[i]`` at flat offset ``at[i]``: a run is consecutive blocks of
-    one group at the step set by its first two.  Block i starts one when
-    its group differs from block i-1's, or when the step changes at i
-    within one group and block i-1 starts none.  A chain of consecutive
-    changes follows a block inside a run, so its first change starts a
-    run, the next continues it, and so on.
-    """
-    n = at.size
-    same = group[1:] == group[:-1]
-    step = np.diff(at)
-    change = np.zeros(n, dtype=bool)
-    change[2:] = same[1:] & same[:-1] & (step[1:] != step[:-1])
-    idx = np.arange(n)
-    # the last block at or before i that is no change
-    before = np.maximum.accumulate(np.where(change, 0, idx))
-    start = change & ((idx - before) % 2 == 1)
-    start[0] = True
-    start[1:] |= ~same
-    return np.flatnonzero(start)
 
 
 def _link_size(n: int, w: int, r: int, m: int) -> int:
@@ -680,31 +657,37 @@ class TreeNormalSystem:
 
         Row i of the order-o scaling stack belongs to the i-th order-o bag
         in block order, whose t x t Kronecker block (t = tri(o)) lies on
-        its group block's diagonal.  The runs are those of
-        :func:`run_starts`, and a run's view is one (rows, t, t) strided
-        view into ``_l_flat``, where ``assemble_h`` writes H.  The runs of
-        an order tile its stack, so the last one ends at its bag count.
+        its group block's diagonal.  An order-o bag continues the run of
+        the order-o bag before it when both lie in one group, have the
+        same width and lie next to each other in the buffer, so a run's
+        blocks sit at one step along its group's diagonal and its view is
+        one (rows, t, t) strided view into ``_l_flat``, where
+        ``assemble_h`` writes H.  The runs of an order tile its stack, so
+        the last one ends at its bag count.
         """
         h, item = self._l_flat, self._l_flat.itemsize
-        group = self._group_of
         at = self._diag_pos[self._bag_start]  # where each bag block starts
         order = self.ctc.order
         runs: dict = {}
         for o in dict.fromkeys(order.tolist()):
             bags = np.flatnonzero(order == o)
-            lo = run_starts(group[bags], at[bags])
+            group, width = self._group_of[bags], self.ctc.width[bags]
+            w = self._width[group]
+            step = width * (w + 1)  # from a bag block to the next one's
+            lo = np.flatnonzero(np.append(True, (
+                (group[1:] != group[:-1]) | (width[1:] != width[:-1])
+                | (np.diff(at[bags]) != step[:-1])
+            )))
             hi = np.append(lo[1:], bags.size)
-            gap = np.append(np.diff(at[bags]), 0)
-            spans = np.column_stack((
-                lo, hi, at[bags[lo]], np.where(hi - lo > 1, gap[lo], 0),
-                self._width[group[bags[lo]]],
-            )).tolist()
+            spans = np.column_stack(
+                (lo, hi, at[bags[lo]], step[lo], w[lo])
+            ).tolist()
             t = tri(o)
             # the buffer constructor raises if a view leaves _l_flat
             runs[o] = [
                 (a, b, np.ndarray((b - a, t, t), h.dtype, h, at0 * item,
-                                  (step * item, w * item, item)))
-                for a, b, at0, step, w in spans
+                                  (s * item, w * item, item)))
+                for a, b, at0, s, w in spans
             ]
         return runs
 

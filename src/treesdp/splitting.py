@@ -26,20 +26,14 @@ from .errors import UncoverableEntry
 from .linalg import Triplets
 
 
-@dataclass
-class UniquePartition:
+def build_unique_partition(td: TreeDecomposition) -> np.ndarray:
     """Owner bag of each vertex: the root-most bag holding it, the one bag
     where it is not shared with the parent.  Built once per decomposition,
     so each ``split`` call pays only for its own entries."""
-
-    owner: np.ndarray  # vertex -> root-most bag containing it
-
-
-def build_unique_partition(td: TreeDecomposition) -> UniquePartition:
     unique = td.parent_pos < 0
     owner = np.full(td.n, -1, dtype=np.int64)
     owner[td.members[unique]] = td.bag_of[unique]
-    return UniquePartition(owner=owner)
+    return owner
 
 
 @dataclass
@@ -59,7 +53,7 @@ class SplitResult:
 def split(
     stack: Triplets,
     td: TreeDecomposition,
-    partition: UniquePartition | None = None,
+    partition: np.ndarray | None = None,
 ) -> SplitResult:
     """Assign every stored entry of every matrix of ``stack`` to exactly
     one bag (a minimum number of bags per matrix).  Raises
@@ -71,7 +65,7 @@ def split(
 
     # trigger bag per entry: the deeper of the two endpoint owners; the entry
     # is coverable iff that bag also holds the other endpoint.
-    own_r, own_c = partition.owner[rows], partition.owner[cols]
+    own_r, own_c = partition[rows], partition[cols]
     row_deeper = td.depth[own_r] >= td.depth[own_c]
     trigger = np.where(row_deeper, own_r, own_c)
     fits = td.locate(trigger, np.where(row_deeper, cols, rows))[1]

@@ -206,6 +206,15 @@ def test_sdpa_parse_errors_name_the_line():
     # empty file
     with pytest.raises(ParseError):
         read_sdpa(io.StringIO(""))
+    # each count is checked on its own line, before the next is read
+    for name, message in (
+        ("negative-m", "line 1: negative constraint count"),
+        ("negative-m-then-text-blocks", "line 1: negative constraint count"),
+        ("zero-blocks", "line 2: block count must be positive"),
+        ("comment-then-zero-blocks", "line 3: block count must be positive"),
+    ):
+        got = read_outcome(read_sdpa, MALFORMED[name])
+        assert got == (ParseError, message)
 
 
 def test_sdpa_rejects_unsupported_block_structure():
@@ -371,6 +380,8 @@ MALFORMED = {
     "text-block-count": "1\nx\n1\n1.0\n",
     "negative-m": "-1\n1\n1\n1.0\n",
     "zero-blocks": "1\n0\n1\n1.0\n",
+    "comment-then-zero-blocks": '" c\n1\n0\n1\n1.0\n',
+    "negative-m-then-text-blocks": "-1\nx\n1\n1.0\n",
     "size-count": "1\n2\n1\n1.0\n",
     "text-size": "1\n1\nx\n1.0\n",
     "zero-size": "1\n1\n0\n1.0\n",

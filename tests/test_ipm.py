@@ -1030,14 +1030,13 @@ def test_cone_layer_matches_the_oracle_above_the_crossover(monkeypatch):
     ids=["chain", "star"],
 )
 def test_solves_are_the_same_without_the_closed_forms(monkeypatch, problem):
-    # the closed forms and the short-axis gathers move no float: y, the
-    # iteration count and L repeat with both switched off
+    # the closed forms move no float: y, the iteration count and L repeat
+    # with them switched off
     gufuncs = CountingGufuncs()
     monkeypatch.setattr(linalg, "_umath_linalg", gufuncs)
     shipped = solve_sdp(problem, eps=1e-8)
     assert gufuncs.calls == 0  # one order-2 stack, above the crossover
     monkeypatch.setattr(linalg, "CLOSED_FORM_MIN_STACK", np.inf)
-    monkeypatch.setattr(linalg, "SHORT_GATHER_MAX_ORDER", 0)
     plain = solve_sdp(problem, eps=1e-8)
     assert gufuncs.calls == 7 * plain.iterations
     assert same_bits(shipped.y, plain.y)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from treesdp.errors import DimensionMismatch, NonTriangularLength, NotFinite
 from treesdp.linalg import (
     CLOSED_FORM_MIN_STACK,
-    SHORT_GATHER_MAX_ORDER,
     CholeskyOrEig,
     _order2_lower,
     bmm_einsum,
@@ -138,10 +137,8 @@ def test_smat_stack_is_bitwise_the_scatter_formula():
 
 
 def test_svec_stack_is_bitwise_svec_on_each_matrix():
-    # orders up to SHORT_GATHER_MAX_ORDER gather by indexing, the rest by
-    # np.take; strided stacks as hess_inv_apply passes them
+    # every order up to 18, and strided stacks as hess_inv_apply passes them
     rng = np.random.default_rng(83)
-    assert 1 < SHORT_GATHER_MAX_ORDER < 18
     for order in range(1, 19):
         for shape in ((0,), (1,), (40,), (3, 5)):
             mats = rng.standard_normal((order, order) + shape)

@@ -973,6 +973,14 @@ def test_kron_run_views_alias_each_bag_block(kind):
             lengths.add(hi - lo)
             view_lo, view_hi = byte_bounds(view)
             assert flat_lo <= view_lo and view_hi <= flat_hi
+            # a run of several bags: equal widths, each block starting
+            # where the one before it ends
+            run = bags[lo:hi]
+            assert len({int(ctc.width[j]) for j in run}) == 1
+            for j, nxt in zip(run, run[1:]):
+                assert sys_._bag_start[nxt] == (
+                    sys_._bag_start[j] + ctc.width[j]
+                )
             for i, j in enumerate(bags[lo:hi]):
                 k = sys_._group_of[j]
                 a = sys_._bag_start[j] - sys_.slices[k].start

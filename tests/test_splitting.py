@@ -74,8 +74,8 @@ def test_unique_partition_is_a_partition():
             p = int(td.parent[j])
             shared = set(td.bags[p]) if p != j else set()
             for v in td.bags[j]:
-                assert (part.owner[v] == j) == (v not in shared)
-        assert np.all(part.owner >= 0)
+                assert (part[v] == j) == (v not in shared)
+        assert np.all(part >= 0)
         root = td.root
         assert td.depth[root] == 0
         for j in range(td.ell):

@@ -1237,18 +1237,19 @@ def loop_kron_runs(sys_) -> dict:
     strides) per run.
 
     The i-th order-o bag in block order has its t x t block (t = tri(o))
-    on its group block's diagonal.  Walking an order's bags, a run ends
-    where the group changes, or where a run of at least two bags meets a
-    step other than the one set by its first two.
+    on its group block's diagonal.  Walking an order's bags, a bag
+    continues the run of the one before it when both lie in one group,
+    have the same width, and its block starts where that bag's block
+    ends.  A run's step is the distance from one bag block to the next.
     """
     item = sys_._l_flat.itemsize
     width = sys_.ctc.width.tolist()
-    place, pos = {}, 0  # bag -> (group, flat offset, group width)
+    place, pos = {}, 0  # bag -> (group, flat offset, group width, width)
     for k, members in enumerate(sys_.groups):
         w = sum(width[j] for j in members)
         row = 0
         for j in members:
-            place[j] = (k, pos + row * (w + 1), w)
+            place[j] = (k, pos + row * (w + 1), w, width[j])
             row += width[j]
         pos += w * w
     places = {}
@@ -1259,19 +1260,16 @@ def loop_kron_runs(sys_) -> dict:
         t = tri(o)
         cuts = [0]
         for i in range(1, len(seq)):
-            (k, at, _), (pk, pat, _) = seq[i], seq[i - 1]
-            if k != pk or (
-                i - cuts[-1] > 1 and at - pat != pat - seq[i - 2][1]
-            ):
+            (k, at, _, b), (pk, pat, pw, pb) = seq[i], seq[i - 1]
+            if k != pk or b != pb or at != pat + pb * (pw + 1):
                 cuts.append(i)
         cuts.append(len(seq))
         runs[o] = []
         for lo, hi in zip(cuts, cuts[1:]):
-            _, at, w = seq[lo]
-            step = seq[lo + 1][1] - at if hi - lo > 1 else 0
+            _, at, w, b = seq[lo]
             runs[o].append(
                 (lo, hi, at * item, (hi - lo, t, t),
-                 (step * item, w * item, item))
+                 (b * (w + 1) * item, w * item, item))
             )
     return runs
 
@@ -1976,9 +1974,11 @@ def reference_read_sdpa(source) -> SdpProblem:
             raise ParseError(f"line {lineno}: non-integer {what}")
 
     m = intline(0, "constraint count")
+    if m < 0:
+        raise ParseError(f"line {lines[0][0]}: negative constraint count")
     nblocks = intline(1, "block count")
-    if m < 0 or nblocks <= 0:
-        raise ParseError(f"line {lines[0][0]}: negative counts")
+    if nblocks <= 0:
+        raise ParseError(f"line {lines[1][0]}: block count must be positive")
 
     lineno, sizes_line = lines[2]
     toks = _reference_vector_tokens(sizes_line)
