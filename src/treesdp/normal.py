@@ -55,15 +55,14 @@ whole buffer, since the edge blocks hold the previous factor's, and
 writes H into it; ``factor`` overwrites that H with L in place,
 subtracting each group's update from a fixed view of its attach bag's
 block.  So the buffer holds H from an assembly to the factor that
-follows, and L after it, and each assembly is factored once.  The runs
-of several groups (see Sweeps) keep their inverse factors in a second
-buffer, w x w per member, and the runs with links their band arrays in a
-third: the band (2 r rows by n r columns), a link's r columns of the
-next member's inverse, and each member's w x r back product; the band's
-entries outside the link blocks stay zero from the allocation.  G^T G is
-kept as the (position, value) pairs of its nonzeros in that layout,
-since merged blocks are mostly zeros, and as one CSR matrix in the
-original coordinates for ``apply_h``.  The slack scalings, the static
+follows, and L after it, and each assembly is factored once; its last
+entry stays zero.  The runs of several groups without links (see Sweeps)
+keep their inverse factors in a second buffer, w x w per member, and
+each run with links its L in an array of its own, one LAPACK lower band
+over the run's rows, kd + 1 floats per row.  G^T G is kept as the
+(position, value) pairs of its nonzeros in that layout, since merged
+blocks are mostly zeros, and as one CSR matrix in the original
+coordinates for ``apply_h``.  The slack scalings, the static
 shift and the finiteness checks are one vectorized pass each: ``factor``
 checks the assembled H and ``solve_h`` its right-hand side, once per
 call, and both raise :class:`~treesdp.errors.NotFinite`.  The
@@ -95,40 +94,37 @@ another only through the r overlap rows of each link.  Each run is one
 record that both walk.  A run of one group keeps its 2-D blocks and the
 per-group steps: ``cholesky_lo``, then ``dtrtrs`` (in ``factor`` in
 place in the edge block, which holds H's until then), then slices.  A run
-of n groups is strided (n, w, w) and (n, r, w) views into the buffers,
-and ``factor`` writes each member's inverse factor (LAPACK ``dtrtri``)
-into the inverse buffer, since the block counts of
-:meth:`TreeNormalSystem.pattern_stats` are measured on L's own blocks.
-
-A run without links takes one ``cholesky_lo`` over its diagonal blocks,
-makes its edge blocks by one stacked product ``H_off L^{-T}`` over the
-edge blocks in place, and subtracts its members' updates from their
+of n groups is strided (n, r, w) views of its edge blocks, and ``factor``
+subtracts the updates of its members that attach outside it from their
 attach blocks by one ``np.subtract.at`` over fixed flat positions, which
 takes repeated positions (siblings that share an attach bag) in member
-order.
-``solve_h`` makes one stacked product per run and direction, and scatters
-a run's edge terms by ``np.subtract.at``, which subtracts repeated attach
-rows in sequence, as the per-group loop does.  A star's leaf groups form
-one such run and its hub another, so each sweep takes two steps there
-instead of one per group.
+order; ``solve_h`` scatters their edge terms the same way, subtracting
+repeated attach rows in sequence, as the per-group loop does.
 
-A run with links (a chain's groups each attach to the next) is factored
-member by member with the per-group steps, since each diagonal block
-waits for its predecessor's update; then come the inverses, each link's
-r x r block T = L_off L^{-1}[:, p:p+r] of the next member (p the link's
-first row in it) by one stacked product, and each member's
-L^{-T} L_off^T by another.  The blocks T are scattered at fixed
-positions into the LAPACK band storage of the unit lower band matrix
-I + T over the run's n r edge terms, of bandwidth 2 r - 1 (the reduced
-system of the SPIKE scheme for banded solves; Polizzi & Sameh, Parallel
-Computing 2006).  ``solve_h``'s forward sweep takes y' = L^{-1} x and
-a = L_off y' by stacked products, solves (I + T) c = a by one LAPACK
-``dtbtrs``, takes each link's term off the next member's rows,
-y = y' - L^{-1}[:, p:p+r] c, and scatters the other members' terms onto
-their attach rows.  The backward sweep takes v = L^{-T} y, solves the
-transposed band system for the final values d of every member's attach
-rows (a link's read off v of the next member, the others' off a later
-run's), and sets x = v - L^{-T} L_off^T d.  So a path's groups form one
+A run without links is also strided (n, w, w) views of its diagonal
+blocks.  ``factor`` takes one ``cholesky_lo`` over them, writes each
+member's inverse factor (LAPACK ``dtrtri``) into the inverse buffer,
+since the block counts of :meth:`TreeNormalSystem.pattern_stats` are
+measured on L's own blocks, and makes the edge blocks by one stacked
+product ``H_off L^{-T}`` in place; ``solve_h`` makes one stacked product
+per run and direction.  A star's leaf groups form one such run and its
+hub another, so each sweep takes two steps there instead of one per
+group.
+
+A run with links (a chain's groups each attach to the next) is a band
+matrix: its half bandwidth kd, the largest row-minus-column distance at
+which the factor may meet a nonzero inside the run, is read once off the
+static pattern (George & Liu, Computer Solution of Large Sparse Positive
+Definite Systems, 1981).  On a chain of order-2 bags kd is 2 against a
+group width of 30.  ``factor`` gathers the band of H from the buffer
+through one fixed index, after the earlier runs' updates have landed,
+and factors it by one LAPACK ``dpbtrf``.  A member that attaches outside
+the run has its edge block L_off^T = L^{-1} H_off^T solved by ``dtbtrs``
+over its own columns of the band alone, since L has no fill: the rows
+of the band it reaches belong to members it does not couple with.
+``solve_h`` takes one ``dtbtrs`` per direction over the run, scattering
+those members' edge terms after the forward one and taking their terms
+off the run's rows before the backward one.  So a path's groups form one
 run, its root group another, and each sweep takes two steps there at any
 length.  Every block is a view into the normal matrix's, the inverse or
 the band buffer, fixed for the engine's life, and no workspace outlives
@@ -137,23 +133,24 @@ a call.
 ``apply_h`` reads none of the buffers above, so it gives the same H x
 before and after ``factor``.  It forms H x from H's parts, which
 ``assemble_h`` writes, beside H, into arrays allocated with the engine:
-sigma (G^T G) x by one sparse product, each order's Kronecker stack
-(tri(o)^2 floats per bag) by one stacked product over its bags'
-coordinates, then the slack scalings.  It works in the original
-coordinates and permutes nothing.  Each entry gets its terms in the
-order ``assemble_h`` adds them, so H times a unit vector is H's column
-to the last bit.
+sigma (G^T G) x by one sparse product, then each order's Kronecker
+stack (tri(o)^2 floats per bag) by one stacked product over its bags'
+coordinates and the slack scalings' terms, all stacked and added by one
+gather, whose 0.0 slot serves the chain coordinates.  It works in the
+original coordinates and permutes nothing.  Each entry gets its terms in
+the order ``assemble_h`` adds them, so H times a unit vector is H's
+column to the last bit, but for the sign of an exact zero.
 
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
 computed once per factorization, followed by exactly one
-iterative-refinement pass.  A run of several groups multiplies by
-explicit inverses, and a run with links adds its band solve, so their
-floats differ from the per-group sweep's in the last bits (L's blocks
-keep the per-group floats on a chain); a run of one group gives that
-sweep's floats exactly.  The pass is unconditional: when a residual
-tolerance decided it, rounding noise decided which directions were
-refined, and the final dual infeasibility of a solve followed that noise.
+iterative-refinement pass.  A run without links multiplies by explicit
+inverses, and a run with links solves with its band, so their floats
+differ from the per-group sweep's in the last bits; a run of one group
+gives that sweep's floats exactly.  The pass is unconditional: when a
+residual tolerance decided it, rounding noise decided which directions
+were refined, and the final dual infeasibility of a solve followed that
+noise.
 
 ``DenseNormalSystem`` is the small-scale reference: it materializes the
 full normal matrix ``M D^{-1} M^T`` densely and factors it directly.
@@ -165,7 +162,7 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dtbtrs, dtrtri, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dtbtrs, dtrtri, dtrtrs
 
 from .chordal import TreeDecomposition
 from .convert import DualizedProblem
@@ -195,48 +192,22 @@ DENOMINATOR_FLOOR = 1e-14
 GROUP_WIDTH = 32
 
 
-class _Links(NamedTuple):
-    """A sweep run's links: its members ``src`` attach to the members
-    ``dst`` = ``src`` + 1, each at r rows of the next member's block, and
-    every other member to a group in a later run.
-
-    The run's n r edge terms ``c`` (member i's at rows i r .. i r + r)
-    solve the unit lower band system (I + T) c = L_off L^{-1} x, whose
-    link block ``T`` couples a member's terms to its predecessor's: T =
-    L_off L^{-1}[:, p:p+r] of the next member, p the link's first row in
-    it.  ``lp`` holds those r columns of each next member's inverse, read
-    from ``_linv_flat`` at ``lp_idx``; ``band`` is the system's LAPACK
-    band storage (2r rows, F-ordered), which ``factor`` fills at
-    ``band_pos`` of ``_link_flat``; and ``u`` holds each member's
-    L^{-T} L_off^T.  The backward sweep's right-hand side takes the band
-    unknowns of a link from the rows ``b_src`` of the run's L^{-T} y and
-    those at ``out_rows``, the members attaching outside, from their
-    attach rows ``out_att``.
-    """
-
-    src: np.ndarray
-    dst: np.ndarray
-    lp_idx: np.ndarray
-    lp: np.ndarray
-    band: np.ndarray
-    band_pos: np.ndarray
-    u: np.ndarray
-    b_src: np.ndarray
-    out_rows: np.ndarray
-    out_att: np.ndarray
-
-
 class _Run(NamedTuple):
     """One step of the sweep plan: the n groups from k on, of width w and
     r attach rows, whose permuted coordinates are ``rows``.
 
-    A run of one group holds its 2-D blocks of L, their transposes and
-    its attach bag's slice ``att`` (None at the root group, as are its
-    edge blocks).  A run of n > 1 groups holds strided (n, w, w) and
-    (n, r, w) views into ``_l_flat``, the inverses of its diagonal factors
-    in ``_linv_flat`` and ``att``, its stretch of the attach-row array.  A run without links also holds ``blocks``, the flat positions
-    of its members' attach blocks in ``_l_flat`` (their updates, in
-    order); a run with links holds its :class:`_Links` instead.
+    A run of one group holds its 2-D blocks of L, their transposes, its
+    attach bag's slice ``att`` and, as ``blocks``, its view of that bag's
+    block (None at the root group, as are its edge blocks).  A run of
+    n > 1 groups holds strided (n, r, w) views of its edge blocks and, as
+    ``blocks``, the flat positions in ``_l_flat`` of the attach blocks
+    that its members update, in order.  A run without links also holds
+    its (n, w, w) diagonal blocks, their factors' inverses in
+    ``_linv_flat`` and ``att``, its stretch of the attach-row array.  A
+    run with links holds L's lower ``band`` over its rows instead, an
+    F-ordered (kd + 1, n w) array in LAPACK band storage, which ``factor``
+    fills from ``_l_flat`` through ``gather``, and ``out``, its
+    members that attach outside it, with their attach rows ``att``.
     """
 
     k: int
@@ -252,7 +223,9 @@ class _Run(NamedTuple):
     inv_t: np.ndarray
     att: object
     blocks: np.ndarray
-    links: _Links
+    band: np.ndarray
+    gather: np.ndarray
+    out: np.ndarray
 
 
 def _trtrs_failed(info: int, routine: str = "dtrtrs") -> IndefinitePivot:
@@ -317,13 +290,6 @@ def row_bags(g, bag_of: np.ndarray) -> tuple:
     return rows[new], bags[new]
 
 
-def _link_size(n: int, w: int, r: int, m: int) -> int:
-    """Floats of a :class:`_Links`' arrays for a run of n groups of width
-    w and r attach rows with m links: the band over n r unknowns, 2 r
-    rows deep, the m link columns and the n back products, w x r each."""
-    return n * r * 2 * r + (m + n) * w * r
-
-
 def _stack(flat: np.ndarray, off, n: int, rows: int, w: int) -> np.ndarray:
     """The (n, rows, w) view of n consecutive C-ordered rows x w blocks
     of ``flat``, the first at offset ``off``.  The buffer constructor
@@ -355,8 +321,9 @@ class TreeNormalSystem:
         self._layout(width)
         self._gtg, self._gtg_pos, self._gtg_val = self._static_gram()
         # each assembly writes H here and factor overwrites it with L, in
-        # place, through fixed block views
-        self._l_flat = np.empty(self._n_flat)
+        # place, through fixed block views; assemble_h zeroes the last
+        # entry too, which the band gathers of the runs with links read
+        self._l_flat = np.empty(self._n_flat + 1)
         self._l_blocks = self._blocks(self._l_flat)
         self._runs = self._sweep_views(self._sweep_plan())
         self._kron_runs = self._kron_run_views()
@@ -390,23 +357,32 @@ class TreeNormalSystem:
             )
         }
         self._nn_w2 = np.empty(self._nn.size)
+        # each coordinate's row in apply_h's stack of Kronecker and slack
+        # terms, whose last row is the 0.0 of the chain coordinates
+        termed = np.concatenate(
+            [idx.ravel() for idx in self._kron_idx.values()] + [self._nn]
+        )
+        self._term_row = np.full(self.dim, termed.size)
+        self._term_row[termed] = np.arange(termed.size)
         self._assemble_ops = int(np.sum(width * width)) + sum(
             runs[-1][1] * tri(o) * tri(o) * o
             for o, runs in self._kron_runs.items()
         )
         # per group w^3 / 3 + w for its diagonal block and w r (w + r) for
-        # its edge block and update; per run of several its inverses,
-        # w^3 / 3 each, and per run with links its link blocks, r^2 w
-        # each, and its back products, w^2 r per member
+        # its edge block and update, and per run of several without links
+        # its inverses, w^3 / 3 each; a run with links takes n w (kd^2 + 1)
+        # for its band and w r (kd + r) per member attaching outside it
         self._factor_ops = 0
         for run in self._runs:
             n, w, r = run.n, run.w, run.r
-            self._factor_ops += n * (
-                w ** 3 // 3 * (1 + (n > 1)) + w + w * r * (w + r)
-            )
-            if run.links:
-                self._factor_ops += (
-                    run.links.src.size * w * r * r + n * w * w * r
+            if run.band is None:
+                self._factor_ops += n * (
+                    w ** 3 // 3 * (1 + (n > 1)) + w + w * r * (w + r)
+                )
+            else:
+                kd = run.band.shape[0] - 1
+                self._factor_ops += n * w * (kd * kd + 1) + (
+                    run.out.size * w * r * (kd + r)
                 )
 
         # per-assembly state: sigma, and where H is held: None before an
@@ -548,107 +524,112 @@ class TreeNormalSystem:
         return [(a, b - a, w[a], r[a]) for a, b in zip(starts, ends)]
 
     def _sweep_views(self, plan) -> list:
-        """The :class:`_Run` of each run of ``plan``, and the per-group
-        factor steps of the runs of one group and of the runs with links.
+        """The :class:`_Run` of each run of ``plan``.
 
-        ``_steps[g]`` is group g's 2-D factor step: L's diagonal block and
-        its transpose, the F-ordered upper triangle that dtrtrs reads, L's
-        edge block, its transpose and its attach bag's block of L (None
-        for the last three at the root group).
         ``_attach_idx`` is the permuted rows of every group's attach bag,
         concatenated in elimination order.
         """
         n_groups = len(self.groups)
         l_diag, l_off = self._l_blocks
-        # each group's attach bag's first row in its group's block, and
-        # that bag's block of L
+        # each group's attach bag's first row in its group's block
         up = self._attach_group
         rel = self._block_row[n_groups:] - self._first[up]
-        spans = np.column_stack((up, rel, self._attach_rows)).tolist()
-        self._steps = [
-            (ld, ld.T, lo, _t(lo), l_diag[p][a:a + r, a:a + r] if r else None)
-            for ld, lo, (p, a, r) in zip(l_diag, l_off, spans)
-        ]
         self._attach_idx = ranges(
             self._block_row[n_groups:], self._attach_rows
         )
         att_end = np.cumsum(self._attach_rows)
         # the members of each run that attach to the next member
-        linked = [
-            np.flatnonzero(up[k:k + n - 1] == np.arange(k + 1, k + n))
-            for k, n, _, _ in plan
-        ]
+        linked = [up[k:k + n - 1] == np.arange(k + 1, k + n)
+                  for k, n, _, _ in plan]
         self._linv_flat = np.empty(sum(
-            n * w * w for _, n, w, _ in plan if n > 1
+            n * w * w for (_, n, w, _), src in zip(plan, linked)
+            if n > 1 and not src.any()
         ))
-        self._link_flat = np.zeros(sum(
-            _link_size(n, w, r, src.size)
-            for (_, n, w, r), src in zip(plan, linked) if src.size
-        ))
-        inv_at = link_at = 0
-        runs = []
-        for (k, n, w, r), src in zip(plan, linked):
+        # (read off the static pattern only where a run has links)
+        kds = (self._bandwidths(plan) if any(map(np.any, linked))
+               else [None] * len(plan))
+        runs, inv_at, spans = [], 0, np.column_stack((up, rel)).tolist()
+        for (k, n, w, r), src, kd in zip(plan, linked, kds):
             rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
-            blocks = links = None
             if n == 1:
-                ld, lo = l_diag[k], l_off[k]
-                inv, att = None, self._slabs[k]
+                # the 2-D factor step's blocks, and the attach block
+                (p, a), ld, lo = spans[k], l_diag[k], l_off[k]
+                attach = l_diag[p][a:a + r, a:a + r] if r else None
+                runs.append(_Run(k, n, w, r, rows, ld, _t(ld), lo, _t(lo),
+                                 None, None, self._slabs[k], attach, None,
+                                 None, None))
+                continue
+            lo = _stack(self._l_flat, self._block_off[k + n_groups], n, r, w)
+            ld = inv = band = gather = None
+            out = np.flatnonzero(~np.append(src, False))  # attaching outside
+            if src.any():
+                band = np.empty((n * w, kd + 1)).T
+                gather = self._band_gather(k, n, w, r, kd, src, rel[k:k + n])
+                att = ranges(self._block_row[n_groups + k + out],
+                             np.full(out.size, r))
             else:
-                d0, e0 = self._block_off[k], self._block_off[k + n_groups]
-                ld = _stack(self._l_flat, d0, n, w, w)
-                lo = _stack(self._l_flat, e0, n, r, w)
+                ld = _stack(self._l_flat, self._block_off[k], n, w, w)
                 inv = _stack(self._linv_flat, inv_at, n, w, w)
-                att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
-                if src.size:
-                    links = self._links(n, w, r, src, rel[k + src], att,
-                                        inv_at, link_at)
-                    link_at += _link_size(n, w, r, src.size)
-                else:
-                    # the flat positions of the members' attach blocks in L
-                    g = np.arange(k, k + n)
-                    wu = self._width[up[g], None, None]
-                    blocks = (
-                        self._block_off[up[g], None, None]
-                        + rel[g, None, None] * (wu + 1)
-                        + np.arange(r)[:, None] * wu + np.arange(r)
-                    ).ravel()
                 inv_at += n * w * w
+                att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
+            # the flat positions of those members' attach blocks in L
+            g = k + out
+            wu = self._width[up[g], None, None]
+            blocks = (
+                self._block_off[up[g], None, None]
+                + rel[g, None, None] * (wu + 1)
+                + np.arange(r)[:, None] * wu + np.arange(r)
+            ).ravel()
             runs.append(_Run(
                 k, n, w, r, rows, ld, _t(ld), lo, _t(lo), inv, _t(inv), att,
-                blocks, links,
+                blocks, band, gather, None if band is None else out,
             ))
         return runs
 
-    def _links(self, n, w, r, src, at, att, inv_at, link_at) -> _Links:
-        """The :class:`_Links` of a run of n groups of width w and r attach
-        rows ``att``, whose members ``src`` attach to the next member at
-        row ``at`` of its block.  The run's inverses lie in ``_linv_flat``
-        from ``inv_at`` on; the band, the link columns and the back
-        products in ``_link_flat`` from ``link_at`` on."""
-        m = src.size
-        size, kd = n * r, 2 * r - 1
-        flat = self._link_flat
-        lp_at = link_at + size * (kd + 1)
-        u_at = lp_at + m * w * r
-        # band column c holds the unknowns' rows c .. c + kd; link i's
-        # (a, b) entry lies in band row r + a - b of column i r + b
-        a, b = np.arange(r)[:, None], np.arange(r)
-        band_pos = link_at + (src[:, None, None] * r + b) * (kd + 1) + (
-            r + a - b
-        )
-        # columns at .. at + r of the next member's inverse
-        lp_idx = inv_at + (src + 1)[:, None, None] * (w * w) + (
-            np.arange(w)[:, None] * w + at[:, None, None] + b
-        )
-        b_src = np.zeros(size, dtype=np.int64)
-        b_src.reshape(n, r)[src] = (src + 1)[:, None] * w + at[:, None] + b
-        out = np.setdiff1d(np.arange(n), src)
-        out_rows = (out[:, None] * r + b).ravel()
-        return _Links(
-            src, src + 1, lp_idx, flat[lp_at:u_at].reshape(m, w, r),
-            flat[link_at:lp_at].reshape(size, kd + 1).T, band_pos.ravel(),
-            flat[u_at:u_at + n * w * r].reshape(n, w, r),
-            b_src, out_rows, att[out_rows],
+    def _bandwidths(self, plan) -> list:
+        """Each run's half bandwidth kd: the largest distance i - j from a
+        column j of the run to a row i of it at which the factor may meet
+        a nonzero.  That is an entry of G^T G inside the run, one of a
+        bag's Kronecker block, or one of a group's update of its attach
+        block, which spans the attach rows G^T G couples with the group
+        (they follow the group's rows).  A band Cholesky fills only inside
+        the band."""
+        run_of = np.repeat(np.arange(len(plan)),
+                           [n * w for _, n, w, _ in plan])
+        gtg = self._gtg.tocoo()
+        i, j = self._inv_perm[gtg.row], self._inv_perm[gtg.col]
+        kd = np.zeros(len(plan), dtype=np.int64)
+        inside = run_of[i] == run_of[j]
+        np.maximum.at(kd, run_of[i[inside]], np.abs(i - j)[inside])
+        np.maximum.at(kd, run_of[self._bag_start], tri(self.ctc.order) - 1)
+        group = self._group_of[self._bag_of]
+        cross = (i > j) & (group[i] != group[j])
+        lo, hi = np.full((2, len(self.groups)), [[self.dim], [-1]])
+        np.minimum.at(lo, group[j[cross]], i[cross])
+        np.maximum.at(hi, group[j[cross]], i[cross])
+        has = hi >= 0
+        np.maximum.at(kd, run_of[lo[has]], (hi - lo)[has])
+        return kd.tolist()
+
+    def _band_gather(self, k, n, w, r, kd, src, rel) -> np.ndarray:
+        """The positions in ``_l_flat`` of the band of the run of n groups
+        from k on, of width w and r attach rows, with half bandwidth kd:
+        entry (j, d) of the (n w, kd + 1) result holds H's entry in row
+        j + d and column j of the run, d rows below the diagonal entry of
+        column j when both lie in one member.  Member i attaches to the
+        next one where ``src[i]``, at row ``rel[i]`` of its block.  An
+        entry outside the members' diagonal blocks and the links' edge
+        blocks points at the zero slot that ends ``_l_flat``."""
+        d = np.arange(kd + 1)
+        mj, cj = np.divmod(np.arange(n * w), w)
+        below = cj[:, None] + d  # the row in member mj's block
+        a = below - (w + rel[mj])[:, None]  # the row in mj's edge block
+        link = np.append(src, False)[mj, None] & (a >= 0) & (a < r)
+        edge = self._block_off[len(self.groups) + k + mj] + cj
+        diag = self._diag_pos[self.slices[k].start:][:n * w]
+        return np.where(
+            below < w, diag[:, None] + d * w,
+            np.where(link, edge[:, None] + a * w, self._n_flat),
         )
 
     def _kron_run_views(self) -> dict:
@@ -774,10 +755,12 @@ class TreeNormalSystem:
         in the parent group, so the factor's bag-level off-diagonal
         pattern equals that of H itself (no fill).  A static shift of
         ``1e-12 * (1 + max diagonal)`` is applied before pivoting.  L is
-        written over the assembled H, so each assembly is factored once,
-        and a run of several groups also writes its factors' inverses,
-        which ``solve_h`` multiplies by; a run with links takes its
-        members one at a time and then fills its band arrays.
+        written over the assembled H, so each assembly is factored once.
+        A run without links also writes its factors' inverses, which
+        ``solve_h`` multiplies by.  A run with links gathers its band of H
+        and factors it in place by one LAPACK ``dpbtrf``; the edge block
+        of each member attaching outside the run needs only that member's
+        columns of the band, since L has no fill.
         """
         if self._h_in != "buffer":
             raise StructureViolation("assemble_h must run before each factor")
@@ -792,38 +775,49 @@ class TreeNormalSystem:
         work[self._diag_pos] += reg
         with lapack_errstate():
             for run in self._runs:
-                k, n, links = run.k, run.n, run.links
-                if n == 1:
-                    self._factor_group(k)
+                if run.n == 1:
+                    self._factor_group(run)
                     continue
-                if links is None:
-                    self._cholesky(k, run.l_diag)
-                else:
-                    # each diagonal block waits for its predecessor's update
-                    for g in range(k, k + n):
-                        self._factor_group(g)
-                # each factor's inverse, in place in its copy, from the
-                # upper triangle of its F-ordered transpose
-                np.copyto(run.inv, run.l_diag)
-                for a in run.inv:
-                    _, info = dtrtri(a.T, lower=0, overwrite_c=1)
-                    if info != 0:
-                        raise _trtrs_failed(info, "dtrtri")
-                if links is None:
+                if run.band is None:
+                    self._cholesky(run.k, run.l_diag)
+                    # each factor's inverse, in place in its copy, from the
+                    # upper triangle of its F-ordered transpose
+                    np.copyto(run.inv, run.l_diag)
+                    for a in run.inv:
+                        _, info = dtrtri(a.T, lower=0, overwrite_c=1)
+                        if info != 0:
+                            raise _trtrs_failed(info, "dtrtri")
                     run.l_off[...] = run.l_off @ run.inv_t
-                    # ufunc.at subtracts repeated positions (siblings that
-                    # share an attach bag) in member order
-                    np.subtract.at(self._l_flat, run.blocks,
-                                   (run.l_off @ run.l_off_t).ravel())
-                    continue
-                np.take(self._linv_flat, links.lp_idx, out=links.lp)
-                self._link_flat[links.band_pos] = (
-                    run.l_off[links.dst] @ links.lp
-                ).ravel()
-                np.matmul(run.inv_t, run.l_off_t, out=links.u)
+                    l_off = run.l_off
+                else:
+                    # the band of H, after the earlier runs' updates
+                    np.take(self._l_flat, run.gather, out=run.band.T)
+                    _, info = dpbtrf(run.band, lower=1, overwrite_ab=1)
+                    if info > 0:
+                        raise self._not_pd(run.k + (info - 1) // run.w)
+                    # L_off^T = L^{-1} H_off^T over the member's own columns
+                    for i in run.out.tolist():
+                        cols = slice(i * run.w, (i + 1) * run.w)
+                        _, info = dtbtrs(run.band[:, cols], run.l_off_t[i],
+                                         uplo="L", overwrite_b=1)
+                        if info != 0:
+                            raise _trtrs_failed(info, "dtbtrs")
+                    l_off = run.l_off[run.out]
+                # ufunc.at subtracts repeated positions (siblings that share
+                # an attach bag) in member order
+                np.subtract.at(self._l_flat, run.blocks,
+                               (l_off @ _t(l_off)).ravel())
         self.l_diag, self.l_off = self._l_blocks
         self.n_factor += 1
         self.last_factor_ops = self._factor_ops
+
+    def _not_pd(self, k) -> IndefinitePivot:
+        """The error that names group k's bags, which failed to factor."""
+        group = self.groups[k]
+        return IndefinitePivot(
+            f"diagonal block of bags {tuple(j + 1 for j in group)} is "
+            "not positive definite"
+        )
 
     def _cholesky(self, k, ld) -> None:
         """L's diagonal blocks ``ld`` of group k on, 2-D or stacked, in
@@ -833,25 +827,21 @@ class TreeNormalSystem:
         except np.linalg.LinAlgError as exc:
             # the gufunc writes NaN over each block it failed on
             failed = np.isnan(ld.reshape(-1, ld.shape[-1] ** 2))
-            group = self.groups[k + int(np.argmax(failed.any(1)))]
-            raise IndefinitePivot(
-                f"diagonal block of bags {tuple(j + 1 for j in group)} is "
-                "not positive definite"
-            ) from exc
+            raise self._not_pd(k + int(np.argmax(failed.any(1)))) from exc
 
-    def _factor_group(self, k):
-        """Group k's factor step: its diagonal block, then its edge block
-        L_off = H_off L^{-T}, solved over H_off in place as
+    def _factor_group(self, run):
+        """A run of one group's factor step: its diagonal block, then its
+        edge block L_off = H_off L^{-T}, solved over H_off in place as
         solve_triangular(ld, h_off.T, lower=True).T, then its update of
         its attach bag's block (none at the root group)."""
-        ld, lt, l_off, l_off_t, attach = self._steps[k]
-        self._cholesky(k, ld)
-        if attach is None:
+        self._cholesky(run.k, run.l_diag)
+        if run.blocks is None:
             return
-        _, info = dtrtrs(lt, l_off_t, lower=0, trans=1, overwrite_b=1)
+        _, info = dtrtrs(run.l_diag_t, run.l_off_t, lower=0, trans=1,
+                         overwrite_b=1)
         if info != 0:
             raise _trtrs_failed(info)
-        attach -= l_off @ l_off_t
+        run.blocks[...] -= run.l_off @ run.l_off_t
 
     def set_rank1(self, q) -> None:
         """Install the rank-1 term and precompute its solve and denominator."""
@@ -911,10 +901,11 @@ class TreeNormalSystem:
         k = x.shape[1]
         # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
         # solve_triangular(L, b, lower=True, trans=...) calls it; a run
-        # multiplies by its factors' inverses instead.  Each record is
-        # unpacked once, which costs less than its attribute reads
-        for (_, n, w, r, rows, _, l_diag_t, l_off, _, inv, _, att, _,
-             links) in self._runs:
+        # without links multiplies by its factors' inverses instead, and a
+        # run with links solves with its band.  Each record is unpacked
+        # once, which costs less than its attribute reads
+        for (_, n, w, r, rows, _, l_diag_t, l_off, _, inv, _, att, _, band,
+             _, out) in self._runs:
             if n == 1:
                 yk, info = dtrtrs(l_diag_t, x[rows], lower=0, trans=1)
                 if info != 0:
@@ -923,24 +914,23 @@ class TreeNormalSystem:
                 if att is not None:
                     x[att] -= l_off @ yk
                 continue
-            y = inv @ x[rows].reshape(n, w, k)
-            below = (l_off @ y).reshape(n * r, k)
-            if links is not None:
-                # the edge terms, each link's taken off the next member
-                below, info = dtbtrs(links.band, below, uplo="L", diag="U",
-                                     overwrite_b=1)
+            if band is None:
+                y = inv @ x[rows].reshape(n, w, k)
+                below = (l_off @ y).reshape(n * r, k)
+                x[rows] = y.reshape(n * w, k)
+            else:
+                x[rows], info = dtbtrs(band, x[rows], uplo="L")
                 if info != 0:
                     raise _trtrs_failed(info, "dtbtrs")
-                y[links.dst] -= links.lp @ below.reshape(n, r, k)[links.src]
-                below, att = below[links.out_rows], links.out_att
-            x[rows] = y.reshape(n * w, k)
+                y = x[rows].reshape(n, w, k)
+                below = (l_off[out] @ y[out]).reshape(-1, k)
             # ufunc.at subtracts repeated rows in sequence, one column at a
             # time since on a 1-D operand it skips numpy's per-row subarray
             # loop
             for j in range(k):
                 np.subtract.at(x[:, j], att, below[:, j])
-        for (_, n, w, r, rows, _, l_diag_t, _, l_off_t, _, inv_t, att, _,
-             links) in reversed(self._runs):
+        for (_, n, w, r, rows, _, l_diag_t, l_off, l_off_t, _, inv_t, att,
+             _, band, _, out) in reversed(self._runs):
             if n == 1:
                 t = x[rows]
                 if att is not None:
@@ -951,20 +941,14 @@ class TreeNormalSystem:
                 x[rows] = xk
                 continue
             y = x[rows].reshape(n, w, k)
-            if links is None:
+            if band is None:
                 t = y - l_off_t @ x[att].reshape(n, r, k)
                 x[rows] = (inv_t @ t).reshape(n * w, k)
                 continue
-            # the attach rows' final values: a link's from the next
-            # member's, the others' from a later run's
-            v = inv_t @ y
-            d = v.reshape(n * w, k)[links.b_src]
-            d[links.out_rows] = x[links.out_att]
-            d, info = dtbtrs(links.band, d, uplo="L", trans="T", diag="U",
-                             overwrite_b=1)
+            y[out] -= _t(l_off[out]) @ x[att].reshape(-1, r, k)
+            x[rows], info = dtbtrs(band, x[rows], uplo="L", trans="T")
             if info != 0:
                 raise _trtrs_failed(info, "dtbtrs")
-            x[rows] = (v - links.u @ d.reshape(n, r, k)).reshape(n * w, k)
         x = np.take(x, self._inv_perm, axis=0)
         return x[:, 0] if single else x
 
@@ -993,20 +977,22 @@ class TreeNormalSystem:
     def apply_h(self, x):
         """H x from the parts of the assembled (unregularized) H, in the
         original coordinates: sigma (G^T G) x by one sparse product, then
-        per order one stacked product of its Kronecker blocks with its
-        bags' coordinates, then the slack scalings.  Each entry gets its
-        terms in the order ``assemble_h`` adds them, and no buffer is
-        read, so the result is the same before and after ``factor``.
+        each order's stacked product of its Kronecker blocks with its bags'
+        coordinates and the slack scalings' terms, stacked and added by one
+        gather, which adds 0.0 to a chain coordinate.  Each entry gets its
+        terms in the order ``assemble_h`` adds them, and no buffer is read,
+        so the result is the same before and after ``factor``.
         """
         if self._h_in is None:
             raise StructureViolation("assemble_h must run before apply_h")
         v, single = self._as_columns(x)
+        k = v.shape[1]
+        terms = [
+            (kron @ np.take(v, self._kron_idx[o], axis=0)).reshape(-1, k)
+            for o, kron in self._kron.items()
+        ] + [self._nn_w2[:, None] * v[self._nn], np.zeros((1, k))]
         out = self.sigma * (self._gtg @ v)
-        for o, kron in self._kron.items():
-            idx = self._kron_idx[o]
-            out[idx] += kron @ np.take(v, idx, axis=0)
-        nn = self._nn
-        out[nn] += self._nn_w2[:, None] * v[nn]
+        out += np.take(np.concatenate(terms), self._term_row, axis=0)
         return out[:, 0] if single else out
 
     def apply_normal(self, x):
@@ -1037,26 +1023,27 @@ class TreeNormalSystem:
 
     def memory_bytes(self) -> int:
         """Bytes of the engine's numeric storage, allocated once: the buffer
-        of H and L, the inverse factors of the runs of several groups, the
-        band arrays of the runs with links, G^T G as (position, value)
+        of H and L, the inverse factors of the runs without links, the
+        bands of the runs with links, G^T G as (position, value)
         pairs and as a CSR matrix, H's parts that ``apply_h`` reads
         (tri(o)^2 Kronecker floats per order-o bag and one scaling per
         slack coordinate), the index arrays that the runs and ``apply_h``
         gather and scatter through, and q with its solve."""
         gtg = self._gtg
-        index = sum(
-            a.nbytes for run in self._runs
-            for a in (run.blocks, *(run.links or ()))
-            if a is not None and a.dtype.kind == "i"
-        ) + sum(a.nbytes for a in self._kron_idx.values())
+        runs = sum(
+            a.nbytes for run in self._runs if run.n > 1
+            for a in (run.blocks, run.band, run.gather, run.out,
+                      None if run.band is None else run.att)
+            if a is not None
+        )
         return (
-            self._l_flat.nbytes + self._linv_flat.nbytes
-            + self._link_flat.nbytes
+            self._l_flat.nbytes + self._linv_flat.nbytes + runs
             + self._gtg_pos.nbytes + self._gtg_val.nbytes
             + gtg.data.nbytes + gtg.indices.nbytes + gtg.indptr.nbytes
             + self._kron_flat.nbytes + self._nn_w2.nbytes
-            + self._attach_idx.nbytes + self._nn.nbytes + index
-            + 2 * self.dim * self._l_flat.itemsize
+            + sum(a.nbytes for a in self._kron_idx.values())
+            + self._attach_idx.nbytes + self._nn.nbytes
+            + self._term_row.nbytes + 2 * self.dim * self._l_flat.itemsize
         )
 
 

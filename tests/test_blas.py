@@ -4,6 +4,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy
 
 from treesdp import ipm
 from treesdp.blas import _thread_calls, bundled_openblas, one_blas_thread
@@ -11,30 +12,42 @@ from treesdp.chordal import Graph
 from treesdp.frontends import gen_maxkcut, solve_sdp
 
 calls = _thread_calls()
-get_threads = calls[0] if calls is not None else (lambda: None)
+PINNED = (1,) * len(calls)
 
 
-def _numpy_blas_name() -> str:
+def get_threads() -> tuple:
+    """The thread count of each bundled OpenBLAS."""
+    return tuple(get() for get, _ in calls)
+
+
+def _blas_name(module) -> str:
     try:
-        config = np.show_config(mode="dicts")
+        config = module.show_config(mode="dicts")
     except TypeError:  # numpy < 1.26 prints its config only
         return ""
     return config["Build Dependencies"]["blas"].get("name", "")
 
 
 def test_bundled_openblas_thread_calls_are_found():
-    if _numpy_blas_name() == "scipy-openblas":
-        assert bundled_openblas(), "numpy wheel without its OpenBLAS"
+    # numpy's and scipy's wheels each bundle one, and the engine calls both
+    for module in (np, scipy):
+        if _blas_name(module) == "scipy-openblas":
+            assert any(
+                f"{module.__name__}.libs" in path or ".dylibs" in path
+                for path in bundled_openblas()
+            ), f"{module.__name__} wheel without its OpenBLAS"
     if bundled_openblas():
-        assert calls is not None, "bundled OpenBLAS exports no thread calls"
-    if calls is None:
+        assert len(calls) == len(bundled_openblas()), (
+            "a bundled OpenBLAS exports no thread calls"
+        )
+    if not calls:
         pytest.skip("numpy uses a BLAS other than its bundled OpenBLAS")
 
 
 def test_one_blas_thread_pins_and_restores():
     before = get_threads()
     with one_blas_thread():
-        assert get_threads() in (1, None)
+        assert get_threads() == PINNED
     assert get_threads() == before
     with pytest.raises(RuntimeError):
         with one_blas_thread():
@@ -66,7 +79,7 @@ def test_overlapping_blocks_from_two_threads_share_one_pin():
         t.start()
     for t in threads:
         t.join(timeout=30)
-    assert seen["b after a left"] in (1, None)
+    assert seen["b after a left"] == PINNED
     assert get_threads() == before
 
 
@@ -88,7 +101,7 @@ def _threads_seen_by_directions(monkeypatch, method):
 def test_block_tree_ipm_iterates_on_one_blas_thread(monkeypatch):
     before = get_threads()
     for method in ("dctc", "dctc-aux"):
-        assert _threads_seen_by_directions(monkeypatch, method) <= {1, None}
+        assert _threads_seen_by_directions(monkeypatch, method) <= {PINNED}
     assert get_threads() == before
 
 

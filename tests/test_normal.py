@@ -17,7 +17,7 @@ from numpy.lib.array_utils import byte_bounds
 from treesdp import normal
 from treesdp.chordal import Graph, TreeDecomposition, decompose, sparsity_graph
 from treesdp.convert import build_ctc, dualize, separate_with_aux
-from treesdp.frontends import gen_maxkcut, solve_sdp
+from treesdp.frontends import gen_lovasz_theta, gen_maxkcut, solve_sdp
 from treesdp.errors import (
     DenominatorUnderflow,
     DimensionMismatch,
@@ -37,8 +37,10 @@ from treesdp.normal import (
 from util import (
     ReferenceTreeNormal,
     SparseSymmetric,
+    _dense_blocks,
     buffer_h_dense,
     dense_h_oracle,
+    factor_bands,
     h_dense,
     loop_factor_ops,
     loop_kron_runs,
@@ -48,6 +50,7 @@ from util import (
     offdiag_block_counts,
     path_rayleigh_problem,
     plain_row_coupling,
+    power_flow_problem,
     random_partially_separable_problem,
     random_rooted_tree,
     random_scaling_data,
@@ -583,8 +586,8 @@ def test_star_dualized_h_has_tree_pattern():
 def test_memory_counter_equals_walk_over_blocks():
     # the star's leaf groups form a stacked run, whose inverses count too;
     # the chain on a path under dctc-aux forms a run with links, whose
-    # band arrays and index arrays count as well, and so do H's parts,
-    # which apply_h reads
+    # band and index arrays count as well, and so do H's parts, which
+    # apply_h reads
     rng = np.random.default_rng(47)
     random_tree = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
     cases = (
@@ -599,18 +602,21 @@ def test_memory_counter_equals_walk_over_blocks():
         before = sys_.memory_bytes()  # allocated with the engine
         sys_.update(sigma, q, psd_w, nn_w2)
         stacked = [run for run in sys_._runs if run.n > 1]
-        chains = [run.links for run in stacked if run.links]
+        chains = [run for run in stacked if run.band is not None]
         assert bool(stacked) == (runs is not None)
         assert bool(chains) == (runs == "links")
         gtg = sys_._gtg
+        # the blocks, and the buffer's zero slot that the bands gather
         walked = sum(
             blk.nbytes
             for group in (sys_.l_diag, sys_.l_off)
             for blk in group
             if blk is not None
-        ) + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
+        ) + 8 + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
             sys_._u_q.nbytes
-        ) + sys_._attach_idx.nbytes + sum(run.inv.nbytes for run in stacked)
+        ) + sys_._attach_idx.nbytes + sum(
+            run.inv.nbytes for run in stacked if run.band is None
+        )
         # G^T G for apply_h, and the parts of H it reads with their index
         # arrays
         walked += gtg.data.nbytes + gtg.indices.nbytes + gtg.indptr.nbytes
@@ -618,16 +624,14 @@ def test_memory_counter_equals_walk_over_blocks():
             kron.nbytes for kron in sys_._kron.values()
         ) + sys_._nn_w2.nbytes + sys_._nn.nbytes + sum(
             idx.nbytes for idx in sys_._kron_idx.values()
-        )
-        # a stacked run's attach-block positions
-        walked += sum(
-            run.blocks.nbytes for run in stacked if run.links is None
-        )
-        for links in chains:
+        ) + sys_._term_row.nbytes
+        # a run's attach-block positions
+        walked += sum(run.blocks.nbytes for run in stacked)
+        # a run with links' band, its gather index, and its members
+        # attaching outside it with their attach rows
+        for run in chains:
             walked += sum(a.nbytes for a in (
-                links.band, links.lp, links.u, links.src, links.dst,
-                links.lp_idx, links.band_pos, links.b_src, links.out_rows,
-                links.out_att,
+                run.band, run.gather, run.out, run.att,
             ))
         assert before == sys_.memory_bytes() == walked
         assert sys_.pattern_stats()["bytes"] == walked
@@ -638,8 +642,8 @@ def test_memory_counter_equals_walk_over_blocks():
 def test_memory_counter_grows_linearly_in_blocks():
     # every size holds a run with links, so each doubling compares one
     # layout: a 20-vertex path has two groups and no run of several, and
-    # the inverse buffer of the run that forms from three groups on adds
-    # w^2 per member at once
+    # the run that forms from three groups on adds its band and its
+    # gather index at once
     sizes = [40, 80, 160]
     bytes_seen = []
     for n in sizes:
@@ -649,7 +653,7 @@ def test_memory_counter_grows_linearly_in_blocks():
         stats = sys_.pattern_stats()
         assert stats["fill_blocks"] == 0
         assert stats["blocks"] == td.ell
-        assert any(run.links for run in sys_._runs)
+        assert any(run.band is not None for run in sys_._runs)
         bytes_seen.append(stats["bytes"])
     for small, large in zip(bytes_seen, bytes_seen[1:]):
         assert 1.5 <= large / small <= 2.7
@@ -827,6 +831,21 @@ def _reference_instance(kind):
             sparsity_graph(problem.n, problem.triplets), [21, 22, *range(21)]
         )
         return problem, td, False
+    if kind == "power-flow":
+        # the 3 x 30 power-flow grid under dctc-aux: one run with links of
+        # one-bag groups whose band (kd = 30) is wider than a group (w = r
+        # = 20)
+        problem = power_flow_problem(3, 30)
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
+        return problem, td, True
+    if kind == "theta-fan":
+        # Lovasz theta on a 40-cycle: the minimum-degree order makes a fan
+        # of bags on one vertex, one run with links of half bandwidth 10
+        problem = gen_lovasz_theta(
+            Graph(40, [(i, (i + 1) % 40) for i in range(40)])
+        )
+        td = decompose(sparsity_graph(problem.n, problem.triplets))
+        return problem, td, False
     if kind == "path-aux":
         # MAX 3-CUT on a 40-vertex path under dctc-aux: a chain of groups
         # with slacks, which factor and solve_h take as a run with links
@@ -880,25 +899,26 @@ def assert_matches_reference(kind):
     gtg_diag, gtg_off = sys_._blocks(gtg_flat)
     assert same(gtg_diag, ref.gtg_diag) and same(gtg_off, ref.gtg_off)
     assert same(h_diag, ref.h_diag) and same(h_off, ref.h_off)
-    assert same(sys_.l_diag, ref.l_diag) and same(sys_.l_off, ref.l_off)
-    # the inverses of the runs of several, against the reference's per
-    # group, and the band arrays of the runs with links
+    # L: the flat buffer's blocks outside the runs with links, and each
+    # run with links' band, against the reference's per group and its
+    # bands gathered entry by entry
+    bands = factor_bands(sys_)
+    assert np.array_equal(
+        _dense_blocks(sys_, sys_.l_diag, sys_.l_off, False, bands),
+        _dense_blocks(sys_, ref.l_diag, ref.l_off, False,
+                      ref.factor_bands()),
+    )
+    assert len(bands) == len(ref.factor_bands())
+    for (rows, band), (ref_rows, ref_band) in zip(bands, ref.factor_bands()):
+        assert rows == ref_rows and np.array_equal(band, ref_band)
+    # the inverses of the runs without links, against the reference's per
+    # group
     inverses = {
         run.k + i: inv for run in sys_._runs if run.inv is not None
         for i, inv in enumerate(run.inv)
     }
     assert inverses.keys() == ref.l_inv.keys()
     assert all(np.array_equal(inverses[k], ref.l_inv[k]) for k in inverses)
-    chains = {run.k: run.links for run in sys_._runs if run.links}
-    assert chains.keys() == ref.band.keys()
-    for k, links in chains.items():
-        assert np.array_equal(links.band, ref.band[k])
-        assert np.array_equal(links.band[0], np.zeros(links.band.shape[1]))
-        g = k + links.src
-        assert all(np.array_equal(a, ref.lp[i]) for a, i in zip(links.lp, g))
-        assert all(
-            np.array_equal(a, ref.u[k + i]) for i, a in enumerate(links.u)
-        )
     rng = np.random.default_rng(59)
     for rhs in (
         rng.standard_normal(ctc.dim_z),
@@ -922,9 +942,11 @@ def test_engine_matches_reference_bit_for_bit(kind):
         assert ctc.n_aux.sum() > 0
         assert ctc.n_nn.any()
     assert any(run.inv is not None for run in sys_._runs) == (
-        kind in ("star", "spider", "path-aux")
+        kind in ("star", "spider")
     )
-    assert any(run.links for run in sys_._runs) == (kind == "path-aux")
+    assert any(run.band is not None for run in sys_._runs) == (
+        kind == "path-aux"
+    )
 
 
 @pytest.mark.parametrize("kind", ["path", "spider", "path-aux", "branch"])
@@ -937,21 +959,88 @@ def test_engine_matches_reference_on_one_bag_groups(kind, monkeypatch):
     # scattering its edge terms before its own rows take theirs
     monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
     sys_ = assert_matches_reference(kind)
-    chains = [run for run in sys_._runs if run.links]
-    outside = [run.n - run.links.src.size for run in chains]
+    chains = [run for run in sys_._runs if run.band is not None]
+    outside = [run.out.size for run in chains]
     if kind == "spider":
         assert max(outside) > 1
+        # a member attaching outside its run has a successor in the run
+        assert any(run.out[0] < run.n - 1 for run in chains)
     elif kind == "branch":
         assert outside == [1, 1]
         up = sys_._attach_group.tolist()
         assert any(
-            up[h] == run.k + i
-            for run in chains for i in run.links.dst.tolist()
+            up[h] == run.k + i + 1
+            for run in chains for i in range(run.n - 1)
+            if up[run.k + i] == run.k + i + 1
             for h in range(run.k)
         )
     else:
         assert outside == [1]
-        assert chains[0].links.src.tolist() == list(range(chains[0].n - 1))
+        assert chains[0].out.tolist() == [chains[0].n - 1]
+
+
+# runs with links whose members attach outside the run in its middle, whose
+# band is wider than a group, and a theta fan
+BAND_CASES = [("spider", 0), ("power-flow", GROUP_WIDTH),
+              ("theta-fan", GROUP_WIDTH)]
+
+
+@pytest.mark.parametrize("kind, cap", BAND_CASES)
+def test_band_runs_match_the_dense_oracle_and_the_reference(
+    kind, cap, monkeypatch
+):
+    # assemble_h, factor and solve_h give the reference's bits, band by
+    # band, and solve_h inverts the dense oracle's H plus the static shift
+    # to rounding
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    sys_ = assert_matches_reference(kind)
+    bands = [run for run in sys_._runs if run.band is not None]
+    kd = [run.band.shape[0] - 1 for run in bands]
+    if kind == "spider":
+        assert any(run.out[0] < run.n - 1 for run in bands)
+    if kind == "power-flow":
+        (run,) = bands
+        assert (run.n, run.w, run.r, kd) == (80, 20, 20, [30])
+    if kind == "theta-fan":
+        assert kd == [10] and bands[0].w == 30
+    ctc = sys_.ctc
+    rng = np.random.default_rng(41)
+    sigma, _, psd_w, nn_w2 = random_scaling_data(rng, ctc)
+    sys_.assemble_h(sigma, psd_w, nn_w2)
+    h = dense_h_oracle(ctc, sigma, psd_w, nn_w2)
+    shift = normal.REGULARIZATION_REL * (1.0 + max(np.max(np.diag(h)), 0.0))
+    sys_.factor()
+    b = rng.standard_normal((ctc.dim_z, 3))
+    x = sys_.solve_h(b)
+    resid = b - h @ x - shift * x
+    assert np.linalg.norm(resid) <= 1e-14 * (
+        np.linalg.norm(h, 2) * np.linalg.norm(x) + np.linalg.norm(b)
+    )
+
+
+@pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
+@pytest.mark.parametrize("kind", [*RUN_KINDS, "branch", "power-flow",
+                                  "theta-fan"])
+def test_band_width_is_the_assembled_h_bandwidth(kind, cap, monkeypatch):
+    # the half bandwidth each run with links reads off the static pattern
+    # is the largest |i - j| over the nonzeros of its rows' square of the
+    # assembled H, in the engine's order
+    monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
+    problem, td, with_aux = _reference_instance(kind)
+    ctc, sys_, sigma, _, psd_w, nn_w2 = build_system(
+        problem, td, with_aux=with_aux, seed=13
+    )
+    sys_.assemble_h(sigma, psd_w, nn_w2)
+    h = h_dense(sys_)[np.ix_(sys_.perm, sys_.perm)]
+    seen = 0
+    for run in sys_._runs:
+        if run.band is not None:
+            i, j = np.nonzero(h[run.rows, run.rows])
+            assert run.band.shape[0] - 1 == np.max(np.abs(i - j))
+            seen += 1
+    assert seen or kind in ("star", "random-tree", "dctc-aux") or (
+        cap == GROUP_WIDTH and kind in ("path", "spider", "branch")
+    )
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -1048,8 +1137,9 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     # only member whose attach bag a group holds is its predecessor (a
     # link), and each ending only where the next group changes shape or
     # holds another member's attach bag; a run of several is strided views
-    # of its groups' blocks of L and of a separate inverse buffer, and a
-    # run with links holds its band arrays in a buffer of their own
+    # of its groups' edge blocks, a run without links also of its diagonal
+    # blocks and of a separate inverse buffer, and a run with links holds
+    # its band in a buffer of its own
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     groups, parent = sys_.groups, td.parent.tolist()
@@ -1092,35 +1182,26 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
         None if s is None else np.arange(s.start, s.stop)
         for s in sys_._slabs
     ]
-    # each group's 2-D factor step, which the runs of one group and the
-    # members of a run with links take
-    attach_of = [attach for *_, attach in sys_._steps]
-    for g, (ld, lt, lo, lo_t, attach) in enumerate(sys_._steps):
-        assert same_view(ld, l_diag[g]) and same_view(lt, l_diag[g].T)
-        if lo is None:
-            assert lo_t is attach is None
-            continue
-        assert same_view(lo, l_off[g]) and same_view(lo_t, l_off[g].T)
-        b = parent[groups[g][-1]]
+    # each group's attach bag's block of L, which its factor step updates
+    attach_of = []
+    for g in range(len(groups)):
+        b, r = parent[groups[g][-1]], shape[g][1]
         at = sys_._bag_start[b] - sys_.slices[up[g]].start
-        r = shape[g][1]
-        assert same_view(attach, l_diag[up[g]][at:at + r, at:at + r])
+        attach_of.append(l_diag[up[g]][at:at + r, at:at + r] if r else None)
     assert sys_._linv_flat.size == sum(
-        run.n * run.w * run.w for run in plan if run.n > 1
-    )
-    assert sys_._link_flat.size == sum(
-        run.n * run.r * 2 * run.r + (m + run.n) * run.w * run.r
-        for run, m in zip(plan, linked) if m
-    )
-    buffers = (
-        (sys_._l_flat, ("l_diag", "l_diag_t", "l_off", "l_off_t")),
-        (sys_._linv_flat, ("inv", "inv_t")),
+        run.n * run.w * run.w for run, m in zip(plan, linked)
+        if run.n > 1 and not m
     )
     for run, m in zip(plan, linked, strict=True):
         k, n, w, r = run.k, run.n, run.w, run.r
         members = range(k, k + n)
         if n == 1:
-            assert run.inv is run.inv_t is run.blocks is run.links is None
+            assert run.inv is run.inv_t is None
+            assert run.band is run.gather is run.out is None
+            if attach_of[k] is None:
+                assert run.blocks is None
+            else:
+                assert same_view(run.blocks, attach_of[k])
             assert same_view(run.l_diag, l_diag[k])
             assert same_view(run.l_diag_t, l_diag[k].T)
             if l_off[k] is None:
@@ -1129,54 +1210,51 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
             assert same_view(run.l_off, l_off[k])
             assert same_view(run.l_off_t, l_off[k].T)
             continue
-        for flat, names in buffers:
-            flat_lo, flat_hi = byte_bounds(flat)
-            for name in names:
-                view_lo, view_hi = byte_bounds(getattr(run, name))
-                assert flat_lo <= view_lo and view_hi <= flat_hi
-        assert run.l_diag.shape == run.inv.shape == (n, w, w)
         assert run.l_off.shape == (n, r, w)
         for i, g in enumerate(members):
-            assert same_view(run.l_diag[i], l_diag[g])
-            assert same_view(run.l_diag_t[i], l_diag[g].T)
             assert same_view(run.l_off[i], l_off[g])
             assert same_view(run.l_off_t[i], l_off[g].T)
-            assert same_view(run.inv_t[i], run.inv[i].T)
+        # the members whose updates the run subtracts, and the flat
+        # positions of their attach blocks, in order
+        out = range(n) if not m else [
+            i for i in range(n) if i == n - 1 or up[k + i] != k + i + 1
+        ]
+        base = sys_._l_flat.ctypes.data
+        assert np.array_equal(run.blocks, np.concatenate([
+            (blk.ctypes.data - base) // 8 + np.add.outer(
+                np.arange(r) * blk.strides[0] // 8, np.arange(r)
+            ).ravel() for blk in (attach_of[k + i] for i in out)
+        ]))
         if not m:
-            assert run.links is None
-            # the flat positions of each member's attach block, in order
-            base = sys_._l_flat.ctypes.data
-            assert np.array_equal(run.blocks, np.concatenate([
-                (blk.ctypes.data - base) // 8 + np.add.outer(
-                    np.arange(r) * blk.strides[0] // 8, np.arange(r)
-                ).ravel() for blk in (attach_of[g] for g in members)
-            ]))
+            assert run.band is run.gather is run.out is None
+            flat_lo, flat_hi = byte_bounds(sys_._linv_flat)
+            for view in (run.inv, run.inv_t):
+                view_lo, view_hi = byte_bounds(view)
+                assert flat_lo <= view_lo and view_hi <= flat_hi
+            assert run.l_diag.shape == run.inv.shape == (n, w, w)
+            for i, g in enumerate(members):
+                assert same_view(run.l_diag[i], l_diag[g])
+                assert same_view(run.l_diag_t[i], l_diag[g].T)
+                assert same_view(run.inv_t[i], run.inv[i].T)
             continue
-        # a run with links: its link members and the attach rows of the
-        # others
-        links = run.links
-        assert run.blocks is None
-        src = [i for i in range(n - 1) if up[k + i] == k + i + 1]
-        assert links.src.tolist() == src
-        assert links.dst.tolist() == [i + 1 for i in src]
-        out = [i for i in range(n) if i not in src]
+        # a run with links: its band, and the members attaching outside
+        # it with their attach rows
+        assert run.l_diag is run.inv is None
+        assert run.out.tolist() == out
         assert np.array_equal(
-            links.out_att, np.concatenate([slabs[k + i] for i in out])
+            run.att, np.concatenate([slabs[k + i] for i in out])
         )
-        assert links.band.shape == (2 * r, n * r)
-        assert links.band.flags.f_contiguous
-        assert links.lp.shape == (m, w, r) and links.u.shape == (n, w, r)
-        link_lo, link_hi = byte_bounds(sys_._link_flat)
-        for view in (links.band, links.lp, links.u):
-            view_lo, view_hi = byte_bounds(view)
-            assert link_lo <= view_lo and view_hi <= link_hi
+        assert run.band.shape == (run.band.shape[0], n * w)
+        assert run.band.flags.f_contiguous and run.band.base.base is None
+        assert run.gather.shape == run.band.T.shape
 
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_runs_span_their_groups_and_attach_rows(kind):
-    # each run spans its groups' rows, and a run of several scatters onto
-    # the attach rows of its members, the full stretch of the attach-row
-    # array
+    # each run spans its groups' rows; a run of several without links
+    # scatters onto the attach rows of its members, the full stretch of
+    # the attach-row array, and a run with links onto those of its members
+    # that attach outside it, since its links' rows lie in its band
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     slabs = [
@@ -1196,9 +1274,12 @@ def test_runs_span_their_groups_and_attach_rows(kind):
         if n == 1:
             assert run.att == sys_._slabs[k]
             continue
+        out = range(n) if run.band is None else run.out.tolist()
         assert np.array_equal(
-            run.att, np.concatenate([slabs[g] for g in range(k, k + n)])
+            run.att, np.concatenate([slabs[k + i] for i in out])
         )
+        rows = run.rows
+        assert not ((run.att >= rows.start) & (run.att < rows.stop)).any()
     # the sweeps' two ordering hazards: siblings that share attach rows in
     # one stacked run (np.subtract.at takes a repeated row in sequence),
     # and a child whose attach bag lies in its own run
@@ -1206,9 +1287,12 @@ def test_runs_span_their_groups_and_attach_rows(kind):
     if kind == "star":
         assert any(np.unique(run.att).size < run.att.size for run in stacked)
     if kind == "path-aux":
-        (run,) = [run for run in stacked if run.links]
+        (run,) = [run for run in stacked if run.band is not None]
         rows = run.rows
-        assert ((run.att >= rows.start) & (run.att < rows.stop)).any()
+        inside = np.concatenate(
+            [slabs[g] for g in range(run.k, run.k + run.n)]
+        )
+        assert ((inside >= rows.start) & (inside < rows.stop)).any()
 
 
 @pytest.mark.parametrize("cap", (0, GROUP_WIDTH))
@@ -1257,10 +1341,10 @@ def test_apply_h_never_reads_the_factored_buffer(kind, cap, monkeypatch):
     "kind", ["star", "spider", "random-tree", "path", "dctc-aux", "path-aux"]
 )
 def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
-    # the runs of several multiply by explicit inverses, and the runs with
-    # links solve a band system; after two updates, the residual against
-    # H plus factor's static shift (H applied by apply_h) stays at
-    # rounding.  Against H alone the shift leaves 1e-12 (1 + max diag) |x|,
+    # the runs of several without links multiply by explicit inverses, and
+    # the runs with links solve with their band; after two updates, the
+    # residual against H plus factor's static shift (H applied by apply_h)
+    # stays at rounding.  Against H alone the shift leaves 1e-12 (1 + max diag) |x|,
     # about 1e-11 |b| here.
     monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
     problem, td, with_aux = _reference_instance(kind)
@@ -1268,7 +1352,7 @@ def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
     assert sys_.pattern_stats()["stacked_groups"] > 0 or (
         kind in ("random-tree", "path", "dctc-aux") and cap == GROUP_WIDTH
     )
-    assert any(run.links for run in sys_._runs) == (
+    assert any(run.band is not None for run in sys_._runs) == (
         kind == "path-aux" or (kind in ("path", "spider") and cap == 0)
     )
     sys_.update(*first)
@@ -1323,13 +1407,13 @@ def test_indefinite_block_in_a_run_names_its_group(monkeypatch):
 
 
 def test_indefinite_block_in_a_run_with_links_names_its_group(monkeypatch):
-    # a run with links factors its members one at a time: the first
-    # indefinite block stops the factor and is named
+    # a run with links factors its band by one dpbtrf: the first failed
+    # pivot stops the factor, and its group is named
     monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
     problem, td, _ = _reference_instance("path")
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)
     (run,) = [run for run in sys_._runs if run.n > 1]
-    assert run.links
+    assert run.band is not None
     for g in (run.k + 1, run.k + run.n // 2, run.k + run.n - 1):
         (j,) = sys_.groups[g]  # not the run's first
         bad = {key: w.copy() for key, w in psd_w.items()}

@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dtbtrs, dtrtri
+from scipy.linalg.lapack import dpbtrf, dtbtrs, dtrtri
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
 from treesdp.convert import ConvertedProblem
@@ -230,19 +230,35 @@ def check_interior(ops, z, label="point"):
         raise NotInterior(f"{label}: a slack coordinate is nonpositive")
 
 
-def _dense_blocks(sys_, diag, off, mirror):
+def _dense_blocks(sys_, diag, off, mirror, bands=()):
     """A normal system's group blocks as one dense matrix in the original
     coordinates; ``mirror`` also fills the upper triangle of each edge
-    block."""
+    block.  Each (rows, band) of ``bands`` then writes a run's lower band
+    (LAPACK band storage) over its rows' square, which holds the run's
+    diagonal blocks and the edge blocks of its links."""
     out = np.zeros((sys_.dim, sys_.dim))
     for k, (sl, slab) in enumerate(zip(sys_.slices, sys_._slabs)):
-        out[sl, sl] = diag[k]
-        if slab is not None:
+        if diag[k] is not None:
+            out[sl, sl] = diag[k]
+        if slab is not None and off[k] is not None:
             out[slab, sl] = off[k]
             if mirror:
                 out[sl, slab] = off[k].T
+    for rows, band in bands:
+        size = rows.stop - rows.start
+        square = np.zeros((size, size))
+        for d in range(band.shape[0]):
+            col = np.arange(size - d)
+            square[col + d, col] = band[d, :size - d]
+        out[rows, rows] = square
     inv = sys_._inv_perm
     return out[np.ix_(inv, inv)]
+
+
+def factor_bands(sys_) -> list:
+    """(rows, band) of each run with links of a normal engine."""
+    return [(run.rows, run.band) for run in sys_._runs
+            if run.band is not None]
 
 
 def h_dense(sys_):
@@ -268,9 +284,17 @@ def reconstruct_factor(fac):
     return (fac.eig_vecs * fac.eig_vals) @ fac.eig_vecs.T
 
 
+def factor_dense(sys_):
+    """A normal engine's factor L as a dense matrix in the original
+    coordinates: its blocks in the flat buffer, and over each run with
+    links its band instead."""
+    return _dense_blocks(sys_, sys_.l_diag, sys_.l_off, mirror=False,
+                         bands=factor_bands(sys_))
+
+
 def reconstruct_dense(sys_):
     """L L^T of a normal system's factor as a dense matrix."""
-    lower = _dense_blocks(sys_, sys_.l_diag, sys_.l_off, mirror=False)
+    lower = factor_dense(sys_)
     return lower @ lower.T
 
 
@@ -959,13 +983,13 @@ class ReferenceTreeNormal(TreeNormalSystem):
     reference the engine's flat buffers and direct LAPACK calls must match
     bit for bit.
 
-    A group that the engine sweeps in a run of several (cut here group by
-    group) is taken through its factor's explicit inverse, one 2-D
-    product at a time, as the engine's stacked products take it.  A run
-    with links (a member attaching to the next) is factored group by
-    group through ``solve_triangular``, then each member is inverted; its
-    link blocks are entered one entry at a time into a LAPACK band matrix
-    that ``dtbtrs`` solves, as the engine's solve does."""
+    A group that the engine sweeps in a run of several without links (cut
+    here group by group) is taken through its factor's explicit inverse,
+    one 2-D product at a time, as the engine's stacked products take it.
+    A run with links (a member attaching to the next) is entered one entry
+    at a time into a LAPACK band matrix, whose half bandwidth is worked
+    out entry by entry too, and factored and solved by ``dpbtrf`` and
+    ``dtbtrs``, as the engine's factor and solve do."""
 
     def __init__(self, dualized):
         super().__init__(dualized)
@@ -995,10 +1019,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
         self.runs = reference_sweep_runs(
             self.groups, self.parent, self.bag_width
         )
-        self.stacked = stacked_groups(
-            self.groups, self.parent, self.bag_width
-        )
-        # run -> (members that attach to the next member, attach rows)
+        # run -> (members that attach to the next member, half bandwidth)
         self.links = {}
         for first, n in self.runs:
             linked = [
@@ -1007,11 +1028,45 @@ class ReferenceTreeNormal(TreeNormalSystem):
                 and self.group_of[self.attach[first + i]] == first + i + 1
             ]
             if linked:
-                self.links[first] = (
-                    linked, self.bag_width[self.attach[first]]
-                )
+                self.links[first] = (linked, self._band_width(first, n))
+        self.stacked = stacked_groups(
+            self.groups, self.parent, self.bag_width
+        ) - {
+            first + i for first, n in self.runs if first in self.links
+            for i in range(n)
+        }
         self.gtg_diag, self.gtg_off = self._reference_gram()
         self.ref_gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocsr()
+
+    def _band_width(self, first, n):
+        """The half bandwidth of the run of n groups from ``first`` on,
+        entry by entry: the largest row-minus-column distance of an entry
+        of G^T G inside the run, of a bag's Kronecker block, or of a
+        group's update of its attach block, which spans the attach rows
+        that G^T G couples with the group."""
+        pos = np.empty(self.dim, dtype=np.int64)
+        pos[self.ref_perm] = np.arange(self.dim)
+        lo, hi = self._rows(first).start, self._rows(first + n - 1).stop
+        kd = 0
+        rows_of = {}  # group -> the attach rows coupled with it
+        gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocoo()
+        coord_group = [
+            k for k, members in enumerate(self.groups) for j in members
+            for _ in range(self.bag_width[j])
+        ]
+        for r, c in zip(gtg.row.tolist(), gtg.col.tolist()):
+            i, j = int(pos[r]), int(pos[c])
+            if lo <= i < hi and lo <= j < hi:
+                kd = max(kd, abs(i - j))
+            if i > j and coord_group[i] != coord_group[j]:
+                rows_of.setdefault(coord_group[j], []).append(i)
+        for g in range(first, first + n):
+            for j in self.groups[g]:
+                kd = max(kd, tri(int(self.ctc.order[j])) - 1)
+        for rows in rows_of.values():
+            if lo <= rows[0] < hi:
+                kd = max(kd, max(rows) - min(rows))
+        return kd
 
     def _reference_gram(self):
         """Diagonal and edge blocks of G^T G, one entry at a time."""
@@ -1073,50 +1128,80 @@ class ReferenceTreeNormal(TreeNormalSystem):
             blk[np.diag_indices(blk.shape[0])] += reg
         l_diag = [None] * len(self.groups)
         l_off = [None] * len(self.groups)
-        self.l_inv = {}
-        chained = {
-            first + i for first, n in self.runs if first in self.links
-            for i in range(n)
-        }
-        for k, b in enumerate(self.attach):
-            lk = np.linalg.cholesky(work[k])
-            l_diag[k] = lk
-            if k in self.stacked:
-                # the inverse of lk from the upper triangle of lk^T
-                inv, info = dtrtri(lk.T, lower=0)
-                assert info == 0
-                self.l_inv[k] = inv.T
-            if b is None:
-                continue
-            if k in self.stacked and k not in chained:
-                r = self.h_off[k] @ inv
-            else:
-                r = solve_triangular(lk, self.h_off[k].T, lower=True).T
-            l_off[k] = r
+        self.l_inv, self.band = {}, {}
+
+        def update(k, r):
+            b = self.attach[k]
             s, wb = self.at[b], self.bag_width[b]
             work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
+
+        for first, n in self.runs:
+            if first in self.links:
+                linked, kd = self.links[first]
+                band = self._gather_band(first, n, kd, linked, work)
+                c, info = dpbtrf(band, lower=1)
+                assert info == 0
+                band = np.asfortranarray(c)
+                self.band[first] = band
+                w = self.widths[first]
+                for i in range(n):
+                    if i in linked:
+                        continue
+                    k = first + i
+                    # the member's own columns of the band
+                    lt, info = dtbtrs(band[:, i * w:i * w + w],
+                                      self.h_off[k].T, uplo="L")
+                    assert info == 0
+                    l_off[k] = lt.T
+                    update(k, l_off[k])
+                continue
+            for k in range(first, first + n):
+                lk = np.linalg.cholesky(work[k])
+                l_diag[k] = lk
+                if k in self.stacked:
+                    # the inverse of lk from the upper triangle of lk^T
+                    inv, info = dtrtri(lk.T, lower=0)
+                    assert info == 0
+                    self.l_inv[k] = inv.T
+                if self.attach[k] is None:
+                    continue
+                if k in self.stacked:
+                    r = self.h_off[k] @ inv
+                else:
+                    r = solve_triangular(lk, self.h_off[k].T, lower=True).T
+                l_off[k] = r
+                update(k, r)
         self.l_diag = l_diag
         self.l_off = l_off
-        self.band, self.lp, self.u = {}, {}, {}
-        for first, n in self.runs:
-            if first not in self.links:
-                continue
-            linked, r = self.links[first]
-            band = np.zeros((n * r, 2 * r)).T  # F-ordered LAPACK band
-            for i in linked:
-                g = first + i
-                p = self.at[self.attach[g]]
-                lp = np.ascontiguousarray(self.l_inv[g + 1][:, p:p + r])
-                t = np.ascontiguousarray(l_off[g + 1]) @ lp
-                for a in range(r):
-                    for c in range(r):
-                        band[r + a - c, i * r + c] = t[a, c]
-                self.lp[g] = lp
-            for g in range(first, first + n):
-                self.u[g] = self.l_inv[g].T @ np.ascontiguousarray(
-                    l_off[g]
-                ).T
-            self.band[first] = band
+
+    def _gather_band(self, first, n, kd, linked, work):
+        """The LAPACK lower band (kd + 1 rows, F-ordered) of the run of n
+        groups from ``first`` on, entry by entry from its members'
+        diagonal blocks in ``work`` and its links' edge blocks."""
+        w = self.widths[first]
+        size = n * w
+        band = np.zeros((size, kd + 1)).T
+        for j in range(size):
+            for d in range(min(kd + 1, size - j)):
+                i = j + d
+                mi, mj = divmod(i, w), divmod(j, w)
+                if mi[0] == mj[0]:
+                    band[d, j] = work[first + mj[0]][mi[1], mj[1]]
+                elif mi[0] == mj[0] + 1 and mj[0] in linked:
+                    k = first + mj[0]
+                    a = mi[1] - self.at[self.attach[k]]
+                    if 0 <= a < self.h_off[k].shape[0]:
+                        band[d, j] = self.h_off[k][a, mj[1]]
+        return band
+
+    def factor_bands(self) -> list:
+        """(rows, band) of each run with links, as ``factor_bands`` reads
+        them off the engine."""
+        return [
+            (slice(self._rows(first).start,
+                   self._rows(first + n - 1).stop), self.band[first])
+            for first, n in self.runs if first in self.links
+        ]
 
     def _rows(self, k):
         """Group k's slice of the permuted coordinates."""
@@ -1139,7 +1224,17 @@ class ReferenceTreeNormal(TreeNormalSystem):
         x = cols[self.ref_perm]
         for first, n in self.runs:
             if first in self.links:
-                self._forward_links(x, first, n)
+                linked, _ = self.links[first]
+                rows = slice(self._rows(first).start,
+                             self._rows(first + n - 1).stop)
+                x[rows], info = dtbtrs(self.band[first], x[rows], uplo="L")
+                assert info == 0
+                for i in range(n):
+                    if i not in linked:
+                        k = first + i
+                        x[self._attach_slice(k)] -= (
+                            self.l_off[k] @ x[self._rows(k)]
+                        )
                 continue
             for k in range(first, first + n):
                 sl = self._rows(k)
@@ -1152,7 +1247,18 @@ class ReferenceTreeNormal(TreeNormalSystem):
                     x[self._attach_slice(k)] -= self.l_off[k] @ yk
         for first, n in reversed(self.runs):
             if first in self.links:
-                self._backward_links(x, first, n)
+                linked, _ = self.links[first]
+                rows = slice(self._rows(first).start,
+                             self._rows(first + n - 1).stop)
+                for i in range(n):
+                    if i not in linked:
+                        k = first + i
+                        x[self._rows(k)] -= (
+                            self.l_off[k].T @ x[self._attach_slice(k)]
+                        )
+                x[rows], info = dtbtrs(self.band[first], x[rows], uplo="L",
+                                       trans="T")
+                assert info == 0
                 continue
             for k in reversed(range(first, first + n)):
                 sl = self._rows(k)
@@ -1167,53 +1273,12 @@ class ReferenceTreeNormal(TreeNormalSystem):
                     )
         return self._unpermute(x, single)
 
-    def _forward_links(self, x, first, n):
-        """The forward sweep over a run with links: each member's L^{-1} x
-        and edge term, the band solve for the true edge terms, then each
-        link's term taken off the next member and every other member's
-        subtracted from its attach rows."""
-        linked, r = self.links[first]
-        members = range(first, first + n)
-        ys = [self.l_inv[g] @ x[self._rows(g)] for g in members]
-        a = np.concatenate([self.l_off[g] @ y for g, y in zip(members, ys)])
-        c, info = dtbtrs(self.band[first], a, uplo="L", diag="U")
-        assert info == 0
-        cs = [np.ascontiguousarray(c[i * r:i * r + r]) for i in range(n)]
-        for i in linked:
-            ys[i + 1] = ys[i + 1] - self.lp[first + i] @ cs[i]
-        for g, y in zip(members, ys):
-            x[self._rows(g)] = y
-        for i, g in enumerate(members):
-            if i not in linked:
-                x[self._attach_slice(g)] -= cs[i]
-
-    def _backward_links(self, x, first, n):
-        """The backward sweep over a run with links: each member's L^{-T}
-        y, the transposed band solve for its attach rows' final values
-        (a link's read off the next member's, the others' off a later
-        run's), then each member's back term."""
-        linked, r = self.links[first]
-        members = range(first, first + n)
-        vs = [self.l_inv[g].T @ x[self._rows(g)] for g in members]
-        d = np.empty((n * r, x.shape[1]))
-        for i, g in enumerate(members):
-            if i in linked:
-                p = self.at[self.attach[g]]
-                d[i * r:i * r + r] = vs[i + 1][p:p + r]
-            else:
-                d[i * r:i * r + r] = x[self._attach_slice(g)]
-        d, info = dtbtrs(self.band[first], d, uplo="L", trans="T", diag="U")
-        assert info == 0
-        for i, g in enumerate(members):
-            x[self._rows(g)] = vs[i] - self.u[g] @ np.ascontiguousarray(
-                d[i * r:i * r + r]
-            )
-
     def apply_h(self, x):
         """H x in the original coordinates, in the engine's order of
         additions: each row of sigma G^T G x summed from 0.0 entry by entry
         in the CSR product's storage order, then bag by bag its Kronecker
-        block's term and its slack scalings' term."""
+        block's term, 0.0 on its chain coordinates and its slack scalings'
+        term."""
         v, single = self._as_columns(x)
         gtg, ctc = self.ref_gtg, self.ctc
         out = np.zeros((self.dim, v.shape[1]))
@@ -1225,6 +1290,8 @@ class ReferenceTreeNormal(TreeNormalSystem):
             s = int(ctc.svec_start[j])
             sl = slice(s, s + kron.shape[0])
             out[sl] += kron @ np.ascontiguousarray(v[sl])
+            s = int(ctc.aux_start[j])
+            out[s:s + int(ctc.n_aux[j])] += 0.0
             s = int(ctc.nn_start[j])
             sl = slice(s, s + int(ctc.n_nn[j]))
             out[sl] += self.slacks[j][:, None] * v[sl]
@@ -1278,35 +1345,28 @@ def loop_factor_ops(sys_) -> int:
     """The engine's per-factorization operation count, group by group: a
     w-wide group costs w^3 // 3 + w, plus w^2 r + w r^2 for the r rows of
     its attach bag, plus w^3 // 3 for its factor's inverse when it lies in
-    a run of several groups.  In a run with links, each member adds w^2 r
-    for its back product, and each member that attaches to the next adds
-    r^2 w for its link block."""
+    a run of several groups without links.  A run with links of half
+    bandwidth kd instead costs w (kd^2 + 1) per member, plus w r (kd + r)
+    per member that attaches outside the run."""
     width = sys_.ctc.width.tolist()
     parent = sys_.ctc.td.parent.tolist()
-    runs = reference_sweep_runs(sys_.groups, parent, width)
-    stacked = stacked_groups(sys_.groups, parent, width)
-    group_of = {j: k for k, members in enumerate(sys_.groups) for j in members}
-    ups = [group_of[parent[members[-1]]] for members in sys_.groups]
-    # group -> the first group of its run, for the runs with links
-    chained = {
-        k: first for first, n in runs
-        if any(ups[g] == g + 1 for g in range(first, first + n - 1))
-        for k in range(first, first + n)
-    }
+    ref = ReferenceTreeNormal(sys_.dualized)
     ops = 0
-    for k, members in enumerate(sys_.groups):
-        w = sum(width[j] for j in members)
-        ops += w ** 3 // 3 + w
-        if k in stacked:
-            ops += w ** 3 // 3
-        b = parent[members[-1]]
-        if b != members[-1]:
-            r = width[b]
-            ops += w * w * r + w * r ** 2
-            if k in chained:
-                ops += w * w * r
-                if chained.get(k + 1) == chained[k] and ups[k] == k + 1:
-                    ops += r * r * w
+    for first, n in ref.runs:
+        for k in range(first, first + n):
+            members = sys_.groups[k]
+            w = sum(width[j] for j in members)
+            b = parent[members[-1]]
+            r = 0 if b == members[-1] else width[b]
+            if first in ref.links:
+                linked, kd = ref.links[first]
+                ops += w * (kd * kd + 1)
+                if k - first not in linked:
+                    ops += w * r * (kd + r)
+                continue
+            ops += w ** 3 // 3 + w + w * w * r + w * r ** 2
+            if k in ref.stacked:
+                ops += w ** 3 // 3
     return ops
 
 
@@ -1322,10 +1382,11 @@ def nonzero_bag_pairs(sys_) -> tuple:
     """The off-diagonal bag pairs with a nonzero sub-block in a normal
     engine's assembled H and in its factor L, each a (k, 2) array of
     (later bag, earlier bag) rows in the permuted order.  H's are read off
-    every entry of :func:`h_dense`, L's off every stored entry of the flat
-    buffer.  The merged group blocks store every bag pair of a group, so a
-    pair of bags that are not adjacent in the tree appears here exactly
-    when it is nonzero."""
+    every entry of :func:`h_dense`, L's off every entry of
+    :func:`factor_dense`, which holds the flat buffer's blocks and the
+    bands of the runs with links.  The merged group blocks store every bag
+    pair of a group, so a pair of bags that are not adjacent in the tree
+    appears here exactly when it is nonzero."""
 
     def pairs(rows, cols):
         a, b = sys_._bag_of[rows], sys_._bag_of[cols]
@@ -1334,15 +1395,11 @@ def nonzero_bag_pairs(sys_) -> tuple:
         return np.column_stack(np.divmod(ids, sys_.ell))
 
     in_h = in_l = np.zeros((0, 2), dtype=np.int64)
+    perm = sys_.perm
     if sys_._h_in is not None:
-        perm = sys_.perm
         in_h = pairs(*np.nonzero(h_dense(sys_)[np.ix_(perm, perm)]))
     if sys_.l_diag:
-        pos = np.flatnonzero(sys_._l_flat)
-        blk = np.searchsorted(sys_._block_off, pos, side="right") - 1
-        k = blk % len(sys_.groups)
-        rows, cols = np.divmod(pos - sys_._block_off[blk], sys_._width[k])
-        in_l = pairs(rows + sys_._block_row[blk], cols + sys_._first[k])
+        in_l = pairs(*np.nonzero(factor_dense(sys_)[np.ix_(perm, perm)]))
     return in_h, in_l
 
 
