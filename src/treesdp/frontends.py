@@ -486,9 +486,11 @@ class SolveOutcome:
     result: SolveResult = field(repr=False, default=None)
 
     def metrics_json(self) -> str:
-        """The scores, the iteration count and median iteration time, and
-        the decomposition's width and bag count, as one JSON object."""
+        """The solve's status, the scores, the iteration count and median
+        iteration time, and the decomposition's width and bag count, as
+        one JSON object."""
         return json.dumps({
+            "status": self.status,
             **asdict(self.metrics),
             "iters": self.result.iterations,
             "time_per_iter_s": self.result.time_per_iter_s,

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpbtrf
 from scipy.sparse.linalg import splu
 
 from .chordal import TreeDecomposition
@@ -32,6 +33,10 @@ SCORE_CAP = 16.0  # digit scores saturate at float precision
 INERTIA_DIGITS = 1e-4  # bisection brackets end narrower than this, in log10
 NUDGE_ULPS = 4.0  # first move of a shift that hits an eigenvalue, in ulps
 MAX_NUDGES = 8
+# inertia tests go to the band Cholesky when (kd + 1) n is at most this
+# many times the stored entries: measured, the band lost to SuperLU from
+# about 26 times up, and took at most half its time below 16
+BAND_FILL = 16.0
 
 
 @dataclass
@@ -241,11 +246,24 @@ class _Shifted:
 
     M comes as lower-triangle triplets (duplicates summed).  tI - M is
     held once in CSC form with every diagonal entry stored, so each trial
-    shift only rewrites the diagonal.  It is factored as P (tI - M) P^T =
-    L D L^T with no pivoting, in SuperLU's minimum-degree order on the
-    symmetric pattern, so fill stays inside a chordal extension of the
-    pattern.  By Sylvester's law of inertia the number of negative
-    pivots is the number of eigenvalues of M above t.
+    shift only rewrites the diagonal.  By Sylvester's law of inertia the
+    number of negative pivots of an LDL^T factor with no pivoting is the
+    number of eigenvalues of M above t.  Which factor answers is decided
+    once, from the pattern's half bandwidth kd, the largest
+    row-minus-column distance of a stored entry in the problem's own
+    vertex order:
+
+    * a narrow band, (kd + 1) n at most BAND_FILL times the stored
+      entries, takes one LAPACK ``dpbtrf`` of the lower band of tI - M
+      per test: a Cholesky factor with no fill outside the band (George &
+      Liu, 1981), in O(n kd^2).  It stops at the first pivot that is not
+      positive, a negative one answering yes;
+    * every other pattern is factored as P (tI - M) P^T = L D L^T in
+      SuperLU's minimum-degree order on the symmetric pattern, so fill
+      stays inside a chordal extension of the pattern.
+
+    Both see the same shifts, so the bisection's brackets do not depend
+    on the choice.
     """
 
     def __init__(self, n: int, rows, cols, vals):
@@ -272,35 +290,63 @@ class _Shifted:
         # Gershgorin: no eigenvalue of M exceeds max_i (M_ii + radius_i),
         # nor, then, this bound clamped at 0
         self.upper = float(np.max(self.m_diag + radius, initial=0.0))
+        below = self.mat.indices - col  # row minus column
+        kd = int(np.max(below, initial=0))
+        self.band = None  # the lower band of -M, LAPACK storage
+        if (kd + 1) * n <= BAND_FILL * self.mat.nnz:
+            lower = below > 0
+            self.band = np.zeros((kd + 1, n), order="F")
+            self.band[below[lower], col[lower]] = self.mat.data[lower]
+            self.work = np.empty_like(self.band)
 
     def exceeds(self, t: float) -> bool:
         """Whether M has an eigenvalue above t.
 
-        When t is an eigenvalue to working precision, SuperLU meets an
-        exactly zero pivot: it reports the matrix singular, or exchanges
-        rows.  The shift is then moved up by a few ulps of the matrix
-        scale, doubling each time, and factored again.
+        When t is an eigenvalue to working precision, the factor meets an
+        exactly zero pivot: ``dpbtrf`` stops there, and SuperLU reports
+        the matrix singular or exchanges rows.  The shift is then moved up
+        by a few ulps of the matrix scale, doubling each time, and
+        factored again.
         """
         nudge = NUDGE_ULPS * np.finfo(float).eps * max(self.scale, abs(t))
         for _ in range(MAX_NUDGES):
-            self.mat.data[self.diag_pos] = t - self.m_diag
-            try:
-                lu = splu(
-                    self.mat,
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError:  # "Factor is exactly singular"
-                pass
-            else:
-                if np.array_equal(lu.perm_r, lu.perm_c):
-                    return bool(np.any(lu.U.diagonal() < 0.0))
+            verdict = self._band(t) if self.band is not None else self._lu(t)
+            if verdict is not None:
+                return verdict
             t += nudge
             nudge *= 2.0
         raise IndefinitePivot(
             f"tI - M has a zero pivot for every shift tried up to t = {t:.3e}"
         )
+
+    def _band(self, t: float):
+        """Whether the band Cholesky of tI - M meets a negative pivot, or
+        None when it meets an exactly zero one."""
+        work = self.work
+        np.copyto(work, self.band)
+        np.subtract(t, self.m_diag, out=work[0])
+        _, info = dpbtrf(work, lower=1, overwrite_ab=1)
+        if info == 0:
+            return False
+        # dpbtrf leaves the pivot it stopped at in the band
+        return True if work[0, info - 1] < 0.0 else None
+
+    def _lu(self, t: float):
+        """Whether SuperLU's LDL^T of tI - M has a negative pivot, or None
+        when it meets an exactly zero one."""
+        self.mat.data[self.diag_pos] = t - self.m_diag
+        try:
+            lu = splu(
+                self.mat,
+                permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True},
+            )
+        except RuntimeError:  # "Factor is exactly singular"
+            return None
+        if not np.array_equal(lu.perm_r, lu.perm_c):
+            return None
+        return bool(np.any(lu.U.diagonal() < 0.0))
 
 
 def _bisect_top(above, lo: float, hi: float) -> float:
@@ -360,8 +406,11 @@ def dimacs_metrics(
     No n x n matrix is formed.  <A_i, X> and C.X are sums over stored
     entries of w v (U[r] . U[c]), w = 1 on the diagonal and 2 off it.
     lambda_max(A^T(y) - C) and ||C|| come from inertia bisection (see
-    ``_Shifted``) to INERTIA_DIGITS decimal digits, each test one sparse
-    LDL^T factor in O(n omega^2).
+    ``_Shifted``) to INERTIA_DIGITS decimal digits, whichever factor
+    answers the tests.  A test is one band Cholesky in O(n kd^2) when the
+    pattern's half bandwidth kd in its own vertex order is narrow, (kd +
+    1) n at most BAND_FILL times the stored entries, and otherwise one
+    sparse LDL^T factor in O(n omega^2).
     """
     u = factor.U
     y = np.asarray(y, dtype=float).ravel()

@@ -651,6 +651,7 @@ def test_solve_outcome_metrics_json_schema():
     out = solve_sdp(sdp, method="dctc", eps=1e-8, step="adaptive")
     payload = json.loads(out.metrics_json())
     assert list(payload) == [
+        "status",
         "pinf",
         "dinf",
         "gap",
@@ -660,6 +661,7 @@ def test_solve_outcome_metrics_json_schema():
         "omega",
         "ell",
     ]
+    assert payload["status"] == out.status
     for key in ("pinf", "dinf", "gap", "L"):
         assert payload[key] == getattr(out.metrics, key)
     assert payload["L"] == min(payload["pinf"], payload["dinf"], payload["gap"])

@@ -19,8 +19,10 @@ from treesdp.errors import (
     NotFinite,
     OverlapMismatch,
 )
+from treesdp import recovery
 from treesdp.frontends import gen_maxcut, solve_sdp
 from treesdp.recovery import (
+    INERTIA_DIGITS,
     LowRankFactor,
     _Shifted,
     _spectral_norm,
@@ -35,6 +37,7 @@ from util import (
     random_connected_graph,
     random_partially_separable_problem,
     separator,
+    star_arrow_problem,
     to_dense,
 )
 
@@ -661,24 +664,168 @@ def test_metrics_gap_stays_saturated_at_a_zero_numerator():
     assert m.gap == dense_dimacs_metrics(sdp, [[4.0]], [4.0]).gap
 
 
-def test_shifted_inertia_survives_a_shift_on_an_eigenvalue():
-    # 0 is an eigenvalue of the path Laplacian L, so the unshifted LDL^T
-    # meets an exactly zero pivot; the nudged shift still answers
-    n = 30
+def path_laplacian(n):
+    """Lower triplets of the Laplacian of the path on n vertices."""
     rows = np.r_[np.arange(n), np.arange(1, n)]
     cols = np.r_[np.arange(n), np.arange(n - 1)]
     deg = np.r_[1.0, np.full(n - 2, 2.0), 1.0]
-    vals = np.r_[deg, -np.ones(n - 1)]
+    return rows, cols, np.r_[deg, -np.ones(n - 1)]
+
+
+def test_shifted_inertia_survives_a_shift_on_an_eigenvalue(monkeypatch):
+    # 0 is an eigenvalue of the path Laplacian L, so the unshifted LDL^T
+    # meets an exactly zero pivot; the nudged shift still answers.  The
+    # band is narrow, so SuperLU is forced here
+    monkeypatch.setattr(recovery, "BAND_FILL", 0.0)
+    n = 30
+    rows, cols, vals = path_laplacian(n)
+    assert _Shifted(n, rows, cols, vals).band is None
     assert _Shifted(n, rows, cols, vals).exceeds(0.0)
     assert not _Shifted(n, rows, cols, -vals).exceeds(0.0)
 
 
+def spy_on(monkeypatch, name):
+    """Wrap ``recovery.<name>``; returns the list of (args, result) of its
+    calls, the array arguments as they stand after each call."""
+    calls = []
+    real = getattr(recovery, name)
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append(([np.copy(a) if isinstance(a, np.ndarray) else a
+                       for a in args], out))
+        return out
+
+    monkeypatch.setattr(recovery, name, spy)
+    return calls
+
+
+def test_band_inertia_survives_a_zero_last_pivot(monkeypatch):
+    # the band twin of the test above: with M = -L, tI - M at t = 0 is L,
+    # whose band Cholesky runs through n - 1 unit pivots to an exactly
+    # zero last one; the shift is nudged once and L + dI factors
+    n = 30
+    rows, cols, vals = path_laplacian(n)
+    calls = spy_on(monkeypatch, "dpbtrf")
+    assert _Shifted(n, rows, cols, vals).exceeds(0.0)
+    calls.clear()
+    minus = _Shifted(n, rows, cols, -vals)
+    assert minus.band is not None and minus.band.shape == (2, n)
+    assert not minus.exceeds(0.0)
+    assert [out[1] for _, out in calls] == [n, 0]
+    (work,), _ = calls[0]
+    assert work[0, n - 1] == 0.0
+
+
+def test_band_inertia_survives_shifts_on_diagonal_entries(monkeypatch):
+    # a diagonal M at each of its entries: the pivot t - M_ii is exactly
+    # zero, and the answer is whether another entry lies above t
+    d = np.array([3.0, -1.0, 3.0, 2.0, 5.0, 2.0, -1.0])
+    n = d.size
+    for fill in (np.inf, 0.0):
+        monkeypatch.setattr(recovery, "BAND_FILL", fill)
+        shifted = _Shifted(n, np.arange(n), np.arange(n), d)
+        assert (shifted.band is None) == (fill == 0.0)
+        for t in d.tolist():
+            assert shifted.exceeds(t) == bool(np.any(d > t)), (fill, t)
+
+
+def narrow_band(rng, n, kd):
+    """Lower triplets of a random symmetric matrix of half bandwidth kd:
+    the diagonal, and each other band entry with probability 1/2, one of
+    them on the kd-th subdiagonal."""
+    i, j = np.tril_indices(n, -1)
+    keep = (i - j <= kd) & (rng.random(i.size) < 0.5)
+    if kd:
+        keep[np.flatnonzero(i - j == kd)[0]] = True
+    rows = np.r_[np.arange(n), i[keep]]
+    cols = np.r_[np.arange(n), j[keep]]
+    return rows, cols, rng.standard_normal(rows.size)
+
+
+def test_band_and_superlu_inertia_agree_on_narrow_bands(monkeypatch):
+    # the band Cholesky and SuperLU's LDL^T give the same answer as the
+    # dense eigenvalues at shifts between eigenvalues; narrow bands take
+    # the band path by default
+    rng = np.random.default_rng(3207)
+    for _ in range(60):
+        n = int(rng.integers(2, 40))
+        kd = int(rng.integers(0, min(n - 1, 4) + 1))
+        rows, cols, vals = narrow_band(rng, n, kd)
+        dense = np.zeros((n, n))
+        np.add.at(dense, (rows, cols), vals)
+        dense += np.tril(dense, -1).T
+        eig = np.linalg.eigvalsh(dense)
+        shifts = np.r_[eig[0] - 1.0, 0.5 * (eig[:-1] + eig[1:]), eig[-1] + 1.0]
+        shifts = shifts[np.abs(shifts - eig[-1]) > 1e-9 * (1.0 + abs(eig[-1]))]
+        band = _Shifted(n, rows, cols, vals)
+        assert band.band is not None and band.band.shape == (kd + 1, n)
+        monkeypatch.setattr(recovery, "BAND_FILL", 0.0)
+        lu = _Shifted(n, rows, cols, vals)
+        monkeypatch.undo()
+        assert lu.band is None
+        assert (band.upper, band.scale) == (lu.upper, lu.scale)
+        for t in shifts.tolist():
+            assert band.exceeds(t) == lu.exceeds(t) == (eig[-1] > t)
+
+
+def test_path_metrics_make_no_superlu_call(monkeypatch):
+    # the path's own vertex order has half bandwidth 1: every inertia
+    # test of ||C|| and of the slack is one band Cholesky
+    def no_superlu(*args, **kwargs):
+        raise AssertionError("SuperLU called on a banded pattern")
+
+    monkeypatch.setattr(recovery, "splu", no_superlu)
+    calls = spy_on(monkeypatch, "dpbtrf")
+    m = dimacs_metrics(*path_maxcut_at(2000, 0.3))
+    assert calls
+    assert 0.0 < m.dinf < 16.0 and m.L == min(m.pinf, m.dinf, m.gap)
+
+
+def test_renumbered_path_takes_superlu_and_scores_alike(monkeypatch):
+    # vertices renumbered at random give the same problem a wide natural
+    # band, so its inertia tests go to SuperLU; the scores agree with
+    # the band path's to the bisection's precision
+    n = 2000
+    sdp, factor, y = path_maxcut_at(n, 0.3)
+    banded = dimacs_metrics(sdp, factor, y)
+    new = np.random.default_rng(3208).permutation(n)  # vertex v -> new[v]
+    renumbered = gen_maxcut(Graph(n, [(new[i], new[i + 1]) for i in range(n - 1)]))
+    u = np.empty_like(factor.U)
+    u[new] = factor.U
+    superlu = spy_on(monkeypatch, "splu")
+    band = spy_on(monkeypatch, "dpbtrf")
+    got = dimacs_metrics(renumbered, LowRankFactor(U=u), y)
+    assert superlu and not band
+    for key in ("pinf", "dinf", "gap", "L"):
+        assert getattr(got, key) == pytest.approx(
+            getattr(banded, key), abs=INERTIA_DIGITS
+        ), key
+
+
+def test_star_metrics_keep_superlu(monkeypatch):
+    # the hub is the last vertex, so the slack's natural band is the
+    # whole matrix: it goes to SuperLU, and the scores match the oracle
+    rng = np.random.default_rng(3209)
+    sdp = star_arrow_problem(250)
+    superlu = spy_on(monkeypatch, "splu")
+    band = spy_on(monkeypatch, "dpbtrf")
+    m = assert_scores_match_oracle(
+        sdp, LowRankFactor(U=rng.standard_normal((sdp.n, 2))),
+        rng.standard_normal(sdp.m),
+    )
+    assert m.dinf < 16.0
+    assert superlu and not band
+
+
 def test_metrics_json_shape():
-    # the four scores of dimacs_metrics, with the solve's iteration count
-    # and median iteration time, then the decomposition's width and bags
+    # the solve's status and the four scores of dimacs_metrics, with the
+    # solve's iteration count and median iteration time, then the
+    # decomposition's width and bags
     out = solve_sdp(one_by_one_toy(), method="dctc")
     payload = json.loads(out.metrics_json())
     assert set(payload) == {
+        "status",
         "pinf",
         "dinf",
         "gap",
@@ -688,6 +835,7 @@ def test_metrics_json_shape():
         "omega",
         "ell",
     }
+    assert payload["status"] == out.status
     assert payload["iters"] == out.result.iterations
     assert payload["time_per_iter_s"] == pytest.approx(
         out.result.time_per_iter_s
