@@ -36,10 +36,9 @@ members are eliminated in postorder, so the bag blocks that are zero in H
 stay exactly zero in L.  The block pattern is thus known before any
 number is assembled: :meth:`TreeNormalSystem.pattern_stats` reports the
 tree-adjacent bag pairs that share a row of G, which both H and L hold,
-and no fill.
-The factor and the triangular solves are dense LAPACK or BLAS calls per
-group or per run of like groups (see Sweeps), and storage
-stays linear in the number of bags: a merged group of w coordinates holds
+and no fill.  The factor and the triangular solves are LAPACK or BLAS
+calls per group or per run of like groups (see Sweeps), and storage stays
+linear in the number of bags: a merged group of w coordinates holds
 w^2 <= ``GROUP_WIDTH`` * w entries.
 
 Storage.  The coordinates are permuted once so that each group is one
@@ -56,16 +55,15 @@ writes H into it; ``factor`` overwrites that H with L in place,
 subtracting each group's update from a fixed view of its attach bag's
 block.  So the buffer holds H from an assembly to the factor that
 follows, and L after it, and each assembly is factored once; its last
-entry stays zero.  The runs of several groups without links (see Sweeps)
-keep their inverse factors in a second buffer, w x w per member, and
-each run with links its L in an array of its own, one LAPACK lower band
-over the run's rows, kd + 1 floats per row.  G^T G is kept as the
-(position, value) pairs of its nonzeros in that layout, since merged
-blocks are mostly zeros, and as one CSR matrix in the original
-coordinates for ``apply_h``.  The slack scalings, the static
-shift and the finiteness checks are one vectorized pass each: ``factor``
-checks the assembled H and ``solve_h`` its right-hand side, once per
-call, and both raise :class:`~treesdp.errors.NotFinite`.  The
+entry stays zero.  Each run of several groups (see Sweeps) keeps its L
+in an array of its own, one LAPACK lower band over the run's rows, kd + 1
+floats per row.  G^T G is kept as the (position, value) pairs of its
+nonzeros in that layout, since merged blocks are mostly zeros, and as one
+CSR matrix in the original coordinates for ``apply_h``.  The slack
+scalings, the static shift and the finiteness checks are one vectorized
+pass each: ``factor`` checks the assembled H and ``solve_h`` its
+right-hand side, once per call, and both raise
+:class:`~treesdp.errors.NotFinite`.  The
 symmetric-Kronecker blocks are added one *run* of bags at a time:
 same-order bags of one width that lie next to each other on one group's
 diagonal share one strided (bags, t, t) view into the buffer, so a chain
@@ -87,48 +85,40 @@ order, of equal width w and equal attach-row count r, in which the only
 member whose attach bag a group may hold is its predecessor.  A member
 whose attach bag lies in the next member is a *link*; every other
 member's attach bag lies in a later run, and its children in earlier
-ones.  So the members of a run without links do not depend on one
-another in either sweep (level scheduling of a sparse triangular solve;
-Anderson & Saad 1989), and those of a run with links depend on one
-another only through the r overlap rows of each link.  Each run is one
-record that both walk.  A run of one group keeps its 2-D blocks and the
-per-group steps: ``cholesky_lo``, then ``dtrtrs`` (in ``factor`` in
-place in the edge block, which holds H's until then), then slices.  A run
-of n groups is strided (n, r, w) views of its edge blocks, and ``factor``
-subtracts the updates of its members that attach outside it from their
-attach blocks by one ``np.subtract.at`` over fixed flat positions, which
-takes repeated positions (siblings that share an attach bag) in member
-order; ``solve_h`` scatters their edge terms the same way, subtracting
-repeated attach rows in sequence, as the per-group loop does.
+ones.  So the members of a run depend on one another in neither sweep
+but through the r overlap rows of its links (level scheduling of a
+sparse triangular solve; Anderson & Saad 1989): a star's leaf groups
+form a run without links, and a chain's groups one in which each member
+but the last is a link.  Each run is one record that both walk, of one
+of two kinds.
 
-A run without links is also strided (n, w, w) views of its diagonal
-blocks.  ``factor`` takes one ``cholesky_lo`` over them, writes each
-member's inverse factor (LAPACK ``dtrtri``) into the inverse buffer,
-since the block counts of :meth:`TreeNormalSystem.pattern_stats` are
-measured on L's own blocks, and makes the edge blocks by one stacked
-product ``H_off L^{-T}`` in place; ``solve_h`` makes one stacked product
-per run and direction.  A star's leaf groups form one such run and its
-hub another, so each sweep takes two steps there instead of one per
-group.
+A run of one group keeps its 2-D blocks and the per-group steps:
+``cholesky_lo``, then ``dtrtrs`` (in ``factor`` in place in the edge
+block, which holds H's until then), then slices.
 
-A run with links (a chain's groups each attach to the next) is a band
-matrix: its half bandwidth kd, the largest row-minus-column distance at
-which the factor may meet a nonzero inside the run, is read once off the
-static pattern (George & Liu, Computer Solution of Large Sparse Positive
-Definite Systems, 1981).  On a chain of order-2 bags kd is 2 against a
-group width of 30.  ``factor`` gathers the band of H from the buffer
-through one fixed index, after the earlier runs' updates have landed,
-and factors it by one LAPACK ``dpbtrf``.  A member that attaches outside
-the run has its edge block L_off^T = L^{-1} H_off^T solved by ``dtbtrs``
-over its own columns of the band alone, since L has no fill: the rows
-of the band it reaches belong to members it does not couple with.
-``solve_h`` takes one ``dtbtrs`` per direction over the run, scattering
-those members' edge terms after the forward one and taking their terms
-off the run's rows before the backward one.  So a path's groups form one
-run, its root group another, and each sweep takes two steps there at any
-length.  Every block is a view into the normal matrix's, the inverse or
-the band buffer, fixed for the engine's life, and no workspace outlives
-a call.
+A run of n > 1 groups is a band matrix: its half bandwidth kd, the
+largest row-minus-column distance at which the factor may meet a
+nonzero inside the run, is read once off the static pattern (George &
+Liu, Computer Solution of Large Sparse Positive Definite Systems, 1981).
+On a chain of order-2 bags kd is 2 against a group width of 30, and the
+band holds no entry between two members that are not linked.
+``factor`` gathers the band of H from the buffer through one fixed
+index, after the earlier runs' updates have landed, and factors it by
+one LAPACK ``dpbtrf``.  A member that attaches outside the run has its
+edge block L_off^T = L^{-1} H_off^T solved by ``dtbtrs`` over its own
+columns of the band alone, since L has no fill: the rows of the band it
+reaches belong to members it does not couple with.  The members' edge
+blocks are one (n, r, w) view, and ``factor`` subtracts those members'
+updates from their attach blocks by one ``np.subtract.at`` over fixed flat
+positions, which takes repeated positions (siblings that share an attach
+bag) in member order.  ``solve_h`` takes one ``dtbtrs`` per direction
+over the run, scattering those members' edge terms after the forward one
+the same way, subtracting repeated attach rows in sequence, and taking
+their terms off the run's rows before the backward one.  So a star's
+leaf groups form one run and its hub another, as do a path's groups and
+its root group, and each sweep takes two steps there at any size.  Every
+block is a view into the normal matrix's or the band buffer, fixed for
+the engine's life, and no workspace outlives a call.
 
 ``apply_h`` reads none of the buffers above, so it gives the same H x
 before and after ``factor``.  It forms H x from H's parts, which
@@ -144,13 +134,12 @@ column to the last bit, but for the sign of an exact zero.
 Solves.  ``(H + q q^T) v = r`` is solved for batched right-hand sides by
 the matrix-inversion lemma, with the denominator ``1 + q^T H^{-1} q``
 computed once per factorization, followed by exactly one
-iterative-refinement pass.  A run without links multiplies by explicit
-inverses, and a run with links solves with its band, so their floats
-differ from the per-group sweep's in the last bits; a run of one group
-gives that sweep's floats exactly.  The pass is unconditional: when a
-residual tolerance decided it, rounding noise decided which directions
-were refined, and the final dual infeasibility of a solve followed that
-noise.
+iterative-refinement pass.  A run of several groups solves with its
+band, so its floats differ from the per-group sweep's in the last bits;
+a run of one group gives that sweep's floats exactly.  The pass is
+unconditional: when a residual tolerance decided it, rounding noise
+decided which directions were refined, and the final dual infeasibility
+of a solve followed that noise.
 
 ``DenseNormalSystem`` is the small-scale reference: it materializes the
 full normal matrix ``M D^{-1} M^T`` densely and factors it directly.
@@ -162,7 +151,7 @@ from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dtbtrs, dtrtri, dtrtrs
+from scipy.linalg.lapack import dpbtrf, dtbtrs, dtrtrs
 
 from .chordal import TreeDecomposition
 from .convert import DualizedProblem
@@ -199,15 +188,14 @@ class _Run(NamedTuple):
     A run of one group holds its 2-D blocks of L, their transposes, its
     attach bag's slice ``att`` and, as ``blocks``, its view of that bag's
     block (None at the root group, as are its edge blocks).  A run of
-    n > 1 groups holds strided (n, r, w) views of its edge blocks and, as
-    ``blocks``, the flat positions in ``_l_flat`` of the attach blocks
-    that its members update, in order.  A run without links also holds
-    its (n, w, w) diagonal blocks, their factors' inverses in
-    ``_linv_flat`` and ``att``, its stretch of the attach-row array.  A
-    run with links holds L's lower ``band`` over its rows instead, an
-    F-ordered (kd + 1, n w) array in LAPACK band storage, which ``factor``
-    fills from ``_l_flat`` through ``gather``, and ``out``, its
-    members that attach outside it, with their attach rows ``att``.
+    n > 1 groups holds strided (n, r, w) views of its edge blocks; L's
+    lower ``band`` over its rows, an F-ordered (kd + 1, n w) array in
+    LAPACK band storage, which ``factor`` fills from ``_l_flat`` through
+    ``gather``; ``out``, its members that attach outside it, with their
+    attach rows ``att``, and ``sel``, the same members as a slice where
+    they are consecutive (as all are in a run without links), which picks
+    their blocks without a copy; and, as ``blocks``, the flat positions in
+    ``_l_flat`` of the attach blocks that those members update, in order.
     """
 
     k: int
@@ -219,13 +207,12 @@ class _Run(NamedTuple):
     l_diag_t: np.ndarray
     l_off: np.ndarray
     l_off_t: np.ndarray
-    inv: np.ndarray
-    inv_t: np.ndarray
     att: object
     blocks: np.ndarray
     band: np.ndarray
     gather: np.ndarray
     out: np.ndarray
+    sel: object
 
 
 def _trtrs_failed(info: int, routine: str = "dtrtrs") -> IndefinitePivot:
@@ -290,15 +277,6 @@ def row_bags(g, bag_of: np.ndarray) -> tuple:
     return rows[new], bags[new]
 
 
-def _stack(flat: np.ndarray, off, n: int, rows: int, w: int) -> np.ndarray:
-    """The (n, rows, w) view of n consecutive C-ordered rows x w blocks
-    of ``flat``, the first at offset ``off``.  The buffer constructor
-    raises if the view leaves ``flat``."""
-    item = flat.itemsize
-    return np.ndarray((n, rows, w), flat.dtype, flat, int(off) * item,
-                      (rows * w * item, w * item, item))
-
-
 def _t(a):
     """``a`` with its last two axes swapped (None stays None)."""
     return None if a is None else a.swapaxes(-1, -2)
@@ -319,13 +297,15 @@ class TreeNormalSystem:
         self._offdiag_blocks = self._check_row_structure()
         self.groups = group_bags(td, width.tolist(), GROUP_WIDTH)
         self._layout(width)
-        self._gtg, self._gtg_pos, self._gtg_val = self._static_gram()
+        # G^T G's permuted rows and columns serve only the runs' bandwidths
+        self._gtg, self._gtg_pos, self._gtg_val, gtg_ij = self._static_gram()
         # each assembly writes H here and factor overwrites it with L, in
         # place, through fixed block views; assemble_h zeroes the last
-        # entry too, which the band gathers of the runs with links read
+        # entry too, which the band gathers read
         self._l_flat = np.empty(self._n_flat + 1)
         self._l_blocks = self._blocks(self._l_flat)
-        self._runs = self._sweep_views(self._sweep_plan())
+        self._runs = self._sweep_views(self._sweep_plan(), *gtg_ij)
+        del gtg_ij
         self._kron_runs = self._kron_run_views()
         # the original coordinates of each order-o bag's matrix block, one
         # row per bag in block order, and of the slack coordinates in block
@@ -368,20 +348,18 @@ class TreeNormalSystem:
             runs[-1][1] * tri(o) * tri(o) * o
             for o, runs in self._kron_runs.items()
         )
-        # per group w^3 / 3 + w for its diagonal block and w r (w + r) for
-        # its edge block and update, and per run of several without links
-        # its inverses, w^3 / 3 each; a run with links takes n w (kd^2 + 1)
-        # for its band and w r (kd + r) per member attaching outside it
+        # a run of one group takes w^3 / 3 + w for its diagonal block and
+        # w r (w + r) for its edge block and update; a run of several takes
+        # n w (kd^2 + 1) for its band and w r (kd + r) per member
+        # attaching outside it
         self._factor_ops = 0
         for run in self._runs:
-            n, w, r = run.n, run.w, run.r
-            if run.band is None:
-                self._factor_ops += n * (
-                    w ** 3 // 3 * (1 + (n > 1)) + w + w * r * (w + r)
-                )
+            w, r = run.w, run.r
+            if run.n == 1:
+                self._factor_ops += w ** 3 // 3 + w + w * r * (w + r)
             else:
                 kd = run.band.shape[0] - 1
-                self._factor_ops += n * w * (kd * kd + 1) + (
+                self._factor_ops += run.n * w * (kd * kd + 1) + (
                     run.out.size * w * r * (kd + r)
                 )
 
@@ -523,81 +501,60 @@ class TreeNormalSystem:
         ends = starts[1:] + [n_groups]
         return [(a, b - a, w[a], r[a]) for a, b in zip(starts, ends)]
 
-    def _sweep_views(self, plan) -> list:
-        """The :class:`_Run` of each run of ``plan``.
-
-        ``_attach_idx`` is the permuted rows of every group's attach bag,
-        concatenated in elimination order.
-        """
+    def _sweep_views(self, plan, i, j) -> list:
+        """The :class:`_Run` of each run of ``plan``; (``i``, ``j``) are
+        the permuted rows and columns of G^T G's nonzeros."""
         n_groups = len(self.groups)
         l_diag, l_off = self._l_blocks
         # each group's attach bag's first row in its group's block
         up = self._attach_group
         rel = self._block_row[n_groups:] - self._first[up]
-        self._attach_idx = ranges(
-            self._block_row[n_groups:], self._attach_rows
-        )
-        att_end = np.cumsum(self._attach_rows)
-        # the members of each run that attach to the next member
-        linked = [up[k:k + n - 1] == np.arange(k + 1, k + n)
-                  for k, n, _, _ in plan]
-        self._linv_flat = np.empty(sum(
-            n * w * w for (_, n, w, _), src in zip(plan, linked)
-            if n > 1 and not src.any()
-        ))
-        # (read off the static pattern only where a run has links)
-        kds = (self._bandwidths(plan) if any(map(np.any, linked))
-               else [None] * len(plan))
-        runs, inv_at, spans = [], 0, np.column_stack((up, rel)).tolist()
-        for (k, n, w, r), src, kd in zip(plan, linked, kds):
+        runs, spans = [], np.column_stack((up, rel)).tolist()
+        for (k, n, w, r), kd in zip(plan, self._bandwidths(plan, i, j)):
             rows = slice(self.slices[k].start, self.slices[k + n - 1].stop)
             if n == 1:
                 # the 2-D factor step's blocks, and the attach block
                 (p, a), ld, lo = spans[k], l_diag[k], l_off[k]
                 attach = l_diag[p][a:a + r, a:a + r] if r else None
                 runs.append(_Run(k, n, w, r, rows, ld, _t(ld), lo, _t(lo),
-                                 None, None, self._slabs[k], attach, None,
-                                 None, None))
+                                 self._slabs[k], attach, None, None, None,
+                                 None))
                 continue
-            lo = _stack(self._l_flat, self._block_off[k + n_groups], n, r, w)
-            ld = inv = band = gather = None
-            out = np.flatnonzero(~np.append(src, False))  # attaching outside
-            if src.any():
-                band = np.empty((n * w, kd + 1)).T
-                gather = self._band_gather(k, n, w, r, kd, src, rel[k:k + n])
-                att = ranges(self._block_row[n_groups + k + out],
-                             np.full(out.size, r))
-            else:
-                ld = _stack(self._l_flat, self._block_off[k], n, w, w)
-                inv = _stack(self._linv_flat, inv_at, n, w, w)
-                inv_at += n * w * w
-                att = self._attach_idx[att_end[k] - r:att_end[k + n - 1]]
-            # the flat positions of those members' attach blocks in L
+            # the members' edge blocks lie one after another in _l_flat
+            at = self._block_off[k + n_groups]
+            lo = self._l_flat[at:at + n * r * w].reshape(n, r, w)
+            # the members that attach to the next one, and the others
+            src = up[k:k + n - 1] == np.arange(k + 1, k + n)
+            out = np.flatnonzero(~np.append(src, False))
+            sel = (slice(out[0], out[-1] + 1)
+                   if out[-1] - out[0] == out.size - 1 else out)
+            gather = self._band_gather(k, n, w, r, kd, src, rel[k:k + n])
+            # the outside members' attach rows, and the flat positions of
+            # their attach blocks in L
             g = k + out
+            att = ranges(self._block_row[n_groups + g], np.full(g.size, r))
             wu = self._width[up[g], None, None]
             blocks = (
                 self._block_off[up[g], None, None]
                 + rel[g, None, None] * (wu + 1)
                 + np.arange(r)[:, None] * wu + np.arange(r)
             ).ravel()
-            runs.append(_Run(
-                k, n, w, r, rows, ld, _t(ld), lo, _t(lo), inv, _t(inv), att,
-                blocks, band, gather, None if band is None else out,
-            ))
+            runs.append(_Run(k, n, w, r, rows, None, None, lo, _t(lo), att,
+                             blocks, np.empty((n * w, kd + 1)).T, gather,
+                             out, sel))
         return runs
 
-    def _bandwidths(self, plan) -> list:
+    def _bandwidths(self, plan, i, j) -> list:
         """Each run's half bandwidth kd: the largest distance i - j from a
         column j of the run to a row i of it at which the factor may meet
         a nonzero.  That is an entry of G^T G inside the run, one of a
         bag's Kronecker block, or one of a group's update of its attach
         block, which spans the attach rows G^T G couples with the group
         (they follow the group's rows).  A band Cholesky fills only inside
-        the band."""
+        the band.  (``i``, ``j``) are the permuted rows and columns of
+        G^T G's nonzeros."""
         run_of = np.repeat(np.arange(len(plan)),
                            [n * w for _, n, w, _ in plan])
-        gtg = self._gtg.tocoo()
-        i, j = self._inv_perm[gtg.row], self._inv_perm[gtg.col]
         kd = np.zeros(len(plan), dtype=np.int64)
         inside = run_of[i] == run_of[j]
         np.maximum.at(kd, run_of[i[inside]], np.abs(i - j)[inside])
@@ -673,10 +630,11 @@ class TreeNormalSystem:
         return runs
 
     def _static_gram(self) -> tuple:
-        """G^T G as a CSR matrix in the original coordinates, and the
-        (flat positions, values) of the nonzeros that the flat layout
-        stores.  Of the two mirror entries that couple a group with its
-        attach bag, the one in the attach bag's rows is stored.
+        """G^T G as a CSR matrix in the original coordinates, the (flat
+        positions, values) of the nonzeros that the flat layout stores,
+        and the permuted (rows, columns) of all its nonzeros.  Of the two
+        mirror entries that couple a group with its attach bag, the one in
+        the attach bag's rows is stored.
 
         scipy's sparse product sums each position of a column once, so
         its COO form holds no duplicates and needs no sort; the pairs come
@@ -694,14 +652,13 @@ class TreeNormalSystem:
         # off the diagonal blocks, keep bc topping its group below br, the
         # group's attach bag
         keep = on_diag | (self.ctc.td.parent[bc] == br)
-        rows, cols, gc, on_diag = (
-            rows[keep], cols[keep], gc[keep], on_diag[keep]
-        )
+        i, j, gc, on_diag = rows[keep], cols[keep], gc[keep], on_diag[keep]
         blk = np.where(on_diag, gc, gc + len(self.groups))
-        pos = self._block_off[blk] + (rows - self._block_row[blk]) * (
+        pos = self._block_off[blk] + (i - self._block_row[blk]) * (
             self._width[gc]
         )
-        return product.tocsr(), pos + cols - self._first[gc], gtg.data[keep]
+        return (product.tocsr(), pos + j - self._first[gc], gtg.data[keep],
+                (rows, cols))
 
     # ------------------------------------------------------------------
     # per-iteration assembly and factorization
@@ -756,11 +713,10 @@ class TreeNormalSystem:
         pattern equals that of H itself (no fill).  A static shift of
         ``1e-12 * (1 + max diagonal)`` is applied before pivoting.  L is
         written over the assembled H, so each assembly is factored once.
-        A run without links also writes its factors' inverses, which
-        ``solve_h`` multiplies by.  A run with links gathers its band of H
-        and factors it in place by one LAPACK ``dpbtrf``; the edge block
-        of each member attaching outside the run needs only that member's
-        columns of the band, since L has no fill.
+        A run of several groups gathers its band of H and factors it in
+        place by one LAPACK ``dpbtrf``; the edge block of each member
+        attaching outside the run needs only that member's columns of the
+        band, since L has no fill.
         """
         if self._h_in != "buffer":
             raise StructureViolation("assemble_h must run before each factor")
@@ -778,31 +734,19 @@ class TreeNormalSystem:
                 if run.n == 1:
                     self._factor_group(run)
                     continue
-                if run.band is None:
-                    self._cholesky(run.k, run.l_diag)
-                    # each factor's inverse, in place in its copy, from the
-                    # upper triangle of its F-ordered transpose
-                    np.copyto(run.inv, run.l_diag)
-                    for a in run.inv:
-                        _, info = dtrtri(a.T, lower=0, overwrite_c=1)
-                        if info != 0:
-                            raise _trtrs_failed(info, "dtrtri")
-                    run.l_off[...] = run.l_off @ run.inv_t
-                    l_off = run.l_off
-                else:
-                    # the band of H, after the earlier runs' updates
-                    np.take(self._l_flat, run.gather, out=run.band.T)
-                    _, info = dpbtrf(run.band, lower=1, overwrite_ab=1)
-                    if info > 0:
-                        raise self._not_pd(run.k + (info - 1) // run.w)
-                    # L_off^T = L^{-1} H_off^T over the member's own columns
-                    for i in run.out.tolist():
-                        cols = slice(i * run.w, (i + 1) * run.w)
-                        _, info = dtbtrs(run.band[:, cols], run.l_off_t[i],
-                                         uplo="L", overwrite_b=1)
-                        if info != 0:
-                            raise _trtrs_failed(info, "dtbtrs")
-                    l_off = run.l_off[run.out]
+                # the band of H, after the earlier runs' updates
+                np.take(self._l_flat, run.gather, out=run.band.T)
+                _, info = dpbtrf(run.band, lower=1, overwrite_ab=1)
+                if info > 0:
+                    raise self._not_pd(run.k + (info - 1) // run.w)
+                # L_off^T = L^{-1} H_off^T over the member's own columns
+                for i in run.out.tolist():
+                    cols = slice(i * run.w, (i + 1) * run.w)
+                    _, info = dtbtrs(run.band[:, cols], run.l_off_t[i],
+                                     uplo="L", overwrite_b=1)
+                    if info != 0:
+                        raise _trtrs_failed(info, "dtbtrs")
+                l_off = run.l_off[run.sel]
                 # ufunc.at subtracts repeated positions (siblings that share
                 # an attach bag) in member order
                 np.subtract.at(self._l_flat, run.blocks,
@@ -819,22 +763,15 @@ class TreeNormalSystem:
             "not positive definite"
         )
 
-    def _cholesky(self, k, ld) -> None:
-        """L's diagonal blocks ``ld`` of group k on, 2-D or stacked, in
-        place; a failed block is named by its group's bags."""
-        try:
-            cholesky_lo(ld, out=ld)
-        except np.linalg.LinAlgError as exc:
-            # the gufunc writes NaN over each block it failed on
-            failed = np.isnan(ld.reshape(-1, ld.shape[-1] ** 2))
-            raise self._not_pd(k + int(np.argmax(failed.any(1)))) from exc
-
     def _factor_group(self, run):
         """A run of one group's factor step: its diagonal block, then its
         edge block L_off = H_off L^{-T}, solved over H_off in place as
         solve_triangular(ld, h_off.T, lower=True).T, then its update of
         its attach bag's block (none at the root group)."""
-        self._cholesky(run.k, run.l_diag)
+        try:
+            cholesky_lo(run.l_diag, out=run.l_diag)
+        except np.linalg.LinAlgError as exc:
+            raise self._not_pd(run.k) from exc
         if run.blocks is None:
             return
         _, info = dtrtrs(run.l_diag_t, run.l_off_t, lower=0, trans=1,
@@ -900,12 +837,11 @@ class TreeNormalSystem:
         x = np.take(cols, self.perm, axis=0)
         k = x.shape[1]
         # dtrtrs on L^T: trans=1 solves with L, trans=0 with L^T, as
-        # solve_triangular(L, b, lower=True, trans=...) calls it; a run
-        # without links multiplies by its factors' inverses instead, and a
-        # run with links solves with its band.  Each record is unpacked
+        # solve_triangular(L, b, lower=True, trans=...) calls it; a run of
+        # several groups solves with its band.  Each record is unpacked
         # once, which costs less than its attribute reads
-        for (_, n, w, r, rows, _, l_diag_t, l_off, _, inv, _, att, _, band,
-             _, out) in self._runs:
+        for (_, n, w, r, rows, _, l_diag_t, l_off, _, att, _, band, _, _,
+             sel) in self._runs:
             if n == 1:
                 yk, info = dtrtrs(l_diag_t, x[rows], lower=0, trans=1)
                 if info != 0:
@@ -914,23 +850,18 @@ class TreeNormalSystem:
                 if att is not None:
                     x[att] -= l_off @ yk
                 continue
-            if band is None:
-                y = inv @ x[rows].reshape(n, w, k)
-                below = (l_off @ y).reshape(n * r, k)
-                x[rows] = y.reshape(n * w, k)
-            else:
-                x[rows], info = dtbtrs(band, x[rows], uplo="L")
-                if info != 0:
-                    raise _trtrs_failed(info, "dtbtrs")
-                y = x[rows].reshape(n, w, k)
-                below = (l_off[out] @ y[out]).reshape(-1, k)
+            x[rows], info = dtbtrs(band, x[rows], uplo="L")
+            if info != 0:
+                raise _trtrs_failed(info, "dtbtrs")
+            y = x[rows].reshape(n, w, k)
+            below = (l_off[sel] @ y[sel]).reshape(-1, k)
             # ufunc.at subtracts repeated rows in sequence, one column at a
             # time since on a 1-D operand it skips numpy's per-row subarray
             # loop
             for j in range(k):
                 np.subtract.at(x[:, j], att, below[:, j])
-        for (_, n, w, r, rows, _, l_diag_t, l_off, l_off_t, _, inv_t, att,
-             _, band, _, out) in reversed(self._runs):
+        for (_, n, w, r, rows, _, l_diag_t, l_off, l_off_t, att, _, band, _,
+             _, sel) in reversed(self._runs):
             if n == 1:
                 t = x[rows]
                 if att is not None:
@@ -941,11 +872,7 @@ class TreeNormalSystem:
                 x[rows] = xk
                 continue
             y = x[rows].reshape(n, w, k)
-            if band is None:
-                t = y - l_off_t @ x[att].reshape(n, r, k)
-                x[rows] = (inv_t @ t).reshape(n * w, k)
-                continue
-            y[out] -= _t(l_off[out]) @ x[att].reshape(-1, r, k)
+            y[sel] -= _t(l_off[sel]) @ x[att].reshape(-1, r, k)
             x[rows], info = dtbtrs(band, x[rows], uplo="L", trans="T")
             if info != 0:
                 raise _trtrs_failed(info, "dtbtrs")
@@ -1023,27 +950,24 @@ class TreeNormalSystem:
 
     def memory_bytes(self) -> int:
         """Bytes of the engine's numeric storage, allocated once: the buffer
-        of H and L, the inverse factors of the runs without links, the
-        bands of the runs with links, G^T G as (position, value)
-        pairs and as a CSR matrix, H's parts that ``apply_h`` reads
-        (tri(o)^2 Kronecker floats per order-o bag and one scaling per
-        slack coordinate), the index arrays that the runs and ``apply_h``
-        gather and scatter through, and q with its solve."""
+        of H and L, the bands of the runs of several groups, G^T G as
+        (position, value) pairs and as a CSR matrix, H's parts that
+        ``apply_h`` reads (tri(o)^2 Kronecker floats per order-o bag and
+        one scaling per slack coordinate), the index arrays that the runs
+        and ``apply_h`` gather and scatter through, and q with its solve."""
         gtg = self._gtg
         runs = sum(
             a.nbytes for run in self._runs if run.n > 1
-            for a in (run.blocks, run.band, run.gather, run.out,
-                      None if run.band is None else run.att)
-            if a is not None
+            for a in (run.blocks, run.band, run.gather, run.out, run.att)
         )
         return (
-            self._l_flat.nbytes + self._linv_flat.nbytes + runs
+            self._l_flat.nbytes + runs
             + self._gtg_pos.nbytes + self._gtg_val.nbytes
             + gtg.data.nbytes + gtg.indices.nbytes + gtg.indptr.nbytes
             + self._kron_flat.nbytes + self._nn_w2.nbytes
             + sum(a.nbytes for a in self._kron_idx.values())
-            + self._attach_idx.nbytes + self._nn.nbytes
-            + self._term_row.nbytes + 2 * self.dim * self._l_flat.itemsize
+            + self._nn.nbytes + self._term_row.nbytes
+            + 2 * self.dim * self._l_flat.itemsize
         )
 
 

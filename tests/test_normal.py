@@ -584,15 +584,14 @@ def test_star_dualized_h_has_tree_pattern():
 
 
 def test_memory_counter_equals_walk_over_blocks():
-    # the star's leaf groups form a stacked run, whose inverses count too;
-    # the chain on a path under dctc-aux forms a run with links, whose
-    # band and index arrays count as well, and so do H's parts, which
-    # apply_h reads
+    # the star's leaf groups form a run without links, and the chain on a
+    # path under dctc-aux one with links: their bands and index arrays
+    # count, and so do H's parts, which apply_h reads
     rng = np.random.default_rng(47)
     random_tree = random_partially_separable_problem(rng, 9, 3, ineq_prob=0.5)
     cases = (
         ((*random_tree, False), None),
-        (_reference_instance("star"), "stacked"),
+        (_reference_instance("star"), "siblings"),
         (_reference_instance("path-aux"), "links"),
     )
     for (problem, td, with_aux), runs in cases:
@@ -602,9 +601,10 @@ def test_memory_counter_equals_walk_over_blocks():
         before = sys_.memory_bytes()  # allocated with the engine
         sys_.update(sigma, q, psd_w, nn_w2)
         stacked = [run for run in sys_._runs if run.n > 1]
-        chains = [run for run in stacked if run.band is not None]
         assert bool(stacked) == (runs is not None)
-        assert bool(chains) == (runs == "links")
+        assert any(run.out.size < run.n for run in stacked) == (
+            runs == "links"
+        )
         gtg = sys_._gtg
         # the blocks, and the buffer's zero slot that the bands gather
         walked = sum(
@@ -614,8 +614,6 @@ def test_memory_counter_equals_walk_over_blocks():
             if blk is not None
         ) + 8 + sys_._gtg_pos.nbytes + sys_._gtg_val.nbytes + q.nbytes + (
             sys_._u_q.nbytes
-        ) + sys_._attach_idx.nbytes + sum(
-            run.inv.nbytes for run in stacked if run.band is None
         )
         # G^T G for apply_h, and the parts of H it reads with their index
         # arrays
@@ -625,13 +623,11 @@ def test_memory_counter_equals_walk_over_blocks():
         ) + sys_._nn_w2.nbytes + sys_._nn.nbytes + sum(
             idx.nbytes for idx in sys_._kron_idx.values()
         ) + sys_._term_row.nbytes
-        # a run's attach-block positions
-        walked += sum(run.blocks.nbytes for run in stacked)
-        # a run with links' band, its gather index, and its members
-        # attaching outside it with their attach rows
-        for run in chains:
+        # a run's band, its gather index, and its members attaching
+        # outside it with their attach rows and attach-block positions
+        for run in stacked:
             walked += sum(a.nbytes for a in (
-                run.band, run.gather, run.out, run.att,
+                run.band, run.gather, run.out, run.att, run.blocks,
             ))
         assert before == sys_.memory_bytes() == walked
         assert sys_.pattern_stats()["bytes"] == walked
@@ -865,7 +861,7 @@ RUN_KINDS = [*REFERENCE_KINDS, "spider", "path-aux"]
 
 def assert_matches_reference(kind):
     """Build ``kind``'s engine and ReferenceTreeNormal, update both twice
-    and check every block, inverse, band array and solve for equal bits.
+    and check every block, band array and solve for equal bits.
     Returns the engine."""
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(
@@ -899,8 +895,8 @@ def assert_matches_reference(kind):
     gtg_diag, gtg_off = sys_._blocks(gtg_flat)
     assert same(gtg_diag, ref.gtg_diag) and same(gtg_off, ref.gtg_off)
     assert same(h_diag, ref.h_diag) and same(h_off, ref.h_off)
-    # L: the flat buffer's blocks outside the runs with links, and each
-    # run with links' band, against the reference's per group and its
+    # L: the flat buffer's blocks outside the runs of several groups, and
+    # each such run's band, against the reference's per group and its
     # bands gathered entry by entry
     bands = factor_bands(sys_)
     assert np.array_equal(
@@ -911,14 +907,6 @@ def assert_matches_reference(kind):
     assert len(bands) == len(ref.factor_bands())
     for (rows, band), (ref_rows, ref_band) in zip(bands, ref.factor_bands()):
         assert rows == ref_rows and np.array_equal(band, ref_band)
-    # the inverses of the runs without links, against the reference's per
-    # group
-    inverses = {
-        run.k + i: inv for run in sys_._runs if run.inv is not None
-        for i, inv in enumerate(run.inv)
-    }
-    assert inverses.keys() == ref.l_inv.keys()
-    assert all(np.array_equal(inverses[k], ref.l_inv[k]) for k in inverses)
     rng = np.random.default_rng(59)
     for rhs in (
         rng.standard_normal(ctc.dim_z),
@@ -941,12 +929,10 @@ def test_engine_matches_reference_bit_for_bit(kind):
     if kind == "dctc-aux":
         assert ctc.n_aux.sum() > 0
         assert ctc.n_nn.any()
-    assert any(run.inv is not None for run in sys_._runs) == (
-        kind in ("star", "spider")
-    )
-    assert any(run.band is not None for run in sys_._runs) == (
-        kind == "path-aux"
-    )
+    # every run of several groups has a band
+    stacked = sys_.pattern_stats()["stacked_groups"] > 0
+    assert stacked == (kind in ("star", "spider", "path-aux"))
+    assert any(run.band is not None for run in sys_._runs) == stacked
 
 
 @pytest.mark.parametrize("kind", ["path", "spider", "path-aux", "branch"])
@@ -980,9 +966,11 @@ def test_engine_matches_reference_on_one_bag_groups(kind, monkeypatch):
 
 
 # runs with links whose members attach outside the run in its middle, whose
-# band is wider than a group, and a theta fan
+# band is wider than a group, and a theta fan; runs of siblings alone, with
+# more attach rows than columns, and beside a run with links
 BAND_CASES = [("spider", 0), ("power-flow", GROUP_WIDTH),
-              ("theta-fan", GROUP_WIDTH)]
+              ("theta-fan", GROUP_WIDTH), ("star", 0), ("dctc-aux", 0),
+              ("power-flow", 0)]
 
 
 @pytest.mark.parametrize("kind, cap", BAND_CASES)
@@ -996,13 +984,25 @@ def test_band_runs_match_the_dense_oracle_and_the_reference(
     sys_ = assert_matches_reference(kind)
     bands = [run for run in sys_._runs if run.band is not None]
     kd = [run.band.shape[0] - 1 for run in bands]
+    # (n, w, r) of the runs of siblings alone, whose members all attach
+    # outside the run
+    siblings = [(run.n, run.w, run.r) for run in bands
+                if run.out.size == run.n]
     if kind == "spider":
         assert any(run.out[0] < run.n - 1 for run in bands)
     if kind == "power-flow":
-        (run,) = bands
-        assert (run.n, run.w, run.r, kd) == (80, 20, 20, [30])
+        linked = [run for run in bands if run.out.size < run.n]
+        (run,) = linked
+        assert (run.n, run.w, run.r, run.band.shape[0] - 1) == (80, 20, 20, 30)
+        assert siblings == ([(2, 10, 22)] if cap == 0 else [])
     if kind == "theta-fan":
         assert kd == [10] and bands[0].w == 30
+    if kind == "star":
+        assert siblings == [(29, 3, 3)]
+    if kind == "dctc-aux":
+        assert (3, 3, 16) in siblings and siblings == [
+            (run.n, run.w, run.r) for run in bands
+        ]
     ctc = sys_.ctc
     rng = np.random.default_rng(41)
     sigma, _, psd_w, nn_w2 = random_scaling_data(rng, ctc)
@@ -1022,9 +1022,9 @@ def test_band_runs_match_the_dense_oracle_and_the_reference(
 @pytest.mark.parametrize("kind", [*RUN_KINDS, "branch", "power-flow",
                                   "theta-fan"])
 def test_band_width_is_the_assembled_h_bandwidth(kind, cap, monkeypatch):
-    # the half bandwidth each run with links reads off the static pattern
+    # the half bandwidth each run of several reads off the static pattern
     # is the largest |i - j| over the nonzeros of its rows' square of the
-    # assembled H, in the engine's order
+    # assembled H, in the engine's order, and every such run has a band
     monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, sigma, _, psd_w, nn_w2 = build_system(
@@ -1038,9 +1038,7 @@ def test_band_width_is_the_assembled_h_bandwidth(kind, cap, monkeypatch):
             i, j = np.nonzero(h[run.rows, run.rows])
             assert run.band.shape[0] - 1 == np.max(np.abs(i - j))
             seen += 1
-    assert seen or kind in ("star", "random-tree", "dctc-aux") or (
-        cap == GROUP_WIDTH and kind in ("path", "spider", "branch")
-    )
+    assert (seen > 0) == (sys_.pattern_stats()["stacked_groups"] > 0)
 
 
 @pytest.mark.parametrize("kind", REFERENCE_KINDS)
@@ -1136,10 +1134,10 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
     # elimination order, each of one (width, attach rows) in which the
     # only member whose attach bag a group holds is its predecessor (a
     # link), and each ending only where the next group changes shape or
-    # holds another member's attach bag; a run of several is strided views
-    # of its groups' edge blocks, a run without links also of its diagonal
-    # blocks and of a separate inverse buffer, and a run with links holds
-    # its band in a buffer of its own
+    # holds another member's attach bag; a run of one group is views of
+    # its blocks, and a run of several, with links or without, is strided
+    # views of its groups' edge blocks and holds its band in a buffer of
+    # its own
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     groups, parent = sys_.groups, td.parent.tolist()
@@ -1188,16 +1186,13 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
         b, r = parent[groups[g][-1]], shape[g][1]
         at = sys_._bag_start[b] - sys_.slices[up[g]].start
         attach_of.append(l_diag[up[g]][at:at + r, at:at + r] if r else None)
-    assert sys_._linv_flat.size == sum(
-        run.n * run.w * run.w for run, m in zip(plan, linked)
-        if run.n > 1 and not m
-    )
-    for run, m in zip(plan, linked, strict=True):
+    for run in plan:
         k, n, w, r = run.k, run.n, run.w, run.r
         members = range(k, k + n)
+        # every run of several groups has a band
+        assert (run.band is None) == (n == 1)
         if n == 1:
-            assert run.inv is run.inv_t is None
-            assert run.band is run.gather is run.out is None
+            assert run.gather is run.out is None
             if attach_of[k] is None:
                 assert run.blocks is None
             else:
@@ -1216,31 +1211,21 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
             assert same_view(run.l_off_t[i], l_off[g].T)
         # the members whose updates the run subtracts, and the flat
         # positions of their attach blocks, in order
-        out = range(n) if not m else [
-            i for i in range(n) if i == n - 1 or up[k + i] != k + i + 1
-        ]
+        out = [i for i in range(n) if i == n - 1 or up[k + i] != k + i + 1]
         base = sys_._l_flat.ctypes.data
         assert np.array_equal(run.blocks, np.concatenate([
             (blk.ctypes.data - base) // 8 + np.add.outer(
                 np.arange(r) * blk.strides[0] // 8, np.arange(r)
             ).ravel() for blk in (attach_of[k + i] for i in out)
         ]))
-        if not m:
-            assert run.band is run.gather is run.out is None
-            flat_lo, flat_hi = byte_bounds(sys_._linv_flat)
-            for view in (run.inv, run.inv_t):
-                view_lo, view_hi = byte_bounds(view)
-                assert flat_lo <= view_lo and view_hi <= flat_hi
-            assert run.l_diag.shape == run.inv.shape == (n, w, w)
-            for i, g in enumerate(members):
-                assert same_view(run.l_diag[i], l_diag[g])
-                assert same_view(run.l_diag_t[i], l_diag[g].T)
-                assert same_view(run.inv_t[i], run.inv[i].T)
-            continue
-        # a run with links: its band, and the members attaching outside
-        # it with their attach rows
-        assert run.l_diag is run.inv is None
+        # its band, and the members attaching outside it with their attach
+        # rows
+        assert run.l_diag is run.l_diag_t is None
         assert run.out.tolist() == out
+        # the same members, picked by a slice where they are consecutive
+        assert np.arange(n)[run.sel].tolist() == out
+        consecutive = out == list(range(out[0], out[-1] + 1))
+        assert isinstance(run.sel, slice) == consecutive
         assert np.array_equal(
             run.att, np.concatenate([slabs[k + i] for i in out])
         )
@@ -1251,19 +1236,15 @@ def test_sweep_plan_tiles_the_groups_in_maximal_independent_runs(kind):
 
 @pytest.mark.parametrize("kind", RUN_KINDS)
 def test_runs_span_their_groups_and_attach_rows(kind):
-    # each run spans its groups' rows; a run of several without links
-    # scatters onto the attach rows of its members, the full stretch of
-    # the attach-row array, and a run with links onto those of its members
-    # that attach outside it, since its links' rows lie in its band
+    # each run spans its groups' rows; a run of several scatters onto the
+    # attach rows of its members that attach outside it, since its links'
+    # rows lie in its band (without links, those of all its members)
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *_ = build_system(problem, td, with_aux=with_aux)
     slabs = [
         None if s is None else np.arange(s.start, s.stop)
         for s in sys_._slabs
     ]
-    assert np.array_equal(
-        sys_._attach_idx, np.concatenate([s for s in slabs if s is not None])
-    )
     plan = sys_._runs
     assert sum(run.n for run in plan) == len(sys_.groups)
     for run in plan:
@@ -1274,9 +1255,8 @@ def test_runs_span_their_groups_and_attach_rows(kind):
         if n == 1:
             assert run.att == sys_._slabs[k]
             continue
-        out = range(n) if run.band is None else run.out.tolist()
         assert np.array_equal(
-            run.att, np.concatenate([slabs[k + i] for i in out])
+            run.att, np.concatenate([slabs[k + i] for i in run.out])
         )
         rows = run.rows
         assert not ((run.att >= rows.start) & (run.att < rows.stop)).any()
@@ -1286,8 +1266,10 @@ def test_runs_span_their_groups_and_attach_rows(kind):
     stacked = [run for run in plan if run.n > 1]
     if kind == "star":
         assert any(np.unique(run.att).size < run.att.size for run in stacked)
+    if kind == "star":
+        assert [run.out.size for run in stacked] == [run.n for run in stacked]
     if kind == "path-aux":
-        (run,) = [run for run in stacked if run.band is not None]
+        (run,) = stacked
         rows = run.rows
         inside = np.concatenate(
             [slabs[g] for g in range(run.k, run.k + run.n)]
@@ -1341,11 +1323,11 @@ def test_apply_h_never_reads_the_factored_buffer(kind, cap, monkeypatch):
     "kind", ["star", "spider", "random-tree", "path", "dctc-aux", "path-aux"]
 )
 def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
-    # the runs of several without links multiply by explicit inverses, and
-    # the runs with links solve with their band; after two updates, the
-    # residual against H plus factor's static shift (H applied by apply_h)
-    # stays at rounding.  Against H alone the shift leaves 1e-12 (1 + max diag) |x|,
-    # about 1e-11 |b| here.
+    # the runs of several groups solve with their band, with links or
+    # without; after two updates, the residual against H plus factor's
+    # static shift (H applied by apply_h) stays at rounding.  Against H
+    # alone the shift leaves 1e-12 (1 + max diag) |x|, about 1e-11 |b|
+    # here.
     monkeypatch.setattr(normal, "GROUP_WIDTH", cap)
     problem, td, with_aux = _reference_instance(kind)
     ctc, sys_, *first = build_system(problem, td, with_aux=with_aux, seed=19)
@@ -1353,7 +1335,7 @@ def test_solve_h_inverts_the_shifted_h_to_rounding(kind, cap, monkeypatch):
         kind in ("random-tree", "path", "dctc-aux") and cap == GROUP_WIDTH
     )
     assert any(run.band is not None for run in sys_._runs) == (
-        kind == "path-aux" or (kind in ("path", "spider") and cap == 0)
+        sys_.pattern_stats()["stacked_groups"] > 0
     )
     sys_.update(*first)
     sys_.update(*random_scaling_data(np.random.default_rng(23), ctc))
@@ -1389,8 +1371,9 @@ def test_factor_solves_edge_blocks_in_place_in_l(monkeypatch):
 
 
 def test_indefinite_block_in_a_run_names_its_group(monkeypatch):
-    # sigma = 0 leaves H block diagonal; one stacked cholesky_lo call
-    # fails on the leaf group whose bag is indefinite, and it is named
+    # sigma = 0 leaves H block diagonal; the leaf groups' band fails by one
+    # dpbtrf call on the leaf group whose bag is indefinite, and it is
+    # named
     monkeypatch.setattr(normal, "GROUP_WIDTH", 0)
     problem, td, _ = _reference_instance("star")
     ctc, sys_, sigma, q, psd_w, nn_w2 = build_system(problem, td, seed=9)

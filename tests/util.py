@@ -9,7 +9,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpbtrf, dtbtrs, dtrtri
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 
 from treesdp.chordal import Graph, TreeDecomposition, decompose
 from treesdp.convert import ConvertedProblem
@@ -256,7 +256,7 @@ def _dense_blocks(sys_, diag, off, mirror, bands=()):
 
 
 def factor_bands(sys_) -> list:
-    """(rows, band) of each run with links of a normal engine."""
+    """(rows, band) of each run of several groups of a normal engine."""
     return [(run.rows, run.band) for run in sys_._runs
             if run.band is not None]
 
@@ -286,8 +286,8 @@ def reconstruct_factor(fac):
 
 def factor_dense(sys_):
     """A normal engine's factor L as a dense matrix in the original
-    coordinates: its blocks in the flat buffer, and over each run with
-    links its band instead."""
+    coordinates: its blocks in the flat buffer, and over each run of
+    several groups its band instead."""
     return _dense_blocks(sys_, sys_.l_diag, sys_.l_off, mirror=False,
                          bands=factor_bands(sys_))
 
@@ -967,14 +967,6 @@ def reference_sweep_runs(groups, parent, width) -> list:
     return [(first, n) for first, n, _ in runs]
 
 
-def stacked_groups(groups, parent, width) -> set:
-    """The groups in runs of several of :func:`reference_sweep_runs`."""
-    return {
-        k for first, n in reference_sweep_runs(groups, parent, width)
-        if n > 1 for k in range(first, first + n)
-    }
-
-
 class ReferenceTreeNormal(TreeNormalSystem):
     """The block-tree normal engine over the engine's groups, one group at
     a time through ``scipy.linalg.solve_triangular``, each block a separate
@@ -983,12 +975,10 @@ class ReferenceTreeNormal(TreeNormalSystem):
     reference the engine's flat buffers and direct LAPACK calls must match
     bit for bit.
 
-    A group that the engine sweeps in a run of several without links (cut
-    here group by group) is taken through its factor's explicit inverse,
-    one 2-D product at a time, as the engine's stacked products take it.
-    A run with links (a member attaching to the next) is entered one entry
-    at a time into a LAPACK band matrix, whose half bandwidth is worked
-    out entry by entry too, and factored and solved by ``dpbtrf`` and
+    A run of several groups (cut here group by group), with links (a
+    member attaching to the next) or without, is entered one entry at a
+    time into a LAPACK band matrix, whose half bandwidth is worked out
+    entry by entry too, and factored and solved by ``dpbtrf`` and
     ``dtbtrs``, as the engine's factor and solve do."""
 
     def __init__(self, dualized):
@@ -1019,22 +1009,17 @@ class ReferenceTreeNormal(TreeNormalSystem):
         self.runs = reference_sweep_runs(
             self.groups, self.parent, self.bag_width
         )
-        # run -> (members that attach to the next member, half bandwidth)
-        self.links = {}
+        # run of several -> (members that attach to the next member, half
+        # bandwidth)
+        self.band_runs = {}
         for first, n in self.runs:
             linked = [
                 i for i in range(n - 1)
                 if self.attach[first + i] is not None
                 and self.group_of[self.attach[first + i]] == first + i + 1
             ]
-            if linked:
-                self.links[first] = (linked, self._band_width(first, n))
-        self.stacked = stacked_groups(
-            self.groups, self.parent, self.bag_width
-        ) - {
-            first + i for first, n in self.runs if first in self.links
-            for i in range(n)
-        }
+            if n > 1:
+                self.band_runs[first] = (linked, self._band_width(first, n))
         self.gtg_diag, self.gtg_off = self._reference_gram()
         self.ref_gtg = (self.dualized.g_csr.T @ self.dualized.g_csr).tocsr()
 
@@ -1128,7 +1113,7 @@ class ReferenceTreeNormal(TreeNormalSystem):
             blk[np.diag_indices(blk.shape[0])] += reg
         l_diag = [None] * len(self.groups)
         l_off = [None] * len(self.groups)
-        self.l_inv, self.band = {}, {}
+        self.band = {}
 
         def update(k, r):
             b = self.attach[k]
@@ -1136,8 +1121,8 @@ class ReferenceTreeNormal(TreeNormalSystem):
             work[self.group_of[b]][s:s + wb, s:s + wb] -= r @ r.T
 
         for first, n in self.runs:
-            if first in self.links:
-                linked, kd = self.links[first]
+            if first in self.band_runs:
+                linked, kd = self.band_runs[first]
                 band = self._gather_band(first, n, kd, linked, work)
                 c, info = dpbtrf(band, lower=1)
                 assert info == 0
@@ -1155,22 +1140,13 @@ class ReferenceTreeNormal(TreeNormalSystem):
                     l_off[k] = lt.T
                     update(k, l_off[k])
                 continue
-            for k in range(first, first + n):
-                lk = np.linalg.cholesky(work[k])
-                l_diag[k] = lk
-                if k in self.stacked:
-                    # the inverse of lk from the upper triangle of lk^T
-                    inv, info = dtrtri(lk.T, lower=0)
-                    assert info == 0
-                    self.l_inv[k] = inv.T
-                if self.attach[k] is None:
-                    continue
-                if k in self.stacked:
-                    r = self.h_off[k] @ inv
-                else:
-                    r = solve_triangular(lk, self.h_off[k].T, lower=True).T
-                l_off[k] = r
-                update(k, r)
+            (k,) = range(first, first + n)
+            lk = np.linalg.cholesky(work[k])
+            l_diag[k] = lk
+            if self.attach[k] is not None:
+                l_off[k] = solve_triangular(lk, self.h_off[k].T,
+                                            lower=True).T
+                update(k, l_off[k])
         self.l_diag = l_diag
         self.l_off = l_off
 
@@ -1195,12 +1171,12 @@ class ReferenceTreeNormal(TreeNormalSystem):
         return band
 
     def factor_bands(self) -> list:
-        """(rows, band) of each run with links, as ``factor_bands`` reads
+        """(rows, band) of each run of several, as ``factor_bands`` reads
         them off the engine."""
         return [
             (slice(self._rows(first).start,
                    self._rows(first + n - 1).stop), self.band[first])
-            for first, n in self.runs if first in self.links
+            for first, n in self.runs if first in self.band_runs
         ]
 
     def _rows(self, k):
@@ -1223,8 +1199,8 @@ class ReferenceTreeNormal(TreeNormalSystem):
         cols, single = self._as_columns(rhs)
         x = cols[self.ref_perm]
         for first, n in self.runs:
-            if first in self.links:
-                linked, _ = self.links[first]
+            if first in self.band_runs:
+                linked, _ = self.band_runs[first]
                 rows = slice(self._rows(first).start,
                              self._rows(first + n - 1).stop)
                 x[rows], info = dtbtrs(self.band[first], x[rows], uplo="L")
@@ -1236,18 +1212,14 @@ class ReferenceTreeNormal(TreeNormalSystem):
                             self.l_off[k] @ x[self._rows(k)]
                         )
                 continue
-            for k in range(first, first + n):
-                sl = self._rows(k)
-                if k in self.stacked:
-                    yk = self.l_inv[k] @ x[sl]
-                else:
-                    yk = solve_triangular(self.l_diag[k], x[sl], lower=True)
-                x[sl] = yk
-                if self.attach[k] is not None:
-                    x[self._attach_slice(k)] -= self.l_off[k] @ yk
+            sl = self._rows(first)
+            yk = solve_triangular(self.l_diag[first], x[sl], lower=True)
+            x[sl] = yk
+            if self.attach[first] is not None:
+                x[self._attach_slice(first)] -= self.l_off[first] @ yk
         for first, n in reversed(self.runs):
-            if first in self.links:
-                linked, _ = self.links[first]
+            if first in self.band_runs:
+                linked, _ = self.band_runs[first]
                 rows = slice(self._rows(first).start,
                              self._rows(first + n - 1).stop)
                 for i in range(n):
@@ -1260,17 +1232,12 @@ class ReferenceTreeNormal(TreeNormalSystem):
                                        trans="T")
                 assert info == 0
                 continue
-            for k in reversed(range(first, first + n)):
-                sl = self._rows(k)
-                t = x[sl]
-                if self.attach[k] is not None:
-                    t = t - self.l_off[k].T @ x[self._attach_slice(k)]
-                if k in self.stacked:
-                    x[sl] = self.l_inv[k].T @ t
-                else:
-                    x[sl] = solve_triangular(
-                        self.l_diag[k], t, lower=True, trans="T"
-                    )
+            sl = self._rows(first)
+            t = x[sl]
+            if self.attach[first] is not None:
+                t = t - self.l_off[first].T @ x[self._attach_slice(first)]
+            x[sl] = solve_triangular(self.l_diag[first], t, lower=True,
+                                     trans="T")
         return self._unpermute(x, single)
 
     def apply_h(self, x):
@@ -1343,11 +1310,10 @@ def loop_kron_runs(sys_) -> dict:
 
 def loop_factor_ops(sys_) -> int:
     """The engine's per-factorization operation count, group by group: a
-    w-wide group costs w^3 // 3 + w, plus w^2 r + w r^2 for the r rows of
-    its attach bag, plus w^3 // 3 for its factor's inverse when it lies in
-    a run of several groups without links.  A run with links of half
-    bandwidth kd instead costs w (kd^2 + 1) per member, plus w r (kd + r)
-    per member that attaches outside the run."""
+    w-wide group swept alone costs w^3 // 3 + w, plus w^2 r + w r^2 for
+    the r rows of its attach bag.  A run of several groups of half
+    bandwidth kd costs w (kd^2 + 1) per member, plus w r (kd + r) per
+    member that attaches outside the run."""
     width = sys_.ctc.width.tolist()
     parent = sys_.ctc.td.parent.tolist()
     ref = ReferenceTreeNormal(sys_.dualized)
@@ -1358,15 +1324,13 @@ def loop_factor_ops(sys_) -> int:
             w = sum(width[j] for j in members)
             b = parent[members[-1]]
             r = 0 if b == members[-1] else width[b]
-            if first in ref.links:
-                linked, kd = ref.links[first]
+            if first in ref.band_runs:
+                linked, kd = ref.band_runs[first]
                 ops += w * (kd * kd + 1)
                 if k - first not in linked:
                     ops += w * r * (kd + r)
                 continue
             ops += w ** 3 // 3 + w + w * w * r + w * r ** 2
-            if k in ref.stacked:
-                ops += w ** 3 // 3
     return ops
 
 
@@ -1384,9 +1348,9 @@ def nonzero_bag_pairs(sys_) -> tuple:
     (later bag, earlier bag) rows in the permuted order.  H's are read off
     every entry of :func:`h_dense`, L's off every entry of
     :func:`factor_dense`, which holds the flat buffer's blocks and the
-    bands of the runs with links.  The merged group blocks store every bag
-    pair of a group, so a pair of bags that are not adjacent in the tree
-    appears here exactly when it is nonzero."""
+    bands of the runs of several groups.  The merged group blocks store
+    every bag pair of a group, so a pair of bags that are not adjacent in
+    the tree appears here exactly when it is nonzero."""
 
     def pairs(rows, cols):
         a, b = sys_._bag_of[rows], sys_._bag_of[cols]
