@@ -1,11 +1,14 @@
 """Undirected graphs, elimination orderings, and clique-tree decompositions.
 
-The decomposition pipeline is: aggregate a sparsity pattern into a graph,
-play the elimination game once in greedy minimum-degree order (or a given
-one), recording one bag per vertex with elimination-tree parents, then merge
-nested bags (supernodes).  The result is a rooted tree of index sets
-covering all vertices and edges and satisfying the running-intersection
-property.  It owns its (bag, vertex) table, each bag's separator included.
+The decomposition pipeline is: aggregate a sparsity pattern into a graph
+(its sorted distinct positions already are the canonical edge list), play
+the elimination game once in greedy minimum-degree order (or a given
+one), recording one bag per vertex with elimination-tree parents, then
+merge nested bags (supernodes) by comparing bag sizes alone, and build
+one decomposition from the kept bags.  The result is a rooted tree of
+index sets covering all vertices and edges and satisfying the
+running-intersection property.  It owns its (bag, vertex) table, each
+bag's separator included, and the same table read by vertex.
 """
 
 from __future__ import annotations
@@ -170,7 +173,7 @@ class TreeDecomposition:
             if p != j:
                 children[p].append(j)  # ascending, since j ascends
         order = []
-        stack = [(self.root, False)]
+        stack = [(self.root, False)] if self.ell else []
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -221,6 +224,18 @@ class TreeDecomposition:
         return _frozen(np.repeat(np.arange(self.ell), np.diff(self.bag_start)))
 
     @cached_property
+    def vertex_start(self) -> np.ndarray:
+        """Vertex -> offset of its run in ``vertex_bags``; n + 1 entries."""
+        count = np.bincount(self.members, minlength=self.n)
+        return _frozen(np.concatenate(([0], np.cumsum(count))))
+
+    @cached_property
+    def vertex_bags(self) -> np.ndarray:
+        """The (bag, vertex) table read by vertex: every vertex's bags in
+        ascending order, vertex after vertex."""
+        return _frozen(self.bag_of[np.argsort(self.members, kind="stable")])
+
+    @cached_property
     def _keys(self) -> np.ndarray:
         return self.bag_of * self.n + self.members  # ascending
 
@@ -263,11 +278,16 @@ def sparsity_graph(n: int, stack: Triplets) -> Graph:
     storage (``SdpProblem.triplets``): one edge per stored off-diagonal
     position.
 
-    Stored entries count as structural even when their value is zero."""
+    Stored entries count as structural even when their value is zero.  The
+    sorted unique keys already are ``Graph``'s canonical edges, so they
+    skip its per-edge checks."""
     off = stack.rows != stack.cols
     edges = sorted_unique(stack.cols[off] * n + stack.rows[off])
     lo, hi = np.divmod(edges, n)
-    return Graph(n=n, edges=zip(lo.tolist(), hi.tolist()))
+    graph = object.__new__(Graph)
+    object.__setattr__(graph, "n", int(n))
+    object.__setattr__(graph, "edges", tuple(zip(lo.tolist(), hi.tolist())))
+    return graph
 
 
 def eliminate(graph: Graph, order: list | None = None) -> TreeDecomposition:
@@ -281,6 +301,14 @@ def eliminate(graph: Graph, order: list | None = None) -> TreeDecomposition:
     Bag k's parent is the bag of its earliest-eliminated later neighbor.
     The roots of an elimination forest hang from the last bag, itself a
     root, so the result is a single tree."""
+    bags, parent = _eliminate(graph, order)
+    return TreeDecomposition(n=graph.n, bags=bags, parent=parent)
+
+
+def _eliminate(graph: Graph, order: list | None) -> tuple:
+    """The raw bags of :func:`eliminate`, each its eliminated vertex
+    followed by its later neighbors in ascending order, and their parents
+    as a list."""
     n = graph.n
     if order is not None and sorted(order) != list(range(n)):
         raise DimensionMismatch("elimination order is not a permutation")
@@ -319,16 +347,26 @@ def eliminate(graph: Graph, order: list | None = None) -> TreeDecomposition:
     parent[has] = np.minimum.reduceat(
         np.asarray(pos)[later], (np.cumsum(count) - count)[has]
     )
-    return TreeDecomposition(n=n, bags=bags, parent=parent)
+    return bags, parent.tolist()
 
 
-def supernode_merge(td: TreeDecomposition) -> TreeDecomposition:
-    """Merge nested bags: a bag that is a subset of its parent is absorbed
-    into the parent, and a parent that is a subset of a child is absorbed
-    into that child.  Repeats to a fixpoint; idempotent; width unchanged."""
-    bags = [set(b) for b in td.bags]
-    parent = [int(p) for p in td.parent]
-    alive = [True] * len(bags)
+def _merge_supernodes(sizes: list, parent: list) -> tuple:
+    """Merge nested bags of an elimination tree, given only the bags'
+    sizes: returns the kept bags, ascending, and each one's parent as a
+    position among them.
+
+    A bag minus its own vertex lies inside its parent's bag, and its own
+    vertex lies in no later bag.  So a child is never a subset of its
+    parent, and the parent is a subset of the child exactly when it is
+    one vertex smaller; the child then takes the parent's place in the
+    tree.  A child that absorbed its parent has two own vertices, so it
+    takes in its next parent only when that one's size equals the
+    absorbed parent's minus one: ``inner[j]``, the size of bag j less its
+    own vertices, carries that count.  Bags are visited in index order,
+    sweep after sweep, until a sweep merges none; parent pointers of the
+    absorbed bags are followed to the bag that absorbed them."""
+    inner = [size - 1 for size in sizes]
+    alive = [True] * len(sizes)
 
     def find(j):
         while not alive[j]:
@@ -338,39 +376,34 @@ def supernode_merge(td: TreeDecomposition) -> TreeDecomposition:
     changed = True
     while changed:
         changed = False
-        for j in range(len(bags)):
-            if not alive[j]:
+        for j, p in enumerate(parent):
+            if not alive[j] or p == j:
                 continue
-            p = find(parent[j]) if parent[j] != j else j
-            parent[j] = p
-            if p == j:
+            if not alive[p]:
+                p = parent[j] = find(p)
+            if p == j or sizes[p] != inner[j]:
                 continue
-            if bags[j] <= bags[p]:
-                # child absorbed into parent
-                alive[j] = False
-                parent[j] = p
-                changed = True
-            elif bags[p] <= bags[j]:
-                # parent absorbed into child: child takes the parent's place
-                bags[j] |= bags[p]
-                gp = find(parent[p]) if parent[p] != p else p
-                alive[p] = False
-                parent[p] = j
-                parent[j] = j if gp == p else gp
-                changed = True
-    keep = [j for j in range(len(bags)) if alive[j]]
-    index = {j: i for i, j in enumerate(keep)}
-    new_bags = [tuple(sorted(bags[j])) for j in keep]
-    new_parent = np.zeros(len(keep), dtype=np.int64)
+            # the parent is absorbed into the child, which takes its place
+            gp = parent[p]
+            gp = find(gp) if gp != p else p
+            alive[p] = False
+            parent[p] = j
+            parent[j] = j if gp == p else gp
+            inner[j] = inner[p]
+            changed = True
+    keep = [j for j, live in enumerate(alive) if live]
+    index = [0] * len(sizes)
     for i, j in enumerate(keep):
-        p = parent[j]
-        if p != j:
-            p = find(p)
-        new_parent[i] = index[p]
-    return TreeDecomposition(n=td.n, bags=new_bags, parent=new_parent)
+        index[j] = i
+    return keep, [index[find(parent[j])] for j in keep]
 
 
 def decompose(graph: Graph, order: list | None = None) -> TreeDecomposition:
     """Full pipeline: one elimination pass (min-degree order unless one is
-    supplied), then supernode merge."""
-    return supernode_merge(eliminate(graph, order))
+    supplied), then the supernode merge on the raw bags' sizes, and one
+    decomposition built from the kept bags."""
+    bags, parent = _eliminate(graph, order)
+    keep, parent = _merge_supernodes(list(map(len, bags)), parent)
+    return TreeDecomposition(
+        n=graph.n, bags=[bags[j] for j in keep], parent=parent
+    )

@@ -286,9 +286,9 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
 def sorted_lookup(table: np.ndarray, keys: np.ndarray):
     """Positions of ``keys`` in the ascending ``table``, and which it holds."""
     pos = np.searchsorted(table, keys)
-    hit = pos < table.size
-    hit[hit] = table[pos[hit]] == keys[hit]
-    return pos, hit
+    if not table.size:
+        return pos, np.zeros(pos.shape, dtype=bool)
+    return pos, table[np.minimum(pos, table.size - 1)] == keys
 
 
 # --------------------------------------------------------------------------

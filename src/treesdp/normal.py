@@ -555,15 +555,20 @@ class TreeNormalSystem:
         G^T G's nonzeros."""
         run_of = np.repeat(np.arange(len(plan)),
                            [n * w for _, n, w, _ in plan])
+        # G^T G is symmetric, so its entries below the diagonal suffice
+        low = i > j
+        i, j = i[low], j[low]
+        run, group = run_of[i], self._group_of[self._bag_of]
+        inside = run == run_of[j]
         kd = np.zeros(len(plan), dtype=np.int64)
-        inside = run_of[i] == run_of[j]
-        np.maximum.at(kd, run_of[i[inside]], np.abs(i - j)[inside])
+        np.maximum.at(kd, run[inside], (i - j)[inside])
         np.maximum.at(kd, run_of[self._bag_start], tri(self.ctc.order) - 1)
-        group = self._group_of[self._bag_of]
-        cross = (i > j) & (group[i] != group[j])
+        gj = group[j]
+        cross = group[i] != gj
+        gj, ic = gj[cross], i[cross]
         lo, hi = np.full((2, len(self.groups)), [[self.dim], [-1]])
-        np.minimum.at(lo, group[j[cross]], i[cross])
-        np.maximum.at(hi, group[j[cross]], i[cross])
+        np.minimum.at(lo, gj, ic)
+        np.maximum.at(hi, gj, ic)
         has = hi >= 0
         np.maximum.at(kd, run_of[lo[has]], (hi - lo)[has])
         return kd.tolist()
@@ -577,17 +582,18 @@ class TreeNormalSystem:
         next one where ``src[i]``, at row ``rel[i]`` of its block.  An
         entry outside the members' diagonal blocks and the links' edge
         blocks points at the zero slot that ends ``_l_flat``."""
+        # axes: member, column in the member, distance below the diagonal
         d = np.arange(kd + 1)
-        mj, cj = np.divmod(np.arange(n * w), w)
-        below = cj[:, None] + d  # the row in member mj's block
-        a = below - (w + rel[mj])[:, None]  # the row in mj's edge block
-        link = np.append(src, False)[mj, None] & (a >= 0) & (a < r)
-        edge = self._block_off[len(self.groups) + k + mj] + cj
-        diag = self._diag_pos[self.slices[k].start:][:n * w]
+        below = np.arange(w)[:, None] + d  # the row in the member's block
+        a = below - (w + rel)[:, None, None]  # the row in its edge block
+        link = np.append(src, False)[:, None, None] & (a >= 0) & (a < r)
+        at = len(self.groups) + k
+        edge = self._block_off[at:at + n, None, None] + below - d + a * w
+        start = self.slices[k].start
+        diag = self._diag_pos[start:start + n * w].reshape(n, w, 1) + d * w
         return np.where(
-            below < w, diag[:, None] + d * w,
-            np.where(link, edge[:, None] + a * w, self._n_flat),
-        )
+            below < w, diag, np.where(link, edge, self._n_flat)
+        ).reshape(n * w, kd + 1)
 
     def _kron_run_views(self) -> dict:
         """Order o -> the runs of the order-o bags' Kronecker blocks in H,

@@ -244,29 +244,76 @@ class _Shifted:
     """tI - M for a sparse symmetric M, whose inertia answers whether an
     eigenvalue of M lies above t.
 
-    M comes as lower-triangle triplets (duplicates summed).  tI - M is
-    held once in CSC form with every diagonal entry stored, so each trial
-    shift only rewrites the diagonal.  By Sylvester's law of inertia the
-    number of negative pivots of an LDL^T factor with no pivoting is the
-    number of eigenvalues of M above t.  Which factor answers is decided
+    M comes as lower-triangle triplets (duplicates summed).  By
+    Sylvester's law of inertia the number of negative pivots of an LDL^T
+    factor with no pivoting is the number of eigenvalues of M above t.
+    Which factor answers is decided
     once, from the pattern's half bandwidth kd, the largest
     row-minus-column distance of a stored entry in the problem's own
     vertex order:
 
     * a narrow band, (kd + 1) n at most BAND_FILL times the stored
-      entries, takes one LAPACK ``dpbtrf`` of the lower band of tI - M
-      per test: a Cholesky factor with no fill outside the band (George &
-      Liu, 1981), in O(n kd^2).  It stops at the first pivot that is not
-      positive, a negative one answering yes;
+      entries of tI - M, takes one LAPACK ``dpbtrf`` of the lower band of
+      tI - M per test: a Cholesky factor with no fill outside the band
+      (George & Liu, 1981), in O(n kd^2).  It stops at the first pivot
+      that is not positive, a negative one answering yes.  Only the band
+      of -M is kept, read off the sorted triplets; tI - M is never
+      formed;
     * every other pattern is factored as P (tI - M) P^T = L D L^T in
       SuperLU's minimum-degree order on the symmetric pattern, so fill
-      stays inside a chordal extension of the pattern.
+      stays inside a chordal extension of the pattern.  tI - M is held
+      once in CSC form with every diagonal entry stored, so each trial
+      shift only rewrites the diagonal.
 
     Both see the same shifts, so the bisection's brackets do not depend
     on the choice.
     """
 
     def __init__(self, n: int, rows, cols, vals):
+        self.band = None  # the lower band of -M, LAPACK storage
+        kd = int(np.max(rows - cols, initial=0))
+        # tI - M stores each diagonal entry and both mirrors of every
+        # distinct position below it, which the stored triplets bound
+        if (kd + 1) * n <= BAND_FILL * (n + 2 * np.count_nonzero(rows - cols)):
+            key = cols * n + rows  # column-major, as the CSC form stores
+            order = np.argsort(key, kind="stable")
+            key = key[order]
+            head = np.ones(key.size, dtype=bool)
+            head[1:] = key[1:] != key[:-1]
+            first = order[head]
+            col, row = cols[first], rows[first]
+            lower = row > col
+            if (kd + 1) * n <= BAND_FILL * (n + 2 * np.count_nonzero(lower)):
+                self._keep_band(n, kd, -vals[order], head, col, row, lower)
+                return
+        self._keep_csc(n, rows, cols, vals)
+
+    def _keep_band(self, n, kd, data, head, col, row, lower) -> None:
+        """Keep the band of -M from its column-major sorted entries
+        ``data``, of which ``head`` marks the first at each position (col,
+        row), without forming tI - M.  Duplicates are summed in input
+        order.  The CSC form sums them in the order its index sort leaves
+        them, which is input order in a column of at most 16 stored
+        entries (scipy's sort is an insertion sort there), so the two
+        agree bit for bit on such patterns."""
+        sums = data[head]
+        np.add.at(sums, np.cumsum(head)[~head] - 1, data[~head])
+        diag = np.zeros(n)
+        diag[col[~lower]] = sums[~lower]
+        self.m_diag = -(diag + 0.0)  # the stored zero diagonal, last
+        col, row, sums = col[lower], row[lower], sums[lower]
+        self.band = np.zeros((kd + 1, n), order="F")
+        self.band[row - col, col] = sums
+        self.work = np.empty_like(self.band)
+        # the CSC form's off-diagonal entries in its order: by column,
+        # each column's mirrored entries (rows above) before its own
+        up = np.argsort(row * n + col)
+        self._bound(n, np.concatenate((row[up], col)),
+                    np.concatenate((sums[up], sums)))
+
+    def _keep_csc(self, n, rows, cols, vals) -> None:
+        """Keep tI - M in CSC form for SuperLU, every diagonal entry
+        stored, so each trial shift only rewrites the diagonal."""
         off = rows != cols
         diag = np.arange(n)
         self.mat = sp.csc_matrix(
@@ -283,21 +330,19 @@ class _Shifted:
         on_diag = self.mat.indices == col
         self.diag_pos = np.flatnonzero(on_diag)
         self.m_diag = -self.mat.data[self.diag_pos]
-        self.scale = float(np.max(np.abs(self.mat.data), initial=0.0))
-        radius = np.bincount(
-            col[~on_diag], weights=np.abs(self.mat.data[~on_diag]), minlength=n
-        )
+        self._bound(n, col[~on_diag], self.mat.data[~on_diag])
+
+    def _bound(self, n, off_col, off_data) -> None:
+        """The entry scale of tI - M and the Gershgorin bound, from the
+        off-diagonal entries of each column of tI - M in their CSC order."""
+        self.scale = float(max(
+            np.max(np.abs(self.m_diag), initial=0.0),
+            np.max(np.abs(off_data), initial=0.0),
+        ))
+        radius = np.bincount(off_col, weights=np.abs(off_data), minlength=n)
         # Gershgorin: no eigenvalue of M exceeds max_i (M_ii + radius_i),
         # nor, then, this bound clamped at 0
         self.upper = float(np.max(self.m_diag + radius, initial=0.0))
-        below = self.mat.indices - col  # row minus column
-        kd = int(np.max(below, initial=0))
-        self.band = None  # the lower band of -M, LAPACK storage
-        if (kd + 1) * n <= BAND_FILL * self.mat.nnz:
-            lower = below > 0
-            self.band = np.zeros((kd + 1, n), order="F")
-            self.band[below[lower], col[lower]] = self.mat.data[lower]
-            self.work = np.empty_like(self.band)
 
     def exceeds(self, t: float) -> bool:
         """Whether M has an eigenvalue above t.

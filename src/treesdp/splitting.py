@@ -10,9 +10,13 @@ a selected bag greedily claims every remaining entry it can hold.
 
 The splitter runs once over the stacked triplets of all matrices
 (``linalg.Triplets``).  Trigger bags and the coverability test are array
-lookups in the decomposition's (bag, vertex) table.  A matrix whose entries all trigger one bag goes to that bag whole;
-only a matrix with several trigger bags runs the greedy traversal, which
-reads the decomposition's postorder positions (``post_index``).
+lookups in the decomposition's (bag, vertex) table.  A matrix whose entries
+all trigger one bag goes to that bag whole.  The matrices with several
+trigger bags are covered together: each entry's candidate bags come from
+the decomposition's vertex table, array passes select every bag that is
+the only candidate of one of its entries and set aside the entries that
+another selected candidate covers, and only the trigger bags of the
+entries left are decided one at a time, in postorder (``post_index``).
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from .chordal import TreeDecomposition
 from .errors import UncoverableEntry
-from .linalg import Triplets
+from .linalg import Triplets, ranges, sorted_lookup, sorted_unique
 
 
 def build_unique_partition(td: TreeDecomposition) -> np.ndarray:
@@ -79,15 +83,17 @@ def split(
     # a matrix whose entries all trigger one bag goes to that bag whole
     assignment = trigger
     if ids.size:
-        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        ends = np.r_[starts[1:], ids.size]
+        new = np.ones(ids.size, dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        starts = new.nonzero()[0]
         several = np.minimum.reduceat(trigger, starts) != np.maximum.reduceat(
             trigger, starts
         )
-        for s, t in zip(starts[several].tolist(), ends[several].tolist()):
-            assignment[s:t] = _greedy_cover(
-                rows[s:t].tolist(), cols[s:t].tolist(),
-                trigger[s:t].tolist(), td,
+        if several.any():
+            seg = new.cumsum() - 1  # entry -> its matrix's run
+            multi = several[seg].nonzero()[0]
+            assignment[multi] = _cover(
+                seg[multi], rows[multi], cols[multi], trigger[multi], td
             )
 
     offset = td.bag_start[assignment]
@@ -100,35 +106,55 @@ def split(
     )
 
 
-def _greedy_cover(rows: list, cols: list, trigger: list, td) -> list:
-    """Bag of each entry of one matrix.  The trigger bags are visited in
-    postorder; one still holding an unassigned entry of its own is selected
-    and claims every unassigned entry that fits in it."""
-    buckets: dict = {}
-    entries_at: dict = {}
-    for e, (r, c, j) in enumerate(zip(rows, cols, trigger)):
-        buckets.setdefault(j, []).append(e)
-        entries_at.setdefault(r, []).append(e)
-        if c != r:
-            entries_at.setdefault(c, []).append(e)
+def _cover(seg, rows, cols, trigger, td: TreeDecomposition) -> np.ndarray:
+    """Bag of each entry of the matrices with several trigger bags, the
+    entries of matrix ``seg[e]`` in one pass.
 
-    assignment = [-1] * len(rows)
-    # postorder restricted to trigger bags: non-trigger bags never enter
-    # the cover, so skipping them is behavior-preserving
-    bags = np.fromiter(buckets, np.int64, len(buckets))
-    for j in bags[np.argsort(td.post_index[bags])].tolist():
-        if all(assignment[e] >= 0 for e in buckets[j]):
-            continue
-        bag = set(td.bags[j])
-        for v in td.bags[j]:
-            kept = []
-            for e in entries_at.get(v, ()):
-                if assignment[e] >= 0:
-                    continue
-                if rows[e] in bag and cols[e] in bag:
-                    assignment[e] = j
-                else:
-                    kept.append(e)
-            if v in entries_at:
-                entries_at[v] = kept
-    return assignment
+    An entry's *candidates* are its matrix's trigger bags that hold it.
+    They lie in the subtree below its trigger bag, which is one of them.
+    The greedy traversal selects a trigger bag when, at its turn in
+    postorder, one of its entries lies in no bag selected before.  So a
+    trigger bag that is the only candidate of one of its entries is
+    selected outright, and an entry with another candidate selected
+    outright never selects its own.  Only the trigger bags of the entries
+    left are decided one by one, in postorder.  Each entry then takes its
+    first selected candidate in postorder."""
+    ell = td.ell
+    key = seg * ell + trigger
+    pairs = sorted_unique(key)  # (matrix, trigger bag)
+    own = pairs.searchsorted(key)
+
+    # candidates, from the bags of the endpoint that lies in fewer bags
+    start, held = td.vertex_start, td.vertex_bags
+    n_bags = start[1:] - start[:-1]
+    by_row = n_bags[rows] <= n_bags[cols]
+    one, other = np.where(by_row, rows, cols), np.where(by_row, cols, rows)
+    count = n_bags[one]
+    entry = np.arange(rows.size).repeat(count)
+    bag = held[ranges(start[one], count)]
+    pair, hit = sorted_lookup(pairs, seg[entry] * ell + bag)
+    hit &= td.locate(bag, other[entry])[1]
+    entry, bag, pair = entry[hit], bag[hit], pair[hit]
+    count = np.bincount(entry, minlength=rows.size)
+
+    selected = np.zeros(pairs.size, dtype=bool)
+    selected[own[count == 1]] = True
+    # an entry with another candidate selected outright is covered; the
+    # trigger bags of the rest are decided in postorder, where every
+    # candidate below has been decided
+    wait = (np.bincount(entry, selected[pair], rows.size) == 0).nonzero()[0]
+    if wait.size:
+        wait = wait[np.argsort(td.post_index[trigger[wait]], kind="stable")]
+        first = count.cumsum() - count
+        sel, cand = selected.tolist(), pair.tolist()
+        for p, lo, n in zip(own[wait].tolist(), first[wait].tolist(),
+                            count[wait].tolist()):
+            if not sel[p] and not any(sel[o] for o in cand[lo:lo + n]):
+                sel[p] = True
+        selected = np.array(sel, dtype=bool)
+
+    keep = selected[pair]
+    entry, post = entry[keep], td.post_index[bag[keep]]
+    # every entry has a selected candidate; its first one starts its run
+    heads = entry.searchsorted(np.arange(rows.size))
+    return td.postorder()[np.minimum.reduceat(post, heads)]

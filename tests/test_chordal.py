@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesdp.chordal import (
     Graph,
@@ -12,7 +14,6 @@ from treesdp.chordal import (
     parse_graph,
     parse_permutation,
     sparsity_graph,
-    supernode_merge,
 )
 from treesdp.errors import DimensionMismatch, ParseError
 from util import (
@@ -22,6 +23,7 @@ from util import (
     min_degree_order_reference,
     random_rooted_tree,
     separator,
+    supernode_merge,
     symbolic_factor,
     validate,
 )
@@ -161,6 +163,58 @@ def test_one_elimination_pass_matches_the_two_pass_oracle():
             assert same_tree(decompose(g, order), supernode_merge(want))
         seen.add(kind if n else "empty")
     assert seen == {"random", "edgeless", "two parts", "empty"}
+
+
+GRAPH_KINDS = (
+    "random", "edgeless", "disconnected", "star", "path", "wheel", "complete"
+)
+
+
+def graph_of_kind(rng, kind, n):
+    if kind == "random":
+        return random_graph(rng, n, float(rng.uniform(0.02, 0.5)))
+    if kind == "edgeless":
+        return Graph(n, [])
+    if kind == "disconnected":
+        return random_graph_in_parts(rng, n, float(rng.uniform(0.1, 0.6)), 3)
+    if kind == "star":
+        return star_graph(n)
+    if kind == "path":
+        return path_graph(n)
+    if kind == "wheel":  # a cycle on 0..n-2 and the hub n-1
+        rim = [(i, (i + 1) % (n - 1)) for i in range(n - 1)] if n > 2 else []
+        return Graph(n, rim + [(i, n - 1) for i in range(n - 1)])
+    return complete_graph(n)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(GRAPH_KINDS), st.integers(0, 40), st.booleans(),
+       st.integers(0, 2 ** 32 - 1))
+def test_decompose_matches_the_set_merge_oracle(kind, n, given, seed):
+    # the count-only merge keeps the set merge's bags, parents and
+    # postorder, in min-degree and in given orders
+    rng = np.random.default_rng(seed)
+    g = graph_of_kind(rng, kind, n)
+    order = rng.permutation(n).tolist() if given else None
+    want = supernode_merge(eliminate(g, order))
+    got = decompose(g, order)
+    assert same_tree(got, want)
+    assert np.array_equal(got.postorder(), want.postorder())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.integers(0, 80), st.integers(0, 2 ** 32 - 1))
+def test_sparsity_graph_equals_the_checked_graph(n, count, seed):
+    # the trusted graph equals Graph's canonical form of the stored
+    # positions, repeats and diagonal entries included
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, (2, count))
+    mat = SparseSymmetric(order=n, rows=np.maximum(a, b).tolist(),
+                          cols=np.minimum(a, b).tolist(), vals=[1.0] * count)
+    sdp = make_problem(mat, [], [])
+    got = sparsity_graph(n, sdp.triplets)
+    assert got == Graph(n, zip(mat.rows, mat.cols))
+    assert all(type(v) is int for edge in got.edges for v in edge)
 
 
 # ----------------------------------------------------------------- symbolic factor

@@ -769,6 +769,42 @@ def test_band_and_superlu_inertia_agree_on_narrow_bands(monkeypatch):
             assert band.exceeds(t) == lu.exceeds(t) == (eig[-1] > t)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 40), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_band_path_sums_repeats_as_the_csc_form_does(n, kd, seed):
+    # repeated positions, signed zeros and mixed scales: the band path
+    # builds no CSC form, and its band, diagonal, scale and Gershgorin
+    # bound equal those read off the CSC form bit for bit while every CSC
+    # column holds at most 16 stored entries
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 4 * n + 1))
+    cols = rng.integers(0, n, count)
+    rows = np.minimum(cols + rng.integers(0, kd + 1, count), n - 1)
+    again = rng.integers(0, count, count // 2) if count else cols[:0]
+    shuffle = rng.permutation(count + again.size)
+    rows = np.concatenate((rows, rows[again]))[shuffle]
+    cols = np.concatenate((cols, cols[again]))[shuffle]
+    vals = rng.standard_normal(rows.size) * 10.0 ** rng.integers(
+        -3, 4, rows.size
+    )
+    vals[rng.random(rows.size) < 0.1] = -0.0
+    off = rows != cols
+    stored = np.bincount(np.concatenate((cols, rows[off], np.arange(n))))
+    band = _Shifted(n, rows, cols, vals)
+    if band.band is None or stored.max() > 16:
+        return
+    assert not hasattr(band, "mat")
+    lu = object.__new__(_Shifted)
+    lu._keep_csc(n, rows, cols, vals)
+    col = np.repeat(np.arange(n), np.diff(lu.mat.indptr))
+    below = lu.mat.indices - col
+    want = np.zeros_like(band.band)
+    want[below[below > 0], col[below > 0]] = lu.mat.data[below > 0]
+    assert want.tobytes() == band.band.tobytes()
+    assert lu.m_diag.tobytes() == band.m_diag.tobytes()
+    assert (lu.scale, lu.upper) == (band.scale, band.upper)
+
+
 def test_path_metrics_make_no_superlu_call(monkeypatch):
     # the path's own vertex order has half bandwidth 1: every inertia
     # test of ||C|| and of the slack is one band Cholesky

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from treesdp.chordal import Graph, decompose
+from treesdp.chordal import Graph, decompose, sparsity_graph
 from treesdp.errors import UncoverableEntry
 from treesdp.splitting import build_unique_partition, split
 from util import (
@@ -14,10 +16,18 @@ from util import (
     dot_sym,
     embedded_sum,
     is_partially_separable,
+    loop_cover,
+    make_problem,
+    power_flow_problem,
     random_chordal_problem,
+    random_partially_separable_problem,
+    random_spread_matrix,
     row_split,
     split_one,
+    stack_triplets,
+    star_arrow_problem,
     to_dense,
+    with_wide_constraint,
 )
 
 
@@ -155,6 +165,58 @@ def test_stacked_split_matches_the_per_row_split():
                 assert np.array_equal(pieces.rows[sel], piece.rows)
                 assert np.array_equal(pieces.cols[sel], piece.cols)
                 assert np.array_equal(pieces.vals[sel], piece.vals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(3, 25), st.integers(1, 8), st.integers(0, 4),
+       st.integers(0, 2 ** 32 - 1))
+def test_split_matches_the_loop_cover_on_random_problems(n, m, spread, seed):
+    # partially separable rows, a cost that spans the tree, and a few
+    # rows spread over several bags
+    rng = np.random.default_rng(seed)
+    problem, td = random_partially_separable_problem(rng, n, m)
+    rows = problem.constraints + [
+        random_spread_matrix(rng, n, td, int(rng.integers(1, 3 * n)))
+        for _ in range(spread)
+    ]
+    problem = make_problem(problem.cost, rows, np.zeros(len(rows)), n=n)
+    got = split(problem.triplets, td).assignment
+    assert np.array_equal(got, loop_cover(problem.triplets, td))
+
+
+def path_identity():
+    """I on a path: every bag but the leaf's holds each of its entries
+    together with a bag below, so the cover alternates down the path."""
+    n = 12
+    g = Graph(n, [(i, i + 1) for i in range(n - 1)])
+    eye = SparseSymmetric(order=n, rows=list(range(n)),
+                          cols=list(range(n)), vals=[1.0] * n)
+    return stack_triplets([eye]), decompose(g, list(range(n)))
+
+
+@pytest.mark.parametrize("kind", [
+    "power-flow", "star-arrow", "wide", "wide-power-flow", "path-identity",
+])
+def test_split_matches_the_loop_cover_on_structured_problems(kind):
+    if kind == "path-identity":
+        stack, td = path_identity()
+    else:
+        problem = {
+            "power-flow": lambda: power_flow_problem(3, 10),
+            "star-arrow": lambda: star_arrow_problem(20),
+            "wide": lambda: with_wide_constraint(star_arrow_problem(9)),
+            "wide-power-flow": lambda: with_wide_constraint(
+                power_flow_problem(3, 10)
+            ),
+        }[kind]()
+        stack = problem.triplets
+        td = decompose(sparsity_graph(problem.n, stack))
+    got = split(stack, td).assignment
+    want = loop_cover(stack, td)
+    assert np.array_equal(got, want)
+    if kind == "path-identity":
+        # bags 0, 2, 4, ... cover it: each decided by the one below
+        assert cover_of(split(stack, td)) == list(range(0, td.ell, 2))
 
 
 def test_split_uncoverable_entry():

@@ -40,7 +40,7 @@ from treesdp.linalg import (
 from treesdp.model import SdpProblem
 from treesdp.normal import TreeNormalSystem
 from treesdp.recovery import OVERLAP_TOL, SCORE_CAP, LowRankFactor, Metrics
-from treesdp.splitting import split
+from treesdp.splitting import build_unique_partition, split
 
 
 @dataclass
@@ -527,6 +527,55 @@ def symbolic_factor(graph, order=None):
         if r != final_root:
             parent[r] = final_root
     return TreeDecomposition(n=n, bags=bags, parent=parent)
+
+
+def supernode_merge(td):
+    """Merge nested bags by set comparisons: a bag that is a subset of its
+    parent is absorbed into the parent, and a parent that is a subset of a
+    child is absorbed into that child.  Repeats to a fixpoint; idempotent;
+    width unchanged.  The oracle of ``chordal.decompose``'s merge."""
+    bags = [set(b) for b in td.bags]
+    parent = [int(p) for p in td.parent]
+    alive = [True] * len(bags)
+
+    def find(j):
+        while not alive[j]:
+            j = parent[j]
+        return j
+
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(bags)):
+            if not alive[j]:
+                continue
+            p = find(parent[j]) if parent[j] != j else j
+            parent[j] = p
+            if p == j:
+                continue
+            if bags[j] <= bags[p]:
+                # child absorbed into parent
+                alive[j] = False
+                parent[j] = p
+                changed = True
+            elif bags[p] <= bags[j]:
+                # parent absorbed into child: child takes the parent's place
+                bags[j] |= bags[p]
+                gp = find(parent[p]) if parent[p] != p else p
+                alive[p] = False
+                parent[p] = j
+                parent[j] = j if gp == p else gp
+                changed = True
+    keep = [j for j in range(len(bags)) if alive[j]]
+    index = {j: i for i, j in enumerate(keep)}
+    new_bags = [tuple(sorted(bags[j])) for j in keep]
+    new_parent = np.zeros(len(keep), dtype=np.int64)
+    for i, j in enumerate(keep):
+        p = parent[j]
+        if p != j:
+            p = find(p)
+        new_parent[i] = index[p]
+    return TreeDecomposition(n=td.n, bags=new_bags, parent=new_parent)
 
 
 def random_bag_supported_matrix(rng, n, bag, density=0.8):
@@ -1512,6 +1561,61 @@ def loop_complete_low_rank(blocks, td, eps=1e-8):
 # --------------------------------------------------------------------------
 # The per-matrix splitter and converter: oracles of the stacked ones
 # --------------------------------------------------------------------------
+
+
+def greedy_cover(rows: list, cols: list, trigger: list, td) -> list:
+    """Bag of each entry of one matrix.  The trigger bags are visited in
+    postorder; one still holding an unassigned entry of its own is selected
+    and claims every unassigned entry that fits in it.  The per-matrix loop
+    oracle of ``splitting.split``."""
+    buckets: dict = {}
+    entries_at: dict = {}
+    for e, (r, c, j) in enumerate(zip(rows, cols, trigger)):
+        buckets.setdefault(j, []).append(e)
+        entries_at.setdefault(r, []).append(e)
+        if c != r:
+            entries_at.setdefault(c, []).append(e)
+
+    assignment = [-1] * len(rows)
+    # postorder restricted to trigger bags: non-trigger bags never enter
+    # the cover, so skipping them is behavior-preserving
+    bags = np.fromiter(buckets, np.int64, len(buckets))
+    for j in bags[np.argsort(td.post_index[bags])].tolist():
+        if all(assignment[e] >= 0 for e in buckets[j]):
+            continue
+        bag = set(td.bags[j])
+        for v in td.bags[j]:
+            kept = []
+            for e in entries_at.get(v, ()):
+                if assignment[e] >= 0:
+                    continue
+                if rows[e] in bag and cols[e] in bag:
+                    assignment[e] = j
+                else:
+                    kept.append(e)
+            if v in entries_at:
+                entries_at[v] = kept
+    return assignment
+
+
+def loop_cover(stack, td) -> np.ndarray:
+    """The bag of each entry of a stack of coverable matrices, by one
+    ``greedy_cover`` call per matrix on the entries' trigger bags."""
+    owner = build_unique_partition(td)
+    rows, cols = stack.rows, stack.cols
+    own_r, own_c = owner[rows], owner[cols]
+    trigger = np.where(td.depth[own_r] >= td.depth[own_c], own_r, own_c)
+    assignment = np.empty_like(trigger)
+    ids = stack.ids.tolist()
+    start = 0
+    for end in range(1, len(ids) + 1):
+        if end == len(ids) or ids[end] != ids[start]:
+            assignment[start:end] = greedy_cover(
+                rows[start:end].tolist(), cols[start:end].tolist(),
+                trigger[start:end].tolist(), td,
+            )
+            start = end
+    return assignment
 
 
 def embedded_sum(pieces, td, order, matrix=0):
